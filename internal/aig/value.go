@@ -65,20 +65,19 @@ func (v *AttrValue) Collection(name string) (*relstore.Table, error) {
 }
 
 // SetCollection replaces a set/bag member's rows. Set members are
-// deduplicated; bags keep duplicates.
+// deduplicated; bags keep duplicates. The rows are shared with the value
+// and must not be modified afterwards.
 func (v *AttrValue) SetCollection(name string, rows []relstore.Tuple) error {
 	m, ok := v.Decl.Member(name)
 	if !ok || m.Kind == Scalar {
 		return fmt.Errorf("aig: no collection member %q in %s", name, v.Decl)
 	}
-	t := relstore.NewTable(name, m.Fields)
-	for _, row := range rows {
-		if err := t.Insert(row); err != nil {
-			return fmt.Errorf("aig: member %q: %v", name, err)
-		}
-	}
 	if m.Kind == Set {
-		t.Distinct()
+		rows, _ = relstore.DistinctRows(rows)
+	}
+	t, err := relstore.TableFromRows(name, m.Fields, rows)
+	if err != nil {
+		return fmt.Errorf("aig: member %q: %v", name, err)
 	}
 	v.Collections[name] = t
 	return nil

@@ -156,6 +156,10 @@ type IVMOptions struct {
 	// fault-injection hook for testing the oracle itself (forcing
 	// Unaffected simulates an unsound judge keeping stale documents).
 	Fault func(step int, v ivm.Verdict) ivm.Verdict
+	// StalePlans injects the "never invalidate" fault into the plan-cache
+	// leg: the kept-alive mediator's sources report a frozen data version,
+	// so it keeps evaluating with the plan of the initial catalog.
+	StalePlans bool
 }
 
 // IVMOutcome summarizes one incremental-maintenance oracle run.
@@ -246,6 +250,13 @@ func CheckIVM(inst *randaig.Instance, muts []Mutation, opts IVMOptions) IVMOutco
 		return IVMOutcome{Divergence: mkDiv("initial evaluation failed: "+cachedErr.Error(), "", "")}
 	}
 	baseline := snapshotVersions(inst.Catalog)
+	kept, err := newKeptMediator(inst, dec, decU, opts.StalePlans)
+	if err != nil {
+		return IVMOutcome{Divergence: mkDiv("plan-cache leg: "+err.Error(), "", "")}
+	}
+	if d := kept.check("initial state", cachedDoc, nil); d != nil {
+		return IVMOutcome{Divergence: d}
+	}
 
 	var out IVMOutcome
 	for i, m := range muts {
@@ -297,6 +308,10 @@ func CheckIVM(inst *randaig.Instance, muts []Mutation, opts IVMOptions) IVMOutco
 		}
 
 		truthDoc, truthErr := evaluate()
+		if d := kept.check(fmt.Sprintf("step %d (%s)", i, m), truthDoc, truthErr); d != nil {
+			out.Divergence = d
+			return out
+		}
 		if isAbort(truthErr) && isAbort(cachedErr) {
 			continue // both abort on a guard: equal outcome, as in compare()
 		}

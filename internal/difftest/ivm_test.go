@@ -191,3 +191,37 @@ func TestIVMDeterministicReplay(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanCacheFaultInjection freezes the data versions the kept-alive
+// mediator sees, so it never re-plans ("never invalidate"), and proves
+// the plan-cache leg catches the stale plan, that ShrinkIVM keeps the
+// divergence while minimizing, and that the same sequence is clean
+// without the fault.
+func TestPlanCacheFaultInjection(t *testing.T) {
+	opts := IVMOptions{StalePlans: true}
+	cfg := randaig.DefaultConfig()
+	for seed := int64(0); seed < 30; seed++ {
+		inst, err := randaig.Generate(seed, cfg)
+		if err != nil {
+			t.Fatalf("seed %d: generate: %v", seed, err)
+		}
+		seq := GenerateMutations(inst, seed, 10)
+		out := CheckIVM(inst, seq, opts)
+		if out.Divergence == nil {
+			continue
+		}
+		if out.Divergence.Leg != "plancache" {
+			t.Fatalf("divergence on leg %q, want plancache:\n%s", out.Divergence.Leg, out.Divergence.Error())
+		}
+		shrunk, div, _ := ShrinkIVM(inst, seq, opts, 60)
+		if div == nil || div.Leg != "plancache" {
+			t.Fatalf("shrink lost the plancache divergence: %v", div)
+		}
+		if clean := CheckIVM(inst, shrunk, IVMOptions{}); clean.Divergence != nil {
+			t.Fatalf("shrunk sequence diverges without the fault:\n%s", clean.Divergence.Error())
+		}
+		t.Logf("seed %d: caught in %d -> %d mutations: %s", seed, len(seq), len(shrunk), div.Detail)
+		return
+	}
+	t.Fatal("no seed in range exposed the never-invalidate fault")
+}

@@ -1,0 +1,62 @@
+package mediator
+
+import (
+	"testing"
+
+	"github.com/aigrepro/aig/internal/aigspec"
+	"github.com/aigrepro/aig/internal/datagen"
+	"github.com/aigrepro/aig/internal/hospital"
+	"github.com/aigrepro/aig/internal/source"
+	"github.com/aigrepro/aig/internal/specialize"
+)
+
+// bench250 is the catalog of the repository benchmark (bench/fixture.go),
+// so a layer regression seen there has a unit-sized reproducer here.
+var bench250 = datagen.Size{
+	Name: "bench250", Patient: 250, VisitInfo: 1100, Cover: 450,
+	Billing: 60, Treatment: 60, Procedure: 90,
+	Policies: 10, Dates: 30, Levels: 8,
+}
+
+// BenchmarkEvaluateRecursive evaluates the hospital view the way aigd
+// does once it has learned the unfolding depth (8 on this catalog),
+// cycling the 30 dates. "first" pays for planning on every evaluation (a
+// fresh mediator each time); "repeat" is the serving steady state: one
+// long-lived mediator.
+func BenchmarkEvaluateRecursive(b *testing.B) {
+	reg := source.RegistryFromCatalog(datagen.Generate(bench250, 42))
+	spec, err := aigspec.Parse(hospital.SpecText)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sa, err := specialize.CompileConstraints(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if sa, err = specialize.DecomposeQueries(sa, reg, reg, DefaultOptions().PlanOpts); err != nil {
+		b.Fatal(err)
+	}
+	run := func(b *testing.B, med func() *Mediator) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, depth, err := med().EvaluateRecursive(sa, hospital.RootInh(sa, datagen.Date(i%bench250.Dates)), 8, 64)
+			if err != nil || depth != 8 {
+				b.Fatalf("depth %d, err %v", depth, err)
+			}
+			benchDoc = res
+		}
+	}
+	b.Run("bench250/first", func(b *testing.B) {
+		run(b, func() *Mediator { return New(reg, DefaultOptions()) })
+	})
+	b.Run("bench250/repeat", func(b *testing.B) {
+		m := New(reg, DefaultOptions())
+		if _, _, err := m.EvaluateRecursive(sa, hospital.RootInh(sa, datagen.Date(0)), 8, 64); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		run(b, func() *Mediator { return m })
+	})
+}
+
+var benchDoc *Result

@@ -28,17 +28,13 @@ func estimatedInputs(net NetModel) costInputs {
 	}
 }
 
-func measuredInputs(net NetModel) costInputs {
-	return costInputs{
-		eval:  func(n *node) float64 { return n.evalSec },
-		bytes: func(e *edge) float64 { return float64(e.bytes) },
-		overhead: func(n *node) float64 {
-			if n.kind == nodeQuery && n.source != MediatorSource {
-				return net.QueryOverheadSec
-			}
-			return 0
-		},
-	}
+// measuredInputs reads what this run measured; the per-request overhead
+// is the model's either way.
+func (x *exec) measuredInputs() costInputs {
+	in := estimatedInputs(x.g.opts.Net)
+	in.eval = func(n *node) float64 { return x.nodes[n.idx].evalSec }
+	in.bytes = func(e *edge) float64 { return float64(x.edgeBytes[e.idx]) }
+	return in
 }
 
 // costOf computes cost(P) for the plan under the given inputs. Completion

@@ -7,9 +7,9 @@ import (
 
 // chainGraph builds A(DB1) -> B(DB2) -> C(DB1) with known costs.
 func chainGraph() []*node {
-	a := &node{idx: 0, kind: nodeQuery, source: "DB1", estCost: 1, done: make(chan struct{})}
-	b := &node{idx: 1, kind: nodeQuery, source: "DB2", estCost: 2, done: make(chan struct{})}
-	c := &node{idx: 2, kind: nodeQuery, source: "DB1", estCost: 3, done: make(chan struct{})}
+	a := &node{idx: 0, kind: nodeQuery, source: "DB1", estCost: 1}
+	b := &node{idx: 1, kind: nodeQuery, source: "DB2", estCost: 2}
+	c := &node{idx: 2, kind: nodeQuery, source: "DB1", estCost: 3}
 	link := func(f, t *node, bytes float64) {
 		e := &edge{from: f, to: t, estBytes: bytes}
 		f.out = append(f.out, e)
@@ -44,8 +44,8 @@ func TestCostOfChargesOverheadPerQuery(t *testing.T) {
 
 func TestCostOfSameSourceSerialization(t *testing.T) {
 	// Two independent queries on one source serialize on its schedule.
-	a := &node{idx: 0, kind: nodeQuery, source: "DB1", estCost: 2, done: make(chan struct{})}
-	b := &node{idx: 1, kind: nodeQuery, source: "DB1", estCost: 3, done: make(chan struct{})}
+	a := &node{idx: 0, kind: nodeQuery, source: "DB1", estCost: 2}
+	b := &node{idx: 1, kind: nodeQuery, source: "DB1", estCost: 3}
 	nodes := []*node{a, b}
 	net := NetModel{BandwidthBytesPerSec: 1, LatencySec: 0}
 	p := schedule(nodes, net, ScheduleFIFO)

@@ -14,9 +14,14 @@ import (
 )
 
 // Mediator evaluates specialized AIGs against a registry of data sources.
+// It keeps the prepared plans of the grammars it has evaluated, so a
+// long-lived mediator plans once per (grammar, unfolding depth, source
+// statistics epoch) and every further evaluation only executes and tags.
+// A Mediator is safe for concurrent use and must not be copied.
 type Mediator struct {
-	reg  *source.Registry
-	opts Options
+	reg   *source.Registry
+	opts  Options
+	plans planCache
 }
 
 // New creates a mediator over the given sources.
@@ -24,11 +29,23 @@ func New(reg *source.Registry, opts Options) *Mediator {
 	return &Mediator{reg: reg, opts: opts}
 }
 
-// exec is the runtime state of one evaluation.
+// exec is the run state of one evaluation over a prepared plan: the
+// instance store, and per graph node, edge and query part what this run
+// measured or produced. Everything else an evaluation reads belongs to
+// the shared plan.
 type exec struct {
-	g        *graph
-	ctx      context.Context // carries the execute-phase span for node parenting
-	rootInh  *aig.AttrValue
+	*preparedPlan                 // shared and immutable
+	ctx           context.Context // carries the execute-phase span for node parenting
+	rootInh       *aig.AttrValue
+
+	st        *store
+	nodes     []nodeRun         // by node.idx
+	edgeBytes []int             // by edge.idx: measured shipped volume
+	partOut   []*relstore.Table // by part.idx
+	// executed is the schedule as executed: sched, or the recorded
+	// dispatch order under dynamic scheduling.
+	executed *plan
+
 	mu       sync.Mutex
 	firstErr error
 	// wake, set under mu by the dynamic scheduler, is called after every
@@ -38,6 +55,30 @@ type exec struct {
 	// the "execute" phase span.
 	tr       *obs.Tracer
 	execSpan *obs.Span
+}
+
+// nodeRun is one node's share of the run state.
+type nodeRun struct {
+	done     chan struct{}
+	finished bool // set (under the exec mutex) before done closes
+	err      error
+	evalSec  float64
+	outRows  int
+	outBytes int
+}
+
+func newExec(p *preparedPlan, rootInh *aig.AttrValue) *exec {
+	x := &exec{
+		preparedPlan: p, rootInh: rootInh,
+		st:        newStore(),
+		nodes:     make([]nodeRun, len(p.g.nodes)),
+		edgeBytes: make([]int, len(p.g.edges)),
+		partOut:   make([]*relstore.Table, p.g.nparts),
+	}
+	for i := range x.nodes {
+		x.nodes[i].done = make(chan struct{})
+	}
+	return x
 }
 
 func (x *exec) fail(err error) {
@@ -52,7 +93,8 @@ func (x *exec) fail(err error) {
 // pre-processed (constraints compiled, multi-source queries decomposed,
 // recursion unfolded): compile the dependency graph, optimize it (Merge +
 // Schedule), execute the plan with one worker per source, and tag the
-// cached tables into the document.
+// cached tables into the document. The first two phases are skipped when
+// the mediator holds a plan for the grammar that is still current.
 func (m *Mediator) Evaluate(a *aig.AIG, rootInh *aig.AttrValue) (*Result, error) {
 	return m.EvaluateContext(context.Background(), a, rootInh)
 }
@@ -63,18 +105,21 @@ func (m *Mediator) Evaluate(a *aig.AIG, rootInh *aig.AttrValue) (*Result, error)
 // without per-request reconfiguration; ctx also flows into every source
 // call for cancellation.
 func (m *Mediator) EvaluateContext(ctx context.Context, a *aig.AIG, rootInh *aig.AttrValue) (*Result, error) {
-	res, _, err := m.evaluate(ctx, a, rootInh)
+	res, _, err := m.evaluate(ctx, a, 0, rootInh)
 	return res, err
 }
 
-func (m *Mediator) evaluate(ctx context.Context, a *aig.AIG, rootInh *aig.AttrValue) (*Result, *graph, error) {
+// evaluate evaluates grammar a unfolded to the given depth (0: as it is)
+// and returns the run state next to the result, for truncation probes
+// and ExplainAnalyze.
+func (m *Mediator) evaluate(ctx context.Context, a *aig.AIG, depth int, rootInh *aig.AttrValue) (*Result, *exec, error) {
 	tr, parent := obs.SpanFromContext(ctx)
 	if tr == nil {
 		tr = m.opts.Tracer
 	}
 	start := time.Now()
 	root := tr.StartSpan("evaluate", parent)
-	res, g, err := m.evaluatePhases(ctx, a, rootInh, tr, root)
+	res, x, err := m.evaluatePhases(ctx, a, depth, rootInh, tr, root)
 	if err != nil {
 		root.SetAttr("error", err.Error())
 	}
@@ -83,52 +128,34 @@ func (m *Mediator) evaluate(ctx context.Context, a *aig.AIG, rootInh *aig.AttrVa
 		root.SetAttr("response_time_sec", res.Report.ResponseTimeSec)
 	}
 	root.End()
-	return res, g, err
+	return res, x, err
 }
 
 // evaluatePhases runs the four Fig. 5 phases under the given root span,
 // recording one child span and one wall-clock timing per phase.
-func (m *Mediator) evaluatePhases(ctx context.Context, a *aig.AIG, rootInh *aig.AttrValue, tr *obs.Tracer, root *obs.Span) (*Result, *graph, error) {
-	phaseSec := make(map[string]float64, 4)
-
-	sp, t0 := tr.StartSpan("compile", root), time.Now()
-	g, err := compile(obs.ContextWithSpan(ctx, tr, sp), a, m.reg, m.opts)
-	phaseSec["compile"] = time.Since(t0).Seconds()
+func (m *Mediator) evaluatePhases(ctx context.Context, a *aig.AIG, depth int, rootInh *aig.AttrValue, tr *obs.Tracer, root *obs.Span) (*Result, *exec, error) {
+	p, compileSec, optimizeSec, err := m.prepare(ctx, a, depth, tr, root)
 	if err != nil {
-		sp.End()
 		return nil, nil, err
 	}
-	if !isAcyclic(g.nodes) {
-		sp.End()
-		return nil, nil, fmt.Errorf("mediator: dependency graph is cyclic")
-	}
-	sp.SetAttr("nodes", len(g.nodes)).SetAttr("edges", len(g.edges)).End()
-
-	sp, t0 = tr.StartSpan("optimize", root), time.Now()
-	mergedGroups := 0
-	if m.opts.Merge {
-		mergedGroups = g.mergeQueries()
-	}
-	p := schedule(g.nodes, m.opts.Net, m.opts.Schedule)
-	phaseSec["optimize"] = time.Since(t0).Seconds()
-	sp.SetAttr("merged_groups", mergedGroups).SetAttr("nodes", len(g.nodes)).End()
+	phaseSec := map[string]float64{"compile": compileSec, "optimize": optimizeSec}
+	g := p.g
 
 	if rootInh == nil {
-		rootInh = aig.NewAttrValue(a.Inh[a.DTD.Root])
+		rootInh = aig.NewAttrValue(g.a.Inh[g.a.DTD.Root])
 	}
-	sp, t0 = tr.StartSpan("execute", root), time.Now()
-	x := &exec{g: g, ctx: obs.ContextWithSpan(ctx, tr, sp), rootInh: rootInh, tr: tr, execSpan: sp}
-	executed, err := x.run(p)
+	sp, t0 := tr.StartSpan("execute", root), time.Now()
+	x := newExec(p, rootInh)
+	x.ctx, x.tr, x.execSpan = obs.ContextWithSpan(ctx, tr, sp), tr, sp
+	err = x.run()
 	phaseSec["execute"] = time.Since(t0).Seconds()
 	sp.End()
 	if err != nil {
 		return nil, nil, err
 	}
-	p = executed
-	g.executed = executed
 
 	sp, t0 = tr.StartSpan("tag", root), time.Now()
-	doc, err := g.tag()
+	doc, err := x.tag()
 	phaseSec["tag"] = time.Since(t0).Seconds()
 	sp.End()
 	if err != nil {
@@ -136,36 +163,36 @@ func (m *Mediator) evaluatePhases(ctx context.Context, a *aig.AIG, rootInh *aig.
 	}
 
 	rep := Report{
-		ResponseTimeSec:  costOf(g.nodes, p, m.opts.Net, measuredInputs(m.opts.Net)),
-		MergedGroups:     mergedGroups,
+		ResponseTimeSec:  costOf(g.nodes, x.executed, m.opts.Net, x.measuredInputs()),
+		MergedGroups:     p.merged,
 		NodeCount:        len(g.nodes),
 		EdgeCount:        len(g.edges),
 		PerSourceBusySec: make(map[string]float64),
 		PhaseSec:         phaseSec,
 	}
 	for _, n := range g.nodes {
-		rep.PerSourceBusySec[n.source] += n.evalSec
+		rep.PerSourceBusySec[n.source] += x.nodes[n.idx].evalSec
 		if n.kind == nodeQuery && n.source != MediatorSource {
 			rep.SourceQueryCount++
 		}
 	}
 	for _, e := range g.edges {
 		if e.from.source != e.to.source {
-			rep.ShippedBytes += e.bytes
+			rep.ShippedBytes += x.edgeBytes[e.idx]
 		}
 	}
-	return &Result{Doc: doc, Report: rep}, g, nil
+	return &Result{Doc: doc, Report: rep}, x, nil
 }
 
-// run executes the plan — one worker goroutine per source — and returns
-// the schedule as executed (identical to p for static schedules; the
-// recorded dispatch order under dynamic scheduling).
-func (x *exec) run(p *plan) (*plan, error) {
+// run executes the plan — one worker goroutine per source — and records
+// the schedule as executed (the prepared one for static schedules; the
+// dispatch order under dynamic scheduling).
+func (x *exec) run() error {
 	if x.g.opts.Schedule == ScheduleDynamic {
-		return x.runDynamic(p)
+		return x.runDynamic()
 	}
 	var wg sync.WaitGroup
-	for _, seq := range p.order {
+	for _, seq := range x.sched.order {
 		wg.Add(1)
 		go func(seq []*node) {
 			defer wg.Done()
@@ -176,22 +203,23 @@ func (x *exec) run(p *plan) (*plan, error) {
 		}(seq)
 	}
 	wg.Wait()
-	return p, x.firstErr
+	x.executed = x.sched
+	return x.firstErr
 }
 
 // runDynamic dispatches per source: whenever any of a source's pending
 // nodes has all dependencies finished, the highest-priority ready node
 // runs next (§5.5's dynamic scheduling). The dispatch order is recorded
-// and returned for cost reporting.
-func (x *exec) runDynamic(p *plan) (*plan, error) {
-	level := levels(x.g.nodes, x.g.opts.Net)
+// for cost reporting.
+func (x *exec) runDynamic() error {
+	level := x.level
 	cond := sync.NewCond(&x.mu)
 	x.wake = func() {
 		cond.Broadcast()
 	}
-	executed := &plan{order: make(map[string][]*node, len(p.order))}
+	executed := &plan{order: make(map[string][]*node, len(x.sched.order))}
 	var wg sync.WaitGroup
-	for src, seq := range p.order {
+	for src, seq := range x.sched.order {
 		wg.Add(1)
 		go func(src string, pending []*node) {
 			defer wg.Done()
@@ -207,7 +235,7 @@ func (x *exec) runDynamic(p *plan) (*plan, error) {
 					for i, n := range remaining {
 						ready := true
 						for _, e := range n.in {
-							if !e.from.finished {
+							if !x.nodes[e.from.idx].finished {
 								ready = false
 								break
 							}
@@ -227,9 +255,9 @@ func (x *exec) runDynamic(p *plan) (*plan, error) {
 					// Drain: mark everything finished so waiters unblock.
 					for _, n := range remaining {
 						x.mu.Lock()
-						n.finished = true
+						x.nodes[n.idx].finished = true
 						x.mu.Unlock()
-						close(n.done)
+						close(x.nodes[n.idx].done)
 						cond.Broadcast()
 					}
 					return
@@ -244,17 +272,19 @@ func (x *exec) runDynamic(p *plan) (*plan, error) {
 		}(src, seq)
 	}
 	wg.Wait()
-	return executed, x.firstErr
+	x.executed = executed
+	return x.firstErr
 }
 
 func (x *exec) waitDeps(n *node) {
 	for _, e := range n.in {
-		<-e.from.done
+		<-x.nodes[e.from.idx].done
 	}
 }
 
 // runNode executes one node whose dependencies are satisfied.
 func (x *exec) runNode(n *node) {
+	nr := &x.nodes[n.idx]
 	sp := x.tr.StartSpan("node:"+n.name, x.execSpan)
 	start := time.Now()
 	defer func() {
@@ -264,20 +294,20 @@ func (x *exec) runNode(n *node) {
 			sp.SetAttr("source", n.source).
 				SetAttr("est_cost_sec", n.estCost).
 				SetAttr("est_out_bytes", n.estOutBytes).
-				SetAttr("eval_sec", n.evalSec).
+				SetAttr("eval_sec", nr.evalSec).
 				SetAttr("wall_sec", time.Since(start).Seconds()).
-				SetAttr("out_rows", n.outRows).
-				SetAttr("out_bytes", n.outBytes)
-			if n.err != nil {
-				sp.SetAttr("error", n.err.Error())
+				SetAttr("out_rows", nr.outRows).
+				SetAttr("out_bytes", nr.outBytes)
+			if nr.err != nil {
+				sp.SetAttr("error", nr.err.Error())
 			}
 			sp.End()
 		}
 		x.mu.Lock()
-		n.finished = true
+		nr.finished = true
 		wake := x.wake
 		x.mu.Unlock()
-		close(n.done)
+		close(nr.done)
 		if wake != nil {
 			wake()
 		}
@@ -301,11 +331,11 @@ func (x *exec) runNode(n *node) {
 		}
 		// Local work is charged on the virtual clock at the mediator's
 		// application-code rate, not wall time, for determinism.
-		n.evalSec = float64(rows) * x.g.opts.Net.MediatorRowCostSec
-		n.outRows = rows
+		nr.evalSec = float64(rows) * x.g.opts.Net.MediatorRowCostSec
+		nr.outRows = rows
 	}
 	if err != nil {
-		n.err = err
+		nr.err = err
 		x.fail(err)
 	}
 }
@@ -314,6 +344,7 @@ func (x *exec) runNode(n *node) {
 // its source, in dependency order. Merged nodes interleave absorbed local
 // tasks (the inlined key-path combination) between their query parts.
 func (x *exec) runQueryNode(ctx context.Context, n *node) error {
+	nr := &x.nodes[n.idx]
 	if n.items != nil {
 		for _, item := range n.items {
 			if item.local != nil {
@@ -321,7 +352,7 @@ func (x *exec) runQueryNode(ctx context.Context, n *node) error {
 				if err != nil {
 					return err
 				}
-				n.evalSec += float64(rows) * x.g.opts.Net.MediatorRowCostSec
+				nr.evalSec += float64(rows) * x.g.opts.Net.MediatorRowCostSec
 				continue
 			}
 			if item.pt == nil {
@@ -334,20 +365,22 @@ func (x *exec) runQueryNode(ctx context.Context, n *node) error {
 		// Ship to each consumer only the parts it actually consumes.
 		byOrigin := make(map[*node]int)
 		for _, item := range n.items {
-			if item.pt != nil && item.pt.out != nil && item.pt.origin != nil {
-				byOrigin[item.pt.origin] += item.pt.out.ByteSize()
+			if item.pt != nil && item.pt.origin != nil {
+				if out := x.partOut[item.pt.idx]; out != nil {
+					byOrigin[item.pt.origin] += out.ByteSize()
+				}
 			}
 		}
 		for _, e := range n.out {
-			if e.bytes != 0 {
+			if x.edgeBytes[e.idx] != 0 {
 				continue
 			}
 			if len(e.producers) == 0 {
-				e.bytes = n.outBytes
+				x.edgeBytes[e.idx] = nr.outBytes
 				continue
 			}
 			for _, p := range e.producers {
-				e.bytes += byOrigin[p]
+				x.edgeBytes[e.idx] += byOrigin[p]
 			}
 		}
 		return nil
@@ -358,21 +391,42 @@ func (x *exec) runQueryNode(ctx context.Context, n *node) error {
 		}
 	}
 	for _, e := range n.out {
-		if e.bytes == 0 {
-			e.bytes = n.outBytes
+		if x.edgeBytes[e.idx] == 0 {
+			x.edgeBytes[e.idx] = nr.outBytes
 		}
 	}
 	return nil
 }
 
-// runPart executes one query part at the node's source.
+// runPart executes one query part of node n and accounts its output and
+// its parameter-table shipment.
 func (x *exec) runPart(ctx context.Context, n *node, pt *part) error {
-	params, paramBytes, err := x.bindParams(pt)
+	var prev *relstore.Table
+	if pt.prev != nil {
+		prev = x.partOut[pt.prev.idx]
+	}
+	out, dur, paramBytes, err := x.execPart(ctx, pt, prev)
 	if err != nil {
-		return fmt.Errorf("mediator: %s: %v", pt.name, err)
+		return err
 	}
 	x.recordInputBytes(n, paramBytes)
+	x.partOut[pt.idx] = out
+	nr := &x.nodes[n.idx]
+	nr.evalSec += dur.Seconds()
+	nr.outRows += out.Len()
+	nr.outBytes += out.ByteSize()
+	return nil
+}
 
+// execPart binds one part's parameter tables from the store (prev is the
+// chain predecessor's output) and runs its query at the part's source,
+// returning the result, the engine time and the volume of the
+// store-derived parameter tables.
+func (x *exec) execPart(ctx context.Context, pt *part, prev *relstore.Table) (*relstore.Table, time.Duration, int, error) {
+	params, paramBytes, err := x.bindParams(pt, prev)
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("mediator: %s: %v", pt.name, err)
+	}
 	opts := x.g.opts.PlanOpts
 	opts.ParamCards = make(map[string]int, len(params))
 	for name, b := range params {
@@ -381,25 +435,21 @@ func (x *exec) runPart(ctx context.Context, n *node, pt *part) error {
 
 	var out *relstore.Table
 	var dur time.Duration
-	if n.source == MediatorSource {
+	if pt.source == MediatorSource {
 		start := time.Now()
 		out, err = sqlmini.Run(pt.name, pt.rw.query, x.g.reg, x.g.reg, x.g.reg, params, opts)
 		dur = time.Since(start)
 	} else {
-		src, gerr := x.g.reg.Get(n.source)
+		src, gerr := x.g.reg.Get(pt.source)
 		if gerr != nil {
-			return gerr
+			return nil, 0, 0, gerr
 		}
 		out, dur, err = src.Exec(ctx, pt.name, pt.rw.query, params, opts)
 	}
 	if err != nil {
-		return fmt.Errorf("mediator: %s: %v", pt.name, err)
+		return nil, 0, 0, fmt.Errorf("mediator: %s: %v", pt.name, err)
 	}
-	pt.out = out
-	n.evalSec += dur.Seconds()
-	n.outRows += out.Len()
-	n.outBytes += out.ByteSize()
-	return nil
+	return out, dur, paramBytes, nil
 }
 
 // recordInputBytes attributes the parameter-table volume (shipped
@@ -420,37 +470,32 @@ func (x *exec) recordInputBytes(n *node, paramBytes int) {
 	}
 	share := paramBytes / len(locals)
 	for _, e := range locals {
-		e.bytes += share
+		x.edgeBytes[e.idx] += share
 	}
 }
 
 // bindParams builds the runtime bindings of one part's parameter tables
-// from the store (and chain predecessors), returning the total volume of
-// the store-derived tables for communication accounting.
-func (x *exec) bindParams(pt *part) (sqlmini.Params, int, error) {
-	g := x.g
+// from the store and the chain predecessor's output, returning the total
+// volume of the store-derived tables for communication accounting.
+func (x *exec) bindParams(pt *part, prev *relstore.Table) (sqlmini.Params, int, error) {
 	params := make(sqlmini.Params, len(pt.rw.specs))
 	for _, spec := range pt.rw.specs {
 		switch spec.kind {
 		case paramPrev:
-			if pt.prev == nil || pt.prev.out == nil {
+			if prev == nil {
 				return nil, 0, fmt.Errorf("chain step has no predecessor output")
 			}
-			params[spec.name] = sqlmini.TableBinding(pt.prev.out)
+			params[spec.name] = sqlmini.TableBinding(prev)
 		case paramParentIDs:
 			var rows []relstore.Tuple
-			for _, inst := range g.parentInstances(pt.parentCtx, pt.branch) {
+			for _, inst := range x.parentInstances(pt.parentCtx, pt.branch) {
 				rows = append(rows, relstore.Tuple{relstore.Int(int64(inst.id))})
 			}
 			params[spec.name] = sqlmini.Binding{Schema: spec.schema, Rows: rows}
 		case paramScalars, paramCollection:
 			var rows []relstore.Tuple
-			for _, inst := range g.parentInstances(pt.parentCtx, pt.branch) {
-				scope, err := g.instanceScope(pt.parentCtx, inst)
-				if err != nil {
-					return nil, 0, err
-				}
-				b, err := scope.ResolveBinding(spec.src)
+			for _, inst := range x.parentInstances(pt.parentCtx, pt.branch) {
+				b, err := x.instanceScope(pt.parentCtx, inst).ResolveBinding(spec.src)
 				if err != nil {
 					return nil, 0, err
 				}

@@ -15,16 +15,11 @@ import (
 // executed; costs shown are the compile-time estimates the optimizer used
 // (§5.2).
 func (m *Mediator) Explain(a *aig.AIG) (string, error) {
-	g, err := compile(context.Background(), a, m.reg, m.opts)
+	p, _, _, err := m.prepare(context.Background(), a, 0, nil, nil)
 	if err != nil {
 		return "", err
 	}
-	merged := 0
-	if m.opts.Merge {
-		merged = g.mergeQueries()
-	}
-	p := schedule(g.nodes, m.opts.Net, m.opts.Schedule)
-	return renderPlan(g, p, merged, nil), nil
+	return renderPlan(p, nil, nil), nil
 }
 
 // ExplainAnalyze is the runtime counterpart of Explain: it evaluates the
@@ -34,22 +29,27 @@ func (m *Mediator) Explain(a *aig.AIG) (string, error) {
 // The evaluation result (document and report) is returned alongside the
 // rendering so callers can still use or verify the output.
 func (m *Mediator) ExplainAnalyze(a *aig.AIG, rootInh *aig.AttrValue) (string, *Result, error) {
-	res, g, err := m.evaluate(context.Background(), a, rootInh)
+	res, x, err := m.evaluate(context.Background(), a, 0, rootInh)
 	if err != nil {
 		return "", nil, err
 	}
-	return renderPlan(g, g.executed, res.Report.MergedGroups, res), res, nil
+	return renderPlan(x.preparedPlan, res, x), res, nil
 }
 
-// renderPlan is the shared renderer behind Explain (res == nil: estimates
-// only) and ExplainAnalyze (res != nil: estimates next to measured
-// actuals and the estimation error).
-func renderPlan(g *graph, p *plan, merged int, res *Result) string {
-	analyze := res != nil
+// renderPlan is the shared renderer behind Explain (x == nil: the
+// prepared plan, estimates only) and ExplainAnalyze (the plan in the
+// order run x executed it, estimates next to the actuals x measured and
+// the estimation error).
+func renderPlan(pp *preparedPlan, res *Result, x *exec) string {
+	g, p := pp.g, pp.sched
+	analyze := x != nil
+	if analyze {
+		p = x.executed
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "dependency graph: %d nodes, %d edges", len(g.nodes), len(g.edges))
 	if g.opts.Merge {
-		fmt.Fprintf(&b, " (%d merged groups)", merged)
+		fmt.Fprintf(&b, " (%d merged groups)", pp.merged)
 	}
 	est := costOf(g.nodes, p, g.opts.Net, estimatedInputs(g.opts.Net))
 	fmt.Fprintf(&b, "\nestimated response time: %.3fs\n", est)
@@ -74,7 +74,9 @@ func renderPlan(g *graph, p *plan, merged int, res *Result) string {
 				queries = append(queries, n)
 			} else {
 				localEst += n.estCost
-				localActual += n.evalSec
+				if analyze {
+					localActual += x.nodes[n.idx].evalSec
+				}
 			}
 		}
 		if src == MediatorSource {
@@ -87,7 +89,7 @@ func renderPlan(g *graph, p *plan, merged int, res *Result) string {
 			fmt.Fprintf(&b, "\n%s: %d queries in %s order\n", src, len(queries), orderName(analyze))
 		}
 		for i, n := range queries {
-			renderNode(&b, i+1, n, analyze)
+			renderNode(&b, i+1, n, x)
 		}
 	}
 	return b.String()
@@ -103,16 +105,15 @@ func orderName(analyze bool) string {
 // renderNode prints one query node: its estimate line (and, when
 // analyzing, the actuals and estimation error), its query parts in
 // execution order, and its incoming shipments.
-func renderNode(b *strings.Builder, pos int, n *node, analyze bool) {
+func renderNode(b *strings.Builder, pos int, n *node, x *exec) {
+	analyze := x != nil
 	fmt.Fprintf(b, "  %2d. %s (est %.3fs, ~%s out", pos, n.name, n.estCost, byteCount(n.estOutBytes))
 	if analyze {
+		nr := x.nodes[n.idx]
 		fmt.Fprintf(b, "; actual %.3fs, %d rows, %s out; bytes err %s",
-			n.evalSec, n.outRows, byteCount(float64(n.outBytes)), pctError(float64(n.outBytes), n.estOutBytes))
+			nr.evalSec, nr.outRows, byteCount(float64(nr.outBytes)), pctError(float64(nr.outBytes), n.estOutBytes))
 	}
 	b.WriteString(")\n")
-	if n.err != nil {
-		fmt.Fprintf(b, "        ERROR: %v\n", n.err)
-	}
 	parts := queryParts(n)
 	for _, pt := range parts {
 		prefix := ""
@@ -120,19 +121,24 @@ func renderNode(b *strings.Builder, pos int, n *node, analyze bool) {
 			prefix = "part: "
 		}
 		fmt.Fprintf(b, "        %s%s\n", prefix, pt.rw.query)
-		if analyze && pt.out != nil {
+		if analyze && x.partOut[pt.idx] != nil {
+			out := x.partOut[pt.idx]
 			fmt.Fprintf(b, "          -> %d rows, %s (est %.0f rows, ~%s; rows err %s)\n",
-				pt.out.Len(), byteCount(float64(pt.out.ByteSize())),
-				pt.estRows, byteCount(pt.estBytes), pctError(float64(pt.out.Len()), pt.estRows))
+				out.Len(), byteCount(float64(out.ByteSize())),
+				pt.estRows, byteCount(pt.estBytes), pctError(float64(out.Len()), pt.estRows))
 		}
 	}
 	for _, e := range n.in {
-		if e.from.kind != nodeQuery && e.estBytes <= 0 && e.bytes == 0 {
+		bytes := 0
+		if analyze {
+			bytes = x.edgeBytes[e.idx]
+		}
+		if e.from.kind != nodeQuery && e.estBytes <= 0 && bytes == 0 {
 			continue
 		}
 		fmt.Fprintf(b, "        <- %s (~%s shipped", e.from.name, byteCount(e.estBytes))
 		if analyze {
-			fmt.Fprintf(b, ", actual %s", byteCount(float64(e.bytes)))
+			fmt.Fprintf(b, ", actual %s", byteCount(float64(bytes)))
 		}
 		b.WriteString(")\n")
 	}

@@ -8,6 +8,7 @@ import (
 	"github.com/aigrepro/aig/internal/dtd"
 	"github.com/aigrepro/aig/internal/relstore"
 	"github.com/aigrepro/aig/internal/source"
+	"github.com/aigrepro/aig/internal/specialize"
 )
 
 // ctxNode is one occurrence of an element type in the DTD's template tree
@@ -66,12 +67,12 @@ const (
 )
 
 // edge is a producer-consumer dependency in the query dependency graph,
-// annotated with the shipped volume (estimated at compile time, measured
-// at run time).
+// annotated with the estimated shipped volume; the measured volume of one
+// evaluation is exec.edgeBytes[idx].
 type edge struct {
+	idx      int
 	from, to *node
 	estBytes float64
-	bytes    int
 	// producers, set when edges are rewired around merged nodes, lists
 	// the original producing nodes this edge stands for: the consumer
 	// receives only those parts' outputs ("the relevant tuples from Q are
@@ -80,7 +81,8 @@ type edge struct {
 }
 
 // node is one vertex of the dependency graph: a (possibly merged) query
-// at a source, or a local mediator task.
+// at a source, or a local mediator task. Nodes are immutable once the plan
+// is prepared; what one evaluation measures lives in exec.nodes[idx].
 type node struct {
 	idx    int
 	name   string
@@ -104,21 +106,16 @@ type node struct {
 	// Compile-time estimates (for Schedule/Merge).
 	estCost     float64
 	estOutBytes float64
-
-	// Runtime measurements.
-	done     chan struct{}
-	finished bool // set (under the exec mutex) before done closes
-	err      error
-	evalSec  float64
-	outRows  int
-	outBytes int
 }
 
-// part is one original query inside a (possibly merged) query node.
+// part is one original query inside a (possibly merged) query node. Its
+// output in one evaluation is exec.partOut[idx].
 type part struct {
+	idx       int
 	name      string
 	rw        *rewritten
-	origin    *node // the pre-merge node that owned this part
+	source    string // the one source the query reads, or MediatorSource
+	origin    *node  // the pre-merge node that owned this part
 	parentCtx *ctxNode
 	// branch restricts the parent instances to those that chose the given
 	// alternative of a choice production (0 = no restriction).
@@ -129,37 +126,44 @@ type part struct {
 	estRows  float64
 	estBytes float64
 	estCost  float64
-	// runtime result
-	out *relstore.Table
 }
 
-// graph is the compiled dependency graph plus the store and context tree.
+// graph is the compiled dependency graph and context tree of one
+// non-recursive grammar. It holds nothing of any particular evaluation,
+// so one graph serves every request (and concurrent ones) until the
+// source statistics it was costed with move.
 type graph struct {
-	a     *aig.AIG
-	reg   *source.Registry
-	opts  Options
-	ctx   context.Context // compile-time context; carries the caller's trace
-	root  *ctxNode
-	nodes []*node
-	edges []*edge
+	a      *aig.AIG
+	reg    *source.Registry
+	opts   Options
+	root   *ctxNode
+	nodes  []*node
+	edges  []*edge
+	nparts int
 
 	inhDone map[string]*node // ctx path -> barrier: instance table complete
 	synOf   map[string]*node // ctx path -> syn computed
 	estRows map[string]float64
 
-	st      *store
-	rootIDs []int // ids of root instances (exactly one)
-
-	// executed, set after a successful run, is the plan as executed (the
-	// recorded dispatch order under dynamic scheduling) — what
-	// ExplainAnalyze renders.
-	executed *plan
+	// probes holds, for a grammar unfolded from a recursive one, one entry
+	// per context the unfolding truncated.
+	probes []ctxProbe
 }
 
 func (g *graph) newNode(kind nodeKind, src, name string) *node {
-	n := &node{idx: len(g.nodes), kind: kind, source: src, name: name, done: make(chan struct{})}
+	n := &node{idx: len(g.nodes), kind: kind, source: src, name: name}
 	g.nodes = append(g.nodes, n)
 	return n
+}
+
+// newQueryNode creates the query node executing the single part pt at the
+// part's source.
+func (g *graph) newQueryNode(name string, pt *part) *node {
+	qn := g.newNode(nodeQuery, pt.source, name)
+	pt.idx, pt.name, pt.origin = g.nparts, name, qn
+	g.nparts++
+	qn.parts = []*part{pt}
+	return qn
 }
 
 func (g *graph) addEdge(from, to *node, estBytes float64) {
@@ -172,7 +176,7 @@ func (g *graph) addEdge(from, to *node, estBytes float64) {
 			return
 		}
 	}
-	e := &edge{from: from, to: to, estBytes: estBytes}
+	e := &edge{idx: len(g.edges), from: from, to: to, estBytes: estBytes}
 	g.edges = append(g.edges, e)
 	from.out = append(from.out, e)
 	to.in = append(to.in, e)
@@ -216,18 +220,19 @@ func (g *graph) depNodeFor(parentCtx *ctxNode, src aig.SourceRef) (*node, error)
 
 // compile builds the dependency graph for the AIG. ctx carries the
 // caller's trace (source Estimate calls made while costing parent under
-// the compile-phase span) and cancellation.
-func compile(ctx context.Context, a *aig.AIG, reg *source.Registry, opts Options) (*graph, error) {
+// the compile-phase span) and cancellation. truncated lists the replica
+// types an unfolding cut (specialize.UnfoldInfo), for which truncation
+// probes are compiled alongside.
+func compile(ctx context.Context, a *aig.AIG, reg *source.Registry, opts Options, truncated []specialize.TruncProbe) (*graph, error) {
 	root, err := buildContextTree(a.DTD)
 	if err != nil {
 		return nil, err
 	}
 	g := &graph{
-		a: a, reg: reg, opts: opts, ctx: ctx, root: root,
+		a: a, reg: reg, opts: opts, root: root,
 		inhDone: make(map[string]*node),
 		synOf:   make(map[string]*node),
 		estRows: make(map[string]float64),
-		st:      newStore(),
 	}
 
 	// Pass 1: create the barrier and syn nodes for every context.
@@ -244,14 +249,14 @@ func compile(ctx context.Context, a *aig.AIG, reg *source.Registry, opts Options
 	// The root barrier creates the single root instance from the AIG's
 	// attribute (bound at execution time via exec.rootInh).
 	g.inhDone[root.path].runLocal = func(x *exec) (int, error) {
-		g.st.add(root.path, -1, x.rootInh)
+		x.st.add(root.path, -1, x.rootInh)
 		return 1, nil
 	}
 
 	// Pass 2: per-context materialization tasks, top-down so estimates
 	// cascade.
 	g.estRows[root.path] = 1
-	if err := g.buildCtx(root); err != nil {
+	if err := g.buildCtx(ctx, root); err != nil {
 		return nil, err
 	}
 
@@ -264,12 +269,18 @@ func compile(ctx context.Context, a *aig.AIG, reg *source.Registry, opts Options
 		g.buildSyn(c)
 	}
 	wireSyn(root)
+	if !isAcyclic(g.nodes) {
+		return nil, fmt.Errorf("mediator: dependency graph is cyclic")
+	}
+	if err := g.buildProbes(truncated); err != nil {
+		return nil, err
+	}
 	return g, nil
 }
 
 // buildCtx creates the materialization nodes for the children of context
 // c and recurses.
-func (g *graph) buildCtx(c *ctxNode) error {
+func (g *graph) buildCtx(ctx context.Context, c *ctxNode) error {
 	p, ok := g.a.DTD.Production(c.elem)
 	if !ok {
 		return fmt.Errorf("mediator: no production for %q", c.elem)
@@ -287,10 +298,10 @@ func (g *graph) buildCtx(c *ctxNode) error {
 			if r != nil {
 				ir = r.Inh[ch.elem]
 			}
-			if err := g.buildEdge(c, ch, ir, 0, false); err != nil {
+			if err := g.buildEdge(ctx, c, ch, ir, 0, nil, false); err != nil {
 				return err
 			}
-			if err := g.buildCtx(ch); err != nil {
+			if err := g.buildCtx(ctx, ch); err != nil {
 				return err
 			}
 		}
@@ -305,16 +316,16 @@ func (g *graph) buildCtx(c *ctxNode) error {
 		if ir == nil {
 			return fmt.Errorf("mediator: star production of %s has no rule for %s", c.elem, ch.elem)
 		}
-		if err := g.buildEdge(c, ch, ir, 0, true); err != nil {
+		if err := g.buildEdge(ctx, c, ch, ir, 0, nil, true); err != nil {
 			return err
 		}
-		return g.buildCtx(ch)
+		return g.buildCtx(ctx, ch)
 
 	case dtd.ProdChoice:
 		if r == nil || r.Cond == nil {
 			return fmt.Errorf("mediator: choice production of %s has no condition query", c.elem)
 		}
-		condNode, err := g.buildCond(c, r)
+		condNode, err := g.buildCond(ctx, c, r)
 		if err != nil {
 			return err
 		}
@@ -323,10 +334,10 @@ func (g *graph) buildCtx(c *ctxNode) error {
 			if bi < len(r.Branches) {
 				ir = r.Branches[bi].Inh
 			}
-			if err := g.buildBranchEdge(c, ch, ir, bi+1, condNode); err != nil {
+			if err := g.buildEdge(ctx, c, ch, ir, bi+1, condNode, false); err != nil {
 				return err
 			}
-			if err := g.buildCtx(ch); err != nil {
+			if err := g.buildCtx(ctx, ch); err != nil {
 				return err
 			}
 		}

@@ -1,12 +1,14 @@
 package mediator
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"github.com/aigrepro/aig/internal/aig"
 	"github.com/aigrepro/aig/internal/dtd"
 	"github.com/aigrepro/aig/internal/relstore"
+	"github.com/aigrepro/aig/internal/source"
 	"github.com/aigrepro/aig/internal/sqlmini"
 )
 
@@ -19,15 +21,7 @@ const sourceRowCostSec = 2e-6
 // context c under inherited rule ir. branch > 0 restricts the parent
 // instances to a choice alternative; condSplit is that production's split
 // node.
-func (g *graph) buildEdge(c, ch *ctxNode, ir *aig.InhRule, branch int, star bool) error {
-	return g.buildEdgeFull(c, ch, ir, branch, nil, star)
-}
-
-func (g *graph) buildBranchEdge(c, ch *ctxNode, ir *aig.InhRule, branch int, condSplit *node) error {
-	return g.buildEdgeFull(c, ch, ir, branch, condSplit, false)
-}
-
-func (g *graph) buildEdgeFull(c, ch *ctxNode, ir *aig.InhRule, branch int, condSplit *node, star bool) error {
+func (g *graph) buildEdge(ctx context.Context, c, ch *ctxNode, ir *aig.InhRule, branch int, condSplit *node, star bool) error {
 	parentRows := g.estRows[c.path]
 	if parentRows == 0 {
 		parentRows = 1
@@ -66,52 +60,24 @@ func (g *graph) buildEdgeFull(c, ch *ctxNode, ir *aig.InhRule, branch int, condS
 	}
 
 	// Query edges: one graph node per (decomposed) chain step.
-	steps := ir.Chain
-	if ir.Query != nil {
-		steps = []*sqlmini.Query{ir.Query}
+	steps, err := g.chainParts("edge "+ch.path, ir, c, branch)
+	if err != nil {
+		return err
 	}
-	var prevPart *part
 	var prevNode *node
-	var prevSchema relstore.Schema
-	for k, q := range steps {
-		var prevForRewrite relstore.Schema
-		if k > 0 {
-			prevForRewrite = prevSchema
-		}
-		rw, err := rewriteSetOriented(q, ir.QueryParams, g.attrSchema, prevForRewrite)
-		if err != nil {
-			return fmt.Errorf("mediator: edge %s step %d: %v", ch.path, k+1, err)
-		}
-		srcName := MediatorSource
-		if srcs := rw.query.Sources(); len(srcs) == 1 {
-			srcName = srcs[0]
-		} else if len(srcs) > 1 {
-			return fmt.Errorf("mediator: edge %s step %d still references %v; decompose first", ch.path, k+1, srcs)
-		}
-		resolved, err := sqlmini.Resolve(rw.query, g.reg, rw.paramSchemas())
-		if err != nil {
-			return fmt.Errorf("mediator: edge %s step %d: %v", ch.path, k+1, err)
-		}
-
+	for k, pt := range steps {
 		name := fmt.Sprintf("Q:%s", ch.path)
 		if len(steps) > 1 {
 			name = fmt.Sprintf("Q:%s/%d", ch.path, k+1)
 		}
-		qn := g.newNode(nodeQuery, srcName, name)
-		pt := &part{name: name, rw: rw, origin: qn, parentCtx: c, branch: branch, prev: prevPart}
-		qn.parts = []*part{pt}
-
-		// Estimates via the source costing API.
-		est := g.estimatePart(srcName, rw, c, prevPart)
-		pt.estRows, pt.estBytes, pt.estCost = est.Rows, est.Bytes, est.Cost*sourceRowCostSec
-		qn.estCost = pt.estCost
-		qn.estOutBytes = est.Bytes
+		qn := g.newQueryNode(name, pt)
+		g.estimatePart(ctx, qn, pt)
 
 		// Dependencies from parameter tables.
-		for _, spec := range rw.specs {
+		for _, spec := range pt.rw.specs {
 			switch spec.kind {
 			case paramPrev:
-				g.addEdge(prevNode, qn, prevPart.estBytes)
+				g.addEdge(prevNode, qn, pt.prev.estBytes)
 			case paramParentIDs:
 				g.addEdge(g.inhDone[c.path], qn, 8*parentRows)
 			default:
@@ -129,21 +95,65 @@ func (g *graph) buildEdgeFull(c, ch *ctxNode, ir *aig.InhRule, branch int, condS
 		if condSplit != nil {
 			g.addEdge(condSplit, qn, 8*parentRows)
 		}
-
-		prevPart, prevNode, prevSchema = pt, qn, resolved.Output
+		prevNode = qn
 	}
 
 	// Materialize the final step's output into child instances.
-	g.addEdge(prevNode, mat, prevPart.estBytes)
+	last := steps[len(steps)-1]
+	g.addEdge(prevNode, mat, last.estBytes)
 	g.addEdge(g.inhDone[c.path], mat, 0) // parent inh values for copy fills
 	childRows := parentRows
 	if star {
-		childRows = prevPart.estRows
+		childRows = last.estRows
 	}
 	g.estRows[ch.path] = childRows
 	mat.estCost = localCost(g.opts.Net, childRows, false)
-	g.setQueryMat(mat, c, ch, ir, branch, star, prevPart)
+	g.setQueryMat(mat, c, ch, ir, branch, star, last)
 	return nil
+}
+
+// chainParts rewrites the steps of a query rule — its single query, or
+// its decomposed chain — into set-oriented parts over the instances of
+// parent context c, each resolved against the one source it runs at. The
+// same rewrite serves production edges and truncation probes.
+func (g *graph) chainParts(what string, ir *aig.InhRule, c *ctxNode, branch int) ([]*part, error) {
+	steps := ir.Chain
+	if ir.Query != nil {
+		steps = []*sqlmini.Query{ir.Query}
+	}
+	parts := make([]*part, 0, len(steps))
+	var prev *part
+	var prevSchema relstore.Schema
+	for k, q := range steps {
+		pt, out, err := g.queryPart(q, ir.QueryParams, c, prevSchema)
+		if err != nil {
+			return nil, fmt.Errorf("mediator: %s step %d: %v", what, k+1, err)
+		}
+		pt.branch, pt.prev = branch, prev
+		parts = append(parts, pt)
+		prev, prevSchema = pt, out
+	}
+	return parts, nil
+}
+
+// queryPart rewrites one rule query set-oriented over parent context c
+// and resolves it, returning the part and its output schema.
+func (g *graph) queryPart(q *sqlmini.Query, params map[string]aig.SourceRef, c *ctxNode, prevSchema relstore.Schema) (*part, relstore.Schema, error) {
+	rw, err := rewriteSetOriented(q, params, g.attrSchema, prevSchema)
+	if err != nil {
+		return nil, nil, err
+	}
+	srcName := MediatorSource
+	if srcs := rw.query.Sources(); len(srcs) == 1 {
+		srcName = srcs[0]
+	} else if len(srcs) > 1 {
+		return nil, nil, fmt.Errorf("still references %v; decompose first", srcs)
+	}
+	resolved, err := sqlmini.Resolve(rw.query, g.reg, rw.paramSchemas())
+	if err != nil {
+		return nil, nil, err
+	}
+	return &part{rw: rw, source: srcName, parentCtx: c}, resolved.Output, nil
 }
 
 func estSchemaBytes(s relstore.Schema) float64 {
@@ -184,69 +194,49 @@ func isPureProjection(ir *aig.InhRule) bool {
 }
 
 // estimatePart asks the owning source for eval_cost and size estimates of
-// a rewritten query (§5.2's costing API).
-func (g *graph) estimatePart(srcName string, rw *rewritten, parentCtx *ctxNode, prev *part) sourceEstimate {
-	parentRows := g.estRows[parentCtx.path]
+// a part's rewritten query (§5.2's costing API) and records them on the
+// part and its node.
+func (g *graph) estimatePart(ctx context.Context, qn *node, pt *part) {
+	parentRows := g.estRows[pt.parentCtx.path]
 	if parentRows == 0 {
 		parentRows = 1
 	}
-	opts := g.opts.PlanOpts
-	opts.ParamCards = make(map[string]int, len(rw.specs))
-	for _, spec := range rw.specs {
-		switch spec.kind {
-		case paramPrev:
-			if prev != nil {
-				opts.ParamCards[spec.name] = int(prev.estRows) + 1
+	// Parameter-only queries and sources that cannot answer fall back to
+	// one tuple of work per parent.
+	est := source.Estimate{Rows: parentRows, Bytes: parentRows * 16, Cost: parentRows}
+	if src, err := g.reg.Get(pt.source); pt.source != MediatorSource && err == nil {
+		opts := g.opts.PlanOpts
+		opts.ParamCards = make(map[string]int, len(pt.rw.specs))
+		for _, spec := range pt.rw.specs {
+			switch spec.kind {
+			case paramPrev:
+				if pt.prev != nil {
+					opts.ParamCards[spec.name] = int(pt.prev.estRows) + 1
+				}
+			case paramCollection:
+				opts.ParamCards[spec.name] = int(parentRows*4) + 1
+			default:
+				opts.ParamCards[spec.name] = int(parentRows) + 1
 			}
-		case paramCollection:
-			opts.ParamCards[spec.name] = int(parentRows*4) + 1
-		default:
-			opts.ParamCards[spec.name] = int(parentRows) + 1
+		}
+		if e, err := src.Estimate(ctx, pt.rw.query, pt.rw.paramSchemas(), opts); err == nil {
+			est = e
 		}
 	}
-	if srcName == MediatorSource {
-		// Parameter-only query; estimate with a blank source.
-		return sourceEstimate{Rows: parentRows, Bytes: parentRows * 16, Cost: parentRows}
-	}
-	src, err := g.reg.Get(srcName)
-	if err != nil {
-		return sourceEstimate{Rows: parentRows, Bytes: parentRows * 16, Cost: parentRows}
-	}
-	est, err := src.Estimate(g.ctx, rw.query, rw.paramSchemas(), opts)
-	if err != nil {
-		return sourceEstimate{Rows: parentRows, Bytes: parentRows * 16, Cost: parentRows}
-	}
-	return sourceEstimate{Rows: est.Rows, Bytes: est.Bytes, Cost: est.Cost}
-}
-
-type sourceEstimate struct {
-	Rows, Bytes, Cost float64
+	pt.estRows, pt.estBytes, pt.estCost = est.Rows, est.Bytes, est.Cost*sourceRowCostSec
+	qn.estCost, qn.estOutBytes = pt.estCost, est.Bytes
 }
 
 // buildCond compiles a choice production's condition query and branch
 // split.
-func (g *graph) buildCond(c *ctxNode, r *aig.Rule) (*node, error) {
-	rw, err := rewriteSetOriented(r.Cond, r.CondParams, g.attrSchema, nil)
+func (g *graph) buildCond(ctx context.Context, c *ctxNode, r *aig.Rule) (*node, error) {
+	pt, _, err := g.queryPart(r.Cond, r.CondParams, c, nil)
 	if err != nil {
 		return nil, fmt.Errorf("mediator: condition of %s: %v", c.elem, err)
 	}
-	srcName := MediatorSource
-	if srcs := rw.query.Sources(); len(srcs) == 1 {
-		srcName = srcs[0]
-	} else if len(srcs) > 1 {
-		return nil, fmt.Errorf("mediator: condition of %s references %v; decompose first", c.elem, srcs)
-	}
-	if _, err := sqlmini.Resolve(rw.query, g.reg, rw.paramSchemas()); err != nil {
-		return nil, fmt.Errorf("mediator: condition of %s: %v", c.elem, err)
-	}
-	qn := g.newNode(nodeQuery, srcName, "Qc:"+c.path)
-	pt := &part{name: qn.name, rw: rw, parentCtx: c}
-	pt.origin = qn
-	qn.parts = []*part{pt}
-	est := g.estimatePart(srcName, rw, c, nil)
-	pt.estRows, pt.estBytes, pt.estCost = est.Rows, est.Bytes, est.Cost*sourceRowCostSec
-	qn.estCost, qn.estOutBytes = pt.estCost, est.Bytes
-	for _, spec := range rw.specs {
+	qn := g.newQueryNode("Qc:"+c.path, pt)
+	g.estimatePart(ctx, qn, pt)
+	for _, spec := range pt.rw.specs {
 		switch spec.kind {
 		case paramParentIDs:
 			g.addEdge(g.inhDone[c.path], qn, 8*g.estRows[c.path])
@@ -265,7 +255,7 @@ func (g *graph) buildCond(c *ctxNode, r *aig.Rule) (*node, error) {
 	g.addEdge(qn, split, pt.estBytes)
 	nBranches := len(c.children)
 	split.runLocal = func(x *exec) (int, error) {
-		out := pt.out
+		out := x.partOut[pt.idx]
 		if out == nil {
 			return 0, fmt.Errorf("mediator: condition result of %s missing", c.path)
 		}
@@ -273,7 +263,7 @@ func (g *graph) buildCond(c *ctxNode, r *aig.Rule) (*node, error) {
 			return 0, fmt.Errorf("mediator: condition result of %s lacks a leading %s column", c.path, ParentCol)
 		}
 		byID := make(map[int]*instance)
-		for _, inst := range g.st.all(c.path) {
+		for _, inst := range x.st.all(c.path) {
 			byID[inst.id] = inst
 		}
 		for _, row := range out.Rows() {
@@ -294,7 +284,7 @@ func (g *graph) buildCond(c *ctxNode, r *aig.Rule) (*node, error) {
 				inst.branch = b
 			}
 		}
-		for _, inst := range g.st.all(c.path) {
+		for _, inst := range x.st.all(c.path) {
 			if inst.branch == 0 {
 				return 0, fmt.Errorf("mediator: condition of %s returned no row for an instance", c.path)
 			}
@@ -305,8 +295,8 @@ func (g *graph) buildCond(c *ctxNode, r *aig.Rule) (*node, error) {
 }
 
 // parentInstances lists the parent instances an edge applies to.
-func (g *graph) parentInstances(c *ctxNode, branch int) []*instance {
-	all := g.st.all(c.path)
+func (x *exec) parentInstances(c *ctxNode, branch int) []*instance {
+	all := x.st.all(c.path)
 	if branch == 0 {
 		return all
 	}
@@ -324,11 +314,8 @@ func (g *graph) setCopyMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch in
 	decl := g.a.Inh[ch.elem]
 	mat.runLocal = func(x *exec) (int, error) {
 		rows := 0
-		for _, parent := range g.parentInstances(c, branch) {
-			scope, err := g.instanceScope(c, parent)
-			if err != nil {
-				return rows, err
-			}
+		for _, parent := range x.parentInstances(c, branch) {
+			scope := x.instanceScope(c, parent)
 			if star {
 				b, err := scope.ResolveBinding(ir.Copies[0].Src)
 				if err != nil {
@@ -343,7 +330,7 @@ func (g *graph) setCopyMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch in
 					if err := inh.BindScalarsFromRow(names, b.Schema, row); err != nil {
 						return rows, err
 					}
-					g.st.add(ch.path, parent.id, inh)
+					x.st.add(ch.path, parent.id, inh)
 					rows++
 				}
 				continue
@@ -354,7 +341,7 @@ func (g *graph) setCopyMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch in
 					return rows, err
 				}
 			}
-			g.st.add(ch.path, parent.id, inh)
+			x.st.add(ch.path, parent.id, inh)
 			rows++
 		}
 		if elided {
@@ -371,7 +358,7 @@ func (g *graph) setCopyMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch in
 func (g *graph) setQueryMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch int, star bool, last *part) {
 	decl := g.a.Inh[ch.elem]
 	mat.runLocal = func(x *exec) (int, error) {
-		out := last.out
+		out := x.partOut[last.idx]
 		if out == nil {
 			return 0, fmt.Errorf("mediator: query result for %s missing", ch.path)
 		}
@@ -387,16 +374,13 @@ func (g *graph) setQueryMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch i
 		}
 		names := decl.ScalarSchema().Names()
 		rows := 0
-		for _, parent := range g.parentInstances(c, branch) {
+		for _, parent := range x.parentInstances(c, branch) {
 			data := byParent[parent.id]
 			sorted := make([]relstore.Tuple, len(data))
 			copy(sorted, data)
 			sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Compare(sorted[j]) < 0 })
 
-			scope, err := g.instanceScope(c, parent)
-			if err != nil {
-				return rows, err
-			}
+			scope := x.instanceScope(c, parent)
 			applyCopies := func(inh *aig.AttrValue) error {
 				for _, cp := range ir.Copies {
 					v, err := scope.ResolveBinding(cp.Src)
@@ -421,7 +405,7 @@ func (g *graph) setQueryMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch i
 					if err := applyCopies(inh); err != nil {
 						return rows, err
 					}
-					g.st.add(ch.path, parent.id, inh)
+					x.st.add(ch.path, parent.id, inh)
 					rows++
 				}
 				continue
@@ -440,7 +424,7 @@ func (g *graph) setQueryMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch i
 			if err := applyCopies(inh); err != nil {
 				return rows, err
 			}
-			g.st.add(ch.path, parent.id, inh)
+			x.st.add(ch.path, parent.id, inh)
 			rows++
 		}
 		return rows, nil
@@ -450,7 +434,7 @@ func (g *graph) setQueryMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch i
 // instanceScope builds the rule-evaluation scope of one parent instance:
 // its inherited attribute plus the synthesized attributes of its children
 // (which double as the siblings of any child being computed).
-func (g *graph) instanceScope(c *ctxNode, inst *instance) (aig.InstanceScope, error) {
+func (x *exec) instanceScope(c *ctxNode, inst *instance) aig.InstanceScope {
 	scope := aig.InstanceScope{
 		Elem: c.elem,
 		Inh:  inst.inh,
@@ -458,17 +442,18 @@ func (g *graph) instanceScope(c *ctxNode, inst *instance) (aig.InstanceScope, er
 		All:  make(map[string][]*aig.AttrValue),
 	}
 	for _, ch := range c.children {
-		for _, ci := range g.st.children(inst.id, ch.path) {
-			if ci.syn == nil {
+		for _, ci := range x.st.children(inst.id, ch.path) {
+			syn := ci.syn.Load()
+			if syn == nil {
 				continue // not yet computed; deps guarantee availability when needed
 			}
 			if _, ok := scope.Syn[ch.elem]; !ok {
-				scope.Syn[ch.elem] = ci.syn
+				scope.Syn[ch.elem] = syn
 			}
-			scope.All[ch.elem] = append(scope.All[ch.elem], ci.syn)
+			scope.All[ch.elem] = append(scope.All[ch.elem], syn)
 		}
 	}
-	return scope, nil
+	return scope
 }
 
 // buildSyn installs the synthesized-attribute computation (and guard
@@ -486,11 +471,8 @@ func (g *graph) buildSyn(c *ctxNode) {
 	r := g.a.Rules[c.elem]
 	sn.runLocal = func(x *exec) (int, error) {
 		n := 0
-		for _, inst := range g.st.all(c.path) {
-			scope, err := g.instanceScope(c, inst)
-			if err != nil {
-				return n, err
-			}
+		for _, inst := range x.st.all(c.path) {
+			scope := x.instanceScope(c, inst)
 			var sr *aig.SynRule
 			var guards []aig.Guard
 			if r != nil {
@@ -504,7 +486,7 @@ func (g *graph) buildSyn(c *ctxNode) {
 			if err != nil {
 				return n, fmt.Errorf("mediator: syn of %s: %v", c.path, err)
 			}
-			inst.syn = syn
+			inst.syn.Store(syn)
 			for _, guard := range guards {
 				ok, err := aig.CheckGuard(guard, syn)
 				if err != nil {

@@ -300,7 +300,7 @@ func TestContextTreeDisambiguatesSharedTypes(t *testing.T) {
 	// nodes (Fig. 6), keeping the dependency graph acyclic.
 	cat := hospital.TinyCatalog()
 	a, reg := prepared(t, cat, 2, true)
-	g, err := compile(context.Background(), a, reg, DefaultOptions())
+	g, err := compile(context.Background(), a, reg, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestScheduleConsistentWithDependencies(t *testing.T) {
 	cat := hospital.TinyCatalog()
 	a, reg := prepared(t, cat, 3, true)
 	for _, algo := range []ScheduleAlgo{ScheduleLevel, ScheduleFIFO} {
-		g, err := compile(context.Background(), a, reg, Options{Net: DefaultNet(), Schedule: algo})
+		g, err := compile(context.Background(), a, reg, Options{Net: DefaultNet(), Schedule: algo}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

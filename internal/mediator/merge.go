@@ -256,12 +256,7 @@ func (g *graph) applyPartition(groupOf []int) int {
 		}
 		merged++
 		sort.SliceStable(ms, func(i, j int) bool { return pos[ms[i]] < pos[ms[j]] })
-		m := &node{
-			idx:  len(newNodes),
-			kind: nodeQuery,
-			name: "merged",
-			done: make(chan struct{}),
-		}
+		m := &node{idx: len(newNodes), kind: nodeQuery, name: "merged"}
 		for _, n := range ms {
 			if n.kind == nodeQuery && n.source != MediatorSource {
 				m.source = n.source
@@ -290,7 +285,7 @@ func (g *graph) applyPartition(groupOf []int) int {
 			fe.estBytes += e.estBytes
 			continue
 		}
-		fe := &edge{from: nf, to: nt, estBytes: e.estBytes}
+		fe := &edge{idx: len(newEdges), from: nf, to: nt, estBytes: e.estBytes}
 		seen[pair{nf, nt}] = fe
 		nf.out = append(nf.out, fe)
 		nt.in = append(nt.in, fe)

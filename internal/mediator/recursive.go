@@ -6,9 +6,9 @@ import (
 	"fmt"
 
 	"github.com/aigrepro/aig/internal/aig"
+	"github.com/aigrepro/aig/internal/obs"
 	"github.com/aigrepro/aig/internal/relstore"
 	"github.com/aigrepro/aig/internal/specialize"
-	"github.com/aigrepro/aig/internal/sqlmini"
 )
 
 // EvaluateRecursive evaluates a recursive AIG by iterative unfolding
@@ -40,11 +40,7 @@ func (m *Mediator) EvaluateRecursiveContext(ctx context.Context, a *aig.AIG, roo
 	}
 	depth := estDepth
 	for {
-		unf, probes, err := specialize.UnfoldInfo(a, depth)
-		if err != nil {
-			return nil, depth, err
-		}
-		res, g, err := m.evaluate(ctx, unf, rootInh)
+		res, x, err := m.evaluate(ctx, a, depth, rootInh)
 		if err != nil {
 			// A guard abort at a truncated depth is not trustworthy:
 			// truncation can both remove tuples a subset constraint needs
@@ -61,7 +57,7 @@ func (m *Mediator) EvaluateRecursiveContext(ctx context.Context, a *aig.AIG, roo
 			}
 			return nil, depth, err
 		}
-		blocked, err := m.anyBlocked(g, probes)
+		blocked, err := x.anyBlocked(ctx)
 		if err != nil {
 			return nil, depth, err
 		}
@@ -78,106 +74,93 @@ func (m *Mediator) EvaluateRecursiveContext(ctx context.Context, a *aig.AIG, roo
 	}
 }
 
-// anyBlocked reports whether any instance of a truncated context would
-// have expanded further: the probe rule's query returns rows for it.
-func (m *Mediator) anyBlocked(g *graph, probes []specialize.TruncProbe) (bool, error) {
-	if len(probes) == 0 {
-		return false, nil
+// ctxProbe is the truncation probe of one context the unfolding cut: the
+// original star rule's query (or decomposed chain), rewritten
+// set-oriented over the context's instances exactly as a production edge
+// is — joined to a parameter table keyed by parent id — so one source
+// query per step answers for the whole frontier. A nil steps means the
+// rule had no query to probe with.
+type ctxProbe struct {
+	ctx   *ctxNode
+	steps []*part
+}
+
+// buildProbes compiles one probe per context of a truncated replica type,
+// in document (pre-)order.
+func (g *graph) buildProbes(truncated []specialize.TruncProbe) error {
+	if len(truncated) == 0 {
+		return nil
 	}
-	byType := make(map[string]specialize.TruncProbe, len(probes))
-	for _, p := range probes {
+	byType := make(map[string]specialize.TruncProbe, len(truncated))
+	for _, p := range truncated {
 		byType[p.Type] = p
 	}
-	blocked := false
-	var scan func(c *ctxNode) error
-	scan = func(c *ctxNode) error {
-		if blocked {
-			return nil
-		}
-		if probe, cut := byType[c.elem]; cut {
-			if probe.Rule == nil {
-				// No query to probe with: be conservative.
-				if g.st.count(c.path) > 0 {
-					blocked = true
+	var walk func(c *ctxNode) error
+	walk = func(c *ctxNode) error {
+		if tp, cut := byType[c.elem]; cut {
+			pr := ctxProbe{ctx: c}
+			if tp.Rule != nil {
+				steps, err := g.chainParts("probe of "+c.path, tp.Rule, c, 0)
+				if err != nil {
+					return err
 				}
-			} else {
-				for _, inst := range g.st.all(c.path) {
-					hit, err := m.probeInstance(g, probe.Rule, c, inst)
-					if err != nil {
-						return err
-					}
-					if hit {
-						blocked = true
-						break
-					}
+				for _, pt := range steps {
+					pt.name = "probe"
 				}
+				pr.steps = steps
 			}
+			g.probes = append(g.probes, pr)
 		}
 		for _, ch := range c.children {
-			if err := scan(ch); err != nil {
+			if err := walk(ch); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := scan(g.root); err != nil {
-		return false, err
-	}
-	return blocked, nil
+	return walk(g.root)
 }
 
-// probeInstance runs the original star rule's query (or chain) for one
-// frontier instance and reports whether it returns any row.
-func (m *Mediator) probeInstance(g *graph, ir *aig.InhRule, c *ctxNode, inst *instance) (bool, error) {
-	scope := aig.InstanceScope{Elem: c.elem, Inh: inst.inh}
-	steps := ir.Chain
-	if ir.Query != nil {
-		steps = []*sqlmini.Query{ir.Query}
+// anyBlocked reports whether any instance of a truncated context would
+// have expanded further: the context's probe returns a row for it.
+func (x *exec) anyBlocked(ctx context.Context) (bool, error) {
+	tr, parent := obs.SpanFromContext(ctx)
+	if tr == nil {
+		tr = x.g.opts.Tracer
 	}
-	var prev sqlmini.Binding
-	havePrev := false
-	for _, q := range steps {
-		params := make(sqlmini.Params)
-		for _, name := range q.Params() {
-			if name == aig.PrevParam && havePrev {
-				params[name] = prev
-				continue
-			}
-			src, ok := ir.QueryParams[name]
-			if !ok {
-				return false, fmt.Errorf("mediator: probe parameter $%s has no source", name)
-			}
-			b, err := scope.ResolveBinding(src)
-			if err != nil {
-				return false, err
-			}
-			params[name] = b
+	for _, pr := range x.g.probes {
+		sp := tr.StartSpan("probe", parent)
+		rows, err := x.probe(obs.ContextWithSpan(ctx, tr, sp), pr)
+		sp.SetAttr("context", pr.ctx.path).SetAttr("instances", x.st.count(pr.ctx.path)).SetAttr("rows", rows)
+		if err != nil {
+			sp.SetAttr("error", err.Error())
 		}
-		var out *relstore.Table
-		if srcs := q.Sources(); len(srcs) == 1 {
-			src, gerr := g.reg.Get(srcs[0])
-			if gerr != nil {
-				return false, gerr
-			}
-			var xerr error
-			out, _, xerr = src.Exec(g.ctx, "probe", q, params, g.opts.PlanOpts)
-			if xerr != nil {
-				return false, xerr
-			}
-		} else {
-			// Parameter-only (or undecomposed multi-source) probe runs at
-			// the mediator; the latter requires local sources.
-			var xerr error
-			out, xerr = sqlmini.Run("probe", q, g.reg, g.reg, g.reg, params, g.opts.PlanOpts)
-			if xerr != nil {
-				return false, xerr
-			}
+		sp.End()
+		if err != nil || rows > 0 {
+			return rows > 0, err
 		}
-		prev = sqlmini.TableBinding(out)
-		havePrev = true
+	}
+	return false, nil
+}
+
+// probe runs one truncated context's probe over all its frontier
+// instances at once and returns the number of rows the last step
+// produced: any row means some instance is blocked. Without a query to
+// probe with, every instance conservatively counts as a row.
+func (x *exec) probe(ctx context.Context, pr ctxProbe) (int, error) {
+	n := x.st.count(pr.ctx.path)
+	if n == 0 || pr.steps == nil {
+		return n, nil
+	}
+	var out *relstore.Table
+	for _, pt := range pr.steps {
+		var err error
+		if out, _, _, err = x.execPart(ctx, pt, out); err != nil {
+			return 0, err
+		}
 		if out.Len() == 0 {
-			return false, nil
+			return 0, nil
 		}
 	}
-	return havePrev && len(prev.Rows) > 0, nil
+	return out.Len(), nil
 }

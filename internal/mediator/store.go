@@ -2,6 +2,7 @@ package mediator
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"github.com/aigrepro/aig/internal/aig"
 )
@@ -14,7 +15,10 @@ type instance struct {
 	parent int // -1 for the root
 	elem   string
 	inh    *aig.AttrValue
-	syn    *aig.AttrValue
+	// syn is set by the context's syn task while tasks that do not depend
+	// on it may be scanning the same parent's children for the ones they
+	// do depend on, hence atomic.
+	syn    atomic.Pointer[aig.AttrValue]
 	branch int // chosen alternative for choice productions (1-based; 0 = none)
 }
 

@@ -15,15 +15,16 @@ import (
 // same order the conceptual evaluator uses, so both evaluators produce
 // identical documents. Internal bookkeeping (ids) never reaches the
 // output; unfolded types are emitted under their original labels.
-func (g *graph) tag() (*xmltree.Node, error) {
-	roots := g.st.all(g.root.path)
+func (x *exec) tag() (*xmltree.Node, error) {
+	roots := x.st.all(x.g.root.path)
 	if len(roots) != 1 {
 		return nil, fmt.Errorf("mediator: expected one root instance, have %d", len(roots))
 	}
-	return g.tagInstance(g.root, roots[0])
+	return x.tagInstance(x.g.root, roots[0])
 }
 
-func (g *graph) tagInstance(c *ctxNode, inst *instance) (*xmltree.Node, error) {
+func (x *exec) tagInstance(c *ctxNode, inst *instance) (*xmltree.Node, error) {
+	g := x.g
 	node := xmltree.NewElement(g.a.Label(c.elem))
 	p, ok := g.a.DTD.Production(c.elem)
 	if !ok {
@@ -35,11 +36,11 @@ func (g *graph) tagInstance(c *ctxNode, inst *instance) (*xmltree.Node, error) {
 	case dtd.ProdEmpty:
 	case dtd.ProdSeq:
 		for _, ch := range c.children {
-			kids := g.st.children(inst.id, ch.path)
+			kids := x.st.children(inst.id, ch.path)
 			if len(kids) != 1 {
 				return nil, fmt.Errorf("mediator: sequence child %s has %d instances under id %d, want 1", ch.path, len(kids), inst.id)
 			}
-			sub, err := g.tagInstance(ch, kids[0])
+			sub, err := x.tagInstance(ch, kids[0])
 			if err != nil {
 				return nil, err
 			}
@@ -47,12 +48,12 @@ func (g *graph) tagInstance(c *ctxNode, inst *instance) (*xmltree.Node, error) {
 		}
 	case dtd.ProdStar:
 		ch := c.children[0]
-		kids := append([]*instance(nil), g.st.children(inst.id, ch.path)...)
+		kids := append([]*instance(nil), x.st.children(inst.id, ch.path)...)
 		sort.SliceStable(kids, func(i, j int) bool {
 			return kids[i].inh.ScalarTuple().Compare(kids[j].inh.ScalarTuple()) < 0
 		})
 		for _, k := range kids {
-			sub, err := g.tagInstance(ch, k)
+			sub, err := x.tagInstance(ch, k)
 			if err != nil {
 				return nil, err
 			}
@@ -63,11 +64,11 @@ func (g *graph) tagInstance(c *ctxNode, inst *instance) (*xmltree.Node, error) {
 			return nil, fmt.Errorf("mediator: choice instance of %s has no branch", c.path)
 		}
 		ch := c.children[inst.branch-1]
-		kids := g.st.children(inst.id, ch.path)
+		kids := x.st.children(inst.id, ch.path)
 		if len(kids) != 1 {
 			return nil, fmt.Errorf("mediator: choice child %s has %d instances, want 1", ch.path, len(kids))
 		}
-		sub, err := g.tagInstance(ch, kids[0])
+		sub, err := x.tagInstance(ch, kids[0])
 		if err != nil {
 			return nil, err
 		}

@@ -166,7 +166,7 @@ func TestExplainSharedRenderer(t *testing.T) {
 	// (items) or not (parts) — the old renderer had two overlapping
 	// branches. Rebuild the same (deterministic) optimized graph and
 	// count.
-	g, err := compile(context.Background(), a, reg, m.opts)
+	g, err := compile(context.Background(), a, reg, m.opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

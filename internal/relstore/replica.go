@@ -232,7 +232,6 @@ func (t *Table) ApplyChanges(cs ChangeSet) (int, error) {
 		lastVer = cs.Now // empty or version-only windows still advance
 	}
 	t.publishLocked()
-	t.indexes = nil
 	t.version.Store(lastVer)
 	t.mu.Unlock()
 	t.mutated()

@@ -3,6 +3,7 @@ package relstore
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,9 +35,14 @@ type Table struct {
 	// buf is the writer-side buffer. The prefix published in snap is
 	// never rewritten in place; appends either fill spare capacity the
 	// snapshot cannot see or reallocate.
-	buf     []Tuple
-	indexes map[string]*hashIndex
-	log     changeLog
+	buf []Tuple
+	// indexes and distinct are derived from the published snapshot, built
+	// on first use and dropped by publishLocked — the one place a new
+	// snapshot becomes visible — so neither can outlive the rows it
+	// describes.
+	indexes  map[string]*HashIndex
+	distinct map[int]int // column -> number of distinct values
+	log      changeLog
 	// onBegin fires before a mutation publishes any data, onMutate after
 	// the mutation is fully visible. Databases hook registered tables
 	// here so the database's seqlock-style data version goes odd for the
@@ -52,14 +58,56 @@ type Table struct {
 	p atomic.Pointer[Persister]
 }
 
-type hashIndex struct {
+// HashIndex maps the Tuple.KeyOn of a column list to row positions in the
+// snapshot it was built from.
+type HashIndex struct {
 	cols    []int
 	buckets map[string][]int // tuple key -> row positions
 }
 
+// Lookup returns the positions of the rows whose indexed columns encode
+// to key.
+func (ix *HashIndex) Lookup(key string) []int { return ix.buckets[key] }
+
 // NewTable creates an empty table with the given name and schema.
 func NewTable(name string, schema Schema) *Table {
 	return &Table{name: name, schema: schema}
+}
+
+// TableFromRows builds a table holding the given rows in one step: every
+// row is validated against the schema, then the slice is published as the
+// table's snapshot. It is the constructor for temporaries — query results,
+// attribute collections — which nobody mutates or asks for deltas: unlike
+// a run of Inserts the table starts at version zero with an empty change
+// log. The rows are shared, not copied: the caller must not modify them
+// afterwards (the table itself never writes into the slice).
+func TableFromRows(name string, schema Schema, rows []Tuple) (*Table, error) {
+	for _, row := range rows {
+		if err := schema.Validate(row); err != nil {
+			return nil, fmt.Errorf("table %q: %v", name, err)
+		}
+	}
+	t := &Table{name: name, schema: schema, buf: rows[:len(rows):len(rows)]}
+	t.publishLocked()
+	metricInserts.Add(int64(len(rows)))
+	return t, nil
+}
+
+// DistinctRows returns rows without duplicates, keeping first occurrences
+// in order. The input is not modified.
+func DistinctRows(rows []Tuple) (kept, dropped []Tuple) {
+	seen := make(map[string]struct{}, len(rows))
+	kept = make([]Tuple, 0, len(rows))
+	for _, row := range rows {
+		k := row.Key()
+		if _, dup := seen[k]; dup {
+			dropped = append(dropped, row)
+			continue
+		}
+		seen[k] = struct{}{}
+		kept = append(kept, row)
+	}
+	return kept, dropped
 }
 
 // Name returns the table's name.
@@ -76,12 +124,14 @@ func (t *Table) rowsSnap() []Tuple {
 	return nil
 }
 
-// publishLocked makes the current buffer the visible snapshot. The
-// three-index slice caps the snapshot at its length so later in-place
-// appends to spare buffer capacity stay invisible to readers.
+// publishLocked makes the current buffer the visible snapshot and drops
+// the structures derived from the previous one. The three-index slice
+// caps the snapshot at its length so later in-place appends to spare
+// buffer capacity stay invisible to readers.
 func (t *Table) publishLocked() {
 	s := t.buf[:len(t.buf):len(t.buf)]
 	t.snap.Store(&s)
+	t.indexes, t.distinct = nil, nil
 }
 
 // Len returns the number of tuples (the relation's cardinality).
@@ -198,7 +248,6 @@ func (t *Table) Insert(row Tuple) error {
 	t.beginMutateLocked()
 	t.buf = append(t.buf, row)
 	t.publishLocked()
-	t.indexes = nil // invalidate
 	ver := t.version.Add(1)
 	t.log.appendLocked(Change{Ver: ver, Op: ChangeInsert, Row: row})
 	t.mu.Unlock()
@@ -281,7 +330,6 @@ func (t *Table) DeleteAt(i int) (Tuple, error) {
 	next = append(next, t.buf[i+1:]...)
 	t.buf = next
 	t.publishLocked()
-	t.indexes = nil
 	ver := t.version.Add(1)
 	t.log.appendLocked(Change{Ver: ver, Op: ChangeDelete, Row: row})
 	t.mu.Unlock()
@@ -331,7 +379,6 @@ func (t *Table) DeleteWhere(match func(Tuple) bool) int {
 	t.beginMutateLocked()
 	t.buf = next
 	t.publishLocked()
-	t.indexes = nil
 	ver := t.version.Add(1)
 	for _, row := range removed {
 		t.log.appendLocked(Change{Ver: ver, Op: ChangeDelete, Row: row})
@@ -361,7 +408,6 @@ func (t *Table) deleteIndices(idx []int) int {
 	t.beginMutateLocked()
 	t.buf = next
 	t.publishLocked()
-	t.indexes = nil
 	ver := t.version.Add(1)
 	for _, row := range removed {
 		t.log.appendLocked(Change{Ver: ver, Op: ChangeDelete, Row: row})
@@ -375,28 +421,24 @@ func (t *Table) deleteIndices(idx []int) int {
 // Lookup returns the positions of all rows whose projection onto cols
 // equals key. It builds (and caches) a hash index on cols on first use.
 func (t *Table) Lookup(cols []int, key Tuple) []int {
-	idx := t.index(cols)
-	return idx.buckets[key.Key()]
+	return t.Index(cols).Lookup(key.Key())
 }
 
-// LookupKey is Lookup with a precomputed Tuple.Key, avoiding the
-// projection allocation in join inner loops.
-func (t *Table) LookupKey(cols []int, key string) []int {
-	idx := t.index(cols)
-	return idx.buckets[key]
-}
-
-func (t *Table) index(cols []int) *hashIndex {
+// Index returns the hash index on cols, building and caching it on first
+// use. Join loops fetch it once and probe it per row with a precomputed
+// Tuple.KeyOn, instead of paying the table lock and the signature per
+// probe.
+func (t *Table) Index(cols []int) *HashIndex {
 	sig := indexSignature(cols)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.indexes == nil {
-		t.indexes = make(map[string]*hashIndex)
+		t.indexes = make(map[string]*HashIndex)
 	}
 	if idx, ok := t.indexes[sig]; ok {
 		return idx
 	}
-	idx := &hashIndex{cols: cols, buckets: make(map[string][]int)}
+	idx := &HashIndex{cols: cols, buckets: make(map[string][]int)}
 	for i, row := range t.rowsSnap() {
 		k := row.KeyOn(cols)
 		idx.buckets[k] = append(idx.buckets[k], i)
@@ -406,21 +448,33 @@ func (t *Table) index(cols []int) *hashIndex {
 }
 
 func indexSignature(cols []int) string {
-	parts := make([]string, len(cols))
-	for i, c := range cols {
-		parts[i] = fmt.Sprint(c)
+	sig := make([]byte, 0, 4*len(cols))
+	for _, c := range cols {
+		sig = strconv.AppendInt(sig, int64(c), 10)
+		sig = append(sig, ',')
 	}
-	return strings.Join(parts, ",")
+	return string(sig)
 }
 
 // DistinctCount returns the number of distinct values in the given column,
-// used by selectivity estimation.
+// used by selectivity estimation. The planner asks for it per column per
+// plan, so the count is memoized against the published snapshot (like the
+// hash indexes: one scan under the table lock on first use).
 func (t *Table) DistinctCount(col int) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if n, ok := t.distinct[col]; ok {
+		return n
+	}
 	rows := t.rowsSnap()
 	seen := make(map[string]struct{}, len(rows))
 	for _, row := range rows {
 		seen[row[col].Key()] = struct{}{}
 	}
+	if t.distinct == nil {
+		t.distinct = make(map[int]int, len(t.schema))
+	}
+	t.distinct[col] = len(seen)
 	return len(seen)
 }
 
@@ -479,7 +533,6 @@ func (t *Table) Sort(cols []int) {
 	})
 	t.buf = next
 	t.publishLocked()
-	t.indexes = nil
 	ver := t.version.Add(1)
 	t.log.resetLocked(ver, TruncateReset)
 	t.mu.Unlock()
@@ -500,21 +553,9 @@ func (t *Table) Distinct() {
 	}
 	t.mu.Lock()
 	t.beginMutateLocked()
-	seen := make(map[string]struct{}, len(t.buf))
-	out := make([]Tuple, 0, len(t.buf))
 	var dropped []Tuple
-	for _, row := range t.buf {
-		k := row.Key()
-		if _, dup := seen[k]; dup {
-			dropped = append(dropped, row)
-			continue
-		}
-		seen[k] = struct{}{}
-		out = append(out, row)
-	}
-	t.buf = out
+	t.buf, dropped = DistinctRows(t.buf)
 	t.publishLocked()
-	t.indexes = nil
 	ver := t.version.Add(1)
 	for _, row := range dropped {
 		t.log.appendLocked(Change{Ver: ver, Op: ChangeDelete, Row: row})

@@ -26,7 +26,7 @@ func Exec(name string, plan *Plan, data DataProvider, params Params) (*relstore.
 	r := plan.Resolved
 	n := len(r.TableSchemas)
 
-	env, err := newParamEnv(r, params)
+	preds, err := bindPreds(r, params)
 	if err != nil {
 		return nil, err
 	}
@@ -41,7 +41,7 @@ func Exec(name string, plan *Plan, data DataProvider, params Params) (*relstore.
 			return nil, err
 		}
 		metricRowsScanned.Add(int64(len(rows)))
-		baseRows[i] = filterLocal(r, i, rows, env)
+		baseRows[i] = filterLocal(r, i, rows, preds)
 	}
 
 	// layoutPos[t] is the column offset of table t in the current
@@ -158,31 +158,41 @@ func Exec(name string, plan *Plan, data DataProvider, params Params) (*relstore.
 
 	// Any predicate not yet applied (e.g. cross-table preds over a
 	// cartesian pair) is applied now.
-	for pi, p := range r.Preds {
+	for pi, p := range preds {
 		if appliedPred[pi] {
 			continue
 		}
 		filtered := current[:0]
 		for _, row := range current {
-			if evalPredOnLayout(p, row, abs, env) {
+			if evalPredOnLayout(p, row, abs) {
 				filtered = append(filtered, row)
 			}
 		}
 		current = filtered
 	}
 
-	out := relstore.NewTable(name, r.Output.Project(identity(len(r.Output))))
-	for _, row := range current {
-		proj := make(relstore.Tuple, len(r.SelectCols))
-		for i, c := range r.SelectCols {
-			proj[i] = row[abs(c)]
+	// Project into one backing array: the result is an immutable
+	// temporary, so its rows may share storage.
+	k := len(r.SelectCols)
+	at := make([]int, k)
+	for i, c := range r.SelectCols {
+		at[i] = abs(c)
+	}
+	vals := make(relstore.Tuple, len(current)*k)
+	rows := make([]relstore.Tuple, len(current))
+	for i, row := range current {
+		proj := vals[i*k : (i+1)*k : (i+1)*k]
+		for j, c := range at {
+			proj[j] = row[c]
 		}
-		if err := out.Insert(proj); err != nil {
-			return nil, err
-		}
+		rows[i] = proj
 	}
 	if r.Query.Distinct {
-		out.Distinct()
+		rows, _ = relstore.DistinctRows(rows)
+	}
+	out, err := relstore.TableFromRows(name, r.Output.Project(identity(len(r.Output))), rows)
+	if err != nil {
+		return nil, err
 	}
 	metricRowsReturned.Add(int64(out.Len()))
 	return out, nil
@@ -196,50 +206,51 @@ func identity(n int) []int {
 	return out
 }
 
-// paramEnv caches evaluated parameter operands: scalar field values and IN
-// sets.
-type paramEnv struct {
-	fields map[string]relstore.Value  // "param.field" -> value
-	inSets map[string]map[string]bool // param -> set of value keys
+// boundPred is a resolved predicate with its parameter operand evaluated
+// for one execution — the scalar field's value or the IN set — so that
+// per-row evaluation looks nothing up by name.
+type boundPred struct {
+	ResolvedPred
+	operand relstore.Value  // PredColParam
+	inSet   map[string]bool // PredColInParam: value keys
 }
 
-func newParamEnv(r *Resolved, params Params) (*paramEnv, error) {
-	env := &paramEnv{fields: make(map[string]relstore.Value), inSets: make(map[string]map[string]bool)}
-	for _, p := range r.Preds {
-		switch p.Kind {
-		case PredColParam:
-			key := p.Param + "." + p.ParamField
-			if _, done := env.fields[key]; done {
-				continue
-			}
-			b, ok := params[p.Param]
-			if !ok {
-				return nil, fmt.Errorf("sqlmini: missing binding for parameter $%s", p.Param)
-			}
+// bindPreds evaluates the parameter operands of r's predicates, in the
+// order of r.Preds.
+func bindPreds(r *Resolved, params Params) ([]boundPred, error) {
+	out := make([]boundPred, len(r.Preds))
+	inSets := make(map[string]map[string]bool) // a set parameter may feed several predicates
+	for i, p := range r.Preds {
+		out[i].ResolvedPred = p
+		if p.Kind != PredColParam && p.Kind != PredColInParam {
+			continue
+		}
+		b, ok := params[p.Param]
+		if !ok {
+			return nil, fmt.Errorf("sqlmini: missing binding for parameter $%s", p.Param)
+		}
+		if p.Kind == PredColParam {
 			v, err := b.Field(p.ParamField)
 			if err != nil {
 				return nil, err
 			}
-			env.fields[key] = v
-		case PredColInParam:
-			if _, done := env.inSets[p.Param]; done {
-				continue
-			}
-			b, ok := params[p.Param]
-			if !ok {
-				return nil, fmt.Errorf("sqlmini: missing binding for parameter $%s", p.Param)
-			}
+			out[i].operand = v
+			continue
+		}
+		set, done := inSets[p.Param]
+		if !done {
 			if len(b.Schema) != 1 {
 				return nil, fmt.Errorf("sqlmini: IN parameter $%s must have one column, has %d", p.Param, len(b.Schema))
 			}
-			set := make(map[string]bool, len(b.Rows))
+			set = make(map[string]bool, len(b.Rows))
 			for _, row := range b.Rows {
 				set[row[0].Key()] = true
 			}
-			env.inSets[p.Param] = set
+			inSets[p.Param] = set
 		}
+		out[i].inSet = set
 	}
-	return env, nil
+	return out, nil
 }
 
 func baseTableRows(r *Resolved, i int, data DataProvider, params Params) ([]relstore.Tuple, error) {
@@ -275,10 +286,10 @@ func isLocalPred(r *Resolved, p ResolvedPred, ti int) bool {
 }
 
 // filterLocal applies all single-table predicates of table i to its rows.
-func filterLocal(r *Resolved, i int, rows []relstore.Tuple, env *paramEnv) []relstore.Tuple {
-	var preds []ResolvedPred
-	for _, p := range r.Preds {
-		if isLocalPred(r, p, i) {
+func filterLocal(r *Resolved, i int, rows []relstore.Tuple, all []boundPred) []relstore.Tuple {
+	var preds []boundPred
+	for _, p := range all {
+		if isLocalPred(r, p.ResolvedPred, i) {
 			preds = append(preds, p)
 		}
 	}
@@ -291,7 +302,7 @@ func filterLocal(r *Resolved, i int, rows []relstore.Tuple, env *paramEnv) []rel
 	for _, row := range rows {
 		ok := true
 		for _, p := range preds {
-			if !evalPredOnLayout(p, row, local, env) {
+			if !evalPredOnLayout(p, row, local) {
 				ok = false
 				break
 			}
@@ -305,7 +316,7 @@ func filterLocal(r *Resolved, i int, rows []relstore.Tuple, env *paramEnv) []rel
 
 // evalPredOnLayout evaluates a predicate on a row given a translation from
 // absolute resolved columns to row positions.
-func evalPredOnLayout(p ResolvedPred, row relstore.Tuple, at func(int) int, env *paramEnv) bool {
+func evalPredOnLayout(p boundPred, row relstore.Tuple, at func(int) int) bool {
 	left := row[at(p.Left)]
 	switch p.Kind {
 	case PredColCol:
@@ -313,9 +324,9 @@ func evalPredOnLayout(p ResolvedPred, row relstore.Tuple, at func(int) int, env 
 	case PredColConst:
 		return p.Op.Eval(left, p.Const)
 	case PredColParam:
-		return p.Op.Eval(left, env.fields[p.Param+"."+p.ParamField])
+		return p.Op.Eval(left, p.operand)
 	case PredColInParam:
-		return env.inSets[p.Param][left.Key()]
+		return p.inSet[left.Key()]
 	case PredColInList:
 		for _, v := range p.List {
 			if left.Equal(v) {

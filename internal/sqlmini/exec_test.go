@@ -296,3 +296,56 @@ func TestStatsErrorsPropagate(t *testing.T) {
 		t.Errorf("ColumnDistinct(policy) = %d, %v", n, err)
 	}
 }
+
+// TestExecParamOperandsBoundOncePerExec pins the predicate-operand
+// binding: several fields of one scalar parameter, one set parameter
+// feeding two IN predicates, operands applied both as local filters and
+// after a cartesian step, and one plan executed under different bindings
+// (operands belong to the execution, not the plan).
+func TestExecParamOperandsBoundOncePerExec(t *testing.T) {
+	cat := hospitalCatalog()
+	q := MustParse("select i.SSN, b.trId from DB1:visitInfo i, DB3:billing b " +
+		"where i.date = $v.date and i.SSN <> $v.skip and i.trId in $S and b.trId in $S and b.price >= $v.min")
+	vSchema := relstore.MustSchema("date:string", "skip:string", "min:int")
+	sSchema := relstore.MustSchema("trId:string")
+	plan, err := PlanAndEstimate(q, CatalogSchemas{cat}, ParamSchemas{"v": vSchema, "S": sSchema}, CatalogStats{cat}, PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bind := func(date, skip string, min int64, set ...string) Params {
+		s := Binding{Schema: sSchema}
+		for _, v := range set {
+			s.Rows = append(s.Rows, relstore.Tuple{relstore.String(v)})
+		}
+		return Params{
+			"v": {Schema: vSchema, Rows: []relstore.Tuple{{relstore.String(date), relstore.String(skip), relstore.Int(min)}}},
+			"S": s,
+		}
+	}
+	for _, tc := range []struct {
+		params Params
+		want   []string
+	}{
+		// d1 visits: s1/t1, s1/t2, s3/t3. Skip s3; set {t1,t2}; price >= 200 keeps t2.
+		{bind("d1", "s3", 200, "t1", "t2"), []string{"s1|t2", "s1|t2"}},
+		{bind("d1", "s1", 0, "t3", "t1"), []string{"s3|t1", "s3|t3"}},
+		{bind("d2", "nobody", 0, "t1"), []string{"s2|t1"}},
+		{bind("d1", "s3", 0), nil},
+	} {
+		out, err := Exec("out", plan, CatalogData{cat}, tc.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rowsAsStrings(out); strings.Join(got, ",") != strings.Join(tc.want, ",") {
+			t.Errorf("params %v: got %v, want %v", tc.params["v"].Rows, got, tc.want)
+		}
+	}
+	if _, err := Exec("out", plan, CatalogData{cat}, Params{"v": bind("d1", "", 0)["v"]}); err == nil {
+		t.Error("missing set binding accepted")
+	}
+	wide := bind("d1", "", 0)
+	wide["S"] = Binding{Schema: relstore.MustSchema("a:string", "b:string")}
+	if _, err := Exec("out", plan, CatalogData{cat}, wide); err == nil {
+		t.Error("two-column IN binding accepted")
+	}
+}

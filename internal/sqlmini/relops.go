@@ -40,7 +40,7 @@ func OuterUnion(name string, parts []*relstore.Table) (*relstore.Table, error) {
 		return nil, fmt.Errorf("sqlmini: outer union input already has a %q column", TagColumn)
 	}
 	full := append(schema.Project(identity(len(schema))), relstore.Column{Name: TagColumn, Kind: relstore.KindInt})
-	out := relstore.NewTable(name, full)
+	var rows []relstore.Tuple
 	for tag, part := range parts {
 		colMap := make([]int, len(part.Schema()))
 		for i, col := range part.Schema() {
@@ -55,12 +55,10 @@ func OuterUnion(name string, parts []*relstore.Table) (*relstore.Table, error) {
 				padded[colMap[i]] = v
 			}
 			padded[len(full)-1] = relstore.Int(int64(tag))
-			if err := out.Insert(padded); err != nil {
-				return nil, err
-			}
+			rows = append(rows, padded)
 		}
 	}
-	return out, nil
+	return relstore.TableFromRows(name, full, rows)
 }
 
 // ExtractPart recovers part tag from an outer union, restoring the part's
@@ -79,17 +77,14 @@ func ExtractPart(name string, union *relstore.Table, tag int, partSchema relstor
 		}
 		colMap[i] = at
 	}
-	out := relstore.NewTable(name, partSchema)
+	var rows []relstore.Tuple
 	want := relstore.Int(int64(tag))
 	for _, row := range union.Rows() {
-		if !row[tagIdx].Equal(want) {
-			continue
-		}
-		if err := out.Insert(row.Project(colMap)); err != nil {
-			return nil, err
+		if row[tagIdx].Equal(want) {
+			rows = append(rows, row.Project(colMap))
 		}
 	}
-	return out, nil
+	return relstore.TableFromRows(name, partSchema, rows)
 }
 
 // LeftOuterJoin joins left and right on equality of the given column
@@ -100,28 +95,23 @@ func LeftOuterJoin(name string, left, right *relstore.Table, leftCols, rightCols
 	if len(leftCols) != len(rightCols) {
 		return nil, fmt.Errorf("sqlmini: outer join key arity mismatch: %d vs %d", len(leftCols), len(rightCols))
 	}
-	schema := left.Schema().Concat(right.Schema())
-	out := relstore.NewTable(name, schema)
 	nullsRight := make(relstore.Tuple, len(right.Schema()))
 	for i := range nullsRight {
 		nullsRight[i] = relstore.Null
 	}
+	index, rrows := right.Index(rightCols), right.Rows()
+	var rows []relstore.Tuple
 	for _, lrow := range left.Rows() {
-		key := lrow.KeyOn(leftCols)
-		matches := right.LookupKey(rightCols, key)
+		matches := index.Lookup(lrow.KeyOn(leftCols))
 		if len(matches) == 0 {
-			if err := out.Insert(lrow.Concat(nullsRight)); err != nil {
-				return nil, err
-			}
+			rows = append(rows, lrow.Concat(nullsRight))
 			continue
 		}
 		for _, ri := range matches {
-			if err := out.Insert(lrow.Concat(right.Row(ri))); err != nil {
-				return nil, err
-			}
+			rows = append(rows, lrow.Concat(rrows[ri]))
 		}
 	}
-	return out, nil
+	return relstore.TableFromRows(name, left.Schema().Concat(right.Schema()), rows)
 }
 
 // ProjectColumns returns a new table keeping only the named columns, in
@@ -135,13 +125,11 @@ func ProjectColumns(name string, t *relstore.Table, cols []string) (*relstore.Ta
 		}
 		idx[i] = at
 	}
-	out := relstore.NewTable(name, t.Schema().Project(idx))
-	for _, row := range t.Rows() {
-		if err := out.Insert(row.Project(idx)); err != nil {
-			return nil, err
-		}
+	rows := make([]relstore.Tuple, t.Len())
+	for i, row := range t.Rows() {
+		rows[i] = row.Project(idx)
 	}
-	return out, nil
+	return relstore.TableFromRows(name, t.Schema().Project(idx), rows)
 }
 
 // Union appends the rows of the given same-schema tables (bag union).
@@ -149,16 +137,12 @@ func Union(name string, parts ...*relstore.Table) (*relstore.Table, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("sqlmini: union of zero tables")
 	}
-	out := relstore.NewTable(name, parts[0].Schema())
+	var rows []relstore.Tuple
 	for _, p := range parts {
 		if !p.Schema().Equal(parts[0].Schema()) {
 			return nil, fmt.Errorf("sqlmini: union schema mismatch: %v vs %v", p.Schema(), parts[0].Schema())
 		}
-		for _, row := range p.Rows() {
-			if err := out.Insert(row); err != nil {
-				return nil, err
-			}
-		}
+		rows = append(rows, p.Rows()...)
 	}
-	return out, nil
+	return relstore.TableFromRows(name, parts[0].Schema(), rows)
 }

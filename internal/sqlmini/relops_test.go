@@ -1,6 +1,8 @@
 package sqlmini
 
 import (
+	"sort"
+	"strings"
 	"testing"
 
 	"github.com/aigrepro/aig/internal/relstore"
@@ -133,5 +135,36 @@ func TestUnion(t *testing.T) {
 	}
 	if _, err := Union("u"); err == nil {
 		t.Error("empty union accepted")
+	}
+}
+
+// TestLeftOuterJoinCompositeKeyManyProbes probes one index many times
+// with a two-column key: repeated and unmatched keys, Null key values,
+// and a right side built in bulk.
+func TestLeftOuterJoinCompositeKeyManyProbes(t *testing.T) {
+	l := mkTable("l", []string{"a:string", "b:int", "v:string"},
+		[]any{"x", 1, "l1"}, []any{"x", 2, "l2"}, []any{"x", 1, "l3"}, []any{"y", 1, "l4"}, []any{"x", nil, "l5"})
+	r, err := Union("r",
+		mkTable("r1", []string{"b:int", "a:string", "w:string"}, []any{1, "x", "r1"}, []any{2, "x", "r2"}),
+		mkTable("r2", []string{"b:int", "a:string", "w:string"}, []any{1, "x", "r3"}, []any{nil, "x", "r4"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := LeftOuterJoin("j", l, r, []int{0, 1}, []int{1, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, row := range j.Rows() {
+		got = append(got, row[2].Text()+">"+row[5].Text())
+	}
+	sort.Strings(got)
+	want := "l1>r1,l1>r3,l2>r2,l3>r1,l3>r3,l4>,l5>r4"
+	if strings.Join(got, ",") != want {
+		t.Errorf("joined pairs %v, want %s", got, want)
+	}
+	// The join left its inputs as they were.
+	if l.Len() != 5 || r.Len() != 4 {
+		t.Errorf("inputs changed: %d left rows, %d right rows", l.Len(), r.Len())
 	}
 }
