@@ -87,50 +87,6 @@ func (a *AIG) Eval(env *Env, rootInh *AttrValue) (*xmltree.Node, error) {
 	return node, nil
 }
 
-// scope resolves source references during the evaluation of one
-// production instance.
-type scope struct {
-	inhElem string
-	inh     *AttrValue
-	syn     map[string]*AttrValue   // element type -> Syn of (first) evaluated instance
-	all     map[string][]*AttrValue // element type -> Syn of every instance (star collection)
-}
-
-func (s *scope) resolve(src SourceRef) (*AttrValue, error) {
-	switch src.Side {
-	case InhSide:
-		if s.inh == nil || src.Elem != s.inhElem {
-			return nil, fmt.Errorf("aig: Inh(%s) is not in scope", src.Elem)
-		}
-		return s.inh, nil
-	default:
-		v, ok := s.syn[src.Elem]
-		if !ok {
-			return nil, fmt.Errorf("aig: Syn(%s) is not in scope (not yet evaluated?)", src.Elem)
-		}
-		return v, nil
-	}
-}
-
-func (s *scope) scalar(src SourceRef) (relstore.Value, error) {
-	v, err := s.resolve(src)
-	if err != nil {
-		return relstore.Null, err
-	}
-	if src.Member == "" {
-		return relstore.Null, fmt.Errorf("aig: %s: whole-attribute reference where a scalar is needed", src)
-	}
-	return v.Scalar(src.Member)
-}
-
-func (s *scope) binding(src SourceRef) (sqlmini.Binding, error) {
-	v, err := s.resolve(src)
-	if err != nil {
-		return sqlmini.Binding{}, err
-	}
-	return v.MemberBinding(src.Member)
-}
-
 // evalNode creates and evaluates the subtree for one element instance:
 // first its inherited attribute is already given, then its subtree is
 // derived, and finally its synthesized attribute is computed and guards
@@ -184,7 +140,7 @@ func (a *AIG) evalNode(env *Env, elem string, inh *AttrValue, depth int) (*xmltr
 }
 
 func (a *AIG) evalText(env *Env, elem string, node *xmltree.Node, r *Rule, inh *AttrValue) (*AttrValue, error) {
-	sc := &scope{inhElem: elem, inh: inh}
+	sc := &InstanceScope{Elem: elem, Inh: inh}
 	text := ""
 	if r != nil && r.TextSrc != (SourceRef{}) {
 		v, err := sc.scalar(r.TextSrc)
@@ -206,7 +162,7 @@ func (a *AIG) evalEmpty(env *Env, r *Rule, inh *AttrValue) (*AttrValue, error) {
 	if r != nil {
 		elem = r.Elem
 	}
-	sc := &scope{inhElem: elem, inh: inh}
+	sc := &InstanceScope{Elem: elem, Inh: inh}
 	return a.evalSynRule(env, elem, synRuleOf(r), sc)
 }
 
@@ -222,7 +178,7 @@ func (a *AIG) evalSeq(env *Env, elem string, node *xmltree.Node, p dtd.Productio
 	if err != nil {
 		return nil, err
 	}
-	sc := &scope{inhElem: elem, inh: inh, syn: make(map[string]*AttrValue), all: make(map[string][]*AttrValue)}
+	sc := &InstanceScope{Elem: elem, Inh: inh}
 	// Occurrence counts per type, to create one node per occurrence.
 	occurrences := make(map[string]int)
 	for _, c := range p.Children {
@@ -246,10 +202,7 @@ func (a *AIG) evalSeq(env *Env, elem string, node *xmltree.Node, p dtd.Productio
 				return nil, err
 			}
 			built[childType] = append(built[childType], childNode)
-			if _, first := sc.syn[childType]; !first {
-				sc.syn[childType] = childSyn
-			}
-			sc.all[childType] = append(sc.all[childType], childSyn)
+			sc.AddSyn(childType, childSyn)
 		}
 	}
 	// Attach subtrees in document (production) order.
@@ -259,7 +212,7 @@ func (a *AIG) evalSeq(env *Env, elem string, node *xmltree.Node, p dtd.Productio
 		consumed[c]++
 	}
 	// Syn(A) = g(Syn(B1..Bn)): Inh is out of scope here.
-	synScope := &scope{syn: sc.syn, all: sc.all}
+	synScope := &InstanceScope{Syns: sc.Syns}
 	return a.evalSynRule(env, elem, synRuleOf(r), synScope)
 }
 
@@ -269,7 +222,7 @@ func (a *AIG) evalStar(env *Env, elem string, node *xmltree.Node, p dtd.Producti
 		return nil, fmt.Errorf("aig: star production of %s has no rule for %s", elem, child)
 	}
 	ir := r.Inh[child]
-	sc := &scope{inhElem: elem, inh: inh}
+	sc := &InstanceScope{Elem: elem, Inh: inh}
 
 	rows, schema, err := a.starRows(env, ir, sc)
 	if err != nil {
@@ -277,7 +230,6 @@ func (a *AIG) evalStar(env *Env, elem string, node *xmltree.Node, p dtd.Producti
 	}
 	childScalars := a.Inh[child].ScalarSchema().Names()
 	all := make([]*AttrValue, 0, len(rows))
-	var firstSyn *AttrValue
 	for _, row := range rows {
 		childInh := NewAttrValue(a.Inh[child])
 		if err := childInh.BindScalarsFromRow(childScalars, schema, row); err != nil {
@@ -302,14 +254,8 @@ func (a *AIG) evalStar(env *Env, elem string, node *xmltree.Node, p dtd.Producti
 		}
 		node.AppendChild(childNode)
 		all = append(all, childSyn)
-		if firstSyn == nil {
-			firstSyn = childSyn
-		}
 	}
-	synScope := &scope{syn: map[string]*AttrValue{}, all: map[string][]*AttrValue{child: all}}
-	if firstSyn != nil {
-		synScope.syn[child] = firstSyn
-	}
+	synScope := &InstanceScope{Syns: []ChildSyns{{Elem: child, All: all}}}
 	return a.evalSynRule(env, elem, synRuleOf(r), synScope)
 }
 
@@ -319,7 +265,7 @@ func (a *AIG) evalStar(env *Env, elem string, node *xmltree.Node, p dtd.Producti
 // guarantee, so the implementation canonicalizes sibling order among star
 // children, which also makes the conceptual and mediator evaluators
 // produce identical documents.
-func (a *AIG) starRows(env *Env, ir *InhRule, sc *scope) ([]relstore.Tuple, relstore.Schema, error) {
+func (a *AIG) starRows(env *Env, ir *InhRule, sc *InstanceScope) ([]relstore.Tuple, relstore.Schema, error) {
 	var rows []relstore.Tuple
 	var schema relstore.Schema
 	if ir.IsQuery() {
@@ -348,7 +294,7 @@ func (a *AIG) evalChoice(env *Env, elem string, node *xmltree.Node, p dtd.Produc
 	if r == nil || r.Cond == nil {
 		return nil, fmt.Errorf("aig: choice production of %s has no condition query", elem)
 	}
-	sc := &scope{inhElem: elem, inh: inh}
+	sc := &InstanceScope{Elem: elem, Inh: inh}
 	out, err := a.runQuery(env, r.Cond, r.CondParams, sc, nil)
 	if err != nil {
 		return nil, err
@@ -376,15 +322,12 @@ func (a *AIG) evalChoice(env *Env, elem string, node *xmltree.Node, p dtd.Produc
 		return nil, err
 	}
 	node.AppendChild(childNode)
-	synScope := &scope{
-		syn: map[string]*AttrValue{child: childSyn},
-		all: map[string][]*AttrValue{child: {childSyn}},
-	}
+	synScope := &InstanceScope{Syns: []ChildSyns{{Elem: child, All: []*AttrValue{childSyn}}}}
 	return a.evalSynRule(env, elem, branch.Syn, synScope)
 }
 
 // evalInhSingle evaluates a non-star inherited-attribute rule into target.
-func (a *AIG) evalInhSingle(env *Env, ir *InhRule, child string, target *AttrValue, sc *scope) error {
+func (a *AIG) evalInhSingle(env *Env, ir *InhRule, child string, target *AttrValue, sc *InstanceScope) error {
 	if ir.IsQuery() {
 		out, err := a.runInhQuery(env, ir, sc)
 		if err != nil {
@@ -432,7 +375,7 @@ func (a *AIG) evalInhSingle(env *Env, ir *InhRule, child string, target *AttrVal
 // original (possibly multi-source) query, or the decomposed single-source
 // chain, threading each step's output into the next step's $prev
 // parameter.
-func (a *AIG) runInhQuery(env *Env, ir *InhRule, sc *scope) (*relstore.Table, error) {
+func (a *AIG) runInhQuery(env *Env, ir *InhRule, sc *InstanceScope) (*relstore.Table, error) {
 	if ir.Query != nil {
 		return a.runQuery(env, ir.Query, ir.QueryParams, sc, nil)
 	}
@@ -456,7 +399,7 @@ func (a *AIG) runInhQuery(env *Env, ir *InhRule, sc *scope) (*relstore.Table, er
 
 // runQuery binds the query's parameters from the scope (and the extra
 // pre-bound parameters) and executes it against the sources.
-func (a *AIG) runQuery(env *Env, q *sqlmini.Query, paramSrcs map[string]SourceRef, sc *scope, extra sqlmini.Params) (*relstore.Table, error) {
+func (a *AIG) runQuery(env *Env, q *sqlmini.Query, paramSrcs map[string]SourceRef, sc *InstanceScope, extra sqlmini.Params) (*relstore.Table, error) {
 	params := make(sqlmini.Params)
 	for _, name := range q.Params() {
 		if b, ok := extra[name]; ok {
@@ -478,7 +421,7 @@ func (a *AIG) runQuery(env *Env, q *sqlmini.Query, paramSrcs map[string]SourceRe
 }
 
 // evalSynRule computes the synthesized attribute of elem from the scope.
-func (a *AIG) evalSynRule(env *Env, elem string, r *SynRule, sc *scope) (*AttrValue, error) {
+func (a *AIG) evalSynRule(env *Env, elem string, r *SynRule, sc *InstanceScope) (*AttrValue, error) {
 	decl := a.Syn[elem]
 	out := NewAttrValue(decl)
 	if r == nil {
@@ -515,7 +458,7 @@ func (a *AIG) evalSynRule(env *Env, elem string, r *SynRule, sc *scope) (*AttrVa
 }
 
 // evalSetExpr evaluates a collection-valued expression to its rows.
-func (a *AIG) evalSetExpr(expr SynExpr, sc *scope, arity int) ([]relstore.Tuple, error) {
+func (a *AIG) evalSetExpr(expr SynExpr, sc *InstanceScope, arity int) ([]relstore.Tuple, error) {
 	switch e := expr.(type) {
 	case EmptyOf:
 		return nil, nil
@@ -547,16 +490,16 @@ func (a *AIG) evalSetExpr(expr SynExpr, sc *scope, arity int) ([]relstore.Tuple,
 		return rows, nil
 	case CollectChildren:
 		var rows []relstore.Tuple
-		for _, childSyn := range sc.all[e.Child] {
-			m, ok := childSyn.Decl.Member(e.Member)
-			if !ok {
+		for _, childSyn := range sc.all(e.Child) {
+			i, scalar := childSyn.index(e.Member)
+			switch {
+			case i < 0:
 				return nil, fmt.Errorf("Syn(%s) has no member %q", e.Child, e.Member)
+			case scalar:
+				rows = append(rows, relstore.Tuple{childSyn.slots[i].v})
+			default:
+				rows = append(rows, childSyn.rows(i)...)
 			}
-			if m.Kind == Scalar {
-				rows = append(rows, relstore.Tuple{childSyn.Scalars[e.Member]})
-				continue
-			}
-			rows = append(rows, childSyn.Collections[e.Member].Rows()...)
 		}
 		return rows, nil
 	default:

@@ -243,7 +243,7 @@ func (a *AIG) partialSeq(env *Env, elem string, p dtd.Production, r *Rule, inh *
 
 	// Pass 1 (dependency order): bind inherited attributes; fully
 	// evaluate the instances whose Syn a sibling needs.
-	sc := &scope{inhElem: elem, inh: inh, syn: make(map[string]*AttrValue), all: make(map[string][]*AttrValue)}
+	sc := &InstanceScope{Elem: elem, Inh: inh}
 	inhs := make(map[string][]*AttrValue)
 	builtNodes := make(map[string][]*xmltree.Node)
 	for _, childType := range order {
@@ -268,10 +268,7 @@ func (a *AIG) partialSeq(env *Env, elem string, p dtd.Production, r *Rule, inh *
 					return err
 				}
 				builtNodes[childType] = append(builtNodes[childType], childNode)
-				if _, first := sc.syn[childType]; !first {
-					sc.syn[childType] = childSyn
-				}
-				sc.all[childType] = append(sc.all[childType], childSyn)
+				sc.AddSyn(childType, childSyn)
 			}
 		}
 	}
@@ -308,7 +305,7 @@ func (a *AIG) partialStar(env *Env, elem string, p dtd.Production, r *Rule, inh 
 		return nil
 	}
 	ir := r.Inh[child]
-	sc := &scope{inhElem: elem, inh: inh}
+	sc := &InstanceScope{Elem: elem, Inh: inh}
 	rows, schema, err := a.starRows(env, ir, sc)
 	if err != nil {
 		return err
@@ -344,7 +341,7 @@ func (a *AIG) partialChoice(env *Env, elem string, p dtd.Production, r *Rule, in
 	if r == nil || r.Cond == nil {
 		return fmt.Errorf("aig: choice production of %s has no condition query", elem)
 	}
-	sc := &scope{inhElem: elem, inh: inh}
+	sc := &InstanceScope{Elem: elem, Inh: inh}
 	out, err := a.runQuery(env, r.Cond, r.CondParams, sc, nil)
 	if err != nil {
 		return err

@@ -3,6 +3,7 @@ package mediator
 import (
 	"testing"
 
+	"github.com/aigrepro/aig/internal/aig"
 	"github.com/aigrepro/aig/internal/aigspec"
 	"github.com/aigrepro/aig/internal/datagen"
 	"github.com/aigrepro/aig/internal/hospital"
@@ -24,18 +25,7 @@ var bench250 = datagen.Size{
 // fresh mediator each time); "repeat" is the serving steady state: one
 // long-lived mediator.
 func BenchmarkEvaluateRecursive(b *testing.B) {
-	reg := source.RegistryFromCatalog(datagen.Generate(bench250, 42))
-	spec, err := aigspec.Parse(hospital.SpecText)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sa, err := specialize.CompileConstraints(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if sa, err = specialize.DecomposeQueries(sa, reg, reg, DefaultOptions().PlanOpts); err != nil {
-		b.Fatal(err)
-	}
+	reg, sa := bench250View(b)
 	run := func(b *testing.B, med func() *Mediator) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -60,3 +50,21 @@ func BenchmarkEvaluateRecursive(b *testing.B) {
 }
 
 var benchDoc *Result
+
+// bench250View is the serving setup of the hospital view over bench250:
+// the registry and the constraint-compiled, decomposed grammar aigd runs.
+func bench250View(tb testing.TB) (*source.Registry, *aig.AIG) {
+	reg := source.RegistryFromCatalog(datagen.Generate(bench250, 42))
+	spec, err := aigspec.Parse(hospital.SpecText)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sa, err := specialize.CompileConstraints(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if sa, err = specialize.DecomposeQueries(sa, reg, reg, DefaultOptions().PlanOpts); err != nil {
+		tb.Fatal(err)
+	}
+	return reg, sa
+}

@@ -312,6 +312,7 @@ func (x *exec) parentInstances(c *ctxNode, branch int) []*instance {
 // setCopyMat installs the materialization body for a copy edge.
 func (g *graph) setCopyMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch int, star, elided bool) {
 	decl := g.a.Inh[ch.elem]
+	names := decl.ScalarSchema().Names()
 	mat.runLocal = func(x *exec) (int, error) {
 		rows := 0
 		for _, parent := range x.parentInstances(c, branch) {
@@ -324,7 +325,6 @@ func (g *graph) setCopyMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch in
 				sorted := make([]relstore.Tuple, len(b.Rows))
 				copy(sorted, b.Rows)
 				sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Compare(sorted[j]) < 0 })
-				names := decl.ScalarSchema().Names()
 				for _, row := range sorted {
 					inh := aig.NewAttrValue(decl)
 					if err := inh.BindScalarsFromRow(names, b.Schema, row); err != nil {
@@ -357,6 +357,7 @@ func (g *graph) setCopyMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch in
 // members (single-row rules).
 func (g *graph) setQueryMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch int, star bool, last *part) {
 	decl := g.a.Inh[ch.elem]
+	names := decl.ScalarSchema().Names()
 	mat.runLocal = func(x *exec) (int, error) {
 		out := x.partOut[last.idx]
 		if out == nil {
@@ -372,7 +373,6 @@ func (g *graph) setQueryMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch i
 			id := int(row[0].AsInt())
 			byParent[id] = append(byParent[id], row[1:])
 		}
-		names := decl.ScalarSchema().Names()
 		rows := 0
 		for _, parent := range x.parentInstances(c, branch) {
 			data := byParent[parent.id]
@@ -435,22 +435,14 @@ func (g *graph) setQueryMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch i
 // its inherited attribute plus the synthesized attributes of its children
 // (which double as the siblings of any child being computed).
 func (x *exec) instanceScope(c *ctxNode, inst *instance) aig.InstanceScope {
-	scope := aig.InstanceScope{
-		Elem: c.elem,
-		Inh:  inst.inh,
-		Syn:  make(map[string]*aig.AttrValue),
-		All:  make(map[string][]*aig.AttrValue),
-	}
+	scope := aig.InstanceScope{Elem: c.elem, Inh: inst.inh}
 	for _, ch := range c.children {
 		for _, ci := range x.st.children(inst.id, ch.path) {
 			syn := ci.syn.Load()
 			if syn == nil {
 				continue // not yet computed; deps guarantee availability when needed
 			}
-			if _, ok := scope.Syn[ch.elem]; !ok {
-				scope.Syn[ch.elem] = syn
-			}
-			scope.All[ch.elem] = append(scope.All[ch.elem], syn)
+			scope.AddSyn(ch.elem, syn)
 		}
 	}
 	return scope

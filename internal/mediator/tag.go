@@ -6,6 +6,7 @@ import (
 
 	"github.com/aigrepro/aig/internal/aig"
 	"github.com/aigrepro/aig/internal/dtd"
+	"github.com/aigrepro/aig/internal/relstore"
 	"github.com/aigrepro/aig/internal/xmltree"
 )
 
@@ -48,12 +49,19 @@ func (x *exec) tagInstance(c *ctxNode, inst *instance) (*xmltree.Node, error) {
 		}
 	case dtd.ProdStar:
 		ch := c.children[0]
-		kids := append([]*instance(nil), x.st.children(inst.id, ch.path)...)
-		sort.SliceStable(kids, func(i, j int) bool {
-			return kids[i].inh.ScalarTuple().Compare(kids[j].inh.ScalarTuple()) < 0
-		})
-		for _, k := range kids {
-			sub, err := x.tagInstance(ch, k)
+		// Each child's sort key is built once, not once per comparison.
+		type keyed struct {
+			key  relstore.Tuple
+			inst *instance
+		}
+		kids := x.st.children(inst.id, ch.path)
+		sorted := make([]keyed, len(kids))
+		for i, k := range kids {
+			sorted[i] = keyed{k.inh.ScalarTuple(), k}
+		}
+		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].key.Compare(sorted[j].key) < 0 })
+		for _, k := range sorted {
+			sub, err := x.tagInstance(ch, k.inst)
 			if err != nil {
 				return nil, err
 			}

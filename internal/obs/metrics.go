@@ -142,9 +142,15 @@ type exemplar struct {
 	value   float64
 }
 
-// DurationBuckets is a decade ladder suited to query and round-trip
-// latencies, in seconds.
-var DurationBuckets = []float64{0.0001, 0.001, 0.01, 0.1, 1, 10}
+// DurationBuckets is a 1-2-5 ladder from 50 µs to 60 s suited to query,
+// request and round-trip latencies, in seconds: adjacent bounds are at
+// most 2.5× apart, so a quantile read off the buckets lands within one
+// step of the true value.
+var DurationBuckets = []float64{
+	0.00005, 0.0001, 0.0002, 0.0005,
+	0.001, 0.002, 0.005, 0.01, 0.02, 0.05,
+	0.1, 0.2, 0.5, 1, 2, 5, 10, 20, 50, 60,
+}
 
 // NewHistogram returns the registry's histogram with the given name,
 // creating it with the given bucket upper bounds (must be sorted

@@ -217,6 +217,30 @@ func TestRegistryReusesInstruments(t *testing.T) {
 	}
 }
 
+// TestDurationBucketsLadder pins the latency ladder: bounds ascend from
+// 50 µs to 60 s with adjacent bounds at most 2.5× apart, and a histogram
+// over it exports one bucket line per bound plus +Inf.
+func TestDurationBucketsLadder(t *testing.T) {
+	b := DurationBuckets
+	if b[0] != 50e-6 || b[len(b)-1] != 60 {
+		t.Fatalf("ladder spans %g..%g s, want 5e-05..60", b[0], b[len(b)-1])
+	}
+	for i := 1; i < len(b); i++ {
+		if b[i] <= b[i-1] || b[i] > 2.5*b[i-1]*(1+1e-9) {
+			t.Errorf("bounds %g, %g: not ascending within 2.5x", b[i-1], b[i])
+		}
+	}
+	r := NewRegistry()
+	r.NewHistogram("lat_seconds", "", b).Observe(0.003)
+	var out strings.Builder
+	if err := r.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(out.String(), "lat_seconds_bucket{"); n != len(b)+1 {
+		t.Errorf("%d bucket lines, want %d:\n%s", n, len(b)+1, out.String())
+	}
+}
+
 func spanNames(spans []*Span) []string {
 	out := make([]string, len(spans))
 	for i, s := range spans {
