@@ -41,8 +41,12 @@
 // must-hold verdict whose premises survive is checked against the
 // evaluated document — a runtime violation of a certified constraint is
 // a certifier soundness bug, reported on leg "certify". Mutations that
-// falsify a premise void the affected obligations instead. -shrink
-// minimizes the mutation sequence, as in -ivm mode.
+// falsify a premise void the affected obligations instead. At every step
+// the grammar compiled with guards only for unproven constraints (what
+// aigd serves) is also compared with the fully guarded one through the
+// mediator: byte-equal while the used premises hold, and rejecting
+// exactly when the guarded grammar aborts (post-hoc check) once one
+// breaks. -shrink minimizes the mutation sequence, as in -ivm mode.
 //
 // With -fragment, each instance is pushed through the fragment serving
 // oracle: -paths random path expressions are derived from the instance's
@@ -117,6 +121,8 @@ type stats struct {
 	Asserted    int `json:"asserted,omitempty"`
 	Voided      int `json:"voided,omitempty"`
 	Unevaluated int `json:"unevaluated,omitempty"`
+	Pruned      int `json:"pruned_comparisons,omitempty"`
+	Fallbacks   int `json:"broken_premise_comparisons,omitempty"`
 }
 
 func main() {
@@ -254,6 +260,8 @@ func main() {
 			st.Asserted += out.Asserted
 			st.Voided += out.Voided
 			st.Unevaluated += out.Unevaluated
+			st.Pruned += out.Pruned
+			st.Fallbacks += out.Fallbacks
 			if out.Divergence == nil {
 				continue
 			}
@@ -284,9 +292,9 @@ func main() {
 		fmt.Printf("aigdiff -recover: %d seeds, %d WAL records journaled, %d snapshot rotations, %d crash images recovered and compared in %.2fs, %d divergences\n",
 			st.Instances, st.Records, st.Snapshots, st.Crashes, st.Seconds, st.Divergences)
 	} else if *certifyMode {
-		fmt.Printf("aigdiff -certify: %d instances, %d keys + %d fkeys discovered, verdicts %d must-hold / %d unknown / %d violated; %d mutation steps: %d assertions, %d voided, %d unevaluated in %.2fs, %d divergences\n",
+		fmt.Printf("aigdiff -certify: %d instances, %d keys + %d fkeys discovered, verdicts %d must-hold / %d unknown / %d violated; %d mutation steps: %d assertions, %d voided, %d unevaluated; %d pruned-vs-guarded comparisons (%d on broken premises) in %.2fs, %d divergences\n",
 			st.Instances, st.Keys, st.FKs, st.MustHold, st.Unknown, st.Violated,
-			st.Steps, st.Asserted, st.Voided, st.Unevaluated, st.Seconds, st.Divergences)
+			st.Steps, st.Asserted, st.Voided, st.Unevaluated, st.Pruned, st.Fallbacks, st.Seconds, st.Divergences)
 	} else if *fragmentMode {
 		fmt.Printf("aigdiff -fragment: %d instances (%d skipped), %d paths, %d mutation steps, %d fragment comparisons: %d restamps, %d rebuilds in %.2fs, %d divergences\n",
 			st.Instances, st.Skipped, st.Paths, st.Steps, st.Checks, st.Restamps, st.Fulls, st.Seconds, st.Divergences)

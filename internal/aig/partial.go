@@ -76,8 +76,8 @@ type FragCursor interface {
 // the next is evaluated. doc is the document-level cursor; its single
 // "child" is the root element.
 //
-// The grammar must be guard-free (fragment grammars are compiled
-// without constraints): a guarded grammar could abort on subtrees a
+// The grammar must be guard-free (a served grammar is when every
+// constraint was certified): a guarded grammar could abort on subtrees a
 // fragment request never evaluates, making the fragment's success
 // dependent on what was skipped.
 func (a *AIG) EvalPartial(env *Env, rootInh *AttrValue, doc FragCursor, emit func(*xmltree.Node) error) error {

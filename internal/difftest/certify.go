@@ -2,13 +2,18 @@ package difftest
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/aigrepro/aig/internal/aig"
+	"github.com/aigrepro/aig/internal/mediator"
 	"github.com/aigrepro/aig/internal/propagate"
 	"github.com/aigrepro/aig/internal/randaig"
 	"github.com/aigrepro/aig/internal/relstore"
+	"github.com/aigrepro/aig/internal/source"
 	"github.com/aigrepro/aig/internal/specialize"
+	"github.com/aigrepro/aig/internal/sqlmini"
+	"github.com/aigrepro/aig/internal/xconstraint"
 	"github.com/aigrepro/aig/internal/xmltree"
 )
 
@@ -21,8 +26,9 @@ import (
 // certification soundness oracle hands to propagate.Certify.
 //
 // Discovered constraints are facts about one database state, not
-// invariants: after a mutation they must be re-checked (KeyHolds,
-// FKHolds) before any verdict proved from them may be asserted.
+// invariants: after a mutation they must be re-checked
+// (propagate.BrokenPremises) before any verdict proved from them may be
+// asserted.
 func DiscoverSourceConstraints(cat *relstore.Catalog) ([]aig.SourceKey, []aig.SourceFK) {
 	type col struct {
 		source string
@@ -38,7 +44,7 @@ func DiscoverSourceConstraints(cat *relstore.Catalog) ([]aig.SourceKey, []aig.So
 		single := make([]bool, len(schema))
 		for i := range schema {
 			cols = append(cols, col{source, t, i})
-			if columnsUnique(t, []int{i}) {
+			if t.Index([]int{i}).Unique() {
 				single[i] = true
 				keys = append(keys, aig.SourceKey{
 					Source: source, Table: t.Name(), Cols: []string{schema[i].Name},
@@ -49,7 +55,7 @@ func DiscoverSourceConstraints(cat *relstore.Catalog) ([]aig.SourceKey, []aig.So
 		// Minimal pairs only: a pair containing a key column adds nothing.
 		for i := range schema {
 			for j := i + 1; j < len(schema); j++ {
-				if single[i] || single[j] || !columnsUnique(t, []int{i, j}) {
+				if single[i] || single[j] || !t.Index([]int{i, j}).Unique() {
 					continue
 				}
 				keys = append(keys, aig.SourceKey{
@@ -77,7 +83,7 @@ func DiscoverSourceConstraints(cat *relstore.Catalog) ([]aig.SourceKey, []aig.So
 			if !keyed[to.source+":"+to.table.Name()+":"+toName] {
 				continue
 			}
-			if !columnIncluded(from.table, from.idx, to.table, to.idx) {
+			if !from.table.Index([]int{from.idx}).SubsetOf(to.table.Index([]int{to.idx})) {
 				continue
 			}
 			fks = append(fks, aig.SourceFK{
@@ -89,97 +95,6 @@ func DiscoverSourceConstraints(cat *relstore.Catalog) ([]aig.SourceKey, []aig.So
 	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
 	sort.Slice(fks, func(i, j int) bool { return fks[i].String() < fks[j].String() })
 	return keys, fks
-}
-
-// columnsUnique reports whether no two rows of t agree on all of cols.
-func columnsUnique(t *relstore.Table, cols []int) bool {
-	seen := make(map[string]bool, t.Len())
-	for i := 0; i < t.Len(); i++ {
-		row := t.Row(i)
-		key := ""
-		for _, c := range cols {
-			key += row[c].Key() + "\x00"
-		}
-		if seen[key] {
-			return false
-		}
-		seen[key] = true
-	}
-	return true
-}
-
-// columnIncluded reports π_fromCol(from) ⊆ π_toCol(to).
-func columnIncluded(from *relstore.Table, fromCol int, to *relstore.Table, toCol int) bool {
-	have := make(map[string]bool, to.Len())
-	for i := 0; i < to.Len(); i++ {
-		have[to.Row(i)[toCol].Key()] = true
-	}
-	for i := 0; i < from.Len(); i++ {
-		if !have[from.Row(i)[fromCol].Key()] {
-			return false
-		}
-	}
-	return true
-}
-
-// KeyHolds reports whether a declared key is true of the catalog's
-// current data.
-func KeyHolds(cat *relstore.Catalog, k aig.SourceKey) bool {
-	t, err := cat.Table(k.Source, k.Table)
-	if err != nil {
-		return false
-	}
-	idx, ok := columnIndexes(t.Schema(), k.Cols)
-	return ok && columnsUnique(t, idx)
-}
-
-// FKHolds reports whether a declared single-column-per-side foreign key
-// is true of the catalog's current data (multi-column foreign keys are
-// checked tuple-wise).
-func FKHolds(cat *relstore.Catalog, fk aig.SourceFK) bool {
-	from, err := cat.Table(fk.Source, fk.Table)
-	if err != nil {
-		return false
-	}
-	to, err := cat.Table(fk.RefSource, fk.RefTable)
-	if err != nil {
-		return false
-	}
-	fromIdx, ok1 := columnIndexes(from.Schema(), fk.Cols)
-	toIdx, ok2 := columnIndexes(to.Schema(), fk.RefCols)
-	if !ok1 || !ok2 || len(fromIdx) != len(toIdx) {
-		return false
-	}
-	have := make(map[string]bool, to.Len())
-	for i := 0; i < to.Len(); i++ {
-		row, key := to.Row(i), ""
-		for _, c := range toIdx {
-			key += row[c].Key() + "\x00"
-		}
-		have[key] = true
-	}
-	for i := 0; i < from.Len(); i++ {
-		row, key := from.Row(i), ""
-		for _, c := range fromIdx {
-			key += row[c].Key() + "\x00"
-		}
-		if !have[key] {
-			return false
-		}
-	}
-	return true
-}
-
-func columnIndexes(schema relstore.Schema, names []string) ([]int, bool) {
-	out := make([]int, len(names))
-	for i, n := range names {
-		c := schema.ColumnIndex(n)
-		if c < 0 {
-			return nil, false
-		}
-		out[i] = c
-	}
-	return out, true
 }
 
 // CertifyOptions configures one certification-soundness oracle run.
@@ -209,6 +124,11 @@ type CertifyOutcome struct {
 	// mutation broke a premise the proof depends on; Unevaluated the
 	// steps where the mutated data no longer evaluates to a document.
 	Steps, Asserted, Voided, Unevaluated int
+	// Pruned counts the comparisons of the pruned grammar (guards only
+	// for unproven constraints, as aigd serves it) with the fully guarded
+	// one; Fallbacks those made while a used premise was broken, where
+	// the post-hoc constraint check stands in for the pruned guards.
+	Pruned, Fallbacks int
 	// Evals counts document evaluations (oracle throughput metric).
 	Evals int
 }
@@ -217,12 +137,19 @@ type CertifyOutcome struct {
 // (internal/propagate): it discovers the relational constraints that
 // genuinely hold on the instance's data, declares them as source
 // premises, certifies the instance's XML constraints from them, and
-// then — initially and after every mutation whose proof premises
-// survive — asserts that no constraint the certifier judged MustHold is
-// ever violated on the evaluated document. Verdicts are proofs under
-// premises, so a mutation that falsifies a used premise voids the
-// obligation rather than asserting it; a violation while every used
-// premise still holds is reported on leg "certify".
+// then — initially and after every mutation — checks two things, each
+// reported on leg "certify":
+//
+//   - pruning: the grammar compiled with guards only for the unproven
+//     constraints (propagate.Prune) and the fully guarded grammar,
+//     both through the mediator, produce the same document or both
+//     abort while every used premise holds; once one is broken, the
+//     pruned document fails xconstraint.CheckAll exactly when the
+//     guarded grammar aborts;
+//   - proofs: no constraint the certifier judged MustHold is violated
+//     on the constraint-free document while the premises of its proof
+//     still hold. A mutation that falsifies a used premise voids the
+//     obligation rather than asserting it.
 //
 // The run mutates a clone of the instance's catalog, never the
 // instance itself, so CheckCertify can be re-run (shrinking, corpus
@@ -259,17 +186,6 @@ func CheckCertify(inst *randaig.Instance, muts []Mutation, opts CertifyOptions) 
 		return out
 	}
 
-	// Premise checkers, keyed the way Result.Uses renders them.
-	premise := make(map[string]func() bool)
-	for _, k := range keys {
-		k := k
-		premise["key "+k.String()] = func() bool { return KeyHolds(inst.Catalog, k) }
-	}
-	for _, fk := range fks {
-		fk := fk
-		premise["fkey "+fk.String()] = func() bool { return FKHolds(inst.Catalog, fk) }
-	}
-
 	// The document under test is the constraint-free evaluation: guards
 	// would abort on the very violations the oracle wants to observe.
 	plain := inst.AIG.Clone()
@@ -284,16 +200,80 @@ func CheckCertify(inst *randaig.Instance, muts []Mutation, opts CertifyOptions) 
 		return plainU.Eval(inst.Env(), inst.RootInh)
 	}
 
-	assert := func(step int, m *Mutation, doc *xmltree.Node, intact map[string]bool) *Divergence {
-		for _, r := range proved {
-			ok := true
-			for _, u := range r.Uses {
-				if !intact[u] {
-					ok = false
-					break
-				}
+	prunedU, err := servedGrammar(propagate.Prune(a, cert), inst)
+	if err != nil {
+		out.Divergence = mkDiv("pruned grammar: "+err.Error(), "", "")
+		return out
+	}
+	guardedU, err := servedGrammar(a, inst)
+	if err != nil {
+		out.Divergence = mkDiv("guarded grammar: "+err.Error(), "", "")
+		return out
+	}
+	// Every mutation moves the plan epoch, so both grammars are planned
+	// again at every step; greedy merging (the matrix covers it) would
+	// dominate the oracle's run time.
+	mopts := mediator.DefaultOptions()
+	mopts.Merge = false
+	med := mediator.New(source.RegistryFromCatalog(inst.Catalog), mopts)
+
+	// prune compares the pruned and the guarded grammar on the current
+	// data; held says whether every premise a pruned guard rests on holds.
+	prune := func(where string, held bool) *Divergence {
+		out.Evals += 2
+		pRes, pErr := med.Evaluate(prunedU, inst.RootInh)
+		gRes, gErr := med.Evaluate(guardedU, inst.RootInh)
+		if (pErr != nil && !isAbort(pErr)) || (gErr != nil && !isAbort(gErr)) {
+			return nil // outside the generator's states: counted by the proofs check
+		}
+		out.Pruned++
+		guarded := abortOrDoc(gRes, gErr)
+		if held {
+			if pruned := abortOrDoc(pRes, pErr); pruned != guarded {
+				return mkDiv(where+": pruned grammar differs from the guarded one while every used premise holds", guarded, pruned)
 			}
-			if !ok {
+			return nil
+		}
+		out.Fallbacks++
+		rejects := pErr != nil || len(xconstraint.CheckAll(a.Constraints, pRes.Doc)) > 0
+		if rejects != (gErr != nil) {
+			return mkDiv(fmt.Sprintf("%s: premise broken: pruned grammar + post-hoc check rejects=%v, guarded grammar aborts=%v",
+				where, rejects, gErr != nil), guarded, abortOrDoc(pRes, pErr))
+		}
+		return nil
+	}
+
+	// check runs both checks on the current data, after mutation m of
+	// step i (m is nil for the initial data, on which every discovered
+	// premise holds by construction).
+	data := sqlmini.CatalogData{Catalog: inst.Catalog}
+	check := func(i int, m *Mutation) *Divergence {
+		var broken []string
+		if !opts.AssumePremises {
+			broken = propagate.BrokenPremises(a, cert.Premises, data)
+		}
+		where := "initial data"
+		if m != nil {
+			where = fmt.Sprintf("step %d (%s)", i, m)
+		}
+		if d := prune(where, len(broken) == 0); d != nil {
+			return d
+		}
+		doc, err := evaluate()
+		switch {
+		case err != nil && m == nil:
+			return mkDiv("initial evaluation failed: "+err.Error(), "", "")
+		case err != nil && isAbort(err):
+			return mkDiv(fmt.Sprintf("%s: guard abort in constraint-free grammar: %v", where, err), "", "")
+		case err != nil:
+			// Mutations can push the data into states the generator never
+			// produces (a choice condition matching zero rows); with no
+			// document there is nothing the certifier's claim ranges over.
+			out.Unevaluated++
+			return nil
+		}
+		for _, r := range proved {
+			if slices.ContainsFunc(r.Uses, func(u string) bool { return slices.Contains(broken, u) }) {
 				out.Voided++
 				continue
 			}
@@ -301,7 +281,7 @@ func CheckCertify(inst *randaig.Instance, muts []Mutation, opts CertifyOptions) 
 			if vs := r.Constraint.Check(doc); len(vs) > 0 {
 				detail := fmt.Sprintf("certified constraint %s violated at runtime (proof: %s)", r.Constraint, r.Reason)
 				if m != nil {
-					detail = fmt.Sprintf("step %d (%s): %s", step, m, detail)
+					detail = where + ": " + detail
 				}
 				return mkDiv(detail, "no violations", vs[0].Error())
 			}
@@ -309,22 +289,9 @@ func CheckCertify(inst *randaig.Instance, muts []Mutation, opts CertifyOptions) 
 		return nil
 	}
 
-	doc, err := evaluate()
-	if err != nil {
-		out.Divergence = mkDiv("initial evaluation failed: "+err.Error(), "", "")
+	if out.Divergence = check(0, nil); out.Divergence != nil {
 		return out
 	}
-	// Every discovered premise holds on the initial data by construction,
-	// so the initial obligations are all live.
-	allLive := make(map[string]bool, len(premise))
-	for u := range premise {
-		allLive[u] = true
-	}
-	if d := assert(0, nil, doc, allLive); d != nil {
-		out.Divergence = d
-		return out
-	}
-
 	for i, m := range muts {
 		changed, err := m.apply(inst.Catalog)
 		if err != nil {
@@ -335,33 +302,34 @@ func CheckCertify(inst *randaig.Instance, muts []Mutation, opts CertifyOptions) 
 			continue
 		}
 		out.Steps++
-
-		intact := make(map[string]bool, len(premise))
-		for u, holds := range premise {
-			if opts.AssumePremises || holds() {
-				intact[u] = true
-			}
-		}
-
-		// Mutations can push the data into states the generator never
-		// produces (a choice condition matching zero rows); with no
-		// document there is nothing the certifier's claim ranges over.
-		m := m
-		doc, err := evaluate()
-		if err != nil {
-			if isAbort(err) {
-				out.Divergence = mkDiv(fmt.Sprintf("step %d: guard abort in constraint-free grammar: %v", i, err), "", "")
-				return out
-			}
-			out.Unevaluated++
-			continue
-		}
-		if d := assert(i, &m, doc, intact); d != nil {
-			out.Divergence = d
+		if out.Divergence = check(i, &m); out.Divergence != nil {
 			return out
 		}
 	}
 	return out
+}
+
+// servedGrammar compiles a's constraints to guards, decomposes its
+// multi-source queries and unfolds it to the instance's depth: the
+// grammar a server evaluates for a.
+func servedGrammar(a *aig.AIG, inst *randaig.Instance) (*aig.AIG, error) {
+	c, err := specialize.CompileConstraints(a)
+	if err != nil {
+		return nil, err
+	}
+	if c, err = specialize.DecomposeQueries(c, inst.Schemas(), inst.Stats(), sqlmini.PlanOptions{}); err != nil {
+		return nil, err
+	}
+	return specialize.Unfold(c, inst.UnfoldDepth)
+}
+
+// abortOrDoc renders an evaluation outcome for comparison: the document,
+// or "guard abort" (which guard fires first may differ between grammars).
+func abortOrDoc(res *mediator.Result, err error) string {
+	if err != nil {
+		return "guard abort"
+	}
+	return res.Doc.Canonical()
 }
 
 // ShrinkCertify minimizes a diverging mutation sequence ddmin-style,

@@ -3,9 +3,13 @@ package difftest
 import (
 	"testing"
 
+	"strings"
+
 	"github.com/aigrepro/aig/internal/aig"
+	"github.com/aigrepro/aig/internal/propagate"
 	"github.com/aigrepro/aig/internal/randaig"
 	"github.com/aigrepro/aig/internal/relstore"
+	"github.com/aigrepro/aig/internal/sqlmini"
 )
 
 // certifySeeds is the deterministic seed range the certification
@@ -74,19 +78,19 @@ func TestDiscoverSourceConstraints(t *testing.T) {
 		t.Errorf("missing fk use(fid) -> ref(id), got %v", fks)
 	}
 
-	// The premise checkers must track mutations.
-	k := aig.SourceKey{Source: "DB1", Table: "ref", Cols: []string{"id"}}
-	fk := aig.SourceFK{Source: "DB1", Table: "use", Cols: []string{"fid"},
-		RefSource: "DB1", RefTable: "ref", RefCols: []string{"id"}}
-	if !KeyHolds(cat, k) || !FKHolds(cat, fk) {
-		t.Fatal("discovered premises do not hold on the data they came from")
+	// The premise checker must track mutations.
+	a := &aig.AIG{SourceKeys: keys, SourceFKs: fks}
+	k, fk := "key DB1:ref(id)", "fkey DB1:use(fid) -> DB1:ref(id)"
+	data := sqlmini.CatalogData{Catalog: cat}
+	if b := propagate.BrokenPremises(a, []string{k, fk}, data); len(b) != 0 {
+		t.Fatalf("discovered premises %v do not hold on the data they came from", b)
 	}
 	ref.MustInsert(relstore.Tuple{relstore.String("a"), relstore.String("g2")})
-	if KeyHolds(cat, k) {
+	if b := propagate.BrokenPremises(a, []string{k}, data); len(b) != 1 {
 		t.Error("key still reported held after inserting a duplicate id")
 	}
 	use.MustInsert(relstore.Tuple{relstore.String("zz"), relstore.Int(9)})
-	if FKHolds(cat, fk) {
+	if b := propagate.BrokenPremises(a, []string{fk}, data); len(b) != 1 {
 		t.Error("fk still reported held after inserting a dangling reference")
 	}
 }
@@ -123,6 +127,8 @@ func TestCertifyOracleSweep(t *testing.T) {
 		agg.Asserted += out.Asserted
 		agg.Voided += out.Voided
 		agg.Unevaluated += out.Unevaluated
+		agg.Pruned += out.Pruned
+		agg.Fallbacks += out.Fallbacks
 	}
 	if agg.MustHold == 0 {
 		t.Error("no constraint certified across the sweep — oracle is vacuous")
@@ -133,9 +139,12 @@ func TestCertifyOracleSweep(t *testing.T) {
 	if agg.Voided == 0 {
 		t.Error("no mutation ever falsified a used premise — premise tracking untested")
 	}
-	t.Logf("%d instances: %d keys, %d fks discovered; verdicts %d must-hold / %d unknown / %d violated; %d steps, %d asserted, %d voided, %d unevaluated",
+	if agg.Pruned == agg.Fallbacks || agg.Fallbacks == 0 {
+		t.Errorf("pruning check vacuous: %d comparisons, %d on broken premises", agg.Pruned, agg.Fallbacks)
+	}
+	t.Logf("%d instances: %d keys, %d fks discovered; verdicts %d must-hold / %d unknown / %d violated; %d steps, %d asserted, %d voided, %d unevaluated; %d pruned-vs-guarded comparisons, %d on broken premises",
 		n, agg.Keys, agg.FKs, agg.MustHold, agg.Unknown, agg.Violated,
-		agg.Steps, agg.Asserted, agg.Voided, agg.Unevaluated)
+		agg.Steps, agg.Asserted, agg.Voided, agg.Unevaluated, agg.Pruned, agg.Fallbacks)
 }
 
 // TestCertifyFaultInjection turns off premise tracking (AssumePremises:
@@ -168,6 +177,12 @@ func TestCertifyFaultInjection(t *testing.T) {
 	}
 	if out.Divergence.Leg != "certify" {
 		t.Fatalf("divergence on leg %q, want certify", out.Divergence.Leg)
+	}
+	// The pruning check runs first at every step, so it is the one that
+	// catches a premise assumed past its breaking write: the pruned grammar
+	// serves what the guarded one rejects.
+	if !strings.Contains(out.Divergence.Detail, "pruned grammar differs") {
+		t.Errorf("fault caught by the wrong check: %s", out.Divergence.Detail)
 	}
 
 	shrunk, div, checks := ShrinkCertify(inst, seq, fault, 150)

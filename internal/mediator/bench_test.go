@@ -7,6 +7,7 @@ import (
 	"github.com/aigrepro/aig/internal/aigspec"
 	"github.com/aigrepro/aig/internal/datagen"
 	"github.com/aigrepro/aig/internal/hospital"
+	"github.com/aigrepro/aig/internal/propagate"
 	"github.com/aigrepro/aig/internal/source"
 	"github.com/aigrepro/aig/internal/specialize"
 )
@@ -23,10 +24,13 @@ var bench250 = datagen.Size{
 // does once it has learned the unfolding depth (8 on this catalog),
 // cycling the 30 dates. "first" pays for planning on every evaluation (a
 // fresh mediator each time); "repeat" is the serving steady state: one
-// long-lived mediator.
+// long-lived mediator. Both run the grammar aigd serves, with no guard
+// for the certified constraints; "guarded" is "repeat" over the fully
+// guarded grammar, for comparison.
 func BenchmarkEvaluateRecursive(b *testing.B) {
-	reg, sa := bench250View(b)
-	run := func(b *testing.B, med func() *Mediator) {
+	reg, sa := bench250View(b, false)
+	_, guarded := bench250View(b, true)
+	run := func(b *testing.B, sa *aig.AIG, med func() *Mediator) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			res, depth, err := med().EvaluateRecursive(sa, hospital.RootInh(sa, datagen.Date(i%bench250.Dates)), 8, 64)
@@ -36,28 +40,35 @@ func BenchmarkEvaluateRecursive(b *testing.B) {
 			benchDoc = res
 		}
 	}
-	b.Run("bench250/first", func(b *testing.B) {
-		run(b, func() *Mediator { return New(reg, DefaultOptions()) })
-	})
-	b.Run("bench250/repeat", func(b *testing.B) {
+	repeat := func(b *testing.B, sa *aig.AIG) {
 		m := New(reg, DefaultOptions())
 		if _, _, err := m.EvaluateRecursive(sa, hospital.RootInh(sa, datagen.Date(0)), 8, 64); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
-		run(b, func() *Mediator { return m })
+		run(b, sa, func() *Mediator { return m })
+	}
+	b.Run("bench250/first", func(b *testing.B) {
+		run(b, sa, func() *Mediator { return New(reg, DefaultOptions()) })
 	})
+	b.Run("bench250/repeat", func(b *testing.B) { repeat(b, sa) })
+	b.Run("bench250/guarded", func(b *testing.B) { repeat(b, guarded) })
 }
 
 var benchDoc *Result
 
 // bench250View is the serving setup of the hospital view over bench250:
-// the registry and the constraint-compiled, decomposed grammar aigd runs.
-func bench250View(tb testing.TB) (*source.Registry, *aig.AIG) {
+// the registry and the decomposed grammar aigd runs, with guards compiled
+// only for the constraints certification could not prove (none, on this
+// view) — or, with guarded, for every constraint, as §3.3 compiles them.
+func bench250View(tb testing.TB, guarded bool) (*source.Registry, *aig.AIG) {
 	reg := source.RegistryFromCatalog(datagen.Generate(bench250, 42))
 	spec, err := aigspec.Parse(hospital.SpecText)
 	if err != nil {
 		tb.Fatal(err)
+	}
+	if !guarded {
+		spec = propagate.Prune(spec, propagate.Certify(spec))
 	}
 	sa, err := specialize.CompileConstraints(spec)
 	if err != nil {

@@ -83,6 +83,10 @@ type Certification struct {
 	// UnusedSources lists declared source constraints no certification
 	// proof depends on (rendered with String), in declaration order.
 	UnusedSources []string
+	// Premises lists, sorted, the source constraints some MustHold proof
+	// uses (the union of their Uses): what must hold on the data for the
+	// verdicts to apply to it.
+	Premises []string
 }
 
 // Summary renders a short human-readable report.
@@ -138,6 +142,10 @@ func Certify(a *aig.AIG) *Certification {
 			out.UnusedSources = append(out.UnusedSources, "fkey "+k.String())
 		}
 	}
+	for u := range ce.used {
+		out.Premises = append(out.Premises, u)
+	}
+	sort.Strings(out.Premises)
 	return out
 }
 

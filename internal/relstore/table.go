@@ -69,6 +69,28 @@ type HashIndex struct {
 // to key.
 func (ix *HashIndex) Lookup(key string) []int { return ix.buckets[key] }
 
+// Unique reports whether no two indexed rows share a key: the indexed
+// columns are a key of the snapshot.
+func (ix *HashIndex) Unique() bool {
+	for _, rows := range ix.buckets {
+		if len(rows) > 1 {
+			return false
+		}
+	}
+	return true
+}
+
+// SubsetOf reports whether every key of ix is also a key of other: the
+// inclusion of the two indexed projections.
+func (ix *HashIndex) SubsetOf(other *HashIndex) bool {
+	for k := range ix.buckets {
+		if _, ok := other.buckets[k]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // NewTable creates an empty table with the given name and schema.
 func NewTable(name string, schema Schema) *Table {
 	return &Table{name: name, schema: schema}

@@ -30,8 +30,8 @@ import (
 // source queries); only when neither entry exists does it evaluate.
 
 // fragPlan is one path compiled against one view: the pushdown/pruning
-// analysis over the fragment grammar plus the path-filtered dependency
-// map the refresher judges fragment entries against.
+// analysis over the served grammar plus the path-filtered dependency map
+// the refresher judges fragment entries against.
 type fragPlan struct {
 	// expr is the canonical rendering (Parse(expr).String() == expr);
 	// cache keys and the memoization map use it, so "/a[2 ]"-style
@@ -39,10 +39,10 @@ type fragPlan struct {
 	expr string
 	path *xpath.Path
 	c    *xpath.Compiled
-	// deps is restricted to the scans the path can reach. For views that
-	// cannot use partial evaluation (uncertified constraints), fragment
-	// bodies derive from full documents and judging falls back to the
-	// view's unfiltered deps instead.
+	// deps is restricted to the scans the path can reach. Where partial
+	// evaluation cannot serve the fragment (a guard left in the grammar,
+	// or broken premises), its body derives from a full document and
+	// judging falls back to the view's unfiltered deps instead.
 	deps *ivm.Deps
 }
 
@@ -58,11 +58,11 @@ func (v *View) fragmentPlan(expr string, schemas ivm.SchemaSource) (*fragPlan, e
 	if fp, ok := v.fragPlans[canon]; ok {
 		return fp, nil
 	}
-	c, err := xpath.Compile(v.fa, p)
+	c, err := xpath.Compile(v.sa, p)
 	if err != nil {
 		return nil, err
 	}
-	deps, err := ivm.ExtractFiltered(v.fa, schemas, c.LiveScans(v.fa))
+	deps, err := ivm.ExtractFiltered(v.sa, schemas, c.LiveScans(v.sa))
 	if err != nil {
 		return nil, err
 	}
@@ -71,12 +71,13 @@ func (v *View) fragmentPlan(expr string, schemas ivm.SchemaSource) (*fragPlan, e
 	return fp, nil
 }
 
-// fragDeps returns the dependency map fragment entries of this plan are
-// judged against: path-filtered when partial evaluation produced the
-// body, the view's full map when the body derived from a guarded full
-// render.
-func (v *View) fragDeps(fp *fragPlan) *ivm.Deps {
-	if v.partialOK {
+// fragDeps returns the dependency map a fragment entry of this plan is
+// judged against at stamp: path-filtered when partial evaluation serves
+// it there, the view's full map when its body derives from a full
+// render — a change outside the path may then still make the full
+// document, and so the fragment, fail verification.
+func (s *Server) fragDeps(v *View, fp *fragPlan, stamp string) *ivm.Deps {
+	if s.partialOK(v, stamp) {
 		return fp.deps
 	}
 	return v.deps
@@ -114,7 +115,7 @@ func (s *Server) serveFragment(ctx context.Context, rt *requestTrace, rw *status
 		s.m.misses.Inc()
 		rt.setCache("bypass")
 		st := newFragStream(rw, fp, stamp, "bypass")
-		entry, berr := s.fragmentAdmitted(ctx, v, params, fp, st)
+		entry, berr := s.fragmentAdmitted(ctx, v, params, fp, stamp, st)
 		s.finishFragStream(rt, rw, st, entry, berr, "bypass")
 		return
 	}
@@ -248,9 +249,9 @@ func (s *Server) fragmentFlight(ctx context.Context, v *View, params map[string]
 		var entry *cacheEntry
 		var eerr error
 		if admit {
-			entry, eerr = s.fragmentAdmitted(ctx, v, params, fp, st)
+			entry, eerr = s.fragmentAdmitted(ctx, v, params, fp, stamp, st)
 		} else {
-			entry, eerr = s.evaluateFragment(ctx, v, params, fp, st)
+			entry, eerr = s.evaluateFragment(ctx, v, params, fp, stamp, st)
 		}
 		if eerr != nil {
 			return nil, eerr
@@ -273,7 +274,7 @@ func (s *Server) fragmentFlight(ctx context.Context, v *View, params map[string]
 }
 
 // fragmentAdmitted runs evaluateFragment under the admission semaphore.
-func (s *Server) fragmentAdmitted(ctx context.Context, v *View, params map[string]string, fp *fragPlan, st *fragStream) (*cacheEntry, error) {
+func (s *Server) fragmentAdmitted(ctx context.Context, v *View, params map[string]string, fp *fragPlan, stamp string, st *fragStream) (*cacheEntry, error) {
 	tr, parent := obs.SpanFromContext(ctx)
 	sp := tr.StartSpan("admission", parent)
 	waited, aerr := s.adm.acquire(ctx)
@@ -289,19 +290,19 @@ func (s *Server) fragmentAdmitted(ctx context.Context, v *View, params map[strin
 		s.m.inflightEvals.Set(float64(s.adm.inUse()))
 	}()
 	s.m.inflightEvals.Set(float64(s.adm.inUse()))
-	return s.evaluateFragment(ctx, v, params, fp, st)
+	return s.evaluateFragment(ctx, v, params, fp, stamp, st)
 }
 
-// evaluateFragment produces a fragment body. Views eligible for partial
-// evaluation walk the guard-free fragment grammar under the path's
-// cursor — skipped subtrees never run their queries — emitting each
-// matched element to st the moment it is rendered. Everything else
-// evaluates the full guarded view (through the shared evaluate path, so
+// evaluateFragment produces a fragment body at stamp. Where partial
+// evaluation may serve it (partialOK), the served grammar is walked under
+// the path's cursor — skipped subtrees never run their queries — and each
+// matched element is emitted to st the moment it is rendered. Everything
+// else evaluates the full view (through the shared evaluate path, so
 // verification and abort semantics are identical to a full-document
 // request) and filters post hoc.
-func (s *Server) evaluateFragment(ctx context.Context, v *View, params map[string]string, fp *fragPlan, st *fragStream) (*cacheEntry, error) {
-	if !v.partialOK {
-		full, err := s.evaluate(ctx, v, params)
+func (s *Server) evaluateFragment(ctx context.Context, v *View, params map[string]string, fp *fragPlan, stamp string, st *fragStream) (*cacheEntry, error) {
+	if !s.partialOK(v, stamp) {
+		full, err := s.evaluate(ctx, v, params, stamp)
 		if err != nil {
 			return nil, err
 		}
@@ -323,7 +324,7 @@ func (s *Server) evaluateFragment(ctx context.Context, v *View, params map[strin
 	}
 	tr, parent := obs.SpanFromContext(ctx)
 	sp := tr.StartSpan("eval.partial", parent)
-	sp.SetAttr("path", fp.expr)
+	sp.SetAttr("path", fp.expr).SetAttr("premises", "held")
 	env := &aig.Env{
 		Schemas:  s.reg,
 		Data:     s.reg,
@@ -335,7 +336,7 @@ func (s *Server) evaluateFragment(ctx context.Context, v *View, params map[strin
 	t0 := time.Now()
 	var buf bytes.Buffer
 	matches := 0
-	err = v.fa.EvalPartial(env, rootInh, fp.c.NewCursor(), func(n *xmltree.Node) error {
+	err = v.sa.EvalPartial(env, rootInh, fp.c.NewCursor(), func(n *xmltree.Node) error {
 		var eb strings.Builder
 		if werr := n.WriteIndented(&eb); werr != nil {
 			return werr

@@ -222,11 +222,15 @@ func TestFragmentRefreshScopedInvalidation(t *testing.T) {
 		t.Fatalf("first fragment: %d/%s", code, state)
 	}
 
-	// Billing feeds only the bill subtree, which /report/patient/SSN can
-	// never reach: the full document changes (t1's bill gains an item)
-	// but the fragment is provably identical and must be restamped.
-	tableOf(t, cat, "DB3", "billing").MustInsert(relstore.Tuple{
-		relstore.String("t1"), relstore.Int(999)})
+	// Procedures feed only the treatments and bill subtrees, which
+	// /report/patient/SSN can never reach: the full document changes (t3
+	// gains procedure t5, bills an item for it) but the fragment is
+	// provably identical and must be restamped. The write keeps every
+	// premise of the view's proofs: a write that broke one would send the
+	// fragment through full render + verification instead (see
+	// TestBrokenPremiseFallsBackToVerify).
+	tableOf(t, cat, "DB4", "procedure").MustInsert(relstore.Tuple{
+		relstore.String("t3"), relstore.String("t5")})
 
 	waitFor(t, "a post-mutation refresh", func() bool {
 		return counter(metrics, "aig_serve_refresh_delta_total") >= 1

@@ -154,7 +154,7 @@ func (s *Server) LoadCache(dir string) (int, error) {
 				s.m.cacheDropped.Inc()
 				continue
 			}
-			deps = st.v.fragDeps(fp)
+			deps = s.fragDeps(st.v, fp, st.stamp)
 		}
 		switch {
 		case e.stamp == st.stamp:

@@ -205,7 +205,7 @@ func (r *refresher) refreshOne(it lruItem, st viewState) {
 			rt.fail(perr)
 			return
 		}
-		deps = st.v.fragDeps(fp)
+		deps = s.fragDeps(st.v, fp, st.stamp)
 	}
 
 	tr, parent := obs.SpanFromContext(ctx)

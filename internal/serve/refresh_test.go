@@ -238,7 +238,7 @@ func TestNoStaleHitUnderConcurrentMutation(t *testing.T) {
 		if err != nil || !settled {
 			t.Fatalf("stamp after mutation: settled=%v err=%v", settled, err)
 		}
-		e, err := s.evaluate(context.Background(), v, params)
+		e, err := s.evaluate(context.Background(), v, params, stamp)
 		if err != nil {
 			t.Fatalf("ground-truth evaluation: %v", err)
 		}

@@ -26,6 +26,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -74,7 +75,10 @@ type Config struct {
 	// VerifyOutput re-checks every materialized document against the
 	// view's DTD and constraints before serving it. Views whose
 	// constraints are all statically certified (internal/propagate) skip
-	// the re-check: the proof makes it redundant.
+	// the re-check: the proof makes it redundant. Independently of this
+	// setting, a document is re-checked whenever a premise of a proof
+	// (a declared source key or foreign key) is broken on the data it was
+	// evaluated from, since certified constraints compile no guard.
 	VerifyOutput bool
 	// VerifyAlways keeps runtime verification on even for certified
 	// views — the escape hatch for distrusting the certifier. Only
@@ -589,7 +593,7 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 		// pays the full evaluation it is measuring).
 		s.m.misses.Inc()
 		rt.setCache("bypass")
-		entry, berr := s.evaluateAdmitted(ctx, v, params)
+		entry, berr := s.evaluateAdmitted(ctx, v, params, stamp)
 		if berr != nil {
 			rt.fail(berr)
 			s.writeError(rw, berr)
@@ -677,9 +681,9 @@ func (s *Server) missFlight(ctx context.Context, v *View, params map[string]stri
 		// data itself, so all three are mutually consistent.
 		tableVers, tverr := s.tableVersions(v)
 		if admit {
-			entry, eerr = s.evaluateAdmitted(ctx, v, params)
+			entry, eerr = s.evaluateAdmitted(ctx, v, params, stamp)
 		} else {
-			entry, eerr = s.evaluate(ctx, v, params)
+			entry, eerr = s.evaluate(ctx, v, params, stamp)
 		}
 		if eerr != nil {
 			return nil, eerr
@@ -708,7 +712,7 @@ func (s *Server) missFlight(ctx context.Context, v *View, params map[string]stri
 
 // evaluateAdmitted runs evaluate under the admission semaphore, the way
 // client-triggered evaluations go.
-func (s *Server) evaluateAdmitted(ctx context.Context, v *View, params map[string]string) (*cacheEntry, error) {
+func (s *Server) evaluateAdmitted(ctx context.Context, v *View, params map[string]string, stamp string) (*cacheEntry, error) {
 	tr, parent := obs.SpanFromContext(ctx)
 	sp := tr.StartSpan("admission", parent)
 	waited, aerr := s.adm.acquire(ctx)
@@ -724,15 +728,16 @@ func (s *Server) evaluateAdmitted(ctx context.Context, v *View, params map[strin
 		s.m.inflightEvals.Set(float64(s.adm.inUse()))
 	}()
 	s.m.inflightEvals.Set(float64(s.adm.inUse()))
-	return s.evaluate(ctx, v, params)
+	return s.evaluate(ctx, v, params, stamp)
 }
 
 // evaluate runs one mediator evaluation for a prepared view and
-// renders the document. The tracer ctx carries (the flight recorder's,
-// or a refresh/mutate trace) flows through the whole evaluation stack;
-// with none and legacy TraceRequests set, a standalone tracer is made so
+// renders the document; stamp is the data-version stamp the caller read
+// before it. The tracer ctx carries (the flight recorder's, or a
+// refresh/mutate trace) flows through the whole evaluation stack; with
+// none and legacy TraceRequests set, a standalone tracer is made so
 // GET /views/{name}/trace still works.
-func (s *Server) evaluate(ctx context.Context, v *View, params map[string]string) (*cacheEntry, error) {
+func (s *Server) evaluate(ctx context.Context, v *View, params map[string]string, stamp string) (*cacheEntry, error) {
 	rootInh, err := v.bindParams(params)
 	if err != nil {
 		return nil, err
@@ -754,19 +759,23 @@ func (s *Server) evaluate(ctx context.Context, v *View, params map[string]string
 	}
 	v.estDepth.Store(int32(depth))
 
-	// Certified views skip the re-check: every constraint is statically
-	// proven to hold on every instance satisfying the source constraints,
-	// so the verify span would only re-establish what the certifier
-	// already knows. VerifyAlways forces the check back on.
-	if s.cfg.VerifyOutput && (!v.certified || s.cfg.VerifyAlways) {
+	// Proven constraints have no guard in the served grammar. Once a
+	// premise of their proofs is broken, the post-hoc check stands in for
+	// the missing guards whatever VerifyOutput says, rejecting what they
+	// would have aborted (§3.3). Otherwise certified views skip it: it
+	// would only re-establish what the certifier already knows.
+	// VerifyAlways forces it back on.
+	held, premises := s.premisesHold(v, stamp), "held"
+	if !held {
+		premises = "broken"
+	}
+	if !held || s.cfg.VerifyOutput && (!v.certified || s.cfg.VerifyAlways) {
 		sp := tr.StartSpan("verify", parent)
-		sp.SetAttr("certified", v.certified)
+		sp.SetAttr("certified", v.certified).SetAttr("premises", premises)
 		cerr := dtd.Conforms(v.a.DTD, res.Doc)
-		var viol []error
+		var viol []xconstraint.Violation
 		if cerr == nil {
-			for _, violation := range xconstraint.CheckAll(v.a.Constraints, res.Doc) {
-				viol = append(viol, violation)
-			}
+			viol = xconstraint.CheckAll(v.a.Constraints, res.Doc)
 		}
 		sp.End()
 		if cerr != nil {
@@ -778,9 +787,11 @@ func (s *Server) evaluate(ctx context.Context, v *View, params map[string]string
 	}
 
 	sp := tr.StartSpan("render", parent)
-	var buf strings.Builder
+	var buf bytes.Buffer
+	buf.Grow(int(v.lastSize.Load()))
 	werr := res.Doc.WriteIndented(&buf)
-	sp.SetAttr("bytes", buf.Len()).End()
+	v.lastSize.Store(int64(buf.Len()))
+	sp.SetAttr("bytes", buf.Len()).SetAttr("premises", premises).End()
 	if werr != nil {
 		return nil, werr
 	}
@@ -791,7 +802,7 @@ func (s *Server) evaluate(ctx context.Context, v *View, params map[string]string
 		}
 	}
 	return &cacheEntry{
-		body:    []byte(buf.String()),
+		body:    buf.Bytes(),
 		depth:   depth,
 		evalSec: res.Report.WallSec,
 		created: time.Now(),
@@ -832,11 +843,12 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 
 // viewInfo is the JSON shape of one view in GET /views.
 type viewInfo struct {
-	Name      string      `json:"name"`
-	Params    []ParamDecl `json:"params"`
-	Sources   []string    `json:"sources"`
-	Depth     int         `json:"unfold_depth"`
-	Certified bool        `json:"certified"`
+	Name         string      `json:"name"`
+	Params       []ParamDecl `json:"params"`
+	Sources      []string    `json:"sources"`
+	Depth        int         `json:"unfold_depth"`
+	Certified    bool        `json:"certified"`
+	GuardsPruned int         `json:"guards_pruned"` // proven, so compiled without a guard
 }
 
 // handleList answers GET /views.
@@ -848,11 +860,12 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		out = append(out, viewInfo{
-			Name:      v.name,
-			Params:    v.Params(),
-			Sources:   v.Sources(),
-			Depth:     int(v.estDepth.Load()),
-			Certified: v.certified,
+			Name:         v.name,
+			Params:       v.Params(),
+			Sources:      v.Sources(),
+			Depth:        int(v.estDepth.Load()),
+			Certified:    v.certified,
+			GuardsPruned: v.pruned,
 		})
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -33,8 +33,9 @@ type View struct {
 	name string
 
 	// a is the validated grammar as written; sa is the specialized form
-	// (constraints compiled to guards, multi-source queries decomposed)
-	// every evaluation starts from.
+	// every evaluation starts from: multi-source queries decomposed, and
+	// guards compiled only for the constraints certification could not
+	// prove — a proven constraint adds no collector, syn rule or guard.
 	a  *aig.AIG
 	sa *aig.AIG
 
@@ -52,22 +53,19 @@ type View struct {
 	// and foreign keys, letting evaluations skip output re-verification.
 	certified bool
 	cert      *propagate.Certification
+	// pruned counts the constraints whose guards were not compiled;
+	// premises memoizes Server.premisesHold for one stamp.
+	pruned   int
+	premises atomic.Pointer[premiseVerdict]
 
 	// deps is the view's judgeable table-dependency map, extracted once
 	// from the specialized grammar: the static half of incremental view
 	// maintenance the background refresher judges deltas against.
 	deps *ivm.Deps
 
-	// fa is the fragment grammar: the validated grammar query-decomposed
-	// but with constraints never compiled to guards — the guard-free form
-	// aig.EvalPartial requires. partialOK reports that fragment requests
-	// may use it directly: with no constraints, or with every constraint
-	// statically certified, the guard-free evaluation renders the same
-	// subtrees a full (guarded) evaluation would. Otherwise fragments fall
-	// back to full render + post-hoc filtering, so a document a guard
-	// would abort never leaks through the fragment path.
-	fa        *aig.AIG
-	partialOK bool
+	// lastSize is the byte size of the latest rendered document; the next
+	// render's buffer starts at that capacity.
+	lastSize atomic.Int64
 
 	// fragPlans memoizes per-path fragment compilation (pushdown analysis
 	// and the path-filtered dependency map), keyed by canonical rendering.
@@ -117,15 +115,19 @@ func (v *View) Certification() *propagate.Certification { return v.cert }
 
 // prepareView runs the request-independent half of Fig. 5 once: parse
 // is the caller's job (specs arrive as *aig.AIG), then validate against
-// the live registry, compile the constraints into guards, decompose
-// multi-source queries, and dry-run plan compilation at the initial
-// unfolding depth so a broken view fails at startup, not on the first
-// request.
+// the live registry, certify the constraints, compile guards for the
+// ones certification could not prove, decompose multi-source queries,
+// and dry-run plan compilation at the initial unfolding depth so a
+// broken view fails at startup, not on the first request.
 func prepareView(name string, a *aig.AIG, reg *source.Registry, opts mediator.Options, unfold, maxUnfold int) (*View, error) {
 	if err := a.Validate(reg); err != nil {
 		return nil, fmt.Errorf("view %s: %w", name, err)
 	}
-	sa, err := specialize.CompileConstraints(a)
+	// Static certification runs on the grammar as written (the chase and
+	// the gathering proofs read the pre-specialization rule shapes).
+	cert := propagate.Certify(a)
+	unproven := propagate.Prune(a, cert)
+	sa, err := specialize.CompileConstraints(unproven)
 	if err != nil {
 		return nil, fmt.Errorf("view %s: compiling constraints: %w", name, err)
 	}
@@ -139,23 +141,10 @@ func prepareView(name string, a *aig.AIG, reg *source.Registry, opts mediator.Op
 		return nil, fmt.Errorf("view %s: extracting table dependencies: %w", name, err)
 	}
 
-	// The fragment grammar decomposes the validated grammar without the
-	// constraint-compilation step: partial evaluation must be guard-free
-	// (a guard could abort on a subtree the fragment never evaluates).
-	fa, err := specialize.DecomposeQueries(a, reg, reg, opts.PlanOpts)
-	if err != nil {
-		return nil, fmt.Errorf("view %s: decomposing fragment grammar: %w", name, err)
-	}
-
-	// Static certification runs on the grammar as written (the chase and
-	// the gathering proofs read the pre-specialization rule shapes).
-	cert := propagate.Certify(a)
-
 	v := &View{
 		name:      name,
 		a:         a,
 		sa:        sa,
-		fa:        fa,
 		med:       mediator.New(reg, opts),
 		sources:   querySources(sa),
 		params:    rootParams(a),
@@ -163,9 +152,9 @@ func prepareView(name string, a *aig.AIG, reg *source.Registry, opts mediator.Op
 		maxDepth:  maxUnfold,
 		cert:      cert,
 		certified: cert.Certified && len(a.Constraints) > 0,
+		pruned:    len(a.Constraints) - len(unproven.Constraints),
 		fragPlans: make(map[string]*fragPlan),
 	}
-	v.partialOK = len(a.Constraints) == 0 || v.certified
 	v.estDepth.Store(int32(unfold))
 
 	unf, err := specialize.Unfold(sa, unfold)
@@ -178,9 +167,52 @@ func prepareView(name string, a *aig.AIG, reg *source.Registry, opts mediator.Op
 	}
 	if len(a.Constraints) > 0 {
 		plan += "\n-- static certification --\n" + cert.Summary()
+		for _, r := range cert.Results {
+			if r.Verdict == propagate.MustHold {
+				plan += fmt.Sprintf("guard not compiled: %s  (%s)\n", r.Constraint, r.Reason)
+			}
+		}
+		if len(cert.Premises) > 0 {
+			plan += "premises, checked once per data version: " + strings.Join(cert.Premises, "; ") + "\n"
+		}
 	}
 	v.plan = plan
 	return v, nil
+}
+
+// premiseVerdict is the outcome of checking a view's premises on the
+// data at one stamp.
+type premiseVerdict struct {
+	stamp string
+	held  bool
+}
+
+// premisesHold reports whether the premises of the pruned guards' proofs
+// hold on the data at stamp, which the caller read before reading any
+// data. The check runs once per stamp: every write path moves the stamp
+// (the premises name only tables the grammar's queries read), so none
+// needs a check of its own. A stamp that has moved since — a write may
+// have broken a premise the caller then read — or a source the check
+// cannot read counts as broken, and the caller verifies post hoc.
+func (s *Server) premisesHold(v *View, stamp string) bool {
+	if len(v.cert.Premises) == 0 {
+		return true
+	}
+	pv := v.premises.Load()
+	if pv == nil || pv.stamp != stamp {
+		pv = &premiseVerdict{stamp, len(propagate.BrokenPremises(v.a, v.cert.Premises, s.reg)) == 0}
+	}
+	if now, settled, err := s.stamp(v); err != nil || !settled || now != stamp {
+		return false
+	}
+	v.premises.Store(pv)
+	return pv.held
+}
+
+// partialOK reports whether partial evaluation may serve a fragment at
+// stamp: no guard is left to run, and the premises that removed them hold.
+func (s *Server) partialOK(v *View, stamp string) bool {
+	return v.cert.Certified && s.premisesHold(v, stamp)
 }
 
 // querySources collects the sorted set of source names referenced by any
