@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-serve vet fmt lint fmt-check staticcheck fuzz-smoke soak soak-ivm soak-certify soak-recover soak-fragment serve loadtest smoke-serve smoke-trace smoke-restart smoke-cluster smoke-fragment bench-ivm bench-verify bench-wal bench-cluster bench-fragment test-bench bench-contract ci bench clean
+.PHONY: all build test race race-serve vet fmt lint fmt-check staticcheck fuzz-smoke soak soak-ivm soak-certify soak-recover soak-fragment serve loadtest smoke-serve smoke-trace smoke-restart smoke-cluster smoke-fragment bench-ivm bench-verify bench-wal bench-cluster bench-fragment test-bench bench-contract bench-unit ci bench clean
 
 all: build
 
@@ -185,6 +185,12 @@ test-bench:
 W ?= cold_full
 bench-contract:
 	$(GO) run -C bench . -workload $(W) $(ARGS)
+
+# bench-unit is the cold path's unit reproducer: 90 evaluations (three
+# cycles of the 30 dates) of the served hospital view over bench250, so
+# B/op and allocs/op repeat exactly from run to run.
+bench-unit:
+	$(GO) test -run '^$$' -bench 'EvaluateRecursive/bench250' -benchtime 90x -cpu 2 -benchmem ./internal/mediator
 
 # ci is what .github/workflows/ci.yml runs (plus staticcheck, which CI
 # fetches pinned), minus the five legacy bench-* scripts: their gates

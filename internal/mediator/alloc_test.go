@@ -14,10 +14,11 @@ import (
 // over the 30 dates exactly as the unit reproducer
 // BenchmarkEvaluateRecursive/bench250/repeat cycles them (single dates
 // range from 16 k to 320 k). Slot-indexed attribute values and map-free
-// instance scopes brought the mean from ~157 k to ~111 k, and compiling
-// no guard for the certified constraints to ~91 k; a change that undoes
-// either fails here.
-const maxEvalAllocs = 100_000
+// instance scopes brought the mean from ~157 k to ~111 k, compiling no
+// guard for the certified constraints to ~91 k, and the dense instance
+// store (one table per context, ranges per parent, no maps) to ~78 k; a
+// change that undoes any of them fails here.
+const maxEvalAllocs = 85_000
 
 func TestEvaluateAllocBudget(t *testing.T) {
 	reg, sa := bench250View(t, false)

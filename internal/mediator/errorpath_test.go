@@ -49,6 +49,48 @@ func failingRegistry(cat *relstore.Catalog, calls *int32, failAt int32) *source.
 	return reg
 }
 
+// bogusParentSource delegates to a real source but rewrites the
+// ParentCol of every row the named part returns to an id no parent has.
+type bogusParentSource struct {
+	source.Source
+	part string
+}
+
+func (b bogusParentSource) Exec(ctx context.Context, name string, q *sqlmini.Query, params sqlmini.Params, opts sqlmini.PlanOptions) (*relstore.Table, time.Duration, error) {
+	out, dur, err := b.Source.Exec(ctx, name, q, params, opts)
+	if err != nil || name != b.part {
+		return out, dur, err
+	}
+	rows := make([]relstore.Tuple, 0, out.Len())
+	for _, r := range out.Rows() {
+		rows = append(rows, append(relstore.Tuple{relstore.Int(99)}, r[1:]...))
+	}
+	out, err = relstore.TableFromRows(out.Name(), out.Schema(), rows)
+	return out, dur, err
+}
+
+// TestUnknownParentIsAnError makes a source answer a star query and a
+// choice condition with a ParentCol that matches no parent instance: both
+// must fail the evaluation naming the context, not drop the rows.
+func TestUnknownParentIsAnError(t *testing.T) {
+	for _, tc := range []struct{ part, want string }{
+		{"Q:results/result", "result of results/result references unknown parent 99"},
+		{"Qc:results/result", "condition of results/result references unknown parent 99"},
+	} {
+		a, cat := choiceFixture(t)
+		db, err := cat.Database("DB")
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := source.NewRegistry()
+		reg.Add(bogusParentSource{source.NewLocal(db), tc.part})
+		_, err = New(reg, DefaultOptions()).Evaluate(a, nil)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.part, err, tc.want)
+		}
+	}
+}
+
 // drainGoroutines waits for the goroutine count to return to the
 // baseline (goleak is unavailable, so this is the leak check: worker
 // goroutines must exit even when the plan fails).

@@ -38,7 +38,7 @@ type exec struct {
 	ctx           context.Context // carries the execute-phase span for node parenting
 	rootInh       *aig.AttrValue
 
-	st        *store
+	st        store
 	nodes     []nodeRun         // by node.idx
 	edgeBytes []int             // by edge.idx: measured shipped volume
 	partOut   []*relstore.Table // by part.idx
@@ -70,7 +70,7 @@ type nodeRun struct {
 func newExec(p *preparedPlan, rootInh *aig.AttrValue) *exec {
 	x := &exec{
 		preparedPlan: p, rootInh: rootInh,
-		st:        newStore(),
+		st:        make(store, p.g.nctx),
 		nodes:     make([]nodeRun, len(p.g.nodes)),
 		edgeBytes: make([]int, len(p.g.edges)),
 		partOut:   make([]*relstore.Table, p.g.nparts),
@@ -486,22 +486,33 @@ func (x *exec) bindParams(pt *part, prev *relstore.Table) (sqlmini.Params, int, 
 				return nil, 0, fmt.Errorf("chain step has no predecessor output")
 			}
 			params[spec.name] = sqlmini.TableBinding(prev)
-		case paramParentIDs:
-			var rows []relstore.Tuple
-			for _, inst := range x.parentInstances(pt.parentCtx, pt.branch) {
-				rows = append(rows, relstore.Tuple{relstore.Int(int64(inst.id))})
-			}
-			params[spec.name] = sqlmini.Binding{Schema: spec.schema, Rows: rows}
-		case paramScalars, paramCollection:
-			var rows []relstore.Tuple
-			for _, inst := range x.parentInstances(pt.parentCtx, pt.branch) {
-				b, err := x.instanceScope(pt.parentCtx, inst).ResolveBinding(spec.src)
-				if err != nil {
-					return nil, 0, err
+		default:
+			// Resolve every parent's binding first, so the rows — its id,
+			// then its values — can be carved out of one array.
+			parents := x.st.rows(pt.parentCtx)
+			bs := make([]sqlmini.Binding, len(parents))
+			n := 0
+			for id := range parents {
+				if !parents[id].on(pt.branch) {
+					continue
 				}
-				idVal := relstore.Int(int64(inst.id))
+				b := idOnly
+				if spec.kind != paramParentIDs {
+					var err error
+					if b, err = x.instanceScope(pt.parentCtx, id, &parents[id]).ResolveBinding(spec.src); err != nil {
+						return nil, 0, err
+					}
+				}
+				bs[id] = b
+				n += len(b.Rows)
+			}
+			vals := make([]relstore.Value, 0, n*len(spec.schema))
+			rows := make([]relstore.Tuple, 0, n)
+			for id, b := range bs {
 				for _, r := range b.Rows {
-					rows = append(rows, append(relstore.Tuple{idVal}, r...))
+					lo := len(vals)
+					vals = append(append(vals, relstore.Int(int64(id))), r...)
+					rows = append(rows, vals[lo:len(vals):len(vals)])
 				}
 			}
 			params[spec.name] = sqlmini.Binding{Schema: spec.schema, Rows: rows}
@@ -518,3 +529,7 @@ func (x *exec) bindParams(pt *part, prev *relstore.Table) (sqlmini.Params, int, 
 	}
 	return params, total, nil
 }
+
+// idOnly is a parent's binding in a parent-id parameter table: one row
+// holding nothing but the id. Never written.
+var idOnly = sqlmini.Binding{Rows: []relstore.Tuple{nil}}

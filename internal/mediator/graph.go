@@ -18,6 +18,7 @@ import (
 // dependency graph acyclic when a type is shared between independent
 // subtrees.
 type ctxNode struct {
+	idx      int // pre-order position: the context's slot in the instance store
 	path     string
 	elem     string
 	parent   *ctxNode
@@ -25,14 +26,16 @@ type ctxNode struct {
 }
 
 // buildContextTree expands the (non-recursive) DTD into its template
-// tree.
-func buildContextTree(d *dtd.DTD) (*ctxNode, error) {
+// tree and returns its root and its number of contexts.
+func buildContextTree(d *dtd.DTD) (*ctxNode, int, error) {
 	if d.IsRecursive() {
-		return nil, fmt.Errorf("mediator: the DTD is recursive; unfold it first (specialize.Unfold) or use EvaluateRecursive")
+		return nil, 0, fmt.Errorf("mediator: the DTD is recursive; unfold it first (specialize.Unfold) or use EvaluateRecursive")
 	}
+	count := 0
 	var expand func(elem, path string, parent *ctxNode) *ctxNode
 	expand = func(elem, path string, parent *ctxNode) *ctxNode {
-		n := &ctxNode{path: path, elem: elem, parent: parent}
+		n := &ctxNode{idx: count, path: path, elem: elem, parent: parent}
+		count++
 		p, _ := d.Production(elem)
 		occ := make(map[string]int)
 		for _, c := range p.Children {
@@ -45,7 +48,8 @@ func buildContextTree(d *dtd.DTD) (*ctxNode, error) {
 		}
 		return n
 	}
-	return expand(d.Root, d.Root, nil), nil
+	root := expand(d.Root, d.Root, nil)
+	return root, count, nil
 }
 
 // child returns the first child occurrence of the given element type.
@@ -137,6 +141,7 @@ type graph struct {
 	reg    *source.Registry
 	opts   Options
 	root   *ctxNode
+	nctx   int // contexts in the tree
 	nodes  []*node
 	edges  []*edge
 	nparts int
@@ -224,12 +229,12 @@ func (g *graph) depNodeFor(parentCtx *ctxNode, src aig.SourceRef) (*node, error)
 // types an unfolding cut (specialize.UnfoldInfo), for which truncation
 // probes are compiled alongside.
 func compile(ctx context.Context, a *aig.AIG, reg *source.Registry, opts Options, truncated []specialize.TruncProbe) (*graph, error) {
-	root, err := buildContextTree(a.DTD)
+	root, nctx, err := buildContextTree(a.DTD)
 	if err != nil {
 		return nil, err
 	}
 	g := &graph{
-		a: a, reg: reg, opts: opts, root: root,
+		a: a, reg: reg, opts: opts, root: root, nctx: nctx,
 		inhDone: make(map[string]*node),
 		synOf:   make(map[string]*node),
 		estRows: make(map[string]float64),
@@ -249,7 +254,7 @@ func compile(ctx context.Context, a *aig.AIG, reg *source.Registry, opts Options
 	// The root barrier creates the single root instance from the AIG's
 	// attribute (bound at execution time via exec.rootInh).
 	g.inhDone[root.path].runLocal = func(x *exec) (int, error) {
-		x.st.add(root.path, -1, x.rootInh)
+		x.st.publish(root, &ctxTable{rows: []instance{{inh: x.rootInh}}, first: []int{0}})
 		return 1, nil
 	}
 

@@ -262,12 +262,8 @@ func (g *graph) buildCond(ctx context.Context, c *ctxNode, r *aig.Rule) (*node, 
 		if out.Schema().ColumnIndex(ParentCol) != 0 || len(out.Schema()) < 2 {
 			return 0, fmt.Errorf("mediator: condition result of %s lacks a leading %s column", c.path, ParentCol)
 		}
-		byID := make(map[int]*instance)
-		for _, inst := range x.st.all(c.path) {
-			byID[inst.id] = inst
-		}
+		all := x.st.rows(c)
 		for _, row := range out.Rows() {
-			id := int(row[0].AsInt())
 			v := row[1]
 			if v.Kind() != relstore.KindInt {
 				return 0, fmt.Errorf("mediator: condition of %s returned non-integer %s", c.path, v)
@@ -276,16 +272,16 @@ func (g *graph) buildCond(ctx context.Context, c *ctxNode, r *aig.Rule) (*node, 
 			if b < 1 || b > nBranches {
 				return 0, fmt.Errorf("mediator: condition of %s returned %d, want 1..%d", c.path, b, nBranches)
 			}
-			inst, ok := byID[id]
-			if !ok {
-				return 0, fmt.Errorf("mediator: condition of %s references unknown parent %d", c.path, id)
+			id, err := parentPos(row, len(all), "condition", c.path)
+			if err != nil {
+				return 0, err
 			}
-			if inst.branch == 0 {
-				inst.branch = b
+			if all[id].branch == 0 {
+				all[id].branch = b
 			}
 		}
-		for _, inst := range x.st.all(c.path) {
-			if inst.branch == 0 {
+		for i := range all {
+			if all[i].branch == 0 {
 				return 0, fmt.Errorf("mediator: condition of %s returned no row for an instance", c.path)
 			}
 		}
@@ -294,33 +290,24 @@ func (g *graph) buildCond(ctx context.Context, c *ctxNode, r *aig.Rule) (*node, 
 	return split, nil
 }
 
-// parentInstances lists the parent instances an edge applies to.
-func (x *exec) parentInstances(c *ctxNode, branch int) []*instance {
-	all := x.st.all(c.path)
-	if branch == 0 {
-		return all
-	}
-	out := make([]*instance, 0, len(all))
-	for _, inst := range all {
-		if inst.branch == branch {
-			out = append(out, inst)
-		}
-	}
-	return out
-}
-
 // setCopyMat installs the materialization body for a copy edge.
 func (g *graph) setCopyMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch int, star, elided bool) {
 	decl := g.a.Inh[ch.elem]
 	names := decl.ScalarSchema().Names()
 	mat.runLocal = func(x *exec) (int, error) {
-		rows := 0
-		for _, parent := range x.parentInstances(c, branch) {
-			scope := x.instanceScope(c, parent)
+		parents := x.st.rows(c)
+		t := newTable(len(parents), len(parents))
+		for id := range parents {
+			t.startParent()
+			parent := &parents[id]
+			if !parent.on(branch) {
+				continue
+			}
+			scope := x.instanceScope(c, id, parent)
 			if star {
 				b, err := scope.ResolveBinding(ir.Copies[0].Src)
 				if err != nil {
-					return rows, err
+					return len(t.rows), err
 				}
 				sorted := make([]relstore.Tuple, len(b.Rows))
 				copy(sorted, b.Rows)
@@ -328,26 +315,25 @@ func (g *graph) setCopyMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch in
 				for _, row := range sorted {
 					inh := aig.NewAttrValue(decl)
 					if err := inh.BindScalarsFromRow(names, b.Schema, row); err != nil {
-						return rows, err
+						return len(t.rows), err
 					}
-					x.st.add(ch.path, parent.id, inh)
-					rows++
+					t.add(inh)
 				}
 				continue
 			}
 			inh := aig.NewAttrValue(decl)
 			if ir != nil {
 				if err := g.a.EvalCopiesFor(ir, inh, scope); err != nil {
-					return rows, err
+					return len(t.rows), err
 				}
 			}
-			x.st.add(ch.path, parent.id, inh)
-			rows++
+			t.add(inh)
 		}
+		x.st.publish(ch, t)
 		if elided {
 			return 0, nil // copy elimination: no mediator copying charged
 		}
-		return rows, nil
+		return len(t.rows), nil
 	}
 }
 
@@ -368,19 +354,30 @@ func (g *graph) setQueryMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch i
 			return 0, fmt.Errorf("mediator: result for %s lacks leading %s column", ch.path, ParentCol)
 		}
 		dataSchema := out.Schema()[1:]
-		byParent := make(map[int][]relstore.Tuple)
+		parents := x.st.rows(c)
+		byParent := make([][]relstore.Tuple, len(parents))
 		for _, row := range out.Rows() {
-			id := int(row[0].AsInt())
+			id, err := parentPos(row, len(parents), "result", ch.path)
+			if err != nil {
+				return 0, err
+			}
 			byParent[id] = append(byParent[id], row[1:])
 		}
-		rows := 0
-		for _, parent := range x.parentInstances(c, branch) {
-			data := byParent[parent.id]
-			sorted := make([]relstore.Tuple, len(data))
-			copy(sorted, data)
+		rowCap := len(parents)
+		if star {
+			rowCap = out.Len()
+		}
+		t := newTable(len(parents), rowCap)
+		for id := range parents {
+			t.startParent()
+			parent := &parents[id]
+			if !parent.on(branch) {
+				continue
+			}
+			sorted := byParent[id]
 			sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Compare(sorted[j]) < 0 })
 
-			scope := x.instanceScope(c, parent)
+			scope := x.instanceScope(c, id, parent)
 			applyCopies := func(inh *aig.AttrValue) error {
 				for _, cp := range ir.Copies {
 					v, err := scope.ResolveBinding(cp.Src)
@@ -400,13 +397,12 @@ func (g *graph) setQueryMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch i
 				for _, row := range sorted {
 					inh := aig.NewAttrValue(decl)
 					if err := inh.BindScalarsFromRow(names, dataSchema, row); err != nil {
-						return rows, err
+						return len(t.rows), err
 					}
 					if err := applyCopies(inh); err != nil {
-						return rows, err
+						return len(t.rows), err
 					}
-					x.st.add(ch.path, parent.id, inh)
-					rows++
+					t.add(inh)
 				}
 				continue
 			}
@@ -414,31 +410,33 @@ func (g *graph) setQueryMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch i
 			inh := aig.NewAttrValue(decl)
 			if ir.TargetCollection != "" {
 				if err := inh.SetCollection(ir.TargetCollection, sorted); err != nil {
-					return rows, err
+					return len(t.rows), err
 				}
 			} else if len(sorted) > 0 {
 				if err := inh.BindScalarsFromRow(names, dataSchema, sorted[0]); err != nil {
-					return rows, err
+					return len(t.rows), err
 				}
 			}
 			if err := applyCopies(inh); err != nil {
-				return rows, err
+				return len(t.rows), err
 			}
-			x.st.add(ch.path, parent.id, inh)
-			rows++
+			t.add(inh)
 		}
-		return rows, nil
+		x.st.publish(ch, t)
+		return len(t.rows), nil
 	}
 }
 
-// instanceScope builds the rule-evaluation scope of one parent instance:
-// its inherited attribute plus the synthesized attributes of its children
-// (which double as the siblings of any child being computed).
-func (x *exec) instanceScope(c *ctxNode, inst *instance) aig.InstanceScope {
+// instanceScope builds the rule-evaluation scope of the parent instance
+// at position id of context c: its inherited attribute plus the
+// synthesized attributes of its children (which double as the siblings of
+// any child being computed).
+func (x *exec) instanceScope(c *ctxNode, id int, inst *instance) aig.InstanceScope {
 	scope := aig.InstanceScope{Elem: c.elem, Inh: inst.inh}
 	for _, ch := range c.children {
-		for _, ci := range x.st.children(inst.id, ch.path) {
-			syn := ci.syn.Load()
+		kids, _ := x.st.children(ch, id)
+		for i := range kids {
+			syn := kids[i].syn.Load()
 			if syn == nil {
 				continue // not yet computed; deps guarantee availability when needed
 			}
@@ -463,8 +461,10 @@ func (g *graph) buildSyn(c *ctxNode) {
 	r := g.a.Rules[c.elem]
 	sn.runLocal = func(x *exec) (int, error) {
 		n := 0
-		for _, inst := range x.st.all(c.path) {
-			scope := x.instanceScope(c, inst)
+		all := x.st.rows(c)
+		for id := range all {
+			inst := &all[id]
+			scope := x.instanceScope(c, id, inst)
 			var sr *aig.SynRule
 			var guards []aig.Guard
 			if r != nil {

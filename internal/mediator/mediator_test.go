@@ -225,9 +225,11 @@ func TestMergeReducesEstimatedCost(t *testing.T) {
 	}
 }
 
-func TestChoiceInMediator(t *testing.T) {
-	// The same choice grammar as the conceptual evaluator test, with a
-	// star above it so the mediator exercises per-instance branching.
+// choiceFixture is the conceptual evaluator's choice grammar with a star
+// above it, so the mediator exercises per-instance branching: three
+// results (t1, t2, t3) taking branches cheap, pricey, cheap.
+func choiceFixture(t *testing.T) (*aig.AIG, *relstore.Catalog) {
+	t.Helper()
 	d := dtd.MustParse(`
 		<!ELEMENT results (result*)>
 		<!ELEMENT result (cheap | pricey)>
@@ -268,7 +270,11 @@ func TestChoiceInMediator(t *testing.T) {
 	if err := a.Validate(sqlmini.CatalogSchemas{Catalog: cat}); err != nil {
 		t.Fatal(err)
 	}
+	return a, cat
+}
 
+func TestChoiceInMediator(t *testing.T) {
+	a, cat := choiceFixture(t)
 	env := &aig.Env{
 		Schemas: sqlmini.CatalogSchemas{Catalog: cat},
 		Data:    sqlmini.CatalogData{Catalog: cat},

@@ -131,7 +131,7 @@ func (x *exec) anyBlocked(ctx context.Context) (bool, error) {
 	for _, pr := range x.g.probes {
 		sp := tr.StartSpan("probe", parent)
 		rows, err := x.probe(obs.ContextWithSpan(ctx, tr, sp), pr)
-		sp.SetAttr("context", pr.ctx.path).SetAttr("instances", x.st.count(pr.ctx.path)).SetAttr("rows", rows)
+		sp.SetAttr("context", pr.ctx.path).SetAttr("instances", len(x.st.rows(pr.ctx))).SetAttr("rows", rows)
 		if err != nil {
 			sp.SetAttr("error", err.Error())
 		}
@@ -148,7 +148,7 @@ func (x *exec) anyBlocked(ctx context.Context) (bool, error) {
 // produced: any row means some instance is blocked. Without a query to
 // probe with, every instance conservatively counts as a row.
 func (x *exec) probe(ctx context.Context, pr ctxProbe) (int, error) {
-	n := x.st.count(pr.ctx.path)
+	n := len(x.st.rows(pr.ctx))
 	if n == 0 || pr.steps == nil {
 		return n, nil
 	}

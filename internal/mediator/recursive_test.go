@@ -36,15 +36,16 @@ func (c countingSource) Exec(ctx context.Context, name string, q *sqlmini.Query,
 func perInstanceBlocked(t *testing.T, x *exec, cat *relstore.Catalog, ir *aig.InhRule, c *ctxNode) bool {
 	t.Helper()
 	if ir == nil {
-		return x.st.count(c.path) > 0
+		return len(x.st.rows(c)) > 0
 	}
 	schemas, data, stats := sqlmini.CatalogSchemas{Catalog: cat}, sqlmini.CatalogData{Catalog: cat}, sqlmini.CatalogStats{Catalog: cat}
 	steps := ir.Chain
 	if ir.Query != nil {
 		steps = []*sqlmini.Query{ir.Query}
 	}
-	for _, inst := range x.st.all(c.path) {
-		scope := aig.InstanceScope{Elem: c.elem, Inh: inst.inh}
+	all := x.st.rows(c)
+	for i := range all {
+		scope := aig.InstanceScope{Elem: c.elem, Inh: all[i].inh}
 		var prev *relstore.Table
 		for _, q := range steps {
 			params := make(sqlmini.Params)
@@ -121,12 +122,12 @@ func checkProbes(t *testing.T, a *aig.AIG, cat *relstore.Catalog, rootInh *aig.A
 			}
 			if used, most := execs.Load()-before, int64(len(pr.steps)); used > most {
 				t.Errorf("depth %d: probe of %s issued %d source queries for %d instances, want <= %d",
-					depth, pr.ctx.path, used, x.st.count(pr.ctx.path), most)
+					depth, pr.ctx.path, used, len(x.st.rows(pr.ctx)), most)
 			}
 			want := perInstanceBlocked(t, x, cat, rules[pr.ctx.elem], pr.ctx)
 			if got := rows > 0; got != want {
 				t.Errorf("depth %d: context %s (%d instances): set-at-a-time probe says blocked=%v, per-instance probe %v",
-					depth, pr.ctx.path, x.st.count(pr.ctx.path), got, want)
+					depth, pr.ctx.path, len(x.st.rows(pr.ctx)), got, want)
 			}
 			compared++
 			if want {

@@ -1,20 +1,18 @@
 package mediator
 
 import (
-	"sync"
+	"fmt"
 	"sync/atomic"
 
 	"github.com/aigrepro/aig/internal/aig"
+	"github.com/aigrepro/aig/internal/relstore"
 )
 
-// instance is one element node of the document under construction,
-// identified by a synthetic id; the (parent id, own id) pair is the
-// mediator's path encoding.
+// instance is one element node of the document under construction. Its
+// id is its position in its context's table; the (parent position, own
+// position) pair is the mediator's path encoding, unique within a context.
 type instance struct {
-	id     int
-	parent int // -1 for the root
-	elem   string
-	inh    *aig.AttrValue
+	inh *aig.AttrValue
 	// syn is set by the context's syn task while tasks that do not depend
 	// on it may be scanning the same parent's children for the ones they
 	// do depend on, hence atomic.
@@ -22,68 +20,75 @@ type instance struct {
 	branch int // chosen alternative for choice productions (1-based; 0 = none)
 }
 
-// store caches the instance tables of every element type — the mediator's
-// temporary tables (§5.1).
-type store struct {
-	mu     sync.Mutex
-	nextID int
-	lists  map[string]*instList
+// on reports whether an edge restricted to the given alternative (0 = no
+// restriction) applies to this parent instance.
+func (in *instance) on(branch int) bool {
+	return branch == 0 || in.branch == branch
 }
 
-type instList struct {
-	rows     []*instance
-	byParent map[int][]*instance
+// ctxTable is the instance table of one context, grouped by parent in
+// parent order: the children of parent position p are
+// rows[first[p]:first[p+1]].
+type ctxTable struct {
+	rows  []instance
+	first []int
 }
 
-func newStore() *store {
-	return &store{lists: make(map[string]*instList)}
+// newTable starts a table over the given number of parents, with room
+// for rowCap instances. Its writer calls startParent once per parent, in
+// order, before adding that parent's children.
+func newTable(parents, rowCap int) *ctxTable {
+	return &ctxTable{rows: make([]instance, 0, rowCap), first: make([]int, 0, parents+1)}
 }
 
-// add creates a new instance of elem under the given parent id.
-func (s *store) add(elem string, parent int, inh *aig.AttrValue) *instance {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	inst := &instance{id: s.nextID, parent: parent, elem: elem, inh: inh}
-	s.nextID++
-	l := s.lists[elem]
-	if l == nil {
-		l = &instList{byParent: make(map[int][]*instance)}
-		s.lists[elem] = l
+func (t *ctxTable) startParent() {
+	t.first = append(t.first, len(t.rows))
+}
+
+// add appends an instance under the current parent.
+func (t *ctxTable) add(inh *aig.AttrValue) {
+	t.rows = append(t.rows, instance{inh: inh})
+}
+
+// store holds the instance table of every context — the mediator's
+// temporary tables (§5.1) — indexed by ctxNode.idx. Each table has
+// exactly one writer, the context's materialization task, which builds it
+// whole and publishes it with one atomic store; a reader that finds it
+// unpublished sees no instances.
+type store []atomic.Pointer[ctxTable]
+
+// publish closes the last parent's range and makes t visible as the
+// table of context c.
+func (s store) publish(c *ctxNode, t *ctxTable) {
+	t.startParent()
+	s[c.idx].Store(t)
+}
+
+// rows returns the instances of context c.
+func (s store) rows(c *ctxNode) []instance {
+	if t := s[c.idx].Load(); t != nil {
+		return t.rows
 	}
-	l.rows = append(l.rows, inst)
-	l.byParent[parent] = append(l.byParent[parent], inst)
-	return inst
+	return nil
 }
 
-// all returns every instance of the element type.
-func (s *store) all(elem string) []*instance {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	l := s.lists[elem]
-	if l == nil {
-		return nil
+// children returns the instances of context ch under parent position p
+// and the position of the first of them.
+func (s store) children(ch *ctxNode, p int) ([]instance, int) {
+	t := s[ch.idx].Load()
+	if t == nil {
+		return nil, 0
 	}
-	return l.rows
+	lo := t.first[p]
+	return t.rows[lo:t.first[p+1]], lo
 }
 
-// children returns the instances of elem whose parent is the given id.
-func (s *store) children(parent int, elem string) []*instance {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	l := s.lists[elem]
-	if l == nil {
-		return nil
+// parentPos bounds-checks the leading ParentCol value of a kind result
+// row for context path against the parent context's n instances.
+func parentPos(row relstore.Tuple, n int, kind, path string) (int, error) {
+	v := row[0]
+	if v.Kind() != relstore.KindInt || v.AsInt() < 0 || v.AsInt() >= int64(n) {
+		return 0, fmt.Errorf("mediator: %s of %s references unknown parent %s", kind, path, v)
 	}
-	return l.byParent[parent]
-}
-
-// count returns the number of instances of elem.
-func (s *store) count(elem string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	l := s.lists[elem]
-	if l == nil {
-		return 0
-	}
-	return len(l.rows)
+	return int(v.AsInt()), nil
 }

@@ -17,14 +17,15 @@ import (
 // identical documents. Internal bookkeeping (ids) never reaches the
 // output; unfolded types are emitted under their original labels.
 func (x *exec) tag() (*xmltree.Node, error) {
-	roots := x.st.all(x.g.root.path)
+	roots := x.st.rows(x.g.root)
 	if len(roots) != 1 {
 		return nil, fmt.Errorf("mediator: expected one root instance, have %d", len(roots))
 	}
-	return x.tagInstance(x.g.root, roots[0])
+	return x.tagInstance(x.g.root, 0, &roots[0])
 }
 
-func (x *exec) tagInstance(c *ctxNode, inst *instance) (*xmltree.Node, error) {
+// tagInstance tags the instance at position id of context c.
+func (x *exec) tagInstance(c *ctxNode, id int, inst *instance) (*xmltree.Node, error) {
 	g := x.g
 	node := xmltree.NewElement(g.a.Label(c.elem))
 	p, ok := g.a.DTD.Production(c.elem)
@@ -37,11 +38,11 @@ func (x *exec) tagInstance(c *ctxNode, inst *instance) (*xmltree.Node, error) {
 	case dtd.ProdEmpty:
 	case dtd.ProdSeq:
 		for _, ch := range c.children {
-			kids := x.st.children(inst.id, ch.path)
+			kids, lo := x.st.children(ch, id)
 			if len(kids) != 1 {
-				return nil, fmt.Errorf("mediator: sequence child %s has %d instances under id %d, want 1", ch.path, len(kids), inst.id)
+				return nil, fmt.Errorf("mediator: sequence child %s has %d instances under id %d, want 1", ch.path, len(kids), id)
 			}
-			sub, err := x.tagInstance(ch, kids[0])
+			sub, err := x.tagInstance(ch, lo, &kids[0])
 			if err != nil {
 				return nil, err
 			}
@@ -51,17 +52,17 @@ func (x *exec) tagInstance(c *ctxNode, inst *instance) (*xmltree.Node, error) {
 		ch := c.children[0]
 		// Each child's sort key is built once, not once per comparison.
 		type keyed struct {
-			key  relstore.Tuple
-			inst *instance
+			key relstore.Tuple
+			i   int
 		}
-		kids := x.st.children(inst.id, ch.path)
+		kids, lo := x.st.children(ch, id)
 		sorted := make([]keyed, len(kids))
-		for i, k := range kids {
-			sorted[i] = keyed{k.inh.ScalarTuple(), k}
+		for i := range kids {
+			sorted[i] = keyed{kids[i].inh.ScalarTuple(), i}
 		}
 		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].key.Compare(sorted[j].key) < 0 })
 		for _, k := range sorted {
-			sub, err := x.tagInstance(ch, k.inst)
+			sub, err := x.tagInstance(ch, lo+k.i, &kids[k.i])
 			if err != nil {
 				return nil, err
 			}
@@ -72,11 +73,11 @@ func (x *exec) tagInstance(c *ctxNode, inst *instance) (*xmltree.Node, error) {
 			return nil, fmt.Errorf("mediator: choice instance of %s has no branch", c.path)
 		}
 		ch := c.children[inst.branch-1]
-		kids := x.st.children(inst.id, ch.path)
+		kids, lo := x.st.children(ch, id)
 		if len(kids) != 1 {
 			return nil, fmt.Errorf("mediator: choice child %s has %d instances, want 1", ch.path, len(kids))
 		}
-		sub, err := x.tagInstance(ch, kids[0])
+		sub, err := x.tagInstance(ch, lo, &kids[0])
 		if err != nil {
 			return nil, err
 		}
