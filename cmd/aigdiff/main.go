@@ -8,18 +8,21 @@
 // Usage:
 //
 //	aigdiff [-seed N] [-n N | -duration D] [-remote] [-shrink]
-//	        [-ivm | -certify | -fragment] [-mutations N] [-paths N]
-//	        [-logcap N] [-corpus dir] [-json file]
+//	        [-ivm | -certify | -fragment | -recover] [-mutations N]
+//	        [-paths N] [-logcap N] [-snapevery N] [-corpus dir] [-json file]
 //
 // Seeds run consecutively from -seed. With -duration, aigdiff runs until
-// the wall clock expires instead of a fixed count. On a divergence,
-// -shrink minimizes the failing instance (dropping constraints, pruning
-// grammar children, deleting table rows) and prints the replayable
-// {seed, config, ops} triple; with -corpus it is also saved there as a
-// regression file. -json writes run statistics (instances and oracle
-// evaluations per second) to the given file. The exit status is 0 when
-// every instance agreed on every path, 1 when a divergence was found,
-// and 2 on usage failure.
+// the wall clock expires instead of a fixed count. A divergence is
+// printed as a replayable regression ({seed, config, ops} here, plus
+// the mode and its sequence in the modes below); with -corpus it is
+// also saved there as a regression file. -shrink first minimizes the
+// sequence the mode replays — the instance itself (dropping
+// constraints, pruning grammar children, deleting table rows), or the
+// mutation or operation sequence, any path set held fixed — keeping the
+// divergence on the leg it was found on. -json writes run statistics
+// (instances and oracle evaluations per second) to the given file. The
+// exit status is 0 when every instance agreed on every path, 1 when a
+// divergence was found, and 2 on usage failure.
 //
 // With -ivm, each instance is instead pushed through the incremental
 // view maintenance oracle: a sequence of -mutations random row inserts
@@ -30,8 +33,7 @@
 // after every step the maintained document is compared byte-for-byte
 // against a from-scratch evaluation. -logcap overrides the change-log
 // limit (negative disables delta logging entirely, forcing the
-// truncation fallback on every step); -shrink minimizes the mutation
-// sequence instead of the instance.
+// truncation fallback on every step).
 //
 // With -certify, each instance is pushed through the certification
 // soundness oracle: the relational keys and foreign keys that genuinely
@@ -46,7 +48,7 @@
 // aigd serves) is also compared with the fully guarded one through the
 // mediator: byte-equal while the used premises hold, and rejecting
 // exactly when the guarded grammar aborts (post-hoc check) once one
-// breaks. -shrink minimizes the mutation sequence, as in -ivm mode.
+// breaks.
 //
 // With -fragment, each instance is pushed through the fragment serving
 // oracle: -paths random path expressions are derived from the instance's
@@ -54,9 +56,7 @@
 // evaluator's fragment for each path is compared byte-for-byte against
 // the post-hoc oracle (full constraint-free render, then xpath.Select),
 // and every Unaffected verdict from the path-filtered dependency judge
-// is checked against the actual fragment bytes. -shrink minimizes the
-// mutation sequence, holding the path set fixed; regressions record the
-// {seed, config, paths, mutations} quadruple.
+// is checked against the actual fragment bytes.
 //
 // With -recover, aigdiff tortures the durable relstore instead: each
 // seed derives a deterministic database plus an operation sequence
@@ -70,7 +70,7 @@
 // fingerprint oracle of the exact surviving WAL prefix. -mutations and
 // -logcap apply as in -ivm mode; -snapevery sets an automatic snapshot
 // cadence in records (0, the default, snapshots only at explicit
-// points); -shrink minimizes the operation sequence.
+// points).
 package main
 
 import (
@@ -158,7 +158,6 @@ func main() {
 	}
 
 	cfg := randaig.DefaultConfig()
-	opts := difftest.Options{Remote: *remote}
 	st := stats{Seed: *seed}
 	start := time.Now()
 	deadline := time.Time{}
@@ -175,6 +174,9 @@ func main() {
 		} else if time.Now().After(deadline) {
 			break
 		}
+		// reg records the seed's run in the shape the corpus replays.
+		var reg difftest.Regression
+		var div *difftest.Divergence
 		if *recoverMode {
 			rcfg := difftest.RecoverConfig{Mutations: *mutations, SnapshotEvery: *snapEvery, LogCap: *logCap}
 			out, ops := difftest.CheckRecovery(s, rcfg)
@@ -182,105 +184,94 @@ func main() {
 			st.Records += out.Records
 			st.Snapshots += out.Snapshots
 			st.Crashes += out.Crashes
-			if out.Divergence == nil {
-				continue
+			// Pin the diverging crash offset so the regression replays a
+			// single truncation instead of the whole sweep.
+			if out.TruncateAt > 0 {
+				rcfg.TruncateAt = out.TruncateAt
 			}
-			st.Divergences++
-			exit = 1
-			reportRecover(s, rcfg, ops, out, *shrink, *corpus)
-			continue
-		}
-		inst, err := randaig.Generate(s, cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "aigdiff: seed %d: generate: %v\n", s, err)
-			os.Exit(2)
-		}
-		st.Instances++
-		if inst.Recursive {
-			st.Recursive++
-		}
-		if *ivmMode {
-			seq := difftest.GenerateMutations(inst, s, *mutations)
-			iopts := difftest.IVMOptions{LogCap: *logCap}
-			out := difftest.CheckIVM(inst, seq, iopts)
-			// Every step evaluates the oracle once, plus a full refresh when
-			// the judge found no proof, plus the initial evaluation.
-			st.Evals += 1 + out.Steps + out.Fulls
-			st.Steps += out.Steps
-			st.Restamps += out.Restamps
-			st.Fulls += out.Fulls
-			st.Truncated += out.Truncated
-			if out.Skipped {
-				st.Skipped++
+			reg = difftest.Regression{Seed: s, Mode: "recover", RecoverOps: ops, RecoverCfg: &rcfg}
+			div = out.Divergence
+		} else {
+			inst, err := randaig.Generate(s, cfg)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "aigdiff: seed %d: generate: %v\n", s, err)
+				os.Exit(2)
 			}
-			if out.Divergence == nil {
-				continue
+			st.Instances++
+			if inst.Recursive {
+				st.Recursive++
 			}
-			st.Divergences++
-			exit = 1
-			reportIVM(inst, seq, iopts, out.Divergence, *shrink, *corpus, cfg)
-			continue
+			reg = difftest.Regression{Seed: s, Config: cfg}
+			switch {
+			case *ivmMode:
+				reg.Mode, reg.LogCap = "ivm", *logCap
+				reg.Mutations = difftest.GenerateMutations(inst, s, *mutations)
+				out := difftest.CheckIVM(inst, reg.Mutations, difftest.IVMOptions{LogCap: *logCap})
+				// Every step evaluates the oracle once, plus a full refresh when
+				// the judge found no proof, plus the initial evaluation.
+				st.Evals += 1 + out.Steps + out.Fulls
+				st.Steps += out.Steps
+				st.Restamps += out.Restamps
+				st.Fulls += out.Fulls
+				st.Truncated += out.Truncated
+				if out.Skipped {
+					st.Skipped++
+				}
+				div = out.Divergence
+			case *fragmentMode:
+				reg.Mode = "fragment"
+				reg.Paths = difftest.GenerateFragmentPaths(inst, s, *nPaths)
+				if len(reg.Paths) == 0 {
+					st.Skipped++
+					continue
+				}
+				st.Paths += len(reg.Paths)
+				reg.Mutations = difftest.GenerateMutations(inst, s, *mutations)
+				out := difftest.CheckFragment(inst, reg.Paths, reg.Mutations, difftest.FragmentOptions{})
+				// Every check evaluates the oracle and the partial evaluator once.
+				st.Evals += 2 * out.Checks
+				st.Steps += out.Steps
+				st.Checks += out.Checks
+				st.Restamps += out.Restamps
+				st.Fulls += out.Fulls
+				if out.Skipped {
+					st.Skipped++
+				}
+				div = out.Divergence
+			case *certifyMode:
+				reg.Mode = "certify"
+				reg.Mutations = difftest.GenerateMutations(inst, s, *mutations)
+				out := difftest.CheckCertify(inst, reg.Mutations, difftest.CertifyOptions{})
+				st.Evals += out.Evals
+				st.Steps += out.Steps
+				st.Keys += out.Keys
+				st.FKs += out.FKs
+				st.MustHold += out.MustHold
+				st.Unknown += out.Unknown
+				st.Violated += out.Violated
+				st.Asserted += out.Asserted
+				st.Voided += out.Voided
+				st.Unevaluated += out.Unevaluated
+				st.Pruned += out.Pruned
+				st.Fallbacks += out.Fallbacks
+				div = out.Divergence
+			default:
+				reg.Remote = *remote
+				out := difftest.Check(inst, difftest.Options{Remote: *remote})
+				st.Evals += out.Evals
+				if out.Aborted {
+					st.Aborts++
+				}
+				div = out.Divergence
+			}
 		}
-		if *fragmentMode {
-			paths := difftest.GenerateFragmentPaths(inst, s, *nPaths)
-			if len(paths) == 0 {
-				st.Skipped++
-				continue
-			}
-			st.Paths += len(paths)
-			seq := difftest.GenerateMutations(inst, s, *mutations)
-			out := difftest.CheckFragment(inst, paths, seq, difftest.FragmentOptions{})
-			// Every check evaluates the oracle and the partial evaluator once.
-			st.Evals += 2 * out.Checks
-			st.Steps += out.Steps
-			st.Checks += out.Checks
-			st.Restamps += out.Restamps
-			st.Fulls += out.Fulls
-			if out.Skipped {
-				st.Skipped++
-			}
-			if out.Divergence == nil {
-				continue
-			}
-			st.Divergences++
-			exit = 1
-			reportFragment(inst, paths, seq, out.Divergence, *shrink, *corpus, cfg)
-			continue
-		}
-		if *certifyMode {
-			seq := difftest.GenerateMutations(inst, s, *mutations)
-			out := difftest.CheckCertify(inst, seq, difftest.CertifyOptions{})
-			st.Evals += out.Evals
-			st.Steps += out.Steps
-			st.Keys += out.Keys
-			st.FKs += out.FKs
-			st.MustHold += out.MustHold
-			st.Unknown += out.Unknown
-			st.Violated += out.Violated
-			st.Asserted += out.Asserted
-			st.Voided += out.Voided
-			st.Unevaluated += out.Unevaluated
-			st.Pruned += out.Pruned
-			st.Fallbacks += out.Fallbacks
-			if out.Divergence == nil {
-				continue
-			}
-			st.Divergences++
-			exit = 1
-			reportCertify(inst, seq, out.Divergence, *shrink, *corpus, cfg)
-			continue
-		}
-		out := difftest.Check(inst, opts)
-		st.Evals += out.Evals
-		if out.Aborted {
-			st.Aborts++
-		}
-		if out.Divergence == nil {
+		if div == nil {
 			continue
 		}
 		st.Divergences++
 		exit = 1
-		report(inst, opts, out.Divergence, *shrink, *corpus, cfg)
+		reg.Leg, reg.Note = div.Leg, div.Detail
+		report(reg, div, *shrink, *corpus)
 	}
 
 	st.Seconds = time.Since(start).Seconds()
@@ -319,24 +310,31 @@ func main() {
 	os.Exit(exit)
 }
 
-// report prints one divergence, optionally shrinking and filing it.
-func report(inst *randaig.Instance, opts difftest.Options, div *difftest.Divergence, shrink bool, corpusDir string, cfg randaig.Config) {
+// report prints one divergence, optionally shrinking the sequence its
+// mode carries (keeping the divergence's leg), and files the regression.
+func report(reg difftest.Regression, div *difftest.Divergence, shrink bool, corpusDir string) {
 	fmt.Fprintf(os.Stderr, "%s\n", div.Error())
-	ops := []randaig.Op(nil)
 	if shrink {
-		res := difftest.Shrink(inst, opts, div, 0)
-		ops = res.Ops
-		if res.Divergence != nil {
-			div = res.Divergence
+		shrunk, sdiv, checks, err := reg.Shrink(0)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "aigdiff: shrink: %v\n", err)
 		}
-		fmt.Fprintf(os.Stderr, "aigdiff: shrunk in %d checks to %d ops:\n", res.Checks, len(res.Ops))
-		for _, op := range res.Ops {
-			fmt.Fprintf(os.Stderr, "  %s\n", op)
+		if sdiv != nil {
+			reg, div = shrunk, sdiv
+			reg.Note = div.Detail
+		}
+		switch reg.Mode {
+		case "":
+			printShrunk(checks, "ops", reg.Ops)
+		case "recover":
+			printShrunk(checks, "ops", reg.RecoverOps)
+		case "fragment":
+			printShrunk(checks, fmt.Sprintf("mutations over %d paths", len(reg.Paths)), reg.Mutations)
+		default:
+			printShrunk(checks, "mutations", reg.Mutations)
 		}
 	}
-	reg := difftest.Regression{Seed: inst.Seed, Config: cfg, Ops: ops, Leg: div.Leg, Note: div.Detail}
-	repro, err := json.Marshal(reg)
-	if err == nil {
+	if repro, err := json.Marshal(reg); err == nil {
 		fmt.Fprintf(os.Stderr, "aigdiff: repro: %s\n", repro)
 	}
 	if corpusDir != "" {
@@ -349,137 +347,9 @@ func report(inst *randaig.Instance, opts difftest.Options, div *difftest.Diverge
 	}
 }
 
-// reportCertify prints one certification-soundness divergence,
-// optionally shrinking the mutation sequence and filing the regression.
-func reportCertify(inst *randaig.Instance, seq []difftest.Mutation, div *difftest.Divergence, shrink bool, corpusDir string, cfg randaig.Config) {
-	fmt.Fprintf(os.Stderr, "%s\n", div.Error())
-	if shrink {
-		shrunk, sdiv, checks := difftest.ShrinkCertify(inst, seq, difftest.CertifyOptions{}, 0)
-		if sdiv != nil {
-			seq, div = shrunk, sdiv
-		}
-		fmt.Fprintf(os.Stderr, "aigdiff: shrunk in %d checks to %d mutations:\n", checks, len(seq))
-		for _, m := range seq {
-			fmt.Fprintf(os.Stderr, "  %s\n", m)
-		}
-	}
-	reg := difftest.Regression{
-		Seed: inst.Seed, Config: cfg, Mode: "certify",
-		Mutations: seq, Leg: div.Leg, Note: div.Detail,
-	}
-	repro, err := json.Marshal(reg)
-	if err == nil {
-		fmt.Fprintf(os.Stderr, "aigdiff: repro: %s\n", repro)
-	}
-	if corpusDir != "" {
-		path, err := difftest.SaveRegression(corpusDir, reg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "aigdiff: save regression: %v\n", err)
-			return
-		}
-		fmt.Fprintf(os.Stderr, "aigdiff: regression saved to %s\n", path)
-	}
-}
-
-// reportRecover prints one crash-recovery divergence, optionally
-// shrinking the operation sequence and filing the regression. The filed
-// config pins the diverging crash offset so the regression replays a
-// single truncation instead of the whole sweep.
-func reportRecover(seed int64, cfg difftest.RecoverConfig, ops []difftest.RecoverOp, out difftest.RecoverOutcome, shrink bool, corpusDir string) {
-	div := out.Divergence
-	fmt.Fprintf(os.Stderr, "%s\n", div.Error())
-	if shrink {
-		shrunk, sdiv, checks := difftest.ShrinkRecovery(seed, cfg, ops, 0)
-		if sdiv != nil {
-			ops, div = shrunk, sdiv
-		}
-		fmt.Fprintf(os.Stderr, "aigdiff: shrunk in %d checks to %d ops:\n", checks, len(ops))
-		for _, op := range ops {
-			fmt.Fprintf(os.Stderr, "  %s\n", op)
-		}
-	}
-	if out.TruncateAt > 0 {
-		cfg.TruncateAt = out.TruncateAt
-	}
-	reg := difftest.Regression{
-		Seed: seed, Mode: "recover",
-		RecoverOps: ops, RecoverCfg: &cfg, Leg: div.Leg, Note: div.Detail,
-	}
-	repro, err := json.Marshal(reg)
-	if err == nil {
-		fmt.Fprintf(os.Stderr, "aigdiff: repro: %s\n", repro)
-	}
-	if corpusDir != "" {
-		path, err := difftest.SaveRegression(corpusDir, reg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "aigdiff: save regression: %v\n", err)
-			return
-		}
-		fmt.Fprintf(os.Stderr, "aigdiff: regression saved to %s\n", path)
-	}
-}
-
-// reportFragment prints one fragment-mode divergence, optionally
-// shrinking the mutation sequence (the path set is held fixed) and
-// filing the regression.
-func reportFragment(inst *randaig.Instance, paths []string, seq []difftest.Mutation, div *difftest.Divergence, shrink bool, corpusDir string, cfg randaig.Config) {
-	fmt.Fprintf(os.Stderr, "%s\n", div.Error())
-	if shrink {
-		shrunk, sdiv, checks := difftest.ShrinkFragment(inst, paths, seq, difftest.FragmentOptions{}, 0)
-		if sdiv != nil {
-			seq, div = shrunk, sdiv
-		}
-		fmt.Fprintf(os.Stderr, "aigdiff: shrunk in %d checks to %d mutations over %d paths:\n", checks, len(seq), len(paths))
-		for _, m := range seq {
-			fmt.Fprintf(os.Stderr, "  %s\n", m)
-		}
-	}
-	reg := difftest.Regression{
-		Seed: inst.Seed, Config: cfg, Mode: "fragment",
-		Paths: paths, Mutations: seq, Leg: div.Leg, Note: div.Detail,
-	}
-	repro, err := json.Marshal(reg)
-	if err == nil {
-		fmt.Fprintf(os.Stderr, "aigdiff: repro: %s\n", repro)
-	}
-	if corpusDir != "" {
-		path, err := difftest.SaveRegression(corpusDir, reg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "aigdiff: save regression: %v\n", err)
-			return
-		}
-		fmt.Fprintf(os.Stderr, "aigdiff: regression saved to %s\n", path)
-	}
-}
-
-// reportIVM prints one IVM-mode divergence, optionally shrinking the
-// mutation sequence and filing the regression.
-func reportIVM(inst *randaig.Instance, seq []difftest.Mutation, opts difftest.IVMOptions, div *difftest.Divergence, shrink bool, corpusDir string, cfg randaig.Config) {
-	fmt.Fprintf(os.Stderr, "%s\n", div.Error())
-	if shrink {
-		shrunk, sdiv, checks := difftest.ShrinkIVM(inst, seq, opts, 0)
-		if sdiv != nil {
-			seq, div = shrunk, sdiv
-		}
-		fmt.Fprintf(os.Stderr, "aigdiff: shrunk in %d checks to %d mutations:\n", checks, len(seq))
-		for _, m := range seq {
-			fmt.Fprintf(os.Stderr, "  %s\n", m)
-		}
-	}
-	reg := difftest.Regression{
-		Seed: inst.Seed, Config: cfg, Mode: "ivm",
-		Mutations: seq, LogCap: opts.LogCap, Leg: div.Leg, Note: div.Detail,
-	}
-	repro, err := json.Marshal(reg)
-	if err == nil {
-		fmt.Fprintf(os.Stderr, "aigdiff: repro: %s\n", repro)
-	}
-	if corpusDir != "" {
-		path, err := difftest.SaveRegression(corpusDir, reg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "aigdiff: save regression: %v\n", err)
-			return
-		}
-		fmt.Fprintf(os.Stderr, "aigdiff: regression saved to %s\n", path)
+func printShrunk[T fmt.Stringer](checks int, what string, steps []T) {
+	fmt.Fprintf(os.Stderr, "aigdiff: shrunk in %d checks to %d %s:\n", checks, len(steps), what)
+	for _, step := range steps {
+		fmt.Fprintf(os.Stderr, "  %s\n", step)
 	}
 }

@@ -158,11 +158,7 @@ func CheckCertify(inst *randaig.Instance, muts []Mutation, opts CertifyOptions) 
 	mkDiv := func(detail, want, got string) *Divergence {
 		return &Divergence{Seed: inst.Seed, Leg: "certify", Detail: detail, Want: want, Got: got}
 	}
-	inst = &randaig.Instance{
-		Seed: inst.Seed, Cfg: inst.Cfg, AIG: inst.AIG,
-		Catalog: cloneCatalog(inst.Catalog), RootInh: inst.RootInh,
-		Recursive: inst.Recursive, UnfoldDepth: inst.UnfoldDepth,
-	}
+	inst = isolated(inst)
 
 	keys, fks := DiscoverSourceConstraints(inst.Catalog)
 	a := inst.AIG.Clone()
@@ -200,12 +196,12 @@ func CheckCertify(inst *randaig.Instance, muts []Mutation, opts CertifyOptions) 
 		return plainU.Eval(inst.Env(), inst.RootInh)
 	}
 
-	prunedU, err := servedGrammar(propagate.Prune(a, cert), inst)
+	_, prunedU, err := servedGrammar(propagate.Prune(a, cert), inst)
 	if err != nil {
 		out.Divergence = mkDiv("pruned grammar: "+err.Error(), "", "")
 		return out
 	}
-	guardedU, err := servedGrammar(a, inst)
+	_, guardedU, err := servedGrammar(a, inst)
 	if err != nil {
 		out.Divergence = mkDiv("guarded grammar: "+err.Error(), "", "")
 		return out
@@ -292,35 +288,22 @@ func CheckCertify(inst *randaig.Instance, muts []Mutation, opts CertifyOptions) 
 	if out.Divergence = check(0, nil); out.Divergence != nil {
 		return out
 	}
-	for i, m := range muts {
-		changed, err := m.apply(inst.Catalog)
-		if err != nil {
-			out.Divergence = mkDiv(fmt.Sprintf("step %d: applying %s: %v", i, m, err), "", "")
-			return out
-		}
-		if !changed {
-			continue
-		}
-		out.Steps++
-		if out.Divergence = check(i, &m); out.Divergence != nil {
-			return out
-		}
-	}
+	out.Steps, out.Divergence = replaySteps(inst, "certify", muts, check)
 	return out
 }
 
 // servedGrammar compiles a's constraints to guards, decomposes its
 // multi-source queries and unfolds it to the instance's depth: the
-// grammar a server evaluates for a.
-func servedGrammar(a *aig.AIG, inst *randaig.Instance) (*aig.AIG, error) {
-	c, err := specialize.CompileConstraints(a)
-	if err != nil {
-		return nil, err
+// grammar a server evaluates for a (decU), and the one before unfolding.
+func servedGrammar(a *aig.AIG, inst *randaig.Instance) (dec, decU *aig.AIG, err error) {
+	if dec, err = specialize.CompileConstraints(a); err != nil {
+		return nil, nil, err
 	}
-	if c, err = specialize.DecomposeQueries(c, inst.Schemas(), inst.Stats(), sqlmini.PlanOptions{}); err != nil {
-		return nil, err
+	if dec, err = specialize.DecomposeQueries(dec, inst.Schemas(), inst.Stats(), sqlmini.PlanOptions{}); err != nil {
+		return nil, nil, err
 	}
-	return specialize.Unfold(c, inst.UnfoldDepth)
+	decU, err = specialize.Unfold(dec, inst.UnfoldDepth)
+	return dec, decU, err
 }
 
 // abortOrDoc renders an evaluation outcome for comparison: the document,
@@ -330,52 +313,4 @@ func abortOrDoc(res *mediator.Result, err error) string {
 		return "guard abort"
 	}
 	return res.Doc.Canonical()
-}
-
-// ShrinkCertify minimizes a diverging mutation sequence ddmin-style,
-// exactly as ShrinkIVM does for the maintenance oracle: ever-smaller
-// chunks of mutations are dropped while the "certify" leg keeps
-// diverging. budget <= 0 means DefaultShrinkBudget checks.
-func ShrinkCertify(inst *randaig.Instance, muts []Mutation, opts CertifyOptions, budget int) ([]Mutation, *Divergence, int) {
-	if budget <= 0 {
-		budget = DefaultShrinkBudget
-	}
-	checks := 0
-	reproduces := func(candidate []Mutation) (*Divergence, bool) {
-		if checks >= budget {
-			return nil, false
-		}
-		checks++
-		out := CheckCertify(inst, candidate, opts)
-		return out.Divergence, out.Divergence != nil
-	}
-
-	cur := muts
-	var last *Divergence
-	if d, ok := reproduces(cur); ok {
-		last = d
-	} else {
-		return cur, nil, checks
-	}
-	for size := len(cur) / 2; size >= 1; {
-		removedAny := false
-		for start := 0; start+size <= len(cur); {
-			candidate := append(append([]Mutation(nil), cur[:start]...), cur[start+size:]...)
-			if d, ok := reproduces(candidate); ok {
-				cur, last = candidate, d
-				removedAny = true
-				continue
-			}
-			start += size
-		}
-		if !removedAny {
-			size /= 2
-		} else if size > len(cur)/2 {
-			size = len(cur) / 2
-		}
-		if checks >= budget {
-			break
-		}
-	}
-	return cur, last, checks
 }

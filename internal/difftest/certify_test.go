@@ -150,7 +150,7 @@ func TestCertifyOracleSweep(t *testing.T) {
 // TestCertifyFaultInjection turns off premise tracking (AssumePremises:
 // verdicts are asserted even after mutations falsified the premises
 // they were proved from) and requires that the oracle catches the
-// resulting false assertion, that ShrinkCertify minimizes the mutation
+// resulting false assertion, that ddmin minimizes the mutation
 // sequence while preserving the divergence, and that the persisted
 // regression replays — and is clean again once premises are respected.
 func TestCertifyFaultInjection(t *testing.T) {
@@ -185,9 +185,11 @@ func TestCertifyFaultInjection(t *testing.T) {
 		t.Errorf("fault caught by the wrong check: %s", out.Divergence.Detail)
 	}
 
-	shrunk, div, checks := ShrinkCertify(inst, seq, fault, 150)
-	if div == nil {
-		t.Fatal("shrink lost the divergence")
+	shrunk, div, checks := ddmin(seq, "certify", 150, func(muts []Mutation) *Divergence {
+		return CheckCertify(inst, muts, fault).Divergence
+	})
+	if div == nil || div.Leg != "certify" {
+		t.Fatalf("shrink lost the certify divergence: %v", div)
 	}
 	if len(shrunk) >= len(seq) {
 		t.Errorf("shrink did not reduce the sequence: %d >= %d", len(shrunk), len(seq))

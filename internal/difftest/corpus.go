@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/aigrepro/aig/internal/randaig"
@@ -25,8 +25,11 @@ type Regression struct {
 	// Mode selects the oracle to replay the regression under: "" means
 	// Check (the evaluation-path matrix), "ivm" means CheckIVM, "certify"
 	// means CheckCertify and "fragment" means CheckFragment, each over
-	// the recorded mutation sequence.
+	// the recorded mutation sequence, and "recover" means ReplayRecovery.
+	// Any other mode is an error.
 	Mode string `json:"mode,omitempty"`
+	// Remote includes the TCP remote-source leg (Mode "").
+	Remote bool `json:"remote,omitempty"`
 	// Mutations is the shrunken mutation sequence for Mode "ivm",
 	// "certify" and "fragment".
 	Mutations []Mutation `json:"mutations,omitempty"`
@@ -49,6 +52,103 @@ func (r Regression) Instance() (*randaig.Instance, error) {
 		return nil, fmt.Errorf("difftest: regression seed %d: %v", r.Seed, err)
 	}
 	return inst.ApplyAll(r.Ops)
+}
+
+// Replay re-runs the regression under the oracle its Mode names and
+// returns the divergence found, nil when the recorded bug stays fixed.
+func (r Regression) Replay() (*Divergence, error) {
+	switch r.Mode {
+	case "":
+		inst, err := r.Instance()
+		if err != nil {
+			return nil, err
+		}
+		return Check(inst, Options{Remote: r.Remote}).Divergence, nil
+	case "recover":
+		return ReplayRecovery(r.Seed, r.recoverConfig(), r.RecoverOps).Divergence, nil
+	}
+	check, err := r.mutationOracle()
+	if err != nil {
+		return nil, err
+	}
+	return check(r.Mutations), nil
+}
+
+// Shrink minimizes the sequence the regression's mode carries while the
+// divergence stays on leg r.Leg: the instance ops for Mode "" (Shrink),
+// the mutation sequence for the mutation modes and the operation
+// sequence for "recover" (ddmin). It returns the shrunk regression, its
+// divergence — nil, with r unchanged, when r does not reproduce — and
+// the number of oracle runs spent. budget <= 0 means
+// DefaultShrinkBudget.
+func (r Regression) Shrink(budget int) (Regression, *Divergence, int, error) {
+	switch r.Mode {
+	case "":
+		inst, err := r.Instance()
+		if err != nil {
+			return r, nil, 0, err
+		}
+		res := Shrink(inst, Options{Remote: r.Remote}, &Divergence{Seed: r.Seed, Leg: r.Leg, Detail: r.Note}, budget)
+		r.Ops = append(slices.Clip(r.Ops), res.Ops...)
+		return r, res.Divergence, res.Checks, nil
+	case "recover":
+		// Shrinking moves the diverging crash offset: sweep every crash
+		// point, then pin the offset the shrunk sequence diverges at.
+		cfg := r.recoverConfig()
+		cfg.TruncateAt = 0
+		var at int64
+		ops, div, checks := ddmin(r.RecoverOps, r.Leg, budget, func(ops []RecoverOp) *Divergence {
+			out := ReplayRecovery(r.Seed, cfg, ops)
+			if out.Divergence != nil && out.Divergence.Leg == r.Leg {
+				at = max(out.TruncateAt, 0)
+			}
+			return out.Divergence
+		})
+		if div != nil {
+			cfg.TruncateAt = at
+			r.RecoverOps, r.RecoverCfg = ops, &cfg
+		}
+		return r, div, checks, nil
+	}
+	check, err := r.mutationOracle()
+	if err != nil {
+		return r, nil, 0, err
+	}
+	var div *Divergence
+	var checks int
+	r.Mutations, div, checks = ddmin(r.Mutations, r.Leg, budget, check)
+	return r, div, checks, nil
+}
+
+func (r Regression) recoverConfig() RecoverConfig {
+	if r.RecoverCfg == nil {
+		return RecoverConfig{}
+	}
+	return *r.RecoverCfg
+}
+
+// mutationOracle binds the oracle of a mutation-sequence mode to the
+// regression's regenerated instance.
+func (r Regression) mutationOracle() (func([]Mutation) *Divergence, error) {
+	inst, err := r.Instance()
+	if err != nil {
+		return nil, err
+	}
+	switch r.Mode {
+	case "ivm":
+		return func(muts []Mutation) *Divergence {
+			return CheckIVM(inst, muts, IVMOptions{LogCap: r.LogCap}).Divergence
+		}, nil
+	case "certify":
+		return func(muts []Mutation) *Divergence {
+			return CheckCertify(inst, muts, CertifyOptions{}).Divergence
+		}, nil
+	case "fragment":
+		return func(muts []Mutation) *Divergence {
+			return CheckFragment(inst, r.Paths, muts, FragmentOptions{}).Divergence
+		}, nil
+	}
+	return nil, fmt.Errorf("difftest: unknown regression mode %q", r.Mode)
 }
 
 // SaveRegression writes the regression as seed-<n>.json (or
@@ -77,7 +177,7 @@ func SaveRegression(dir string, r Regression) (string, error) {
 	}
 }
 
-// LoadCorpus reads every *.json regression under dir, sorted by file
+// LoadCorpus reads every *.json regression under dir, keyed by file
 // name. A missing directory is an empty corpus, not an error.
 func LoadCorpus(dir string) (map[string]Regression, error) {
 	entries, err := os.ReadDir(dir)
@@ -88,24 +188,19 @@ func LoadCorpus(dir string) (map[string]Regression, error) {
 		return nil, err
 	}
 	out := make(map[string]Regression)
-	var names []string
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
 			continue
 		}
-		names = append(names, e.Name())
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		data, err := os.ReadFile(filepath.Join(dir, name))
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			return nil, err
 		}
 		var r Regression
 		if err := json.Unmarshal(data, &r); err != nil {
-			return nil, fmt.Errorf("difftest: corpus file %s: %v", name, err)
+			return nil, fmt.Errorf("difftest: corpus file %s: %v", e.Name(), err)
 		}
-		out[name] = r
+		out[e.Name()] = r
 	}
 	return out, nil
 }

@@ -122,14 +122,6 @@ func isAbort(err error) bool {
 	return errors.As(err, &ab)
 }
 
-// refOutcome renders the reference outcome for divergence messages.
-func (o *oracle) refOutcome() string {
-	if o.refErr != nil {
-		return "error: " + o.refErr.Error()
-	}
-	return o.refDoc.Canonical()
-}
-
 // compare checks one leg's outcome against the reference.
 func (o *oracle) compare(leg string, doc *xmltree.Node, err error) *Divergence {
 	switch {
@@ -140,10 +132,10 @@ func (o *oracle) compare(leg string, doc *xmltree.Node, err error) *Divergence {
 		}
 	case o.refErr != nil && err != nil:
 		if isAbort(o.refErr) != isAbort(err) {
-			return o.diverge(leg, "error kinds differ", o.refOutcome(), "error: "+err.Error())
+			return o.diverge(leg, "error kinds differ", render(o.refDoc, o.refErr), "error: "+err.Error())
 		}
 	default:
-		return o.diverge(leg, "success/failure mismatch", o.refOutcome(), render(doc, err))
+		return o.diverge(leg, "success/failure mismatch", render(o.refDoc, o.refErr), render(doc, err))
 	}
 	return nil
 }
@@ -256,12 +248,9 @@ func (o *oracle) run() *Divergence {
 		leg := cell.leg
 		med := mediator.New(reg, cell.opts)
 		res, err := med.Evaluate(decU, inst.RootInh)
-		var doc *xmltree.Node
-		if err == nil {
-			doc = res.Doc
-			if o.opts.Fault != nil {
-				o.opts.Fault(leg, doc)
-			}
+		doc := resultDoc(res, err)
+		if doc != nil && o.opts.Fault != nil {
+			o.opts.Fault(leg, doc)
 		}
 		if d := o.compare(leg, doc, err); d != nil {
 			return d
@@ -275,11 +264,7 @@ func (o *oracle) run() *Divergence {
 			leg := fmt.Sprintf("recursive[est=%d]", est)
 			med := mediator.New(reg, mediator.DefaultOptions())
 			res, _, err := med.EvaluateRecursive(dec, inst.RootInh, est, inst.UnfoldDepth+2)
-			var doc *xmltree.Node
-			if err == nil {
-				doc = res.Doc
-			}
-			if d := o.compare(leg, doc, err); d != nil {
+			if d := o.compare(leg, resultDoc(res, err), err); d != nil {
 				return d
 			}
 		}
@@ -370,9 +355,13 @@ func (o *oracle) remoteLeg(decU *aig.AIG) *Divergence {
 	o.evals++
 	med := mediator.New(source.NewRegistry(sources...), mediator.DefaultOptions())
 	res, err := med.Evaluate(decU, o.inst.RootInh)
-	var doc *xmltree.Node
-	if err == nil {
-		doc = res.Doc
+	return o.compare("remote", resultDoc(res, err), err)
+}
+
+// resultDoc is a mediator result's document, nil when evaluation failed.
+func resultDoc(res *mediator.Result, err error) *xmltree.Node {
+	if err != nil {
+		return nil
 	}
-	return o.compare("remote", doc, err)
+	return res.Doc
 }

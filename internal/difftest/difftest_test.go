@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/aigrepro/aig/internal/randaig"
@@ -160,37 +161,67 @@ func TestRegressions(t *testing.T) {
 	}
 	for name, reg := range corpus {
 		t.Run(name, func(t *testing.T) {
-			if reg.Mode == "recover" {
-				// Recovery regressions carry no randaig instance: replay the
-				// recorded op sequence under the recorded torture config.
-				cfg := RecoverConfig{}
-				if reg.RecoverCfg != nil {
-					cfg = *reg.RecoverCfg
-				}
-				if div := ReplayRecovery(reg.Seed, cfg, reg.RecoverOps).Divergence; div != nil {
-					t.Fatalf("regression resurfaced (note: %s):\n%s", reg.Note, div.Error())
-				}
-				return
-			}
-			inst, err := reg.Instance()
+			div, err := reg.Replay()
 			if err != nil {
-				t.Fatalf("regenerate: %v", err)
-			}
-			var div *Divergence
-			switch reg.Mode {
-			case "ivm":
-				div = CheckIVM(inst, reg.Mutations, IVMOptions{LogCap: reg.LogCap}).Divergence
-			case "certify":
-				div = CheckCertify(inst, reg.Mutations, CertifyOptions{}).Divergence
-			case "fragment":
-				div = CheckFragment(inst, reg.Paths, reg.Mutations, FragmentOptions{}).Divergence
-			default:
-				div = Check(inst, Options{}).Divergence
+				t.Fatalf("replay: %v", err)
 			}
 			if div != nil {
 				t.Fatalf("regression resurfaced (note: %s):\n%s", reg.Note, div.Error())
 			}
 		})
+	}
+}
+
+// TestReplayEveryMode files one clean regression per oracle mode for a
+// single seed, replays each through the corpus, and requires a
+// misspelt mode to fail instead of silently replaying another oracle.
+func TestReplayEveryMode(t *testing.T) {
+	const seed = 7
+	cfg := randaig.DefaultConfig()
+	inst, err := randaig.Generate(seed, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	muts := GenerateMutations(inst, seed, 10)
+	paths := GenerateFragmentPaths(inst, seed, 3)
+	if len(muts) == 0 || len(paths) == 0 {
+		t.Fatalf("seed %d: %d mutations, %d paths", seed, len(muts), len(paths))
+	}
+	rcfg := RecoverConfig{Mutations: 8}
+	regs := map[string]Regression{
+		"matrix":   {Seed: seed, Config: cfg},
+		"ivm":      {Seed: seed, Config: cfg, Mode: "ivm", Mutations: muts, LogCap: 2},
+		"certify":  {Seed: seed, Config: cfg, Mode: "certify", Mutations: muts},
+		"fragment": {Seed: seed, Config: cfg, Mode: "fragment", Mutations: muts, Paths: paths},
+		"recover":  {Seed: seed, Mode: "recover", RecoverOps: GenerateRecoverOps(seed, rcfg), RecoverCfg: &rcfg},
+		"misspelt": {Seed: seed, Config: cfg, Mode: "fragments", Mutations: muts, Paths: paths},
+	}
+	dir := t.TempDir()
+	for name, reg := range regs {
+		reg.Note = name
+		if _, err := SaveRegression(dir, reg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	corpus, err := LoadCorpus(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(corpus) != len(regs) {
+		t.Fatalf("loaded %d regressions, want %d", len(corpus), len(regs))
+	}
+	for file, reg := range corpus {
+		div, err := reg.Replay()
+		switch {
+		case reg.Note == "misspelt":
+			if err == nil || !strings.Contains(err.Error(), `unknown regression mode "fragments"`) {
+				t.Errorf("%s: misspelt mode replayed with err=%v, div=%v", file, err, div)
+			}
+		case err != nil:
+			t.Errorf("%s (%s): replay: %v", file, reg.Note, err)
+		case div != nil:
+			t.Errorf("%s (%s): diverged:\n%s", file, reg.Note, div.Error())
+		}
 	}
 }
 

@@ -157,11 +157,7 @@ func CheckFragment(inst *randaig.Instance, paths []string, muts []Mutation, opts
 	mkDiv := func(detail, want, got string) *Divergence {
 		return &Divergence{Seed: inst.Seed, Leg: "fragment", Detail: detail, Want: want, Got: got}
 	}
-	inst = &randaig.Instance{
-		Seed: inst.Seed, Cfg: inst.Cfg, AIG: inst.AIG,
-		Catalog: cloneCatalog(inst.Catalog), RootInh: inst.RootInh,
-		Recursive: inst.Recursive, UnfoldDepth: inst.UnfoldDepth,
-	}
+	inst = isolated(inst)
 
 	// The fragment grammar: constraint-free (partial evaluation must be
 	// guard-free), decomposed and unfolded like the serving layer's.
@@ -216,15 +212,19 @@ func CheckFragment(inst *randaig.Instance, paths []string, muts []Mutation, opts
 
 	var out FragmentOutcome
 
-	// checkAll compares every path at the current catalog state; step -1
-	// is the pre-mutation baseline.
-	checkAll := func(step int, stepDesc string) *Divergence {
+	// checkAll compares every path at the current catalog state, after
+	// mutation m of step i (m is nil for the pre-mutation baseline).
+	checkAll := func(i int, m *Mutation) *Divergence {
 		doc, err := decU.Eval(inst.Env(), inst.RootInh)
 		if err != nil {
-			if step < 0 {
+			if m == nil {
 				out.Skipped = true
 			}
 			return nil // no oracle to compare against at this state
+		}
+		stepDesc := "baseline"
+		if m != nil {
+			stepDesc = fmt.Sprintf("step %d (%s)", i, m)
 		}
 		now := snapshotVersions(inst.Catalog)
 		for _, fs := range states {
@@ -247,25 +247,11 @@ func CheckFragment(inst *randaig.Instance, paths []string, muts []Mutation, opts
 			// The refresher's judgement, replayed: an Unaffected verdict
 			// from the path-filtered deps must imply unchanged bytes.
 			if fs.baseline != nil {
-				unaffected := true
-				for key, cur := range now {
-					old, ok := fs.baseline[key]
-					if !ok || cur == old {
-						if !ok && fs.deps.DependsOn(key.source, key.table) {
-							unaffected = false
-						}
-						continue
-					}
-					if !fs.deps.DependsOn(key.source, key.table) {
-						continue
-					}
-					cs, cerr := changesSince(inst.Catalog, key.source, key.table, old)
-					if cerr != nil || cs.Truncated ||
-						fs.deps.Judge(key.source, key.table, cs, fs.params) != ivm.Unaffected {
-						unaffected = false
-					}
+				verdict, _, jerr := judgeWindow(inst.Catalog, fs.deps, fs.params, fs.baseline, now)
+				if jerr != nil {
+					return mkDiv(fmt.Sprintf("%s: path %q: %v", stepDesc, fs.expr, jerr), "", "")
 				}
-				if unaffected {
+				if verdict == ivm.Unaffected {
 					out.Restamps++
 					if fs.cached != want {
 						return mkDiv(fmt.Sprintf("%s: path %q: filtered deps judged the deltas irrelevant but the fragment changed", stepDesc, fs.expr),
@@ -280,74 +266,9 @@ func CheckFragment(inst *randaig.Instance, paths []string, muts []Mutation, opts
 		return nil
 	}
 
-	if d := checkAll(-1, "baseline"); d != nil {
-		out.Divergence = d
+	if out.Divergence = checkAll(0, nil); out.Divergence != nil || out.Skipped {
 		return out
 	}
-	if out.Skipped {
-		return out
-	}
-	for i, m := range muts {
-		changed, err := m.apply(inst.Catalog)
-		if err != nil {
-			out.Divergence = mkDiv(fmt.Sprintf("step %d: applying %s: %v", i, m, err), "", "")
-			return out
-		}
-		if !changed {
-			continue
-		}
-		out.Steps++
-		if d := checkAll(i, fmt.Sprintf("step %d (%s)", i, m)); d != nil {
-			out.Divergence = d
-			return out
-		}
-	}
+	out.Steps, out.Divergence = replaySteps(inst, "fragment", muts, checkAll)
 	return out
-}
-
-// ShrinkFragment minimizes a diverging fragment run ddmin-style over the
-// mutation sequence, holding the path set fixed. budget <= 0 means
-// DefaultShrinkBudget checks.
-func ShrinkFragment(inst *randaig.Instance, paths []string, muts []Mutation, opts FragmentOptions, budget int) ([]Mutation, *Divergence, int) {
-	if budget <= 0 {
-		budget = DefaultShrinkBudget
-	}
-	checks := 0
-	reproduces := func(candidate []Mutation) (*Divergence, bool) {
-		if checks >= budget {
-			return nil, false
-		}
-		checks++
-		out := CheckFragment(inst, paths, candidate, opts)
-		return out.Divergence, out.Divergence != nil
-	}
-
-	cur := muts
-	var last *Divergence
-	if d, ok := reproduces(cur); ok {
-		last = d
-	} else {
-		return cur, nil, checks
-	}
-	for size := len(cur) / 2; size >= 1; {
-		removedAny := false
-		for start := 0; start+size <= len(cur); {
-			candidate := append(append([]Mutation(nil), cur[:start]...), cur[start+size:]...)
-			if d, ok := reproduces(candidate); ok {
-				cur, last = candidate, d
-				removedAny = true
-				continue
-			}
-			start += size
-		}
-		if !removedAny {
-			size /= 2
-		} else if size > len(cur)/2 {
-			size = len(cur) / 2
-		}
-		if checks >= budget {
-			break
-		}
-	}
-	return cur, last, checks
 }

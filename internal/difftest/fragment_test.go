@@ -93,22 +93,35 @@ func TestGenerateFragmentPathsDeterministicAndValid(t *testing.T) {
 	}
 }
 
-// TestFragmentFaultInjection corrupts the partial evaluator's output and
-// proves the oracle reports it, ShrinkFragment minimizes the mutation
-// sequence while preserving the divergence, and the persisted regression
-// replays under the fault but is clean without it.
-func TestFragmentFaultInjection(t *testing.T) {
-	opts := FragmentOptions{Fault: func(_, got string) string {
-		if got == "" {
-			return got
+// corruptChanged is a fault that corrupts every fragment differing from
+// the one the partial evaluator emits for the same path on the
+// unmutated instance, so only a fragment-changing mutation trips it.
+func corruptChanged(inst *randaig.Instance, paths []string) FragmentOptions {
+	base := make(map[string]string)
+	CheckFragment(inst, paths, nil, FragmentOptions{Fault: func(path, got string) string {
+		base[path] = got
+		return got
+	}})
+	return FragmentOptions{Fault: func(path, got string) string {
+		if got != base[path] {
+			return got + "<corrupt/>"
 		}
-		return got + "<corrupt/>"
+		return got
 	}}
+}
+
+// TestFragmentFaultInjection corrupts the partial evaluator's output
+// once a mutation changed it and proves the oracle reports it, ddmin
+// shrinks the mutation sequence while preserving the divergence's leg,
+// and the persisted regression replays under the fault but is clean
+// without it.
+func TestFragmentFaultInjection(t *testing.T) {
 	cfg := randaig.DefaultConfig()
 
 	var inst *randaig.Instance
 	var paths []string
 	var seq []Mutation
+	var opts FragmentOptions
 	var out FragmentOutcome
 	for seed := int64(0); seed < 30; seed++ {
 		cand, err := randaig.Generate(seed, cfg)
@@ -120,9 +133,10 @@ func TestFragmentFaultInjection(t *testing.T) {
 			continue
 		}
 		s := GenerateMutations(cand, seed, 12)
-		o := CheckFragment(cand, ps, s, opts)
+		fault := corruptChanged(cand, ps)
+		o := CheckFragment(cand, ps, s, fault)
 		if o.Divergence != nil {
-			inst, paths, seq, out = cand, ps, s, o
+			inst, paths, seq, opts, out = cand, ps, s, fault, o
 			break
 		}
 	}
@@ -133,15 +147,14 @@ func TestFragmentFaultInjection(t *testing.T) {
 		t.Fatalf("divergence on leg %q, want fragment", out.Divergence.Leg)
 	}
 
-	shrunk, div, checks := ShrinkFragment(inst, paths, seq, opts, 150)
-	if div == nil {
-		t.Fatal("shrink lost the divergence")
+	shrunk, div, checks := ddmin(seq, "fragment", 150, func(muts []Mutation) *Divergence {
+		return CheckFragment(inst, paths, muts, opts).Divergence
+	})
+	if div == nil || div.Leg != "fragment" {
+		t.Fatalf("shrink lost the fragment divergence: %v", div)
 	}
-	if checks == 0 {
-		t.Fatal("shrink performed no checks")
-	}
-	if len(shrunk) > len(seq) {
-		t.Errorf("shrink grew the sequence: %d > %d", len(shrunk), len(seq))
+	if len(shrunk) >= len(seq) {
+		t.Errorf("shrink did not reduce the sequence: %d >= %d", len(shrunk), len(seq))
 	}
 	t.Logf("shrunk %d -> %d mutations in %d checks", len(seq), len(shrunk), checks)
 

@@ -7,8 +7,6 @@ import (
 	"github.com/aigrepro/aig/internal/ivm"
 	"github.com/aigrepro/aig/internal/randaig"
 	"github.com/aigrepro/aig/internal/relstore"
-	"github.com/aigrepro/aig/internal/specialize"
-	"github.com/aigrepro/aig/internal/sqlmini"
 	"github.com/aigrepro/aig/internal/xmltree"
 )
 
@@ -86,17 +84,9 @@ func GenerateMutations(inst *randaig.Instance, seed int64, n int) []Mutation {
 		table  *relstore.Table
 	}
 	var targets []target
-	for _, dbName := range cat.DatabaseNames() {
-		db, err := cat.Database(dbName)
-		if err != nil {
-			continue
-		}
-		for _, tn := range db.TableNames() {
-			if t, err := db.Table(tn); err == nil {
-				targets = append(targets, target{dbName, t})
-			}
-		}
-	}
+	forEachTable(cat, func(source string, t *relstore.Table) {
+		targets = append(targets, target{source, t})
+	})
 	if len(targets) == 0 {
 		return nil
 	}
@@ -195,23 +185,11 @@ func CheckIVM(inst *randaig.Instance, muts []Mutation, opts IVMOptions) IVMOutco
 	mkDiv := func(detail, want, got string) *Divergence {
 		return &Divergence{Seed: inst.Seed, Leg: "ivm", Detail: detail, Want: want, Got: got}
 	}
-	inst = &randaig.Instance{
-		Seed: inst.Seed, Cfg: inst.Cfg, AIG: inst.AIG,
-		Catalog: cloneCatalog(inst.Catalog), RootInh: inst.RootInh,
-		Recursive: inst.Recursive, UnfoldDepth: inst.UnfoldDepth,
-	}
+	inst = isolated(inst)
 
-	comp, err := specialize.CompileConstraints(inst.AIG)
+	dec, decU, err := servedGrammar(inst.AIG, inst)
 	if err != nil {
-		return IVMOutcome{Divergence: mkDiv("constraint compilation failed: "+err.Error(), "", "")}
-	}
-	dec, err := specialize.DecomposeQueries(comp, inst.Schemas(), inst.Stats(), sqlmini.PlanOptions{})
-	if err != nil {
-		return IVMOutcome{Divergence: mkDiv("query decomposition failed: "+err.Error(), "", "")}
-	}
-	decU, err := specialize.Unfold(dec, inst.UnfoldDepth)
-	if err != nil {
-		return IVMOutcome{Divergence: mkDiv("unfold failed: "+err.Error(), "", "")}
+		return IVMOutcome{Divergence: mkDiv("specialization failed: "+err.Error(), "", "")}
 	}
 	deps, err := ivm.Extract(dec, inst.Schemas())
 	if err != nil {
@@ -235,12 +213,6 @@ func CheckIVM(inst *randaig.Instance, muts []Mutation, opts IVMOptions) IVMOutco
 	evaluate := func() (*xmltree.Node, error) {
 		return decU.Eval(inst.Env(), inst.RootInh)
 	}
-	outcomeStr := func(doc *xmltree.Node, err error) string {
-		if err != nil {
-			return "error: " + err.Error()
-		}
-		return doc.Canonical()
-	}
 
 	cachedDoc, cachedErr := evaluate()
 	if cachedErr != nil {
@@ -259,42 +231,15 @@ func CheckIVM(inst *randaig.Instance, muts []Mutation, opts IVMOptions) IVMOutco
 	}
 
 	var out IVMOutcome
-	for i, m := range muts {
-		changed, err := m.apply(inst.Catalog)
-		if err != nil {
-			return IVMOutcome{Divergence: mkDiv(fmt.Sprintf("step %d: applying %s: %v", i, m, err), "", "")}
-		}
-		if !changed {
-			continue
-		}
-		out.Steps++
-
+	out.Steps, out.Divergence = replaySteps(inst, "ivm", muts, func(i int, m *Mutation) *Divergence {
 		// The refresher's decision: replay each moved table's deltas
 		// through the judge.
-		verdict := ivm.Unaffected
 		now := snapshotVersions(inst.Catalog)
-		for key, cur := range now {
-			old, ok := baseline[key]
-			if !ok || cur == old {
-				if !ok && deps.DependsOn(key.source, key.table) {
-					verdict = ivm.MaybeAffected
-				}
-				continue
-			}
-			if !deps.DependsOn(key.source, key.table) {
-				continue
-			}
-			cs, cerr := changesSince(inst.Catalog, key.source, key.table, old)
-			if cerr != nil {
-				return IVMOutcome{Divergence: mkDiv(fmt.Sprintf("step %d: deltas for %s:%s: %v", i, key.source, key.table, cerr), "", "")}
-			}
-			if cs.Truncated {
-				out.Truncated++
-			}
-			if deps.Judge(key.source, key.table, cs, params) != ivm.Unaffected {
-				verdict = ivm.MaybeAffected
-			}
+		verdict, truncated, err := judgeWindow(inst.Catalog, deps, params, baseline, now)
+		if err != nil {
+			return mkDiv(fmt.Sprintf("step %d: %v", i, err), "", "")
 		}
+		out.Truncated += truncated
 		baseline = now
 		if opts.Fault != nil {
 			verdict = opts.Fault(i, verdict)
@@ -309,21 +254,87 @@ func CheckIVM(inst *randaig.Instance, muts []Mutation, opts IVMOptions) IVMOutco
 
 		truthDoc, truthErr := evaluate()
 		if d := kept.check(fmt.Sprintf("step %d (%s)", i, m), truthDoc, truthErr); d != nil {
-			out.Divergence = d
-			return out
+			return d
 		}
 		if isAbort(truthErr) && isAbort(cachedErr) {
-			continue // both abort on a guard: equal outcome, as in compare()
+			return nil // both abort on a guard: equal outcome, as in compare()
 		}
-		want, got := outcomeStr(truthDoc, truthErr), outcomeStr(cachedDoc, cachedErr)
-		if want != got {
-			out.Divergence = mkDiv(
+		if want, got := render(truthDoc, truthErr), render(cachedDoc, cachedErr); want != got {
+			return mkDiv(
 				fmt.Sprintf("step %d (%s, verdict %v): maintained document differs from oracle", i, m, verdict),
 				want, got)
-			return out
+		}
+		return nil
+	})
+	return out
+}
+
+// isolated returns inst over a clone of its catalog, so an oracle can
+// mutate the data and still be re-run (shrinking, corpus replay) on the
+// instance it was handed.
+func isolated(inst *randaig.Instance) *randaig.Instance {
+	return &randaig.Instance{
+		Seed: inst.Seed, Cfg: inst.Cfg, AIG: inst.AIG,
+		Catalog: cloneCatalog(inst.Catalog), RootInh: inst.RootInh,
+		Recursive: inst.Recursive, UnfoldDepth: inst.UnfoldDepth,
+	}
+}
+
+// replaySteps is the mutation loop the sequence oracles share: it
+// applies muts in order to inst's catalog and calls step after each one
+// that changed the data, stopping at the first divergence (a mutation
+// that fails to apply diverges on leg). It returns the number of
+// mutations that changed the data.
+func replaySteps(inst *randaig.Instance, leg string, muts []Mutation, step func(i int, m *Mutation) *Divergence) (int, *Divergence) {
+	steps := 0
+	for i := range muts {
+		m := &muts[i]
+		changed, err := m.apply(inst.Catalog)
+		if err != nil {
+			return steps, &Divergence{Seed: inst.Seed, Leg: leg, Detail: fmt.Sprintf("step %d: applying %s: %v", i, m, err)}
+		}
+		if !changed {
+			continue
+		}
+		steps++
+		if d := step(i, m); d != nil {
+			return steps, d
 		}
 	}
-	return out
+	return steps, nil
+}
+
+// judgeWindow replays the refresher's judgement for a view with deps
+// cached at the table versions in baseline: every dependency whose
+// version moved by now has its change-log window judged. It returns
+// Unaffected only when every window is provably irrelevant, plus the
+// number of windows that came back truncated.
+func judgeWindow(cat *relstore.Catalog, deps *ivm.Deps, params map[string]relstore.Value, baseline, now map[tableKey]uint64) (ivm.Verdict, int, error) {
+	verdict, truncated := ivm.Unaffected, 0
+	for key, cur := range now {
+		old, ok := baseline[key]
+		if !ok || cur == old {
+			if !ok && deps.DependsOn(key.source, key.table) {
+				verdict = ivm.MaybeAffected
+			}
+			continue
+		}
+		if !deps.DependsOn(key.source, key.table) {
+			continue
+		}
+		t, err := cat.Table(key.source, key.table)
+		if err != nil {
+			return ivm.MaybeAffected, truncated, fmt.Errorf("deltas for %s:%s: %v", key.source, key.table, err)
+		}
+		cs := t.ChangesSince(old)
+		if cs.Truncated {
+			truncated++
+		}
+		if deps.Judge(key.source, key.table, cs, params) != ivm.Unaffected {
+			verdict = ivm.MaybeAffected
+		}
+	}
+	return verdict, truncated, nil
 }
 
 type tableKey struct{ source, table string }
@@ -348,60 +359,4 @@ func snapshotVersions(cat *relstore.Catalog) map[tableKey]uint64 {
 		out[tableKey{source, t.Name()}] = t.Version()
 	})
 	return out
-}
-
-func changesSince(cat *relstore.Catalog, source, table string, since uint64) (relstore.ChangeSet, error) {
-	t, err := cat.Table(source, table)
-	if err != nil {
-		return relstore.ChangeSet{}, err
-	}
-	return t.ChangesSince(since), nil
-}
-
-// ShrinkIVM minimizes a diverging mutation sequence ddmin-style: it
-// tries dropping ever-smaller chunks of mutations while the "ivm" leg
-// keeps diverging (CheckIVM runs each candidate against a fresh catalog
-// clone). budget <= 0 means DefaultShrinkBudget checks.
-func ShrinkIVM(inst *randaig.Instance, muts []Mutation, opts IVMOptions, budget int) ([]Mutation, *Divergence, int) {
-	if budget <= 0 {
-		budget = DefaultShrinkBudget
-	}
-	checks := 0
-	reproduces := func(candidate []Mutation) (*Divergence, bool) {
-		if checks >= budget {
-			return nil, false
-		}
-		checks++
-		out := CheckIVM(inst, candidate, opts)
-		return out.Divergence, out.Divergence != nil
-	}
-
-	cur := muts
-	var last *Divergence
-	if d, ok := reproduces(cur); ok {
-		last = d
-	} else {
-		return cur, nil, checks
-	}
-	for size := len(cur) / 2; size >= 1; {
-		removedAny := false
-		for start := 0; start+size <= len(cur); {
-			candidate := append(append([]Mutation(nil), cur[:start]...), cur[start+size:]...)
-			if d, ok := reproduces(candidate); ok {
-				cur, last = candidate, d
-				removedAny = true
-				continue // same start now covers the next chunk
-			}
-			start += size
-		}
-		if !removedAny {
-			size /= 2
-		} else if size > len(cur)/2 {
-			size = len(cur) / 2
-		}
-		if checks >= budget {
-			break
-		}
-	}
-	return cur, last, checks
 }

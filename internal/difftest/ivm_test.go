@@ -91,7 +91,7 @@ func TestIVMTruncationForcesFullRefresh(t *testing.T) {
 
 // TestIVMFaultInjection simulates an unsound judge (every verdict forced
 // to Unaffected, so the cached document is never refreshed) and proves
-// the oracle catches the resulting stale document, that ShrinkIVM
+// the oracle catches the resulting stale document, that ddmin
 // minimizes the mutation sequence while preserving the divergence, and
 // that the persisted regression replays.
 func TestIVMFaultInjection(t *testing.T) {
@@ -120,9 +120,11 @@ func TestIVMFaultInjection(t *testing.T) {
 		t.Fatalf("divergence on leg %q, want ivm", out.Divergence.Leg)
 	}
 
-	shrunk, div, checks := ShrinkIVM(inst, seq, opts, 150)
-	if div == nil {
-		t.Fatal("shrink lost the divergence")
+	shrunk, div, checks := ddmin(seq, "ivm", 150, func(muts []Mutation) *Divergence {
+		return CheckIVM(inst, muts, opts).Divergence
+	})
+	if div == nil || div.Leg != "ivm" {
+		t.Fatalf("shrink lost the ivm divergence: %v", div)
 	}
 	if checks == 0 {
 		t.Fatal("shrink performed no checks")
@@ -194,8 +196,8 @@ func TestIVMDeterministicReplay(t *testing.T) {
 
 // TestPlanCacheFaultInjection freezes the data versions the kept-alive
 // mediator sees, so it never re-plans ("never invalidate"), and proves
-// the plan-cache leg catches the stale plan, that ShrinkIVM keeps the
-// divergence while minimizing, and that the same sequence is clean
+// the plan-cache leg catches the stale plan, that ddmin keeps the
+// divergence's leg while minimizing, and that the same sequence is clean
 // without the fault.
 func TestPlanCacheFaultInjection(t *testing.T) {
 	opts := IVMOptions{StalePlans: true}
@@ -213,14 +215,19 @@ func TestPlanCacheFaultInjection(t *testing.T) {
 		if out.Divergence.Leg != "plancache" {
 			t.Fatalf("divergence on leg %q, want plancache:\n%s", out.Divergence.Leg, out.Divergence.Error())
 		}
-		shrunk, div, _ := ShrinkIVM(inst, seq, opts, 60)
+		shrunk, div, checks := ddmin(seq, "plancache", 60, func(muts []Mutation) *Divergence {
+			return CheckIVM(inst, muts, opts).Divergence
+		})
 		if div == nil || div.Leg != "plancache" {
 			t.Fatalf("shrink lost the plancache divergence: %v", div)
 		}
 		if clean := CheckIVM(inst, shrunk, IVMOptions{}); clean.Divergence != nil {
 			t.Fatalf("shrunk sequence diverges without the fault:\n%s", clean.Divergence.Error())
 		}
-		t.Logf("seed %d: caught in %d -> %d mutations: %s", seed, len(seq), len(shrunk), div.Detail)
+		if len(shrunk) >= len(seq) {
+			t.Errorf("shrink did not reduce the sequence: %d >= %d", len(shrunk), len(seq))
+		}
+		t.Logf("seed %d: caught, shrunk %d -> %d mutations in %d checks: %s", seed, len(seq), len(shrunk), checks, div.Detail)
 		return
 	}
 	t.Fatal("no seed in range exposed the never-invalidate fault")

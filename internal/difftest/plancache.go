@@ -73,10 +73,7 @@ func (k *keptMediator) check(step string, truthDoc *xmltree.Node, truthErr error
 
 	eval := func(m *mediator.Mediator) (*xmltree.Node, error) {
 		res, err := m.Evaluate(k.decU, k.inst.RootInh)
-		if err != nil {
-			return nil, err
-		}
-		return res.Doc, nil
+		return resultDoc(res, err), err
 	}
 	keptDoc, keptErr := eval(k.kept)
 	freshDoc, freshErr := eval(fresh)

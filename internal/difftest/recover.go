@@ -116,52 +116,7 @@ func buildRecoverBase(seed int64) *relstore.Database {
 // away (a delete whose row is gone, a table that was never added);
 // those degrade to no-ops, mirroring what the journaled store does.
 func applyRecoverOp(db *relstore.Database, p *relstore.Persister, op RecoverOp) error {
-	t, terr := db.Table(op.Table)
 	switch op.Kind {
-	case "insert":
-		if terr != nil {
-			return nil
-		}
-		row, err := parseRow(t.Schema(), op.Row)
-		if err != nil {
-			return nil
-		}
-		return t.Insert(row)
-	case "delete":
-		if terr != nil {
-			return nil
-		}
-		row, err := parseRow(t.Schema(), op.Row)
-		if err != nil {
-			return nil
-		}
-		key := row.Key()
-		t.DeleteWhere(func(r relstore.Tuple) bool { return r.Key() == key })
-		return nil
-	case "deleteat":
-		if terr != nil {
-			return nil
-		}
-		t.DeleteAt(op.Index) // out of range after shrinking: no-op
-		return nil
-	case "sort":
-		if terr != nil {
-			return nil
-		}
-		t.Sort(op.Cols)
-		return nil
-	case "distinct":
-		if terr != nil {
-			return nil
-		}
-		t.Distinct()
-		return nil
-	case "loglimit":
-		if terr != nil {
-			return nil
-		}
-		t.SetChangeLogLimit(op.Limit)
-		return nil
 	case "addtable":
 		nt := relstore.NewTable(op.Table, relstore.MustSchema("p:string", "q:int"))
 		for i := 0; i < op.Index; i++ {
@@ -180,9 +135,35 @@ func applyRecoverOp(db *relstore.Database, p *relstore.Persister, op RecoverOp) 
 			return p.Snapshot()
 		}
 		return nil
+	case "insert", "delete", "deleteat", "sort", "distinct", "loglimit":
 	default:
 		return fmt.Errorf("difftest: unknown recover op %q", op.Kind)
 	}
+	t, err := db.Table(op.Table)
+	if err != nil {
+		return nil
+	}
+	switch op.Kind {
+	case "insert", "delete":
+		row, err := parseRow(t.Schema(), op.Row)
+		if err != nil {
+			return nil
+		}
+		if op.Kind == "insert" {
+			return t.Insert(row)
+		}
+		key := row.Key()
+		t.DeleteWhere(func(r relstore.Tuple) bool { return r.Key() == key })
+	case "deleteat":
+		t.DeleteAt(op.Index) // out of range after shrinking: no-op
+	case "sort":
+		t.Sort(op.Cols)
+	case "distinct":
+		t.Distinct()
+	case "loglimit":
+		t.SetChangeLogLimit(op.Limit)
+	}
+	return nil
 }
 
 // GenerateRecoverOps derives a deterministic op sequence for a seed,
@@ -393,51 +374,4 @@ func ReplayRecovery(seed int64, cfg RecoverConfig, ops []RecoverOp) RecoverOutco
 		}
 	}
 	return out
-}
-
-// ShrinkRecovery minimizes a diverging op sequence ddmin-style, exactly
-// like ShrinkIVM: drop ever-smaller chunks while the "recover" leg keeps
-// diverging. budget <= 0 means DefaultShrinkBudget checks.
-func ShrinkRecovery(seed int64, cfg RecoverConfig, ops []RecoverOp, budget int) ([]RecoverOp, *Divergence, int) {
-	if budget <= 0 {
-		budget = DefaultShrinkBudget
-	}
-	checks := 0
-	reproduces := func(candidate []RecoverOp) (*Divergence, bool) {
-		if checks >= budget {
-			return nil, false
-		}
-		checks++
-		out := ReplayRecovery(seed, cfg, candidate)
-		return out.Divergence, out.Divergence != nil
-	}
-
-	cur := ops
-	var last *Divergence
-	if d, ok := reproduces(cur); ok {
-		last = d
-	} else {
-		return cur, nil, checks
-	}
-	for size := len(cur) / 2; size >= 1; {
-		removedAny := false
-		for start := 0; start+size <= len(cur); {
-			candidate := append(append([]RecoverOp(nil), cur[:start]...), cur[start+size:]...)
-			if d, ok := reproduces(candidate); ok {
-				cur, last = candidate, d
-				removedAny = true
-				continue
-			}
-			start += size
-		}
-		if !removedAny {
-			size /= 2
-		} else if size > len(cur)/2 {
-			size = len(cur) / 2
-		}
-		if checks >= budget {
-			break
-		}
-	}
-	return cur, last, checks
 }

@@ -68,19 +68,3 @@ func TestRecoverOpsRoundTripJSON(t *testing.T) {
 		t.Fatalf("round trip changed outcome: %+v vs %+v", out, out2)
 	}
 }
-
-func TestShrinkRecoveryBudget(t *testing.T) {
-	// No real divergence to shrink (the store is correct), so exercise the
-	// no-repro path: shrink of a passing sequence returns nil divergence.
-	_, ops := CheckRecovery(2, RecoverConfig{Mutations: 8})
-	kept, div, checks := ShrinkRecovery(2, RecoverConfig{Mutations: 8}, ops, 5)
-	if div != nil {
-		t.Fatalf("shrink fabricated a divergence: %+v", div)
-	}
-	if len(kept) != len(ops) {
-		t.Fatalf("shrink of passing sequence dropped ops: %d -> %d", len(ops), len(kept))
-	}
-	if checks != 1 {
-		t.Fatalf("want 1 check for non-reproducing input, got %d", checks)
-	}
-}

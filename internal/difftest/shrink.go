@@ -168,3 +168,53 @@ func (s *shrinker) reduceRows(inst *randaig.Instance) (randaig.Op, *randaig.Inst
 	}
 	return randaig.Op{}, nil, nil, false
 }
+
+// ddmin minimizes a diverging sequence: it drops ever-smaller chunks
+// while run keeps diverging on leg, and returns the shrunk sequence,
+// its divergence and the number of runs spent. A candidate diverging on
+// another leg is a different bug and is rejected. An input that does
+// not diverge on leg costs one run and comes back unchanged with a nil
+// divergence. budget <= 0 means DefaultShrinkBudget runs.
+func ddmin[T any](seq []T, leg string, budget int, run func([]T) *Divergence) ([]T, *Divergence, int) {
+	if budget <= 0 {
+		budget = DefaultShrinkBudget
+	}
+	checks := 0
+	reproduces := func(candidate []T) *Divergence {
+		if checks >= budget {
+			return nil
+		}
+		checks++
+		if d := run(candidate); d != nil && d.Leg == leg {
+			return d
+		}
+		return nil
+	}
+
+	cur := seq
+	last := reproduces(cur)
+	if last == nil {
+		return cur, nil, checks
+	}
+	for size := len(cur) / 2; size >= 1; {
+		removedAny := false
+		for start := 0; start+size <= len(cur); {
+			candidate := append(append([]T(nil), cur[:start]...), cur[start+size:]...)
+			if d := reproduces(candidate); d != nil {
+				cur, last = candidate, d
+				removedAny = true
+				continue // same start now covers the next chunk
+			}
+			start += size
+		}
+		if !removedAny {
+			size /= 2
+		} else if size > len(cur)/2 {
+			size = len(cur) / 2
+		}
+		if checks >= budget {
+			break
+		}
+	}
+	return cur, last, checks
+}

@@ -115,7 +115,11 @@ func (s *Server) serveFragment(ctx context.Context, rt *requestTrace, rw *status
 		s.m.misses.Inc()
 		rt.setCache("bypass")
 		st := newFragStream(rw, fp, stamp, "bypass")
-		entry, berr := s.fragmentAdmitted(ctx, v, params, fp, stamp, st)
+		var entry *cacheEntry
+		berr := s.admitted(ctx, func() (err error) {
+			entry, err = s.evaluateFragment(ctx, v, params, fp, stamp, st)
+			return err
+		})
 		s.finishFragStream(rt, rw, st, entry, berr, "bypass")
 		return
 	}
@@ -247,11 +251,15 @@ func (s *Server) fragmentFlight(ctx context.Context, v *View, params map[string]
 	return s.flight.Do(ctx, key, func() (*cacheEntry, error) {
 		tableVers, tverr := s.tableVersions(v)
 		var entry *cacheEntry
+		eval := func() (err error) {
+			entry, err = s.evaluateFragment(ctx, v, params, fp, stamp, st)
+			return err
+		}
 		var eerr error
 		if admit {
-			entry, eerr = s.fragmentAdmitted(ctx, v, params, fp, stamp, st)
+			eerr = s.admitted(ctx, eval)
 		} else {
-			entry, eerr = s.evaluateFragment(ctx, v, params, fp, stamp, st)
+			eerr = eval()
 		}
 		if eerr != nil {
 			return nil, eerr
@@ -271,26 +279,6 @@ func (s *Server) fragmentFlight(ctx context.Context, v *View, params map[string]
 		}
 		return entry, nil
 	})
-}
-
-// fragmentAdmitted runs evaluateFragment under the admission semaphore.
-func (s *Server) fragmentAdmitted(ctx context.Context, v *View, params map[string]string, fp *fragPlan, stamp string, st *fragStream) (*cacheEntry, error) {
-	tr, parent := obs.SpanFromContext(ctx)
-	sp := tr.StartSpan("admission", parent)
-	waited, aerr := s.adm.acquire(ctx)
-	s.m.queueWaitSec.Observe(waited.Seconds())
-	sp.SetAttr("waited_sec", waited.Seconds())
-	if aerr != nil {
-		sp.SetAttr("error", aerr.Error()).End()
-		return nil, aerr
-	}
-	sp.End()
-	defer func() {
-		s.adm.release()
-		s.m.inflightEvals.Set(float64(s.adm.inUse()))
-	}()
-	s.m.inflightEvals.Set(float64(s.adm.inUse()))
-	return s.evaluateFragment(ctx, v, params, fp, stamp, st)
 }
 
 // evaluateFragment produces a fragment body at stamp. Where partial

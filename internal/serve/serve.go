@@ -593,7 +593,11 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 		// pays the full evaluation it is measuring).
 		s.m.misses.Inc()
 		rt.setCache("bypass")
-		entry, berr := s.evaluateAdmitted(ctx, v, params, stamp)
+		var entry *cacheEntry
+		berr := s.admitted(ctx, func() (err error) {
+			entry, err = s.evaluate(ctx, v, params, stamp)
+			return err
+		})
 		if berr != nil {
 			rt.fail(berr)
 			s.writeError(rw, berr)
@@ -638,22 +642,13 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 // admission behavior as real evaluations. No-op unless Config.SimWork
 // is set.
 func (s *Server) simWork(ctx context.Context) error {
-	d := s.cfg.SimWork
-	if d <= 0 {
+	if s.cfg.SimWork <= 0 {
 		return nil
 	}
-	waited, err := s.adm.acquire(ctx)
-	s.m.queueWaitSec.Observe(waited.Seconds())
-	if err != nil {
-		return err
-	}
-	defer func() {
-		s.adm.release()
-		s.m.inflightEvals.Set(float64(s.adm.inUse()))
-	}()
-	s.m.inflightEvals.Set(float64(s.adm.inUse()))
-	time.Sleep(d)
-	return nil
+	return s.admitted(ctx, func() error {
+		time.Sleep(s.cfg.SimWork)
+		return nil
+	})
 }
 
 // noStoreRequest reports whether the client asked to bypass the result
@@ -674,16 +669,20 @@ func (s *Server) missFlight(ctx context.Context, v *View, params map[string]stri
 	key := prefix + "\x00" + stamp
 	return s.flight.Do(ctx, key, func() (*cacheEntry, error) {
 		var entry *cacheEntry
-		var eerr error
+		eval := func() (err error) {
+			entry, err = s.evaluate(ctx, v, params, stamp)
+			return err
+		}
 		// The per-table version snapshot must be taken inside the
 		// stamp-recheck window too: when the recheck passes, nothing
 		// mutated between reading the stamp, these versions, and the
 		// data itself, so all three are mutually consistent.
 		tableVers, tverr := s.tableVersions(v)
+		var eerr error
 		if admit {
-			entry, eerr = s.evaluateAdmitted(ctx, v, params, stamp)
+			eerr = s.admitted(ctx, eval)
 		} else {
-			entry, eerr = s.evaluate(ctx, v, params, stamp)
+			eerr = eval()
 		}
 		if eerr != nil {
 			return nil, eerr
@@ -710,9 +709,10 @@ func (s *Server) missFlight(ctx context.Context, v *View, params map[string]stri
 	})
 }
 
-// evaluateAdmitted runs evaluate under the admission semaphore, the way
-// client-triggered evaluations go.
-func (s *Server) evaluateAdmitted(ctx context.Context, v *View, params map[string]string, stamp string) (*cacheEntry, error) {
+// admitted runs fn under the admission semaphore, the way
+// client-triggered work goes: the queue wait is observed and traced as
+// an "admission" span, and the in-flight gauge follows the slot.
+func (s *Server) admitted(ctx context.Context, fn func() error) error {
 	tr, parent := obs.SpanFromContext(ctx)
 	sp := tr.StartSpan("admission", parent)
 	waited, aerr := s.adm.acquire(ctx)
@@ -720,7 +720,7 @@ func (s *Server) evaluateAdmitted(ctx context.Context, v *View, params map[strin
 	sp.SetAttr("waited_sec", waited.Seconds())
 	if aerr != nil {
 		sp.SetAttr("error", aerr.Error()).End()
-		return nil, aerr
+		return aerr
 	}
 	sp.End()
 	defer func() {
@@ -728,7 +728,7 @@ func (s *Server) evaluateAdmitted(ctx context.Context, v *View, params map[strin
 		s.m.inflightEvals.Set(float64(s.adm.inUse()))
 	}()
 	s.m.inflightEvals.Set(float64(s.adm.inUse()))
-	return s.evaluate(ctx, v, params, stamp)
+	return fn()
 }
 
 // evaluate runs one mediator evaluation for a prepared view and
