@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-serve vet fmt lint fmt-check staticcheck fuzz-smoke soak soak-ivm soak-certify soak-recover soak-fragment serve loadtest smoke-serve smoke-trace smoke-restart smoke-cluster smoke-fragment bench-ivm bench-verify bench-wal bench-cluster bench-fragment test-bench bench-contract bench-unit ci bench clean
+.PHONY: all build test race race-serve vet fmt lint fmt-check staticcheck fuzz-smoke soak soak-ivm soak-certify soak-recover soak-fragment serve loadtest smoke-serve smoke-trace smoke-restart smoke-cluster smoke-fragment bench-cluster test-bench bench-contract bench-unit ci bench clean
 
 all: build
 
@@ -135,27 +135,6 @@ smoke-cluster:
 smoke-fragment:
 	./scripts/smoke_fragment.sh
 
-# bench-ivm measures warm-cache serving under a mutating workload
-# (cache-off baseline vs refresher-maintained cache) and refreshes the
-# committed BENCH_ivm.json; fails below a 5x speedup.
-bench-ivm:
-	./scripts/bench_ivm.sh
-
-# bench-verify measures what static certification buys on the warm
-# path: the hospital view served with -verify=always (every request
-# re-verifies the document) against -verify (the certifier proved the
-# constraints, so the pass is skipped), refreshing the committed
-# BENCH_verify.json.
-bench-verify:
-	./scripts/bench_verify.sh
-
-# bench-wal measures what durability costs: per-insert microbenchmarks
-# (bare vs journaled vs fsync-always) and the BENCH_ivm write path with
-# durable sources, which must stay within 10% of in-memory throughput
-# with -fsync never. Refreshes the committed BENCH_wal.json.
-bench-wal:
-	./scripts/bench_wal.sh
-
 # bench-cluster measures horizontal scaling through aigrouter: the same
 # warm workload (plus a 50 writes/s origin mutation stream) against one
 # replica vs four, each replica capped at a simulated service-time
@@ -163,14 +142,6 @@ bench-wal:
 # BENCH_cluster.json; fails below a 3x fleet speedup.
 bench-cluster:
 	./scripts/bench_cluster.sh
-
-# bench-fragment measures what the fragment layer buys on a Table 1
-# small-scale catalog: a small fragment must beat the full document by
-# 5x on cold first-byte latency and 10x on response bytes, and warm
-# full-document throughput must not regress more than 5% with fragment
-# traffic in the mix. Refreshes the committed BENCH_fragment.json.
-bench-fragment:
-	./scripts/bench_fragment.sh
 
 # test-bench vets and tests the benchmark module (bench/ has its own
 # go.mod, so ./... above does not reach it): unit tests plus a one-second
@@ -193,9 +164,8 @@ bench-unit:
 	$(GO) test -run '^$$' -bench 'EvaluateRecursive/bench250' -benchtime 90x -cpu 2 -benchmem ./internal/mediator
 
 # ci is what .github/workflows/ci.yml runs (plus staticcheck, which CI
-# fetches pinned), minus the five legacy bench-* scripts: their gates
-# still pass (checked when test-bench replaced them here), the workflow
-# keeps running them until they are deleted, and performance claims cite
+# fetches pinned), minus bench-cluster, which the workflow still runs
+# until the benchmark has a cluster workload. Performance claims cite
 # bench-contract.
 ci: vet build race test-bench lint fmt-check fuzz-smoke soak soak-ivm soak-certify soak-recover soak-fragment smoke-serve smoke-trace smoke-restart smoke-cluster smoke-fragment
 

@@ -81,39 +81,6 @@ type repeated []string
 func (r *repeated) String() string     { return strings.Join(*r, ",") }
 func (r *repeated) Set(v string) error { *r = append(*r, v); return nil }
 
-// verifyMode is the tri-state -verify flag: off (default), on (skip
-// verification for statically certified views), or always (verify even
-// certified views — the escape hatch for distrusting the certifier).
-// IsBoolFlag keeps plain `-verify` working as "on".
-type verifyMode struct{ on, always bool }
-
-func (v *verifyMode) String() string {
-	switch {
-	case v.always:
-		return "always"
-	case v.on:
-		return "true"
-	default:
-		return "false"
-	}
-}
-
-func (v *verifyMode) Set(s string) error {
-	switch strings.ToLower(s) {
-	case "true", "on", "1", "auto":
-		v.on, v.always = true, false
-	case "false", "off", "0":
-		v.on, v.always = false, false
-	case "always":
-		v.on, v.always = true, true
-	default:
-		return fmt.Errorf("want off, on or always, got %q", s)
-	}
-	return nil
-}
-
-func (v *verifyMode) IsBoolFlag() bool { return true }
-
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "aigd:", err)
@@ -145,8 +112,6 @@ func run() error {
 	subscribe := flag.Bool("subscribe", false, "mirror remote sources by delta subscription instead of per-request RPCs")
 	syncTimeout := flag.Duration("sync-timeout", 30*time.Second, "longest to wait for mirrors' initial sync before serving (with -subscribe)")
 	simWork := flag.Duration("sim-work", 0, "simulated per-request service-time floor held under the admission semaphore (capacity benchmarking; 0 disables)")
-	var verify verifyMode
-	flag.Var(&verify, "verify", "check evaluated documents against the DTD and constraints: off, on (skips statically certified views) or always")
 	traceReqs := flag.Bool("trace-requests", false, "record a span tree per evaluation, served at /views/{name}/trace")
 	trace := flag.Bool("trace", false, "enable the flight recorder: per-request traces with tail sampling, served at /debug/traces")
 	traceCapacity := flag.Int("trace-capacity", 256, "kept traces before the oldest is evicted")
@@ -203,8 +168,6 @@ func run() error {
 		CacheDir:        *cacheDir,
 		Unfold:          *unfold,
 		MaxUnfold:       *maxUnfold,
-		VerifyOutput:    verify.on,
-		VerifyAlways:    verify.always,
 		TraceRequests:   *traceReqs,
 		RefreshInterval: *refreshInterval,
 		AllowMutate:     *allowMutate,

@@ -37,8 +37,8 @@
 // /views/{name}?path=...) to the rotation alongside the full document
 // (drop the full-document shape with -fragment-only). The report then
 // carries per-shape latency percentiles, client-measured first-byte
-// latency, and bytes/request — what bench_fragment.sh reads to compare
-// fragment and full-document cost — plus the daemon-side TTFB
+// latency, and bytes/request — enough to compare fragment and
+// full-document cost — plus the daemon-side TTFB
 // quantiles scraped from aig_serve_ttfb_seconds.
 //
 // With -check the exit status enforces a healthy run: zero failed
@@ -97,7 +97,7 @@ type report struct {
 	// Paths carries per-request-shape stats when -path was given: the
 	// full-document shape plus one row per fragment path, each with its
 	// own latency, client-measured first-byte latency, and bytes/request
-	// — the honest fragment-vs-full comparison bench_fragment.sh reads.
+	// — the honest fragment-vs-full comparison.
 	Paths []pathReport `json:"paths,omitempty"`
 
 	// Server-side TTFB quantiles scraped from aig_serve_ttfb_seconds.

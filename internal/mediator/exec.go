@@ -48,6 +48,10 @@ type exec struct {
 
 	mu       sync.Mutex
 	firstErr error
+	// abort is the first guard that failed. Unlike firstErr it does not
+	// stop the run: the unfolding loop trusts an abort only after probing
+	// the complete run's truncated contexts.
+	abort *aig.AbortError
 	// wake, set under mu by the dynamic scheduler, is called after every
 	// node completion to re-examine readiness.
 	wake func()
@@ -85,6 +89,14 @@ func (x *exec) fail(err error) {
 	x.mu.Lock()
 	if x.firstErr == nil {
 		x.firstErr = err
+	}
+	x.mu.Unlock()
+}
+
+func (x *exec) noteAbort(a *aig.AbortError) {
+	x.mu.Lock()
+	if x.abort == nil {
+		x.abort = a
 	}
 	x.mu.Unlock()
 }
@@ -152,6 +164,9 @@ func (m *Mediator) evaluatePhases(ctx context.Context, a *aig.AIG, depth int, ro
 	sp.End()
 	if err != nil {
 		return nil, nil, err
+	}
+	if x.abort != nil {
+		return nil, x, x.abort
 	}
 
 	sp, t0 = tr.StartSpan("tag", root), time.Now()

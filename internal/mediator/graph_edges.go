@@ -485,7 +485,7 @@ func (g *graph) buildSyn(c *ctxNode) {
 					return n, err
 				}
 				if !ok {
-					return n, &aig.AbortError{Elem: c.elem, Path: c.path, Guard: guard}
+					x.noteAbort(&aig.AbortError{Elem: c.elem, Path: c.path, Guard: guard})
 				}
 			}
 			n++

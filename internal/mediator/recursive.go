@@ -19,11 +19,11 @@ import (
 // result and the depth that sufficed.
 //
 // The input AIG should already have constraints compiled and multi-source
-// queries decomposed; unfolding preserves both. Compiled-guard aborts at
-// a depth below maxDepth trigger re-unrolling rather than an immediate
-// error, since a truncated document can violate (or satisfy) a
-// constraint that the full document does not; an abort that persists at
-// maxDepth is reported as such.
+// queries decomposed; unfolding preserves both. A compiled-guard abort
+// is probed like a document, since a truncated document can violate (or
+// satisfy) a constraint that the full document does not: it is reported
+// when no truncated instance is blocked, or at maxDepth, and triggers
+// re-unrolling otherwise.
 func (m *Mediator) EvaluateRecursive(a *aig.AIG, rootInh *aig.AttrValue, estDepth, maxDepth int) (*Result, int, error) {
 	return m.EvaluateRecursiveContext(context.Background(), a, rootInh, estDepth, maxDepth)
 }
@@ -41,28 +41,21 @@ func (m *Mediator) EvaluateRecursiveContext(ctx context.Context, a *aig.AIG, roo
 	depth := estDepth
 	for {
 		res, x, err := m.evaluate(ctx, a, depth, rootInh)
-		if err != nil {
-			// A guard abort at a truncated depth is not trustworthy:
-			// truncation can both remove tuples a subset constraint needs
-			// and hide duplicates a key constraint would reject. Keep
-			// expanding; the abort is genuine only once deepening stops
-			// changing the document.
-			var abort *aig.AbortError
-			if errors.As(err, &abort) && depth < maxDepth {
-				depth *= 2
-				if depth > maxDepth {
-					depth = maxDepth
-				}
-				continue
-			}
+		var abort *aig.AbortError
+		if err != nil && (!errors.As(err, &abort) || depth >= maxDepth) {
 			return nil, depth, err
 		}
-		blocked, err := x.anyBlocked(ctx)
-		if err != nil {
-			return nil, depth, err
+		// A guard abort at a truncated depth is trusted only as far as a
+		// document would be: truncation can both remove tuples a subset
+		// constraint needs and hide duplicates a key constraint would
+		// reject. The abort is genuine once no truncated instance is
+		// blocked, since deepening then no longer changes the document.
+		blocked, perr := x.anyBlocked(ctx)
+		if perr != nil {
+			return nil, depth, perr
 		}
 		if !blocked {
-			return res, depth, nil
+			return res, depth, err
 		}
 		if depth >= maxDepth {
 			return nil, depth, fmt.Errorf("mediator: recursion still expandable at depth %d (max %d); cyclic source data?", depth, maxDepth)

@@ -183,6 +183,50 @@ func TestSetProbeAgreesWithPerInstanceProbe(t *testing.T) {
 	}
 }
 
+// TestGuardAbortTrustedWhereUnfoldingIsExact: a guard abort is probed
+// like a document. Below the depth the data needs it deepens; at the
+// first depth with no blocked frontier instance it is reported, not
+// re-unrolled up to maxDepth.
+func TestGuardAbortTrustedWhereUnfoldingIsExact(t *testing.T) {
+	cat := hospital.TinyCatalog()
+	a := specializedHospital(t, cat)
+	m := New(source.RegistryFromCatalog(cat), DefaultOptions())
+	const maxDepth = 64
+	_, need, err := m.EvaluateRecursive(a, hospital.RootInh(a, "d1"), 1, maxDepth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if need <= 1 || need >= maxDepth {
+		t.Fatalf("clean data settles at depth %d; the test needs one strictly between 1 and %d", need, maxDepth)
+	}
+
+	// s1 visits t9 on d1, a treatment gold covers but nobody bills: the
+	// inclusion guard fails at every depth.
+	for _, ins := range []struct {
+		db, table string
+		row       []any
+	}{
+		{"DB4", "treatment", []any{"t9", "laser"}},
+		{"DB2", "cover", []any{"gold", "t9"}},
+		{"DB1", "visitInfo", []any{"s1", "t9", "d1"}},
+	} {
+		tab, err := cat.Table(ins.db, ins.table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.InsertValues(ins.row...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, est := range []int{1, need} {
+		_, depth, err := m.EvaluateRecursive(a, hospital.RootInh(a, "d1"), est, maxDepth)
+		var abort *aig.AbortError
+		if !errors.As(err, &abort) || depth != need {
+			t.Errorf("from depth %d: err %v at depth %d; want a guard abort at depth %d", est, err, depth, need)
+		}
+	}
+}
+
 // TestSetProbeCorpusSeed75 replays the regression that once made
 // EvaluateRecursive trust a truncation-induced guard abort: generated
 // recursive grammar, several truncated types, guards that trip at shallow

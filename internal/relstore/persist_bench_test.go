@@ -7,8 +7,8 @@ import (
 
 // The write-path cost of durability: inserts against a bare table, a
 // journaled table without flushing, and a journaled table fsyncing every
-// record. scripts/bench_wal.sh runs these and commits the numbers to
-// BENCH_wal.json.
+// record. Run them with `go test -run '^$' -bench Insert ./internal/relstore`;
+// the served write path end to end is `go run -C bench . -workload mutate_mix`.
 
 func benchInsert(b *testing.B, persist bool, fsync FsyncMode) {
 	b.Helper()

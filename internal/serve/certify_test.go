@@ -9,9 +9,11 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/aigrepro/aig/internal/aig"
 	"github.com/aigrepro/aig/internal/hospital"
 	"github.com/aigrepro/aig/internal/mediator"
 	"github.com/aigrepro/aig/internal/relstore"
+	"github.com/aigrepro/aig/internal/source"
 	"github.com/aigrepro/aig/internal/specialize"
 )
 
@@ -19,60 +21,87 @@ import (
 // key declarations stripped, so no constraint is statically provable.
 var uncertifiedSpec = regexp.MustCompile(`(?m)^\s*(key|fkey) .*\n`).ReplaceAllString(hospital.SpecText, "")
 
-// guardCount counts the guards compiled into a view's served grammar.
-func guardCount(v *View) int {
+// guardCount counts the guards compiled into a grammar.
+func guardCount(a *aig.AIG) int {
 	n := 0
-	for _, r := range v.sa.Rules {
+	for _, r := range a.Rules {
 		n += len(r.Guards)
 	}
 	return n
 }
 
-// TestCertifiedViewSkipsVerify: the certified hospital view must not run
-// the verify span even with VerifyOutput on; VerifyAlways restores it on
-// the same pruned grammar; an uncertified view keeps its guards and
-// always verifies.
+// opaqueSource hides a source's direct table access, like a source served
+// over TCP: no premise on its tables can be checked.
+type opaqueSource struct{ source.Source }
+
+// TestCertifiedViewSkipsVerify: no request runs a post-hoc verify pass;
+// guards are the only constraint mechanism. The certified hospital view
+// serves a grammar with both guards pruned and keeps a fully guarded one
+// for broken premises; the uncertified view compiles both guards into the
+// grammar it serves and needs no second one, so its constraints are
+// verified as it evaluates. A certified view whose
+// premises no source can read evaluates only the guarded grammar. On
+// violating data every case answers 500, each in one evaluation.
 func TestCertifiedViewSkipsVerify(t *testing.T) {
 	cases := []struct {
-		name       string
-		cfg        Config
-		spec       string
-		wantVerify bool
-		wantPruned int
+		name         string
+		spec         string
+		opaque       bool
+		wantPruned   int
+		wantPremises string
 	}{
-		{"certified-skips", Config{VerifyOutput: true, TraceRequests: true}, hospital.SpecText, false, 2},
-		{"verify-always", Config{VerifyOutput: true, VerifyAlways: true, TraceRequests: true}, hospital.SpecText, true, 2},
-		{"uncertified-verifies", Config{VerifyOutput: true, TraceRequests: true}, uncertifiedSpec, true, 0},
+		{"certified-skips", hospital.SpecText, false, 2, "held"},
+		{"uncertified-verifies", uncertifiedSpec, false, 0, "held"},
+		{"certified-unreadable-premises", hospital.SpecText, true, 2, "broken"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s, ts, _, _ := testServer(t, tc.cfg, nil)
-			if tc.spec != hospital.SpecText {
-				if _, err := s.AddSpec("report", tc.spec); err != nil {
-					t.Fatal(err)
+			s, ts, cat, metrics := testServer(t, Config{FlightRecorder: true, TraceSampleRate: 1}, nil)
+			if tc.opaque {
+				for _, name := range s.reg.Names() {
+					src, err := s.reg.Get(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s.reg.Add(opaqueSource{src})
 				}
 			}
-			v := s.View("report")
-			if v.pruned != tc.wantPruned || guardCount(v) != 2-tc.wantPruned {
-				t.Errorf("%d guards pruned, %d compiled; want %d pruned of 2", v.pruned, guardCount(v), tc.wantPruned)
+			v, err := s.AddSpec("report", tc.spec)
+			if err != nil {
+				t.Fatal(err)
 			}
-			code, body, _ := get(t, ts.URL+"/views/report?date=d1")
-			if code != http.StatusOK {
-				t.Fatalf("status %d, body %s", code, body)
+			if v.pruned != tc.wantPruned || guardCount(v.sa) != 2-tc.wantPruned {
+				t.Errorf("%d guards pruned, %d compiled; want %d pruned of 2", v.pruned, guardCount(v.sa), tc.wantPruned)
 			}
-			if !strings.Contains(body, "<report>") {
-				t.Fatalf("unexpected body:\n%s", body)
+			switch {
+			case tc.wantPruned == 0 && v.guarded != nil:
+				t.Errorf("nothing pruned, yet a guarded grammar was built")
+			case tc.wantPruned > 0 && (v.guarded == nil || guardCount(v.guarded) != 2):
+				t.Errorf("guards pruned, but the guarded grammar is %v", v.guarded)
 			}
-			trace := s.View("report").LastTrace()
-			if trace == nil {
-				t.Fatal("no trace recorded")
+
+			evals := func() int64 { return counter(metrics, "aig_serve_evaluations_total") }
+			code, spans := tracedGet(t, ts.URL, "/views/report?date=d1")
+			if code != http.StatusOK || evals() != 1 {
+				t.Fatalf("status %d after %d evaluations, want 200 after 1", code, evals())
 			}
-			hasVerify := strings.Contains(string(trace), `"verify"`)
-			if hasVerify != tc.wantVerify {
-				t.Errorf("verify span present=%v, want %v; trace:\n%s", hasVerify, tc.wantVerify, trace)
+			if spans["verify"] != nil || spans["render"]["premises"] != tc.wantPremises {
+				t.Errorf("verify span %v, render %v; want no verify span and premises=%s", spans["verify"], spans["render"], tc.wantPremises)
 			}
-			if !strings.Contains(string(trace), `"premises": "held"`) {
-				t.Errorf("trace does not record premises=held:\n%s", trace)
+			if code, _, _, _ := getFrag(t, fragURL(ts.URL, "d1", "//patient/SSN")); code != http.StatusOK {
+				t.Fatalf("fragment: status %d", code)
+			}
+
+			// s1 visits t9 on d1, a treatment gold covers but nobody bills:
+			// s1's report lists a treatment with no bill item.
+			tableOf(t, cat, "DB4", "treatment").MustInsert(relstore.Tuple{relstore.String("t9"), relstore.String("laser")})
+			tableOf(t, cat, "DB2", "cover").MustInsert(relstore.Tuple{relstore.String("gold"), relstore.String("t9")})
+			tableOf(t, cat, "DB1", "visitInfo").MustInsert(relstore.Tuple{relstore.String("s1"), relstore.String("t9"), relstore.String("d1")})
+			before := evals()
+			code, spans = tracedGet(t, ts.URL, "/views/report?date=d1")
+			if code != http.StatusInternalServerError || evals() != before+1 || spans["verify"] != nil {
+				t.Errorf("violating data: status %d after %d evaluations, verify span %v; want 500 after 1 and no verify span",
+					code, evals()-before, spans["verify"])
 			}
 		})
 	}
@@ -116,9 +145,9 @@ func TestCertifiedInViewsAndExplain(t *testing.T) {
 }
 
 // TestUncertifiedViewStillServes: dropping the declarations must not
-// break serving — verification stays on and passes at runtime.
+// break serving — the guards stay in the grammar and pass at runtime.
 func TestUncertifiedViewStillServes(t *testing.T) {
-	s, ts, _, _ := testServer(t, Config{VerifyOutput: true}, nil)
+	s, ts, _, _ := testServer(t, Config{}, nil)
 	if _, err := s.AddSpec("report", uncertifiedSpec); err != nil {
 		t.Fatal(err)
 	}
@@ -173,21 +202,23 @@ func tracedGet(t *testing.T, base, u string) (int, map[string]map[string]any) {
 	return resp.StatusCode, spans
 }
 
-// TestBrokenPremiseFallsBackToVerify: the served grammar has no guard
+// TestBrokenPremiseFallsBackToGuarded: the served grammar has no guard
 // for the certified constraints, so once a write breaks a premise of
-// their proofs, the next cold request must verify post hoc and answer
-// exactly as the fully guarded grammar would; fragments fall back to
-// full render on that stamp. Undoing the write restores the fast path.
-func TestBrokenPremiseFallsBackToVerify(t *testing.T) {
+// their proofs, requests on that stamp evaluate the fully guarded grammar
+// and answer exactly as it does: 500 where a guard aborts, the document
+// where none does. Fragments take the full-render path on that stamp.
+// Undoing the write restores the fast path.
+func TestBrokenPremiseFallsBackToGuarded(t *testing.T) {
 	s, ts, cat, _ := testServer(t, Config{AllowMutate: true, FlightRecorder: true, TraceSampleRate: 1}, nil)
 	// t9 is a treatment s1's gold policy covers but nobody bills. Neither
 	// table carries a premise: the view stays on the fast path.
 	tableOf(t, cat, "DB4", "treatment").MustInsert(relstore.Tuple{relstore.String("t9"), relstore.String("laser")})
 	tableOf(t, cat, "DB2", "cover").MustInsert(relstore.Tuple{relstore.String("gold"), relstore.String("t9")})
 
-	// guardedStatus is what the fully guarded grammar answers for d1. An
-	// abort re-unrolls up to the maximum depth; 8 is already past the
-	// deepest procedure chain of the tiny catalog.
+	// guardedStatus is what the fully guarded grammar, built here
+	// independently of the view, answers for date. An abort re-unrolls up
+	// to the maximum depth; 8 is already past the deepest procedure chain
+	// of the tiny catalog.
 	guarded, err := specialize.CompileConstraints(s.View("report").a)
 	if err != nil {
 		t.Fatal(err)
@@ -195,8 +226,8 @@ func TestBrokenPremiseFallsBackToVerify(t *testing.T) {
 	if guarded, err = specialize.DecomposeQueries(guarded, s.reg, s.reg, s.opts.PlanOpts); err != nil {
 		t.Fatal(err)
 	}
-	guardedStatus := func() int {
-		if _, _, err := mediator.New(s.reg, s.opts).EvaluateRecursive(guarded, hospital.RootInh(guarded, "d1"), 4, 8); err != nil {
+	guardedStatus := func(date string) int {
+		if _, _, err := mediator.New(s.reg, s.opts).EvaluateRecursive(guarded, hospital.RootInh(guarded, date), 4, 8); err != nil {
 			return http.StatusInternalServerError
 		}
 		return http.StatusOK
@@ -212,18 +243,20 @@ func TestBrokenPremiseFallsBackToVerify(t *testing.T) {
 			t.Fatalf("mutate %s: %d", op, resp.StatusCode)
 		}
 	}
-	const full, frag = "/views/report?date=d1", "/views/report?date=d1&path=%2F%2Fpatient%2FSSN"
+	full := func(date string) string { return "/views/report?date=" + date }
+	frag := func(date string) string { return full(date) + "&path=%2F%2Fpatient%2FSSN" }
 	// The fragment goes first: with the full document cached at the same
 	// stamp it would be derived from that instead of evaluated.
 	fastPath := func(when string) {
 		t.Helper()
-		code, spans := tracedGet(t, ts.URL, frag)
-		if code != http.StatusOK || spans["eval.partial"]["premises"] != "held" {
-			t.Errorf("%s: fragment status %d, eval.partial %v; want partial evaluation", when, code, spans["eval.partial"])
+		code, spans := tracedGet(t, ts.URL, frag("d1"))
+		if code != guardedStatus("d1") || spans["eval.partial"]["premises"] != "held" {
+			t.Errorf("%s: fragment status %d (guarded grammar %d), eval.partial %v; want partial evaluation",
+				when, code, guardedStatus("d1"), spans["eval.partial"])
 		}
-		code, spans = tracedGet(t, ts.URL, full)
-		if code != http.StatusOK || code != guardedStatus() {
-			t.Fatalf("%s: status %d, guarded grammar %d", when, code, guardedStatus())
+		code, spans = tracedGet(t, ts.URL, full("d1"))
+		if code != http.StatusOK || code != guardedStatus("d1") {
+			t.Fatalf("%s: status %d, guarded grammar %d", when, code, guardedStatus("d1"))
 		}
 		if spans["verify"] != nil || spans["render"]["premises"] != "held" {
 			t.Errorf("%s: want premises=held and no verify span, got verify %v, render %v", when, spans["verify"], spans["render"])
@@ -232,23 +265,25 @@ func TestBrokenPremiseFallsBackToVerify(t *testing.T) {
 	fastPath("before the write")
 
 	// s1 visits t9 on d1: the visit's trId is not billed (the foreign key
-	// premise breaks) and s1's report lists a treatment with no bill item.
+	// premise breaks) and s1's d1 report lists a treatment with no bill
+	// item. The d2 report does not mention t9.
 	mutate("insert")
-	want := guardedStatus()
-	if want != http.StatusInternalServerError {
-		t.Fatalf("guarded grammar answers %d on the violating data; the test needs an abort", want)
+	if guardedStatus("d1") != http.StatusInternalServerError || guardedStatus("d2") != http.StatusOK {
+		t.Fatalf("guarded grammar answers %d for d1 and %d for d2; the test needs an abort and a pass",
+			guardedStatus("d1"), guardedStatus("d2"))
 	}
-	code, spans := tracedGet(t, ts.URL, full)
-	if code != want {
-		t.Errorf("broken premise: status %d, guarded grammar %d", code, want)
-	}
-	if spans["verify"]["premises"] != "broken" {
-		t.Errorf("broken premise: verify span %v, want premises=broken", spans["verify"])
-	}
-	code, spans = tracedGet(t, ts.URL, frag)
-	if code != want || spans["eval.partial"] != nil || spans["verify"]["premises"] != "broken" {
-		t.Errorf("broken premise: fragment status %d (want %d), eval.partial %v, verify %v; want the full-render path",
-			code, want, spans["eval.partial"], spans["verify"])
+	for _, date := range []string{"d1", "d2"} {
+		want := guardedStatus(date)
+		for _, u := range []string{frag(date), full(date)} {
+			code, spans := tracedGet(t, ts.URL, u)
+			if code != want || spans["eval.partial"] != nil || spans["verify"] != nil {
+				t.Errorf("broken premise, %s: status %d (guarded grammar %d), eval.partial %v, verify %v; want the full-render path",
+					u, code, want, spans["eval.partial"], spans["verify"])
+			}
+			if want == http.StatusOK && spans["render"]["premises"] != "broken" {
+				t.Errorf("broken premise, %s: render %v, want premises=broken", u, spans["render"])
+			}
+		}
 	}
 
 	mutate("delete")

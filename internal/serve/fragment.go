@@ -74,8 +74,8 @@ func (v *View) fragmentPlan(expr string, schemas ivm.SchemaSource) (*fragPlan, e
 // fragDeps returns the dependency map a fragment entry of this plan is
 // judged against at stamp: path-filtered when partial evaluation serves
 // it there, the view's full map when its body derives from a full
-// render — a change outside the path may then still make the full
-// document, and so the fragment, fail verification.
+// render — a change outside the path may then still make a guard abort
+// the full document, and so the fragment.
 func (s *Server) fragDeps(v *View, fp *fragPlan, stamp string) *ivm.Deps {
 	if s.partialOK(v, stamp) {
 		return fp.deps
@@ -157,7 +157,9 @@ func (s *Server) serveFragment(ctx context.Context, rt *requestTrace, rw *status
 	// Evaluate. The leader streams elements as they are produced while
 	// buffering them for the cache and for coalesced followers.
 	st := newFragStream(rw, fp, stamp, "miss")
-	entry, ferr, leader := s.fragmentFlight(ctx, v, params, fp, prefix, stamp, true, st)
+	entry, ferr, leader := s.cacheFill(ctx, v, params, prefix, stamp, true, func() (*cacheEntry, error) {
+		return s.evaluateFragment(ctx, v, params, fp, stamp, st)
+	})
 	if !leader {
 		s.m.coalesced.Inc()
 		st = nil // a follower never streamed; serve the shared buffer
@@ -243,50 +245,12 @@ func (s *Server) writeFragment(w http.ResponseWriter, e *cacheEntry, cacheState 
 	w.Write(e.body)
 }
 
-// fragmentFlight is missFlight for fragments: coalesce on the fragment
-// key, evaluate (streaming through st when the caller is interactive),
-// and cache only if the stamp held through the evaluation.
-func (s *Server) fragmentFlight(ctx context.Context, v *View, params map[string]string, fp *fragPlan, prefix, stamp string, admit bool, st *fragStream) (*cacheEntry, error, bool) {
-	key := prefix + "\x00" + stamp
-	return s.flight.Do(ctx, key, func() (*cacheEntry, error) {
-		tableVers, tverr := s.tableVersions(v)
-		var entry *cacheEntry
-		eval := func() (err error) {
-			entry, err = s.evaluateFragment(ctx, v, params, fp, stamp, st)
-			return err
-		}
-		var eerr error
-		if admit {
-			eerr = s.admitted(ctx, eval)
-		} else {
-			eerr = eval()
-		}
-		if eerr != nil {
-			return nil, eerr
-		}
-		entry.view = v.name
-		entry.params = params
-		entry.keyPrefix = prefix
-		entry.stamp = stamp
-		entry.tableVers = tableVers
-		if tverr == nil {
-			if s2, settled, serr := s.stamp(v); serr == nil && settled && s2 == stamp {
-				s.cache.Add(key, entry)
-				s.m.cacheEntries.Set(float64(s.cache.Len()))
-			} else {
-				s.m.staleSkips.Inc()
-			}
-		}
-		return entry, nil
-	})
-}
-
 // evaluateFragment produces a fragment body at stamp. Where partial
 // evaluation may serve it (partialOK), the served grammar is walked under
 // the path's cursor — skipped subtrees never run their queries — and each
 // matched element is emitted to st the moment it is rendered. Everything
-// else evaluates the full view (through the shared evaluate path, so
-// verification and abort semantics are identical to a full-document
+// else evaluates the full view (through the shared evaluate path, so the
+// grammar choice and abort semantics are identical to a full-document
 // request) and filters post hoc.
 func (s *Server) evaluateFragment(ctx context.Context, v *View, params map[string]string, fp *fragPlan, stamp string, st *fragStream) (*cacheEntry, error) {
 	if !s.partialOK(v, stamp) {

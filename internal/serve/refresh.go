@@ -225,12 +225,11 @@ func (r *refresher) refreshOne(it lruItem, st viewState) {
 		// stamp holds through the evaluation. The stale entry is removed
 		// either way — its key can never be hit again (stamps are
 		// monotone), so keeping it would only crowd the LRU.
-		var err error
+		eval := func() (*cacheEntry, error) { return s.evaluate(ctx, st.v, e.params, st.stamp) }
 		if fp != nil {
-			_, err, _ = s.fragmentFlight(ctx, st.v, e.params, fp, e.keyPrefix, st.stamp, false, nil)
-		} else {
-			_, err, _ = s.missFlight(ctx, st.v, e.params, e.keyPrefix, st.stamp, false)
+			eval = func() (*cacheEntry, error) { return s.evaluateFragment(ctx, st.v, e.params, fp, st.stamp, nil) }
 		}
+		_, err, _ := s.cacheFill(ctx, st.v, e.params, e.keyPrefix, st.stamp, false, eval)
 		s.cache.Remove(it.key)
 		s.m.cacheEntries.Set(float64(s.cache.Len()))
 		rt.setCache("rebuild")

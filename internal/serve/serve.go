@@ -41,12 +41,10 @@ import (
 
 	"github.com/aigrepro/aig/internal/aig"
 	"github.com/aigrepro/aig/internal/aigspec"
-	"github.com/aigrepro/aig/internal/dtd"
 	"github.com/aigrepro/aig/internal/mediator"
 	"github.com/aigrepro/aig/internal/obs"
 	"github.com/aigrepro/aig/internal/obs/store"
 	"github.com/aigrepro/aig/internal/source"
-	"github.com/aigrepro/aig/internal/xconstraint"
 )
 
 // Config tunes a Server. The zero value gets sensible defaults from
@@ -60,10 +58,8 @@ type Config struct {
 	// QueueTimeout bounds the wait for a slot (default 2s). Requests
 	// that wait longer get 503.
 	QueueTimeout time.Duration
-	// CacheEntries is the result cache capacity (default 256);
-	// 0 disables caching (use -1 to mean "explicitly zero" is not
-	// needed — 0 from the zero Config is replaced by the default, so
-	// pass a negative value to disable).
+	// CacheEntries is the result cache capacity. 0 means the default of
+	// 256; a negative value disables the cache.
 	CacheEntries int
 	// Unfold is the initial recursion-unfolding depth (default 4);
 	// MaxUnfold the limit (default 64). Views adapt upward per request
@@ -72,18 +68,6 @@ type Config struct {
 	// Mediator, when non-nil, overrides the mediator options shared by
 	// all views (default mediator.DefaultOptions).
 	Mediator *mediator.Options
-	// VerifyOutput re-checks every materialized document against the
-	// view's DTD and constraints before serving it. Views whose
-	// constraints are all statically certified (internal/propagate) skip
-	// the re-check: the proof makes it redundant. Independently of this
-	// setting, a document is re-checked whenever a premise of a proof
-	// (a declared source key or foreign key) is broken on the data it was
-	// evaluated from, since certified constraints compile no guard.
-	VerifyOutput bool
-	// VerifyAlways keeps runtime verification on even for certified
-	// views — the escape hatch for distrusting the certifier. Only
-	// meaningful with VerifyOutput.
-	VerifyAlways bool
 	// TraceRequests threads a per-request obs.Tracer through the
 	// mediator; each view keeps its latest span tree for
 	// GET /views/{name}/trace.
@@ -620,7 +604,9 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 	}
 	s.m.misses.Inc()
 
-	e, err, leader := s.missFlight(ctx, v, params, prefix, stamp, true)
+	e, err, leader := s.cacheFill(ctx, v, params, prefix, stamp, true, func() (*cacheEntry, error) {
+		return s.evaluate(ctx, v, params, stamp)
+	})
 	if !leader {
 		s.m.coalesced.Inc()
 	}
@@ -657,32 +643,32 @@ func noStoreRequest(r *http.Request) bool {
 	return strings.Contains(strings.ToLower(r.Header.Get("Cache-Control")), "no-store")
 }
 
-// missFlight is the shared cache-fill path of request misses and
-// background full refreshes: coalesce on the would-be cache key,
-// evaluate, and cache the result only if the data-version stamp is
-// still the one the key was computed from. That recheck is what makes
-// every cached entry exact for its stamp — if a source mutated while
-// the evaluation ran, the result may reflect a mix of versions and is
-// served to the waiting clients but never cached (a later request or
-// refresh cycle rebuilds it under the new stamp).
-func (s *Server) missFlight(ctx context.Context, v *View, params map[string]string, prefix, stamp string, admit bool) (*cacheEntry, error, bool) {
+// cacheFill is the one cache-fill path of document and fragment misses
+// and background full refreshes: coalesce on the would-be cache key
+// prefix+stamp, run eval (under admission when admit is set), and cache
+// the result only if the data-version stamp is still the one the key was
+// computed from. That recheck is what makes every cached entry exact for
+// its stamp — if a source mutated while the evaluation ran, the result
+// may reflect a mix of versions and is served to the waiting clients but
+// never cached (a later request or refresh cycle rebuilds it under the
+// new stamp).
+func (s *Server) cacheFill(ctx context.Context, v *View, params map[string]string, prefix, stamp string, admit bool, eval func() (*cacheEntry, error)) (*cacheEntry, error, bool) {
 	key := prefix + "\x00" + stamp
 	return s.flight.Do(ctx, key, func() (*cacheEntry, error) {
-		var entry *cacheEntry
-		eval := func() (err error) {
-			entry, err = s.evaluate(ctx, v, params, stamp)
-			return err
-		}
 		// The per-table version snapshot must be taken inside the
 		// stamp-recheck window too: when the recheck passes, nothing
 		// mutated between reading the stamp, these versions, and the
 		// data itself, so all three are mutually consistent.
 		tableVers, tverr := s.tableVersions(v)
+		var entry *cacheEntry
 		var eerr error
 		if admit {
-			eerr = s.admitted(ctx, eval)
+			eerr = s.admitted(ctx, func() (err error) {
+				entry, err = eval()
+				return err
+			})
 		} else {
-			eerr = eval()
+			entry, eerr = eval()
 		}
 		if eerr != nil {
 			return nil, eerr
@@ -731,12 +717,12 @@ func (s *Server) admitted(ctx context.Context, fn func() error) error {
 	return fn()
 }
 
-// evaluate runs one mediator evaluation for a prepared view and
-// renders the document; stamp is the data-version stamp the caller read
-// before it. The tracer ctx carries (the flight recorder's, or a
-// refresh/mutate trace) flows through the whole evaluation stack; with
-// none and legacy TraceRequests set, a standalone tracer is made so
-// GET /views/{name}/trace still works.
+// evaluate runs a mediator evaluation for a prepared view — two when the
+// stamp moves under the first — and renders the document; stamp is the
+// data-version stamp the caller read before it. The tracer ctx carries
+// (the flight recorder's, or a refresh/mutate trace) flows through the
+// whole evaluation stack; with none and legacy TraceRequests set, a
+// standalone tracer is made so GET /views/{name}/trace still works.
 func (s *Server) evaluate(ctx context.Context, v *View, params map[string]string, stamp string) (*cacheEntry, error) {
 	rootInh, err := v.bindParams(params)
 	if err != nil {
@@ -749,41 +735,35 @@ func (s *Server) evaluate(ctx context.Context, v *View, params map[string]string
 		ctx = obs.ContextWithSpan(ctx, tr, nil)
 	}
 
-	est := int(v.estDepth.Load())
-	t0 := time.Now()
-	res, depth, err := v.med.EvaluateRecursiveContext(ctx, v.sa, rootInh, est, v.maxDepth)
-	s.m.evalSec.Observe(time.Since(t0).Seconds())
-	s.m.evaluations.Inc()
+	evalAt := func(g *aig.AIG, est int) (*mediator.Result, int, error) {
+		t0 := time.Now()
+		res, depth, err := v.med.EvaluateRecursiveContext(ctx, g, rootInh, est, v.maxDepth)
+		s.m.evalSec.Observe(time.Since(t0).Seconds())
+		s.m.evaluations.Inc()
+		return res, depth, err
+	}
+	// Proven constraints have no guard in sa, so its output is trusted
+	// only while the premises of their proofs hold on the data it read.
+	// Where they do not — broken before the evaluation, or the stamp moved
+	// under it — the guarded grammar answers instead and aborts what the
+	// pruned guards would have (§3.3).
+	held := s.premisesHold(v, stamp)
+	g := v.sa
+	if !held {
+		g = v.guarded
+	}
+	res, depth, err := evalAt(g, int(v.estDepth.Load()))
+	if err == nil && held && !s.premisesHold(v, stamp) {
+		held = false
+		res, depth, err = evalAt(v.guarded, depth)
+	}
 	if err != nil {
 		return nil, err
 	}
 	v.estDepth.Store(int32(depth))
-
-	// Proven constraints have no guard in the served grammar. Once a
-	// premise of their proofs is broken, the post-hoc check stands in for
-	// the missing guards whatever VerifyOutput says, rejecting what they
-	// would have aborted (§3.3). Otherwise certified views skip it: it
-	// would only re-establish what the certifier already knows.
-	// VerifyAlways forces it back on.
-	held, premises := s.premisesHold(v, stamp), "held"
+	premises := "held"
 	if !held {
 		premises = "broken"
-	}
-	if !held || s.cfg.VerifyOutput && (!v.certified || s.cfg.VerifyAlways) {
-		sp := tr.StartSpan("verify", parent)
-		sp.SetAttr("certified", v.certified).SetAttr("premises", premises)
-		cerr := dtd.Conforms(v.a.DTD, res.Doc)
-		var viol []xconstraint.Violation
-		if cerr == nil {
-			viol = xconstraint.CheckAll(v.a.Constraints, res.Doc)
-		}
-		sp.End()
-		if cerr != nil {
-			return nil, fmt.Errorf("view %s: output violates the DTD: %w", v.name, cerr)
-		}
-		if len(viol) != 0 {
-			return nil, fmt.Errorf("view %s: output violates constraints: %v", v.name, viol[0])
-		}
 	}
 
 	sp := tr.StartSpan("render", parent)

@@ -179,6 +179,53 @@ func TestCacheInvalidationOnSourceMutation(t *testing.T) {
 	}
 }
 
+// TestWriteDuringEvaluationSkipsCache: a write landing inside the
+// evaluation moves the stamp, so cacheFill serves the result but caches
+// neither the document nor the fragment, and counts each skip.
+func TestWriteDuringEvaluationSkipsCache(t *testing.T) {
+	s, _, cat, metrics := testServer(t, Config{}, nil)
+	v := s.View("report")
+	fp, err := v.fragmentPlan("//patient/SSN", s.reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := map[string]string{"date": "d1"}
+	prefix := v.name + "\x00" + canonicalParams(params)
+	visit := tableOf(t, cat, "DB1", "visitInfo")
+	cases := []struct {
+		name, prefix string
+		eval         func(stamp string) (*cacheEntry, error)
+	}{
+		{"document", prefix, func(stamp string) (*cacheEntry, error) {
+			return s.evaluate(t.Context(), v, params, stamp)
+		}},
+		{"fragment", fragPrefix(prefix, fp.expr), func(stamp string) (*cacheEntry, error) {
+			return s.evaluateFragment(t.Context(), v, params, fp, stamp, nil)
+		}},
+	}
+	for i, tc := range cases {
+		stamp, _, err := s.stamp(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err, _ := s.cacheFill(t.Context(), v, params, tc.prefix, stamp, false, func() (*cacheEntry, error) {
+			e, err := tc.eval(stamp)
+			// s2 gets another billed t3 visit, on a date no report asks for.
+			visit.MustInsert(relstore.Tuple{relstore.String("s2"), relstore.String("t3"), relstore.String(fmt.Sprint("d9", i))})
+			return e, err
+		})
+		if err != nil || e == nil || len(e.body) == 0 || e.stamp != stamp {
+			t.Fatalf("%s: entry %v, err %v; want the evaluated result served", tc.name, e, err)
+		}
+		if _, ok := s.cache.Get(tc.prefix + "\x00" + stamp); ok || s.cache.Len() != 0 {
+			t.Errorf("%s: %d entries cached under a stamp that moved mid-evaluation", tc.name, s.cache.Len())
+		}
+		if n := counter(metrics, "aig_serve_cache_stale_skips_total"); n != int64(i+1) {
+			t.Errorf("%s: stale skips = %d, want %d", tc.name, n, i+1)
+		}
+	}
+}
+
 func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
 	gate := make(chan struct{})
 	_, ts, _, metrics := testServer(t, Config{}, gate)
@@ -339,7 +386,7 @@ func TestBadRequests(t *testing.T) {
 }
 
 func TestIntrospectionEndpoints(t *testing.T) {
-	cfg := Config{TraceRequests: true, VerifyOutput: true}
+	cfg := Config{TraceRequests: true}
 	_, ts, _, _ := testServer(t, cfg, nil)
 
 	// GET /views lists the prepared view with its parameters and
@@ -435,7 +482,7 @@ func TestPOSTBindsParams(t *testing.T) {
 // paper pipeline run by hand, so the daemon is a transport, not a
 // different evaluator.
 func TestServeMatchesDirectEvaluation(t *testing.T) {
-	_, ts, _, _ := testServer(t, Config{VerifyOutput: true}, nil)
+	_, ts, _, _ := testServer(t, Config{}, nil)
 
 	_, served, _ := get(t, ts.URL+"/views/report?date=d1")
 

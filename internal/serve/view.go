@@ -36,8 +36,12 @@ type View struct {
 	// every evaluation starts from: multi-source queries decomposed, and
 	// guards compiled only for the constraints certification could not
 	// prove — a proven constraint adds no collector, syn rule or guard.
-	a  *aig.AIG
-	sa *aig.AIG
+	// guarded, built only when a guard was pruned, compiles every
+	// constraint's guard: it is what a request evaluates once the premises
+	// of the pruning proofs cannot be trusted.
+	a       *aig.AIG
+	sa      *aig.AIG
+	guarded *aig.AIG
 
 	med *mediator.Mediator
 
@@ -50,7 +54,7 @@ type View struct {
 
 	// certified reports that every declared constraint was statically
 	// proven (internal/propagate) to hold under the spec's source keys
-	// and foreign keys, letting evaluations skip output re-verification.
+	// and foreign keys, so sa carries no guard at all.
 	certified bool
 	cert      *propagate.Certification
 	// pruned counts the constraints whose guards were not compiled;
@@ -106,7 +110,7 @@ func (v *View) Plan() string { return v.plan }
 func (v *View) Deps() *ivm.Deps { return v.deps }
 
 // Certified reports whether every declared constraint is statically
-// proven to hold, making runtime re-verification redundant.
+// proven to hold, so the served grammar carries no guard.
 func (v *View) Certified() bool { return v.certified }
 
 // Certification returns the static certification computed at prepare
@@ -127,13 +131,9 @@ func prepareView(name string, a *aig.AIG, reg *source.Registry, opts mediator.Op
 	// the gathering proofs read the pre-specialization rule shapes).
 	cert := propagate.Certify(a)
 	unproven := propagate.Prune(a, cert)
-	sa, err := specialize.CompileConstraints(unproven)
+	sa, err := specializeView(unproven, reg, opts)
 	if err != nil {
-		return nil, fmt.Errorf("view %s: compiling constraints: %w", name, err)
-	}
-	sa, err = specialize.DecomposeQueries(sa, reg, reg, opts.PlanOpts)
-	if err != nil {
-		return nil, fmt.Errorf("view %s: decomposing queries: %w", name, err)
+		return nil, fmt.Errorf("view %s: %w", name, err)
 	}
 
 	deps, err := ivm.Extract(sa, reg)
@@ -156,6 +156,14 @@ func prepareView(name string, a *aig.AIG, reg *source.Registry, opts mediator.Op
 		fragPlans: make(map[string]*fragPlan),
 	}
 	v.estDepth.Store(int32(unfold))
+	// Compiling a constraint adds collectors, syn rules and a guard, never
+	// a query, so the guarded grammar reads what sa reads: sources, deps
+	// and Explain stay those of sa. The mediator plans it on first use.
+	if v.pruned > 0 {
+		if v.guarded, err = specializeView(a, reg, opts); err != nil {
+			return nil, fmt.Errorf("view %s: guarded grammar: %w", name, err)
+		}
+	}
 
 	unf, err := specialize.Unfold(sa, unfold)
 	if err != nil {
@@ -180,6 +188,20 @@ func prepareView(name string, a *aig.AIG, reg *source.Registry, opts mediator.Op
 	return v, nil
 }
 
+// specializeView compiles a's constraints into guards and decomposes its
+// multi-source queries.
+func specializeView(a *aig.AIG, reg *source.Registry, opts mediator.Options) (*aig.AIG, error) {
+	sa, err := specialize.CompileConstraints(a)
+	if err != nil {
+		return nil, fmt.Errorf("compiling constraints: %w", err)
+	}
+	sa, err = specialize.DecomposeQueries(sa, reg, reg, opts.PlanOpts)
+	if err != nil {
+		return nil, fmt.Errorf("decomposing queries: %w", err)
+	}
+	return sa, nil
+}
+
 // premiseVerdict is the outcome of checking a view's premises on the
 // data at one stamp.
 type premiseVerdict struct {
@@ -193,7 +215,7 @@ type premiseVerdict struct {
 // (the premises name only tables the grammar's queries read), so none
 // needs a check of its own. A stamp that has moved since — a write may
 // have broken a premise the caller then read — or a source the check
-// cannot read counts as broken, and the caller verifies post hoc.
+// cannot read counts as broken, and the caller evaluates v.guarded.
 func (s *Server) premisesHold(v *View, stamp string) bool {
 	if len(v.cert.Premises) == 0 {
 		return true
