@@ -42,7 +42,7 @@ staticcheck:
 
 # fuzz-smoke gives each fuzz target a short budget; regressions in the
 # parsers' invariants (and the remote delta wire format) surface as
-# crashes.
+# crashes, and the XML encoder must byte-match the fmt-based reference.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/aigspec
 	$(GO) test -run '^$$' -fuzz FuzzParseGeneral -fuzztime 10s ./internal/dtd
@@ -50,6 +50,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSubscribeWire -fuzztime 10s ./internal/remote
 	$(GO) test -run '^$$' -fuzz FuzzConstraintParse$$ -fuzztime 10s ./internal/xconstraint
 	$(GO) test -run '^$$' -fuzz FuzzPathParse -fuzztime 10s ./internal/xpath
+	$(GO) test -run '^$$' -fuzz FuzzWriteIndented -fuzztime 10s ./internal/xmltree
 
 # soak runs the differential harness for a wall-clock budget, shrinking
 # any divergence to a replayable {seed, config, ops} triple. CI runs it

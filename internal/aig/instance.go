@@ -41,6 +41,22 @@ func (s *InstanceScope) AddSyn(elem string, syn *AttrValue) {
 	s.Syns = append(s.Syns, ChildSyns{Elem: elem, All: []*AttrValue{syn}})
 }
 
+// AddSyns records syns as the next instances of child type elem, in one
+// step for a caller that gathered them itself. The scope may keep syns
+// and append to it.
+func (s *InstanceScope) AddSyns(elem string, syns []*AttrValue) {
+	if len(syns) == 0 {
+		return
+	}
+	for i := range s.Syns {
+		if s.Syns[i].Elem == elem {
+			s.Syns[i].All = append(s.Syns[i].All, syns...)
+			return
+		}
+	}
+	s.Syns = append(s.Syns, ChildSyns{Elem: elem, All: syns})
+}
+
 // all returns the synthesized attributes of every instance of elem.
 func (s *InstanceScope) all(elem string) []*AttrValue {
 	for i := range s.Syns {

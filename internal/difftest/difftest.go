@@ -20,16 +20,22 @@
 //	conform      both documents conform to the DTD
 //	mediator[…]  mediator.Evaluate across merge × copy-elim × scheduler,
 //	             plus one degenerate-network cell == conceptual
+//	…/stream     each succeeding cell's run, emitted as bytes ==
+//	             conceptual's WriteIndented, byte for byte
 //	recursive[…] mediator.EvaluateRecursive at several estimated depths
 //	             == conceptual, when the instance is recursive
 //	remote       mediator.Evaluate against TCP-served sources == conceptual
 //
-// Document agreement is canonical-serialization equality; error
+// Document agreement is canonical-serialization equality (the stream
+// legs alone compare the indented bytes, so the tagger's two sinks
+// cannot drift); error
 // agreement means both sides abort with *aig.AbortError (guard order may
 // differ, so the specific guard is not compared).
 package difftest
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
 
@@ -247,13 +253,21 @@ func (o *oracle) run() *Divergence {
 		o.evals++
 		leg := cell.leg
 		med := mediator.New(reg, cell.opts)
-		res, err := med.Evaluate(decU, inst.RootInh)
-		doc := resultDoc(res, err)
+		run, _, err := med.Settle(context.Background(), decU, inst.RootInh, 0, 0)
+		var doc *xmltree.Node
+		if err == nil {
+			doc, err = run.Tree()
+		}
 		if doc != nil && o.opts.Fault != nil {
 			o.opts.Fault(leg, doc)
 		}
 		if d := o.compare(leg, doc, err); d != nil {
 			return d
+		}
+		if err == nil {
+			if d := o.compareStream(leg+"/stream", run); d != nil {
+				return d
+			}
 		}
 	}
 
@@ -356,6 +370,23 @@ func (o *oracle) remoteLeg(decU *aig.AIG) *Divergence {
 	med := mediator.New(source.NewRegistry(sources...), mediator.DefaultOptions())
 	res, err := med.Evaluate(decU, o.inst.RootInh)
 	return o.compare("remote", resultDoc(res, err), err)
+}
+
+// compareStream checks a settled run's emitted bytes against the
+// reference document's indented serialization, byte for byte: the
+// tagger's encoder sink against the tree serializer.
+func (o *oracle) compareStream(leg string, run *mediator.Run) *Divergence {
+	var want, got bytes.Buffer
+	if err := o.refDoc.WriteIndented(&want); err != nil {
+		return o.diverge(leg, "serializing the reference: "+err.Error(), "", "")
+	}
+	if _, err := run.WriteTo(&got); err != nil {
+		return o.diverge(leg, "emission failed", want.String(), "error: "+err.Error())
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		return o.diverge(leg, "emitted bytes differ from the reference serialization", want.String(), got.String())
+	}
+	return nil
 }
 
 // resultDoc is a mediator result's document, nil when evaluation failed.

@@ -3,6 +3,7 @@
 package mediator
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/aigrepro/aig/internal/datagen"
@@ -16,27 +17,52 @@ import (
 // range from 16 k to 320 k). Slot-indexed attribute values and map-free
 // instance scopes brought the mean from ~157 k to ~111 k, compiling no
 // guard for the certified constraints to ~91 k, and the dense instance
-// store (one table per context, ranges per parent, no maps) to ~78 k; a
-// change that undoes any of them fails here.
+// store (one table per context, ranges per parent, no maps) to ~78 k,
+// and reusing instance-scope arrays to ~68 k; a change that undoes any
+// of them fails here.
 const maxEvalAllocs = 85_000
+
+// maxServeAllocs bounds the same evaluations the way aigd runs them
+// (BenchmarkEvaluateRecursive/bench250/serve): settled, then emitted into
+// a buffer with no tree: ~54 k, of which emission is ~1.6 k.
+const maxServeAllocs = 60_000
 
 func TestEvaluateAllocBudget(t *testing.T) {
 	reg, sa := bench250View(t, false)
 	m := New(reg, DefaultOptions())
-	pass := func() {
-		for d := 0; d < bench250.Dates; d++ {
-			res, depth, err := m.EvaluateRecursive(sa, hospital.RootInh(sa, datagen.Date(d)), 8, 64)
-			if err != nil || depth != 8 {
-				t.Fatalf("depth %d, err %v", depth, err)
-			}
-			benchDoc = res
+	requireAllocBudget(t, "evaluation", maxEvalAllocs, func(d int) {
+		res, depth, err := m.EvaluateRecursive(sa, hospital.RootInh(sa, datagen.Date(d)), 8, 64)
+		if err != nil || depth != 8 {
+			t.Fatalf("depth %d, err %v", depth, err)
 		}
-	}
-	// AllocsPerRun's warm-up pass prepares the plan: the budget is for the
-	// repeat path.
-	allocs := testing.AllocsPerRun(1, pass) / float64(bench250.Dates)
-	t.Logf("%.0f allocs per evaluation (budget %d)", allocs, maxEvalAllocs)
-	if allocs > maxEvalAllocs {
-		t.Errorf("one evaluation allocates %.0f times on average, budget %d", allocs, maxEvalAllocs)
+		benchDoc = res
+	})
+}
+
+func TestServeAllocBudget(t *testing.T) {
+	reg, sa := bench250View(t, false)
+	m := New(reg, DefaultOptions())
+	var buf bytes.Buffer
+	requireAllocBudget(t, "settle and emit", maxServeAllocs, func(d int) {
+		buf.Reset()
+		if err := settleAndEmit(m, sa, d, &buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// requireAllocBudget fails unless run averages at most budget
+// allocations over the 30 dates. AllocsPerRun's warm-up pass prepares
+// the plan: the budget is for the repeat path.
+func requireAllocBudget(t *testing.T, what string, budget int, run func(date int)) {
+	t.Helper()
+	allocs := testing.AllocsPerRun(1, func() {
+		for d := 0; d < bench250.Dates; d++ {
+			run(d)
+		}
+	}) / float64(bench250.Dates)
+	t.Logf("%.0f allocs per %s (budget %d)", allocs, what, budget)
+	if allocs > float64(budget) {
+		t.Errorf("one %s allocates %.0f times on average, budget %d", what, allocs, budget)
 	}
 }

@@ -1,6 +1,10 @@
 package mediator
 
 import (
+	"bytes"
+	"context"
+	"fmt"
+	"io"
 	"testing"
 
 	"github.com/aigrepro/aig/internal/aig"
@@ -26,7 +30,9 @@ var bench250 = datagen.Size{
 // fresh mediator each time); "repeat" is the serving steady state: one
 // long-lived mediator. Both run the grammar aigd serves, with no guard
 // for the certified constraints; "guarded" is "repeat" over the fully
-// guarded grammar, for comparison.
+// guarded grammar, for comparison. "serve" is what aigd does per cold
+// request: settle the run as "repeat" does, then emit its bytes into a
+// buffer, with no tree.
 func BenchmarkEvaluateRecursive(b *testing.B) {
 	reg, sa := bench250View(b, false)
 	_, guarded := bench250View(b, true)
@@ -53,9 +59,36 @@ func BenchmarkEvaluateRecursive(b *testing.B) {
 	})
 	b.Run("bench250/repeat", func(b *testing.B) { repeat(b, sa) })
 	b.Run("bench250/guarded", func(b *testing.B) { repeat(b, guarded) })
+	b.Run("bench250/serve", func(b *testing.B) {
+		m := New(reg, DefaultOptions())
+		var buf bytes.Buffer
+		serve := func(i int) {
+			buf.Reset()
+			if err := settleAndEmit(m, sa, i, &buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+		serve(0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			serve(i)
+		}
+	})
 }
 
 var benchDoc *Result
+
+// settleAndEmit settles the bench250 view at depth 8 for the i-th date,
+// cycling the 30, and writes its document to w.
+func settleAndEmit(m *Mediator, sa *aig.AIG, i int, w io.Writer) error {
+	r, depth, err := m.Settle(context.Background(), sa, hospital.RootInh(sa, datagen.Date(i%bench250.Dates)), 8, 64)
+	if err != nil || depth != 8 {
+		return fmt.Errorf("depth %d, err %v", depth, err)
+	}
+	_, err = r.WriteTo(w)
+	return err
+}
 
 // bench250View is the serving setup of the hospital view over bench250:
 // the registry and the decomposed grammar aigd runs, with guards compiled

@@ -3,6 +3,7 @@ package mediator
 import (
 	"context"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"github.com/aigrepro/aig/internal/relstore"
 	"github.com/aigrepro/aig/internal/source"
 	"github.com/aigrepro/aig/internal/sqlmini"
+	"github.com/aigrepro/aig/internal/xmltree"
 )
 
 // Mediator evaluates specialized AIGs against a registry of data sources.
@@ -117,38 +119,91 @@ func (m *Mediator) Evaluate(a *aig.AIG, rootInh *aig.AttrValue) (*Result, error)
 // without per-request reconfiguration; ctx also flows into every source
 // call for cancellation.
 func (m *Mediator) EvaluateContext(ctx context.Context, a *aig.AIG, rootInh *aig.AttrValue) (*Result, error) {
-	res, _, err := m.evaluate(ctx, a, 0, rootInh)
-	return res, err
+	r, _, err := m.Settle(ctx, a, rootInh, 0, 0)
+	if err != nil {
+		return nil, err
+	}
+	return r.result()
 }
 
-// evaluate evaluates grammar a unfolded to the given depth (0: as it is)
-// and returns the run state next to the result, for truncation probes
-// and ExplainAnalyze.
-func (m *Mediator) evaluate(ctx context.Context, a *aig.AIG, depth int, rootInh *aig.AttrValue) (*Result, *exec, error) {
+// Run is a settled evaluation: its unfolding depth is final, its
+// truncation probes have run and its guards have passed, and nothing of
+// the document exists yet. WriteTo streams the document and Tree builds
+// it, each in one walk over the instance tables (the tagging phase).
+type Run struct {
+	// Report describes the evaluation; PhaseSec has no "tag" phase, as
+	// the run has not been tagged.
+	Report Report
+
+	x    *exec
+	tr   *obs.Tracer
+	root *obs.Span // the evaluation's span, which a tree build is timed under
+}
+
+// WriteTo streams the run's document to w, indented as
+// xmltree.Node.WriteIndented indents it, in writes of at least
+// xmltree.ChunkSize bytes but the last. It returns the bytes written;
+// a tagging error stops it before its buffered bytes are written.
+func (r *Run) WriteTo(w io.Writer) (int64, error) {
+	e := xmltree.Encoder{W: w}
+	if err := r.x.tag(&e); err != nil {
+		return 0, err
+	}
+	return e.Flush()
+}
+
+// Tree builds the run's document.
+func (r *Run) Tree() (*xmltree.Node, error) {
+	var b xmltree.Builder
+	if err := r.x.tag(&b); err != nil {
+		return nil, err
+	}
+	return b.Root(), nil
+}
+
+// result builds the run's tree as the "tag" phase of its evaluation:
+// timed into the report, and traced as the last child of its span.
+func (r *Run) result() (*Result, error) {
+	sp, t0 := r.tr.StartSpan("tag", r.root), time.Now()
+	doc, err := r.Tree()
+	sec := time.Since(t0).Seconds()
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	rep := r.Report
+	rep.PhaseSec["tag"] = sec
+	rep.WallSec += sec
+	return &Result{Doc: doc, Report: rep}, nil
+}
+
+// evaluate runs grammar a unfolded to the given depth (0: as it is)
+// through every phase but tagging. A guard abort returns the run next
+// to the error, for the truncation probes.
+func (m *Mediator) evaluate(ctx context.Context, a *aig.AIG, depth int, rootInh *aig.AttrValue) (*Run, error) {
 	tr, parent := obs.SpanFromContext(ctx)
 	if tr == nil {
 		tr = m.opts.Tracer
 	}
 	start := time.Now()
 	root := tr.StartSpan("evaluate", parent)
-	res, x, err := m.evaluatePhases(ctx, a, depth, rootInh, tr, root)
+	r, err := m.evaluatePhases(ctx, a, depth, rootInh, tr, root)
 	if err != nil {
 		root.SetAttr("error", err.Error())
-	}
-	if res != nil {
-		res.Report.WallSec = time.Since(start).Seconds()
-		root.SetAttr("response_time_sec", res.Report.ResponseTimeSec)
+	} else {
+		r.Report.WallSec = time.Since(start).Seconds()
+		root.SetAttr("response_time_sec", r.Report.ResponseTimeSec)
 	}
 	root.End()
-	return res, x, err
+	return r, err
 }
 
-// evaluatePhases runs the four Fig. 5 phases under the given root span,
-// recording one child span and one wall-clock timing per phase.
-func (m *Mediator) evaluatePhases(ctx context.Context, a *aig.AIG, depth int, rootInh *aig.AttrValue, tr *obs.Tracer, root *obs.Span) (*Result, *exec, error) {
+// evaluatePhases runs the first three Fig. 5 phases under the given root
+// span, recording one child span and one wall-clock timing per phase.
+func (m *Mediator) evaluatePhases(ctx context.Context, a *aig.AIG, depth int, rootInh *aig.AttrValue, tr *obs.Tracer, root *obs.Span) (*Run, error) {
 	p, compileSec, optimizeSec, err := m.prepare(ctx, a, depth, tr, root)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	phaseSec := map[string]float64{"compile": compileSec, "optimize": optimizeSec}
 	g := p.g
@@ -163,18 +218,10 @@ func (m *Mediator) evaluatePhases(ctx context.Context, a *aig.AIG, depth int, ro
 	phaseSec["execute"] = time.Since(t0).Seconds()
 	sp.End()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if x.abort != nil {
-		return nil, x, x.abort
-	}
-
-	sp, t0 = tr.StartSpan("tag", root), time.Now()
-	doc, err := x.tag()
-	phaseSec["tag"] = time.Since(t0).Seconds()
-	sp.End()
-	if err != nil {
-		return nil, nil, err
+		return &Run{x: x}, x.abort
 	}
 
 	rep := Report{
@@ -196,7 +243,7 @@ func (m *Mediator) evaluatePhases(ctx context.Context, a *aig.AIG, depth int, ro
 			rep.ShippedBytes += x.edgeBytes[e.idx]
 		}
 	}
-	return &Result{Doc: doc, Report: rep}, x, nil
+	return &Run{Report: rep, x: x, tr: tr, root: root}, nil
 }
 
 // run executes the plan — one worker goroutine per source — and records
@@ -506,6 +553,7 @@ func (x *exec) bindParams(pt *part, prev *relstore.Table) (sqlmini.Params, int, 
 			// then its values — can be carved out of one array.
 			parents := x.st.rows(pt.parentCtx)
 			bs := make([]sqlmini.Binding, len(parents))
+			var ar scopeArena
 			n := 0
 			for id := range parents {
 				if !parents[id].on(pt.branch) {
@@ -514,7 +562,7 @@ func (x *exec) bindParams(pt *part, prev *relstore.Table) (sqlmini.Params, int, 
 				b := idOnly
 				if spec.kind != paramParentIDs {
 					var err error
-					if b, err = x.instanceScope(pt.parentCtx, id, &parents[id]).ResolveBinding(spec.src); err != nil {
+					if b, err = x.instanceScope(pt.parentCtx, id, &parents[id], &ar).ResolveBinding(spec.src); err != nil {
 						return nil, 0, err
 					}
 				}

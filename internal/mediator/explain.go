@@ -29,11 +29,15 @@ func (m *Mediator) Explain(a *aig.AIG) (string, error) {
 // The evaluation result (document and report) is returned alongside the
 // rendering so callers can still use or verify the output.
 func (m *Mediator) ExplainAnalyze(a *aig.AIG, rootInh *aig.AttrValue) (string, *Result, error) {
-	res, x, err := m.evaluate(context.Background(), a, 0, rootInh)
+	r, err := m.evaluate(context.Background(), a, 0, rootInh)
 	if err != nil {
 		return "", nil, err
 	}
-	return renderPlan(x.preparedPlan, res, x), res, nil
+	res, err := r.result()
+	if err != nil {
+		return "", nil, err
+	}
+	return renderPlan(r.x.preparedPlan, res, r.x), res, nil
 }
 
 // renderPlan is the shared renderer behind Explain (x == nil: the

@@ -3,7 +3,7 @@ package mediator
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/aigrepro/aig/internal/aig"
 	"github.com/aigrepro/aig/internal/dtd"
@@ -297,13 +297,14 @@ func (g *graph) setCopyMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch in
 	mat.runLocal = func(x *exec) (int, error) {
 		parents := x.st.rows(c)
 		t := newTable(len(parents), len(parents))
+		var ar scopeArena
 		for id := range parents {
 			t.startParent()
 			parent := &parents[id]
 			if !parent.on(branch) {
 				continue
 			}
-			scope := x.instanceScope(c, id, parent)
+			scope := x.instanceScope(c, id, parent, &ar)
 			if star {
 				b, err := scope.ResolveBinding(ir.Copies[0].Src)
 				if err != nil {
@@ -311,7 +312,7 @@ func (g *graph) setCopyMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch in
 				}
 				sorted := make([]relstore.Tuple, len(b.Rows))
 				copy(sorted, b.Rows)
-				sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Compare(sorted[j]) < 0 })
+				slices.SortStableFunc(sorted, relstore.Tuple.Compare)
 				for _, row := range sorted {
 					inh := aig.NewAttrValue(decl)
 					if err := inh.BindScalarsFromRow(names, b.Schema, row); err != nil {
@@ -368,6 +369,7 @@ func (g *graph) setQueryMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch i
 			rowCap = out.Len()
 		}
 		t := newTable(len(parents), rowCap)
+		var ar scopeArena
 		for id := range parents {
 			t.startParent()
 			parent := &parents[id]
@@ -375,9 +377,9 @@ func (g *graph) setQueryMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch i
 				continue
 			}
 			sorted := byParent[id]
-			sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Compare(sorted[j]) < 0 })
+			slices.SortStableFunc(sorted, relstore.Tuple.Compare)
 
-			scope := x.instanceScope(c, id, parent)
+			scope := x.instanceScope(c, id, parent, &ar)
 			applyCopies := func(inh *aig.AttrValue) error {
 				for _, cp := range ir.Copies {
 					v, err := scope.ResolveBinding(cp.Src)
@@ -430,20 +432,42 @@ func (g *graph) setQueryMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch i
 // instanceScope builds the rule-evaluation scope of the parent instance
 // at position id of context c: its inherited attribute plus the
 // synthesized attributes of its children (which double as the siblings of
-// any child being computed).
-func (x *exec) instanceScope(c *ctxNode, id int, inst *instance) aig.InstanceScope {
+// any child being computed). The scope lives in ar, which a task reuses
+// parent after parent, so it is valid until the next scope built there.
+func (x *exec) instanceScope(c *ctxNode, id int, inst *instance, ar *scopeArena) aig.InstanceScope {
 	scope := aig.InstanceScope{Elem: c.elem, Inh: inst.inh}
+	n := 0
 	for _, ch := range c.children {
 		kids, _ := x.st.children(ch, id)
-		for i := range kids {
-			syn := kids[i].syn.Load()
-			if syn == nil {
-				continue // not yet computed; deps guarantee availability when needed
-			}
-			scope.AddSyn(ch.elem, syn)
-		}
+		n += len(kids)
 	}
+	if n == 0 {
+		return scope
+	}
+	if cap(ar.all) < n {
+		ar.all = make([]*aig.AttrValue, 0, n)
+	}
+	all := ar.all[:0]
+	scope.Syns = ar.syns[:0]
+	for _, ch := range c.children {
+		kids, _ := x.st.children(ch, id)
+		lo := len(all)
+		for i := range kids {
+			if syn := kids[i].syn.Load(); syn != nil { // nil: not yet computed; deps guarantee availability when needed
+				all = append(all, syn)
+			}
+		}
+		// AddSyns merges a type that occurs twice among the children.
+		scope.AddSyns(ch.elem, all[lo:len(all):len(all)])
+	}
+	ar.syns = scope.Syns
 	return scope
+}
+
+// scopeArena backs the instance scopes one task builds.
+type scopeArena struct {
+	all  []*aig.AttrValue
+	syns []aig.ChildSyns
 }
 
 // buildSyn installs the synthesized-attribute computation (and guard
@@ -462,9 +486,10 @@ func (g *graph) buildSyn(c *ctxNode) {
 	sn.runLocal = func(x *exec) (int, error) {
 		n := 0
 		all := x.st.rows(c)
+		var ar scopeArena
 		for id := range all {
 			inst := &all[id]
-			scope := x.instanceScope(c, id, inst)
+			scope := x.instanceScope(c, id, inst, &ar)
 			var sr *aig.SynRule
 			var guards []aig.Guard
 			if r != nil {

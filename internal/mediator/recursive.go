@@ -25,22 +25,36 @@ import (
 // when no truncated instance is blocked, or at maxDepth, and triggers
 // re-unrolling otherwise.
 func (m *Mediator) EvaluateRecursive(a *aig.AIG, rootInh *aig.AttrValue, estDepth, maxDepth int) (*Result, int, error) {
-	return m.EvaluateRecursiveContext(context.Background(), a, rootInh, estDepth, maxDepth)
+	r, depth, err := m.Settle(context.Background(), a, rootInh, max(estDepth, 1), maxDepth)
+	if err != nil {
+		return nil, depth, err
+	}
+	res, err := r.result()
+	return res, depth, err
 }
 
-// EvaluateRecursiveContext is EvaluateRecursive with a caller-supplied
-// context; every unfolding round's evaluation and every truncation probe
-// runs under the trace ctx carries.
-func (m *Mediator) EvaluateRecursiveContext(ctx context.Context, a *aig.AIG, rootInh *aig.AttrValue, estDepth, maxDepth int) (*Result, int, error) {
-	if estDepth < 1 {
-		estDepth = 1
+// Settle evaluates grammar a until its document is final and returns the
+// run untagged, with the unfolding depth that sufficed: a guard abort,
+// or any other failure, is reported before any of the document exists,
+// and only the final unfolding round is ever tagged. An estDepth of 0
+// evaluates a as it is (its DTD must not be recursive); a positive one
+// unfolds from there as EvaluateRecursive describes. Every round's
+// evaluation and every truncation probe runs under the trace ctx
+// carries.
+func (m *Mediator) Settle(ctx context.Context, a *aig.AIG, rootInh *aig.AttrValue, estDepth, maxDepth int) (*Run, int, error) {
+	if estDepth <= 0 {
+		r, err := m.evaluate(ctx, a, 0, rootInh)
+		if err != nil {
+			return nil, 0, err
+		}
+		return r, 0, nil
 	}
 	if maxDepth < estDepth {
 		maxDepth = estDepth
 	}
 	depth := estDepth
 	for {
-		res, x, err := m.evaluate(ctx, a, depth, rootInh)
+		r, err := m.evaluate(ctx, a, depth, rootInh)
 		var abort *aig.AbortError
 		if err != nil && (!errors.As(err, &abort) || depth >= maxDepth) {
 			return nil, depth, err
@@ -50,12 +64,15 @@ func (m *Mediator) EvaluateRecursiveContext(ctx context.Context, a *aig.AIG, roo
 		// constraint needs and hide duplicates a key constraint would
 		// reject. The abort is genuine once no truncated instance is
 		// blocked, since deepening then no longer changes the document.
-		blocked, perr := x.anyBlocked(ctx)
+		blocked, perr := r.x.anyBlocked(ctx)
 		if perr != nil {
 			return nil, depth, perr
 		}
 		if !blocked {
-			return res, depth, err
+			if err != nil {
+				return nil, depth, err
+			}
+			return r, depth, nil
 		}
 		if depth >= maxDepth {
 			return nil, depth, fmt.Errorf("mediator: recursion still expandable at depth %d (max %d); cyclic source data?", depth, maxDepth)

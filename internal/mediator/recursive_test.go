@@ -102,7 +102,7 @@ func checkProbes(t *testing.T, a *aig.AIG, cat *relstore.Catalog, rootInh *aig.A
 		for _, p := range truncated {
 			rules[p.Type] = p.Rule
 		}
-		_, x, err := m.evaluate(ctx, a, depth, rootInh)
+		r, err := m.evaluate(ctx, a, depth, rootInh)
 		var abort *aig.AbortError
 		if errors.As(err, &abort) {
 			continue // a truncated document may trip a guard; nothing to probe
@@ -110,6 +110,7 @@ func checkProbes(t *testing.T, a *aig.AIG, cat *relstore.Catalog, rootInh *aig.A
 		if err != nil {
 			t.Fatalf("depth %d: %v", depth, err)
 		}
+		x := r.x
 		if len(x.g.probes) != 0 && len(truncated) == 0 {
 			t.Fatalf("depth %d: probes compiled for an exact unfolding", depth)
 		}

@@ -64,10 +64,11 @@ func checkRanges(t *testing.T, x *exec) (emptyStars int) {
 func TestStoreRangesPerParent(t *testing.T) {
 	cat := hospital.TinyCatalog()
 	a, reg := prepared(t, cat, 4, true)
-	_, x, err := New(reg, DefaultOptions()).evaluate(context.Background(), a, 0, hospital.RootInh(a, "d1"))
+	r, err := New(reg, DefaultOptions()).evaluate(context.Background(), a, 0, hospital.RootInh(a, "d1"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	x := r.x
 	// Leaf treatments have procedures with no sub-treatments.
 	if n := checkRanges(t, x); n == 0 {
 		t.Error("no star parent without children: the zero-length range is untested")
@@ -76,10 +77,11 @@ func TestStoreRangesPerParent(t *testing.T) {
 
 func TestStoreChoiceRanges(t *testing.T) {
 	a, cat := choiceFixture(t)
-	_, x, err := New(source.RegistryFromCatalog(cat), DefaultOptions()).evaluate(context.Background(), a, 0, nil)
+	r, err := New(source.RegistryFromCatalog(cat), DefaultOptions()).evaluate(context.Background(), a, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	x := r.x
 	checkRanges(t, x)
 	result := x.g.root.children[0]
 	cheap, pricey := result.children[0], result.children[1]
@@ -104,10 +106,11 @@ func TestStoreIDsArePositions(t *testing.T) {
 	a, cat := choiceFixture(t)
 	// Unmerged, so every part is its own node's.
 	opts := Options{Net: DefaultNet(), Schedule: ScheduleFIFO}
-	_, x, err := New(source.RegistryFromCatalog(cat), opts).evaluate(context.Background(), a, 0, nil)
+	r, err := New(source.RegistryFromCatalog(cat), opts).evaluate(context.Background(), a, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	x := r.x
 	bind := func(name string) (*part, sqlmini.Binding) {
 		t.Helper()
 		for _, n := range x.g.nodes {
@@ -164,7 +167,7 @@ func TestStoreUnpublishedReadsEmpty(t *testing.T) {
 		t.Errorf("unpublished context gives parent 0 %d children", len(kids))
 	}
 	x := &exec{st: s}
-	if scope := x.instanceScope(root, 0, &s.rows(root)[0]); len(scope.Syns) != 0 {
+	if scope := x.instanceScope(root, 0, &s.rows(root)[0], &scopeArena{}); len(scope.Syns) != 0 {
 		t.Errorf("scope over an unpublished child table has syns %v", scope.Syns)
 	}
 

@@ -88,6 +88,9 @@ func TestCertifiedViewSkipsVerify(t *testing.T) {
 			if spans["verify"] != nil || spans["render"]["premises"] != tc.wantPremises {
 				t.Errorf("verify span %v, render %v; want no verify span and premises=%s", spans["verify"], spans["render"], tc.wantPremises)
 			}
+			if _, tagged := spans["tag"]; tagged {
+				t.Error("a served evaluation was tagged into a tree (tag span); serve emits the settled run")
+			}
 			if code, _, _, _ := getFrag(t, fragURL(ts.URL, "d1", "//patient/SSN")); code != http.StatusOK {
 				t.Fatalf("fragment: status %d", code)
 			}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"github.com/aigrepro/aig/internal/aig"
@@ -172,41 +171,19 @@ func (s *Server) serveFragment(ctx context.Context, rt *requestTrace, rw *status
 	s.finishFragStream(rt, rw, st, entry, ferr, state)
 }
 
-// fragStream tees fragment elements to the client as they are emitted.
-// Headers are written lazily at the first byte — an evaluation that
-// fails before emitting anything can still answer with a clean error
-// status — and the match count travels as an HTTP trailer, since it is
+// newFragStream tees fragment elements to the client as they are
+// emitted. The match count travels as an HTTP trailer, since it is
 // unknown when the header block ships.
-type fragStream struct {
-	rw    *statusRecorder
-	fp    *fragPlan
-	stamp string
-	state string
-	wrote bool
-}
-
-func newFragStream(rw *statusRecorder, fp *fragPlan, stamp, state string) *fragStream {
-	return &fragStream{rw: rw, fp: fp, stamp: stamp, state: state}
-}
-
-// element ships one rendered fragment element to the client.
-func (st *fragStream) element(b []byte) error {
-	if !st.wrote {
-		st.wrote = true
-		h := st.rw.Header()
+func newFragStream(rw *statusRecorder, fp *fragPlan, stamp, state string) *stream {
+	return &stream{rw: rw, header: func(h http.Header) {
 		h.Set("Trailer", "X-Aig-Fragment-Matches")
 		h.Set("Content-Type", "application/xml; charset=utf-8")
-		h.Set("X-Aig-Cache", st.state)
-		h.Set("X-Aig-Fragment-Path", st.fp.expr)
-		if st.stamp != "" {
-			h.Set("X-Aig-Stamp", st.stamp)
+		h.Set("X-Aig-Cache", state)
+		h.Set("X-Aig-Fragment-Path", fp.expr)
+		if stamp != "" {
+			h.Set("X-Aig-Stamp", stamp)
 		}
-	}
-	if _, err := st.rw.Write(b); err != nil {
-		return err
-	}
-	st.rw.Flush()
-	return nil
+	}}
 }
 
 // finishFragStream completes a fragment response: a leader that already
@@ -214,7 +191,7 @@ func (st *fragStream) element(b []byte) error {
 // A failure after the first streamed byte cannot be turned into an error
 // status anymore — the connection is aborted so the client sees a
 // truncated chunked body, not a silently short 200.
-func (s *Server) finishFragStream(rt *requestTrace, rw *statusRecorder, st *fragStream, entry *cacheEntry, err error, state string) {
+func (s *Server) finishFragStream(rt *requestTrace, rw *statusRecorder, st *stream, entry *cacheEntry, err error, state string) {
 	if err != nil {
 		rt.fail(err)
 		if st != nil && st.wrote {
@@ -252,7 +229,7 @@ func (s *Server) writeFragment(w http.ResponseWriter, e *cacheEntry, cacheState 
 // else evaluates the full view (through the shared evaluate path, so the
 // grammar choice and abort semantics are identical to a full-document
 // request) and filters post hoc.
-func (s *Server) evaluateFragment(ctx context.Context, v *View, params map[string]string, fp *fragPlan, stamp string, st *fragStream) (*cacheEntry, error) {
+func (s *Server) evaluateFragment(ctx context.Context, v *View, params map[string]string, fp *fragPlan, stamp string, st *stream) (*cacheEntry, error) {
 	if !s.partialOK(v, stamp) {
 		full, err := s.evaluate(ctx, v, params, stamp)
 		if err != nil {
@@ -263,7 +240,7 @@ func (s *Server) evaluateFragment(ctx context.Context, v *View, params map[strin
 			return nil, err
 		}
 		if st != nil && len(fe.body) > 0 {
-			if serr := st.element(fe.body); serr != nil {
+			if _, serr := st.Write(fe.body); serr != nil {
 				return nil, serr
 			}
 		}
@@ -289,15 +266,14 @@ func (s *Server) evaluateFragment(ctx context.Context, v *View, params map[strin
 	var buf bytes.Buffer
 	matches := 0
 	err = v.sa.EvalPartial(env, rootInh, fp.c.NewCursor(), func(n *xmltree.Node) error {
-		var eb strings.Builder
-		if werr := n.WriteIndented(&eb); werr != nil {
+		lo := buf.Len()
+		if werr := n.WriteIndented(&buf); werr != nil {
 			return werr
 		}
-		b := []byte(eb.String())
-		buf.Write(b)
 		matches++
 		if st != nil {
-			return st.element(b)
+			_, werr := st.Write(buf.Bytes()[lo:])
+			return werr
 		}
 		return nil
 	})

@@ -31,6 +31,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -574,21 +575,30 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 	if noStoreRequest(r) {
 		// Benchmark/baseline escape hatch: evaluate without consulting or
 		// populating the cache (and without coalescing, so every request
-		// pays the full evaluation it is measuring).
+		// pays the full evaluation it is measuring). The document streams
+		// to the client after the admission slot is released, so a slow
+		// reader never holds one.
 		s.m.misses.Inc()
 		rt.setCache("bypass")
-		var entry *cacheEntry
-		berr := s.admitted(ctx, func() (err error) {
-			entry, err = s.evaluate(ctx, v, params, stamp)
+		var st *settled
+		err := s.admitted(ctx, func() (err error) {
+			st, err = s.settle(ctx, v, params, stamp)
 			return err
 		})
-		if berr != nil {
-			rt.fail(berr)
-			s.writeError(rw, berr)
-			return
+		if err == nil {
+			out := &stream{rw: rw, header: func(h http.Header) {
+				setEntryHeaders(h, "bypass", st.depth, st.run.Report.WallSec, stamp)
+			}}
+			_, err = s.emit(v, st, out)
+			if err != nil && out.wrote {
+				rt.fail(err)
+				panic(http.ErrAbortHandler) // a truncated chunked body, not a silently short 200
+			}
 		}
-		entry.stamp = stamp
-		s.writeEntry(rw, entry, "bypass")
+		if err != nil {
+			rt.fail(err)
+			s.writeError(rw, err)
+		}
 		return
 	}
 
@@ -717,30 +727,38 @@ func (s *Server) admitted(ctx context.Context, fn func() error) error {
 	return fn()
 }
 
-// evaluate runs a mediator evaluation for a prepared view — two when the
-// stamp moves under the first — and renders the document; stamp is the
+// settled is a view evaluation whose document is final but not yet
+// emitted: the run, the unfolding depth it settled at, whether the
+// certified premises held ("held") or the guarded grammar answered
+// ("broken"), and the ctx whose tracer it ran under.
+type settled struct {
+	run      *mediator.Run
+	depth    int
+	premises string
+	ctx      context.Context
+}
+
+// settle runs the mediator for a prepared view — twice when the stamp
+// moves under the first — up to a settled, untagged run; stamp is the
 // data-version stamp the caller read before it. The tracer ctx carries
 // (the flight recorder's, or a refresh/mutate trace) flows through the
 // whole evaluation stack; with none and legacy TraceRequests set, a
 // standalone tracer is made so GET /views/{name}/trace still works.
-func (s *Server) evaluate(ctx context.Context, v *View, params map[string]string, stamp string) (*cacheEntry, error) {
+func (s *Server) settle(ctx context.Context, v *View, params map[string]string, stamp string) (*settled, error) {
 	rootInh, err := v.bindParams(params)
 	if err != nil {
 		return nil, err
 	}
-
-	tr, parent := obs.SpanFromContext(ctx)
-	if tr == nil && s.cfg.TraceRequests {
-		tr = obs.NewTracer()
-		ctx = obs.ContextWithSpan(ctx, tr, nil)
+	if tr, _ := obs.SpanFromContext(ctx); tr == nil && s.cfg.TraceRequests {
+		ctx = obs.ContextWithSpan(ctx, obs.NewTracer(), nil)
 	}
 
-	evalAt := func(g *aig.AIG, est int) (*mediator.Result, int, error) {
+	settleAt := func(g *aig.AIG, est int) (*mediator.Run, int, error) {
 		t0 := time.Now()
-		res, depth, err := v.med.EvaluateRecursiveContext(ctx, g, rootInh, est, v.maxDepth)
+		run, depth, err := v.med.Settle(ctx, g, rootInh, est, v.maxDepth)
 		s.m.evalSec.Observe(time.Since(t0).Seconds())
 		s.m.evaluations.Inc()
-		return res, depth, err
+		return run, depth, err
 	}
 	// Proven constraints have no guard in sa, so its output is trusted
 	// only while the premises of their proofs hold on the data it read.
@@ -752,10 +770,10 @@ func (s *Server) evaluate(ctx context.Context, v *View, params map[string]string
 	if !held {
 		g = v.guarded
 	}
-	res, depth, err := evalAt(g, int(v.estDepth.Load()))
+	run, depth, err := settleAt(g, int(v.estDepth.Load()))
 	if err == nil && held && !s.premisesHold(v, stamp) {
 		held = false
-		res, depth, err = evalAt(v.guarded, depth)
+		run, depth, err = settleAt(v.guarded, depth)
 	}
 	if err != nil {
 		return nil, err
@@ -765,41 +783,83 @@ func (s *Server) evaluate(ctx context.Context, v *View, params map[string]string
 	if !held {
 		premises = "broken"
 	}
+	return &settled{run: run, depth: depth, premises: premises, ctx: ctx}, nil
+}
 
+// emit writes a settled document to w, timed as the request's "render"
+// span.
+func (s *Server) emit(v *View, st *settled, w io.Writer) (int64, error) {
+	tr, parent := obs.SpanFromContext(st.ctx)
 	sp := tr.StartSpan("render", parent)
-	var buf bytes.Buffer
-	buf.Grow(int(v.lastSize.Load()))
-	werr := res.Doc.WriteIndented(&buf)
-	v.lastSize.Store(int64(buf.Len()))
-	sp.SetAttr("bytes", buf.Len()).SetAttr("premises", premises).End()
-	if werr != nil {
-		return nil, werr
+	n, err := st.run.WriteTo(w)
+	if err == nil {
+		v.lastSize.Store(n)
 	}
+	sp.SetAttr("bytes", n).SetAttr("premises", st.premises).End()
 	if s.cfg.TraceRequests && tr != nil {
 		var tb strings.Builder
 		if terr := tr.WriteJSON(&tb); terr == nil {
 			v.setLastTrace([]byte(tb.String()))
 		}
 	}
+	return n, err
+}
+
+// evaluate settles a view evaluation and emits its document into a
+// cache entry, sized by the view's last document.
+func (s *Server) evaluate(ctx context.Context, v *View, params map[string]string, stamp string) (*cacheEntry, error) {
+	st, err := s.settle(ctx, v, params, stamp)
+	if err != nil {
+		return nil, err
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, v.lastSize.Load()))
+	if _, err := s.emit(v, st, buf); err != nil {
+		return nil, err
+	}
 	return &cacheEntry{
 		body:    buf.Bytes(),
-		depth:   depth,
-		evalSec: res.Report.WallSec,
+		depth:   st.depth,
+		evalSec: st.run.Report.WallSec,
 		created: time.Now(),
 	}, nil
 }
 
 // writeEntry sends a materialized result with the serving headers.
 func (s *Server) writeEntry(w http.ResponseWriter, e *cacheEntry, cacheState string) {
-	h := w.Header()
+	setEntryHeaders(w.Header(), cacheState, e.depth, e.evalSec, e.stamp)
+	w.Write(e.body)
+}
+
+// setEntryHeaders sets the serving headers of a full document.
+func setEntryHeaders(h http.Header, cacheState string, depth int, evalSec float64, stamp string) {
 	h.Set("Content-Type", "application/xml; charset=utf-8")
 	h.Set("X-Aig-Cache", cacheState)
-	h.Set("X-Aig-Unfold-Depth", fmt.Sprint(e.depth))
-	h.Set("X-Aig-Eval-Seconds", fmt.Sprintf("%.6f", e.evalSec))
-	if e.stamp != "" {
-		h.Set("X-Aig-Stamp", e.stamp)
+	h.Set("X-Aig-Unfold-Depth", fmt.Sprint(depth))
+	h.Set("X-Aig-Eval-Seconds", fmt.Sprintf("%.6f", evalSec))
+	if stamp != "" {
+		h.Set("X-Aig-Stamp", stamp)
 	}
-	w.Write(e.body)
+}
+
+// stream writes a response body to the client as it is produced. The
+// headers go out with the first byte, so a failure before it can still
+// answer with a clean error status, and every write is flushed.
+type stream struct {
+	rw     *statusRecorder
+	header func(http.Header)
+	wrote  bool
+}
+
+func (st *stream) Write(b []byte) (int, error) {
+	if !st.wrote {
+		st.wrote = true
+		st.header(st.rw.Header())
+	}
+	n, err := st.rw.Write(b)
+	if err == nil {
+		st.rw.Flush()
+	}
+	return n, err
 }
 
 // writeError maps evaluation and admission errors to HTTP statuses:

@@ -512,3 +512,54 @@ func TestServeMatchesDirectEvaluation(t *testing.T) {
 		t.Fatalf("served document differs from direct evaluation:\n--- served\n%s\n--- direct\n%s", served, want.String())
 	}
 }
+
+// TestNoStoreStreamsTheCachedBytes pins the bypass path: the document is
+// emitted straight into the response, after the admission slot is freed,
+// with its headers at the first byte and no Content-Length, and its bytes
+// are the cached path's for the same parameters. A guard abort, which
+// comes before any byte, is still a clean 500.
+func TestNoStoreStreamsTheCachedBytes(t *testing.T) {
+	s, ts, cat, _ := testServer(t, Config{}, nil)
+	noStore := func() (*http.Response, string) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/views/report?date=d1", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Cache-Control", "no-store")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, string(body)
+	}
+
+	_, cached, _ := get(t, ts.URL+"/views/report?date=d1")
+	resp, body := noStore()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Aig-Cache") != "bypass" || resp.Header.Get("X-Aig-Unfold-Depth") == "" {
+		t.Fatalf("status %d, headers %v", resp.StatusCode, resp.Header)
+	}
+	if body != cached {
+		t.Fatalf("streamed document differs from the cached one:\n--- streamed\n%s\n--- cached\n%s", body, cached)
+	}
+	if resp.ContentLength != -1 || resp.Header.Get("Content-Length") != "" {
+		t.Errorf("streamed document sent with Content-Length %d", resp.ContentLength)
+	}
+	if n := s.adm.inUse(); n != 0 {
+		t.Errorf("%d admission slots still held after the response", n)
+	}
+
+	// s1 visits t9 on d1, a treatment gold covers but nobody bills: the
+	// guarded grammar aborts before the document exists.
+	tableOf(t, cat, "DB4", "treatment").MustInsert(relstore.Tuple{relstore.String("t9"), relstore.String("laser")})
+	tableOf(t, cat, "DB2", "cover").MustInsert(relstore.Tuple{relstore.String("gold"), relstore.String("t9")})
+	tableOf(t, cat, "DB1", "visitInfo").MustInsert(relstore.Tuple{relstore.String("s1"), relstore.String("t9"), relstore.String("d1")})
+	if resp, body := noStore(); resp.StatusCode != http.StatusInternalServerError || resp.Header.Get("X-Aig-Cache") != "" {
+		t.Errorf("guard abort: status %d, X-Aig-Cache %q, body %q; want a plain 500", resp.StatusCode, resp.Header.Get("X-Aig-Cache"), body)
+	}
+}

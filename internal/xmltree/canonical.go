@@ -37,14 +37,14 @@ func (s *stickyWriter) WriteString(str string) {
 func (n *Node) writeCanonical(w *stickyWriter) {
 	if n.IsText() {
 		if n.Text != "" {
-			w.WriteString(escapeText(n.Text))
+			w.WriteString(string(appendEscaped(nil, n.Text)))
 		}
 		return
 	}
 	w.WriteString("<" + n.Label + ">")
 	// Merge adjacent text children so <a>x</a> built from one "x" node and
 	// from "x" split across two nodes canonicalize identically. Escaping
-	// each fragment separately is safe: escapeText is per-character.
+	// each fragment separately is safe: escaping is per-character.
 	for _, c := range n.Children {
 		c.writeCanonical(w)
 	}

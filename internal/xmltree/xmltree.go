@@ -9,7 +9,6 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -182,71 +181,38 @@ func (n *Node) Clone() *Node {
 	return out
 }
 
-// SortChildren reorders the element children of every node in the subtree
-// by label then string value, producing a canonical child order. Useful
-// for comparing documents generated by evaluators that enumerate siblings
-// in different (but semantically equivalent) orders is NOT what AIG needs —
-// sibling order is significant — so this exists only for diagnostics.
-func (n *Node) SortChildren() {
-	n.Walk(func(d *Node) bool {
-		sort.SliceStable(d.Children, func(i, j int) bool {
-			a, b := d.Children[i], d.Children[j]
-			if a.Label != b.Label {
-				return a.Label < b.Label
-			}
-			return a.StringValue() < b.StringValue()
-		})
-		return true
-	})
-}
-
-// WriteIndented serializes the subtree to w with two-space indentation.
-// Elements whose only child is a text node are rendered on one line.
+// WriteIndented serializes the subtree to w with two-space indentation,
+// through the same Encoder the mediator's tagger streams with. Elements
+// whose only child is a text node are rendered on one line.
 func (n *Node) WriteIndented(w io.Writer) error {
-	return n.writeIndented(w, 0)
+	e := Encoder{W: w}
+	n.encode(&e)
+	_, err := e.Flush()
+	return err
 }
 
-func (n *Node) writeIndented(w io.Writer, depth int) error {
-	indent := strings.Repeat("  ", depth)
-	if n.IsText() {
-		_, err := fmt.Fprintf(w, "%s%s\n", indent, escapeText(n.Text))
-		return err
-	}
-	if len(n.Children) == 0 {
-		_, err := fmt.Fprintf(w, "%s<%s/>\n", indent, n.Label)
-		return err
-	}
-	if len(n.Children) == 1 && n.Children[0].IsText() {
-		_, err := fmt.Fprintf(w, "%s<%s>%s</%s>\n", indent, n.Label, escapeText(n.Children[0].Text), n.Label)
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s<%s>\n", indent, n.Label); err != nil {
-		return err
-	}
-	for _, c := range n.Children {
-		if err := c.writeIndented(w, depth+1); err != nil {
-			return err
+func (n *Node) encode(e *Encoder) {
+	switch {
+	case n.IsText():
+		e.Text(n.Text)
+	case len(n.Children) == 0:
+		e.Empty(n.Label)
+	case len(n.Children) == 1 && n.Children[0].IsText():
+		e.Leaf(n.Label, n.Children[0].Text)
+	default:
+		e.Open(n.Label)
+		for _, c := range n.Children {
+			c.encode(e)
 		}
+		e.Close(n.Label)
 	}
-	_, err := fmt.Fprintf(w, "%s</%s>\n", indent, n.Label)
-	return err
 }
 
 // String returns the indented serialization of the subtree.
 func (n *Node) String() string {
-	var b strings.Builder
-	if err := n.WriteIndented(&b); err != nil {
-		return "<serialization error: " + err.Error() + ">"
-	}
-	return b.String()
-}
-
-func escapeText(s string) string {
-	var b strings.Builder
-	if err := xml.EscapeText(&b, []byte(s)); err != nil {
-		return s
-	}
-	return b.String()
+	var e Encoder
+	n.encode(&e)
+	return string(e.buf)
 }
 
 // Parse reads an XML document from r into a tree. Whitespace-only text

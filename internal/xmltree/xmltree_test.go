@@ -173,21 +173,6 @@ func TestParseDropsIndentation(t *testing.T) {
 	}
 }
 
-func TestSortChildren(t *testing.T) {
-	root := NewElement("r")
-	root.AppendElement("b").AppendText("2")
-	root.AppendElement("a").AppendText("9")
-	root.AppendElement("a").AppendText("1")
-	root.SortChildren()
-	labels := make([]string, 0, 3)
-	for _, c := range root.Children {
-		labels = append(labels, c.Label+c.StringValue())
-	}
-	if strings.Join(labels, ",") != "a1,a9,b2" {
-		t.Errorf("sorted = %v", labels)
-	}
-}
-
 // randomTree builds an arbitrary small tree for the round-trip property.
 func randomTree(r *rand.Rand, depth int) *Node {
 	n := NewElement(string(rune('a' + r.Intn(5))))
