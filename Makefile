@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-serve vet fmt lint fmt-check staticcheck fuzz-smoke soak soak-ivm soak-certify soak-recover soak-fragment serve loadtest smoke-serve smoke-trace smoke-restart smoke-cluster smoke-fragment bench-cluster test-bench bench-contract bench-unit ci bench clean
+.PHONY: all build test race race-serve vet fmt lint fmt-check staticcheck fuzz-smoke alloc-budget soak soak-ivm soak-certify soak-recover soak-fragment serve loadtest smoke-serve smoke-trace smoke-restart smoke-cluster smoke-fragment bench-cluster test-bench bench-contract bench-unit ci bench clean
 
 all: build
 
@@ -42,7 +42,8 @@ staticcheck:
 
 # fuzz-smoke gives each fuzz target a short budget; regressions in the
 # parsers' invariants (and the remote delta wire format) surface as
-# crashes, and the XML encoder must byte-match the fmt-based reference.
+# crashes, the XML encoder must byte-match the fmt-based reference, and
+# tuple keys must be equal exactly when the tuples are.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/aigspec
 	$(GO) test -run '^$$' -fuzz FuzzParseGeneral -fuzztime 10s ./internal/dtd
@@ -51,6 +52,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzConstraintParse$$ -fuzztime 10s ./internal/xconstraint
 	$(GO) test -run '^$$' -fuzz FuzzPathParse -fuzztime 10s ./internal/xpath
 	$(GO) test -run '^$$' -fuzz FuzzWriteIndented -fuzztime 10s ./internal/xmltree
+	$(GO) test -run '^$$' -fuzz FuzzTupleKey -fuzztime 10s ./internal/relstore
 
 # soak runs the differential harness for a wall-clock budget, shrinking
 # any divergence to a replayable {seed, config, ops} triple. CI runs it
@@ -158,6 +160,11 @@ W ?= cold_full
 bench-contract:
 	$(GO) run -C bench . -workload $(W) $(ARGS)
 
+# alloc-budget runs the mediator's allocation budgets, which are not
+# built under -race and so never run in the race pass.
+alloc-budget:
+	$(GO) test -count=1 -run AllocBudget ./internal/mediator
+
 # bench-unit is the cold path's unit reproducer: 90 evaluations (three
 # cycles of the 30 dates) of the served hospital view over bench250, so
 # B/op and allocs/op repeat exactly from run to run.
@@ -168,7 +175,7 @@ bench-unit:
 # fetches pinned), minus bench-cluster, which the workflow still runs
 # until the benchmark has a cluster workload. Performance claims cite
 # bench-contract.
-ci: vet build race test-bench lint fmt-check fuzz-smoke soak soak-ivm soak-certify soak-recover soak-fragment smoke-serve smoke-trace smoke-restart smoke-cluster smoke-fragment
+ci: vet build race alloc-budget test-bench lint fmt-check fuzz-smoke soak soak-ivm soak-certify soak-recover soak-fragment smoke-serve smoke-trace smoke-restart smoke-cluster smoke-fragment
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$'

@@ -7,10 +7,12 @@ import (
 	"github.com/aigrepro/aig/internal/sqlmini"
 )
 
-// This file exports per-instance rule evaluation for use by the mediator,
-// which computes synthesized attributes and checks guards "within
-// application code" at the mediator (§5.1) while sharing the exact rule
-// semantics of the conceptual evaluator.
+// This file holds the scope the two tree walkers, Eval and EvalPartial,
+// evaluate every rule of one production instance in. Only they use it:
+// the mediator computes synthesized attributes, copies, query parameters
+// and guards set-at-a-time over its own per-context tables
+// (internal/mediator/syn.go), with Eval as the reference semantics its
+// tests compare against.
 
 // ChildSyns holds the synthesized attributes of every instance of one
 // child (or sibling) type, in instance order. All[0] is the "first" Syn a
@@ -39,22 +41,6 @@ func (s *InstanceScope) AddSyn(elem string, syn *AttrValue) {
 		}
 	}
 	s.Syns = append(s.Syns, ChildSyns{Elem: elem, All: []*AttrValue{syn}})
-}
-
-// AddSyns records syns as the next instances of child type elem, in one
-// step for a caller that gathered them itself. The scope may keep syns
-// and append to it.
-func (s *InstanceScope) AddSyns(elem string, syns []*AttrValue) {
-	if len(syns) == 0 {
-		return
-	}
-	for i := range s.Syns {
-		if s.Syns[i].Elem == elem {
-			s.Syns[i].All = append(s.Syns[i].All, syns...)
-			return
-		}
-	}
-	s.Syns = append(s.Syns, ChildSyns{Elem: elem, All: syns})
 }
 
 // all returns the synthesized attributes of every instance of elem.
@@ -100,51 +86,4 @@ func (s *InstanceScope) binding(src SourceRef) (sqlmini.Binding, error) {
 		return sqlmini.Binding{}, err
 	}
 	return v.MemberBinding(src.Member)
-}
-
-// EvalSynFor evaluates a synthesized-attribute rule for one instance.
-// Queries never occur in Syn rules, so no environment is needed.
-func (a *AIG) EvalSynFor(elem string, r *SynRule, is InstanceScope) (*AttrValue, error) {
-	return a.evalSynRule(nil, elem, r, &is)
-}
-
-// EvalCopiesFor applies a copy-only inherited rule for one instance,
-// writing into target. Query rules are the mediator's own set-oriented
-// business and are rejected here.
-func (a *AIG) EvalCopiesFor(ir *InhRule, target *AttrValue, is InstanceScope) error {
-	for _, c := range ir.Copies {
-		m, ok := target.Decl.Member(c.TargetMember)
-		if !ok {
-			continue
-		}
-		if m.Kind == Scalar {
-			v, err := is.scalar(c.Src)
-			if err != nil {
-				return err
-			}
-			if err := target.SetScalar(c.TargetMember, v); err != nil {
-				return err
-			}
-			continue
-		}
-		b, err := is.binding(c.Src)
-		if err != nil {
-			return err
-		}
-		if err := target.SetCollection(c.TargetMember, b.Rows); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CheckGuard evaluates one guard against a synthesized attribute value.
-func CheckGuard(g Guard, syn *AttrValue) (bool, error) {
-	return evalGuard(g, syn)
-}
-
-// ResolveBinding resolves a source reference to a query binding within an
-// instance scope.
-func (is InstanceScope) ResolveBinding(src SourceRef) (sqlmini.Binding, error) {
-	return is.binding(src)
 }

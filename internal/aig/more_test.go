@@ -122,37 +122,6 @@ func TestEmptyProduction(t *testing.T) {
 	}
 }
 
-// TestSubsetGuard exercises the subset guard both passing and failing.
-func TestSubsetGuard(t *testing.T) {
-	decl := aig.Attr(aig.SetMember("small", "v:string"), aig.SetMember("big", "v:string"))
-	v := aig.NewAttrValue(decl)
-	if err := v.SetCollection("small", []relstore.Tuple{{relstore.String("a")}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.SetCollection("big", []relstore.Tuple{{relstore.String("a")}, {relstore.String("b")}}); err != nil {
-		t.Fatal(err)
-	}
-	g := aig.Guard{Kind: aig.GuardSubset, Sub: "small", Super: "big"}
-	ok, err := aig.CheckGuard(g, v)
-	if err != nil || !ok {
-		t.Errorf("subset guard: %v, %v", ok, err)
-	}
-	if err := v.SetCollection("small", []relstore.Tuple{{relstore.String("z")}}); err != nil {
-		t.Fatal(err)
-	}
-	ok, err = aig.CheckGuard(g, v)
-	if err != nil || ok {
-		t.Errorf("violated subset guard passed: %v, %v", ok, err)
-	}
-	// Guards over missing members error.
-	if _, err := aig.CheckGuard(aig.Guard{Kind: aig.GuardSubset, Sub: "ghost", Super: "big"}, v); err == nil {
-		t.Error("guard over missing member accepted")
-	}
-	if _, err := aig.CheckGuard(aig.Guard{Kind: aig.GuardUnique, Member: "ghost"}, v); err == nil {
-		t.Error("unique guard over missing member accepted")
-	}
-}
-
 // TestChainEvaluationInConceptual exercises runInhQuery's chain path
 // directly with a hand-built two-step chain.
 func TestChainEvaluationInConceptual(t *testing.T) {

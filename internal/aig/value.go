@@ -120,13 +120,18 @@ func (v *AttrValue) SetCollection(name string, rows []relstore.Tuple) error {
 // ScalarTuple returns the attribute's scalar members as a tuple in
 // declaration order.
 func (v *AttrValue) ScalarTuple() relstore.Tuple {
-	out := make(relstore.Tuple, 0, len(v.slots))
+	return v.AppendScalars(make(relstore.Tuple, 0, len(v.slots)))
+}
+
+// AppendScalars appends the attribute's scalar members to dst in
+// declaration order.
+func (v *AttrValue) AppendScalars(dst []relstore.Value) []relstore.Value {
 	for i := range v.Decl.Members {
 		if v.Decl.Members[i].Kind == Scalar {
-			out = append(out, v.slots[i].v)
+			dst = append(dst, v.slots[i].v)
 		}
 	}
-	return out
+	return dst
 }
 
 // ScalarBinding returns the attribute's scalar tuple as a one-row query

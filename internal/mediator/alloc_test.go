@@ -18,14 +18,17 @@ import (
 // instance scopes brought the mean from ~157 k to ~111 k, compiling no
 // guard for the certified constraints to ~91 k, and the dense instance
 // store (one table per context, ranges per parent, no maps) to ~78 k,
-// and reusing instance-scope arrays to ~68 k; a change that undoes any
-// of them fails here.
-const maxEvalAllocs = 85_000
+// reusing instance-scope arrays to ~68 k, and computing synthesized
+// attributes set-at-a-time (one syn table per context, no per-instance
+// values or scopes) to ~39 k; a change that undoes any of them fails
+// here.
+const maxEvalAllocs = 55_000
 
 // maxServeAllocs bounds the same evaluations the way aigd runs them
 // (BenchmarkEvaluateRecursive/bench250/serve): settled, then emitted into
-// a buffer with no tree: ~54 k, of which emission is ~1.6 k.
-const maxServeAllocs = 60_000
+// a buffer with no tree: ~54 k before the syn tables, ~25 k since, of
+// which emission is ~1.6 k.
+const maxServeAllocs = 40_000
 
 func TestEvaluateAllocBudget(t *testing.T) {
 	reg, sa := bench250View(t, false)

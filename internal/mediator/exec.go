@@ -541,45 +541,48 @@ func (x *exec) recordInputBytes(n *node, paramBytes int) {
 // volume of the store-derived tables for communication accounting.
 func (x *exec) bindParams(pt *part, prev *relstore.Table) (sqlmini.Params, int, error) {
 	params := make(sqlmini.Params, len(pt.rw.specs))
-	for _, spec := range pt.rw.specs {
-		switch spec.kind {
-		case paramPrev:
+	for k, spec := range pt.rw.specs {
+		if spec.kind == paramPrev {
 			if prev == nil {
 				return nil, 0, fmt.Errorf("chain step has no predecessor output")
 			}
 			params[spec.name] = sqlmini.TableBinding(prev)
-		default:
-			// Resolve every parent's binding first, so the rows — its id,
-			// then its values — can be carved out of one array.
-			parents := x.st.rows(pt.parentCtx)
-			bs := make([]sqlmini.Binding, len(parents))
-			var ar scopeArena
-			n := 0
-			for id := range parents {
-				if !parents[id].on(pt.branch) {
-					continue
-				}
-				b := idOnly
-				if spec.kind != paramParentIDs {
-					var err error
-					if b, err = x.instanceScope(pt.parentCtx, id, &parents[id], &ar).ResolveBinding(spec.src); err != nil {
-						return nil, 0, err
-					}
-				}
-				bs[id] = b
-				n += len(b.Rows)
+			continue
+		}
+		// A parent binds one row — its id, then its values — carved out of
+		// one array, or one such row per row of a collection.
+		r := pt.refs[k]
+		parents := x.st.rows(pt.parentCtx)
+		vals := make([]relstore.Value, 0, len(parents)*len(spec.schema))
+		rows := make([]relstore.Tuple, 0, len(parents))
+		for id := range parents {
+			inst := &parents[id]
+			if !inst.on(pt.branch) {
+				continue
 			}
-			vals := make([]relstore.Value, 0, n*len(spec.schema))
-			rows := make([]relstore.Tuple, 0, n)
-			for id, b := range bs {
-				for _, r := range b.Rows {
+			if r != nil && r.kind != aig.Scalar {
+				crows, err := x.rows(r, inst.inh, id)
+				if err != nil {
+					return nil, 0, err
+				}
+				for _, row := range crows {
 					lo := len(vals)
-					vals = append(append(vals, relstore.Int(int64(id))), r...)
+					vals = append(append(vals, relstore.Int(int64(id))), row...)
 					rows = append(rows, vals[lo:len(vals):len(vals)])
 				}
+				continue
 			}
-			params[spec.name] = sqlmini.Binding{Schema: spec.schema, Rows: rows}
+			lo := len(vals)
+			vals = append(vals, relstore.Int(int64(id)))
+			if r != nil {
+				var err error
+				if vals, err = x.appendTuple(vals, r, inst.inh, id); err != nil {
+					return nil, 0, err
+				}
+			}
+			rows = append(rows, vals[lo:len(vals):len(vals)])
 		}
+		params[spec.name] = sqlmini.Binding{Schema: spec.schema, Rows: rows}
 	}
 	total := 0
 	for name, b := range params {
@@ -592,7 +595,3 @@ func (x *exec) bindParams(pt *part, prev *relstore.Table) (sqlmini.Params, int, 
 	}
 	return params, total, nil
 }
-
-// idOnly is a parent's binding in a parent-id parameter table: one row
-// holding nothing but the id. Never written.
-var idOnly = sqlmini.Binding{Rows: []relstore.Tuple{nil}}

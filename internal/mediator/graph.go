@@ -126,6 +126,9 @@ type part struct {
 	branch int
 	// prev is the chain predecessor whose output binds $prev.
 	prev *part
+	// refs resolves the attribute source of each of rw.specs against
+	// parentCtx (nil for parent ids and $prev).
+	refs []*ref
 	// estimates
 	estRows  float64
 	estBytes float64
@@ -266,14 +269,18 @@ func compile(ctx context.Context, a *aig.AIG, reg *source.Registry, opts Options
 	}
 
 	// Pass 3: syn tasks bottom-up.
-	var wireSyn func(c *ctxNode)
-	wireSyn = func(c *ctxNode) {
+	var wireSyn func(c *ctxNode) error
+	wireSyn = func(c *ctxNode) error {
 		for _, ch := range c.children {
-			wireSyn(ch)
+			if err := wireSyn(ch); err != nil {
+				return err
+			}
 		}
-		g.buildSyn(c)
+		return g.buildSyn(c)
 	}
-	wireSyn(root)
+	if err := wireSyn(root); err != nil {
+		return nil, err
+	}
 	if !isAcyclic(g.nodes) {
 		return nil, fmt.Errorf("mediator: dependency graph is cyclic")
 	}

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"github.com/aigrepro/aig/internal/aig"
-	"github.com/aigrepro/aig/internal/dtd"
 	"github.com/aigrepro/aig/internal/relstore"
 	"github.com/aigrepro/aig/internal/source"
 	"github.com/aigrepro/aig/internal/sqlmini"
@@ -55,8 +54,7 @@ func (g *graph) buildEdge(ctx context.Context, c, ch *ctxNode, ir *aig.InhRule, 
 		}
 		elided := g.opts.CopyElim && isPureProjection(ir)
 		mat.estCost = localCost(g.opts.Net, g.estRows[ch.path], elided)
-		g.setCopyMat(mat, c, ch, ir, branch, star, elided)
-		return nil
+		return g.setCopyMat(mat, c, ch, ir, branch, star, elided)
 	}
 
 	// Query edges: one graph node per (decomposed) chain step.
@@ -108,8 +106,7 @@ func (g *graph) buildEdge(ctx context.Context, c, ch *ctxNode, ir *aig.InhRule, 
 	}
 	g.estRows[ch.path] = childRows
 	mat.estCost = localCost(g.opts.Net, childRows, false)
-	g.setQueryMat(mat, c, ch, ir, branch, star, last)
-	return nil
+	return g.setQueryMat(mat, c, ch, ir, branch, star, last)
 }
 
 // chainParts rewrites the steps of a query rule — its single query, or
@@ -153,7 +150,17 @@ func (g *graph) queryPart(q *sqlmini.Query, params map[string]aig.SourceRef, c *
 	if err != nil {
 		return nil, nil, err
 	}
-	return &part{rw: rw, source: srcName, parentCtx: c}, resolved.Output, nil
+	pt := &part{rw: rw, source: srcName, parentCtx: c, refs: make([]*ref, len(rw.specs))}
+	for k, spec := range rw.specs {
+		if spec.kind == paramScalars || spec.kind == paramCollection {
+			r, err := g.ref(c, spec.src)
+			if err != nil {
+				return nil, nil, err
+			}
+			pt.refs[k] = &r
+		}
+	}
+	return pt, resolved.Output, nil
 }
 
 func estSchemaBytes(s relstore.Schema) float64 {
@@ -291,31 +298,39 @@ func (g *graph) buildCond(ctx context.Context, c *ctxNode, r *aig.Rule) (*node, 
 }
 
 // setCopyMat installs the materialization body for a copy edge.
-func (g *graph) setCopyMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch int, star, elided bool) {
+func (g *graph) setCopyMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch int, star, elided bool) error {
 	decl := g.a.Inh[ch.elem]
 	names := decl.ScalarSchema().Names()
+	copies, err := g.compileCopies(c, ch, ir)
+	if err != nil {
+		return err
+	}
+	var schema relstore.Schema // of the collection a star iterates
+	if star {
+		if schema, err = g.attrSchema(ir.Copies[0].Src); err != nil {
+			return err
+		}
+	}
 	mat.runLocal = func(x *exec) (int, error) {
 		parents := x.st.rows(c)
 		t := newTable(len(parents), len(parents))
-		var ar scopeArena
 		for id := range parents {
 			t.startParent()
 			parent := &parents[id]
 			if !parent.on(branch) {
 				continue
 			}
-			scope := x.instanceScope(c, id, parent, &ar)
 			if star {
-				b, err := scope.ResolveBinding(ir.Copies[0].Src)
+				rows, err := x.rows(&copies[0].src, parent.inh, id)
 				if err != nil {
 					return len(t.rows), err
 				}
-				sorted := make([]relstore.Tuple, len(b.Rows))
-				copy(sorted, b.Rows)
+				sorted := make([]relstore.Tuple, len(rows))
+				copy(sorted, rows)
 				slices.SortStableFunc(sorted, relstore.Tuple.Compare)
 				for _, row := range sorted {
 					inh := aig.NewAttrValue(decl)
-					if err := inh.BindScalarsFromRow(names, b.Schema, row); err != nil {
+					if err := inh.BindScalarsFromRow(names, schema, row); err != nil {
 						return len(t.rows), err
 					}
 					t.add(inh)
@@ -323,10 +338,8 @@ func (g *graph) setCopyMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch in
 				continue
 			}
 			inh := aig.NewAttrValue(decl)
-			if ir != nil {
-				if err := g.a.EvalCopiesFor(ir, inh, scope); err != nil {
-					return len(t.rows), err
-				}
+			if err := x.applyCopies(inh, copies, parent, id, false); err != nil {
+				return len(t.rows), err
 			}
 			t.add(inh)
 		}
@@ -336,15 +349,20 @@ func (g *graph) setCopyMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch in
 		}
 		return len(t.rows), nil
 	}
+	return nil
 }
 
 // setQueryMat installs the materialization body for a query edge: the
 // final chain step's output rows become child instances (star), the
 // child's collection member (TargetCollection), or the child's scalar
 // members (single-row rules).
-func (g *graph) setQueryMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch int, star bool, last *part) {
+func (g *graph) setQueryMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch int, star bool, last *part) error {
 	decl := g.a.Inh[ch.elem]
 	names := decl.ScalarSchema().Names()
+	copies, err := g.compileCopies(c, ch, ir)
+	if err != nil {
+		return err
+	}
 	mat.runLocal = func(x *exec) (int, error) {
 		out := x.partOut[last.idx]
 		if out == nil {
@@ -369,7 +387,6 @@ func (g *graph) setQueryMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch i
 			rowCap = out.Len()
 		}
 		t := newTable(len(parents), rowCap)
-		var ar scopeArena
 		for id := range parents {
 			t.startParent()
 			parent := &parents[id]
@@ -379,29 +396,13 @@ func (g *graph) setQueryMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch i
 			sorted := byParent[id]
 			slices.SortStableFunc(sorted, relstore.Tuple.Compare)
 
-			scope := x.instanceScope(c, id, parent, &ar)
-			applyCopies := func(inh *aig.AttrValue) error {
-				for _, cp := range ir.Copies {
-					v, err := scope.ResolveBinding(cp.Src)
-					if err != nil {
-						return err
-					}
-					if len(v.Rows) > 0 && len(v.Rows[0]) == 1 {
-						if err := inh.SetScalar(cp.TargetMember, v.Rows[0][0]); err != nil {
-							return err
-						}
-					}
-				}
-				return nil
-			}
-
 			if star {
 				for _, row := range sorted {
 					inh := aig.NewAttrValue(decl)
 					if err := inh.BindScalarsFromRow(names, dataSchema, row); err != nil {
 						return len(t.rows), err
 					}
-					if err := applyCopies(inh); err != nil {
+					if err := x.applyCopies(inh, copies, parent, id, true); err != nil {
 						return len(t.rows), err
 					}
 					t.add(inh)
@@ -419,7 +420,7 @@ func (g *graph) setQueryMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch i
 					return len(t.rows), err
 				}
 			}
-			if err := applyCopies(inh); err != nil {
+			if err := x.applyCopies(inh, copies, parent, id, false); err != nil {
 				return len(t.rows), err
 			}
 			t.add(inh)
@@ -427,94 +428,5 @@ func (g *graph) setQueryMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch i
 		x.st.publish(ch, t)
 		return len(t.rows), nil
 	}
-}
-
-// instanceScope builds the rule-evaluation scope of the parent instance
-// at position id of context c: its inherited attribute plus the
-// synthesized attributes of its children (which double as the siblings of
-// any child being computed). The scope lives in ar, which a task reuses
-// parent after parent, so it is valid until the next scope built there.
-func (x *exec) instanceScope(c *ctxNode, id int, inst *instance, ar *scopeArena) aig.InstanceScope {
-	scope := aig.InstanceScope{Elem: c.elem, Inh: inst.inh}
-	n := 0
-	for _, ch := range c.children {
-		kids, _ := x.st.children(ch, id)
-		n += len(kids)
-	}
-	if n == 0 {
-		return scope
-	}
-	if cap(ar.all) < n {
-		ar.all = make([]*aig.AttrValue, 0, n)
-	}
-	all := ar.all[:0]
-	scope.Syns = ar.syns[:0]
-	for _, ch := range c.children {
-		kids, _ := x.st.children(ch, id)
-		lo := len(all)
-		for i := range kids {
-			if syn := kids[i].syn.Load(); syn != nil { // nil: not yet computed; deps guarantee availability when needed
-				all = append(all, syn)
-			}
-		}
-		// AddSyns merges a type that occurs twice among the children.
-		scope.AddSyns(ch.elem, all[lo:len(all):len(all)])
-	}
-	ar.syns = scope.Syns
-	return scope
-}
-
-// scopeArena backs the instance scopes one task builds.
-type scopeArena struct {
-	all  []*aig.AttrValue
-	syns []aig.ChildSyns
-}
-
-// buildSyn installs the synthesized-attribute computation (and guard
-// checks) for one context.
-func (g *graph) buildSyn(c *ctxNode) {
-	sn := g.synOf[c.path]
-	g.addEdge(g.inhDone[c.path], sn, 0)
-	for _, ch := range c.children {
-		g.addEdge(g.synOf[ch.path], sn, 0)
-	}
-	rows := g.estRows[c.path]
-	sn.estCost = localCost(g.opts.Net, rows, false)
-
-	p, _ := g.a.DTD.Production(c.elem)
-	r := g.a.Rules[c.elem]
-	sn.runLocal = func(x *exec) (int, error) {
-		n := 0
-		all := x.st.rows(c)
-		var ar scopeArena
-		for id := range all {
-			inst := &all[id]
-			scope := x.instanceScope(c, id, inst, &ar)
-			var sr *aig.SynRule
-			var guards []aig.Guard
-			if r != nil {
-				sr = r.Syn
-				guards = r.Guards
-				if p.Kind == dtd.ProdChoice && inst.branch >= 1 && inst.branch <= len(r.Branches) {
-					sr = r.Branches[inst.branch-1].Syn
-				}
-			}
-			syn, err := g.a.EvalSynFor(c.elem, sr, scope)
-			if err != nil {
-				return n, fmt.Errorf("mediator: syn of %s: %v", c.path, err)
-			}
-			inst.syn.Store(syn)
-			for _, guard := range guards {
-				ok, err := aig.CheckGuard(guard, syn)
-				if err != nil {
-					return n, err
-				}
-				if !ok {
-					x.noteAbort(&aig.AbortError{Elem: c.elem, Path: c.path, Guard: guard})
-				}
-			}
-			n++
-		}
-		return n, nil
-	}
+	return nil
 }

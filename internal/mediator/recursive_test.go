@@ -45,7 +45,6 @@ func perInstanceBlocked(t *testing.T, x *exec, cat *relstore.Catalog, ir *aig.In
 	}
 	all := x.st.rows(c)
 	for i := range all {
-		scope := aig.InstanceScope{Elem: c.elem, Inh: all[i].inh}
 		var prev *relstore.Table
 		for _, q := range steps {
 			params := make(sqlmini.Params)
@@ -54,7 +53,8 @@ func perInstanceBlocked(t *testing.T, x *exec, cat *relstore.Catalog, ir *aig.In
 					params[name] = sqlmini.TableBinding(prev)
 					continue
 				}
-				b, err := scope.ResolveBinding(ir.QueryParams[name])
+				// A star rule's query reads only the instance's Inh.
+				b, err := all[i].inh.MemberBinding(ir.QueryParams[name].Member)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -11,12 +11,9 @@ import (
 // instance is one element node of the document under construction. Its
 // id is its position in its context's table; the (parent position, own
 // position) pair is the mediator's path encoding, unique within a context.
+// Its synthesized attribute is its row of the context's syn table.
 type instance struct {
-	inh *aig.AttrValue
-	// syn is set by the context's syn task while tasks that do not depend
-	// on it may be scanning the same parent's children for the ones they
-	// do depend on, hence atomic.
-	syn    atomic.Pointer[aig.AttrValue]
+	inh    *aig.AttrValue
 	branch int // chosen alternative for choice productions (1-based; 0 = none)
 }
 
@@ -32,6 +29,9 @@ func (in *instance) on(branch int) bool {
 type ctxTable struct {
 	rows  []instance
 	first []int
+	// syn is the context's syn table, published by its syn task after
+	// the table itself; it stays nil when Syn declares no member.
+	syn atomic.Pointer[synTable]
 }
 
 // newTable starts a table over the given number of parents, with room
@@ -62,6 +62,11 @@ type store []atomic.Pointer[ctxTable]
 func (s store) publish(c *ctxNode, t *ctxTable) {
 	t.startParent()
 	s[c.idx].Store(t)
+}
+
+// table returns the published table of context c, or nil.
+func (s store) table(c *ctxNode) *ctxTable {
+	return s[c.idx].Load()
 }
 
 // rows returns the instances of context c.

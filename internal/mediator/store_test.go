@@ -167,8 +167,9 @@ func TestStoreUnpublishedReadsEmpty(t *testing.T) {
 		t.Errorf("unpublished context gives parent 0 %d children", len(kids))
 	}
 	x := &exec{st: s}
-	if scope := x.instanceScope(root, 0, &s.rows(root)[0], &scopeArena{}); len(scope.Syns) != 0 {
-		t.Errorf("scope over an unpublished child table has syns %v", scope.Syns)
+	syn := ref{src: aig.SourceRef{Side: aig.SynSide, Elem: "k"}, kids: []*ctxNode{kid}}
+	if _, _, err := x.kid(&syn, 0); err == nil {
+		t.Error("Syn(k) over an unpublished child table is in scope")
 	}
 
 	tab := newTable(1, 2)

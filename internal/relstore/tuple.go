@@ -1,6 +1,9 @@
 package relstore
 
-import "strings"
+import (
+	"strconv"
+	"strings"
+)
 
 // Tuple is a single row of a relation: an ordered list of values.
 type Tuple []Value
@@ -67,29 +70,32 @@ func (t Tuple) Concat(u Tuple) Tuple {
 }
 
 // Key returns a string that uniquely encodes the tuple's values, usable as
-// a Go map key for hash joins, duplicate elimination and index lookups.
+// a Go map key for hash joins, duplicate elimination and index lookups:
+// two tuples of one arity have equal keys exactly when they are Equal.
 func (t Tuple) Key() string {
-	var b strings.Builder
+	var buf [64]byte
+	b := buf[:0]
 	for i, v := range t {
 		if i > 0 {
-			b.WriteByte(0x1f) // unit separator: cannot appear in Value.Key output ambiguity
+			b = append(b, keySep)
 		}
-		b.WriteString(v.Key())
+		b = v.appendKey(b)
 	}
-	return b.String()
+	return string(b)
 }
 
 // KeyOn returns the Key of the projection of the tuple onto the given
 // column positions without materializing the projection.
 func (t Tuple) KeyOn(idx []int) string {
-	var b strings.Builder
+	var buf [64]byte
+	b := buf[:0]
 	for i, j := range idx {
 		if i > 0 {
-			b.WriteByte(0x1f)
+			b = append(b, keySep)
 		}
-		b.WriteString(t[j].Key())
+		b = t[j].appendKey(b)
 	}
-	return b.String()
+	return string(b)
 }
 
 // ByteSize returns the approximate wire size of the tuple in bytes, used by
@@ -109,4 +115,32 @@ func (t Tuple) String() string {
 		parts[i] = v.String()
 	}
 	return "(" + strings.Join(parts, ", ") + ")"
+}
+
+// keySep separates the values of a tuple key. A string value doubles
+// every keySep it contains, and every value key starts with a kind tag,
+// never with keySep, so a single keySep always ends a value.
+const keySep = 0x1f
+
+// appendKey appends the value's key within a tuple key: Value.Key with
+// keySep escaped.
+func (v Value) appendKey(b []byte) []byte {
+	switch v.kind {
+	case KindInt:
+		return strconv.AppendInt(append(b, 'i'), v.i, 10)
+	case KindString:
+		b = append(b, 's')
+		if strings.IndexByte(v.s, keySep) < 0 {
+			return append(b, v.s...)
+		}
+		for i := 0; i < len(v.s); i++ {
+			if v.s[i] == keySep {
+				b = append(b, keySep)
+			}
+			b = append(b, v.s[i])
+		}
+		return b
+	default:
+		return append(b, 'n')
+	}
 }
