@@ -160,10 +160,11 @@ W ?= cold_full
 bench-contract:
 	$(GO) run -C bench . -workload $(W) $(ARGS)
 
-# alloc-budget runs the mediator's allocation budgets, which are not
-# built under -race and so never run in the race pass.
+# alloc-budget runs the mediator's and the warm hit's allocation
+# budgets, which are not built under -race and so never run in the race
+# pass.
 alloc-budget:
-	$(GO) test -count=1 -run AllocBudget ./internal/mediator
+	$(GO) test -count=1 -run AllocBudget ./internal/mediator ./internal/serve
 
 # bench-unit is the cold path's unit reproducer: 90 evaluations (three
 # cycles of the 30 dates) of the served hospital view over bench250, so

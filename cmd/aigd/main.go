@@ -26,7 +26,6 @@
 //	GET  /views/{name}?p=v&...        evaluate (or serve from cache)
 //	POST /views/{name}                same, parameters as form or JSON body
 //	GET  /views/{name}/explain        the prepared plan, no evaluation
-//	GET  /views/{name}/trace          span tree of the last traced evaluation
 //	GET  /metrics                     Prometheus text format
 //	GET  /healthz                     200 while ready (views prepared, sources healthy), 503 otherwise
 //	POST /mutate                      row-level writes (-allow-mutate only)
@@ -112,7 +111,6 @@ func run() error {
 	subscribe := flag.Bool("subscribe", false, "mirror remote sources by delta subscription instead of per-request RPCs")
 	syncTimeout := flag.Duration("sync-timeout", 30*time.Second, "longest to wait for mirrors' initial sync before serving (with -subscribe)")
 	simWork := flag.Duration("sim-work", 0, "simulated per-request service-time floor held under the admission semaphore (capacity benchmarking; 0 disables)")
-	traceReqs := flag.Bool("trace-requests", false, "record a span tree per evaluation, served at /views/{name}/trace")
 	trace := flag.Bool("trace", false, "enable the flight recorder: per-request traces with tail sampling, served at /debug/traces")
 	traceCapacity := flag.Int("trace-capacity", 256, "kept traces before the oldest is evicted")
 	traceSlow := flag.Duration("trace-slow", 250*time.Millisecond, "requests at least this slow are always kept (0 disables the slow rule)")
@@ -168,7 +166,6 @@ func run() error {
 		CacheDir:        *cacheDir,
 		Unfold:          *unfold,
 		MaxUnfold:       *maxUnfold,
-		TraceRequests:   *traceReqs,
 		RefreshInterval: *refreshInterval,
 		AllowMutate:     *allowMutate,
 		SimWork:         *simWork,

@@ -12,6 +12,7 @@ package aig
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"github.com/aigrepro/aig/internal/dtd"
@@ -606,9 +607,10 @@ func cloneRule(r *Rule) *Rule {
 	return out
 }
 
-// Queries returns every SQL query mentioned in the AIG's rules, paired
-// with the element type owning the rule. The specializer uses this to
-// find multi-source queries.
+// Queries returns every SQL query mentioned in the AIG's rules — choice
+// conditions, child queries and decomposed chains, choice branches
+// included — paired with the element type owning the rule. The
+// specializer uses this to find multi-source queries.
 func (a *AIG) Queries() []ElemQuery {
 	var out []ElemQuery
 	for _, elem := range a.DTD.Types() {
@@ -620,23 +622,46 @@ func (a *AIG) Queries() []ElemQuery {
 			out = append(out, ElemQuery{Elem: elem, Query: r.Cond})
 		}
 		for _, child := range sortedKeys(r.Inh) {
-			ir := r.Inh[child]
-			if !ir.IsQuery() {
-				continue
-			}
-			if ir.Query != nil {
-				out = append(out, ElemQuery{Elem: elem, Child: child, Query: ir.Query})
-			}
-			for i, q := range ir.Chain {
-				out = append(out, ElemQuery{Elem: elem, Child: child, Query: q, ChainStep: i + 1})
-			}
+			out = r.Inh[child].appendQueries(out, elem, child)
 		}
 		for _, b := range r.Branches {
-			if b.Inh.IsQuery() && b.Inh.Query != nil {
-				out = append(out, ElemQuery{Elem: elem, Child: b.Inh.Child, Query: b.Inh.Query})
+			if b.Inh != nil {
+				out = b.Inh.appendQueries(out, elem, b.Inh.Child)
 			}
 		}
 	}
+	return out
+}
+
+// appendQueries appends the rule's query, or its decomposed chain, as
+// computing child's Inh under elem.
+func (r *InhRule) appendQueries(out []ElemQuery, elem, child string) []ElemQuery {
+	if !r.IsQuery() {
+		return out
+	}
+	if r.Query != nil {
+		out = append(out, ElemQuery{Elem: elem, Child: child, Query: r.Query})
+	}
+	for i, q := range r.Chain {
+		out = append(out, ElemQuery{Elem: elem, Child: child, Query: q, ChainStep: i + 1})
+	}
+	return out
+}
+
+// QuerySources returns the sorted set of source names the grammar's queries
+// read.
+func (a *AIG) QuerySources() []string {
+	set := make(map[string]bool)
+	for _, eq := range a.Queries() {
+		for _, s := range eq.Query.Sources() {
+			set[s] = true
+		}
+	}
+	out := make([]string, 0, len(set))
+	for s := range set {
+		out = append(out, s)
+	}
+	sort.Strings(out)
 	return out
 }
 

@@ -2,12 +2,14 @@ package mediator
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
 	"github.com/aigrepro/aig/internal/aig"
 	"github.com/aigrepro/aig/internal/dtd"
 	"github.com/aigrepro/aig/internal/hospital"
+	"github.com/aigrepro/aig/internal/ivm"
 	"github.com/aigrepro/aig/internal/relstore"
 	"github.com/aigrepro/aig/internal/source"
 	"github.com/aigrepro/aig/internal/specialize"
@@ -298,6 +300,58 @@ func TestChoiceInMediator(t *testing.T) {
 	}
 	if got := len(res.Doc.Descendants("pricey")); got != 1 {
 		t.Errorf("%d pricey elements, want 1", got)
+	}
+}
+
+// TestMultiSourceQueryInChoiceBranch: a choice branch's query reading
+// two sources is decomposed like any other child query, so the mediator
+// renders the grammar as aig.Eval does, and the dependency map the
+// refresher judges by covers the second source's table.
+func TestMultiSourceQueryInChoiceBranch(t *testing.T) {
+	a, cat := choiceFixture(t)
+	db2 := relstore.NewDatabase("DB2")
+	names := db2.CreateTable("names", relstore.MustSchema("trId:string", "name:string"))
+	for _, r := range [][2]string{{"t1", "one"}, {"t2", "two"}, {"t3", "three"}} {
+		names.MustInsert(relstore.Tuple{relstore.String(r[0]), relstore.String(r[1])})
+	}
+	cat.Add(db2)
+	a.Rules["result"].Branches[0].Inh = &aig.InhRule{
+		Child: "cheap",
+		Query: sqlmini.MustParse(`select n.name as val from DB:bands b, DB2:names n
+			where b.trId = n.trId and b.trId = $v.trId`),
+		QueryParams: aig.ParamMap("v", aig.InhOf("result", "")),
+	}
+	schemas, stats := sqlmini.CatalogSchemas{Catalog: cat}, sqlmini.CatalogStats{Catalog: cat}
+	if err := a.Validate(schemas); err != nil {
+		t.Fatal(err)
+	}
+	want, err := a.Eval(&aig.Env{Schemas: schemas, Data: sqlmini.CatalogData{Catalog: cat}, Stats: stats}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sa, err := specialize.DecomposeQueries(a, schemas, stats, sqlmini.PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deps, err := ivm.Extract(sa, schemas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !deps.DependsOn("DB2", "names") {
+		t.Error("dependency map misses DB2:names, which the cheap branch reads")
+	}
+	if got := fmt.Sprint(sa.QuerySources()); got != "[DB DB2]" {
+		t.Errorf("query sources %s, want [DB DB2]", got)
+	}
+	res, err := New(source.RegistryFromCatalog(cat), DefaultOptions()).Evaluate(sa, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Doc.String(), want.String(); got != want {
+		t.Errorf("mediator document differs from aig.Eval's:\n%s\n%s", got, want)
+	}
+	if !strings.Contains(want.String(), "<cheap>one</cheap>") {
+		t.Errorf("cheap branch not read from DB2:\n%s", want)
 	}
 }
 

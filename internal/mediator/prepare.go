@@ -3,7 +3,6 @@ package mediator
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -92,22 +91,6 @@ func (c *planCache) put(e *planEntry) {
 	c.entries = append(c.entries, e)
 }
 
-// querySources lists the sources the grammar's queries read, sorted.
-func querySources(a *aig.AIG) []string {
-	set := make(map[string]bool)
-	for _, eq := range a.Queries() {
-		for _, s := range eq.Query.Sources() {
-			set[s] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // epochOf reads the current data versions of the named sources.
 func (m *Mediator) epochOf(sources []string) (string, error) {
 	vers, err := m.reg.DataVersions(sources)
@@ -150,7 +133,7 @@ func (m *Mediator) prepare(ctx context.Context, a *aig.AIG, depth int, tr *obs.T
 	if entry != nil {
 		sources = entry.sources
 	} else {
-		sources = querySources(a)
+		sources = a.QuerySources()
 	}
 	epoch, err := m.epochOf(sources)
 	hit := err == nil && entry != nil && entry.epoch == epoch

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"regexp"
@@ -209,7 +210,7 @@ func tracedGet(t *testing.T, base, u string) (int, map[string]map[string]any) {
 // for the certified constraints, so once a write breaks a premise of
 // their proofs, requests on that stamp evaluate the fully guarded grammar
 // and answer exactly as it does: 500 where a guard aborts, the document
-// where none does. Fragments take the full-render path on that stamp.
+// where none does. Fragments select their path on that evaluation's tree.
 // Undoing the write restores the fast path.
 func TestBrokenPremiseFallsBackToGuarded(t *testing.T) {
 	s, ts, cat, _ := testServer(t, Config{AllowMutate: true, FlightRecorder: true, TraceSampleRate: 1}, nil)
@@ -291,6 +292,46 @@ func TestBrokenPremiseFallsBackToGuarded(t *testing.T) {
 
 	mutate("delete")
 	fastPath("after undoing the write")
+}
+
+// TestFallbackFragmentMatchesOracle: where partial evaluation cannot
+// serve a fragment (a premise is broken), the fill settles the guarded
+// grammar and selects the path on the run's tree; the bytes must equal
+// the post-hoc filter of the full document at the same stamp, streamed
+// or cached alike.
+func TestFallbackFragmentMatchesOracle(t *testing.T) {
+	_, ts, cat, _ := testServer(t, Config{}, nil)
+	tableOf(t, cat, "DB4", "treatment").MustInsert(relstore.Tuple{relstore.String("t9"), relstore.String("laser")})
+	tableOf(t, cat, "DB2", "cover").MustInsert(relstore.Tuple{relstore.String("gold"), relstore.String("t9")})
+	// An unbilled visit breaks the billing foreign key; d2 still serves.
+	tableOf(t, cat, "DB1", "visitInfo").MustInsert(relstore.Tuple{relstore.String("s1"), relstore.String("t9"), relstore.String("d1")})
+	noStore := func(u string) (int, string, string) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, u, nil)
+		req.Header.Set("Cache-Control", "no-store")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body), resp.Trailer.Get("X-Aig-Fragment-Matches")
+	}
+	code, full, _ := noStore(ts.URL + "/views/report?date=d2")
+	if code != http.StatusOK {
+		t.Fatalf("full d2 document: status %d", code)
+	}
+	for _, path := range []string{"/report", "//patient", "//patient[2]/pname", "//bill/item", "//treatment[tname='xray']", "/nothing"} {
+		want, n := oracleFragment(t, full, path)
+		code, streamed, matches := noStore(fragURL(ts.URL, "d2", path))
+		if code != http.StatusOK || streamed != want || (n > 0 && matches != fmt.Sprint(n)) {
+			t.Errorf("%s streamed: status %d, matches %q (want %d)\n--- served\n%s\n--- oracle\n%s", path, code, matches, n, streamed, want)
+		}
+		code, cached, _, matches := getFrag(t, fragURL(ts.URL, "d2", path))
+		if code != http.StatusOK || cached != want || matches != fmt.Sprint(n) {
+			t.Errorf("%s cached: status %d, matches %q (want %d)\n--- served\n%s\n--- oracle\n%s", path, code, matches, n, cached, want)
+		}
+	}
 }
 
 // TestNoUnverifiedViolationUnderConcurrentWrites: while a writer keeps

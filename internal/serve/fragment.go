@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"net/http"
 	"time"
 
 	"github.com/aigrepro/aig/internal/aig"
@@ -19,7 +18,8 @@ import (
 // selects, evaluated partially (subtrees the path cannot reach are
 // never bound, their queries never run) and serialized as they are
 // produced, so first-byte latency and bytes-on-the-wire stop scaling
-// with document size.
+// with document size. A fragment request resolves to a target carrying
+// the compiled path and then takes the same pipeline as a document.
 //
 // Fragments get their own cache entries, keyed (view, params, path,
 // stamp) with the path spliced into the key prefix as "\x00p:<path>" —
@@ -27,6 +27,11 @@ import (
 // spaces cannot collide. A fragment miss first tries to derive the
 // fragment from a cached full document (parse + post-hoc filter, no
 // source queries); only when neither entry exists does it evaluate.
+
+// maxFragPlans bounds a view's memoized fragment plans: every distinct
+// path a client sends compiles one, and nothing else would ever drop
+// them. A plan evicted at the bound is recompiled on its next use.
+const maxFragPlans = 256
 
 // fragPlan is one path compiled against one view: the pushdown/pruning
 // analysis over the served grammar plus the path-filtered dependency map
@@ -40,7 +45,7 @@ type fragPlan struct {
 	c    *xpath.Compiled
 	// deps is restricted to the scans the path can reach. Where partial
 	// evaluation cannot serve the fragment (a guard left in the grammar,
-	// or broken premises), its body derives from a full document and
+	// or broken premises), its body is cut from a full evaluation and
 	// judging falls back to the view's unfiltered deps instead.
 	deps *ivm.Deps
 }
@@ -66,256 +71,83 @@ func (v *View) fragmentPlan(expr string, schemas ivm.SchemaSource) (*fragPlan, e
 		return nil, err
 	}
 	fp := &fragPlan{expr: canon, path: p, c: c, deps: deps}
+	for k := range v.fragPlans {
+		if len(v.fragPlans) < maxFragPlans {
+			break
+		}
+		delete(v.fragPlans, k)
+	}
 	v.fragPlans[canon] = fp
 	return fp, nil
 }
 
-// fragDeps returns the dependency map a fragment entry of this plan is
-// judged against at stamp: path-filtered when partial evaluation serves
-// it there, the view's full map when its body derives from a full
-// render — a change outside the path may then still make a guard abort
-// the full document, and so the fragment.
-func (s *Server) fragDeps(v *View, fp *fragPlan, stamp string) *ivm.Deps {
-	if s.partialOK(v, stamp) {
-		return fp.deps
-	}
-	return v.deps
-}
-
-// fragPrefix builds the stamp-independent fragment key prefix from the
-// full-document prefix.
-func fragPrefix(fullPrefix, expr string) string {
-	return fullPrefix + "\x00p:" + escapeKeyPart(expr)
-}
-
-// serveFragment answers a view request carrying a path parameter. It
-// owns the response from here on.
-func (s *Server) serveFragment(ctx context.Context, rt *requestTrace, rw *statusRecorder, r *http.Request, v *View, params map[string]string, rawPath string) {
-	fp, err := v.fragmentPlan(rawPath, s.reg)
+// evalPartial fills a fragment entry by partial evaluation: the served
+// grammar is walked under the path's cursor — skipped subtrees never run
+// their queries — and each matched element goes to out the moment it is
+// rendered.
+func (s *Server) evalPartial(ctx context.Context, t target, e *cacheEntry, out *stream) error {
+	rootInh, err := t.v.bindParams(t.params)
 	if err != nil {
-		rt.fail(err)
-		http.Error(rw, err.Error(), http.StatusBadRequest)
-		return
-	}
-	s.m.fragments.Inc()
-
-	stamp, _, err := s.stamp(v)
-	if err != nil {
-		s.m.errors.Inc()
-		rt.fail(err)
-		http.Error(rw, err.Error(), http.StatusBadGateway)
-		return
-	}
-	fullPrefix := v.name + "\x00" + rt.params
-	prefix := fragPrefix(fullPrefix, fp.expr)
-	key := prefix + "\x00" + stamp
-
-	if noStoreRequest(r) {
-		s.m.misses.Inc()
-		rt.setCache("bypass")
-		st := newFragStream(rw, fp, stamp, "bypass")
-		var entry *cacheEntry
-		berr := s.admitted(ctx, func() (err error) {
-			entry, err = s.evaluateFragment(ctx, v, params, fp, stamp, st)
-			return err
-		})
-		s.finishFragStream(rt, rw, st, entry, berr, "bypass")
-		return
-	}
-
-	tr, parent := obs.SpanFromContext(ctx)
-	lookupSpan := tr.StartSpan("cache.lookup", parent)
-	e, ok := s.cache.Get(key)
-	lookupSpan.SetAttr("hit", ok).End()
-	if ok {
-		s.m.hits.Inc()
-		rt.setCache("hit")
-		s.writeFragment(rw, e, "hit")
-		return
-	}
-	s.m.misses.Inc()
-
-	// A cached full document makes the fragment derivable without
-	// touching any source: parse it back and filter post hoc.
-	if full, ok := s.cache.Get(fullPrefix + "\x00" + stamp); ok {
-		fe, derr := deriveFragment(full, fp)
-		if derr != nil {
-			rt.fail(derr)
-			s.writeError(rw, derr)
-			return
-		}
-		fe.view, fe.params, fe.keyPrefix, fe.stamp = v.name, params, prefix, stamp
-		fe.tableVers = full.tableVers
-		s.cache.Add(key, fe)
-		s.m.cacheEntries.Set(float64(s.cache.Len()))
-		rt.setCache("derived")
-		s.writeFragment(rw, fe, "derived")
-		return
-	}
-
-	// Evaluate. The leader streams elements as they are produced while
-	// buffering them for the cache and for coalesced followers.
-	st := newFragStream(rw, fp, stamp, "miss")
-	entry, ferr, leader := s.cacheFill(ctx, v, params, prefix, stamp, true, func() (*cacheEntry, error) {
-		return s.evaluateFragment(ctx, v, params, fp, stamp, st)
-	})
-	if !leader {
-		s.m.coalesced.Inc()
-		st = nil // a follower never streamed; serve the shared buffer
-	}
-	state := "miss"
-	if !leader {
-		state = "coalesced"
-	}
-	rt.setCache(state)
-	s.finishFragStream(rt, rw, st, entry, ferr, state)
-}
-
-// newFragStream tees fragment elements to the client as they are
-// emitted. The match count travels as an HTTP trailer, since it is
-// unknown when the header block ships.
-func newFragStream(rw *statusRecorder, fp *fragPlan, stamp, state string) *stream {
-	return &stream{rw: rw, header: func(h http.Header) {
-		h.Set("Trailer", "X-Aig-Fragment-Matches")
-		h.Set("Content-Type", "application/xml; charset=utf-8")
-		h.Set("X-Aig-Cache", state)
-		h.Set("X-Aig-Fragment-Path", fp.expr)
-		if stamp != "" {
-			h.Set("X-Aig-Stamp", stamp)
-		}
-	}}
-}
-
-// finishFragStream completes a fragment response: a leader that already
-// streamed only ships the trailer; anyone else gets the buffered entry.
-// A failure after the first streamed byte cannot be turned into an error
-// status anymore — the connection is aborted so the client sees a
-// truncated chunked body, not a silently short 200.
-func (s *Server) finishFragStream(rt *requestTrace, rw *statusRecorder, st *stream, entry *cacheEntry, err error, state string) {
-	if err != nil {
-		rt.fail(err)
-		if st != nil && st.wrote {
-			panic(http.ErrAbortHandler)
-		}
-		s.writeError(rw, err)
-		return
-	}
-	if st != nil && st.wrote {
-		rw.Header().Set("X-Aig-Fragment-Matches", fmt.Sprint(entry.matches))
-		return
-	}
-	s.writeFragment(rw, entry, state)
-}
-
-// writeFragment sends a buffered fragment with the serving headers.
-// Zero-match fragments are a 200 with an empty body: the request was
-// valid, the path just selects nothing at these parameters.
-func (s *Server) writeFragment(w http.ResponseWriter, e *cacheEntry, cacheState string) {
-	h := w.Header()
-	h.Set("Content-Type", "application/xml; charset=utf-8")
-	h.Set("X-Aig-Cache", cacheState)
-	h.Set("X-Aig-Fragment-Path", e.path)
-	h.Set("X-Aig-Fragment-Matches", fmt.Sprint(e.matches))
-	if e.stamp != "" {
-		h.Set("X-Aig-Stamp", e.stamp)
-	}
-	w.Write(e.body)
-}
-
-// evaluateFragment produces a fragment body at stamp. Where partial
-// evaluation may serve it (partialOK), the served grammar is walked under
-// the path's cursor — skipped subtrees never run their queries — and each
-// matched element is emitted to st the moment it is rendered. Everything
-// else evaluates the full view (through the shared evaluate path, so the
-// grammar choice and abort semantics are identical to a full-document
-// request) and filters post hoc.
-func (s *Server) evaluateFragment(ctx context.Context, v *View, params map[string]string, fp *fragPlan, stamp string, st *stream) (*cacheEntry, error) {
-	if !s.partialOK(v, stamp) {
-		full, err := s.evaluate(ctx, v, params, stamp)
-		if err != nil {
-			return nil, err
-		}
-		fe, err := deriveFragment(full, fp)
-		if err != nil {
-			return nil, err
-		}
-		if st != nil && len(fe.body) > 0 {
-			if _, serr := st.Write(fe.body); serr != nil {
-				return nil, serr
-			}
-		}
-		return fe, nil
-	}
-
-	rootInh, err := v.bindParams(params)
-	if err != nil {
-		return nil, err
+		return err
 	}
 	tr, parent := obs.SpanFromContext(ctx)
 	sp := tr.StartSpan("eval.partial", parent)
-	sp.SetAttr("path", fp.expr).SetAttr("premises", "held")
+	sp.SetAttr("path", t.fp.expr).SetAttr("premises", "held")
 	env := &aig.Env{
 		Schemas:  s.reg,
 		Data:     s.reg,
 		Stats:    s.reg,
 		PlanOpts: s.opts.PlanOpts,
-		MaxDepth: v.maxDepth,
+		MaxDepth: t.v.maxDepth,
 		Counters: &aig.Counters{},
 	}
 	t0 := time.Now()
-	var buf bytes.Buffer
-	matches := 0
-	err = v.sa.EvalPartial(env, rootInh, fp.c.NewCursor(), func(n *xmltree.Node) error {
-		lo := buf.Len()
-		if werr := n.WriteIndented(&buf); werr != nil {
-			return werr
-		}
-		matches++
-		if st != nil {
-			_, werr := st.Write(buf.Bytes()[lo:])
-			return werr
-		}
-		return nil
+	err = t.v.sa.EvalPartial(env, rootInh, t.fp.c.NewCursor(), func(n *xmltree.Node) error {
+		return e.addMatch(n, out)
 	})
-	evalSec := time.Since(t0).Seconds()
-	s.m.evalSec.Observe(evalSec)
+	e.evalSec = time.Since(t0).Seconds()
+	s.m.evalSec.Observe(e.evalSec)
 	s.m.evaluations.Inc()
-	sp.SetAttr("matches", matches)
+	sp.SetAttr("matches", e.matches)
 	sp.SetAttr("queries", env.Counters.QueriesRun)
-	sp.SetAttr("bytes", buf.Len()).End()
-	if err != nil {
-		return nil, err
+	sp.SetAttr("bytes", len(e.body)).End()
+	return err
+}
+
+// addMatch appends one selected element to a fragment entry's body and
+// sends it on to out, if set.
+func (e *cacheEntry) addMatch(n *xmltree.Node, out *stream) error {
+	lo := len(e.body)
+	if err := n.WriteIndented(e); err != nil {
+		return err
 	}
-	return &cacheEntry{
-		body:    buf.Bytes(),
-		evalSec: evalSec,
-		created: time.Now(),
-		path:    fp.expr,
-		matches: matches,
-	}, nil
+	e.matches++
+	if out == nil {
+		return nil
+	}
+	_, err := out.Write(e.body[lo:])
+	return err
+}
+
+// Write appends to the entry's body.
+func (e *cacheEntry) Write(b []byte) (int, error) {
+	e.body = append(e.body, b...)
+	return len(b), nil
 }
 
 // deriveFragment filters an already-rendered full document down to the
 // path's matches — the no-source-queries route used when the full entry
-// is cached and the fallback for views partial evaluation cannot serve.
+// is cached.
 func deriveFragment(full *cacheEntry, fp *fragPlan) (*cacheEntry, error) {
 	doc, err := xmltree.Parse(bytes.NewReader(full.body))
 	if err != nil {
 		return nil, fmt.Errorf("re-parsing cached document: %w", err)
 	}
-	var buf bytes.Buffer
-	sel := xpath.Select(doc, fp.path)
-	for _, n := range sel {
-		if err := n.WriteIndented(&buf); err != nil {
+	e := &cacheEntry{depth: full.depth, evalSec: full.evalSec, created: time.Now(), path: fp.expr}
+	for _, n := range xpath.Select(doc, fp.path) {
+		if err := e.addMatch(n, nil); err != nil {
 			return nil, err
 		}
 	}
-	return &cacheEntry{
-		body:    buf.Bytes(),
-		depth:   full.depth,
-		evalSec: full.evalSec,
-		created: time.Now(),
-		path:    fp.expr,
-		matches: len(sel),
-	}, nil
+	return e, nil
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/url"
@@ -227,8 +228,8 @@ func TestFragmentRefreshScopedInvalidation(t *testing.T) {
 	// gains procedure t5, bills an item for it) but the fragment is
 	// provably identical and must be restamped. The write keeps every
 	// premise of the view's proofs: a write that broke one would send the
-	// fragment through full render + verification instead (see
-	// TestBrokenPremiseFallsBackToVerify).
+	// fragment through the guarded grammar instead (see
+	// TestBrokenPremiseFallsBackToGuarded).
 	tableOf(t, cat, "DB4", "procedure").MustInsert(relstore.Tuple{
 		relstore.String("t3"), relstore.String("t5")})
 
@@ -309,5 +310,31 @@ func TestFragmentSingularViewAlias(t *testing.T) {
 	code, body, _, _ := getFrag(t, ts.URL+"/view/report?"+q.Encode())
 	if code != http.StatusOK || !strings.Contains(body, "<SSN>") {
 		t.Fatalf("/view alias: %d\n%s", code, body)
+	}
+}
+
+// TestFragmentPlansStayBounded: every distinct path a client sends
+// compiles a plan, but a view keeps at most maxFragPlans of them; a plan
+// evicted at the bound recompiles on its next use and serves the same
+// bytes.
+func TestFragmentPlansStayBounded(t *testing.T) {
+	s, ts, _, _ := testServer(t, Config{CacheEntries: -1}, nil)
+	_, full, _ := get(t, ts.URL+"/views/report?date=d1")
+	paths := make([]string, 0, maxFragPlans+20)
+	for i := 1; i <= cap(paths); i++ {
+		paths = append(paths, fmt.Sprintf("/report/patient[%d]/pname", i))
+	}
+	for _, path := range append(paths, paths[:5]...) {
+		code, frag, _, _ := getFrag(t, fragURL(ts.URL, "d1", path))
+		if want, _ := oracleFragment(t, full, path); code != http.StatusOK || frag != want {
+			t.Fatalf("%s: status %d, fragment differs from post-hoc filter\n--- served\n%s\n--- oracle\n%s", path, code, frag, want)
+		}
+	}
+	v := s.View("report")
+	v.fragMu.Lock()
+	n := len(v.fragPlans)
+	v.fragMu.Unlock()
+	if n > maxFragPlans {
+		t.Errorf("%d fragment plans memoized, bound %d", n, maxFragPlans)
 	}
 }

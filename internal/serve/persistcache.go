@@ -147,21 +147,17 @@ func (s *Server) LoadCache(dir string) (int, error) {
 			s.m.cacheDropped.Inc()
 			continue
 		}
-		deps := st.v.deps
-		if e.path != "" {
-			fp, perr := st.v.fragmentPlan(e.path, s.reg)
-			if perr != nil {
-				s.m.cacheDropped.Inc()
-				continue
-			}
-			deps = s.fragDeps(st.v, fp, st.stamp)
+		t, terr := s.entryTarget(st.v, e)
+		if terr != nil {
+			s.m.cacheDropped.Inc()
+			continue
 		}
 		switch {
 		case e.stamp == st.stamp:
 			s.cache.Add(e.keyPrefix+"\x00"+e.stamp, e)
 			s.m.cacheRestored.Inc()
 			installed++
-		case s.judgeUnaffected(e, st, deps):
+		case s.judgeUnaffected(e, st, s.deps(t, st.stamp)):
 			// Data moved while the daemon was down, but every delta is
 			// provably irrelevant for this binding: carry the body over
 			// under the live stamp.

@@ -189,28 +189,22 @@ func (r *refresher) refreshOne(it lruItem, st viewState) {
 	rt.params = canonicalParams(e.params)
 	defer rt.finish()
 
-	// Fragment entries are judged against the dependency map filtered to
-	// the scans their path can reach: a delta landing outside that set
-	// restamps the fragment even when it would rebuild the full document.
-	deps := st.v.deps
-	var fp *fragPlan
-	if e.path != "" {
-		var perr error
-		fp, perr = st.v.fragmentPlan(e.path, s.reg)
-		if perr != nil {
-			// A cached fragment whose path no longer compiles (the view was
-			// replaced): drop it rather than refresh it forever.
-			s.cache.Remove(it.key)
-			s.m.refreshErrors.Inc()
-			rt.fail(perr)
-			return
-		}
-		deps = s.fragDeps(st.v, fp, st.stamp)
+	// The entry's target decides what it is judged against: a fragment's
+	// path-filtered map restamps it on a delta landing outside the scans
+	// its path can reach, even when the full document must be rebuilt.
+	t, terr := s.entryTarget(st.v, e)
+	if terr != nil {
+		// A cached fragment whose path no longer compiles (the view was
+		// replaced): drop it rather than refresh it forever.
+		s.cache.Remove(it.key)
+		s.m.refreshErrors.Inc()
+		rt.fail(terr)
+		return
 	}
 
 	tr, parent := obs.SpanFromContext(ctx)
 	judgeSpan := tr.StartSpan("ivm.judge", parent)
-	unaffected := s.judgeUnaffected(e, st, deps)
+	unaffected := s.judgeUnaffected(e, st, s.deps(t, st.stamp))
 	judgeSpan.SetAttr("unaffected", unaffected).End()
 
 	if unaffected {
@@ -225,11 +219,9 @@ func (r *refresher) refreshOne(it lruItem, st viewState) {
 		// stamp holds through the evaluation. The stale entry is removed
 		// either way — its key can never be hit again (stamps are
 		// monotone), so keeping it would only crowd the LRU.
-		eval := func() (*cacheEntry, error) { return s.evaluate(ctx, st.v, e.params, st.stamp) }
-		if fp != nil {
-			eval = func() (*cacheEntry, error) { return s.evaluateFragment(ctx, st.v, e.params, fp, st.stamp, nil) }
-		}
-		_, err, _ := s.cacheFill(ctx, st.v, e.params, e.keyPrefix, st.stamp, false, eval)
+		_, err, _ := s.cacheFill(ctx, t, st.stamp, func() (*cacheEntry, error) {
+			return s.fill(ctx, t, st.stamp, nil, true)
+		})
 		s.cache.Remove(it.key)
 		s.m.cacheEntries.Set(float64(s.cache.Len()))
 		rt.setCache("rebuild")

@@ -238,7 +238,11 @@ func TestNoStaleHitUnderConcurrentMutation(t *testing.T) {
 		if err != nil || !settled {
 			t.Fatalf("stamp after mutation: settled=%v err=%v", settled, err)
 		}
-		e, err := s.evaluate(context.Background(), v, params, stamp)
+		tg, err := s.target(v, params, canonicalParams(params), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := s.fill(context.Background(), tg, stamp, nil, true)
 		if err != nil {
 			t.Fatalf("ground-truth evaluation: %v", err)
 		}

@@ -26,12 +26,10 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -66,13 +64,6 @@ type Config struct {
 	// MaxUnfold the limit (default 64). Views adapt upward per request
 	// and remember the depth that sufficed.
 	Unfold, MaxUnfold int
-	// Mediator, when non-nil, overrides the mediator options shared by
-	// all views (default mediator.DefaultOptions).
-	Mediator *mediator.Options
-	// TraceRequests threads a per-request obs.Tracer through the
-	// mediator; each view keeps its latest span tree for
-	// GET /views/{name}/trace.
-	TraceRequests bool
 	// FlightRecorder enables full request tracing with tail-sampled
 	// retention: every request runs under a propagated trace context
 	// (Traceparent in/out, spans across cache, singleflight, admission,
@@ -289,14 +280,10 @@ type Server struct {
 // NewServer builds a server over the given sources.
 func NewServer(reg *source.Registry, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	opts := mediator.DefaultOptions()
-	if cfg.Mediator != nil {
-		opts = *cfg.Mediator
-	}
 	s := &Server{
 		cfg:    cfg,
 		reg:    reg,
-		opts:   opts,
+		opts:   mediator.DefaultOptions(),
 		views:  make(map[string]*View),
 		cache:  newLRU(cfg.CacheEntries),
 		adm:    newAdmission(cfg.MaxConcurrent, cfg.MaxQueue, cfg.QueueTimeout),
@@ -319,7 +306,6 @@ func NewServer(reg *source.Registry, cfg Config) *Server {
 	// Singular alias, the fragment-serving spelling: GET /view/{name}?path=...
 	mux.HandleFunc("GET /view/{name}", s.handleView)
 	mux.HandleFunc("GET /views/{name}/explain", s.handleExplain)
-	mux.HandleFunc("GET /views/{name}/trace", s.handleTrace)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /debug/traces", s.handleTraces)
@@ -558,9 +544,14 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 		s.writeError(rw, err)
 		return
 	}
-	if path != "" {
-		s.serveFragment(ctx, rt, rw, r, v, params, path)
+	t, err := s.target(v, params, rt.params, path)
+	if err != nil {
+		rt.fail(err)
+		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
+	}
+	if path != "" {
+		s.m.fragments.Inc()
 	}
 	stamp, _, err := s.stamp(v)
 	if err != nil {
@@ -569,68 +560,47 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 		http.Error(rw, err.Error(), http.StatusBadGateway)
 		return
 	}
-	prefix := v.name + "\x00" + rt.params
-	key := prefix + "\x00" + stamp
 
 	if noStoreRequest(r) {
 		// Benchmark/baseline escape hatch: evaluate without consulting or
 		// populating the cache (and without coalescing, so every request
-		// pays the full evaluation it is measuring). The document streams
-		// to the client after the admission slot is released, so a slow
-		// reader never holds one.
+		// pays the full evaluation it is measuring).
 		s.m.misses.Inc()
 		rt.setCache("bypass")
-		var st *settled
-		err := s.admitted(ctx, func() (err error) {
-			st, err = s.settle(ctx, v, params, stamp)
-			return err
-		})
-		if err == nil {
-			out := &stream{rw: rw, header: func(h http.Header) {
-				setEntryHeaders(h, "bypass", st.depth, st.run.Report.WallSec, stamp)
-			}}
-			_, err = s.emit(v, st, out)
-			if err != nil && out.wrote {
-				rt.fail(err)
-				panic(http.ErrAbortHandler) // a truncated chunked body, not a silently short 200
-			}
-		}
-		if err != nil {
-			rt.fail(err)
-			s.writeError(rw, err)
-		}
+		out := &stream{rw: rw, state: "bypass"}
+		e, err := s.fill(ctx, t, stamp, out, false)
+		s.finish(rt, out, e, err)
 		return
 	}
 
 	tr, parent := obs.SpanFromContext(ctx)
 	lookupSpan := tr.StartSpan("cache.lookup", parent)
-	e, ok := s.cache.Get(key)
+	e, ok := s.cache.Get(t.prefix + "\x00" + stamp)
 	lookupSpan.SetAttr("hit", ok).End()
 	if ok {
 		s.m.hits.Inc()
 		rt.setCache("hit")
-		s.writeEntry(rw, e, "hit")
+		writeEntry(rw, e, "hit")
 		return
 	}
 	s.m.misses.Inc()
 
-	e, err, leader := s.cacheFill(ctx, v, params, prefix, stamp, true, func() (*cacheEntry, error) {
-		return s.evaluate(ctx, v, params, stamp)
+	if e, ok, err := s.derive(t, stamp); ok {
+		rt.setCache("derived")
+		s.finish(rt, &stream{rw: rw, state: "derived"}, e, err)
+		return
+	}
+
+	out := &stream{rw: rw, state: "miss"}
+	e, err, leader := s.cacheFill(ctx, t, stamp, func() (*cacheEntry, error) {
+		return s.fill(ctx, t, stamp, out, true)
 	})
 	if !leader {
 		s.m.coalesced.Inc()
+		out.state = "coalesced" // a follower never streamed; it gets the shared entry
 	}
-	if err != nil {
-		rt.fail(err)
-		s.writeError(rw, err)
-		return
-	}
-	state := "miss"
-	if !leader {
-		state = "coalesced"
-	}
-	rt.setCache(state)
-	s.writeEntry(rw, e, state)
+	rt.setCache(out.state)
+	s.finish(rt, out, e, err)
 }
 
 // simWork spends the configured simulated service time under the
@@ -651,58 +621,6 @@ func (s *Server) simWork(ctx context.Context) error {
 // cache entirely (Cache-Control: no-store).
 func noStoreRequest(r *http.Request) bool {
 	return strings.Contains(strings.ToLower(r.Header.Get("Cache-Control")), "no-store")
-}
-
-// cacheFill is the one cache-fill path of document and fragment misses
-// and background full refreshes: coalesce on the would-be cache key
-// prefix+stamp, run eval (under admission when admit is set), and cache
-// the result only if the data-version stamp is still the one the key was
-// computed from. That recheck is what makes every cached entry exact for
-// its stamp — if a source mutated while the evaluation ran, the result
-// may reflect a mix of versions and is served to the waiting clients but
-// never cached (a later request or refresh cycle rebuilds it under the
-// new stamp).
-func (s *Server) cacheFill(ctx context.Context, v *View, params map[string]string, prefix, stamp string, admit bool, eval func() (*cacheEntry, error)) (*cacheEntry, error, bool) {
-	key := prefix + "\x00" + stamp
-	return s.flight.Do(ctx, key, func() (*cacheEntry, error) {
-		// The per-table version snapshot must be taken inside the
-		// stamp-recheck window too: when the recheck passes, nothing
-		// mutated between reading the stamp, these versions, and the
-		// data itself, so all three are mutually consistent.
-		tableVers, tverr := s.tableVersions(v)
-		var entry *cacheEntry
-		var eerr error
-		if admit {
-			eerr = s.admitted(ctx, func() (err error) {
-				entry, err = eval()
-				return err
-			})
-		} else {
-			entry, eerr = eval()
-		}
-		if eerr != nil {
-			return nil, eerr
-		}
-		entry.view = v.name
-		entry.params = params
-		entry.keyPrefix = prefix
-		entry.stamp = stamp
-		entry.tableVers = tableVers
-		if tverr == nil {
-			// Cache only when the recheck stamp is settled (even — no
-			// write in flight) and identical to the key's stamp: by the
-			// seqlock argument nothing mutated between reading the stamp,
-			// the table versions, and the data, so the entry is exact for
-			// its stamp.
-			if s2, settled, serr := s.stamp(v); serr == nil && settled && s2 == stamp {
-				s.cache.Add(key, entry)
-				s.m.cacheEntries.Set(float64(s.cache.Len()))
-			} else {
-				s.m.staleSkips.Inc()
-			}
-		}
-		return entry, nil
-	})
 }
 
 // admitted runs fn under the admission semaphore, the way
@@ -742,15 +660,11 @@ type settled struct {
 // moves under the first — up to a settled, untagged run; stamp is the
 // data-version stamp the caller read before it. The tracer ctx carries
 // (the flight recorder's, or a refresh/mutate trace) flows through the
-// whole evaluation stack; with none and legacy TraceRequests set, a
-// standalone tracer is made so GET /views/{name}/trace still works.
+// whole evaluation stack.
 func (s *Server) settle(ctx context.Context, v *View, params map[string]string, stamp string) (*settled, error) {
 	rootInh, err := v.bindParams(params)
 	if err != nil {
 		return nil, err
-	}
-	if tr, _ := obs.SpanFromContext(ctx); tr == nil && s.cfg.TraceRequests {
-		ctx = obs.ContextWithSpan(ctx, obs.NewTracer(), nil)
 	}
 
 	settleAt := func(g *aig.AIG, est int) (*mediator.Run, int, error) {
@@ -784,82 +698,6 @@ func (s *Server) settle(ctx context.Context, v *View, params map[string]string, 
 		premises = "broken"
 	}
 	return &settled{run: run, depth: depth, premises: premises, ctx: ctx}, nil
-}
-
-// emit writes a settled document to w, timed as the request's "render"
-// span.
-func (s *Server) emit(v *View, st *settled, w io.Writer) (int64, error) {
-	tr, parent := obs.SpanFromContext(st.ctx)
-	sp := tr.StartSpan("render", parent)
-	n, err := st.run.WriteTo(w)
-	if err == nil {
-		v.lastSize.Store(n)
-	}
-	sp.SetAttr("bytes", n).SetAttr("premises", st.premises).End()
-	if s.cfg.TraceRequests && tr != nil {
-		var tb strings.Builder
-		if terr := tr.WriteJSON(&tb); terr == nil {
-			v.setLastTrace([]byte(tb.String()))
-		}
-	}
-	return n, err
-}
-
-// evaluate settles a view evaluation and emits its document into a
-// cache entry, sized by the view's last document.
-func (s *Server) evaluate(ctx context.Context, v *View, params map[string]string, stamp string) (*cacheEntry, error) {
-	st, err := s.settle(ctx, v, params, stamp)
-	if err != nil {
-		return nil, err
-	}
-	buf := bytes.NewBuffer(make([]byte, 0, v.lastSize.Load()))
-	if _, err := s.emit(v, st, buf); err != nil {
-		return nil, err
-	}
-	return &cacheEntry{
-		body:    buf.Bytes(),
-		depth:   st.depth,
-		evalSec: st.run.Report.WallSec,
-		created: time.Now(),
-	}, nil
-}
-
-// writeEntry sends a materialized result with the serving headers.
-func (s *Server) writeEntry(w http.ResponseWriter, e *cacheEntry, cacheState string) {
-	setEntryHeaders(w.Header(), cacheState, e.depth, e.evalSec, e.stamp)
-	w.Write(e.body)
-}
-
-// setEntryHeaders sets the serving headers of a full document.
-func setEntryHeaders(h http.Header, cacheState string, depth int, evalSec float64, stamp string) {
-	h.Set("Content-Type", "application/xml; charset=utf-8")
-	h.Set("X-Aig-Cache", cacheState)
-	h.Set("X-Aig-Unfold-Depth", fmt.Sprint(depth))
-	h.Set("X-Aig-Eval-Seconds", fmt.Sprintf("%.6f", evalSec))
-	if stamp != "" {
-		h.Set("X-Aig-Stamp", stamp)
-	}
-}
-
-// stream writes a response body to the client as it is produced. The
-// headers go out with the first byte, so a failure before it can still
-// answer with a clean error status, and every write is flushed.
-type stream struct {
-	rw     *statusRecorder
-	header func(http.Header)
-	wrote  bool
-}
-
-func (st *stream) Write(b []byte) (int, error) {
-	if !st.wrote {
-		st.wrote = true
-		st.header(st.rw.Header())
-	}
-	n, err := st.rw.Write(b)
-	if err == nil {
-		st.rw.Flush()
-	}
-	return n, err
 }
 
 // writeError maps evaluation and admission errors to HTTP statuses:
@@ -924,23 +762,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprint(w, v.Plan())
-}
-
-// handleTrace answers GET /views/{name}/trace with the span tree of
-// the most recent traced evaluation.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	v := s.View(r.PathValue("name"))
-	if v == nil {
-		http.Error(w, "no such view", http.StatusNotFound)
-		return
-	}
-	trace := v.LastTrace()
-	if trace == nil {
-		http.Error(w, "no traced evaluation yet (is TraceRequests enabled?)", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(trace)
 }
 
 // handleMetrics answers GET /metrics in Prometheus text format.

@@ -185,31 +185,19 @@ func TestCacheInvalidationOnSourceMutation(t *testing.T) {
 func TestWriteDuringEvaluationSkipsCache(t *testing.T) {
 	s, _, cat, metrics := testServer(t, Config{}, nil)
 	v := s.View("report")
-	fp, err := v.fragmentPlan("//patient/SSN", s.reg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	params := map[string]string{"date": "d1"}
-	prefix := v.name + "\x00" + canonicalParams(params)
 	visit := tableOf(t, cat, "DB1", "visitInfo")
-	cases := []struct {
-		name, prefix string
-		eval         func(stamp string) (*cacheEntry, error)
-	}{
-		{"document", prefix, func(stamp string) (*cacheEntry, error) {
-			return s.evaluate(t.Context(), v, params, stamp)
-		}},
-		{"fragment", fragPrefix(prefix, fp.expr), func(stamp string) (*cacheEntry, error) {
-			return s.evaluateFragment(t.Context(), v, params, fp, stamp, nil)
-		}},
-	}
-	for i, tc := range cases {
+	for i, tc := range []struct{ name, path string }{{"document", ""}, {"fragment", "//patient/SSN"}} {
+		tg, err := s.target(v, params, canonicalParams(params), tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
 		stamp, _, err := s.stamp(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err, _ := s.cacheFill(t.Context(), v, params, tc.prefix, stamp, false, func() (*cacheEntry, error) {
-			e, err := tc.eval(stamp)
+		e, err, _ := s.cacheFill(t.Context(), tg, stamp, func() (*cacheEntry, error) {
+			e, err := s.fill(t.Context(), tg, stamp, nil, true)
 			// s2 gets another billed t3 visit, on a date no report asks for.
 			visit.MustInsert(relstore.Tuple{relstore.String("s2"), relstore.String("t3"), relstore.String(fmt.Sprint("d9", i))})
 			return e, err
@@ -217,7 +205,7 @@ func TestWriteDuringEvaluationSkipsCache(t *testing.T) {
 		if err != nil || e == nil || len(e.body) == 0 || e.stamp != stamp {
 			t.Fatalf("%s: entry %v, err %v; want the evaluated result served", tc.name, e, err)
 		}
-		if _, ok := s.cache.Get(tc.prefix + "\x00" + stamp); ok || s.cache.Len() != 0 {
+		if _, ok := s.cache.Get(tg.prefix + "\x00" + stamp); ok || s.cache.Len() != 0 {
 			t.Errorf("%s: %d entries cached under a stamp that moved mid-evaluation", tc.name, s.cache.Len())
 		}
 		if n := counter(metrics, "aig_serve_cache_stale_skips_total"); n != int64(i+1) {
@@ -385,9 +373,72 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// choiceJoinSpec is a choice whose first branch reads its value from a
+// query joining two sources.
+const choiceJoinSpec = `
+dtd
+  <!ELEMENT results (result*)>
+  <!ELEMENT result (cheap | pricey)>
+  <!ELEMENT cheap (#PCDATA)>
+  <!ELEMENT pricey (#PCDATA)>
+end
+
+inh result (trId)
+inh cheap (val)
+inh pricey (val)
+
+rule results
+  child result from query []: select trId from DB:bands;
+end
+
+rule result
+  cond query [v = inh(result)]: select band from DB:bands where trId = $v.trId;
+  branch 1 child cheap from query [v = inh(result)]:
+    select n.name as val from DB:bands b, DB2:names n
+    where b.trId = n.trId and b.trId = $v.trId;
+  branch 2 child pricey set val = inh(result).trId
+end
+
+rule cheap
+  text inh(cheap).val
+end
+
+rule pricey
+  text inh(pricey).val
+end
+`
+
+// TestChoiceBranchSourcesListed: a view whose only DB2 query sits in a
+// choice branch registers, serves, and lists DB2 among the sources its
+// stamp covers.
+func TestChoiceBranchSourcesListed(t *testing.T) {
+	reg := source.NewRegistry()
+	db := relstore.NewDatabase("DB")
+	bands := db.CreateTable("bands", relstore.MustSchema("trId:string", "band:int"))
+	bands.MustInsert(relstore.Tuple{relstore.String("t1"), relstore.Int(1)})
+	bands.MustInsert(relstore.Tuple{relstore.String("t2"), relstore.Int(2)})
+	db2 := relstore.NewDatabase("DB2")
+	names := db2.CreateTable("names", relstore.MustSchema("trId:string", "name:string"))
+	names.MustInsert(relstore.Tuple{relstore.String("t1"), relstore.String("one")})
+	reg.Add(source.NewLocal(db))
+	reg.Add(source.NewLocal(db2))
+	s := NewServer(reg, Config{Metrics: obs.NewRegistry()})
+	v, err := s.AddSpec("choice", choiceJoinSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(v.Sources()); got != "[DB DB2]" {
+		t.Errorf("view sources = %s, want [DB DB2]", got)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	if code, body, _ := get(t, ts.URL+"/views/choice"); code != http.StatusOK || !strings.Contains(body, "<cheap>one</cheap>") {
+		t.Errorf("status %d, body:\n%s", code, body)
+	}
+}
+
 func TestIntrospectionEndpoints(t *testing.T) {
-	cfg := Config{TraceRequests: true}
-	_, ts, _, _ := testServer(t, cfg, nil)
+	_, ts, _, _ := testServer(t, Config{}, nil)
 
 	// GET /views lists the prepared view with its parameters and
 	// source dependencies.
@@ -415,16 +466,8 @@ func TestIntrospectionEndpoints(t *testing.T) {
 		t.Fatalf("/explain: status %d, plan %q", code, plan)
 	}
 
-	// No trace before the first evaluation; a span forest afterwards.
-	if code, _, _ = get(t, ts.URL+"/views/report/trace"); code != http.StatusNotFound {
-		t.Fatalf("/trace before evaluation: status %d, want 404", code)
-	}
 	if code, _, _ = get(t, ts.URL+"/views/report?date=d1"); code != http.StatusOK {
-		t.Fatalf("traced evaluation: status %d", code)
-	}
-	code, trace, _ := get(t, ts.URL+"/views/report/trace")
-	if code != http.StatusOK || !strings.Contains(trace, "\"evaluate\"") {
-		t.Fatalf("/trace: status %d, body %.120s", code, trace)
+		t.Fatalf("evaluation: status %d", code)
 	}
 
 	// /metrics exposes the serving instruments in Prometheus format.

@@ -86,11 +86,6 @@ type View struct {
 	// it exemplars so its buckets link to retrievable flight-recorder
 	// traces.
 	reqSec *obs.Histogram
-
-	// lastTrace holds the span tree of the most recent traced
-	// evaluation, for GET /views/{name}/trace.
-	traceMu   sync.Mutex
-	lastTrace []byte
 }
 
 // Name returns the view's name.
@@ -146,7 +141,7 @@ func prepareView(name string, a *aig.AIG, reg *source.Registry, opts mediator.Op
 		a:         a,
 		sa:        sa,
 		med:       mediator.New(reg, opts),
-		sources:   querySources(sa),
+		sources:   sa.QuerySources(),
 		params:    rootParams(a),
 		deps:      deps,
 		maxDepth:  maxUnfold,
@@ -237,48 +232,6 @@ func (s *Server) partialOK(v *View, stamp string) bool {
 	return v.cert.Certified && s.premisesHold(v, stamp)
 }
 
-// querySources collects the sorted set of source names referenced by any
-// query of the grammar (child queries, decomposed chains, and choice
-// conditions).
-func querySources(a *aig.AIG) []string {
-	set := make(map[string]struct{})
-	add := func(qs ...interface{ Sources() []string }) {
-		for _, q := range qs {
-			for _, s := range q.Sources() {
-				set[s] = struct{}{}
-			}
-		}
-	}
-	addInh := func(ir *aig.InhRule) {
-		if ir == nil {
-			return
-		}
-		if ir.Query != nil {
-			add(ir.Query)
-		}
-		for _, q := range ir.Chain {
-			add(q)
-		}
-	}
-	for _, r := range a.Rules {
-		for _, ir := range r.Inh {
-			addInh(ir)
-		}
-		if r.Cond != nil {
-			add(r.Cond)
-		}
-		for _, b := range r.Branches {
-			addInh(b.Inh)
-		}
-	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // rootParams lists the scalar members of the root element's inherited
 // attribute — the values a request may bind.
 func rootParams(a *aig.AIG) []ParamDecl {
@@ -342,19 +295,4 @@ var keyPartReplacer = strings.NewReplacer("%", "%25", "&", "%26", "=", "%3D", "\
 
 func escapeKeyPart(s string) string {
 	return keyPartReplacer.Replace(s)
-}
-
-// setLastTrace stores the rendered span tree of the latest evaluation.
-func (v *View) setLastTrace(b []byte) {
-	v.traceMu.Lock()
-	v.lastTrace = b
-	v.traceMu.Unlock()
-}
-
-// LastTrace returns the span tree of the most recent traced evaluation
-// (nil before the first one).
-func (v *View) LastTrace() []byte {
-	v.traceMu.Lock()
-	defer v.traceMu.Unlock()
-	return v.lastTrace
 }

@@ -24,25 +24,38 @@ func DecomposeQueries(a *aig.AIG, schemas sqlmini.SchemaProvider, stats sqlmini.
 		if r == nil {
 			continue
 		}
-		for _, child := range childKeys(r.Inh) {
-			ir := r.Inh[child]
+		decompose := func(child string, ir *aig.InhRule) error {
 			if ir == nil || ir.Query == nil || len(ir.Query.Sources()) <= 1 {
-				continue
+				return nil
 			}
 			params, err := ParamSchemasFor(out, ir.QueryParams, ir.Query)
 			if err != nil {
-				return nil, fmt.Errorf("specialize: rule for %s child %s: %v", elem, child, err)
+				return fmt.Errorf("specialize: rule for %s child %s: %v", elem, child, err)
 			}
 			chain, err := Decompose(ir.Query, schemas, params, stats, opts)
 			if err != nil {
-				return nil, fmt.Errorf("specialize: decomposing query for %s child %s: %v", elem, child, err)
+				return fmt.Errorf("specialize: decomposing query for %s child %s: %v", elem, child, err)
 			}
 			if len(chain) == 1 {
 				ir.Query = chain[0]
-				continue
+				return nil
 			}
 			ir.Query = nil
 			ir.Chain = chain
+			return nil
+		}
+		for _, child := range childKeys(r.Inh) {
+			if err := decompose(child, r.Inh[child]); err != nil {
+				return nil, err
+			}
+		}
+		for _, b := range r.Branches {
+			if b.Inh == nil {
+				continue
+			}
+			if err := decompose(b.Inh.Child, b.Inh); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return out, nil

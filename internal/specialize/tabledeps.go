@@ -90,15 +90,9 @@ func TableScans(a *aig.AIG) []TableScan {
 		if r.Cond != nil {
 			collect(elem, "", 0, r.Cond, r.CondParams)
 		}
-		children := make([]string, 0, len(r.Inh))
-		for c := range r.Inh {
-			children = append(children, c)
-		}
-		sort.Strings(children)
-		for _, child := range children {
-			ir := r.Inh[child]
-			if ir == nil || !ir.IsQuery() {
-				continue
+		inh := func(child string, ir *aig.InhRule) {
+			if !ir.IsQuery() {
+				return
 			}
 			if len(ir.Chain) > 0 {
 				for i, q := range ir.Chain {
@@ -108,9 +102,17 @@ func TableScans(a *aig.AIG) []TableScan {
 				collect(elem, child, 0, ir.Query, ir.QueryParams)
 			}
 		}
+		children := make([]string, 0, len(r.Inh))
+		for c := range r.Inh {
+			children = append(children, c)
+		}
+		sort.Strings(children)
+		for _, child := range children {
+			inh(child, r.Inh[child])
+		}
 		for _, b := range r.Branches {
-			if b.Inh.IsQuery() && b.Inh.Query != nil {
-				collect(elem, b.Inh.Child, 0, b.Inh.Query, b.Inh.QueryParams)
+			if b.Inh != nil {
+				inh(b.Inh.Child, b.Inh)
 			}
 		}
 	}

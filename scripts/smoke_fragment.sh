@@ -6,12 +6,19 @@
 #  1. A fragment request for the document root (path=/report) served
 #     through the router byte-equals the full-document response, and a
 #     predicate fragment selects exactly the matching subtree.
-#  2. A mutation outside the fragment's scans (a DB3 billing insert;
-#     the /report/patient/SSN fragment reads only DB1) leaves the
-#     fragment entry warm: the next request is still a cache hit with
-#     identical bytes, and the refresher metered a delta restamp.
+#  2. A mutation outside the fragment's scans (a DB3 billing insert for
+#     a treatment nobody visits; the /report/patient/SSN fragment reads
+#     only DB1) leaves the fragment entry warm: the next request is
+#     still a cache hit with identical bytes, and the refresher metered
+#     a delta restamp. The row keeps every premise of the view's
+#     certification, so partial evaluation still serves the fragment.
 #  3. A mutation inside the fragment's scans (a new DB1 patient with a
 #     visit) invalidates it: the next response contains the new row.
+#  4. A billing row duplicating t1 breaks the premise key
+#     DB3:billing(trId): the fragment is then served by the fully
+#     guarded grammar, whose unique guard aborts with a 500 naming
+#     patient(item.trId -> item); deleting the duplicate serves 200
+#     again.
 #
 # Used by `make smoke-fragment` and CI; finishes in well under 20s.
 set -euo pipefail
@@ -88,7 +95,7 @@ state="$(cache_state "$tmpdir/ssn2.h")"
 [ "$state" = "hit" ] || {
     echo "smoke_fragment: repeat fragment request was '$state', want hit" >&2; exit 1; }
 delta_before="$(metric aig_serve_refresh_delta_total)"
-curl -fsS -X POST "http://$ADDR/mutate?source=DB3&table=billing&op=insert&values=t1,999" >/dev/null
+curl -fsS -X POST "http://$ADDR/mutate?source=DB3&table=billing&op=insert&values=t999,999" >/dev/null
 sleep 0.6
 frag "$FRAG_PATH" "$tmpdir/ssn3.b" "$tmpdir/ssn3.h"
 state="$(cache_state "$tmpdir/ssn3.h")"
@@ -120,4 +127,25 @@ done
     exit 1
 }
 
-echo "smoke_fragment: OK (subtree match, warm across unrelated mutation, invalidated in scope)"
+echo "== phase 4: a broken premise serves the guarded grammar"
+frag_status() { # outfile -> HTTP status of the fragment request
+    curl -sS -G "http://$ROUTER_ADDR/views/report" \
+        --data-urlencode "date=d1" --data-urlencode "path=$FRAG_PATH" \
+        -o "$1" -w '%{http_code}'
+}
+curl -fsS -X POST "http://$ADDR/mutate?source=DB3&table=billing&op=insert&values=t1,999" >/dev/null
+status="$(frag_status "$tmpdir/dup.b")"
+[ "$status" = "500" ] && grep -qF 'patient(item.trId -> item)' "$tmpdir/dup.b" || {
+    echo "smoke_fragment: duplicate billing key answered $status, want the guard's 500:" >&2
+    cat "$tmpdir/dup.b" >&2
+    exit 1
+}
+curl -fsS -X POST "http://$ADDR/mutate?source=DB3&table=billing&op=delete&values=t1,999" >/dev/null
+status="$(frag_status "$tmpdir/undup.b")"
+[ "$status" = "200" ] && grep -q "s9" "$tmpdir/undup.b" || {
+    echo "smoke_fragment: fragment answered $status after the duplicate was deleted, want 200" >&2
+    cat "$tmpdir/undup.b" >&2
+    exit 1
+}
+
+echo "smoke_fragment: OK (subtree match, warm across unrelated mutation, invalidated in scope, guarded on a broken premise)"

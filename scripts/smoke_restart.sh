@@ -76,9 +76,11 @@ stop_all() { # graceful: aigd drains (saving the cache), source snapshots
 }
 
 metric() { # name -> value (0 when absent)
-    curl -fsS "http://$ADDR/metrics" \
-        | awk -v m="$1" '$1 == m { print $2; exit }' \
-        | grep . || echo 0
+    # The whole body is read before matching: an awk that exited early
+    # would break curl's pipe, and a failed pipeline would print twice.
+    local body
+    body="$(curl -fsS "http://$ADDR/metrics")" || body=""
+    awk -v m="$1" '$1 == m && v == "" { v = $2 } END { print (v == "" ? 0 : v) }' <<<"$body"
 }
 
 fetch() { # writes headers to $1.h and body to $1.b
