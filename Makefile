@@ -42,8 +42,9 @@ staticcheck:
 
 # fuzz-smoke gives each fuzz target a short budget; regressions in the
 # parsers' invariants (and the remote delta wire format) surface as
-# crashes, the XML encoder must byte-match the fmt-based reference, and
-# tuple keys must be equal exactly when the tuples are.
+# crashes, the XML encoder must byte-match the fmt-based reference,
+# tuple keys must be equal exactly when the tuples are, and a row parsed
+# from outside text must render back to itself. CI runs this target.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/aigspec
 	$(GO) test -run '^$$' -fuzz FuzzParseGeneral -fuzztime 10s ./internal/dtd
@@ -53,6 +54,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPathParse -fuzztime 10s ./internal/xpath
 	$(GO) test -run '^$$' -fuzz FuzzWriteIndented -fuzztime 10s ./internal/xmltree
 	$(GO) test -run '^$$' -fuzz FuzzTupleKey -fuzztime 10s ./internal/relstore
+	$(GO) test -run '^$$' -fuzz FuzzParseRow -fuzztime 10s ./internal/relstore
 
 # soak runs the differential harness for a wall-clock budget, shrinking
 # any divergence to a replayable {seed, config, ops} triple. CI runs it

@@ -24,12 +24,17 @@
 //	aigsource -name DB1 -data-dir state/DB1 -apply 'visitInfo:insert:s9,t1,d1'
 //	aigsource -name DB1 -data-dir state/DB1 -apply 'visitInfo:delete:s9,t1,d1'
 //
+// delete removes every row equal to the values; one that matches nothing
+// succeeds with "affected 0". Malformed input, an unknown table and a
+// journal failure exit 1.
+//
 // -http ADDR adds an HTTP sidecar listener for operating the source
 // while it serves: POST /mutate?table=T&op=insert|delete&values=V1,V2
-// applies a row-level write (the same query shape aigd's /mutate takes,
-// so load generators can drive writes at the origin while replicas
-// mirror them), GET /healthz answers readiness, and GET /metrics serves
-// the engine's counters in Prometheus text format.
+// applies a row-level write with aigd's /mutate query, JSON answer and
+// status codes (source is optional here and must name this source when
+// given), so load generators can drive writes at the origin while
+// replicas mirror them; GET /healthz answers readiness, and GET /metrics
+// serves the engine's counters in Prometheus text format.
 package main
 
 import (
@@ -66,7 +71,7 @@ func run() error {
 	flag.Parse()
 
 	if *name == "" || (*data == "" && *dataDir == "") {
-		fmt.Fprintln(os.Stderr, "usage: aigsource -name DB1 (-data ./data/DB1 | -data-dir state/DB1) [-listen host:port] [-fsync never|always] [-apply TABLE:OP:VALUES]")
+		fmt.Fprintln(os.Stderr, "usage: aigsource -name DB1 (-data ./data/DB1 | -data-dir state/DB1) [-listen host:port] [-fsync never|always] [-snapshot-every N] [-http host:port] [-apply TABLE:OP:VALUES]")
 		os.Exit(2)
 	}
 	fsync, err := relstore.ParseFsyncMode(*fsyncMode)
@@ -96,14 +101,16 @@ func run() error {
 	}
 
 	if *apply != "" {
-		if err := applyMutation(db, *apply); err != nil {
+		res, err := applySpec(db, *apply)
+		if err != nil {
 			p.Close()
 			return err
 		}
 		if err := p.Close(); err != nil {
 			return fmt.Errorf("closing journal: %w", err)
 		}
-		fmt.Printf("source %s: applied %s (db version %d)\n", *name, *apply, db.Version())
+		fmt.Printf("source %s: applied %s: affected %d (table version %d, %d rows, db version %d)\n",
+			*name, *apply, res.Affected, res.Version, res.Rows, db.Version())
 		return nil
 	}
 
@@ -146,9 +153,9 @@ func run() error {
 }
 
 // sidecarMux is the HTTP operating surface of a running source: write
-// endpoint, readiness and metrics. The write path accepts the same
-// query parameters as aigd's POST /mutate (source is optional here and
-// must match when given), so one load generator drives either.
+// endpoint, readiness and metrics. POST /mutate is source.ServeMutate,
+// as in aigd; the source parameter is optional and must name this source
+// when given.
 func sidecarMux(name string, db *relstore.Database) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -159,68 +166,23 @@ func sidecarMux(name string, db *relstore.Database) *http.ServeMux {
 		obs.Default.WritePrometheus(w)
 	})
 	mux.HandleFunc("POST /mutate", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		if src := q.Get("source"); src != "" && src != name {
-			http.Error(w, fmt.Sprintf("this source is %s, not %s", name, src), http.StatusBadRequest)
-			return
-		}
-		table, op, values := q.Get("table"), q.Get("op"), q.Get("values")
-		if table == "" || op == "" {
-			http.Error(w, "need table and op query parameters", http.StatusBadRequest)
-			return
-		}
-		if err := applyMutation(db, table+":"+op+":"+values); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		fmt.Fprintf(w, "ok (db version %d)\n", db.Version())
+		source.ServeMutate(w, r.URL.Query(), func(src string) (*relstore.Database, error) {
+			if src != "" && src != name {
+				return nil, fmt.Errorf("%w %q here: this is %s", source.ErrUnknownSource, src, name)
+			}
+			return db, nil
+		})
 	})
 	return mux
 }
 
-// applyMutation parses TABLE:OP:V1,V2,... and applies it. OP is insert
-// or delete (delete removes every row matching the values exactly).
-func applyMutation(db *relstore.Database, spec string) error {
-	parts := strings.SplitN(spec, ":", 3)
-	if len(parts) < 2 {
-		return fmt.Errorf("-apply wants TABLE:OP:V1,V2,..., got %q", spec)
+// applySpec applies an -apply spec TABLE:OP:V1,V2,... to db. The values
+// part may hold further colons.
+func applySpec(db *relstore.Database, spec string) (relstore.MutateResult, error) {
+	table, rest, ok := strings.Cut(spec, ":")
+	if !ok {
+		return relstore.MutateResult{}, fmt.Errorf("-apply wants TABLE:OP:V1,V2,..., got %q", spec)
 	}
-	table, op := parts[0], parts[1]
-	t, err := db.Table(table)
-	if err != nil {
-		return err
-	}
-	var row relstore.Tuple
-	if len(parts) == 3 && parts[2] != "" {
-		vals := strings.Split(parts[2], ",")
-		if len(vals) != len(t.Schema()) {
-			return fmt.Errorf("table %s: %d values for %d columns", table, len(vals), len(t.Schema()))
-		}
-		row = make(relstore.Tuple, len(vals))
-		for i, raw := range vals {
-			v, err := relstore.ParseValue(t.Schema()[i].Kind, raw)
-			if err != nil {
-				return fmt.Errorf("table %s column %s: %w", table, t.Schema()[i].Name, err)
-			}
-			row[i] = v
-		}
-	}
-	switch op {
-	case "insert":
-		if row == nil {
-			return fmt.Errorf("insert needs values")
-		}
-		return t.Insert(row)
-	case "delete":
-		if row == nil {
-			return fmt.Errorf("delete needs values")
-		}
-		key := row.Key()
-		if n := t.DeleteWhere(func(r relstore.Tuple) bool { return r.Key() == key }); n == 0 {
-			return fmt.Errorf("delete %s: no matching row", spec)
-		}
-		return nil
-	default:
-		return fmt.Errorf("op %q (want insert or delete)", op)
-	}
+	op, values, _ := strings.Cut(rest, ":")
+	return db.Mutate(table, op, relstore.SplitValues(values))
 }

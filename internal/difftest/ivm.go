@@ -27,46 +27,12 @@ func (m Mutation) String() string {
 // apply performs the mutation, reporting whether it changed anything
 // (a delete of an absent row is a no-op).
 func (m Mutation) apply(cat *relstore.Catalog) (bool, error) {
-	t, err := cat.Table(m.Source, m.Table)
+	db, err := cat.Database(m.Source)
 	if err != nil {
 		return false, err
 	}
-	row, err := parseRow(t.Schema(), m.Row)
-	if err != nil {
-		return false, err
-	}
-	switch m.Op {
-	case "insert":
-		return true, t.Insert(row)
-	case "delete":
-		key := row.Key()
-		return t.DeleteWhere(func(r relstore.Tuple) bool { return r.Key() == key }) > 0, nil
-	default:
-		return false, fmt.Errorf("difftest: unknown mutation op %q", m.Op)
-	}
-}
-
-func parseRow(schema relstore.Schema, texts []string) (relstore.Tuple, error) {
-	if len(texts) != len(schema) {
-		return nil, fmt.Errorf("difftest: %d values for %d columns", len(texts), len(schema))
-	}
-	row := make(relstore.Tuple, len(texts))
-	for i, s := range texts {
-		v, err := relstore.ParseValue(schema[i].Kind, s)
-		if err != nil {
-			return nil, err
-		}
-		row[i] = v
-	}
-	return row, nil
-}
-
-func renderRow(row relstore.Tuple) []string {
-	out := make([]string, len(row))
-	for i, v := range row {
-		out[i] = v.Text()
-	}
-	return out
+	res, err := db.Mutate(m.Table, m.Op, m.Row)
+	return res.Affected > 0, err
 }
 
 // GenerateMutations derives a deterministic mutation sequence for an
@@ -97,7 +63,7 @@ func GenerateMutations(inst *randaig.Instance, seed int64, n int) []Mutation {
 		t := tg.table
 		if t.Len() > 0 && rng.Intn(10) < 3 { // ~30% deletes
 			row := t.Row(rng.Intn(t.Len()))
-			m := Mutation{Source: tg.source, Table: t.Name(), Op: "delete", Row: renderRow(row)}
+			m := Mutation{Source: tg.source, Table: t.Name(), Op: "delete", Row: row.Texts()}
 			if ok, err := m.apply(cat); err == nil && ok {
 				out = append(out, m)
 			}
@@ -117,7 +83,7 @@ func GenerateMutations(inst *randaig.Instance, seed int64, n int) []Mutation {
 				row[c] = relstore.String(fmt.Sprintf("z%d", rng.Intn(40)))
 			}
 		}
-		m := Mutation{Source: tg.source, Table: t.Name(), Op: "insert", Row: renderRow(row)}
+		m := Mutation{Source: tg.source, Table: t.Name(), Op: "insert", Row: row.Texts()}
 		if ok, err := m.apply(cat); err == nil && ok {
 			out = append(out, m)
 		}

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -23,15 +24,14 @@ import (
 
 // RecoverOp is one replayable operation of a recovery torture run. The
 // set deliberately covers every WAL record kind: row inserts/deletes,
-// position deletes, sorts, distinct, change-log limit changes, table
-// adds and drops, manual version bumps, plus explicit snapshots (which
-// journal nothing but rotate the log mid-sequence).
+// change-log limit changes, table adds and drops, manual version bumps,
+// plus explicit snapshots (which journal nothing but rotate the log
+// mid-sequence).
 type RecoverOp struct {
 	Kind  string   `json:"kind"`
 	Table string   `json:"table,omitempty"`
 	Row   []string `json:"row,omitempty"`
-	Index int      `json:"index,omitempty"` // deleteat position; addtable row count
-	Cols  []int    `json:"cols,omitempty"`
+	Index int      `json:"index,omitempty"` // addtable row count
 	Limit int      `json:"limit,omitempty"`
 }
 
@@ -39,10 +39,6 @@ func (op RecoverOp) String() string {
 	switch op.Kind {
 	case "insert", "delete":
 		return fmt.Sprintf("%s %s %v", op.Kind, op.Table, op.Row)
-	case "deleteat":
-		return fmt.Sprintf("deleteat %s[%d]", op.Table, op.Index)
-	case "sort":
-		return fmt.Sprintf("sort %s %v", op.Table, op.Cols)
 	case "loglimit":
 		return fmt.Sprintf("loglimit %s %d", op.Table, op.Limit)
 	case "addtable":
@@ -117,6 +113,16 @@ func buildRecoverBase(seed int64) *relstore.Database {
 // those degrade to no-ops, mirroring what the journaled store does.
 func applyRecoverOp(db *relstore.Database, p *relstore.Persister, op RecoverOp) error {
 	switch op.Kind {
+	case "insert", "delete":
+		if _, err := db.Mutate(op.Table, op.Kind, op.Row); errors.Is(err, relstore.ErrJournal) {
+			return err
+		}
+		return nil
+	case "loglimit":
+		if t, err := db.Table(op.Table); err == nil {
+			t.SetChangeLogLimit(op.Limit)
+		}
+		return nil
 	case "addtable":
 		nt := relstore.NewTable(op.Table, relstore.MustSchema("p:string", "q:int"))
 		for i := 0; i < op.Index; i++ {
@@ -135,35 +141,9 @@ func applyRecoverOp(db *relstore.Database, p *relstore.Persister, op RecoverOp) 
 			return p.Snapshot()
 		}
 		return nil
-	case "insert", "delete", "deleteat", "sort", "distinct", "loglimit":
 	default:
 		return fmt.Errorf("difftest: unknown recover op %q", op.Kind)
 	}
-	t, err := db.Table(op.Table)
-	if err != nil {
-		return nil
-	}
-	switch op.Kind {
-	case "insert", "delete":
-		row, err := parseRow(t.Schema(), op.Row)
-		if err != nil {
-			return nil
-		}
-		if op.Kind == "insert" {
-			return t.Insert(row)
-		}
-		key := row.Key()
-		t.DeleteWhere(func(r relstore.Tuple) bool { return r.Key() == key })
-	case "deleteat":
-		t.DeleteAt(op.Index) // out of range after shrinking: no-op
-	case "sort":
-		t.Sort(op.Cols)
-	case "distinct":
-		t.Distinct()
-	case "loglimit":
-		t.SetChangeLogLimit(op.Limit)
-	}
-	return nil
 }
 
 // GenerateRecoverOps derives a deterministic op sequence for a seed,
@@ -195,26 +175,13 @@ func GenerateRecoverOps(seed int64, cfg RecoverConfig) []RecoverOp {
 		}
 		var op RecoverOp
 		switch w := rng.Intn(100); {
-		case w < 40:
+		case w < 45:
 			op = RecoverOp{Kind: "insert", Table: tn, Row: randomRow(t)}
-		case w < 55:
-			if t.Len() == 0 {
-				continue
-			}
-			op = RecoverOp{Kind: "delete", Table: tn, Row: renderRow(t.Row(rng.Intn(t.Len())))}
-		case w < 65:
-			if t.Len() == 0 {
-				continue
-			}
-			op = RecoverOp{Kind: "deleteat", Table: tn, Index: rng.Intn(t.Len())}
-		case w < 72:
-			var cols []int
-			if rng.Intn(2) == 0 {
-				cols = []int{rng.Intn(len(t.Schema()))}
-			}
-			op = RecoverOp{Kind: "sort", Table: tn, Cols: cols}
 		case w < 78:
-			op = RecoverOp{Kind: "distinct", Table: tn}
+			if t.Len() == 0 {
+				continue
+			}
+			op = RecoverOp{Kind: "delete", Table: tn, Row: t.Row(rng.Intn(t.Len())).Texts()}
 		case w < 83:
 			limits := []int{-1, 1, 3, 8, 0}
 			op = RecoverOp{Kind: "loglimit", Table: tn, Limit: limits[rng.Intn(len(limits))]}

@@ -59,37 +59,32 @@ func TestBrokenPremisesHospital(t *testing.T) {
 	if b := BrokenPremises(a, cert.Premises, data); len(b) != 0 {
 		t.Fatalf("premises broken on the data they describe: %v", b)
 	}
-	table := func(db, name string) *relstore.Table {
-		tab, err := cat.Table(db, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tab
-	}
 	cases := []struct {
-		name  string
-		table *relstore.Table
-		row   relstore.Tuple
-		want  string
+		name, db, table string
+		row             []string
+		want            string
 	}{
-		{"duplicate key", table("DB3", "billing"),
-			relstore.Tuple{relstore.String("t1"), relstore.Int(5)}, "key DB3:billing(trId)"},
-		{"dangling visit fk", table("DB1", "visitInfo"),
-			relstore.Tuple{relstore.String("s1"), relstore.String("t99"), relstore.String("d1")},
+		{"duplicate key", "DB3", "billing", []string{"t1", "5"}, "key DB3:billing(trId)"},
+		{"dangling visit fk", "DB1", "visitInfo", []string{"s1", "t99", "d1"},
 			"fkey DB1:visitInfo(trId) -> DB3:billing(trId)"},
-		{"dangling procedure fk", table("DB4", "procedure"),
-			relstore.Tuple{relstore.String("t1"), relstore.String("t99")},
+		{"dangling procedure fk", "DB4", "procedure", []string{"t1", "t99"},
 			"fkey DB4:procedure(trId2) -> DB3:billing(trId)"},
 	}
 	for _, tc := range cases {
-		tc.table.MustInsert(tc.row)
+		db, err := cat.Database(tc.db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate := func(op string) {
+			if res, err := db.Mutate(tc.table, op, tc.row); err != nil || res.Affected != 1 {
+				t.Fatalf("%s: %s = %+v, %v", tc.name, op, res, err)
+			}
+		}
+		mutate(relstore.OpInsert)
 		if b := BrokenPremises(a, cert.Premises, data); !equalStrings(b, []string{tc.want}) {
 			t.Errorf("%s: broken %v, want [%s]", tc.name, b, tc.want)
 		}
-		key := tc.row.Key()
-		if tc.table.DeleteWhere(func(r relstore.Tuple) bool { return r.Key() == key }) == 0 {
-			t.Fatalf("%s: row vanished", tc.name)
-		}
+		mutate(relstore.OpDelete)
 		if b := BrokenPremises(a, cert.Premises, data); len(b) != 0 {
 			t.Errorf("%s: still broken after undoing the write: %v", tc.name, b)
 		}

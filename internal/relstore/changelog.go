@@ -29,8 +29,7 @@ func (op ChangeOp) String() string {
 }
 
 // Change is one row-level delta. Ver is the table version the change
-// produced; a multi-row operation (DeleteWhere, Distinct) logs all its
-// rows under a single version.
+// produced; a multi-row delete logs all its rows under a single version.
 type Change struct {
 	Ver uint64
 	Op  ChangeOp
@@ -49,7 +48,7 @@ const (
 	TruncateNone TruncateCause = iota
 	// TruncateRolled: the bounded log evicted deltas the window needs.
 	TruncateRolled
-	// TruncateReset: the log was reset wholesale — the table was sorted,
+	// TruncateReset: the log was reset wholesale — the table was
 	// replaced under its name, or delta logging was disabled.
 	TruncateReset
 	// TruncateRestart: the caller's watermark is ahead of the table's

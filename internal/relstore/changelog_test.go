@@ -20,8 +20,8 @@ func TestVersionAdvancesPerMutation(t *testing.T) {
 	if got := tab.Version(); got != 3 {
 		t.Fatalf("version after 3 inserts = %d, want 3", got)
 	}
-	if _, err := tab.DeleteAt(1); err != nil {
-		t.Fatal(err)
+	if n, err := tab.DeleteWhere(Tuple{String("b"), Int(2)}.Equal); err != nil || n != 1 {
+		t.Fatalf("delete: %d rows, %v", n, err)
 	}
 	if got := tab.Version(); got != 4 {
 		t.Fatalf("version after delete = %d, want 4", got)
@@ -36,7 +36,7 @@ func TestChangesSinceReplaysToCurrentState(t *testing.T) {
 	base := tab.Version()
 	baseRows := tab.Rows()
 	tab.MustInsert(Tuple{String("d"), Int(4)})
-	if _, err := tab.DeleteAt(0); err != nil {
+	if _, err := tab.DeleteWhere(Tuple{String("a"), Int(1)}.Equal); err != nil {
 		t.Fatal(err)
 	}
 	cs := tab.ChangesSince(base)
@@ -78,30 +78,22 @@ func TestChangesSinceBeyondNowIsTruncated(t *testing.T) {
 	}
 }
 
-func TestSortResetsLog(t *testing.T) {
+// TestDisablingLogResetsIt: turning delta logging off resets the log, so
+// a window spanning the switch is truncated with cause reset, and logging
+// turned back on covers windows from then on.
+func TestDisablingLogResetsIt(t *testing.T) {
 	tab := deltaTable(t)
 	base := tab.Version()
-	tab.Sort(nil)
-	cs := tab.ChangesSince(base)
-	if !cs.Truncated {
-		t.Fatal("window spanning a Sort must be truncated")
+	tab.SetChangeLogLimit(-1)
+	tab.MustInsert(Tuple{String("d"), Int(4)})
+	if cs := tab.ChangesSince(base); !cs.Truncated || cs.Cause != TruncateReset {
+		t.Fatalf("window spanning the reset = %+v, want truncated by reset", cs)
 	}
-	if cs2 := tab.ChangesSince(tab.Version()); cs2.Truncated || len(cs2.Changes) != 0 {
-		t.Fatalf("empty window after Sort: %+v", cs2)
-	}
-}
-
-func TestDistinctLogsDeletes(t *testing.T) {
-	tab := deltaTable(t)
-	tab.MustInsert(Tuple{String("a"), Int(1)}) // duplicate
-	base := tab.Version()
-	tab.Distinct()
-	cs := tab.ChangesSince(base)
-	if cs.Truncated {
-		t.Fatal("Distinct should be delta-expressible")
-	}
-	if len(cs.Changes) != 1 || cs.Changes[0].Op != ChangeDelete {
-		t.Fatalf("changes = %+v, want one delete", cs.Changes)
+	tab.SetChangeLogLimit(0)
+	since := tab.Version()
+	tab.MustInsert(Tuple{String("e"), Int(5)})
+	if cs := tab.ChangesSince(since); cs.Truncated || len(cs.Changes) != 1 {
+		t.Fatalf("window after re-enabling = %+v, want one insert", cs)
 	}
 }
 
@@ -133,9 +125,9 @@ func TestDisabledLogAlwaysTruncates(t *testing.T) {
 func TestDeleteWhereLogsEachRow(t *testing.T) {
 	tab := deltaTable(t)
 	base := tab.Version()
-	n := tab.DeleteWhere(func(row Tuple) bool { return row[1].Compare(Int(2)) <= 0 })
-	if n != 2 {
-		t.Fatalf("DeleteWhere removed %d, want 2", n)
+	n, err := tab.DeleteWhere(func(row Tuple) bool { return row[1].Compare(Int(2)) <= 0 })
+	if err != nil || n != 2 {
+		t.Fatalf("DeleteWhere removed %d (%v), want 2", n, err)
 	}
 	if got := tab.Version(); got != base+1 {
 		t.Fatalf("DeleteWhere bumped version to %d, want %d", got, base+1)

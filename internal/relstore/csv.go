@@ -54,15 +54,9 @@ func ReadCSV(name string, r io.Reader) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("relstore: reading CSV for %q: %v", name, err)
 		}
-		if len(record) != len(schema) {
-			return nil, fmt.Errorf("relstore: CSV row for %q has %d fields, want %d", name, len(record), len(schema))
-		}
-		row := make(Tuple, len(schema))
-		for i, cell := range record {
-			row[i], err = ParseValue(schema[i].Kind, cell)
-			if err != nil {
-				return nil, err
-			}
+		row, err := schema.ParseRow(record)
+		if err != nil {
+			return nil, fmt.Errorf("relstore: CSV row for %q: %w", name, err)
 		}
 		if err := t.Insert(row); err != nil {
 			return nil, err

@@ -169,7 +169,7 @@ func (db *Database) Table(name string) (*Table, error) {
 	t, ok := db.tables[name]
 	db.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("relstore: no table %q in database %q", name, db.name)
+		return nil, fmt.Errorf("%w %q in database %q", ErrUnknownTable, name, db.name)
 	}
 	return t, nil
 }

@@ -54,11 +54,6 @@ func TestTableMisc(t *testing.T) {
 	if s := tbl.String(); !strings.Contains(s, "...") {
 		t.Error("Table.String does not truncate")
 	}
-	// Sort by a column subset.
-	tbl.Sort([]int{1})
-	if tbl.Row(0)[1].AsInt() > tbl.Row(1)[1].AsInt() {
-		t.Error("Sort by column subset failed")
-	}
 }
 
 func TestMustInsertPanics(t *testing.T) {

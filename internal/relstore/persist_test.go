@@ -60,13 +60,13 @@ func TestRecoverRoundTrip(t *testing.T) {
 	db, _ := buildPersisted(t, opts)
 	tab, _ := db.Table("t")
 	tab.MustInsert(Tuple{String("c"), Int(3)})
-	if _, err := tab.DeleteAt(0); err != nil {
+	if _, err := tab.DeleteWhere(func(r Tuple) bool { return r[0].Text() == "a" }); err != nil {
 		t.Fatal(err)
 	}
-	tab.DeleteWhere(func(r Tuple) bool { return r[0].Text() == "b" })
-	tab.Sort([]int{1})
 	tab.MustInsert(Tuple{String("c"), Int(3)})
-	tab.Distinct()
+	if n, err := tab.DeleteWhere(Tuple{String("c"), Int(3)}.Equal); err != nil || n != 2 {
+		t.Fatalf("multi-row delete: %d rows, %v", n, err)
+	}
 	db.BumpVersion()
 	db.CreateTable("u", MustSchema("x:int")).MustInsert(Tuple{Int(7)})
 	db.DropTable("u")
@@ -250,9 +250,9 @@ func TestTruncationCauses(t *testing.T) {
 		t.Errorf("rolled log: got %+v, want rolled truncation", cs)
 	}
 
-	tab.Sort(nil)
+	tab.SetChangeLogLimit(-1)
 	if cs := tab.ChangesSince(0); !cs.Truncated || cs.Cause != TruncateReset {
-		t.Errorf("after sort: got %+v, want reset truncation", cs)
+		t.Errorf("after disabling the log: got %+v, want reset truncation", cs)
 	}
 	if cs := tab.ChangesSince(tab.Version()); cs.Truncated {
 		t.Errorf("current watermark truncated: %+v", cs)

@@ -194,9 +194,9 @@ func replayWAL(db *Database, fs FS, name string, snapSeq uint64, seq, dbVer *uin
 
 // applyRecord replays one journaled mutation against the recovering
 // database. Tables have no persister attached yet, so replay does not
-// re-journal. Deterministic re-execution (Sort, Distinct, DeleteWhere by
-// recorded positions) reproduces the original's rows, versions and
-// change-log entries exactly, which the version cross-check enforces.
+// re-journal. Deterministic re-execution (deletes by recorded positions)
+// reproduces the original's rows, versions and change-log entries
+// exactly, which the version cross-check enforces.
 func applyRecord(db *Database, rec *walRecord) error {
 	table := func() (*Table, error) {
 		t, err := db.Table(rec.Table)
@@ -221,39 +221,13 @@ func applyRecord(db *Database, rec *walRecord) error {
 			return fmt.Errorf("relstore: wal record %d: %w", rec.Seq, err)
 		}
 		return checkVer(t)
-	case recDeleteAt:
-		t, err := table()
-		if err != nil {
-			return err
-		}
-		if _, err := t.DeleteAt(rec.Index); err != nil {
-			return fmt.Errorf("relstore: wal record %d: %w", rec.Seq, err)
-		}
-		return checkVer(t)
 	case recDeleteRows:
 		t, err := table()
 		if err != nil {
 			return err
 		}
+		t.mu.Lock()
 		t.deleteIndices(rec.Indices)
-		return checkVer(t)
-	case recSort:
-		t, err := table()
-		if err != nil {
-			return err
-		}
-		cols := rec.Cols
-		if !rec.HasCols {
-			cols = nil
-		}
-		t.Sort(cols)
-		return checkVer(t)
-	case recDistinct:
-		t, err := table()
-		if err != nil {
-			return err
-		}
-		t.Distinct()
 		return checkVer(t)
 	case recLogLimit:
 		t, err := table()

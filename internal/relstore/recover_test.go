@@ -13,6 +13,7 @@ package relstore_test
 //     recoverable.
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -99,8 +100,8 @@ func TestShortWriteNeverHalfAppliesDeleteWhere(t *testing.T) {
 	before := fp(db)
 
 	fs.InjectShortWrite(1)
-	if n := tab.DeleteWhere(func(r relstore.Tuple) bool { return true }); n != 0 {
-		t.Fatalf("DeleteWhere reported %d rows through a failed append", n)
+	if n, err := tab.DeleteWhere(func(r relstore.Tuple) bool { return true }); err == nil || n != 0 {
+		t.Fatalf("DeleteWhere reported %d rows and error %v through a failed append", n, err)
 	}
 	if got := fp(db); got != before {
 		t.Errorf("failed DeleteWhere changed state:\nbefore:\n%s\nafter:\n%s", before, got)
@@ -114,6 +115,27 @@ func TestShortWriteNeverHalfAppliesDeleteWhere(t *testing.T) {
 	}
 	if cs := rt.ChangesSince(rt.Version()); cs.Truncated || len(cs.Changes) != 0 {
 		t.Errorf("recovered log has trailing deltas: %+v", cs)
+	}
+}
+
+// TestMutateReportsJournalFailure: a write the WAL refuses is reported as
+// ErrJournal by both ops, and the table's rows and version are unchanged.
+func TestMutateReportsJournalFailure(t *testing.T) {
+	for _, op := range []string{relstore.OpInsert, relstore.OpDelete} {
+		t.Run(op, func(t *testing.T) {
+			db, _, fs := newFaultDB(t)
+			tab, _ := db.Table("t")
+			rows, ver := fmt.Sprint(tab.Rows()), tab.Version()
+
+			fs.InjectShortWrite(1)
+			res, err := db.Mutate("t", op, []string{"k1", "1"})
+			if !errors.Is(err, relstore.ErrJournal) {
+				t.Fatalf("Mutate = %+v, %v; want ErrJournal", res, err)
+			}
+			if got := fmt.Sprint(tab.Rows()); got != rows || tab.Version() != ver {
+				t.Errorf("failed %s changed the table: rows %s v%d, want %s v%d", op, got, tab.Version(), rows, ver)
+			}
+		})
 	}
 }
 

@@ -137,12 +137,12 @@ func TestApplyChangesReplaysAtOriginVersions(t *testing.T) {
 
 	src.MustInsert(Tuple{String("b"), Int(2)})
 	src.MustInsert(Tuple{String("c"), Int(3)})
-	if _, err := src.DeleteAt(0); err != nil {
+	if _, err := src.DeleteWhere(Tuple{String("a"), Int(1)}.Equal); err != nil {
 		t.Fatal(err)
 	}
-	n := src.DeleteWhere(func(r Tuple) bool { return r[1].AsInt() >= 2 }) // multi-row, one version
-	if n != 2 {
-		t.Fatalf("DeleteWhere removed %d, want 2", n)
+	n, err := src.DeleteWhere(func(r Tuple) bool { return r[1].AsInt() >= 2 }) // multi-row, one version
+	if err != nil || n != 2 {
+		t.Fatalf("DeleteWhere removed %d (%v), want 2", n, err)
 	}
 
 	cs := src.ChangesSince(base)
@@ -192,7 +192,9 @@ func TestApplyChangesAdvancesEmptyWindows(t *testing.T) {
 	mirror := NewTableWithState("t", replicaSchema(t), mirrorRows, src.Version(), TruncateRestart)
 
 	base := src.Version()
-	src.Distinct() // drops one duplicate under one version
+	if _, err := src.DeleteWhere(Tuple{String("a"), Int(1)}.Equal); err != nil { // both copies, one version
+		t.Fatal(err)
+	}
 	cs := src.ChangesSince(base)
 	if _, err := mirror.ApplyChanges(cs); err != nil {
 		t.Fatal(err)
@@ -201,18 +203,14 @@ func TestApplyChangesAdvancesEmptyWindows(t *testing.T) {
 		t.Fatalf("mirror diverged after multi-row version: v%d vs v%d", mirror.Version(), src.Version())
 	}
 
-	// A version advance with no row deltas (Distinct finding nothing)
-	// still moves the watermark, or the subscriber re-fetches forever.
+	// A version advance with no row deltas still moves the watermark, or
+	// the subscriber re-fetches forever.
 	base = src.Version()
-	src.Distinct()
-	cs = src.ChangesSince(base)
-	if len(cs.Changes) != 0 || cs.Now == base {
-		t.Fatalf("expected empty version-advancing window, got %+v", cs)
-	}
+	cs = ChangeSet{Table: "t", Since: base, Now: base + 1}
 	if _, err := mirror.ApplyChanges(cs); err != nil {
 		t.Fatal(err)
 	}
-	if mirror.Version() != src.Version() {
-		t.Fatalf("empty window did not advance mirror: v%d vs v%d", mirror.Version(), src.Version())
+	if mirror.Version() != base+1 {
+		t.Fatalf("empty window did not advance mirror: v%d, want v%d", mirror.Version(), base+1)
 	}
 }

@@ -2,7 +2,6 @@ package relstore
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -321,101 +320,52 @@ func (t *Table) InsertValues(vals ...any) error {
 	return t.Insert(row)
 }
 
-// DeleteAt removes the i-th row and returns it.
-func (t *Table) DeleteAt(i int) (Tuple, error) {
-	if p := t.p.Load(); p != nil {
-		p.gate.Lock()
-		defer p.gate.Unlock()
-		// Validate against the published snapshot — the gate excludes
-		// writers, so it equals the buffer — before journaling, so an
-		// out-of-range index never reaches the log.
-		if n := len(t.rowsSnap()); i < 0 || i >= n {
-			return nil, fmt.Errorf("table %q: delete index %d out of range [0,%d)", t.name, i, n)
-		}
-		if err := p.append(&walRecord{Kind: recDeleteAt, DBDelta: 2, Table: t.name,
-			Ver: t.version.Load() + 1, Index: i}); err != nil {
-			return nil, err
-		}
-	}
-	t.mu.Lock()
-	if i < 0 || i >= len(t.buf) {
-		n := len(t.buf)
-		t.mu.Unlock()
-		return nil, fmt.Errorf("table %q: delete index %d out of range [0,%d)", t.name, i, n)
-	}
-	row := t.buf[i]
-	t.beginMutateLocked()
-	// The published prefix may alias buf, so removal copies instead of
-	// shifting in place.
-	next := make([]Tuple, 0, len(t.buf)-1)
-	next = append(next, t.buf[:i]...)
-	next = append(next, t.buf[i+1:]...)
-	t.buf = next
-	t.publishLocked()
-	ver := t.version.Add(1)
-	t.log.appendLocked(Change{Ver: ver, Op: ChangeDelete, Row: row})
-	t.mu.Unlock()
-	metricDeletes.Inc()
-	t.mutated()
-	return row, nil
-}
-
 // DeleteWhere removes every row the predicate matches, returning the
-// count. All removals are logged under a single new table version.
-func (t *Table) DeleteWhere(match func(Tuple) bool) int {
+// count. All removals are logged under a single new table version. When
+// the journal refuses the record nothing is removed and the error is
+// returned.
+func (t *Table) DeleteWhere(match func(Tuple) bool) (int, error) {
 	if p := t.p.Load(); p != nil {
 		p.gate.Lock()
 		defer p.gate.Unlock()
 		// Predicates cannot be journaled; the matched positions can. The
 		// gate excludes writers, so the published snapshot the predicate
 		// runs over is the state the positions will apply to.
-		var idx []int
-		for i, row := range t.rowsSnap() {
-			if match(row) {
-				idx = append(idx, i)
-			}
-		}
+		idx := matching(t.rowsSnap(), match)
 		if len(idx) == 0 {
-			return 0
+			return 0, nil
 		}
 		if err := p.append(&walRecord{Kind: recDeleteRows, DBDelta: 2, Table: t.name,
 			Ver: t.version.Load() + 1, Indices: idx}); err != nil {
-			return 0
+			return 0, err
 		}
-		return t.deleteIndices(idx)
+		t.mu.Lock()
+		return t.deleteIndices(idx), nil
 	}
 	t.mu.Lock()
-	var removed []Tuple
-	next := make([]Tuple, 0, len(t.buf))
-	for _, row := range t.buf {
+	return t.deleteIndices(matching(t.buf, match)), nil
+}
+
+// matching returns the ascending positions of the rows match accepts.
+func matching(rows []Tuple, match func(Tuple) bool) []int {
+	var idx []int
+	for i, row := range rows {
 		if match(row) {
-			removed = append(removed, row)
-		} else {
-			next = append(next, row)
+			idx = append(idx, i)
 		}
 	}
-	if len(removed) == 0 {
-		t.mu.Unlock()
-		return 0
-	}
-	t.beginMutateLocked()
-	t.buf = next
-	t.publishLocked()
-	ver := t.version.Add(1)
-	for _, row := range removed {
-		t.log.appendLocked(Change{Ver: ver, Op: ChangeDelete, Row: row})
-	}
-	t.mu.Unlock()
-	metricDeletes.Add(int64(len(removed)))
-	t.mutated()
-	return len(removed)
+	return idx
 }
 
 // deleteIndices removes the rows at the given ascending positions,
-// logging every removal under one new version — the journaled (and
-// replayed) core of DeleteWhere.
+// logging every removal under one new version — the core of DeleteWhere
+// and of its WAL replay. The caller holds t.mu; deleteIndices releases
+// it. No positions is no mutation.
 func (t *Table) deleteIndices(idx []int) int {
-	t.mu.Lock()
+	if len(idx) == 0 {
+		t.mu.Unlock()
+		return 0
+	}
 	removed := make([]Tuple, 0, len(idx))
 	next := make([]Tuple, 0, len(t.buf)-len(idx))
 	j := 0
@@ -520,70 +470,6 @@ func (t *Table) Clone() *Table {
 	}
 	out.publishLocked()
 	return out
-}
-
-// Sort orders the table's rows lexicographically by the given columns
-// (all columns when cols is nil). Sorting is stable. The tagger relies on
-// this to group rows by their path-encoding prefix. Reordering is not
-// expressible as row deltas, so Sort resets the change log: pending
-// ChangesSince windows come back truncated.
-func (t *Table) Sort(cols []int) {
-	if p := t.p.Load(); p != nil {
-		p.gate.Lock()
-		defer p.gate.Unlock()
-		// Replay re-executes the (stable, hence deterministic) sort.
-		if p.append(&walRecord{Kind: recSort, DBDelta: 2, Table: t.name,
-			Ver: t.version.Load() + 1, Cols: cols, HasCols: cols != nil}) != nil {
-			return
-		}
-	}
-	t.mu.Lock()
-	t.beginMutateLocked()
-	next := make([]Tuple, len(t.buf))
-	copy(next, t.buf)
-	sort.SliceStable(next, func(i, j int) bool {
-		a, b := next[i], next[j]
-		if cols == nil {
-			return a.Compare(b) < 0
-		}
-		for _, c := range cols {
-			if cmp := a[c].Compare(b[c]); cmp != 0 {
-				return cmp < 0
-			}
-		}
-		return false
-	})
-	t.buf = next
-	t.publishLocked()
-	ver := t.version.Add(1)
-	t.log.resetLocked(ver, TruncateReset)
-	t.mu.Unlock()
-	t.mutated()
-}
-
-// Distinct removes duplicate rows, keeping first occurrences. Dropped
-// duplicates are logged as deletes (order of survivors is unchanged).
-func (t *Table) Distinct() {
-	if p := t.p.Load(); p != nil {
-		p.gate.Lock()
-		defer p.gate.Unlock()
-		// Replay re-executes: keeping first occurrences is deterministic.
-		if p.append(&walRecord{Kind: recDistinct, DBDelta: 2, Table: t.name,
-			Ver: t.version.Load() + 1}) != nil {
-			return
-		}
-	}
-	t.mu.Lock()
-	t.beginMutateLocked()
-	var dropped []Tuple
-	t.buf, dropped = DistinctRows(t.buf)
-	t.publishLocked()
-	ver := t.version.Add(1)
-	for _, row := range dropped {
-		t.log.appendLocked(Change{Ver: ver, Op: ChangeDelete, Row: row})
-	}
-	t.mu.Unlock()
-	t.mutated()
 }
 
 // Equal reports whether two tables have equal schemas and equal rows as

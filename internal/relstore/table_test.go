@@ -128,22 +128,6 @@ func TestTableInsertValues(t *testing.T) {
 	}
 }
 
-func TestTableDistinctAndSort(t *testing.T) {
-	tbl := NewTable("t", MustSchema("a:int"))
-	for _, v := range []int64{3, 1, 2, 1, 3} {
-		tbl.MustInsert(Tuple{Int(v)})
-	}
-	tbl.Distinct()
-	if tbl.Len() != 3 {
-		t.Fatalf("Distinct left %d rows, want 3", tbl.Len())
-	}
-	tbl.Sort(nil)
-	got := []int64{tbl.Row(0)[0].AsInt(), tbl.Row(1)[0].AsInt(), tbl.Row(2)[0].AsInt()}
-	if got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Errorf("Sort produced %v", got)
-	}
-}
-
 func TestTableEqualIsMultisetEqual(t *testing.T) {
 	a := NewTable("a", MustSchema("x:int"))
 	b := NewTable("b", MustSchema("x:int"))

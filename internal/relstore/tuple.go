@@ -30,6 +30,16 @@ func (t Tuple) Equal(u Tuple) bool {
 	return true
 }
 
+// Texts renders each value with Value.Text: the form Schema.ParseRow
+// parses back to an equal tuple.
+func (t Tuple) Texts() []string {
+	out := make([]string, len(t))
+	for i, v := range t {
+		out[i] = v.Text()
+	}
+	return out
+}
+
 // Compare orders tuples lexicographically by their values. Shorter tuples
 // that are prefixes of longer ones sort first.
 func (t Tuple) Compare(u Tuple) int {

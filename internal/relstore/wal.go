@@ -90,19 +90,17 @@ type walHeader struct {
 	StartSeq uint64
 }
 
-// walKind discriminates WAL record payloads.
+// walKind discriminates WAL record payloads. The values are part of the
+// file format; retired kinds (2, 4 and 5) are not reused.
 type walKind uint8
 
 const (
-	recInsert walKind = iota + 1
-	recDeleteAt
-	recDeleteRows
-	recSort
-	recDistinct
-	recLogLimit
-	recAddTable
-	recDropTable
-	recBump
+	recInsert     walKind = 1
+	recDeleteRows walKind = 3
+	recLogLimit   walKind = 6
+	recAddTable   walKind = 7
+	recDropTable  walKind = 8
+	recBump       walKind = 9
 )
 
 // walRecord is one journaled mutation. Seq numbers are contiguous per
@@ -119,10 +117,7 @@ type walRecord struct {
 	Ver     uint64
 
 	Row     []walValue // recInsert
-	Index   int        // recDeleteAt
 	Indices []int      // recDeleteRows, ascending row positions
-	Cols    []int      // recSort
-	HasCols bool       // recSort: distinguishes nil cols (all columns)
 	Limit   int        // recLogLimit
 	State   *walTableState
 }

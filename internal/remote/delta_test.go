@@ -37,7 +37,7 @@ func TestDeltaAPIOverWire(t *testing.T) {
 	if err := visit.InsertValues("s9", "t9", "d9"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := visit.DeleteAt(0); err != nil {
+	if _, err := db.Mutate("visitInfo", relstore.OpDelete, visit.Row(0).Texts()); err != nil {
 		t.Fatal(err)
 	}
 

@@ -100,7 +100,7 @@ func TestMirrorInitialSyncAndDeltaTail(t *testing.T) {
 	if err := visit.InsertValues("s99", "d99"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := visit.DeleteAt(0); err != nil {
+	if _, err := db.Mutate("visit", relstore.OpDelete, visit.Row(0).Texts()); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, "delta tail to apply", func() bool {
@@ -218,10 +218,15 @@ func TestMirrorCatchupOnLogReset(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Sort is not expressible as deltas: the origin resets its log, and
-	// the live stream must interpose a catch-up with cause reset.
+	// Replacing a table under its name is not expressible as deltas: the
+	// origin resets its log, and the live stream must interpose a
+	// catch-up with cause reset.
 	visit, _ := db.Table("visit")
-	visit.Sort(nil)
+	replacement := relstore.NewTable("visit", visit.Schema())
+	if err := replacement.InsertValues("s99", "d99"); err != nil {
+		t.Fatal(err)
+	}
+	db.AddTable(replacement)
 	waitFor(t, 5*time.Second, "catch-up after reset", func() bool {
 		return mirrorMatches(db, m.DB(), "visit") && m.Stats().CatchupReset >= 1
 	})

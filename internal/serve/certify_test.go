@@ -384,12 +384,18 @@ func TestNoUnverifiedViolationUnderConcurrentWrites(t *testing.T) {
 	}
 	// Toggle until both outcomes were seen a few times (or a bound on
 	// writes is hit, which the checks below then report).
-	visit := tableOf(t, cat, "DB1", "visitInfo")
-	bad := relstore.Tuple{relstore.String("s1"), relstore.String("t9"), relstore.String("d1")}
-	key := bad.Key()
+	db1, err := cat.Database("DB1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []string{"s1", "t9", "d1"}
 	for i := 0; i < 100_000 && (served.Load() < 20 || refused.Load() < 20); i++ {
-		visit.MustInsert(bad.Clone())
-		visit.DeleteWhere(func(r relstore.Tuple) bool { return r.Key() == key })
+		if _, err := db1.Mutate("visitInfo", relstore.OpInsert, bad); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db1.Mutate("visitInfo", relstore.OpDelete, bad); err != nil {
+			t.Fatal(err)
+		}
 	}
 	close(stop)
 	for i := 0; i < 4; i++ {

@@ -10,6 +10,7 @@ import (
 
 	"github.com/aigrepro/aig/internal/hospital"
 	"github.com/aigrepro/aig/internal/obs"
+	"github.com/aigrepro/aig/internal/relstore"
 	"github.com/aigrepro/aig/internal/source"
 )
 
@@ -106,7 +107,7 @@ func TestKickRefreshRunsCycleEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := visit.DeleteAt(0); err != nil {
+	if _, err := db.Mutate("visitInfo", relstore.OpDelete, visit.Row(0).Texts()); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"github.com/aigrepro/aig/internal/relstore"
@@ -13,15 +11,8 @@ import (
 
 // handleMutate answers POST /mutate (registered only with
 // Config.AllowMutate): row-level writes against local sources, the
-// write half of mutation demos and warm-cache benchmarks.
-//
-//	POST /mutate?source=DB1&table=visitInfo&op=insert&values=s1,t9,d9
-//	POST /mutate?source=DB1&table=visitInfo&op=delete&values=s1,t9,d9
-//	POST /mutate?source=DB1&table=visitInfo&op=delete            (last row)
-//
-// Values are comma-separated and parsed against the table schema.
-// op=delete with values removes every matching row; without values it
-// removes the last row.
+// write half of mutation demos and warm-cache benchmarks. The query,
+// response and status codes are source.ServeMutate's.
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	rt, _ := s.beginBackgroundTrace("mutate", nil, time.Now())
 	rw := &statusRecorder{ResponseWriter: w}
@@ -32,85 +23,26 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	srcName, table, op := q.Get("source"), q.Get("table"), q.Get("op")
 	rt.params = canonicalParams(map[string]string{"source": srcName, "table": table, "op": op})
 	rt.root.SetAttr("source", srcName).SetAttr("table", table).SetAttr("op", op)
-	if srcName == "" || table == "" || op == "" {
-		http.Error(rw, "source, table and op are required", http.StatusBadRequest)
-		return
-	}
-	src, err := s.reg.Get(srcName)
+	res, err := source.ServeMutate(rw, q, s.localDB)
 	if err != nil {
-		http.Error(rw, err.Error(), http.StatusNotFound)
-		return
-	}
-	local, ok := src.(*source.Local)
-	if !ok {
-		http.Error(rw, fmt.Sprintf("source %s is not local; /mutate only writes local sources", srcName), http.StatusBadRequest)
-		return
-	}
-	t, err := local.DB().Table(table)
-	if err != nil {
-		http.Error(rw, err.Error(), http.StatusNotFound)
-		return
-	}
-
-	var row relstore.Tuple
-	if raw := q.Get("values"); raw != "" {
-		parts := strings.Split(raw, ",")
-		if len(parts) != len(t.Schema()) {
-			http.Error(rw, fmt.Sprintf("%d values for %d columns", len(parts), len(t.Schema())), http.StatusBadRequest)
-			return
-		}
-		row = make(relstore.Tuple, len(parts))
-		for i, p := range parts {
-			v, perr := relstore.ParseValue(t.Schema()[i].Kind, p)
-			if perr != nil {
-				http.Error(rw, perr.Error(), http.StatusBadRequest)
-				return
-			}
-			row[i] = v
-		}
-	}
-
-	var affected int
-	switch op {
-	case "insert":
-		if row == nil {
-			http.Error(rw, "insert requires values", http.StatusBadRequest)
-			return
-		}
-		if err := t.Insert(row); err != nil {
-			http.Error(rw, err.Error(), http.StatusBadRequest)
-			return
-		}
-		affected = 1
-	case "delete":
-		if row != nil {
-			key := row.Key()
-			affected = t.DeleteWhere(func(r relstore.Tuple) bool { return r.Key() == key })
-		} else {
-			if t.Len() == 0 {
-				http.Error(rw, "table is empty", http.StatusConflict)
-				return
-			}
-			if _, err := t.DeleteAt(t.Len() - 1); err != nil {
-				http.Error(rw, err.Error(), http.StatusConflict)
-				return
-			}
-			affected = 1
-		}
-	default:
-		http.Error(rw, fmt.Sprintf("unknown op %q (want insert or delete)", op), http.StatusBadRequest)
 		return
 	}
 	s.m.mutations.Inc()
-	rt.root.SetAttr("affected", affected)
+	rt.root.SetAttr("affected", res.Affected)
+}
 
-	rw.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(rw).Encode(map[string]any{
-		"source":   srcName,
-		"table":    table,
-		"op":       op,
-		"affected": affected,
-		"version":  t.Version(),
-		"rows":     t.Len(),
-	})
+// localDB resolves a /mutate source: only local sources are writable.
+func (s *Server) localDB(name string) (*relstore.Database, error) {
+	if name == "" {
+		return nil, fmt.Errorf("%w: source is required", relstore.ErrMalformed)
+	}
+	src, err := s.reg.Get(name)
+	if err != nil {
+		return nil, err
+	}
+	local, ok := src.(*source.Local)
+	if !ok {
+		return nil, fmt.Errorf("source %s is not local; /mutate only writes local sources", name)
+	}
+	return local.DB(), nil
 }

@@ -142,11 +142,8 @@ func TestMutateEndpoint(t *testing.T) {
 	if visit.Len() != before {
 		t.Fatalf("delete did not land: %d rows", visit.Len())
 	}
-	if code, _ := post("source=DB1&table=visitInfo&op=delete"); code != http.StatusOK {
-		t.Fatal("delete last row failed")
-	}
-	if visit.Len() != before-1 {
-		t.Fatalf("delete-last did not land: %d rows", visit.Len())
+	if code, body := post("source=DB1&table=visitInfo&op=delete&values=s9,t9,d9"); code != http.StatusOK || !strings.Contains(body, `"affected":0`) {
+		t.Fatalf("delete of an absent row: %d %s", code, body)
 	}
 
 	for _, bad := range []struct {
@@ -155,6 +152,7 @@ func TestMutateEndpoint(t *testing.T) {
 	}{
 		{"source=DB1&table=visitInfo&op=frobnicate", http.StatusBadRequest},
 		{"source=DB1&table=visitInfo&op=insert", http.StatusBadRequest},
+		{"source=DB1&table=visitInfo&op=delete", http.StatusBadRequest},
 		{"source=DB1&table=visitInfo&op=insert&values=onlyone", http.StatusBadRequest},
 		{"source=DB9&table=visitInfo&op=insert&values=a,b,c", http.StatusNotFound},
 		{"source=DB1&table=nope&op=insert&values=a,b,c", http.StatusNotFound},
@@ -291,15 +289,15 @@ func TestNoStaleHitUnderConcurrentMutation(t *testing.T) {
 	}
 
 	visit := tableOf(t, cat, "DB1", "visitInfo")
+	db1, _ := cat.Database("DB1")
 	relevant := relstore.Tuple{relstore.String("s2"), relstore.String("t1"), relstore.String("d1")}
 	for i := 0; i < 24; i++ {
 		switch i % 3 {
 		case 0: // changes the d1 document (bob gains an xray)
 			visit.MustInsert(relevant.Clone())
 		case 1: // changes it back
-			key := relevant.Key()
-			if visit.DeleteWhere(func(r relstore.Tuple) bool { return r.Key() == key }) == 0 {
-				t.Fatal("relevant row vanished")
+			if res, err := db1.Mutate("visitInfo", relstore.OpDelete, relevant.Texts()); err != nil || res.Affected == 0 {
+				t.Fatalf("relevant row vanished: %+v, %v", res, err)
 			}
 		case 2: // provably irrelevant: exercises the restamp path
 			visit.MustInsert(relstore.Tuple{

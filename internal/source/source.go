@@ -12,6 +12,7 @@ package source
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -241,13 +242,16 @@ func (r *Registry) Add(s Source) {
 	r.mu.Unlock()
 }
 
+// ErrUnknownSource is wrapped by lookups of a source name nobody serves.
+var ErrUnknownSource = errors.New("source: no source")
+
 // Get returns the named source.
 func (r *Registry) Get(name string) (Source, error) {
 	r.mu.RLock()
 	s, ok := r.sources[name]
 	r.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("source: no source %q registered", name)
+		return nil, fmt.Errorf("%w %q registered", ErrUnknownSource, name)
 	}
 	return s, nil
 }
