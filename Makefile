@@ -170,9 +170,11 @@ alloc-budget:
 
 # bench-unit is the cold path's unit reproducer: 90 evaluations (three
 # cycles of the 30 dates) of the served hospital view over bench250, so
-# B/op and allocs/op repeat exactly from run to run.
+# B/op and allocs/op repeat exactly from run to run, and the executor's
+# index probe: a one-row parameter table joined to a 10 k-row table.
 bench-unit:
 	$(GO) test -run '^$$' -bench 'EvaluateRecursive/bench250' -benchtime 90x -cpu 2 -benchmem ./internal/mediator
+	$(GO) test -run '^$$' -bench 'ParamJoin/one-row' -benchtime 1000x -cpu 2 -benchmem ./internal/sqlmini
 
 # ci is what .github/workflows/ci.yml runs (plus staticcheck, which CI
 # fetches pinned), minus bench-cluster, which the workflow still runs

@@ -38,7 +38,7 @@ func TestTableMisc(t *testing.T) {
 	if len(tbl.Rows()) != 2 {
 		t.Errorf("Rows() = %d", len(tbl.Rows()))
 	}
-	if got := tbl.Index([]int{0}).Lookup(String("b").Key()); len(got) != 1 || got[0] != 1 {
+	if got := tbl.Index([]int{0}).Lookup(Tuple{String("b")}); len(got) != 1 || got[0] != 1 {
 		t.Errorf("Index.Lookup = %v", got)
 	}
 	if tbl.ByteSize() != tbl.Row(0).ByteSize()+tbl.Row(1).ByteSize() {

@@ -167,7 +167,7 @@ func TestTableFromRows(t *testing.T) {
 	if cs := tab.ChangesSince(0); cs.Truncated || len(cs.Changes) != 0 {
 		t.Errorf("bulk-built table logged changes: %+v", cs)
 	}
-	if got := tab.Lookup([]int{0}, Tuple{String("a")}); len(got) != 2 {
+	if _, got := tab.Lookup([]int{0}, Tuple{String("a")}); len(got) != 2 {
 		t.Errorf("Lookup = %v, want two positions", got)
 	}
 

@@ -12,9 +12,8 @@ import (
 // tuples. Row storage is copy-on-write: readers load an immutable
 // snapshot through an atomic pointer, so reads are safe against a
 // concurrent writer without locking. Writers are serialized by the table
-// mutex. A position returned by Lookup is only meaningful against the
-// snapshot it was built from, so callers that mix Lookup with Row must
-// not race with writers (the mediator's intermediate tables never do).
+// mutex. A HashIndex carries the snapshot it was built from, so its
+// positions are read against its own Rows, never against a later Row.
 //
 // Every mutation advances a monotonic per-table version and, when the
 // mutation is expressible as row inserts/deletes, appends the delta to a
@@ -58,15 +57,25 @@ type Table struct {
 }
 
 // HashIndex maps the Tuple.KeyOn of a column list to row positions in the
-// snapshot it was built from.
+// snapshot it was built from. It carries that snapshot: its positions
+// index Rows and nothing else, so a reader that probes it can never pair
+// one snapshot's positions with another's rows.
 type HashIndex struct {
-	cols    []int
-	buckets map[string][]int // tuple key -> row positions
+	rows    []Tuple
+	buckets map[string][]int // tuple key -> ascending row positions
 }
 
-// Lookup returns the positions of the rows whose indexed columns encode
-// to key.
-func (ix *HashIndex) Lookup(key string) []int { return ix.buckets[key] }
+// Rows returns the snapshot the index was built from. Callers must not
+// mutate it.
+func (ix *HashIndex) Rows() []Tuple { return ix.rows }
+
+// Lookup returns the ascending positions, in Rows, of the rows whose
+// indexed columns equal key's values in order. It does not allocate for
+// keys that encode in 64 bytes.
+func (ix *HashIndex) Lookup(key Tuple) []int {
+	var buf [64]byte
+	return ix.buckets[string(key.appendKey(buf[:0]))]
+}
 
 // Unique reports whether no two indexed rows share a key: the indexed
 // columns are a key of the snapshot.
@@ -390,42 +399,41 @@ func (t *Table) deleteIndices(idx []int) int {
 	return len(removed)
 }
 
-// Lookup returns the positions of all rows whose projection onto cols
-// equals key. It builds (and caches) a hash index on cols on first use.
-func (t *Table) Lookup(cols []int, key Tuple) []int {
-	return t.Index(cols).Lookup(key.Key())
+// Lookup returns the ascending positions of the rows whose projection
+// onto cols equals key, together with the snapshot they index. It builds
+// (and caches) a hash index on cols on first use.
+func (t *Table) Lookup(cols []int, key Tuple) (rows []Tuple, pos []int) {
+	ix := t.Index(cols)
+	return ix.rows, ix.Lookup(key)
 }
 
-// Index returns the hash index on cols, building and caching it on first
-// use. Join loops fetch it once and probe it per row with a precomputed
-// Tuple.KeyOn, instead of paying the table lock and the signature per
-// probe.
+// Index returns the hash index on cols over the published snapshot,
+// building and caching it on first use. Join loops fetch it once and
+// probe it per row, instead of paying the table lock per probe. A hit
+// costs the table lock and no allocation.
 func (t *Table) Index(cols []int) *HashIndex {
-	sig := indexSignature(cols)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.indexes == nil {
-		t.indexes = make(map[string]*HashIndex)
-	}
-	if idx, ok := t.indexes[sig]; ok {
-		return idx
-	}
-	idx := &HashIndex{cols: cols, buckets: make(map[string][]int)}
-	for i, row := range t.rowsSnap() {
-		k := row.KeyOn(cols)
-		idx.buckets[k] = append(idx.buckets[k], i)
-	}
-	t.indexes[sig] = idx
-	return idx
-}
-
-func indexSignature(cols []int) string {
-	sig := make([]byte, 0, 4*len(cols))
+	var buf [32]byte
+	sig := buf[:0]
 	for _, c := range cols {
 		sig = strconv.AppendInt(sig, int64(c), 10)
 		sig = append(sig, ',')
 	}
-	return string(sig)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if ix, ok := t.indexes[string(sig)]; ok {
+		return ix
+	}
+	rows := t.rowsSnap()
+	ix := &HashIndex{rows: rows, buckets: make(map[string][]int)}
+	for i, row := range rows {
+		k := row.KeyOn(cols)
+		ix.buckets[k] = append(ix.buckets[k], i)
+	}
+	if t.indexes == nil {
+		t.indexes = make(map[string]*HashIndex)
+	}
+	t.indexes[string(sig)] = ix
+	return ix
 }
 
 // DistinctCount returns the number of distinct values in the given column,

@@ -19,6 +19,46 @@ func sampleTable(t *testing.T) *Table {
 	return tbl
 }
 
+// TestIndexCarriesItsSnapshot pins the index contract the executor
+// relies on: an index keeps answering against the snapshot it was built
+// from after writers publish, its positions ascend in that snapshot's
+// order, and the next Index call sees the new snapshot.
+func TestIndexCarriesItsSnapshot(t *testing.T) {
+	tbl := sampleTable(t)
+	gold := Tuple{String("gold")}
+	ix := tbl.Index([]int{2})
+	if again := tbl.Index([]int{2}); again != ix {
+		t.Fatal("index not cached")
+	}
+	before := ix.Rows()
+	if _, err := tbl.DeleteWhere(func(row Tuple) bool { return row[1].AsString() == "alice" }); err != nil {
+		t.Fatal(err)
+	}
+	tbl.MustInsert(Tuple{Int(1), String("alice"), String("gold")})
+	if len(ix.Rows()) != len(before) || &ix.Rows()[0] != &before[0] {
+		t.Fatal("index rows moved with the table")
+	}
+	var names []string
+	for _, p := range ix.Lookup(gold) {
+		names = append(names, ix.Rows()[p][1].AsString())
+	}
+	if strings.Join(names, ",") != "alice,carol" {
+		t.Errorf("old index answers %v, want alice,carol", names)
+	}
+	fresh := tbl.Index([]int{2})
+	names = names[:0]
+	rows, pos := tbl.Lookup([]int{2}, gold)
+	for _, p := range pos {
+		names = append(names, rows[p][1].AsString())
+	}
+	if fresh == ix || strings.Join(names, ",") != "carol,alice" {
+		t.Errorf("after the writes Lookup answers %v, want carol,alice from a new index", names)
+	}
+	if got := ix.Lookup(Tuple{String("platinum")}); len(got) != 0 {
+		t.Errorf("absent key matched %v", got)
+	}
+}
+
 func TestSchemaParse(t *testing.T) {
 	s, err := ParseSchema([]string{"a:int", "b", "c:string"})
 	if err != nil {
@@ -79,17 +119,17 @@ func TestTableInsertAndLookup(t *testing.T) {
 	if tbl.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", tbl.Len())
 	}
-	rows := tbl.Lookup([]int{2}, Tuple{String("gold")})
-	if len(rows) != 2 {
-		t.Fatalf("Lookup(policy=gold) = %d rows, want 2", len(rows))
+	rows, pos := tbl.Lookup([]int{2}, Tuple{String("gold")})
+	if len(pos) != 2 {
+		t.Fatalf("Lookup(policy=gold) = %d rows, want 2", len(pos))
 	}
-	if got := tbl.Row(rows[0])[1].AsString(); got != "alice" {
+	if got := rows[pos[0]][1].AsString(); got != "alice" {
 		t.Errorf("first gold patient = %q, want alice", got)
 	}
 	// Index invalidation after insert.
 	tbl.MustInsert(Tuple{Int(4), String("dan"), String("gold")})
-	if got := len(tbl.Lookup([]int{2}, Tuple{String("gold")})); got != 3 {
-		t.Errorf("after insert Lookup = %d rows, want 3", got)
+	if _, pos := tbl.Lookup([]int{2}, Tuple{String("gold")}); len(pos) != 3 {
+		t.Errorf("after insert Lookup = %d rows, want 3", len(pos))
 	}
 }
 

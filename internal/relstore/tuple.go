@@ -84,14 +84,18 @@ func (t Tuple) Concat(u Tuple) Tuple {
 // two tuples of one arity have equal keys exactly when they are Equal.
 func (t Tuple) Key() string {
 	var buf [64]byte
-	b := buf[:0]
+	return string(t.appendKey(buf[:0]))
+}
+
+// appendKey appends the tuple's Key to b.
+func (t Tuple) appendKey(b []byte) []byte {
 	for i, v := range t {
 		if i > 0 {
 			b = append(b, keySep)
 		}
 		b = v.appendKey(b)
 	}
-	return string(b)
+	return b
 }
 
 // KeyOn returns the Key of the projection of the tuple onto the given

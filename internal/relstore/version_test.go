@@ -65,7 +65,7 @@ func TestVersionStableOnReads(t *testing.T) {
 	tab.Row(0)
 	tab.Schema()
 	tab.Lookup([]int{0}, Tuple{String("s1")})
-	tab.Index([]int{1}).Lookup(Tuple{String("alice")}.Key())
+	tab.Index([]int{1}).Lookup(Tuple{String("alice")})
 	tab.DistinctCount(0)
 	tab.ByteSize()
 	tab.Equal(tab.Clone())

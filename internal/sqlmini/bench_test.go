@@ -54,24 +54,39 @@ func BenchmarkParse(b *testing.B) {
 	}
 }
 
-// BenchmarkParamJoin measures the set-parameter (IN) execution path the
-// mediator's rewritten queries rely on.
+// BenchmarkParamJoin measures the parameter execution paths the
+// mediator's rewritten queries rely on, over a 10 k-row table: a
+// 500-value set parameter (IN), and a one-row parameter table joined on
+// the table's key, whose cost an index probe keeps proportional to the
+// one match rather than to the table.
 func BenchmarkParamJoin(b *testing.B) {
 	cat := benchCatalog(10000)
-	q := MustParse(`select a from DB:left where k in $V`)
-	var rows []relstore.Tuple
+	var set []relstore.Tuple
 	for i := 0; i < 500; i++ {
-		rows = append(rows, relstore.Tuple{relstore.String(fmt.Sprintf("k%06d", i*7))})
+		set = append(set, relstore.Tuple{relstore.String(fmt.Sprintf("k%06d", i*7))})
 	}
-	params := Params{"V": {Schema: relstore.MustSchema("k:string"), Rows: rows}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		out, err := Run("out", q, CatalogSchemas{cat}, CatalogData{cat}, CatalogStats{cat}, params, PlanOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if out.Len() == 0 {
-			b.Fatal("no rows")
-		}
+	key := relstore.MustSchema("k:string")
+	for _, bc := range []struct {
+		name, sql string
+		params    Params
+		want      int
+	}{
+		{"in-500", `select a from DB:left where k in $V`, Params{"V": {Schema: key, Rows: set}}, 500},
+		{"one-row", `select l.a from $v v, DB:left l where l.k = v.k`,
+			Params{"v": {Schema: key, Rows: set[1:2]}}, 1},
+	} {
+		q := MustParse(bc.sql)
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := Run("out", q, CatalogSchemas{cat}, CatalogData{cat}, CatalogStats{cat}, bc.params, PlanOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if out.Len() != bc.want {
+					b.Fatalf("%d rows, want %d", out.Len(), bc.want)
+				}
+			}
+		})
 	}
 }

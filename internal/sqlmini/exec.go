@@ -2,6 +2,7 @@ package sqlmini
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/aigrepro/aig/internal/relstore"
 )
@@ -22,6 +23,14 @@ func (c CatalogData) TableData(source, table string) (*relstore.Table, error) {
 // Exec executes the plan against the data provider with the given
 // parameter bindings and returns the result as a table named name.
 // Bag semantics: duplicates are preserved.
+//
+// Stored tables are read through their snapshot indexes: local
+// equalities with a constant or a parameter field, or failing those an
+// IN set, select candidates from the index on their columns, and a join
+// step whose new table is stored probes the index on the equality
+// columns plus the join columns with each prefix row. Positions are
+// taken in snapshot order, so every result lists its rows in the order
+// a scan and a hash join would.
 func Exec(name string, plan *Plan, data DataProvider, params Params) (*relstore.Table, error) {
 	r := plan.Resolved
 	n := len(r.TableSchemas)
@@ -33,15 +42,11 @@ func Exec(name string, plan *Plan, data DataProvider, params Params) (*relstore.
 
 	metricQueries.Inc()
 
-	// Materialize filtered base rows per table.
-	baseRows := make([][]relstore.Tuple, n)
-	for i := 0; i < n; i++ {
-		rows, err := baseTableRows(r, i, data, params)
-		if err != nil {
+	inputs := make([]input, n)
+	for i := range inputs {
+		if err := inputs[i].open(r, i, data, params, preds); err != nil {
 			return nil, err
 		}
-		metricRowsScanned.Add(int64(len(rows)))
-		baseRows[i] = filterLocal(r, i, rows, preds)
 	}
 
 	// layoutPos[t] is the column offset of table t in the current
@@ -70,12 +75,11 @@ func Exec(name string, plan *Plan, data DataProvider, params Params) (*relstore.
 
 	for step, ti := range plan.Order {
 		markLocalApplied(ti)
-		next := baseRows[ti]
+		in := &inputs[ti]
 		if step == 0 {
-			current = make([]relstore.Tuple, len(next))
-			for i, row := range next {
-				current[i] = row
-			}
+			// A copy: the final filter below works in place, and the
+			// candidates may be a stored snapshot.
+			current = append([]relstore.Tuple(nil), in.candidates()...)
 			layoutPos[ti] = 0
 			width = len(r.TableSchemas[ti])
 			continue
@@ -109,20 +113,10 @@ func Exec(name string, plan *Plan, data DataProvider, params Params) (*relstore.
 
 		var joined []relstore.Tuple
 		if len(buildCols) > 0 {
-			// Hash join: build on the new table, probe with the prefix.
-			buckets := make(map[string][]relstore.Tuple, len(next))
-			for _, row := range next {
-				k := row.KeyOn(buildCols)
-				buckets[k] = append(buckets[k], row)
-			}
-			for _, prow := range current {
-				k := prow.KeyOn(probeCols)
-				for _, nrow := range buckets[k] {
-					joined = append(joined, prow.Concat(nrow))
-				}
-			}
+			joined = in.join(current, probeCols, buildCols)
 		} else {
 			// Cartesian product (rare; only for disconnected queries).
+			next := in.candidates()
 			for _, prow := range current {
 				for _, nrow := range next {
 					joined = append(joined, prow.Concat(nrow))
@@ -253,26 +247,177 @@ func bindPreds(r *Resolved, params Params) ([]boundPred, error) {
 	return out, nil
 }
 
-func baseTableRows(r *Resolved, i int, data DataProvider, params Params) ([]relstore.Tuple, error) {
+// input is one FROM table as the executor reads it: a stored table
+// through its snapshot indexes, or a parameter table's rows.
+type input struct {
+	table *relstore.Table // nil for a parameter table
+	rows  []relstore.Tuple
+	// eqCols and eqVals are a stored table's local equalities with a
+	// constant or a parameter field, which its index probes apply.
+	eqCols []int
+	eqVals relstore.Tuple
+	// inCol and inVals are the column and values of a stored table's
+	// first local IN predicate, which a probe applies when no equality
+	// does.
+	inCol  []int
+	inVals []relstore.Value
+	// filter holds the local predicates no probe applies; off is the
+	// table's first absolute column.
+	filter []boundPred
+	off    int
+}
+
+// open resolves FROM table i and splits its local predicates.
+func (in *input) open(r *Resolved, i int, data DataProvider, params Params, preds []boundPred) error {
 	ref := r.Query.From[i]
 	if ref.IsParam() {
 		b, ok := params[ref.Param]
 		if !ok {
-			return nil, fmt.Errorf("sqlmini: missing binding for table parameter $%s", ref.Param)
+			return fmt.Errorf("sqlmini: missing binding for table parameter $%s", ref.Param)
 		}
 		if !b.Schema.Equal(r.TableSchemas[i]) {
-			return nil, fmt.Errorf("sqlmini: binding for $%s has schema %v, resolved as %v", ref.Param, b.Schema, r.TableSchemas[i])
+			return fmt.Errorf("sqlmini: binding for $%s has schema %v, resolved as %v", ref.Param, b.Schema, r.TableSchemas[i])
 		}
-		return b.Rows, nil
+		in.rows = b.Rows
+	} else {
+		t, err := data.TableData(ref.Source, ref.Table)
+		if err != nil {
+			return err
+		}
+		if !t.Schema().Equal(r.TableSchemas[i]) {
+			return fmt.Errorf("sqlmini: table %s:%s schema changed since resolution", ref.Source, ref.Table)
+		}
+		in.table = t
 	}
-	t, err := data.TableData(ref.Source, ref.Table)
-	if err != nil {
-		return nil, err
+	in.off = r.Offsets[i]
+	for _, p := range preds {
+		if !isLocalPred(r, p.ResolvedPred, i) {
+			continue
+		}
+		if in.table != nil && p.Op == OpEq && (p.Kind == PredColConst || p.Kind == PredColParam) {
+			in.eqCols = append(in.eqCols, p.Left-in.off)
+			if p.Kind == PredColConst {
+				in.eqVals = append(in.eqVals, p.Const)
+			} else {
+				in.eqVals = append(in.eqVals, p.operand)
+			}
+			continue
+		}
+		if in.table != nil && in.inCol == nil && (p.Kind == PredColInParam || p.Kind == PredColInList) {
+			in.inCol = []int{p.Left - in.off}
+			in.inVals = p.List
+			if p.Kind == PredColInParam {
+				set := params[p.Param].Rows
+				in.inVals = make([]relstore.Value, len(set))
+				for j, row := range set {
+					in.inVals[j] = row[0]
+				}
+			}
+		}
+		in.filter = append(in.filter, p)
 	}
-	if !t.Schema().Equal(r.TableSchemas[i]) {
-		return nil, fmt.Errorf("sqlmini: table %s:%s schema changed since resolution", ref.Source, ref.Table)
+	return nil
+}
+
+// pass reports whether a table-local row satisfies the filter.
+func (in *input) pass(row relstore.Tuple) bool {
+	local := func(c int) int { return c - in.off }
+	for _, p := range in.filter {
+		if !evalPredOnLayout(p, row, local) {
+			return false
+		}
 	}
-	return t.Rows(), nil
+	return true
+}
+
+// candidates returns the rows satisfying every local predicate, in
+// table order: an index probe when the table is stored and has a local
+// equality or IN predicate, a scan otherwise.
+func (in *input) candidates() []relstore.Tuple {
+	if in.table != nil && (len(in.eqCols) > 0 || in.inCol != nil) {
+		var ix *relstore.HashIndex
+		var pos []int
+		if len(in.eqCols) > 0 {
+			ix = in.table.Index(in.eqCols)
+			pos = ix.Lookup(in.eqVals)
+		} else {
+			// One bucket per set value. Sorting the positions restores
+			// snapshot order and brings a repeated value's duplicates
+			// together, to be dropped.
+			ix = in.table.Index(in.inCol)
+			for _, v := range in.inVals {
+				pos = append(pos, ix.Lookup(relstore.Tuple{v})...)
+			}
+			slices.Sort(pos)
+			pos = slices.Compact(pos)
+		}
+		rows := ix.Rows()
+		metricRowsScanned.Add(int64(len(pos)))
+		out := make([]relstore.Tuple, 0, len(pos))
+		for _, p := range pos {
+			if in.pass(rows[p]) {
+				out = append(out, rows[p])
+			}
+		}
+		return out
+	}
+	rows := in.rows
+	if in.table != nil {
+		rows = in.table.Rows()
+	}
+	metricRowsScanned.Add(int64(len(rows)))
+	if len(in.filter) == 0 {
+		return rows
+	}
+	out := make([]relstore.Tuple, 0, len(rows))
+	for _, row := range rows {
+		if in.pass(row) {
+			out = append(out, row)
+		}
+	}
+	return out
+}
+
+// join equi-joins prefix with the table on prefix[probeCols] =
+// row[buildCols], prefix order first, table order within a prefix row.
+// A stored table is probed through its index on the local equality
+// columns plus buildCols; a parameter table is hashed for this join.
+func (in *input) join(prefix []relstore.Tuple, probeCols, buildCols []int) []relstore.Tuple {
+	var joined []relstore.Tuple
+	if in.table == nil {
+		next := in.candidates()
+		buckets := make(map[string][]relstore.Tuple, len(next))
+		for _, row := range next {
+			k := row.KeyOn(buildCols)
+			buckets[k] = append(buckets[k], row)
+		}
+		for _, prow := range prefix {
+			for _, nrow := range buckets[prow.KeyOn(probeCols)] {
+				joined = append(joined, prow.Concat(nrow))
+			}
+		}
+		return joined
+	}
+	ne := len(in.eqCols)
+	ix := in.table.Index(append(append(make([]int, 0, ne+len(buildCols)), in.eqCols...), buildCols...))
+	rows := ix.Rows()
+	key := make(relstore.Tuple, ne+len(probeCols))
+	copy(key, in.eqVals)
+	hits := 0
+	for _, prow := range prefix {
+		for j, c := range probeCols {
+			key[ne+j] = prow[c]
+		}
+		pos := ix.Lookup(key)
+		hits += len(pos)
+		for _, p := range pos {
+			if nrow := rows[p]; in.pass(nrow) {
+				joined = append(joined, prow.Concat(nrow))
+			}
+		}
+	}
+	metricRowsScanned.Add(int64(hits))
+	return joined
 }
 
 func isLocalPred(r *Resolved, p ResolvedPred, ti int) bool {
@@ -283,35 +428,6 @@ func isLocalPred(r *Resolved, p ResolvedPred, ti int) bool {
 		return r.TableOf(p.Right) == ti
 	}
 	return true
-}
-
-// filterLocal applies all single-table predicates of table i to its rows.
-func filterLocal(r *Resolved, i int, rows []relstore.Tuple, all []boundPred) []relstore.Tuple {
-	var preds []boundPred
-	for _, p := range all {
-		if isLocalPred(r, p.ResolvedPred, i) {
-			preds = append(preds, p)
-		}
-	}
-	if len(preds) == 0 {
-		return rows
-	}
-	off := r.Offsets[i]
-	local := func(c int) int { return c - off }
-	out := make([]relstore.Tuple, 0, len(rows))
-	for _, row := range rows {
-		ok := true
-		for _, p := range preds {
-			if !evalPredOnLayout(p, row, local) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, row)
-		}
-	}
-	return out
 }
 
 // evalPredOnLayout evaluates a predicate on a row given a translation from

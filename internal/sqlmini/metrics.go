@@ -8,7 +8,7 @@ var (
 	metricQueries = obs.Default.NewCounter("aig_sqlmini_queries_total",
 		"queries executed by the sqlmini engine")
 	metricRowsScanned = obs.Default.NewCounter("aig_sqlmini_rows_scanned_total",
-		"base-table rows scanned before local filtering")
+		"base-table rows the executor examined: every row of a scanned table, and only the matches of an index probe")
 	metricRowsReturned = obs.Default.NewCounter("aig_sqlmini_rows_returned_total",
 		"result rows produced by the sqlmini engine")
 )

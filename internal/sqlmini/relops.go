@@ -99,10 +99,16 @@ func LeftOuterJoin(name string, left, right *relstore.Table, leftCols, rightCols
 	for i := range nullsRight {
 		nullsRight[i] = relstore.Null
 	}
-	index, rrows := right.Index(rightCols), right.Rows()
+	// The index carries the snapshot its positions refer to.
+	index := right.Index(rightCols)
+	rrows := index.Rows()
+	key := make(relstore.Tuple, len(leftCols))
 	var rows []relstore.Tuple
 	for _, lrow := range left.Rows() {
-		matches := index.Lookup(lrow.KeyOn(leftCols))
+		for i, c := range leftCols {
+			key[i] = lrow[c]
+		}
+		matches := index.Lookup(key)
 		if len(matches) == 0 {
 			rows = append(rows, lrow.Concat(nullsRight))
 			continue
