@@ -162,19 +162,20 @@ W ?= cold_full
 bench-contract:
 	$(GO) run -C bench . -workload $(W) $(ARGS)
 
-# alloc-budget runs the mediator's and the warm hit's allocation
-# budgets, which are not built under -race and so never run in the race
-# pass.
+# alloc-budget runs the mediator's, the warm hit's and the executor's
+# join allocation budgets, which are not built under -race and so never
+# run in the race pass.
 alloc-budget:
-	$(GO) test -count=1 -run AllocBudget ./internal/mediator ./internal/serve
+	$(GO) test -count=1 -run AllocBudget ./internal/mediator ./internal/serve ./internal/sqlmini
 
 # bench-unit is the cold path's unit reproducer: 90 evaluations (three
 # cycles of the 30 dates) of the served hospital view over bench250, so
-# B/op and allocs/op repeat exactly from run to run, and the executor's
-# index probe: a one-row parameter table joined to a 10 k-row table.
+# B/op and allocs/op repeat exactly from run to run, then the executor's
+# index probe (a one-row parameter table joined to a 10 k-row table) and
+# its reference join (two 10 k-row tables, 10 k output rows).
 bench-unit:
 	$(GO) test -run '^$$' -bench 'EvaluateRecursive/bench250' -benchtime 90x -cpu 2 -benchmem ./internal/mediator
-	$(GO) test -run '^$$' -bench 'ParamJoin/one-row' -benchtime 1000x -cpu 2 -benchmem ./internal/sqlmini
+	$(GO) test -run '^$$' -bench 'ParamJoin/one-row|HashJoin/rows=10000' -benchtime 1000x -cpu 2 -benchmem ./internal/sqlmini
 
 # ci is what .github/workflows/ci.yml runs (plus staticcheck, which CI
 # fetches pinned), minus bench-cluster, which the workflow still runs

@@ -12,6 +12,7 @@ package aig
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -99,6 +100,40 @@ func (d AttrDecl) ScalarSchema() relstore.Schema {
 		}
 	}
 	return out
+}
+
+// BindColumns is the one rule by which both evaluators bind a query
+// output row (or a collection row a star production iterates) to the
+// scalar members of an attribute: it appends to dst, for each column of
+// schema, the position in d.Members of the scalar member the column
+// binds. When every column names a scalar member, binding is by name and
+// members without a matching column are left untouched (they may be
+// filled by copy assignments, as in Inh(patient).date = Inh(report).date
+// alongside Q1). Otherwise, when the column count equals the number of
+// scalar members, binding is positional. Anything else is an error.
+func (d AttrDecl) BindColumns(dst []int, schema relstore.Schema) ([]int, error) {
+	base := len(dst)
+	for _, col := range schema {
+		j := slices.IndexFunc(d.Members, func(m MemberDecl) bool { return m.Kind == Scalar && m.Name == col.Name })
+		if j < 0 {
+			break
+		}
+		dst = append(dst, j)
+	}
+	if len(dst)-base == len(schema) {
+		return dst, nil
+	}
+	dst = dst[:base]
+	for j, m := range d.Members {
+		if m.Kind == Scalar {
+			dst = append(dst, j)
+		}
+	}
+	if n := len(dst) - base; n != len(schema) {
+		names := d.ScalarSchema().Names()
+		return dst[:base], fmt.Errorf("aig: cannot bind %d members %v from %d columns %s", n, names, len(schema), schema)
+	}
+	return dst, nil
 }
 
 // IsEmpty reports whether the attribute has no members.

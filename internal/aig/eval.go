@@ -228,11 +228,10 @@ func (a *AIG) evalStar(env *Env, elem string, node *xmltree.Node, p dtd.Producti
 	if err != nil {
 		return nil, err
 	}
-	childScalars := a.Inh[child].ScalarSchema().Names()
 	all := make([]*AttrValue, 0, len(rows))
 	for _, row := range rows {
 		childInh := NewAttrValue(a.Inh[child])
-		if err := childInh.BindScalarsFromRow(childScalars, schema, row); err != nil {
+		if err := childInh.BindScalarsFromRow(schema, row); err != nil {
 			return nil, fmt.Errorf("aig: %s children of %s: %v", child, elem, err)
 		}
 		// Copy assignments accompanying a star query fill the members the
@@ -338,8 +337,7 @@ func (a *AIG) evalInhSingle(env *Env, ir *InhRule, child string, target *AttrVal
 				return err
 			}
 		} else if out.Len() > 0 {
-			scalars := target.Decl.ScalarSchema().Names()
-			if err := target.BindScalarsFromRow(scalars, out.Schema(), out.Row(0)); err != nil {
+			if err := target.BindScalarsFromRow(out.Schema(), out.Row(0)); err != nil {
 				return err
 			}
 		}

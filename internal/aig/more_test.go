@@ -1,6 +1,8 @@
 package aig_test
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -156,20 +158,68 @@ func TestBindScalarsFromRowErrors(t *testing.T) {
 	decl := aig.Attr(aig.StringMember("a"), aig.StringMember("b"))
 	v := aig.NewAttrValue(decl)
 	// Arity mismatch with non-member column names.
-	err := v.BindScalarsFromRow([]string{"a", "b"},
-		relstore.MustSchema("x:string"), relstore.Tuple{relstore.String("1")})
+	err := v.BindScalarsFromRow(relstore.MustSchema("x:string"), relstore.Tuple{relstore.String("1")})
 	if err == nil {
 		t.Error("arity mismatch accepted")
 	}
 	// Positional binding when names do not match but arity does.
-	err = v.BindScalarsFromRow([]string{"a", "b"},
-		relstore.MustSchema("x:string", "y:string"),
+	err = v.BindScalarsFromRow(relstore.MustSchema("x:string", "y:string"),
 		relstore.Tuple{relstore.String("1"), relstore.String("2")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := v.Scalar("b"); got.AsString() != "2" {
 		t.Errorf("positional binding: b = %v", got)
+	}
+}
+
+// TestBindColumns is the binding rule both evaluators share: which
+// member each column of a row binds, and the values a bound row leaves.
+func TestBindColumns(t *testing.T) {
+	decl := aig.Attr(aig.StringMember("a"), aig.SetMember("s", "v:string"), aig.StringMember("b"), aig.StringMember("c"))
+	for _, tc := range []struct {
+		name    string
+		schema  relstore.Schema
+		want    []int
+		bound   string // the value BindScalarsFromRow leaves, Null members as NULL
+		wantErr string
+	}{
+		{name: "by name", schema: relstore.MustSchema("c:string", "a:string", "b:string"),
+			want: []int{3, 0, 2}, bound: "(a='2', b='3', c='1', s=[0 rows])"},
+		{name: "by position", schema: relstore.MustSchema("x:string", "y:string", "z:string"),
+			want: []int{0, 2, 3}, bound: "(a='1', b='2', c='3', s=[0 rows])"},
+		{name: "partial by name", schema: relstore.MustSchema("b:string"),
+			want: []int{2}, bound: "(a=NULL, b='1', c=NULL, s=[0 rows])"},
+		{name: "column count", schema: relstore.MustSchema("x:string", "y:string"),
+			wantErr: "aig: cannot bind 3 members [a b c] from 2 columns"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := decl.BindColumns(nil, tc.schema)
+			row := make(relstore.Tuple, len(tc.schema))
+			for i := range row {
+				row[i] = relstore.String(fmt.Sprint(i + 1))
+			}
+			v := aig.NewAttrValue(decl)
+			bindErr := v.BindScalarsFromRow(tc.schema, row)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("error %v, want %q", err, tc.wantErr)
+				}
+				if bindErr == nil || bindErr.Error() != err.Error() {
+					t.Errorf("BindScalarsFromRow fails with %v, BindColumns with %v", bindErr, err)
+				}
+				return
+			}
+			if err != nil || bindErr != nil {
+				t.Fatal(err, bindErr)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("positions %v, want %v", got, tc.want)
+			}
+			if s := v.String(); s != tc.bound {
+				t.Errorf("bound %s, want %s", s, tc.bound)
+			}
+		})
 	}
 }
 

@@ -310,10 +310,9 @@ func (a *AIG) partialStar(env *Env, elem string, p dtd.Production, r *Rule, inh 
 	if err != nil {
 		return err
 	}
-	childScalars := a.Inh[child].ScalarSchema().Names()
 	for i, row := range rows {
 		childInh := NewAttrValue(a.Inh[child])
-		if err := childInh.BindScalarsFromRow(childScalars, schema, row); err != nil {
+		if err := childInh.BindScalarsFromRow(schema, row); err != nil {
 			return fmt.Errorf("aig: %s children of %s: %v", child, elem, err)
 		}
 		if ir.IsQuery() {

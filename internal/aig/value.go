@@ -160,36 +160,16 @@ func (v *AttrValue) MemberBinding(member string) (sqlmini.Binding, error) {
 	return sqlmini.Binding{Schema: m.Fields, Rows: v.rows(i)}, nil
 }
 
-// BindScalarsFromRow assigns scalar members from a query output row.
-// When every output column names a scalar member, binding is by name and
-// members without a matching column are left untouched (they may be
-// filled by copy assignments, as in Inh(patient).date = Inh(report).date
-// alongside Q1). Otherwise, when the column count equals the number of
-// scalar members in targets, binding is positional. Anything else is an
-// error.
-func (v *AttrValue) BindScalarsFromRow(targets []string, schema relstore.Schema, row relstore.Tuple) error {
-	byName := true
-	for _, col := range schema {
-		if !slices.Contains(targets, col.Name) {
-			byName = false
-			break
-		}
+// BindScalarsFromRow assigns scalar members from a query output row, as
+// BindColumns maps the row's columns to members.
+func (v *AttrValue) BindScalarsFromRow(schema relstore.Schema, row relstore.Tuple) error {
+	var buf [8]int
+	pos, err := v.Decl.BindColumns(buf[:0], schema)
+	if err != nil {
+		return err
 	}
-	if byName {
-		for i, col := range schema {
-			if err := v.SetScalar(col.Name, row[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if len(targets) != len(row) {
-		return fmt.Errorf("aig: cannot bind %d members %v from %d columns %s", len(targets), targets, len(row), schema)
-	}
-	for i, t := range targets {
-		if err := v.SetScalar(t, row[i]); err != nil {
-			return err
-		}
+	for k, j := range pos {
+		v.slots[j].v = row[k]
 	}
 	return nil
 }

@@ -20,17 +20,21 @@ import (
 // store (one table per context, ranges per parent, no maps) to ~78 k,
 // reusing instance-scope arrays to ~68 k, and computing synthesized
 // attributes set-at-a-time (one syn table per context, no per-instance
-// values or scopes) to ~39 k, and probing the sources' snapshot indexes
-// instead of re-hashing a stored table per join to ~32 k; a change that
-// undoes any but the last of them fails here.
-const maxEvalAllocs = 45_000
+// values or scopes) to ~39 k, probing the sources' snapshot indexes
+// instead of re-hashing a stored table per join to ~32 k, and keeping
+// inherited attributes as columns of the context tables (no value per
+// instance) with joins by row reference (no row per join match) to
+// ~17.6 k; a change that undoes the syn tables or the Inh columns
+// fails here.
+const maxEvalAllocs = 24_600
 
 // maxServeAllocs bounds the same evaluations the way aigd runs them
 // (BenchmarkEvaluateRecursive/bench250/serve): settled, then emitted into
-// a buffer with no tree: ~54 k before the syn tables, ~25 k since, and
-// ~18 k since sqlmini probes the snapshot indexes (a change that undoes
-// that fails here), of which emission is ~1.6 k.
-const maxServeAllocs = 25_000
+// a buffer with no tree: ~54 k before the syn tables, ~25 k since, ~18 k
+// since sqlmini probes the snapshot indexes, ~6.1 k with inherited
+// attributes as columns, and ~3.7 k with joins by row reference too (a
+// change that undoes any of the last three fails here).
+const maxServeAllocs = 5_200
 
 func TestEvaluateAllocBudget(t *testing.T) {
 	reg, sa := bench250View(t, false)

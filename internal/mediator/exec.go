@@ -208,9 +208,6 @@ func (m *Mediator) evaluatePhases(ctx context.Context, a *aig.AIG, depth int, ro
 	phaseSec := map[string]float64{"compile": compileSec, "optimize": optimizeSec}
 	g := p.g
 
-	if rootInh == nil {
-		rootInh = aig.NewAttrValue(g.a.Inh[g.a.DTD.Root])
-	}
 	sp, t0 := tr.StartSpan("execute", root), time.Now()
 	x := newExec(p, rootInh)
 	x.ctx, x.tr, x.execSpan = obs.ContextWithSpan(ctx, tr, sp), tr, sp
@@ -552,16 +549,19 @@ func (x *exec) bindParams(pt *part, prev *relstore.Table) (sqlmini.Params, int, 
 		// A parent binds one row — its id, then its values — carved out of
 		// one array, or one such row per row of a collection.
 		r := pt.refs[k]
-		parents := x.st.rows(pt.parentCtx)
+		var parents []instance
+		var inh *attrTable
+		if t := x.st.table(pt.parentCtx); t != nil {
+			parents, inh = t.rows, &t.inh
+		}
 		vals := make([]relstore.Value, 0, len(parents)*len(spec.schema))
 		rows := make([]relstore.Tuple, 0, len(parents))
 		for id := range parents {
-			inst := &parents[id]
-			if !inst.on(pt.branch) {
+			if !parents[id].on(pt.branch) {
 				continue
 			}
 			if r != nil && r.kind != aig.Scalar {
-				crows, err := x.rows(r, inst.inh, id)
+				crows, err := x.rows(r, inh, id)
 				if err != nil {
 					return nil, 0, err
 				}
@@ -576,7 +576,7 @@ func (x *exec) bindParams(pt *part, prev *relstore.Table) (sqlmini.Params, int, 
 			vals = append(vals, relstore.Int(int64(id)))
 			if r != nil {
 				var err error
-				if vals, err = x.appendTuple(vals, r, inst.inh, id); err != nil {
+				if vals, err = x.appendTuple(vals, r, inh, id); err != nil {
 					return nil, 0, err
 				}
 			}

@@ -23,6 +23,7 @@ type ctxNode struct {
 	elem     string
 	parent   *ctxNode
 	children []*ctxNode // production order; one per occurrence
+	tag      tagFacts
 }
 
 // buildContextTree expands the (non-recursive) DTD into its template
@@ -246,6 +247,7 @@ func compile(ctx context.Context, a *aig.AIG, reg *source.Registry, opts Options
 	// Pass 1: create the barrier and syn nodes for every context.
 	var mk func(c *ctxNode)
 	mk = func(c *ctxNode) {
+		c.tag = g.tagFacts(c)
 		g.inhDone[c.path] = g.newNode(nodeLocal, MediatorSource, "inh:"+c.path)
 		g.synOf[c.path] = g.newNode(nodeLocal, MediatorSource, "syn:"+c.path)
 		for _, ch := range c.children {
@@ -257,7 +259,11 @@ func compile(ctx context.Context, a *aig.AIG, reg *source.Registry, opts Options
 	// The root barrier creates the single root instance from the AIG's
 	// attribute (bound at execution time via exec.rootInh).
 	g.inhDone[root.path].runLocal = func(x *exec) (int, error) {
-		x.st.publish(root, &ctxTable{rows: []instance{{inh: x.rootInh}}, first: []int{0}})
+		t, err := rootTable(a.Inh[root.elem], x.rootInh)
+		if err != nil {
+			return 0, fmt.Errorf("mediator: root attribute: %v", err)
+		}
+		x.st.publish(root, t)
 		return 1, nil
 	}
 

@@ -300,48 +300,55 @@ func (g *graph) buildCond(ctx context.Context, c *ctxNode, r *aig.Rule) (*node, 
 // setCopyMat installs the materialization body for a copy edge.
 func (g *graph) setCopyMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch int, star, elided bool) error {
 	decl := g.a.Inh[ch.elem]
-	names := decl.ScalarSchema().Names()
 	copies, err := g.compileCopies(c, ch, ir)
 	if err != nil {
 		return err
 	}
-	var schema relstore.Schema // of the collection a star iterates
+	// A star binds each row of the collection it iterates.
+	var pos []int
+	var bindErr error
 	if star {
-		if schema, err = g.attrSchema(ir.Copies[0].Src); err != nil {
+		schema, err := g.attrSchema(ir.Copies[0].Src)
+		if err != nil {
 			return err
 		}
+		pos, bindErr = decl.BindColumns(nil, schema)
 	}
 	mat.runLocal = func(x *exec) (int, error) {
-		parents := x.st.rows(c)
-		t := newTable(len(parents), len(parents))
-		for id := range parents {
-			t.startParent()
-			parent := &parents[id]
-			if !parent.on(branch) {
+		pt := x.st.table(c)
+		w := newWriter(decl, len(pt.rows), len(pt.rows))
+		var sorted []relstore.Tuple
+		for id := range pt.rows {
+			w.startParent()
+			if !pt.rows[id].on(branch) {
 				continue
 			}
 			if star {
-				rows, err := x.rows(&copies[0].src, parent.inh, id)
+				rows, err := x.rows(&copies[0].src, &pt.inh, id)
 				if err != nil {
-					return len(t.rows), err
+					return 0, err
 				}
-				sorted := make([]relstore.Tuple, len(rows))
-				copy(sorted, rows)
+				if len(rows) > 0 && bindErr != nil {
+					return 0, bindErr
+				}
+				sorted = append(sorted[:0], rows...)
 				slices.SortStableFunc(sorted, relstore.Tuple.Compare)
 				for _, row := range sorted {
-					inh := aig.NewAttrValue(decl)
-					if err := inh.BindScalarsFromRow(names, schema, row); err != nil {
-						return len(t.rows), err
-					}
-					t.add(inh)
+					w.open()
+					w.bind(pos, row)
+					w.close()
 				}
 				continue
 			}
-			inh := aig.NewAttrValue(decl)
-			if err := x.applyCopies(inh, copies, parent, id, false); err != nil {
-				return len(t.rows), err
+			w.open()
+			if err := x.applyCopies(w, copies, &pt.inh, id, false); err != nil {
+				return 0, err
 			}
-			t.add(inh)
+			w.close()
+		}
+		t, err := w.table()
+		if err != nil {
+			return 0, err
 		}
 		x.st.publish(ch, t)
 		if elided {
@@ -358,10 +365,13 @@ func (g *graph) setCopyMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch in
 // members (single-row rules).
 func (g *graph) setQueryMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch int, star bool, last *part) error {
 	decl := g.a.Inh[ch.elem]
-	names := decl.ScalarSchema().Names()
 	copies, err := g.compileCopies(c, ch, ir)
 	if err != nil {
 		return err
+	}
+	target := -1 // TargetCollection's position
+	if ir.TargetCollection != "" {
+		target = slices.IndexFunc(decl.Members, func(m aig.MemberDecl) bool { return m.Kind != aig.Scalar && m.Name == ir.TargetCollection })
 	}
 	mat.runLocal = func(x *exec) (int, error) {
 		out := x.partOut[last.idx]
@@ -372,58 +382,78 @@ func (g *graph) setQueryMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch i
 		if parentIdx != 0 {
 			return 0, fmt.Errorf("mediator: result for %s lacks leading %s column", ch.path, ParentCol)
 		}
-		dataSchema := out.Schema()[1:]
-		parents := x.st.rows(c)
-		byParent := make([][]relstore.Tuple, len(parents))
+		pos, bindErr := decl.BindColumns(nil, out.Schema()[1:])
+		pt := x.st.table(c)
+		n := len(pt.rows)
+		// Group the result rows by parent in one array: parent id's rows
+		// are grouped[at[id]:at[id+1]], in result order, then sorted.
+		at := make([]int, n+1)
 		for _, row := range out.Rows() {
-			id, err := parentPos(row, len(parents), "result", ch.path)
+			id, err := parentPos(row, n, "result", ch.path)
 			if err != nil {
 				return 0, err
 			}
-			byParent[id] = append(byParent[id], row[1:])
+			at[id+1]++
 		}
-		rowCap := len(parents)
+		for id := 1; id <= n; id++ {
+			at[id] += at[id-1]
+		}
+		grouped := make([]relstore.Tuple, out.Len())
+		for _, row := range out.Rows() {
+			id := int(row[0].AsInt())
+			grouped[at[id]] = row[1:]
+			at[id]++
+		}
+		copy(at[1:], at[:n])
+		at[0] = 0
+
+		rowCap := n
 		if star {
 			rowCap = out.Len()
 		}
-		t := newTable(len(parents), rowCap)
-		for id := range parents {
-			t.startParent()
-			parent := &parents[id]
-			if !parent.on(branch) {
+		w := newWriter(decl, n, rowCap)
+		for id := range pt.rows {
+			w.startParent()
+			if !pt.rows[id].on(branch) {
 				continue
 			}
-			sorted := byParent[id]
-			slices.SortStableFunc(sorted, relstore.Tuple.Compare)
+			rows := grouped[at[id]:at[id+1]]
+			slices.SortStableFunc(rows, relstore.Tuple.Compare)
+			if len(rows) > 0 && bindErr != nil && (star || ir.TargetCollection == "") {
+				return 0, bindErr
+			}
 
 			if star {
-				for _, row := range sorted {
-					inh := aig.NewAttrValue(decl)
-					if err := inh.BindScalarsFromRow(names, dataSchema, row); err != nil {
-						return len(t.rows), err
+				for _, row := range rows {
+					w.open()
+					w.bind(pos, row)
+					if err := x.applyCopies(w, copies, &pt.inh, id, true); err != nil {
+						return 0, err
 					}
-					if err := x.applyCopies(inh, copies, parent, id, true); err != nil {
-						return len(t.rows), err
-					}
-					t.add(inh)
+					w.close()
 				}
 				continue
 			}
 
-			inh := aig.NewAttrValue(decl)
-			if ir.TargetCollection != "" {
-				if err := inh.SetCollection(ir.TargetCollection, sorted); err != nil {
-					return len(t.rows), err
+			w.open()
+			switch {
+			case ir.TargetCollection == "":
+				if len(rows) > 0 {
+					w.bind(pos, rows[0])
 				}
-			} else if len(sorted) > 0 {
-				if err := inh.BindScalarsFromRow(names, dataSchema, sorted[0]); err != nil {
-					return len(t.rows), err
-				}
+			case target < 0:
+				return 0, fmt.Errorf("aig: no collection member %q in %s", ir.TargetCollection, decl)
+			default:
+				w.setRows(target, rows)
 			}
-			if err := x.applyCopies(inh, copies, parent, id, false); err != nil {
-				return len(t.rows), err
+			if err := x.applyCopies(w, copies, &pt.inh, id, false); err != nil {
+				return 0, err
 			}
-			t.add(inh)
+			w.close()
+		}
+		t, err := w.table()
+		if err != nil {
+			return 0, err
 		}
 		x.st.publish(ch, t)
 		return len(t.rows), nil

@@ -43,8 +43,7 @@ func perInstanceBlocked(t *testing.T, x *exec, cat *relstore.Catalog, ir *aig.In
 	if ir.Query != nil {
 		steps = []*sqlmini.Query{ir.Query}
 	}
-	all := x.st.rows(c)
-	for i := range all {
+	for i := range x.st.rows(c) {
 		var prev *relstore.Table
 		for _, q := range steps {
 			params := make(sqlmini.Params)
@@ -54,7 +53,7 @@ func perInstanceBlocked(t *testing.T, x *exec, cat *relstore.Catalog, ir *aig.In
 					continue
 				}
 				// A star rule's query reads only the instance's Inh.
-				b, err := all[i].inh.MemberBinding(ir.QueryParams[name].Member)
+				b, err := inhValue(t, x, c, i).MemberBinding(ir.QueryParams[name].Member)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -34,10 +34,11 @@ func checkRanges(t *testing.T, x *exec) (emptyStars int) {
 				t.Fatalf("%s: %d range bounds %v over %d parents and %d rows", ch.path, len(tab.first), tab.first, len(parents), len(tab.rows))
 			}
 			for id := range parents {
-				kids, lo := x.st.children(ch, id)
-				if lo != tab.first[id] || lo+len(kids) != tab.first[id+1] {
-					t.Fatalf("%s: parent %d reads [%d,%d), table says [%d,%d)", ch.path, id, lo, lo+len(kids), tab.first[id], tab.first[id+1])
+				lo, hi := x.st.span(ch, id)
+				if lo != tab.first[id] || hi != tab.first[id+1] {
+					t.Fatalf("%s: parent %d reads [%d,%d), table says [%d,%d)", ch.path, id, lo, hi, tab.first[id], tab.first[id+1])
 				}
+				kids := tab.rows[lo:hi]
 				want := 1
 				switch p.Kind {
 				case dtd.ProdStar:
@@ -140,7 +141,7 @@ func TestStoreIDsArePositions(t *testing.T) {
 		t.Fatalf("%d parameter rows for %d instances", len(b.Rows), len(insts))
 	}
 	for id, row := range b.Rows {
-		trID, err := insts[id].inh.Scalar("trId")
+		trID, err := inhValue(t, x, cond.parentCtx, id).Scalar("trId")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,29 +156,52 @@ func TestStoreUnpublishedReadsEmpty(t *testing.T) {
 	kid := &ctxNode{idx: 1, path: "r/k", elem: "k", parent: root}
 	root.children = []*ctxNode{kid}
 	s := make(store, 2)
-	top := newTable(1, 1)
+	top := newWriter(aig.Attr(), 1, 1)
 	top.startParent()
-	top.add(aig.NewAttrValue(aig.Attr()))
-	s.publish(root, top)
+	top.open()
+	tt, _ := top.table()
+	s.publish(root, tt)
 
 	if rows := s.rows(kid); rows != nil {
 		t.Errorf("unpublished context reads %d instances", len(rows))
 	}
-	if kids, _ := s.children(kid, 0); kids != nil {
-		t.Errorf("unpublished context gives parent 0 %d children", len(kids))
+	if lo, hi := s.span(kid, 0); lo != hi {
+		t.Errorf("unpublished context gives parent 0 %d children", hi-lo)
 	}
 	x := &exec{st: s}
 	syn := ref{src: aig.SourceRef{Side: aig.SynSide, Elem: "k"}, kids: []*ctxNode{kid}}
-	if _, _, err := x.kid(&syn, 0); err == nil {
+	if _, _, err := x.at(&syn, nil, 0); err == nil {
 		t.Error("Syn(k) over an unpublished child table is in scope")
 	}
 
-	tab := newTable(1, 2)
+	tab := newWriter(aig.Attr(), 1, 2)
 	tab.startParent()
-	tab.add(aig.NewAttrValue(aig.Attr()))
-	tab.add(aig.NewAttrValue(aig.Attr()))
-	s.publish(kid, tab)
-	if kids, lo := s.children(kid, 0); len(kids) != 2 || lo != 0 {
-		t.Errorf("published context gives parent 0 %d children from %d, want 2 from 0", len(kids), lo)
+	tab.open()
+	tab.open()
+	kt, _ := tab.table()
+	s.publish(kid, kt)
+	if lo, hi := s.span(kid, 0); hi-lo != 2 || lo != 0 {
+		t.Errorf("published context gives parent 0 %d children from %d, want 2 from 0", hi-lo, lo)
 	}
+}
+
+// inhValue rebuilds the inherited attribute of instance i of context c
+// from its Inh columns, for comparison with the conceptual evaluator's.
+func inhValue(t *testing.T, x *exec, c *ctxNode, i int) *aig.AttrValue {
+	t.Helper()
+	decl := x.g.a.Inh[c.elem]
+	v := aig.NewAttrValue(decl)
+	cols := x.st.table(c).inh.cols
+	for j, m := range decl.Members {
+		var err error
+		if m.Kind == aig.Scalar {
+			err = v.SetScalar(m.Name, cols[j].vals[i])
+		} else {
+			err = v.SetCollection(m.Name, cols[j].rows[cols[j].off[i]:cols[j].off[i+1]])
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return v
 }

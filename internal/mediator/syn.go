@@ -9,23 +9,6 @@ import (
 	"github.com/aigrepro/aig/internal/relstore"
 )
 
-// synTable is the synthesized attribute of every instance of one context,
-// computed by the context's syn task in one pass and published once: one
-// column per member of the Syn declaration, indexed by instance position.
-// A scalar member's value for instance i is vals[i]; a collection
-// member's rows are rows[off[i]:off[i+1]]. Since the children of one
-// parent are contiguous, a parent reads all of its children's values as
-// one range of a child column.
-type synTable struct {
-	cols []synCol
-}
-
-type synCol struct {
-	vals []relstore.Value
-	rows []relstore.Tuple
-	off  []int
-}
-
 // ref is a rule source resolved at plan time against the production of
 // context c: a member of Inh(c.elem), or of Syn(B) of c's children of
 // type B.
@@ -36,14 +19,14 @@ type ref struct {
 	kids []*ctxNode
 	col  int // the member's position in its declaration
 	// kind is the member's kind; a whole attribute (empty Member) is a
-	// scalar tuple, the positions of Syn(B)'s scalar members in tuple.
+	// scalar tuple, the positions of its scalar members in tuple.
 	kind  aig.MemberKind
 	tuple []int
 }
 
 func (g *graph) ref(c *ctxNode, src aig.SourceRef) (ref, error) {
 	r := ref{src: src}
-	decl := g.a.Inh[src.Elem]
+	decl := g.a.Inh[c.elem]
 	if src.Side == aig.SynSide {
 		decl = g.a.Syn[src.Elem]
 		for _, ch := range c.children {
@@ -66,9 +49,13 @@ func (g *graph) ref(c *ctxNode, src aig.SourceRef) (ref, error) {
 	return r, nil
 }
 
-// kid returns the syn table and position of the first instance r's
-// Syn(B) reads under instance p of r's context.
-func (x *exec) kid(r *ref, p int) (*synTable, int, error) {
+// at returns the attribute table and position r reads for instance p of
+// its context, whose Inh is inh: inh itself, or the syn table of the
+// first instance Syn(B) reads.
+func (x *exec) at(r *ref, inh *attrTable, p int) (*attrTable, int, error) {
+	if r.src.Side == aig.InhSide {
+		return inh, p, nil
+	}
 	for _, ch := range r.kids {
 		if t := x.st.table(ch); t != nil && t.first[p] < t.first[p+1] {
 			return t.syn.Load(), t.first[p], nil
@@ -77,67 +64,59 @@ func (x *exec) kid(r *ref, p int) (*synTable, int, error) {
 	return nil, 0, fmt.Errorf("aig: Syn(%s) is not in scope (not yet evaluated?)", r.src.Elem)
 }
 
-// scalar returns the scalar r names for instance p of its context, whose
-// inherited value is inh.
-func (x *exec) scalar(r *ref, inh *aig.AttrValue, p int) (relstore.Value, error) {
+// scalar returns the scalar r names for instance p of its context.
+func (x *exec) scalar(r *ref, inh *attrTable, p int) (relstore.Value, error) {
 	switch {
 	case r.src.Member == "":
 		return relstore.Null, fmt.Errorf("aig: %s: whole-attribute reference where a scalar is needed", r.src)
-	case r.src.Side == aig.InhSide:
-		return inh.Scalar(r.src.Member)
 	case r.kind != aig.Scalar:
-		return relstore.Null, fmt.Errorf("aig: no scalar member %q in Syn(%s)", r.src.Member, r.src.Elem)
+		return relstore.Null, fmt.Errorf("aig: no scalar member %q in %s(%s)", r.src.Member, r.src.Side, r.src.Elem)
 	}
-	s, i, err := x.kid(r, p)
+	t, i, err := x.at(r, inh, p)
 	if err != nil {
 		return relstore.Null, err
 	}
-	return s.cols[r.col].vals[i], nil
+	return t.cols[r.col].vals[i], nil
 }
 
 // appendTuple appends the scalar tuple r names for instance p to dst:
 // its one scalar member, or every scalar member of a whole attribute.
-func (x *exec) appendTuple(dst []relstore.Value, r *ref, inh *aig.AttrValue, p int) ([]relstore.Value, error) {
+func (x *exec) appendTuple(dst []relstore.Value, r *ref, inh *attrTable, p int) ([]relstore.Value, error) {
 	if r.src.Member != "" {
 		v, err := x.scalar(r, inh, p)
 		return append(dst, v), err
 	}
-	if r.src.Side == aig.InhSide {
-		return inh.AppendScalars(dst), nil
-	}
-	s, i, err := x.kid(r, p)
+	t, i, err := x.at(r, inh, p)
 	if err != nil {
 		return dst, err
 	}
 	for _, j := range r.tuple {
-		dst = append(dst, s.cols[j].vals[i])
+		dst = append(dst, t.cols[j].vals[i])
 	}
 	return dst, nil
 }
 
 // rows returns the rows r binds for instance p: a collection member's
 // rows, shared with their owner, or a scalar tuple as one row.
-func (x *exec) rows(r *ref, inh *aig.AttrValue, p int) ([]relstore.Tuple, error) {
-	switch {
-	case r.kind == aig.Scalar:
+func (x *exec) rows(r *ref, inh *attrTable, p int) ([]relstore.Tuple, error) {
+	if r.kind == aig.Scalar {
 		row, err := x.appendTuple(nil, r, inh, p)
 		return []relstore.Tuple{row}, err
-	case r.src.Side == aig.InhSide:
-		b, err := inh.MemberBinding(r.src.Member)
-		return b.Rows, err
 	}
-	s, i, err := x.kid(r, p)
+	t, i, err := x.at(r, inh, p)
 	if err != nil {
 		return nil, err
 	}
-	col := &s.cols[r.col]
+	col := &t.cols[r.col]
 	return col.rows[col.off[i]:col.off[i+1]], nil
 }
 
 // copyRule is a copy assignment of an inherited rule resolved against
-// its parent context.
+// its parent context: target is the member's position in the child's
+// Inh (-1 when it has none of that name).
 type copyRule struct {
-	target string
+	name   string
+	target int
 	scalar bool // the target member is a scalar
 	src    ref
 }
@@ -147,40 +126,42 @@ func (g *graph) compileCopies(c, ch *ctxNode, ir *aig.InhRule) ([]copyRule, erro
 		return nil, nil
 	}
 	var out []copyRule
+	decl := g.a.Inh[ch.elem]
 	for _, cp := range ir.Copies {
-		m, ok := g.a.Inh[ch.elem].Member(cp.TargetMember)
 		src, err := g.ref(c, cp.Src)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, copyRule{target: cp.TargetMember, scalar: !ok || m.Kind == aig.Scalar, src: src})
+		j := slices.IndexFunc(decl.Members, func(m aig.MemberDecl) bool { return m.Name == cp.TargetMember })
+		out = append(out, copyRule{name: cp.TargetMember, target: j, scalar: j < 0 || decl.Members[j].Kind == aig.Scalar, src: src})
 	}
 	return out, nil
 }
 
-// applyCopies writes copies into inh, the inherited value of a child of
-// the parent instance at position p, as the conceptual evaluator does:
-// a scalar member from a scalar, a collection member from a collection's
-// rows. The copies of a star query rule read every source as a scalar
-// (scalarsOnly), as they do there.
-func (x *exec) applyCopies(inh *aig.AttrValue, copies []copyRule, parent *instance, p int, scalarsOnly bool) error {
+// applyCopies writes copies into the instance w has open, a child of
+// the parent instance at position p whose Inh is inh, as the conceptual
+// evaluator does: a scalar member from a scalar, a collection member
+// from a collection's rows. The copies of a star query rule read every
+// source as a scalar (scalarsOnly), as they do there.
+func (x *exec) applyCopies(w *tableWriter, copies []copyRule, inh *attrTable, p int, scalarsOnly bool) error {
 	for i := range copies {
 		cp := &copies[i]
-		var err error
 		if cp.scalar || scalarsOnly {
-			var v relstore.Value
-			if v, err = x.scalar(&cp.src, parent.inh, p); err == nil {
-				err = inh.SetScalar(cp.target, v)
+			v, err := x.scalar(&cp.src, inh, p)
+			if err != nil {
+				return err
 			}
-		} else {
-			var rows []relstore.Tuple
-			if rows, err = x.rows(&cp.src, parent.inh, p); err == nil {
-				err = inh.SetCollection(cp.target, rows)
+			if cp.target < 0 || !cp.scalar {
+				return fmt.Errorf("aig: no scalar member %q in Inh", cp.name)
 			}
+			w.setScalar(cp.target, v)
+			continue
 		}
+		rows, err := x.rows(&cp.src, inh, p)
 		if err != nil {
 			return err
 		}
+		w.setRows(cp.target, rows)
 	}
 	return nil
 }
@@ -312,7 +293,7 @@ func (g *graph) buildSyn(c *ctxNode) error {
 		if t == nil || len(plan.decl.Members) == 0 {
 			return len(x.st.rows(c)), nil
 		}
-		s, err := x.computeSyn(plan, t.rows)
+		s, err := x.computeSyn(plan, t)
 		if err != nil {
 			return 0, fmt.Errorf("mediator: syn of %s: %v", c.path, err)
 		}
@@ -323,10 +304,11 @@ func (g *graph) buildSyn(c *ctxNode) error {
 	return nil
 }
 
-// computeSyn builds the syn table of the instances insts, one member
-// column at a time.
-func (x *exec) computeSyn(plan *synPlan, insts []instance) (*synTable, error) {
-	s := &synTable{cols: make([]synCol, len(plan.decl.Members))}
+// computeSyn builds the syn table of the instances of table t, one
+// member column at a time.
+func (x *exec) computeSyn(plan *synPlan, t *ctxTable) (*attrTable, error) {
+	insts := t.rows
+	s := &attrTable{cols: make([]attrCol, len(plan.decl.Members))}
 	var d dedup
 	for j, m := range plan.decl.Members {
 		col := &s.cols[j]
@@ -334,7 +316,7 @@ func (x *exec) computeSyn(plan *synPlan, insts []instance) (*synTable, error) {
 			col.vals = make([]relstore.Value, len(insts))
 			for i := range insts {
 				if e := plan.expr(&insts[i], j); e != nil {
-					v, err := x.scalar(&e[0].srcs[0], insts[i].inh, i)
+					v, err := x.scalar(&e[0].srcs[0], &t.inh, i)
 					if err != nil {
 						return nil, err
 					}
@@ -350,7 +332,7 @@ func (x *exec) computeSyn(plan *synPlan, insts []instance) (*synTable, error) {
 			set = &d
 		}
 		for i := range insts {
-			if err := x.addTerms(&b, plan.expr(&insts[i], j), insts[i].inh, i, &vals); err != nil {
+			if err := x.addTerms(&b, plan.expr(&insts[i], j), &t.inh, i, &vals); err != nil {
 				return nil, err
 			}
 			if err := b.end(set, m.Fields); err != nil {
@@ -376,7 +358,7 @@ func (p *synPlan) expr(inst *instance, j int) []synTerm {
 
 // addTerms appends the rows the terms give instance i to its range in b;
 // singleton rows are carved out of *vals.
-func (x *exec) addTerms(b *colBuilder, terms []synTerm, inh *aig.AttrValue, i int, vals *[]relstore.Value) error {
+func (x *exec) addTerms(b *colBuilder, terms []synTerm, inh *attrTable, i int, vals *[]relstore.Value) error {
 	for k := range terms {
 		t := &terms[k]
 		switch t.kind {
@@ -420,7 +402,7 @@ func (x *exec) addTerms(b *colBuilder, terms []synTerm, inh *aig.AttrValue, i in
 
 // checkGuards checks the guards of context c on every instance's range
 // of its syn table s and records the first failure.
-func (x *exec) checkGuards(c *ctxNode, plan *synPlan, s *synTable, n int) {
+func (x *exec) checkGuards(c *ctxNode, plan *synPlan, s *attrTable, n int) {
 	var d dedup
 	member := func(name string, i int) []relstore.Tuple {
 		col := &s.cols[slices.IndexFunc(plan.decl.Members, func(m aig.MemberDecl) bool { return m.Name == name })]

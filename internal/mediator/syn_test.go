@@ -297,3 +297,175 @@ end`)
 		})
 	}
 }
+
+// inhMatrixSpec completes an Inh-shape case: its DTD lines and
+// declarations beside the item renderer — item (iv, iw) shows Inh(item)'s
+// v and w as text — and rules for every element but item.
+func inhMatrixSpec(dtdLines, decls, rules string) string {
+	return fmt.Sprintf(`
+dtd
+%s
+  <!ELEMENT item (iv, iw)>
+  <!ELEMENT iv (#PCDATA)>
+  <!ELEMENT iw (#PCDATA)>
+end
+inh doc (k)
+inh item (v, w)
+inh iv (v)
+inh iw (v)
+%s
+%s
+rule item
+  child iv set v = inh(item).v
+  child iw set v = inh(item).w
+end
+rule iv
+  text inh(iv).v
+end
+rule iw
+  text inh(iw).v
+end
+sources
+  DB:t(k, v, w)
+  DB:br(w, b:int)
+end
+`, dtdLines, decls, rules)
+}
+
+// TestInhShapesMatchEval is the Inh-shape matrix: every way the
+// mediator writes an inherited-attribute column — a star over an Inh
+// collection, a query into a set or bag member, query-bound scalars by
+// name and by position, copies overriding them, a whole-tuple Inh
+// parameter, text from a TextSrc or a lone scalar, and choice branches —
+// compared with the conceptual evaluator's bytes for each document key.
+func TestInhShapesMatchEval(t *testing.T) {
+	// collectionSrc fills Inh(src).s, of the given kind, from a query
+	// whose rows repeat for key a — (p,a) twice, then (q,a) — and
+	// renders it one item per row.
+	collectionSrc := func(kind string) string {
+		return inhMatrixSpec(`  <!ELEMENT doc (src)>
+  <!ELEMENT src (item*)>`, "inh src ("+kind+" s(v, w))", `
+rule doc
+  child src collection s from query [p = inh(doc)]: select v, k as w from DB:t where k = $p.k;
+end
+rule src
+  child item iterate inh(src).s
+end`)
+	}
+	// copiedSet copies a bag with repeated rows into a set member.
+	copiedSet := inhMatrixSpec(`  <!ELEMENT doc (mid)>
+  <!ELEMENT mid (src)>
+  <!ELEMENT src (item*)>`, `inh mid (k, bag b(v, w))
+inh src (set s(v, w))`, `
+rule doc
+  child mid set k = inh(doc).k
+  child mid collection b from query [p = inh(doc)]: select v, k as w from DB:t where k = $p.k;
+end
+rule mid
+  child src set s = inh(mid).b
+end
+rule src
+  child item iterate inh(src).s
+end`)
+	// single binds item from the one-row query q, then applies copies.
+	single := func(q, copies string) string {
+		return inhMatrixSpec("  <!ELEMENT doc (item)>", "", `
+rule doc
+  child item from query [p = inh(doc)]: `+q+`;`+copies+`
+end`)
+	}
+	// star makes one item per row of query q over Inh(src), then applies
+	// copies.
+	star := func(q, copies string) string {
+		return inhMatrixSpec(`  <!ELEMENT doc (src)>
+  <!ELEMENT src (item*)>`, "inh src (k)", `
+rule doc
+  child src set k = inh(doc).k
+end
+rule src
+  child item from query [p = inh(src)]: `+q+`;`+copies+`
+end`)
+	}
+	wholeTuple := inhMatrixSpec(`  <!ELEMENT doc (src)>
+  <!ELEMENT src (item*)>`, "inh src (k, j)", `
+rule doc
+  child src from query [p = inh(doc)]: select k, w as j from DB:t where k = $p.k and v = 'q';
+end
+rule src
+  child item from query [p = inh(src)]: select v, w from DB:t where k = $p.k and w = $p.j;
+end`)
+	text := inhMatrixSpec(`  <!ELEMENT doc (one, two, none)>
+  <!ELEMENT one (#PCDATA)>
+  <!ELEMENT two (#PCDATA)>
+  <!ELEMENT none (#PCDATA)>`, `inh one (v)
+inh two (v, w)
+inh none (v, w)`, `
+rule doc
+  child one set v = inh(doc).k
+  child two from query [p = inh(doc)]: select v, w from DB:t where k = $p.k and w = '1';
+  child none from query [p = inh(doc)]: select v, w from DB:t where k = $p.k and w = '1';
+end
+rule one
+end
+rule two
+  text inh(two).w
+end
+rule none
+end`)
+	choice := inhMatrixSpec(`  <!ELEMENT doc (src)>
+  <!ELEMENT src (c*)>
+  <!ELEMENT c (x | y)>
+  <!ELEMENT x (#PCDATA)>
+  <!ELEMENT y (item*)>`, `inh src (k)
+inh c (v, w)
+inh x (v)
+inh y (set s(v, w))`, `
+rule doc
+  child src set k = inh(doc).k
+end
+rule src
+  child c from query [p = inh(src)]: select v, w from DB:t where k = $p.k;
+end
+rule c
+  cond query [q = inh(c)]: select b from DB:br where w = $q.w;
+  branch 1 child x set v = inh(c).v
+  branch 2 child y collection s from query [q = inh(c)]: select v, w from DB:t where w = $q.w;
+end
+rule x
+end
+rule y
+  child item iterate inh(y).s
+end`)
+
+	for _, tc := range []struct{ name, spec string }{
+		{"star-over-inh-set", collectionSrc("set")},
+		{"star-over-inh-bag", collectionSrc("bag")},
+		{"copy-bag-into-set", copiedSet},
+		{"query-scalars-by-name", single("select w, v from DB:t where k = $p.k and w = '1'", "")},
+		{"query-scalars-by-position", single("select v as x, w as y from DB:t where k = $p.k and w = '1'", "")},
+		{"query-scalars-partly-by-name", single("select w from DB:t where k = $p.k and w = '1'", "\n  child item set v = inh(doc).k")},
+		{"copy-overrides-query-scalar", single("select v, w from DB:t where k = $p.k and w = '1'", "\n  child item set v = inh(doc).k")},
+		{"star-scalars-by-name", star("select w, v from DB:t where k = $p.k", "")},
+		{"star-scalars-by-position", star("select v as x, w as y from DB:t where k = $p.k", "")},
+		{"star-copy-overrides-query-scalar", star("select v, w from DB:t where k = $p.k", "\n  child item set w = inh(src).k")},
+		{"whole-tuple-parameter", wholeTuple},
+		{"text-from-textsrc-and-lone-scalar", text},
+		{"choice-branches", choice},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := aigspec.Parse(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, key := range []string{"a", "b", "z"} {
+				inh := aig.NewAttrValue(a.Inh["doc"])
+				if err := inh.SetScalar("k", relstore.String(key)); err != nil {
+					t.Fatal(err)
+				}
+				if err := sameAsEval(t, a, synMatrixCatalog(), inh); err != nil {
+					t.Errorf("key %s: Eval fails: %v", key, err)
+				}
+			}
+		})
+	}
+}

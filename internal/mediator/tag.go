@@ -6,7 +6,6 @@ import (
 
 	"github.com/aigrepro/aig/internal/aig"
 	"github.com/aigrepro/aig/internal/dtd"
-	"github.com/aigrepro/aig/internal/relstore"
 )
 
 // sink receives a document as events in document order: Open and Close
@@ -20,6 +19,49 @@ type sink interface {
 	Close(label string)
 }
 
+// tagFacts is what the tag walk needs of one context, resolved when the
+// plan is compiled.
+type tagFacts struct {
+	label string
+	kind  dtd.ProdKind
+	// text is the Inh member a text element emits, mirroring the
+	// conceptual evaluator: the rule's TextSrc member, defaulting to the
+	// single inherited scalar (-1: none, the text is empty).
+	text int
+	// keys are the positions of the Inh scalars, the canonical order of
+	// star children.
+	keys []int
+}
+
+func (g *graph) tagFacts(c *ctxNode) tagFacts {
+	p, _ := g.a.DTD.Production(c.elem)
+	f := tagFacts{label: g.a.Label(c.elem), kind: p.Kind, text: -1}
+	decl := g.a.Inh[c.elem]
+	for j, m := range decl.Members {
+		if m.Kind == aig.Scalar {
+			f.keys = append(f.keys, j)
+		}
+	}
+	if len(f.keys) == 1 {
+		f.text = f.keys[0]
+	}
+	if r := g.a.Rules[c.elem]; r != nil && r.TextSrc.Member != "" {
+		if j := slices.IndexFunc(decl.Members, func(m aig.MemberDecl) bool { return m.Name == r.TextSrc.Member }); j >= 0 && decl.Members[j].Kind == aig.Scalar {
+			f.text = j
+		}
+	}
+	return f
+}
+
+// tagger is one tag walk: the store it reads, the sink it feeds, and a
+// stack of star children's positions, one segment per open star parent
+// in canonical order.
+type tagger struct {
+	st    store
+	s     sink
+	order []int
+}
+
 // tag is the tagging phase (§5.1): one top-down walk over the instance
 // tables that hands the document to s, so the same walk streams bytes or
 // builds a tree. Star children are emitted in the canonical order (sorted
@@ -28,97 +70,86 @@ type sink interface {
 // Internal bookkeeping (ids) never reaches the output; unfolded types are
 // emitted under their original labels.
 func (x *exec) tag(s sink) error {
-	roots := x.st.rows(x.g.root)
-	if len(roots) != 1 {
+	if roots := x.st.rows(x.g.root); len(roots) != 1 {
 		return fmt.Errorf("mediator: expected one root instance, have %d", len(roots))
 	}
-	return x.tagInstance(s, x.g.root, 0, &roots[0])
+	w := tagger{st: x.st, s: s}
+	return w.tag(x.g.root, 0)
 }
 
-// tagInstance tags the instance at position id of context c.
-func (x *exec) tagInstance(s sink, c *ctxNode, id int, inst *instance) error {
-	g, st := x.g, x.st
-	label := g.a.Label(c.elem)
-	p, ok := g.a.DTD.Production(c.elem)
-	if !ok {
-		return fmt.Errorf("mediator: no production for %q", c.elem)
-	}
-	switch p.Kind {
+// tag tags the instance at position id of context c.
+func (w *tagger) tag(c *ctxNode, id int) error {
+	f := &c.tag
+	switch f.kind {
 	case dtd.ProdText:
-		s.Leaf(label, g.textOf(c.elem, inst))
+		text := ""
+		if f.text >= 0 {
+			text = w.st.table(c).inh.cols[f.text].vals[id].Text()
+		}
+		w.s.Leaf(f.label, text)
 		return nil
 	case dtd.ProdSeq:
 		if len(c.children) == 0 {
 			break
 		}
-		s.Open(label)
+		w.s.Open(f.label)
 		for _, ch := range c.children {
-			kids, lo := st.children(ch, id)
-			if len(kids) != 1 {
-				return fmt.Errorf("mediator: sequence child %s has %d instances under id %d, want 1", ch.path, len(kids), id)
+			lo, hi := w.st.span(ch, id)
+			if hi-lo != 1 {
+				return fmt.Errorf("mediator: sequence child %s has %d instances under id %d, want 1", ch.path, hi-lo, id)
 			}
-			if err := x.tagInstance(s, ch, lo, &kids[0]); err != nil {
+			if err := w.tag(ch, lo); err != nil {
 				return err
 			}
 		}
-		s.Close(label)
+		w.s.Close(f.label)
 		return nil
 	case dtd.ProdStar:
 		ch := c.children[0]
-		kids, lo := st.children(ch, id)
-		if len(kids) == 0 {
+		lo, hi := w.st.span(ch, id)
+		if lo == hi {
 			break
 		}
-		s.Open(label)
-		// Each child's sort key is built once, not once per comparison.
-		type keyed struct {
-			key relstore.Tuple
-			i   int
+		w.s.Open(f.label)
+		base := len(w.order)
+		for i := lo; i < hi; i++ {
+			w.order = append(w.order, i)
 		}
-		sorted := make([]keyed, len(kids))
-		for i := range kids {
-			sorted[i] = keyed{kids[i].inh.ScalarTuple(), i}
-		}
-		slices.SortStableFunc(sorted, func(a, b keyed) int { return a.key.Compare(b.key) })
-		for _, k := range sorted {
-			if err := x.tagInstance(s, ch, lo+k.i, &kids[k.i]); err != nil {
+		cols, keys := w.st.table(ch).inh.cols, ch.tag.keys
+		slices.SortStableFunc(w.order[base:], func(a, b int) int {
+			for _, j := range keys {
+				if c := cols[j].vals[a].Compare(cols[j].vals[b]); c != 0 {
+					return c
+				}
+			}
+			return 0
+		})
+		// Children push their own segments above this one.
+		for k := base; k < base+hi-lo; k++ {
+			if err := w.tag(ch, w.order[k]); err != nil {
 				return err
 			}
 		}
-		s.Close(label)
+		w.order = w.order[:base]
+		w.s.Close(f.label)
 		return nil
 	case dtd.ProdChoice:
-		if inst.branch < 1 || inst.branch > len(c.children) {
+		b := w.st.table(c).rows[id].branch
+		if b < 1 || b > len(c.children) {
 			return fmt.Errorf("mediator: choice instance of %s has no branch", c.path)
 		}
-		ch := c.children[inst.branch-1]
-		kids, lo := st.children(ch, id)
-		if len(kids) != 1 {
-			return fmt.Errorf("mediator: choice child %s has %d instances, want 1", ch.path, len(kids))
+		ch := c.children[b-1]
+		lo, hi := w.st.span(ch, id)
+		if hi-lo != 1 {
+			return fmt.Errorf("mediator: choice child %s has %d instances, want 1", ch.path, hi-lo)
 		}
-		s.Open(label)
-		if err := x.tagInstance(s, ch, lo, &kids[0]); err != nil {
+		w.s.Open(f.label)
+		if err := w.tag(ch, lo); err != nil {
 			return err
 		}
-		s.Close(label)
+		w.s.Close(f.label)
 		return nil
 	}
-	s.Empty(label)
+	w.s.Empty(f.label)
 	return nil
-}
-
-// textOf extracts the PCDATA of a text-element instance, mirroring the
-// conceptual evaluator: the rule's TextSrc member, defaulting to the
-// single inherited scalar.
-func (g *graph) textOf(elem string, inst *instance) string {
-	r := g.a.Rules[elem]
-	if r != nil && r.TextSrc != (aig.SourceRef{}) && r.TextSrc.Member != "" {
-		if v, err := inst.inh.Scalar(r.TextSrc.Member); err == nil {
-			return v.Text()
-		}
-	}
-	if tup := inst.inh.ScalarTuple(); len(tup) == 1 {
-		return tup[0].Text()
-	}
-	return ""
 }

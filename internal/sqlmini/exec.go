@@ -49,20 +49,25 @@ func Exec(name string, plan *Plan, data DataProvider, params Params) (*relstore.
 		}
 	}
 
-	// layoutPos[t] is the column offset of table t in the current
-	// intermediate row layout (-1 when not yet joined).
-	layoutPos := make([]int, n)
-	for i := range layoutPos {
-		layoutPos[i] = -1
+	// The joined rows hold one reference per joined table, in join
+	// order: over k tables, row i is refs[i*k:(i+1)*k], and slot[t] is
+	// table t's place in it (-1 until t is joined). The projection below
+	// is the only place a row is built.
+	slot := make([]int, n)
+	for i := range slot {
+		slot[i] = -1
 	}
-	// abs translates an absolute resolved column to a layout position.
-	abs := func(c int) int {
+	at := func(c int) colAt {
 		t := r.TableOf(c)
-		return layoutPos[t] + (c - r.Offsets[t])
+		return colAt{slot[t], c - r.Offsets[t]}
+	}
+	value := func(row []relstore.Tuple, c int) relstore.Value {
+		a := at(c)
+		return row[a.slot][a.col]
 	}
 
-	var current []relstore.Tuple
-	width := 0
+	var refs []relstore.Tuple
+	k := 0
 	appliedPred := make([]bool, len(r.Preds))
 
 	markLocalApplied := func(ti int) {
@@ -77,33 +82,34 @@ func Exec(name string, plan *Plan, data DataProvider, params Params) (*relstore.
 		markLocalApplied(ti)
 		in := &inputs[ti]
 		if step == 0 {
-			// A copy: the final filter below works in place, and the
+			// A copy: the filters below work in place, and the
 			// candidates may be a stored snapshot.
-			current = append([]relstore.Tuple(nil), in.candidates()...)
-			layoutPos[ti] = 0
-			width = len(r.TableSchemas[ti])
+			refs = append([]relstore.Tuple(nil), in.candidates()...)
+			slot[ti], k = 0, 1
 			continue
 		}
 
 		// Equality join predicates between the joined prefix and table ti.
-		var probeCols, buildCols []int // layout positions vs next-table-local positions
+		var probe []colAt   // prefix columns
+		var buildCols []int // table ti's own columns
 		var pendIdx []int
 		for pi, p := range r.Preds {
 			if appliedPred[pi] || p.Kind != PredColCol {
 				continue
 			}
 			lt, rt := r.TableOf(p.Left), r.TableOf(p.Right)
-			var prefixCol, ownCol int
+			var prefixCol colAt
+			var ownCol int
 			switch {
-			case lt == ti && layoutPos[rt] >= 0:
-				ownCol, prefixCol = p.Left-r.Offsets[ti], abs(p.Right)
-			case rt == ti && layoutPos[lt] >= 0:
-				ownCol, prefixCol = p.Right-r.Offsets[ti], abs(p.Left)
+			case lt == ti && slot[rt] >= 0:
+				ownCol, prefixCol = p.Left-r.Offsets[ti], at(p.Right)
+			case rt == ti && slot[lt] >= 0:
+				ownCol, prefixCol = p.Right-r.Offsets[ti], at(p.Left)
 			default:
 				continue
 			}
 			if p.Op == OpEq {
-				probeCols = append(probeCols, prefixCol)
+				probe = append(probe, prefixCol)
 				buildCols = append(buildCols, ownCol)
 				appliedPred[pi] = true
 			} else {
@@ -111,43 +117,37 @@ func Exec(name string, plan *Plan, data DataProvider, params Params) (*relstore.
 			}
 		}
 
-		var joined []relstore.Tuple
 		if len(buildCols) > 0 {
-			joined = in.join(current, probeCols, buildCols)
+			refs = in.join(refs, k, probe, buildCols)
 		} else {
 			// Cartesian product (rare; only for disconnected queries).
 			next := in.candidates()
-			for _, prow := range current {
+			joined := make([]relstore.Tuple, 0, len(refs)/k*len(next)*(k+1))
+			for lo := 0; lo < len(refs); lo += k {
 				for _, nrow := range next {
-					joined = append(joined, prow.Concat(nrow))
+					joined = append(append(joined, refs[lo:lo+k]...), nrow)
 				}
 			}
+			refs = joined
 		}
-		layoutPos[ti] = width
-		width += len(r.TableSchemas[ti])
+		slot[ti] = k
+		k++
 
 		// Apply non-equi cross-table predicates that just became bound.
 		if len(pendIdx) > 0 {
-			filtered := joined[:0]
-			for _, row := range joined {
-				ok := true
+			refs = keep(refs, k, func(row []relstore.Tuple) bool {
 				for _, pi := range pendIdx {
 					p := r.Preds[pi]
-					if !p.Op.Eval(row[abs(p.Left)], row[abs(p.Right)]) {
-						ok = false
-						break
+					if !p.Op.Eval(value(row, p.Left), value(row, p.Right)) {
+						return false
 					}
 				}
-				if ok {
-					filtered = append(filtered, row)
-				}
-			}
-			joined = filtered
+				return true
+			})
 			for _, pi := range pendIdx {
 				appliedPred[pi] = true
 			}
 		}
-		current = joined
 	}
 
 	// Any predicate not yet applied (e.g. cross-table preds over a
@@ -156,28 +156,28 @@ func Exec(name string, plan *Plan, data DataProvider, params Params) (*relstore.
 		if appliedPred[pi] {
 			continue
 		}
-		filtered := current[:0]
-		for _, row := range current {
-			if evalPredOnLayout(p, row, abs) {
-				filtered = append(filtered, row)
-			}
-		}
-		current = filtered
+		refs = keep(refs, k, func(row []relstore.Tuple) bool {
+			return evalPred(p, func(c int) relstore.Value { return value(row, c) })
+		})
 	}
 
 	// Project into one backing array: the result is an immutable
 	// temporary, so its rows may share storage.
-	k := len(r.SelectCols)
-	at := make([]int, k)
+	w := len(r.SelectCols)
+	cols := make([]colAt, w)
 	for i, c := range r.SelectCols {
-		at[i] = abs(c)
+		cols[i] = at(c)
 	}
-	vals := make(relstore.Tuple, len(current)*k)
-	rows := make([]relstore.Tuple, len(current))
-	for i, row := range current {
-		proj := vals[i*k : (i+1)*k : (i+1)*k]
-		for j, c := range at {
-			proj[j] = row[c]
+	nrows := 0
+	if k > 0 {
+		nrows = len(refs) / k
+	}
+	vals := make(relstore.Tuple, nrows*w)
+	rows := make([]relstore.Tuple, nrows)
+	for i := range rows {
+		row, proj := refs[i*k:(i+1)*k], vals[i*w:(i+1)*w:(i+1)*w]
+		for j, c := range cols {
+			proj[j] = row[c.slot][c.col]
 		}
 		rows[i] = proj
 	}
@@ -190,6 +190,22 @@ func Exec(name string, plan *Plan, data DataProvider, params Params) (*relstore.
 	}
 	metricRowsReturned.Add(int64(out.Len()))
 	return out, nil
+}
+
+// colAt places a column in a joined row: column col of the row's
+// slot-th reference.
+type colAt struct{ slot, col int }
+
+// keep filters joined rows of k references each in place, keeping the
+// rows ok accepts, in order.
+func keep(refs []relstore.Tuple, k int, ok func(row []relstore.Tuple) bool) []relstore.Tuple {
+	n := 0
+	for lo := 0; lo < len(refs); lo += k {
+		if row := refs[lo : lo+k]; ok(row) {
+			n += copy(refs[n:], row)
+		}
+	}
+	return refs[:n]
 }
 
 func identity(n int) []int {
@@ -321,9 +337,9 @@ func (in *input) open(r *Resolved, i int, data DataProvider, params Params, pred
 
 // pass reports whether a table-local row satisfies the filter.
 func (in *input) pass(row relstore.Tuple) bool {
-	local := func(c int) int { return c - in.off }
+	local := func(c int) relstore.Value { return row[c-in.off] }
 	for _, p := range in.filter {
-		if !evalPredOnLayout(p, row, local) {
+		if !evalPred(p, local) {
 			return false
 		}
 	}
@@ -378,41 +394,49 @@ func (in *input) candidates() []relstore.Tuple {
 	return out
 }
 
-// join equi-joins prefix with the table on prefix[probeCols] =
-// row[buildCols], prefix order first, table order within a prefix row.
-// A stored table is probed through its index on the local equality
-// columns plus buildCols; a parameter table is hashed for this join.
-func (in *input) join(prefix []relstore.Tuple, probeCols, buildCols []int) []relstore.Tuple {
-	var joined []relstore.Tuple
+// join equi-joins the joined rows refs, k references each, with the
+// table on the prefix columns probe = row[buildCols], prefix order
+// first, table order within a prefix row; a result row is its prefix's
+// references followed by the table row. A stored table is probed
+// through its index on the local equality columns plus buildCols; a
+// parameter table is hashed for this join.
+func (in *input) join(refs []relstore.Tuple, k int, probe []colAt, buildCols []int) []relstore.Tuple {
+	// Room for one match per prefix row, the common key-to-key case.
+	joined := make([]relstore.Tuple, 0, len(refs)+len(refs)/k)
+	ne := len(in.eqCols)
+	key := make(relstore.Tuple, ne+len(probe))
+	copy(key, in.eqVals)
+	probeKey := func(prefix []relstore.Tuple) relstore.Tuple {
+		for j, c := range probe {
+			key[ne+j] = prefix[c.slot][c.col]
+		}
+		return key
+	}
 	if in.table == nil {
 		next := in.candidates()
 		buckets := make(map[string][]relstore.Tuple, len(next))
 		for _, row := range next {
-			k := row.KeyOn(buildCols)
-			buckets[k] = append(buckets[k], row)
+			bk := row.KeyOn(buildCols)
+			buckets[bk] = append(buckets[bk], row)
 		}
-		for _, prow := range prefix {
-			for _, nrow := range buckets[prow.KeyOn(probeCols)] {
-				joined = append(joined, prow.Concat(nrow))
+		for lo := 0; lo < len(refs); lo += k {
+			prefix := refs[lo : lo+k]
+			for _, nrow := range buckets[probeKey(prefix).Key()] {
+				joined = append(append(joined, prefix...), nrow)
 			}
 		}
 		return joined
 	}
-	ne := len(in.eqCols)
 	ix := in.table.Index(append(append(make([]int, 0, ne+len(buildCols)), in.eqCols...), buildCols...))
 	rows := ix.Rows()
-	key := make(relstore.Tuple, ne+len(probeCols))
-	copy(key, in.eqVals)
 	hits := 0
-	for _, prow := range prefix {
-		for j, c := range probeCols {
-			key[ne+j] = prow[c]
-		}
-		pos := ix.Lookup(key)
+	for lo := 0; lo < len(refs); lo += k {
+		prefix := refs[lo : lo+k]
+		pos := ix.Lookup(probeKey(prefix))
 		hits += len(pos)
 		for _, p := range pos {
 			if nrow := rows[p]; in.pass(nrow) {
-				joined = append(joined, prow.Concat(nrow))
+				joined = append(append(joined, prefix...), nrow)
 			}
 		}
 	}
@@ -430,13 +454,13 @@ func isLocalPred(r *Resolved, p ResolvedPred, ti int) bool {
 	return true
 }
 
-// evalPredOnLayout evaluates a predicate on a row given a translation from
-// absolute resolved columns to row positions.
-func evalPredOnLayout(p boundPred, row relstore.Tuple, at func(int) int) bool {
-	left := row[at(p.Left)]
+// evalPred evaluates a predicate on a row given the value of each
+// absolute resolved column.
+func evalPred(p boundPred, value func(c int) relstore.Value) bool {
+	left := value(p.Left)
 	switch p.Kind {
 	case PredColCol:
-		return p.Op.Eval(left, row[at(p.Right)])
+		return p.Op.Eval(left, value(p.Right))
 	case PredColConst:
 		return p.Op.Eval(left, p.Const)
 	case PredColParam:
