@@ -86,10 +86,10 @@ soak-recover:
 	$(GO) run -race ./cmd/aigdiff -recover -n 200 -mutations 20 -snapevery 4 -shrink
 
 # soak-fragment is the fragment serving oracle: random path expressions
-# over seeded instances, the partial evaluator's fragment compared
-# byte-for-byte against the post-hoc path filter after every mutation,
-# and the path-filtered dependency judge's Unaffected verdicts checked
-# against the actual bytes. Race-built because the acceptance bar is a
+# over seeded instances, the partial evaluator's fragment and the pruned
+# mediator plan's compared byte-for-byte against the post-hoc path filter
+# after every mutation, and the path-filtered dependency judge's
+# Unaffected verdicts checked against the actual bytes. Race-built because the acceptance bar is a
 # race-enabled sweep; divergences shrink to {seed, config, paths,
 # mutations}.
 soak-fragment:
@@ -162,19 +162,21 @@ W ?= cold_full
 bench-contract:
 	$(GO) run -C bench . -workload $(W) $(ARGS)
 
-# alloc-budget runs the mediator's, the warm hit's and the executor's
-# join allocation budgets, which are not built under -race and so never
-# run in the race pass.
+# alloc-budget runs the mediator's (documents and the SSN fragment), the
+# warm hit's and the executor's join allocation budgets, which are not
+# built under -race and so never run in the race pass.
 alloc-budget:
 	$(GO) test -count=1 -run AllocBudget ./internal/mediator ./internal/serve ./internal/sqlmini
 
 # bench-unit is the cold path's unit reproducer: 90 evaluations (three
 # cycles of the 30 dates) of the served hospital view over bench250, so
-# B/op and allocs/op repeat exactly from run to run, then the executor's
-# index probe (a one-row parameter table joined to a 10 k-row table) and
-# its reference join (two 10 k-row tables, 10 k output rows).
+# B/op and allocs/op repeat exactly from run to run, and as many cold
+# fragments of each of the benchmark's paths without predicates (plans
+# pruned to the path, matches streamed), then the executor's index probe
+# (a one-row parameter table joined to a 10 k-row table) and its
+# reference join (two 10 k-row tables, 10 k output rows).
 bench-unit:
-	$(GO) test -run '^$$' -bench 'EvaluateRecursive/bench250' -benchtime 90x -cpu 2 -benchmem ./internal/mediator
+	$(GO) test -run '^$$' -bench 'EvaluateRecursive/bench250|Fragment' -benchtime 90x -cpu 2 -benchmem ./internal/mediator
 	$(GO) test -run '^$$' -bench 'ParamJoin/one-row|HashJoin/rows=10000' -benchtime 1000x -cpu 2 -benchmem ./internal/sqlmini
 
 # ci is what .github/workflows/ci.yml runs (plus staticcheck, which CI

@@ -52,11 +52,13 @@
 //
 // With -fragment, each instance is pushed through the fragment serving
 // oracle: -paths random path expressions are derived from the instance's
-// DTD, and after every mutation of a -mutations sequence the partial
-// evaluator's fragment for each path is compared byte-for-byte against
-// the post-hoc oracle (full constraint-free render, then xpath.Select),
-// and every Unaffected verdict from the path-filtered dependency judge
-// is checked against the actual fragment bytes.
+// DTD, and after every mutation of a -mutations sequence two fragments
+// for each path are compared byte-for-byte against the post-hoc oracle
+// (full constraint-free render, then xpath.Select): the partial
+// evaluator's, and the mediator's plan pruned to the path's verdict and
+// streamed through the path sink, whose queries must all be judged by
+// the path-filtered dependency map. Every Unaffected verdict from that
+// judge is checked against the actual fragment bytes.
 //
 // With -recover, aigdiff tortures the durable relstore instead: each
 // seed derives a deterministic database plus an operation sequence
@@ -104,8 +106,9 @@ type stats struct {
 	Skipped   int `json:"skipped,omitempty"`
 
 	// Fragment-mode counters (-fragment).
-	Paths  int `json:"paths,omitempty"`
-	Checks int `json:"path_comparisons,omitempty"`
+	Paths     int `json:"paths,omitempty"`
+	Checks    int `json:"path_comparisons,omitempty"`
+	PlanSkips int `json:"plan_comparisons_skipped,omitempty"`
 
 	// Recovery-mode counters (-recover).
 	Records   int `json:"wal_records,omitempty"`
@@ -133,7 +136,7 @@ func main() {
 	shrink := flag.Bool("shrink", false, "minimize a failing instance before reporting it")
 	ivmMode := flag.Bool("ivm", false, "run the incremental view maintenance oracle instead of the evaluation matrix")
 	certifyMode := flag.Bool("certify", false, "run the static-certification soundness oracle instead of the evaluation matrix")
-	fragmentMode := flag.Bool("fragment", false, "run the fragment serving oracle (partial evaluation vs post-hoc path filter) instead of the evaluation matrix")
+	fragmentMode := flag.Bool("fragment", false, "run the fragment serving oracle (partial evaluation and the pruned mediator plan vs post-hoc path filter) instead of the evaluation matrix")
 	recoverMode := flag.Bool("recover", false, "run the crash-recovery torture oracle instead of the evaluation matrix")
 	mutations := flag.Int("mutations", 25, "mutations per instance in -ivm mode")
 	nPaths := flag.Int("paths", 3, "path expressions per instance in -fragment mode")
@@ -228,12 +231,14 @@ func main() {
 				st.Paths += len(reg.Paths)
 				reg.Mutations = difftest.GenerateMutations(inst, s, *mutations)
 				out := difftest.CheckFragment(inst, reg.Paths, reg.Mutations, difftest.FragmentOptions{})
-				// Every check evaluates the oracle and the partial evaluator once.
-				st.Evals += 2 * out.Checks
+				// Every check evaluates the oracle, the partial evaluator and
+				// the pruned plan once.
+				st.Evals += 3 * out.Checks
 				st.Steps += out.Steps
 				st.Checks += out.Checks
 				st.Restamps += out.Restamps
 				st.Fulls += out.Fulls
+				st.PlanSkips += out.PlanSkips
 				if out.Skipped {
 					st.Skipped++
 				}
@@ -287,8 +292,8 @@ func main() {
 			st.Instances, st.Keys, st.FKs, st.MustHold, st.Unknown, st.Violated,
 			st.Steps, st.Asserted, st.Voided, st.Unevaluated, st.Pruned, st.Fallbacks, st.Seconds, st.Divergences)
 	} else if *fragmentMode {
-		fmt.Printf("aigdiff -fragment: %d instances (%d skipped), %d paths, %d mutation steps, %d fragment comparisons: %d restamps, %d rebuilds in %.2fs, %d divergences\n",
-			st.Instances, st.Skipped, st.Paths, st.Steps, st.Checks, st.Restamps, st.Fulls, st.Seconds, st.Divergences)
+		fmt.Printf("aigdiff -fragment: %d instances (%d skipped), %d paths, %d mutation steps, %d fragment comparisons (%d without a pruned-plan reference): %d restamps, %d rebuilds in %.2fs, %d divergences\n",
+			st.Instances, st.Skipped, st.Paths, st.Steps, st.Checks, st.PlanSkips, st.Restamps, st.Fulls, st.Seconds, st.Divergences)
 	} else if *ivmMode {
 		fmt.Printf("aigdiff -ivm: %d instances (%d skipped), %d mutation steps: %d restamps, %d full refreshes, %d truncated windows in %.2fs, %d divergences\n",
 			st.Instances, st.Skipped, st.Steps, st.Restamps, st.Fulls, st.Truncated, st.Seconds, st.Divergences)

@@ -253,7 +253,7 @@ func (o *oracle) run() *Divergence {
 		o.evals++
 		leg := cell.leg
 		med := mediator.New(reg, cell.opts)
-		run, _, err := med.Settle(context.Background(), decU, inst.RootInh, 0, 0)
+		run, _, err := med.Settle(context.Background(), decU, inst.RootInh, 0, 0, nil)
 		var doc *xmltree.Node
 		if err == nil {
 			doc, err = run.Tree()

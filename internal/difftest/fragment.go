@@ -1,14 +1,17 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
 
 	"github.com/aigrepro/aig/internal/dtd"
 	"github.com/aigrepro/aig/internal/ivm"
+	"github.com/aigrepro/aig/internal/mediator"
 	"github.com/aigrepro/aig/internal/randaig"
 	"github.com/aigrepro/aig/internal/relstore"
+	"github.com/aigrepro/aig/internal/source"
 	"github.com/aigrepro/aig/internal/specialize"
 	"github.com/aigrepro/aig/internal/sqlmini"
 	"github.com/aigrepro/aig/internal/xmltree"
@@ -106,13 +109,15 @@ func GenerateFragmentPaths(inst *randaig.Instance, seed int64, n int) []string {
 
 // FragmentOutcome summarizes one fragment oracle run.
 type FragmentOutcome struct {
-	// Divergence is nil when the partial evaluator matched the post-hoc
-	// oracle at every step for every path.
+	// Divergence is nil when the partial evaluator and the pruned plan
+	// matched the post-hoc oracle at every step for every path.
 	Divergence *Divergence
 	// Steps counts applied mutations, Checks individual path comparisons,
 	// Restamps how many (path, step) pairs the filtered-deps judge proved
 	// irrelevant (cached fragment kept and byte-verified), Fulls the rest.
-	Steps, Checks, Restamps, Fulls int
+	// PlanSkips counts comparisons the pruned-plan leg skipped because the
+	// whole mediator plan fails or differs from aig.Eval there too.
+	Steps, Checks, Restamps, Fulls, PlanSkips int
 	// Skipped reports the instance was unusable (its constraint-free
 	// evaluation fails even before mutations).
 	Skipped bool
@@ -124,6 +129,10 @@ type FragmentOptions struct {
 	// before comparison — a test hook simulating an unsound partial
 	// evaluation that the oracle must catch.
 	Fault func(path, fragment string) string
+	// PlanFault, when set, replaces the verdict the mediator leg prunes a
+	// path's plan to — a test hook simulating a pruning analysis that
+	// drops a context the fragment reads, which the leg must catch.
+	PlanFault func(path string, v mediator.Verdict) mediator.Verdict
 }
 
 // fragState is one path's compiled plan plus the incremental-maintenance
@@ -132,6 +141,7 @@ type fragState struct {
 	expr     string
 	path     *xpath.Path
 	compiled *xpath.Compiled
+	verdict  mediator.Verdict
 	deps     *ivm.Deps
 	params   map[string]relstore.Value
 	// cached is the fragment at the last step the path was (re)built;
@@ -141,23 +151,30 @@ type fragState struct {
 }
 
 // CheckFragment is the fragment serving differential oracle. For each
-// generated path it asserts, after every mutation, that the partial
-// evaluator's emitted fragment byte-equals the post-hoc oracle (full
-// constraint-free render, then xpath.Select over the tree), and — the
-// refresher's soundness property — that whenever the path-filtered
+// generated path it asserts, after every mutation, that both fragment
+// evaluators byte-equal the post-hoc oracle (full constraint-free render,
+// then xpath.Select over the tree): the partial evaluator (leg
+// "fragment"), and the mediator's plan pruned to the path's verdict and
+// streamed through the path sink (leg "fragment-plan"), which also must
+// query no table the path-filtered dependency map does not judge for the
+// same rule. Both legs run for every path, predicates included, though
+// serving routes only paths without predicates to the pruned plan. And —
+// the refresher's soundness property — whenever the path-filtered
 // dependency judge rules a step's deltas irrelevant, the previously
-// cached fragment bytes are in fact unchanged. Mutations run against a
-// catalog clone, so the instance can be reused (shrinking, replay).
+// cached fragment bytes must in fact be unchanged. Mutations run against
+// a catalog clone, so the instance can be reused (shrinking, replay).
 //
 // Steps where the full evaluation itself fails are skipped for the byte
 // comparison: partial evaluation legitimately avoids errors raised in
-// subtrees it never enters, so only a partial-evaluation failure while
-// the oracle succeeds is a divergence.
+// subtrees it never enters, so only a fragment failure while the oracle
+// succeeds is a divergence.
 func CheckFragment(inst *randaig.Instance, paths []string, muts []Mutation, opts FragmentOptions) FragmentOutcome {
-	mkDiv := func(detail, want, got string) *Divergence {
-		return &Divergence{Seed: inst.Seed, Leg: "fragment", Detail: detail, Want: want, Got: got}
+	mkLegDiv := func(leg, detail, want, got string) *Divergence {
+		return &Divergence{Seed: inst.Seed, Leg: leg, Detail: detail, Want: want, Got: got}
 	}
+	mkDiv := func(detail, want, got string) *Divergence { return mkLegDiv("fragment", detail, want, got) }
 	inst = isolated(inst)
+	med := mediator.New(source.RegistryFromCatalog(inst.Catalog), mediator.DefaultOptions())
 
 	// The fragment grammar: constraint-free (partial evaluation must be
 	// guard-free), decomposed and unfolded like the serving layer's.
@@ -182,7 +199,8 @@ func CheckFragment(inst *randaig.Instance, paths []string, muts []Mutation, opts
 		if err != nil {
 			return FragmentOutcome{Divergence: mkDiv(fmt.Sprintf("path %q does not compile: %v", expr, err), "", "")}
 		}
-		deps, err := ivm.ExtractFiltered(decU, inst.Schemas(), c.LiveScans(decU))
+		verdict := c.Verdict(decU)
+		deps, err := ivm.ExtractFiltered(decU, inst.Schemas(), verdict.Keep)
 		if err != nil {
 			return FragmentOutcome{Divergence: mkDiv(fmt.Sprintf("path %q: dependency extraction failed: %v", expr, err), "", "")}
 		}
@@ -190,7 +208,11 @@ func CheckFragment(inst *randaig.Instance, paths []string, muts []Mutation, opts
 		if err != nil {
 			return FragmentOutcome{Divergence: mkDiv("root parameter binding failed: "+err.Error(), "", "")}
 		}
-		states = append(states, &fragState{expr: expr, path: p, compiled: c, deps: deps, params: params})
+		fs := &fragState{expr: expr, path: p, compiled: c, verdict: verdict, deps: deps, params: params}
+		if opts.PlanFault != nil {
+			fs.verdict = opts.PlanFault(expr, verdict)
+		}
+		states = append(states, fs)
 	}
 
 	renderNodes := func(nodes []*xmltree.Node) (string, error) {
@@ -210,7 +232,49 @@ func CheckFragment(inst *randaig.Instance, paths []string, muts []Mutation, opts
 		return sb.String(), err
 	}
 
+	// planFragment settles the plan pruned to keep's verdict (nil: the
+	// whole document's) and streams the path's matches, reporting the
+	// tables the plan queried.
+	planFragment := func(fs *fragState, keep mediator.Verdict) (string, []mediator.Scan, error) {
+		run, _, err := med.Settle(context.Background(), decU, inst.RootInh, 0, 0, keep)
+		if err != nil {
+			return "", nil, err
+		}
+		var sb strings.Builder
+		m := xpath.NewStream(fs.path, &sb)
+		if err := run.Tag(m); err != nil {
+			return "", nil, err
+		}
+		return sb.String(), run.Scans(), m.Err()
+	}
+
 	var out FragmentOutcome
+
+	// planLeg compares the pruned plan's fragment with the oracle's want
+	// and its queries with the path's deps.
+	planLeg := func(fs *fragState, want, stepDesc string) *Divergence {
+		got, scans, err := planFragment(fs, fs.verdict)
+		if err != nil || got != want {
+			// A pruned plan is only as right as the whole one: where the
+			// mediator itself departs from aig.Eval on this data (the
+			// evaluation matrix's concern), the leg has no reference.
+			if whole, _, werr := planFragment(fs, nil); werr != nil || whole != want {
+				out.PlanSkips++
+				return nil
+			}
+			if err != nil {
+				return mkLegDiv("fragment-plan", fmt.Sprintf("%s: path %q: the pruned plan failed while the oracle succeeded: %v", stepDesc, fs.expr, err), want, "")
+			}
+			return mkLegDiv("fragment-plan", fmt.Sprintf("%s: path %q: the pruned plan's fragment differs from post-hoc oracle", stepDesc, fs.expr), want, got)
+		}
+		for _, sc := range scans {
+			if !fs.deps.Judges(sc.Elem, sc.Child, sc.Source, sc.Table) {
+				return mkLegDiv("fragment-plan", fmt.Sprintf("%s: path %q: the pruned plan queries %s:%s for rule (%s, %s), which the path-filtered deps do not judge",
+					stepDesc, fs.expr, sc.Source, sc.Table, sc.Elem, sc.Child), "", "")
+			}
+		}
+		return nil
+	}
 
 	// checkAll compares every path at the current catalog state, after
 	// mutation m of step i (m is nil for the pre-mutation baseline).
@@ -242,6 +306,9 @@ func CheckFragment(inst *randaig.Instance, paths []string, muts []Mutation, opts
 			}
 			if got != want {
 				return mkDiv(fmt.Sprintf("%s: path %q: partial fragment differs from post-hoc oracle", stepDesc, fs.expr), want, got)
+			}
+			if d := planLeg(fs, want, stepDesc); d != nil {
+				return d
 			}
 
 			// The refresher's judgement, replayed: an Unaffected verdict

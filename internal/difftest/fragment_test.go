@@ -3,7 +3,9 @@ package difftest
 import (
 	"testing"
 
+	"github.com/aigrepro/aig/internal/mediator"
 	"github.com/aigrepro/aig/internal/randaig"
+	"github.com/aigrepro/aig/internal/specialize"
 	"github.com/aigrepro/aig/internal/xpath"
 )
 
@@ -12,16 +14,16 @@ const fragSeeds = 40
 
 // TestFragmentOracle sweeps generated instances through the fragment
 // oracle: for every generated path, after every mutation, the partial
-// evaluator's fragment must byte-equal the post-hoc oracle, and the
-// filtered-deps judge must never rule a fragment-changing delta
-// irrelevant. The sweep must exercise both maintenance verdicts.
+// evaluator's fragment and the pruned plan's must byte-equal the post-hoc
+// oracle, and the filtered-deps judge must never rule a fragment-changing
+// delta irrelevant. The sweep must exercise both maintenance verdicts.
 func TestFragmentOracle(t *testing.T) {
 	n := fragSeeds
 	muts := 15
 	if testing.Short() {
 		n, muts = 10, 8
 	}
-	var steps, checks, restamps, fulls, skipped, pathless int
+	var steps, checks, restamps, fulls, planSkips, skipped, pathless int
 	cfg := randaig.DefaultConfig()
 	for seed := int64(0); seed < int64(n); seed++ {
 		inst, err := randaig.Generate(seed, cfg)
@@ -46,6 +48,7 @@ func TestFragmentOracle(t *testing.T) {
 		checks += out.Checks
 		restamps += out.Restamps
 		fulls += out.Fulls
+		planSkips += out.PlanSkips
 	}
 	if checks == 0 {
 		t.Fatal("no path comparison ran across the whole sweep")
@@ -59,8 +62,11 @@ func TestFragmentOracle(t *testing.T) {
 	if fulls == 0 {
 		t.Error("no delta ever invalidated a fragment — rebuild path untested")
 	}
-	t.Logf("%d instances (%d skipped, %d without paths), %d steps, %d comparisons: %d restamps, %d rebuilds",
-		n, skipped, pathless, steps, checks, restamps, fulls)
+	if planSkips*10 > checks {
+		t.Errorf("the pruned-plan leg had no reference in %d of %d comparisons", planSkips, checks)
+	}
+	t.Logf("%d instances (%d skipped, %d without paths), %d steps, %d comparisons (%d without a pruned-plan reference): %d restamps, %d rebuilds",
+		n, skipped, pathless, steps, checks, planSkips, restamps, fulls)
 }
 
 // TestGenerateFragmentPathsDeterministicAndValid requires the path
@@ -210,5 +216,59 @@ func TestFragmentDeterministicReplay(t *testing.T) {
 	if first.Steps != second.Steps || first.Checks != second.Checks ||
 		first.Restamps != second.Restamps || first.Fulls != second.Fulls {
 		t.Fatalf("outcomes differ across replays: %+v vs %+v", first, second)
+	}
+}
+
+// dropMatched is a pruning fault: it drops every edge into a type the
+// path's last step names, so the contexts of the matches go.
+type dropMatched struct {
+	mediator.Verdict
+	name string
+}
+
+func (d dropMatched) Keep(parent, child string) bool {
+	return specialize.ReplicaOf(child) != d.name && d.Verdict.Keep(parent, child)
+}
+
+// keepAll is a pruning fault that keeps the whole document, queries the
+// path's deps do not judge included.
+type keepAll struct{ mediator.Verdict }
+
+func (keepAll) Keep(string, string) bool { return true }
+
+// TestFragmentPlanFaultInjection: the pruned-plan leg fails when the
+// verdict drops contexts the fragment reads, and when the plan queries a
+// table for a rule the path-filtered deps do not judge.
+func TestFragmentPlanFaultInjection(t *testing.T) {
+	faults := map[string]func(path string, v mediator.Verdict) mediator.Verdict{
+		"drop": func(path string, v mediator.Verdict) mediator.Verdict {
+			p, _ := xpath.Parse(path)
+			return dropMatched{v, p.Steps[len(p.Steps)-1].Name}
+		},
+		"keep-all": func(_ string, v mediator.Verdict) mediator.Verdict { return keepAll{v} },
+	}
+	for name, fault := range faults {
+		caught := false
+		for seed := int64(0); seed < 30 && !caught; seed++ {
+			inst, err := randaig.Generate(seed, randaig.DefaultConfig())
+			if err != nil {
+				t.Fatalf("seed %d: generate: %v", seed, err)
+			}
+			paths := GenerateFragmentPaths(inst, seed, 4)
+			if len(paths) == 0 {
+				continue
+			}
+			out := CheckFragment(inst, paths, nil, FragmentOptions{PlanFault: fault})
+			if out.Divergence != nil {
+				if out.Divergence.Leg != "fragment-plan" {
+					t.Fatalf("%s: divergence on leg %q, want fragment-plan:\n%s", name, out.Divergence.Leg, out.Divergence.Error())
+				}
+				caught = true
+				t.Logf("%s: seed %d: %s", name, seed, out.Divergence.Detail)
+			}
+		}
+		if !caught {
+			t.Errorf("%s: no seed in range made the pruned-plan leg fail", name)
+		}
 	}
 }

@@ -182,7 +182,7 @@ func Extract(a *aig.AIG, schemas SchemaSource) (*Deps, error) {
 // ExtractFiltered is Extract restricted to the scans keep admits, keyed
 // by (rule element, child) the way specialize.TableScans reports them.
 // It exists for fragment serving: a cached fragment depends only on the
-// scans its path can reach (xpath.Compiled.LiveScans), so deltas against
+// scans its path can reach (xpath.Verdict), so deltas against
 // the rest of the view's tables restamp the fragment instead of
 // rebuilding it. keep must be an over-approximation of the scans any
 // concrete evaluation of the fragment runs; nil keeps everything.
@@ -244,6 +244,18 @@ func ExtractFiltered(a *aig.AIG, schemas SchemaSource, keep func(elem, child str
 		byTable[ts.Table] = append(byTable[ts.Table], sc)
 	}
 	return d, nil
+}
+
+// Judges reports whether d holds a scan of source:table by the query of
+// rule (elem, child) — the key specialize.TableScans gives it; child is
+// "" for a choice's condition.
+func (d *Deps) Judges(elem, child, source, table string) bool {
+	for _, sc := range d.scans[source][table] {
+		if sc.elem == elem && sc.child == child {
+			return true
+		}
+	}
+	return false
 }
 
 // DependsOn reports whether any of the view's queries scans the table.

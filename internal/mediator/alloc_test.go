@@ -4,6 +4,7 @@ package mediator
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"github.com/aigrepro/aig/internal/datagen"
@@ -58,6 +59,41 @@ func TestServeAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// maxFragmentAllocs bounds one cold /report/patient/SSN fragment as
+// aigd serves it (BenchmarkFragment/ssn): the plan pruned to the path's
+// verdict settled, and the SSNs streamed through the path sink into a
+// buffer — ~230 allocations, where partial evaluation, which served
+// the path before, made ~900.
+const maxFragmentAllocs = 320
+
+// TestFragmentAllocBudget holds the SSN fragment to its budget and to
+// its plan: one source query (the patient query) per evaluation, where
+// the document's merged plan issues 4 (the benchmark's ‡
+// mediator.source_queries of 40 sums ten dates).
+func TestFragmentAllocBudget(t *testing.T) {
+	reg, sa := bench250View(t, false)
+	m := New(reg, DefaultOptions())
+	p, v := fragmentVerdict(t, sa, "/report/patient/SSN")
+	var buf bytes.Buffer
+	requireAllocBudget(t, "SSN fragment", maxFragmentAllocs, func(d int) {
+		buf.Reset()
+		r, err := settleFragment(m, sa, p, v, d, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Report.SourceQueryCount != 1 {
+			t.Fatalf("the SSN fragment's plan issued %d source queries, want 1", r.Report.SourceQueryCount)
+		}
+	})
+	doc, _, err := m.Settle(context.Background(), sa, hospital.RootInh(sa, datagen.Date(0)), 8, 64, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := doc.Report.SourceQueryCount; n != 4 {
+		t.Errorf("the document's plan issued %d source queries, want 4", n)
+	}
 }
 
 // requireAllocBudget fails unless run averages at most budget

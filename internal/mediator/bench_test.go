@@ -14,6 +14,7 @@ import (
 	"github.com/aigrepro/aig/internal/propagate"
 	"github.com/aigrepro/aig/internal/source"
 	"github.com/aigrepro/aig/internal/specialize"
+	"github.com/aigrepro/aig/internal/xpath"
 )
 
 // bench250 is the catalog of the repository benchmark (bench/fixture.go),
@@ -79,10 +80,71 @@ func BenchmarkEvaluateRecursive(b *testing.B) {
 
 var benchDoc *Result
 
+// fragmentPaths are the fragment_cold workload's paths without
+// predicates, which aigd serves from pruned plans: one narrow, two wide.
+var fragmentPaths = []struct{ name, expr string }{
+	{"ssn", "/report/patient/SSN"},
+	{"bill", "/report/patient/bill"},
+	{"tname", "//treatment/tname"},
+}
+
+// BenchmarkFragment is what aigd does per cold request for each of
+// fragmentPaths: settle the plan pruned to the path's verdict at depth 8,
+// cycling the 30 dates, and stream the path's matches into a buffer.
+func BenchmarkFragment(b *testing.B) {
+	reg, sa := bench250View(b, false)
+	for _, fp := range fragmentPaths {
+		b.Run(fp.name, func(b *testing.B) {
+			m := New(reg, DefaultOptions())
+			p, v := fragmentVerdict(b, sa, fp.expr)
+			var buf bytes.Buffer
+			serve := func(i int) {
+				buf.Reset()
+				if _, err := settleFragment(m, sa, p, v, i, &buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			serve(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve(i)
+			}
+		})
+	}
+}
+
+// fragmentVerdict parses expr and computes its verdict over sa.
+func fragmentVerdict(tb testing.TB, sa *aig.AIG, expr string) (*xpath.Path, *xpath.Verdict) {
+	p, err := xpath.Parse(expr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c, err := xpath.Compile(sa, p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p, c.Verdict(sa)
+}
+
+// settleFragment settles the bench250 view at depth 8 for the i-th date,
+// cycling the 30, pruned to v, and streams p's matches to w.
+func settleFragment(m *Mediator, sa *aig.AIG, p *xpath.Path, v *xpath.Verdict, i int, w io.Writer) (*Run, error) {
+	r, depth, err := m.Settle(context.Background(), sa, hospital.RootInh(sa, datagen.Date(i%bench250.Dates)), 8, 64, v)
+	if err != nil || depth != 8 {
+		return nil, fmt.Errorf("depth %d, err %v", depth, err)
+	}
+	s := xpath.NewStream(p, w)
+	if err := r.Tag(s); err != nil {
+		return nil, err
+	}
+	return r, s.Err()
+}
+
 // settleAndEmit settles the bench250 view at depth 8 for the i-th date,
 // cycling the 30, and writes its document to w.
 func settleAndEmit(m *Mediator, sa *aig.AIG, i int, w io.Writer) error {
-	r, depth, err := m.Settle(context.Background(), sa, hospital.RootInh(sa, datagen.Date(i%bench250.Dates)), 8, 64)
+	r, depth, err := m.Settle(context.Background(), sa, hospital.RootInh(sa, datagen.Date(i%bench250.Dates)), 8, 64, nil)
 	if err != nil || depth != 8 {
 		return fmt.Errorf("depth %d, err %v", depth, err)
 	}

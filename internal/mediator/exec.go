@@ -119,7 +119,7 @@ func (m *Mediator) Evaluate(a *aig.AIG, rootInh *aig.AttrValue) (*Result, error)
 // without per-request reconfiguration; ctx also flows into every source
 // call for cancellation.
 func (m *Mediator) EvaluateContext(ctx context.Context, a *aig.AIG, rootInh *aig.AttrValue) (*Result, error) {
-	r, _, err := m.Settle(ctx, a, rootInh, 0, 0)
+	r, _, err := m.Settle(ctx, a, rootInh, 0, 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -128,8 +128,10 @@ func (m *Mediator) EvaluateContext(ctx context.Context, a *aig.AIG, rootInh *aig
 
 // Run is a settled evaluation: its unfolding depth is final, its
 // truncation probes have run and its guards have passed, and nothing of
-// the document exists yet. WriteTo streams the document and Tree builds
-// it, each in one walk over the instance tables (the tagging phase).
+// the document exists yet. WriteTo streams the document, Tree builds it
+// and Tag hands it to any Sink, each in one walk over the instance
+// tables (the tagging phase). A run settled under a Verdict holds only
+// the contexts the verdict kept, and its walk skips the rest.
 type Run struct {
 	// Report describes the evaluation; PhaseSec has no "tag" phase, as
 	// the run has not been tagged.
@@ -150,6 +152,44 @@ func (r *Run) WriteTo(w io.Writer) (int64, error) {
 		return 0, err
 	}
 	return e.Flush()
+}
+
+// Tag hands the run's document to s as events in document order.
+func (r *Run) Tag(s Sink) error {
+	return r.x.tag(s)
+}
+
+// Scan is one base table a plan's query reads, keyed by the rule that
+// owns the query as specialize.TableScans keys it: the element type and
+// the child whose inherited attribute the query computes ("" for a
+// choice's condition), named as in the grammar the plan compiled.
+type Scan struct {
+	Elem, Child   string
+	Source, Table string
+}
+
+// Scans lists the base tables the run's plan queries, truncation probes
+// included, in plan order.
+func (r *Run) Scans() []Scan {
+	var out []Scan
+	add := func(pt *part) {
+		for _, ref := range pt.rw.query.From {
+			if ref.Source != "" {
+				out = append(out, Scan{Elem: pt.parentCtx.elem, Child: pt.child, Source: ref.Source, Table: ref.Table})
+			}
+		}
+	}
+	for _, n := range r.x.g.nodes {
+		for _, pt := range queryParts(n) {
+			add(pt)
+		}
+	}
+	for _, pr := range r.x.g.probes {
+		for _, pt := range pr.steps {
+			add(pt)
+		}
+	}
+	return out
 }
 
 // Tree builds the run's document.
@@ -177,17 +217,18 @@ func (r *Run) result() (*Result, error) {
 	return &Result{Doc: doc, Report: rep}, nil
 }
 
-// evaluate runs grammar a unfolded to the given depth (0: as it is)
-// through every phase but tagging. A guard abort returns the run next
-// to the error, for the truncation probes.
-func (m *Mediator) evaluate(ctx context.Context, a *aig.AIG, depth int, rootInh *aig.AttrValue) (*Run, error) {
+// evaluate runs grammar a unfolded to the given depth (0: as it is),
+// pruned to keep's verdict when it is set, through every phase but
+// tagging. A guard abort returns the run next to the error, for the
+// truncation probes.
+func (m *Mediator) evaluate(ctx context.Context, a *aig.AIG, depth int, rootInh *aig.AttrValue, keep Verdict) (*Run, error) {
 	tr, parent := obs.SpanFromContext(ctx)
 	if tr == nil {
 		tr = m.opts.Tracer
 	}
 	start := time.Now()
 	root := tr.StartSpan("evaluate", parent)
-	r, err := m.evaluatePhases(ctx, a, depth, rootInh, tr, root)
+	r, err := m.evaluatePhases(ctx, a, depth, rootInh, keep, tr, root)
 	if err != nil {
 		root.SetAttr("error", err.Error())
 	} else {
@@ -199,11 +240,16 @@ func (m *Mediator) evaluate(ctx context.Context, a *aig.AIG, depth int, rootInh 
 }
 
 // evaluatePhases runs the first three Fig. 5 phases under the given root
-// span, recording one child span and one wall-clock timing per phase.
-func (m *Mediator) evaluatePhases(ctx context.Context, a *aig.AIG, depth int, rootInh *aig.AttrValue, tr *obs.Tracer, root *obs.Span) (*Run, error) {
-	p, compileSec, optimizeSec, err := m.prepare(ctx, a, depth, tr, root)
+// span, recording one child span and one wall-clock timing per phase. A
+// pruned evaluation's root span carries the verdict's path and the number
+// of contexts it pruned.
+func (m *Mediator) evaluatePhases(ctx context.Context, a *aig.AIG, depth int, rootInh *aig.AttrValue, keep Verdict, tr *obs.Tracer, root *obs.Span) (*Run, error) {
+	p, compileSec, optimizeSec, err := m.prepare(ctx, a, depth, keep, tr, root)
 	if err != nil {
 		return nil, err
+	}
+	if keep != nil {
+		root.SetAttr("path", keep.Key()).SetAttr("pruned_contexts", p.g.pruned)
 	}
 	phaseSec := map[string]float64{"compile": compileSec, "optimize": optimizeSec}
 	g := p.g

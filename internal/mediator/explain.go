@@ -15,11 +15,37 @@ import (
 // executed; costs shown are the compile-time estimates the optimizer used
 // (§5.2).
 func (m *Mediator) Explain(a *aig.AIG) (string, error) {
-	p, _, _, err := m.prepare(context.Background(), a, 0, nil, nil)
+	p, _, _, err := m.prepare(context.Background(), a, 0, nil, nil, nil)
 	if err != nil {
 		return "", err
 	}
 	return renderPlan(p, nil, nil), nil
+}
+
+// ExplainFragment is Explain for the plan of grammar a at the given
+// unfolding depth pruned to keep's verdict, as Settle would run it: the
+// contexts the verdict keeps and the pruned ones (each with everything
+// below it), then the plan's nodes and source queries.
+func (m *Mediator) ExplainFragment(a *aig.AIG, depth int, keep Verdict) (string, error) {
+	p, _, _, err := m.prepare(context.Background(), a, depth, keep, nil, nil)
+	if err != nil {
+		return "", err
+	}
+	var kept, pruned strings.Builder
+	var walk func(c *ctxNode)
+	walk = func(c *ctxNode) {
+		if c.pruned {
+			fmt.Fprintf(&pruned, "  %s\n", c.path)
+			return
+		}
+		fmt.Fprintf(&kept, "  %s\n", c.path)
+		for _, ch := range c.children {
+			walk(ch)
+		}
+	}
+	walk(p.g.root)
+	return fmt.Sprintf("fragment %s at unfolding depth %d: %d contexts kept, %d pruned\nkept contexts:\n%spruned contexts:\n%s\n%s",
+		keep.Key(), depth, p.g.nctx, p.g.pruned, kept.String(), pruned.String(), renderPlan(p, nil, nil)), nil
 }
 
 // ExplainAnalyze is the runtime counterpart of Explain: it evaluates the
@@ -29,7 +55,7 @@ func (m *Mediator) Explain(a *aig.AIG) (string, error) {
 // The evaluation result (document and report) is returned alongside the
 // rendering so callers can still use or verify the output.
 func (m *Mediator) ExplainAnalyze(a *aig.AIG, rootInh *aig.AttrValue) (string, *Result, error) {
-	r, err := m.evaluate(context.Background(), a, 0, rootInh)
+	r, err := m.evaluate(context.Background(), a, 0, rootInh, nil)
 	if err != nil {
 		return "", nil, err
 	}

@@ -24,18 +24,38 @@ type ctxNode struct {
 	parent   *ctxNode
 	children []*ctxNode // production order; one per occurrence
 	tag      tagFacts
+	// pruned marks a context a Verdict dropped: it has no instance
+	// table, no queries, no children and no place in the document.
+	pruned bool
+	// complete reports that nothing below the context is pruned, so its
+	// synthesized attribute can be computed.
+	complete bool
+}
+
+// Verdict prunes a plan to the contexts one fragment of the document
+// reads (xpath.Verdict is the one the server passes). Keep reports
+// whether the instances of child type under parent type can reach the
+// fragment, or feed an inherited attribute that does; child "" is a
+// choice's condition query. Key names the verdict in the plan cache,
+// beside the grammar and the unfolding depth.
+type Verdict interface {
+	Keep(parent, child string) bool
+	Key() string
 }
 
 // buildContextTree expands the (non-recursive) DTD into its template
-// tree and returns its root and its number of contexts.
-func buildContextTree(d *dtd.DTD) (*ctxNode, int, error) {
+// tree and returns its root and its number of contexts. A context whose
+// edge keep rejects (nil keeps everything) is a pruned stub: it takes no
+// store slot and is not expanded, and a choice whose condition is
+// rejected has every branch pruned.
+func buildContextTree(d *dtd.DTD, keep func(parent, child string) bool) (*ctxNode, int, error) {
 	if d.IsRecursive() {
 		return nil, 0, fmt.Errorf("mediator: the DTD is recursive; unfold it first (specialize.Unfold) or use EvaluateRecursive")
 	}
 	count := 0
 	var expand func(elem, path string, parent *ctxNode) *ctxNode
 	expand = func(elem, path string, parent *ctxNode) *ctxNode {
-		n := &ctxNode{idx: count, path: path, elem: elem, parent: parent}
+		n := &ctxNode{idx: count, path: path, elem: elem, parent: parent, complete: true}
 		count++
 		p, _ := d.Production(elem)
 		occ := make(map[string]int)
@@ -45,7 +65,14 @@ func buildContextTree(d *dtd.DTD) (*ctxNode, int, error) {
 			if occ[c] > 1 {
 				childPath = fmt.Sprintf("%s#%d", childPath, occ[c])
 			}
-			n.children = append(n.children, expand(c, childPath, n))
+			if keep != nil && (!keep(elem, c) || p.Kind == dtd.ProdChoice && !keep(elem, "")) {
+				n.children = append(n.children, &ctxNode{idx: -1, path: childPath, elem: c, parent: n, pruned: true})
+				n.complete = false
+				continue
+			}
+			ch := expand(c, childPath, n)
+			n.children = append(n.children, ch)
+			n.complete = n.complete && ch.complete
 		}
 		return n
 	}
@@ -122,6 +149,9 @@ type part struct {
 	source    string // the one source the query reads, or MediatorSource
 	origin    *node  // the pre-merge node that owned this part
 	parentCtx *ctxNode
+	// child is the child type whose inherited rule the query belongs to,
+	// "" for a choice's condition.
+	child string
 	// branch restricts the parent instances to those that chose the given
 	// alternative of a choice production (0 = no restriction).
 	branch int
@@ -157,6 +187,11 @@ type graph struct {
 	// probes holds, for a grammar unfolded from a recursive one, one entry
 	// per context the unfolding truncated.
 	probes []ctxProbe
+
+	// keep is the pruning verdict the graph was compiled under (nil: the
+	// whole document), pruned the number of contexts it dropped.
+	keep   func(parent, child string) bool
+	pruned int
 }
 
 func (g *graph) newNode(kind nodeKind, src, name string) *node {
@@ -224,6 +259,9 @@ func (g *graph) depNodeFor(parentCtx *ctxNode, src aig.SourceRef) (*node, error)
 	if sib == nil {
 		return nil, fmt.Errorf("mediator: %s: no child %q under %s", src, src.Elem, parentCtx.path)
 	}
+	if !sib.complete {
+		return nil, fmt.Errorf("mediator: %s reads Syn(%s), which the plan's verdict pruned below", parentCtx.path, sib.path)
+	}
 	return g.synOf[sib.path], nil
 }
 
@@ -231,14 +269,25 @@ func (g *graph) depNodeFor(parentCtx *ctxNode, src aig.SourceRef) (*node, error)
 // caller's trace (source Estimate calls made while costing parent under
 // the compile-phase span) and cancellation. truncated lists the replica
 // types an unfolding cut (specialize.UnfoldInfo), for which truncation
-// probes are compiled alongside.
-func compile(ctx context.Context, a *aig.AIG, reg *source.Registry, opts Options, truncated []specialize.TruncProbe) (*graph, error) {
-	root, nctx, err := buildContextTree(a.DTD)
+// probes are compiled alongside. keep, when set, prunes the plan to the
+// edges it accepts (buildContextTree): a pruned context gets no node, no
+// part query and no probe, and only complete contexts compute their
+// synthesized attribute. A grammar with guards cannot be pruned, as a
+// guard reads the Syn of its context's whole subtree.
+func compile(ctx context.Context, a *aig.AIG, reg *source.Registry, opts Options, truncated []specialize.TruncProbe, keep func(parent, child string) bool) (*graph, error) {
+	if keep != nil {
+		for _, r := range a.Rules {
+			if len(r.Guards) > 0 {
+				return nil, fmt.Errorf("mediator: %s has guards; a grammar with guards cannot be pruned", r.Elem)
+			}
+		}
+	}
+	root, nctx, err := buildContextTree(a.DTD, keep)
 	if err != nil {
 		return nil, err
 	}
 	g := &graph{
-		a: a, reg: reg, opts: opts, root: root, nctx: nctx,
+		a: a, reg: reg, opts: opts, root: root, nctx: nctx, keep: keep,
 		inhDone: make(map[string]*node),
 		synOf:   make(map[string]*node),
 		estRows: make(map[string]float64),
@@ -247,9 +296,15 @@ func compile(ctx context.Context, a *aig.AIG, reg *source.Registry, opts Options
 	// Pass 1: create the barrier and syn nodes for every context.
 	var mk func(c *ctxNode)
 	mk = func(c *ctxNode) {
+		if c.pruned {
+			g.pruned++
+			return
+		}
 		c.tag = g.tagFacts(c)
 		g.inhDone[c.path] = g.newNode(nodeLocal, MediatorSource, "inh:"+c.path)
-		g.synOf[c.path] = g.newNode(nodeLocal, MediatorSource, "syn:"+c.path)
+		if c.complete {
+			g.synOf[c.path] = g.newNode(nodeLocal, MediatorSource, "syn:"+c.path)
+		}
 		for _, ch := range c.children {
 			mk(ch)
 		}
@@ -277,10 +332,16 @@ func compile(ctx context.Context, a *aig.AIG, reg *source.Registry, opts Options
 	// Pass 3: syn tasks bottom-up.
 	var wireSyn func(c *ctxNode) error
 	wireSyn = func(c *ctxNode) error {
+		if c.pruned {
+			return nil
+		}
 		for _, ch := range c.children {
 			if err := wireSyn(ch); err != nil {
 				return err
 			}
+		}
+		if !c.complete {
+			return nil
 		}
 		return g.buildSyn(c)
 	}
@@ -312,6 +373,9 @@ func (g *graph) buildCtx(ctx context.Context, c *ctxNode) error {
 
 	case dtd.ProdSeq:
 		for _, ch := range c.children {
+			if ch.pruned {
+				continue
+			}
 			var ir *aig.InhRule
 			if r != nil {
 				ir = r.Inh[ch.elem]
@@ -327,6 +391,9 @@ func (g *graph) buildCtx(ctx context.Context, c *ctxNode) error {
 
 	case dtd.ProdStar:
 		ch := c.children[0]
+		if ch.pruned {
+			return nil
+		}
 		var ir *aig.InhRule
 		if r != nil {
 			ir = r.Inh[ch.elem]
@@ -343,11 +410,17 @@ func (g *graph) buildCtx(ctx context.Context, c *ctxNode) error {
 		if r == nil || r.Cond == nil {
 			return fmt.Errorf("mediator: choice production of %s has no condition query", c.elem)
 		}
+		if c.tag.kind == dtd.ProdEmpty {
+			return nil // every branch pruned: the condition decides nothing kept
+		}
 		condNode, err := g.buildCond(ctx, c, r)
 		if err != nil {
 			return err
 		}
 		for bi, ch := range c.children {
+			if ch.pruned {
+				continue
+			}
 			var ir *aig.InhRule
 			if bi < len(r.Branches) {
 				ir = r.Branches[bi].Inh

@@ -126,7 +126,7 @@ func (g *graph) chainParts(what string, ir *aig.InhRule, c *ctxNode, branch int)
 		if err != nil {
 			return nil, fmt.Errorf("mediator: %s step %d: %v", what, k+1, err)
 		}
-		pt.branch, pt.prev = branch, prev
+		pt.child, pt.branch, pt.prev = ir.Child, branch, prev
 		parts = append(parts, pt)
 		prev, prevSchema = pt, out
 	}

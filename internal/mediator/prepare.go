@@ -3,6 +3,7 @@ package mediator
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -39,13 +40,16 @@ type preparedPlan struct {
 	level  map[*node]float64 // §5.3 priorities, for run-time dispatch under ScheduleDynamic
 }
 
-// maxPlans bounds the plan cache: a serving mediator evaluates one grammar
-// at the few depths its doubling sequence visits.
+// maxPlans bounds the plan cache, once for document plans and once for
+// pruned ones: a serving mediator evaluates one grammar at the few depths
+// its doubling sequence visits, and fragment paths, however many a
+// client sends, never push a document plan out.
 const maxPlans = 16
 
 type planKey struct {
 	a     *aig.AIG // grammars are compared by identity
 	depth int      // unfolding depth; 0 evaluates a as it is
+	path  string   // the pruning verdict's key; "" for the whole document
 }
 
 // planEntry is one cached plan with the statistics epoch it was built at:
@@ -57,8 +61,9 @@ type planEntry struct {
 	p       *preparedPlan
 }
 
-// planCache holds at most one plan per (grammar, depth) and maxPlans in
-// all, dropping the oldest.
+// planCache holds at most one plan per (grammar, depth, path) and
+// maxPlans of each kind — document or pruned — dropping the oldest of
+// the kind it adds.
 type planCache struct {
 	mu      sync.Mutex
 	entries []*planEntry
@@ -85,8 +90,17 @@ func (c *planCache) put(e *planEntry) {
 			return
 		}
 	}
-	if len(c.entries) == maxPlans {
-		c.entries = c.entries[1:]
+	n, oldest := 0, -1
+	for i, old := range c.entries {
+		if (old.key.path == "") == (e.key.path == "") {
+			if n == 0 {
+				oldest = i
+			}
+			n++
+		}
+	}
+	if n == maxPlans {
+		c.entries = slices.Delete(c.entries, oldest, oldest+1)
 	}
 	c.entries = append(c.entries, e)
 }
@@ -104,20 +118,32 @@ func (m *Mediator) epochOf(sources []string) (string, error) {
 	return strings.Join(parts, ","), nil
 }
 
-// compileAt compiles grammar a unfolded to the given depth (0: as it is).
-func (m *Mediator) compileAt(ctx context.Context, a *aig.AIG, depth int) (*graph, error) {
+// compileAt compiles grammar a unfolded to the given depth (0: as it is),
+// pruned to keep's verdict when it is set. A replica type this unfolding
+// creates is judged as the type it replicates.
+func (m *Mediator) compileAt(ctx context.Context, a *aig.AIG, depth int, keep Verdict) (*graph, error) {
+	var judge func(parent, child string) bool
+	if keep != nil {
+		judge = keep.Keep
+	}
 	if depth == 0 {
-		return compile(ctx, a, m.reg, m.opts, nil)
+		return compile(ctx, a, m.reg, m.opts, nil, judge)
 	}
 	unf, truncated, err := specialize.UnfoldInfo(a, depth)
 	if err != nil {
 		return nil, err
 	}
-	return compile(ctx, unf, m.reg, m.opts, truncated)
+	if keep != nil {
+		judge = func(parent, child string) bool {
+			return keep.Keep(specialize.ReplicaOf(parent), specialize.ReplicaOf(child))
+		}
+	}
+	return compile(ctx, unf, m.reg, m.opts, truncated, judge)
 }
 
 // prepare returns the plan for grammar a at the given unfolding depth
-// (0: a is non-recursive and evaluated as it is). A cached plan is used
+// (0: a is non-recursive and evaluated as it is), pruned to keep's
+// verdict when it is set. A cached plan is used
 // when the sources still stand at the epoch it was built at; otherwise the
 // grammar is unfolded, compiled, merged and scheduled afresh and the
 // result cached. The epoch is read before compiling, so a plan is never
@@ -125,9 +151,12 @@ func (m *Mediator) compileAt(ctx context.Context, a *aig.AIG, depth int) (*graph
 // the compile costs one more re-plan, never a stale plan. Either way the
 // "compile" and "optimize" phases are recorded under root and their
 // durations returned — on a hit they time the lookup.
-func (m *Mediator) prepare(ctx context.Context, a *aig.AIG, depth int, tr *obs.Tracer, root *obs.Span) (p *preparedPlan, compileSec, optimizeSec float64, err error) {
+func (m *Mediator) prepare(ctx context.Context, a *aig.AIG, depth int, keep Verdict, tr *obs.Tracer, root *obs.Span) (p *preparedPlan, compileSec, optimizeSec float64, err error) {
 	sp, t0 := tr.StartSpan("compile", root), time.Now()
-	key := planKey{a, depth}
+	key := planKey{a: a, depth: depth}
+	if keep != nil {
+		key.path = keep.Key()
+	}
 	entry := m.plans.get(key)
 	var sources []string
 	if entry != nil {
@@ -139,7 +168,7 @@ func (m *Mediator) prepare(ctx context.Context, a *aig.AIG, depth int, tr *obs.T
 	hit := err == nil && entry != nil && entry.epoch == epoch
 	var g *graph
 	if err == nil && !hit {
-		g, err = m.compileAt(obs.ContextWithSpan(ctx, tr, sp), a, depth)
+		g, err = m.compileAt(obs.ContextWithSpan(ctx, tr, sp), a, depth, keep)
 	}
 	compileSec = time.Since(t0).Seconds()
 	if err != nil {

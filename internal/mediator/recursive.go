@@ -25,7 +25,7 @@ import (
 // when no truncated instance is blocked, or at maxDepth, and triggers
 // re-unrolling otherwise.
 func (m *Mediator) EvaluateRecursive(a *aig.AIG, rootInh *aig.AttrValue, estDepth, maxDepth int) (*Result, int, error) {
-	r, depth, err := m.Settle(context.Background(), a, rootInh, max(estDepth, 1), maxDepth)
+	r, depth, err := m.Settle(context.Background(), a, rootInh, max(estDepth, 1), maxDepth, nil)
 	if err != nil {
 		return nil, depth, err
 	}
@@ -40,10 +40,12 @@ func (m *Mediator) EvaluateRecursive(a *aig.AIG, rootInh *aig.AttrValue, estDept
 // evaluates a as it is (its DTD must not be recursive); a positive one
 // unfolds from there as EvaluateRecursive describes. Every round's
 // evaluation and every truncation probe runs under the trace ctx
-// carries.
-func (m *Mediator) Settle(ctx context.Context, a *aig.AIG, rootInh *aig.AttrValue, estDepth, maxDepth int) (*Run, int, error) {
+// carries. A non-nil keep settles the plan pruned to its verdict
+// instead of the whole document's: only a fragment that verdict keeps
+// whole may then be read from the run, and a has no guards.
+func (m *Mediator) Settle(ctx context.Context, a *aig.AIG, rootInh *aig.AttrValue, estDepth, maxDepth int, keep Verdict) (*Run, int, error) {
 	if estDepth <= 0 {
-		r, err := m.evaluate(ctx, a, 0, rootInh)
+		r, err := m.evaluate(ctx, a, 0, rootInh, keep)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -54,7 +56,7 @@ func (m *Mediator) Settle(ctx context.Context, a *aig.AIG, rootInh *aig.AttrValu
 	}
 	depth := estDepth
 	for {
-		r, err := m.evaluate(ctx, a, depth, rootInh)
+		r, err := m.evaluate(ctx, a, depth, rootInh, keep)
 		var abort *aig.AbortError
 		if err != nil && (!errors.As(err, &abort) || depth >= maxDepth) {
 			return nil, depth, err
@@ -96,7 +98,9 @@ type ctxProbe struct {
 }
 
 // buildProbes compiles one probe per context of a truncated replica type,
-// in document (pre-)order.
+// in document (pre-)order. A pruned plan probes only the contexts whose
+// cut edge its verdict keeps: instances the verdict drops cannot change
+// the fragment at any depth.
 func (g *graph) buildProbes(truncated []specialize.TruncProbe) error {
 	if len(truncated) == 0 {
 		return nil
@@ -107,7 +111,10 @@ func (g *graph) buildProbes(truncated []specialize.TruncProbe) error {
 	}
 	var walk func(c *ctxNode) error
 	walk = func(c *ctxNode) error {
-		if tp, cut := byType[c.elem]; cut {
+		if c.pruned {
+			return nil
+		}
+		if tp, cut := byType[c.elem]; cut && (g.keep == nil || tp.Rule == nil || g.keep(c.elem, tp.Rule.Child)) {
 			pr := ctxProbe{ctx: c}
 			if tp.Rule != nil {
 				steps, err := g.chainParts("probe of "+c.path, tp.Rule, c, 0)

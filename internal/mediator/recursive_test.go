@@ -101,7 +101,7 @@ func checkProbes(t *testing.T, a *aig.AIG, cat *relstore.Catalog, rootInh *aig.A
 		for _, p := range truncated {
 			rules[p.Type] = p.Rule
 		}
-		r, err := m.evaluate(ctx, a, depth, rootInh)
+		r, err := m.evaluate(ctx, a, depth, rootInh, nil)
 		var abort *aig.AbortError
 		if errors.As(err, &abort) {
 			continue // a truncated document may trip a guard; nothing to probe

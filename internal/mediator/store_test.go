@@ -65,7 +65,7 @@ func checkRanges(t *testing.T, x *exec) (emptyStars int) {
 func TestStoreRangesPerParent(t *testing.T) {
 	cat := hospital.TinyCatalog()
 	a, reg := prepared(t, cat, 4, true)
-	r, err := New(reg, DefaultOptions()).evaluate(context.Background(), a, 0, hospital.RootInh(a, "d1"))
+	r, err := New(reg, DefaultOptions()).evaluate(context.Background(), a, 0, hospital.RootInh(a, "d1"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestStoreRangesPerParent(t *testing.T) {
 
 func TestStoreChoiceRanges(t *testing.T) {
 	a, cat := choiceFixture(t)
-	r, err := New(source.RegistryFromCatalog(cat), DefaultOptions()).evaluate(context.Background(), a, 0, nil)
+	r, err := New(source.RegistryFromCatalog(cat), DefaultOptions()).evaluate(context.Background(), a, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestStoreIDsArePositions(t *testing.T) {
 	a, cat := choiceFixture(t)
 	// Unmerged, so every part is its own node's.
 	opts := Options{Net: DefaultNet(), Schedule: ScheduleFIFO}
-	r, err := New(source.RegistryFromCatalog(cat), opts).evaluate(context.Background(), a, 0, nil)
+	r, err := New(source.RegistryFromCatalog(cat), opts).evaluate(context.Background(), a, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

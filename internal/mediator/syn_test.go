@@ -34,7 +34,7 @@ func sameAsEval(t *testing.T, a *aig.AIG, cat *relstore.Catalog, rootInh *aig.At
 		}
 	}
 	var got bytes.Buffer
-	r, _, err := New(source.RegistryFromCatalog(cat), DefaultOptions()).Settle(context.Background(), a, rootInh, 0, 0)
+	r, _, err := New(source.RegistryFromCatalog(cat), DefaultOptions()).Settle(context.Background(), a, rootInh, 0, 0, nil)
 	if err == nil {
 		_, err = r.WriteTo(&got)
 	}

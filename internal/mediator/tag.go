@@ -8,11 +8,12 @@ import (
 	"github.com/aigrepro/aig/internal/dtd"
 )
 
-// sink receives a document as events in document order: Open and Close
+// Sink receives a document as events in document order: Open and Close
 // bracket an element with element content, Leaf is an element whose only
 // child is text (possibly empty), Empty a childless element.
-// xmltree.Encoder streams the bytes, xmltree.Builder builds the tree.
-type sink interface {
+// xmltree.Encoder streams the bytes, xmltree.Builder builds the tree, and
+// xpath.Stream writes the matches of a path.
+type Sink interface {
 	Open(label string)
 	Leaf(label, text string)
 	Empty(label string)
@@ -36,6 +37,9 @@ type tagFacts struct {
 func (g *graph) tagFacts(c *ctxNode) tagFacts {
 	p, _ := g.a.DTD.Production(c.elem)
 	f := tagFacts{label: g.a.Label(c.elem), kind: p.Kind, text: -1}
+	if len(c.children) > 0 && !slices.ContainsFunc(c.children, func(ch *ctxNode) bool { return !ch.pruned }) {
+		f.kind = dtd.ProdEmpty // a pruned plan emits nothing below it
+	}
 	decl := g.a.Inh[c.elem]
 	for j, m := range decl.Members {
 		if m.Kind == aig.Scalar {
@@ -58,18 +62,20 @@ func (g *graph) tagFacts(c *ctxNode) tagFacts {
 // in canonical order.
 type tagger struct {
 	st    store
-	s     sink
+	s     Sink
 	order []int
 }
 
 // tag is the tagging phase (§5.1): one top-down walk over the instance
-// tables that hands the document to s, so the same walk streams bytes or
-// builds a tree. Star children are emitted in the canonical order (sorted
-// by their inherited scalar tuple, stable), the same order the conceptual
-// evaluator uses, so both evaluators produce identical documents.
-// Internal bookkeeping (ids) never reaches the output; unfolded types are
-// emitted under their original labels.
-func (x *exec) tag(s sink) error {
+// tables that hands the document to s, so the same walk streams bytes,
+// builds a tree or matches a path. Star children are emitted in the
+// canonical order (sorted by their inherited scalar tuple, stable), the
+// same order the conceptual evaluator uses, so both evaluators produce
+// identical documents. Internal bookkeeping (ids) never reaches the
+// output; unfolded types are emitted under their original labels. A
+// pruned plan skips its pruned contexts: an element with nothing kept
+// below it is emitted empty.
+func (x *exec) tag(s Sink) error {
 	if roots := x.st.rows(x.g.root); len(roots) != 1 {
 		return fmt.Errorf("mediator: expected one root instance, have %d", len(roots))
 	}
@@ -94,6 +100,9 @@ func (w *tagger) tag(c *ctxNode, id int) error {
 		}
 		w.s.Open(f.label)
 		for _, ch := range c.children {
+			if ch.pruned {
+				continue
+			}
 			lo, hi := w.st.span(ch, id)
 			if hi-lo != 1 {
 				return fmt.Errorf("mediator: sequence child %s has %d instances under id %d, want 1", ch.path, hi-lo, id)
@@ -139,6 +148,9 @@ func (w *tagger) tag(c *ctxNode, id int) error {
 			return fmt.Errorf("mediator: choice instance of %s has no branch", c.path)
 		}
 		ch := c.children[b-1]
+		if ch.pruned {
+			break
+		}
 		lo, hi := w.st.span(ch, id)
 		if hi-lo != 1 {
 			return fmt.Errorf("mediator: choice child %s has %d instances, want 1", ch.path, hi-lo)

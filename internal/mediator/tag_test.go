@@ -27,7 +27,7 @@ func TestRunEmitsItsTree(t *testing.T) {
 		{"hospital", New(reg, DefaultOptions()), hosp, hospital.RootInh(hosp, "d1")},
 		{"choice", New(source.RegistryFromCatalog(ccat), DefaultOptions()), choice, nil},
 	} {
-		r, _, err := tc.m.Settle(context.Background(), tc.a, tc.inh, 0, 0)
+		r, _, err := tc.m.Settle(context.Background(), tc.a, tc.inh, 0, 0, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

@@ -210,8 +210,9 @@ func tracedGet(t *testing.T, base, u string) (int, map[string]map[string]any) {
 // for the certified constraints, so once a write breaks a premise of
 // their proofs, requests on that stamp evaluate the fully guarded grammar
 // and answer exactly as it does: 500 where a guard aborts, the document
-// where none does. Fragments select their path on that evaluation's tree.
-// Undoing the write restores the fast path.
+// where none does. Fragments select their path on that evaluation's tag
+// walk. Undoing the write restores the fast path: the pruned plan for a
+// path without predicates, partial evaluation for one with them.
 func TestBrokenPremiseFallsBackToGuarded(t *testing.T) {
 	s, ts, cat, _ := testServer(t, Config{AllowMutate: true, FlightRecorder: true, TraceSampleRate: 1}, nil)
 	// t9 is a treatment s1's gold policy covers but nobody bills. Neither
@@ -249,11 +250,18 @@ func TestBrokenPremiseFallsBackToGuarded(t *testing.T) {
 	}
 	full := func(date string) string { return "/views/report?date=" + date }
 	frag := func(date string) string { return full(date) + "&path=%2F%2Fpatient%2FSSN" }
-	// The fragment goes first: with the full document cached at the same
-	// stamp it would be derived from that instead of evaluated.
+	predFrag := func(date string) string { return full(date) + "&path=%2F%2Fpatient%5B1%5D%2FSSN" }
+	// The fragments go first: with the full document cached at the same
+	// stamp they would be derived from that instead of evaluated.
 	fastPath := func(when string) {
 		t.Helper()
 		code, spans := tracedGet(t, ts.URL, frag("d1"))
+		pruned, _ := spans["evaluate"]["pruned_contexts"].(float64)
+		if code != guardedStatus("d1") || spans["render"]["premises"] != "held" || spans["evaluate"]["path"] != "//patient/SSN" || pruned == 0 {
+			t.Errorf("%s: fragment status %d (guarded grammar %d), render %v, evaluate %v; want the pruned plan",
+				when, code, guardedStatus("d1"), spans["render"], spans["evaluate"])
+		}
+		code, spans = tracedGet(t, ts.URL, predFrag("d1"))
 		if code != guardedStatus("d1") || spans["eval.partial"]["premises"] != "held" {
 			t.Errorf("%s: fragment status %d (guarded grammar %d), eval.partial %v; want partial evaluation",
 				when, code, guardedStatus("d1"), spans["eval.partial"])
@@ -278,9 +286,9 @@ func TestBrokenPremiseFallsBackToGuarded(t *testing.T) {
 	}
 	for _, date := range []string{"d1", "d2"} {
 		want := guardedStatus(date)
-		for _, u := range []string{frag(date), full(date)} {
+		for _, u := range []string{frag(date), predFrag(date), full(date)} {
 			code, spans := tracedGet(t, ts.URL, u)
-			if code != want || spans["eval.partial"] != nil || spans["verify"] != nil {
+			if code != want || spans["eval.partial"] != nil || spans["verify"] != nil || spans["evaluate"]["path"] != nil {
 				t.Errorf("broken premise, %s: status %d (guarded grammar %d), eval.partial %v, verify %v; want the full-render path",
 					u, code, want, spans["eval.partial"], spans["verify"])
 			}
@@ -294,11 +302,11 @@ func TestBrokenPremiseFallsBackToGuarded(t *testing.T) {
 	fastPath("after undoing the write")
 }
 
-// TestFallbackFragmentMatchesOracle: where partial evaluation cannot
-// serve a fragment (a premise is broken), the fill settles the guarded
-// grammar and selects the path on the run's tree; the bytes must equal
-// the post-hoc filter of the full document at the same stamp, streamed
-// or cached alike.
+// TestFallbackFragmentMatchesOracle: where the path's verdict cannot
+// serve a fragment (a premise is broken), the fill settles the whole
+// guarded grammar and the path sink selects the path on its tag walk;
+// the bytes must equal the post-hoc filter of the full document at the
+// same stamp, streamed or cached alike.
 func TestFallbackFragmentMatchesOracle(t *testing.T) {
 	_, ts, cat, _ := testServer(t, Config{}, nil)
 	tableOf(t, cat, "DB4", "treatment").MustInsert(relstore.Tuple{relstore.String("t9"), relstore.String("laser")})

@@ -15,11 +15,21 @@ import (
 
 // This file is the fragment half of the serving story: GET
 // /views/{name}?path=... answers with only the elements the path
-// selects, evaluated partially (subtrees the path cannot reach are
-// never bound, their queries never run) and serialized as they are
-// produced, so first-byte latency and bytes-on-the-wire stop scaling
-// with document size. A fragment request resolves to a target carrying
-// the compiled path and then takes the same pipeline as a document.
+// selects, evaluated so that subtrees the path cannot reach are never
+// bound and their queries never run, and written as each match closes,
+// so first-byte latency and bytes-on-the-wire stop scaling with document
+// size. A fragment request resolves to a target carrying the compiled
+// path and then takes the same pipeline as a document.
+//
+// One analysis decides what a fragment reads: the path's verdict
+// (xpath.Verdict) over the served grammar. A path without predicates is
+// served by the mediator's plan pruned to that verdict, streamed through
+// the path sink (xpath.Stream) on the tag walk; a path with predicates by
+// the partial evaluator, which decides [N] and pushdownable [c='v'] per
+// instance while it evaluates. The refresher judges both kinds of entry
+// against the verdict's scans. Where the verdict cannot be trusted (a
+// guard left in the grammar, or broken premises) the whole guarded
+// document is settled and the sink selects the path from its tag walk.
 //
 // Fragments get their own cache entries, keyed (view, params, path,
 // stamp) with the path spliced into the key prefix as "\x00p:<path>" —
@@ -33,8 +43,8 @@ import (
 // them. A plan evicted at the bound is recompiled on its next use.
 const maxFragPlans = 256
 
-// fragPlan is one path compiled against one view: the pushdown/pruning
-// analysis over the served grammar plus the path-filtered dependency map
+// fragPlan is one path compiled against one view: the pushdown analysis
+// over the served grammar, the path's verdict, and the dependency map
 // the refresher judges fragment entries against.
 type fragPlan struct {
 	// expr is the canonical rendering (Parse(expr).String() == expr);
@@ -43,9 +53,15 @@ type fragPlan struct {
 	expr string
 	path *xpath.Path
 	c    *xpath.Compiled
-	// deps is restricted to the scans the path can reach. Where partial
-	// evaluation cannot serve the fragment (a guard left in the grammar,
-	// or broken premises), its body is cut from a full evaluation and
+	// verdict keeps the grammar edges the path can reach; the mediator
+	// prunes its plan to it, and deps holds its scans.
+	verdict *xpath.Verdict
+	// partial is set for a path with predicates, which the partial
+	// evaluator serves while the verdict holds.
+	partial bool
+	// deps is restricted to the scans the verdict keeps. Where the
+	// verdict cannot serve the fragment (a guard left in the grammar, or
+	// broken premises), its body is cut from a full evaluation and
 	// judging falls back to the view's unfiltered deps instead.
 	deps *ivm.Deps
 }
@@ -66,11 +82,12 @@ func (v *View) fragmentPlan(expr string, schemas ivm.SchemaSource) (*fragPlan, e
 	if err != nil {
 		return nil, err
 	}
-	deps, err := ivm.ExtractFiltered(v.sa, schemas, c.LiveScans(v.sa))
+	verdict := c.Verdict(v.sa)
+	deps, err := ivm.ExtractFiltered(v.sa, schemas, verdict.Keep)
 	if err != nil {
 		return nil, err
 	}
-	fp := &fragPlan{expr: canon, path: p, c: c, deps: deps}
+	fp := &fragPlan{expr: canon, path: p, c: c, verdict: verdict, partial: p.HasPredicates(), deps: deps}
 	for k := range v.fragPlans {
 		if len(v.fragPlans) < maxFragPlans {
 			break
@@ -81,10 +98,10 @@ func (v *View) fragmentPlan(expr string, schemas ivm.SchemaSource) (*fragPlan, e
 	return fp, nil
 }
 
-// evalPartial fills a fragment entry by partial evaluation: the served
-// grammar is walked under the path's cursor — skipped subtrees never run
-// their queries — and each matched element goes to out the moment it is
-// rendered.
+// evalPartial fills the entry of a fragment whose path has predicates
+// by partial evaluation: the served grammar is walked under the path's
+// cursor — skipped subtrees never run their queries — and each matched
+// element goes to out the moment it is rendered.
 func (s *Server) evalPartial(ctx context.Context, t target, e *cacheEntry, out *stream) error {
 	rootInh, err := t.v.bindParams(t.params)
 	if err != nil {
@@ -117,22 +134,26 @@ func (s *Server) evalPartial(ctx context.Context, t target, e *cacheEntry, out *
 // addMatch appends one selected element to a fragment entry's body and
 // sends it on to out, if set.
 func (e *cacheEntry) addMatch(n *xmltree.Node, out *stream) error {
-	lo := len(e.body)
-	if err := n.WriteIndented(e); err != nil {
+	if err := n.WriteIndented(fragWriter{e, out}); err != nil {
 		return err
 	}
 	e.matches++
-	if out == nil {
-		return nil
-	}
-	_, err := out.Write(e.body[lo:])
-	return err
+	return nil
 }
 
-// Write appends to the entry's body.
-func (e *cacheEntry) Write(b []byte) (int, error) {
-	e.body = append(e.body, b...)
-	return len(b), nil
+// fragWriter appends a fragment's bytes to its entry's body and sends
+// them on to out, if set.
+type fragWriter struct {
+	e   *cacheEntry
+	out *stream
+}
+
+func (w fragWriter) Write(b []byte) (int, error) {
+	w.e.body = append(w.e.body, b...)
+	if w.out == nil {
+		return len(b), nil
+	}
+	return w.out.Write(b)
 }
 
 // deriveFragment filters an already-rendered full document down to the

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/aigrepro/aig/internal/obs"
 	"github.com/aigrepro/aig/internal/relstore"
 	"github.com/aigrepro/aig/internal/xmltree"
 	"github.com/aigrepro/aig/internal/xpath"
@@ -336,5 +337,82 @@ func TestFragmentPlansStayBounded(t *testing.T) {
 	v.fragMu.Unlock()
 	if n > maxFragPlans {
 		t.Errorf("%d fragment plans memoized, bound %d", n, maxFragPlans)
+	}
+}
+
+// TestFragmentExplain: explain?path=P renders the plan a fragment
+// request for P settles — its kept contexts, its pruned ones and its
+// source queries — and names the partial evaluator for a path with
+// predicates.
+func TestFragmentExplain(t *testing.T) {
+	_, ts, _, _ := testServer(t, Config{}, nil)
+	explain := func(path string) (int, string) {
+		t.Helper()
+		code, body, _ := get(t, ts.URL+"/views/report/explain?path="+url.QueryEscape(path))
+		return code, body
+	}
+	code, plan := explain("/report/patient/SSN")
+	for _, want := range []string{
+		"fragment /report/patient/SSN at unfolding depth 4: 3 contexts kept, 3 pruned\n",
+		"kept contexts:\n  report\n  report/patient\n  report/patient/SSN\n",
+		"pruned contexts:\n  report/patient/pname\n  report/patient/treatments\n  report/patient/bill\n",
+		"DB1: 1 queries in schedule order\n",
+	} {
+		if code != http.StatusOK || !strings.Contains(plan, want) {
+			t.Fatalf("explain /report/patient/SSN: status %d, missing %q in\n%s", code, want, plan)
+		}
+	}
+	if strings.Contains(plan, "DB2") || strings.Contains(plan, "DB3") || strings.Contains(plan, "DB4") {
+		t.Errorf("the SSN fragment's plan queries more than DB1:\n%s", plan)
+	}
+	if code, plan := explain("//patient[1]/SSN"); code != http.StatusOK || !strings.Contains(plan, "served by the partial evaluator") {
+		t.Errorf("explain //patient[1]/SSN: status %d\n%s", code, plan)
+	}
+	if code, _ := explain("/report/patient["); code != http.StatusBadRequest {
+		t.Errorf("explain of a bad path: status %d, want 400", code)
+	}
+}
+
+// TestFragmentPathsKeepDocumentPlan: pruned plans have a bound of their
+// own in the mediator's plan cache, so a burst of more than maxPlans
+// distinct paths without predicates does not push the document's plan
+// out — the next document request plans nothing.
+func TestFragmentPathsKeepDocumentPlan(t *testing.T) {
+	_, ts, _, _ := testServer(t, Config{}, nil)
+	noStore := func(u string) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, u, nil)
+		req.Header.Set("Cache-Control", "no-store")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d", u, resp.StatusCode)
+		}
+	}
+	misses := func() int64 { return counter(obs.Default, "aig_mediator_plan_cache_misses_total") }
+	doc := ts.URL + "/views/report?date=d1"
+	noStore(doc)
+	paths := []string{
+		"/report", "/report/patient", "/report/patient/SSN", "/report/patient/pname",
+		"/report/patient/treatments", "/report/patient/bill", "/report/patient/bill/item",
+		"/report/patient/bill/item/trId", "/report/patient/bill/item/price", "//SSN", "//pname",
+		"//treatments", "//treatment", "//trId", "//tname", "//procedure", "//bill", "//item",
+		"//price", "/report/*", "//*",
+	}
+	before := misses()
+	for _, p := range paths {
+		noStore(fragURL(ts.URL, "d1", p))
+	}
+	if n := misses() - before; n < 17 {
+		t.Fatalf("%d distinct fragment paths planned %d times; the test needs more than 16 pruned plans", len(paths), n)
+	}
+	before = misses()
+	noStore(doc)
+	if n := misses() - before; n != 0 {
+		t.Errorf("the document request after the burst planned %d times, want a plan-cache hit", n)
 	}
 }

@@ -658,18 +658,20 @@ type settled struct {
 
 // settle runs the mediator for a prepared view — twice when the stamp
 // moves under the first — up to a settled, untagged run; stamp is the
-// data-version stamp the caller read before it. The tracer ctx carries
-// (the flight recorder's, or a refresh/mutate trace) flows through the
-// whole evaluation stack.
-func (s *Server) settle(ctx context.Context, v *View, params map[string]string, stamp string) (*settled, error) {
+// data-version stamp the caller read before it. A fragment whose
+// verdict the caller trusts passes it as keep, and the certified grammar
+// then settles pruned to it; the guarded grammar always settles whole.
+// The tracer ctx carries (the flight recorder's, or a refresh/mutate
+// trace) flows through the whole evaluation stack.
+func (s *Server) settle(ctx context.Context, v *View, params map[string]string, stamp string, keep mediator.Verdict) (*settled, error) {
 	rootInh, err := v.bindParams(params)
 	if err != nil {
 		return nil, err
 	}
 
-	settleAt := func(g *aig.AIG, est int) (*mediator.Run, int, error) {
+	settleAt := func(g *aig.AIG, est int, keep mediator.Verdict) (*mediator.Run, int, error) {
 		t0 := time.Now()
-		run, depth, err := v.med.Settle(ctx, g, rootInh, est, v.maxDepth)
+		run, depth, err := v.med.Settle(ctx, g, rootInh, est, v.maxDepth, keep)
 		s.m.evalSec.Observe(time.Since(t0).Seconds())
 		s.m.evaluations.Inc()
 		return run, depth, err
@@ -682,12 +684,12 @@ func (s *Server) settle(ctx context.Context, v *View, params map[string]string, 
 	held := s.premisesHold(v, stamp)
 	g := v.sa
 	if !held {
-		g = v.guarded
+		g, keep = v.guarded, nil
 	}
-	run, depth, err := settleAt(g, int(v.estDepth.Load()))
+	run, depth, err := settleAt(g, int(v.estDepth.Load()), keep)
 	if err == nil && held && !s.premisesHold(v, stamp) {
 		held = false
-		run, depth, err = settleAt(v.guarded, depth)
+		run, depth, err = settleAt(v.guarded, depth, nil)
 	}
 	if err != nil {
 		return nil, err
@@ -753,15 +755,37 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleExplain answers GET /views/{name}/explain with the plan
-// rendered at prepare time.
+// rendered at prepare time, and GET /views/{name}/explain?path=P with
+// the plan a fragment request for P settles while the view's premises
+// hold: the mediator's plan pruned to P's verdict, at the view's current
+// unfolding depth.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	v := s.View(r.PathValue("name"))
 	if v == nil {
 		http.Error(w, "no such view", http.StatusNotFound)
 		return
 	}
+	plan := v.Plan()
+	if expr := r.URL.Query().Get("path"); expr != "" {
+		fp, err := v.fragmentPlan(expr, s.reg)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		switch {
+		case !v.cert.Certified:
+			plan = fmt.Sprintf("fragment %s: selected from the whole document's plan (the view keeps guards)\n", fp.expr)
+		case fp.partial:
+			plan = fmt.Sprintf("fragment %s: served by the partial evaluator (the path has predicates)\n", fp.expr)
+		default:
+			if plan, err = v.med.ExplainFragment(v.sa, int(v.estDepth.Load()), fp.verdict); err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+		}
+	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, v.Plan())
+	fmt.Fprint(w, plan)
 }
 
 // handleMetrics answers GET /metrics in Prometheus text format.

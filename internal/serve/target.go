@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"github.com/aigrepro/aig/internal/ivm"
+	"github.com/aigrepro/aig/internal/mediator"
 	"github.com/aigrepro/aig/internal/obs"
-	"github.com/aigrepro/aig/internal/xmltree"
 	"github.com/aigrepro/aig/internal/xpath"
 )
 
@@ -52,10 +52,10 @@ func (s *Server) entryTarget(v *View, e *cacheEntry) (target, error) {
 }
 
 // deps returns the dependency map an entry of t is judged against at
-// stamp: path-filtered while partial evaluation serves the fragment
-// there, the view's full map otherwise — a change outside the path may
-// then still make a guard abort the full evaluation, and so the
-// fragment.
+// stamp: the scans the path's verdict keeps while that verdict decides
+// what the fragment reads (partialOK), the view's full map otherwise — a
+// change outside the path may then still make a guard abort the full
+// evaluation, and so the fragment.
 func (s *Server) deps(t target, stamp string) *ivm.Deps {
 	if t.fp != nil && s.partialOK(t.v, stamp) {
 		return t.fp.deps
@@ -84,13 +84,16 @@ func (s *Server) derive(t target, stamp string) (e *cacheEntry, ok bool, err err
 	return e, true, nil
 }
 
-// fill produces t's entry at stamp. A fill for a client (out set) holds
-// an admission slot while a document settles or a fragment is partially
-// evaluated; the refresher's (out nil) holds none. A settled run is
-// emitted after the slot is released. Bytes go to out as they are
-// produced: a fragment's matches one at a time, a document's only when
-// the entry is not kept (a no-store request) — a kept document goes out
-// whole, once it is filled.
+// fill produces t's entry at stamp. While partialOK holds, a fragment
+// reads only what its path's verdict keeps: a path with predicates by
+// partial evaluation, any other from the mediator's plan pruned to the
+// verdict. Otherwise it settles the whole document, guarded where the
+// premises are broken. A fill for a client (out set) holds an admission
+// slot while it evaluates or settles; the refresher's (out nil) holds
+// none. A settled run is emitted after the slot is released. Bytes go to
+// out as they are produced: a fragment's matches one at a time, a
+// document's only when the entry is not kept (a no-store request) — a
+// kept document goes out whole, once it is filled.
 func (s *Server) fill(ctx context.Context, t target, stamp string, out *stream, keep bool) (*cacheEntry, error) {
 	e := &cacheEntry{stamp: stamp}
 	if t.fp != nil {
@@ -105,13 +108,18 @@ func (s *Server) fill(ctx context.Context, t target, stamp string, out *stream, 
 		}
 		return s.admitted(ctx, fn)
 	}
+	pruned := t.fp != nil && s.partialOK(t.v, stamp)
 	var err error
-	if t.fp != nil && s.partialOK(t.v, stamp) {
+	if pruned && t.fp.partial {
 		err = slot(func() error { return s.evalPartial(ctx, t, e, out) })
 	} else {
+		var verdict mediator.Verdict
+		if pruned {
+			verdict = t.fp.verdict
+		}
 		var st *settled
 		if err = slot(func() (err error) {
-			st, err = s.settle(ctx, t.v, t.params, stamp)
+			st, err = s.settle(ctx, t.v, t.params, stamp, verdict)
 			return err
 		}); err == nil {
 			e.depth, e.evalSec = st.depth, st.run.Report.WallSec
@@ -126,8 +134,8 @@ func (s *Server) fill(ctx context.Context, t target, stamp string, out *stream, 
 }
 
 // render emits a settled run as t's body, timed as the request's
-// "render" span: a document whole, a fragment as its path's matches in
-// the run's tree.
+// "render" span: a document whole, a fragment as its path's matches,
+// each written as it closes by the path sink on the run's tag walk.
 func (s *Server) render(t target, st *settled, e *cacheEntry, out *stream, keep bool) error {
 	tr, parent := obs.SpanFromContext(st.ctx)
 	sp := tr.StartSpan("render", parent)
@@ -135,14 +143,11 @@ func (s *Server) render(t target, st *settled, e *cacheEntry, out *stream, keep 
 	var err error
 	switch {
 	case t.fp != nil:
-		var doc *xmltree.Node
-		if doc, err = st.run.Tree(); err == nil {
-			for _, m := range xpath.Select(doc, t.fp.path) {
-				if err = e.addMatch(m, out); err != nil {
-					break
-				}
-			}
+		m := xpath.NewStream(t.fp.path, fragWriter{e, out})
+		if err = st.run.Tag(m); err == nil {
+			err = m.Err()
 		}
+		e.matches = m.Matches()
 		n = int64(len(e.body))
 	case keep:
 		buf := bytes.NewBuffer(make([]byte, 0, t.v.lastSize.Load()))

@@ -71,8 +71,9 @@ type View struct {
 	// render's buffer starts at that capacity.
 	lastSize atomic.Int64
 
-	// fragPlans memoizes per-path fragment compilation (pushdown analysis
-	// and the path-filtered dependency map), keyed by canonical rendering.
+	// fragPlans memoizes per-path fragment compilation (pushdown analysis,
+	// the path's verdict and its dependency map), keyed by canonical
+	// rendering.
 	fragMu    sync.Mutex
 	fragPlans map[string]*fragPlan
 
@@ -226,8 +227,9 @@ func (s *Server) premisesHold(v *View, stamp string) bool {
 	return pv.held
 }
 
-// partialOK reports whether partial evaluation may serve a fragment at
-// stamp: no guard is left to run, and the premises that removed them hold.
+// partialOK reports whether a path's verdict may decide what a fragment
+// reads at stamp — by partial evaluation or the pruned plan: no guard is
+// left to run, and the premises that removed them hold.
 func (s *Server) partialOK(v *View, stamp string) bool {
 	return v.cert.Certified && s.premisesHold(v, stamp)
 }

@@ -3,6 +3,7 @@ package specialize
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"github.com/aigrepro/aig/internal/aig"
 	"github.com/aigrepro/aig/internal/dtd"
@@ -111,6 +112,16 @@ func UnfoldInfo(a *aig.AIG, depth int) (*aig.AIG, []TruncProbe, error) {
 }
 
 func levelName(t string, level int) string { return fmt.Sprintf("%s@%d", t, level) }
+
+// ReplicaOf returns the type an unfolded replica type replicates
+// ("treatment@3" is a replica of "treatment"); any other name, "" included,
+// is returned as it is. DTD names cannot contain '@'.
+func ReplicaOf(t string) string {
+	if i := strings.LastIndexByte(t, '@'); i >= 0 {
+		return t[:i]
+	}
+	return t
+}
 
 type unfolder struct {
 	src    *aig.AIG

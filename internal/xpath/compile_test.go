@@ -180,7 +180,7 @@ func TestLiveScans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keep := c.LiveScans(a)
+	keep := c.Verdict(a).Keep
 	for _, ts := range scans {
 		if !keep(ts.Elem, ts.Child) {
 			t.Errorf("/report drops scan (%s, %s) of %s:%s", ts.Elem, ts.Child, ts.Source, ts.Table)
@@ -191,7 +191,7 @@ func TestLiveScans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keep = c.LiveScans(a)
+	keep = c.Verdict(a).Keep
 	dead := map[string]bool{"treatments": true, "treatment": true, "procedure": true, "bill": true, "item": true}
 	kept := 0
 	for _, ts := range scans {

@@ -8,40 +8,61 @@ import (
 	"github.com/aigrepro/aig/internal/dtd"
 )
 
-// LiveScans computes which semantic-rule queries a fragment request for
-// this path can possibly run, as a (rule element, child) filter over
-// specialize.TableScans — the refresher passes it to ivm.ExtractFiltered
-// so cached fragments are judged dirty only by deltas that touch their
-// reachable scans. The analysis abstracts the cursor over the same
-// (element type × state set) pairs partial evaluation walks, with every
-// runtime-decided predicate taken both ways; the result is therefore a
-// superset of the scans any concrete evaluation runs, which is what
-// makes restamping on an Unaffected verdict sound.
-func (c *Compiled) LiveScans(a *aig.AIG) func(elem, child string) bool {
+// Verdict is the liveness analysis of one path over one grammar, as one
+// keep-or-drop decision per (parent type, child type) edge, copy edges
+// included. An edge is kept when some evaluation of the path may need
+// its child's instances: the child can match a step or hold a match
+// below it, is a child a [child='X'] test reads, or feeds the
+// inherited attribute of a kept sibling through its Syn — and then its
+// whole subtree is kept, as is every matched element's. A choice's
+// condition query is the edge (choice, "").
+//
+// Two consumers read the one verdict, so what a fragment reads and what
+// invalidates its cached bytes cannot drift apart: ivm.ExtractFiltered
+// keeps the scans of the kept edges (the refresher's dependency map),
+// and the mediator prunes its plan to them (mediator.Verdict). The
+// analysis walks the same (element type × state set) pairs partial
+// evaluation does, with every runtime-decided predicate taken both
+// ways, so it keeps a superset of what any concrete evaluation reads —
+// which is what makes restamping on an Unaffected verdict sound.
+type Verdict struct {
+	key string
+	// live marks single edges: (rule element, child) pairs whose query
+	// or copy an evaluation may run. A choice condition is (elem, "").
+	live map[pushKey]bool
+	// full marks element types whose whole subtree may be evaluated
+	// (collected, verified, read by a predicate, or forced by a sibling's
+	// Syn dependency) — every edge at or below them is kept.
+	full map[string]bool
+}
+
+// Verdict runs the liveness analysis of the path over grammar a, the
+// grammar c was compiled against.
+func (c *Compiled) Verdict(a *aig.AIG) *Verdict {
 	lv := &liveness{
 		c:    c,
 		a:    a,
 		seen: make(map[string]bool),
-		live: make(map[pushKey]bool),
-		full: make(map[string]bool),
+		v:    &Verdict{key: c.path.String(), live: make(map[pushKey]bool), full: make(map[string]bool)},
 	}
 	lv.process(a.DTD.Root, []int{0})
-	return func(elem, child string) bool {
-		return lv.full[elem] || lv.live[pushKey{elem: elem, child: child}]
-	}
+	return lv.v
 }
+
+// Keep reports whether the edge from parent to child is kept; child ""
+// is a choice's condition query.
+func (v *Verdict) Keep(parent, child string) bool {
+	return v.full[parent] || v.live[pushKey{elem: parent, child: child}]
+}
+
+// Key is the path's canonical rendering.
+func (v *Verdict) Key() string { return v.key }
 
 type liveness struct {
 	c    *Compiled
 	a    *aig.AIG
 	seen map[string]bool
-	// live marks single scans: (rule element, child) pairs whose query
-	// partial evaluation may run. A choice condition is (elem, "").
-	live map[pushKey]bool
-	// full marks element types whose whole subtree may be evaluated
-	// (collected, verified, or forced by a sibling's Syn dependency) —
-	// every scan at or below them is live.
-	full map[string]bool
+	v    *Verdict
 }
 
 // judge abstracts cursor.Child for an instance of type t under the
@@ -70,6 +91,7 @@ func (lv *liveness) judge(t string, states []int) (hot bool, next []int) {
 				if _, pushable := lv.c.push[pushKey{elem: t, child: p.Child}]; !pushable {
 					hot = true // FragVerify evaluates the whole subtree
 				}
+				lv.keepLabeled(t, p.Child) // a matcher on the tree reads them
 			}
 		}
 		if fail {
@@ -111,7 +133,7 @@ func (lv *liveness) process(t string, states []int) {
 	if hot {
 		lv.markFull(t)
 	}
-	if len(next) == 0 || lv.full[t] {
+	if len(next) == 0 || lv.v.full[t] {
 		return // nothing (more) can run below this instance
 	}
 	prod, ok := lv.a.DTD.Production(t)
@@ -125,7 +147,7 @@ func (lv *liveness) process(t string, states []int) {
 	case dtd.ProdStar:
 		child := prod.Children[0]
 		if lv.needChild(child, next) {
-			lv.live[pushKey{elem: t, child: child}] = true
+			lv.v.live[pushKey{elem: t, child: child}] = true
 			lv.process(child, next)
 		}
 	case dtd.ProdSeq:
@@ -161,7 +183,7 @@ func (lv *liveness) process(t string, states []int) {
 		}
 		for c := range occurs {
 			if need[c] || full[c] {
-				lv.live[pushKey{elem: t, child: c}] = true
+				lv.v.live[pushKey{elem: t, child: c}] = true
 			}
 			if full[c] {
 				lv.markFull(c)
@@ -171,12 +193,27 @@ func (lv *liveness) process(t string, states []int) {
 		}
 	case dtd.ProdChoice:
 		// The condition query always runs on a descended instance.
-		lv.live[pushKey{elem: t, child: ""}] = true
+		lv.v.live[pushKey{elem: t, child: ""}] = true
 		for _, c := range prod.Children {
 			if lv.needChild(c, next) {
-				lv.live[pushKey{elem: t, child: c}] = true
+				lv.v.live[pushKey{elem: t, child: c}] = true
 				lv.process(c, next)
 			}
+		}
+	}
+}
+
+// keepLabeled keeps, whole, the children of type t that carry label:
+// the elements a [label='X'] test on an instance of t compares.
+func (lv *liveness) keepLabeled(t, label string) {
+	prod, ok := lv.a.DTD.Production(t)
+	if !ok {
+		return
+	}
+	for _, k := range prod.Children {
+		if lv.c.label(k) == label {
+			lv.v.live[pushKey{elem: t, child: k}] = true
+			lv.markFull(k)
 		}
 	}
 }
@@ -184,10 +221,10 @@ func (lv *liveness) process(t string, states []int) {
 // markFull marks a type and every type derivable below it as fully
 // evaluated: all their scans are live.
 func (lv *liveness) markFull(t string) {
-	if lv.full[t] {
+	if lv.v.full[t] {
 		return
 	}
-	lv.full[t] = true
+	lv.v.full[t] = true
 	if prod, ok := lv.a.DTD.Production(t); ok {
 		for _, c := range prod.Children {
 			lv.markFull(c)

@@ -6,8 +6,9 @@ import (
 
 // Select evaluates the path over a rendered document and returns the
 // matched elements in document order — the post-hoc oracle against
-// which the partial evaluator is differentially tested. Matches are
-// outermost-only: a matched element's descendants are not searched.
+// which the partial evaluator and the pruned plan's Stream are
+// differentially tested. Matches are outermost-only: a matched element's
+// descendants are not searched.
 func Select(root *xmltree.Node, p *Path) []*xmltree.Node {
 	if root == nil || len(p.Steps) == 0 {
 		return nil

@@ -5,8 +5,13 @@
 // by predicates — equality on a child element's text ([name='X']) and
 // 1-based position ([2]).
 //
-// Semantics (shared verbatim by the post-hoc matcher in this package
-// and the partial evaluator driving aig.EvalPartial):
+// Three matchers share the semantics below verbatim: Select, the
+// post-hoc matcher over a rendered tree (the oracle); Stream, which
+// matches a document handed to it as the mediator's tag walk emits it
+// and writes the matches as they close; and the cursor driving
+// aig.EvalPartial, which decides per instance while the document is
+// being evaluated. Compiled.Verdict is the static side of the same
+// semantics: the grammar edges any of them may need.
 //
 //   - A path is absolute: the first step is matched against the
 //     document root ("/" from a virtual document node whose only child
@@ -115,6 +120,16 @@ func (p *Path) String() string {
 // Format is String under the name the rest of the toolchain uses for
 // canonical renderings.
 func (p *Path) Format() string { return p.String() }
+
+// HasPredicates reports whether any step carries a predicate.
+func (p *Path) HasPredicates() bool {
+	for _, s := range p.Steps {
+		if len(s.Preds) > 0 {
+			return true
+		}
+	}
+	return false
+}
 
 // nameMatches reports whether a step's name test accepts an element
 // label.
