@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-serve vet fmt lint fmt-check staticcheck fuzz-smoke alloc-budget soak soak-ivm soak-certify soak-recover soak-fragment serve loadtest smoke-serve smoke-trace smoke-restart smoke-cluster smoke-fragment bench-cluster test-bench bench-contract bench-unit ci bench clean
+.PHONY: all build test race race-serve vet fmt lint fmt-check staticcheck fuzz-smoke alloc-budget soak soak-ivm soak-certify soak-recover soak-fragment serve loadtest smoke-serve smoke-trace smoke-restart smoke-cluster smoke-fragment bench-cluster test-bench bench-contract bench-unit loc ci bench clean
 
 all: build
 
@@ -178,6 +178,14 @@ alloc-budget:
 bench-unit:
 	$(GO) test -run '^$$' -bench 'EvaluateRecursive/bench250|Fragment' -benchtime 90x -cpu 2 -benchmem ./internal/mediator
 	$(GO) test -run '^$$' -bench 'ParamJoin/one-row|HashJoin/rows=10000' -benchtime 1000x -cpu 2 -benchmem ./internal/sqlmini
+
+# loc prints the tracked line counts: non-test Go of the root module
+# (bench/ is its own module), non-test Go of bench/, and shell scripts.
+# It counts the files git tracks, so stage new files first.
+loc:
+	@printf 'root-module non-test Go: '; git ls-files -- '*.go' ':!*_test.go' ':!bench/' | xargs cat | wc -l
+	@printf 'bench/ non-test Go:      '; git ls-files -- 'bench/*.go' ':!bench/*_test.go' | xargs cat | wc -l
+	@printf 'shell:                   '; git ls-files -- '*.sh' | xargs cat | wc -l
 
 # ci is what .github/workflows/ci.yml runs (plus staticcheck, which CI
 # fetches pinned), minus bench-cluster, which the workflow still runs

@@ -106,9 +106,8 @@ type stats struct {
 	Skipped   int `json:"skipped,omitempty"`
 
 	// Fragment-mode counters (-fragment).
-	Paths     int `json:"paths,omitempty"`
-	Checks    int `json:"path_comparisons,omitempty"`
-	PlanSkips int `json:"plan_comparisons_skipped,omitempty"`
+	Paths  int `json:"paths,omitempty"`
+	Checks int `json:"path_comparisons,omitempty"`
 
 	// Recovery-mode counters (-recover).
 	Records   int `json:"wal_records,omitempty"`
@@ -238,7 +237,6 @@ func main() {
 				st.Checks += out.Checks
 				st.Restamps += out.Restamps
 				st.Fulls += out.Fulls
-				st.PlanSkips += out.PlanSkips
 				if out.Skipped {
 					st.Skipped++
 				}
@@ -292,8 +290,8 @@ func main() {
 			st.Instances, st.Keys, st.FKs, st.MustHold, st.Unknown, st.Violated,
 			st.Steps, st.Asserted, st.Voided, st.Unevaluated, st.Pruned, st.Fallbacks, st.Seconds, st.Divergences)
 	} else if *fragmentMode {
-		fmt.Printf("aigdiff -fragment: %d instances (%d skipped), %d paths, %d mutation steps, %d fragment comparisons (%d without a pruned-plan reference): %d restamps, %d rebuilds in %.2fs, %d divergences\n",
-			st.Instances, st.Skipped, st.Paths, st.Steps, st.Checks, st.PlanSkips, st.Restamps, st.Fulls, st.Seconds, st.Divergences)
+		fmt.Printf("aigdiff -fragment: %d instances (%d skipped), %d paths, %d mutation steps, %d fragment comparisons: %d restamps, %d rebuilds in %.2fs, %d divergences\n",
+			st.Instances, st.Skipped, st.Paths, st.Steps, st.Checks, st.Restamps, st.Fulls, st.Seconds, st.Divergences)
 	} else if *ivmMode {
 		fmt.Printf("aigdiff -ivm: %d instances (%d skipped), %d mutation steps: %d restamps, %d full refreshes, %d truncated windows in %.2fs, %d divergences\n",
 			st.Instances, st.Skipped, st.Steps, st.Restamps, st.Fulls, st.Truncated, st.Seconds, st.Divergences)

@@ -298,12 +298,9 @@ func (a *AIG) evalChoice(env *Env, elem string, node *xmltree.Node, p dtd.Produc
 	if err != nil {
 		return nil, err
 	}
-	if out.Len() == 0 || out.Row(0)[0].Kind() != relstore.KindInt {
-		return nil, fmt.Errorf("aig: condition query of %s must return one integer, got %s", elem, out)
-	}
-	i := int(out.Row(0)[0].AsInt())
-	if i < 1 || i > len(p.Children) {
-		return nil, fmt.Errorf("aig: condition query of %s returned %d, want 1..%d", elem, i, len(p.Children))
+	i, err := chooseBranch(elem, inh, out, len(p.Children))
+	if err != nil {
+		return nil, err
 	}
 	child := p.Children[i-1]
 	var branch Branch
@@ -323,6 +320,32 @@ func (a *AIG) evalChoice(env *Env, elem string, node *xmltree.Node, p dtd.Produc
 	node.AppendChild(childNode)
 	synScope := &InstanceScope{Syns: []ChildSyns{{Elem: child, All: []*AttrValue{childSyn}}}}
 	return a.evalSynRule(env, elem, branch.Syn, synScope)
+}
+
+// chooseBranch reads the alternative a choice condition selects for one
+// instance of elem from the rows its query returned for it: every row
+// must hold an integer in 1..n, and all of them the same one. Rows that
+// disagree fail naming the instance by its inherited attribute; the
+// mediator's branch split applies the same rule.
+func chooseBranch(elem string, inh *AttrValue, out *relstore.Table, n int) (int, error) {
+	if out.Len() == 0 {
+		return 0, fmt.Errorf("aig: condition query of %s must return one integer, got %s", elem, out)
+	}
+	b := 0
+	for _, row := range out.Rows() {
+		if row[0].Kind() != relstore.KindInt {
+			return 0, fmt.Errorf("aig: condition query of %s must return one integer, got %s", elem, out)
+		}
+		i := int(row[0].AsInt())
+		if i < 1 || i > n {
+			return 0, fmt.Errorf("aig: condition query of %s returned %d, want 1..%d", elem, i, n)
+		}
+		if b != 0 && i != b {
+			return 0, fmt.Errorf("aig: condition query of %s returned %d and %d for the instance with Inh %s", elem, b, i, inh)
+		}
+		b = i
+	}
+	return b, nil
 }
 
 // evalInhSingle evaluates a non-star inherited-attribute rule into target.

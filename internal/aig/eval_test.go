@@ -220,9 +220,11 @@ func errorsAs(err error, target **aig.AbortError) bool {
 	return false
 }
 
-func TestChoiceProduction(t *testing.T) {
-	// A small grammar with a choice: result -> cheap + pricey, selected by
-	// a condition query over the data.
+// bandsGrammar is a small grammar with a choice: result -> cheap +
+// pricey, selected by a condition query over the bands table. The root's
+// Inh names the trId to look up.
+func bandsGrammar(t *testing.T) (*aig.AIG, *relstore.Table, *aig.Env) {
+	t.Helper()
 	d := dtd.MustParse(`
 		<!ELEMENT result (cheap | pricey)>
 		<!ELEMENT cheap (#PCDATA)>
@@ -271,6 +273,11 @@ func TestChoiceProduction(t *testing.T) {
 		Data:    sqlmini.CatalogData{Catalog: cat},
 		Stats:   sqlmini.CatalogStats{Catalog: cat},
 	}
+	return a, bands, env
+}
+
+func TestChoiceProduction(t *testing.T) {
+	a, _, env := bandsGrammar(t)
 	inh := aig.NewAttrValue(a.Inh["result"])
 	if err := inh.SetScalar("trId", relstore.String("t1")); err != nil {
 		t.Fatal(err)
@@ -282,7 +289,7 @@ func TestChoiceProduction(t *testing.T) {
 	if doc.Child("cheap") == nil || doc.Child("pricey") != nil {
 		t.Errorf("t1 should pick cheap:\n%s", doc)
 	}
-	if err := dtd.Conforms(d, doc); err != nil {
+	if err := dtd.Conforms(a.DTD, doc); err != nil {
 		t.Error(err)
 	}
 
@@ -303,6 +310,45 @@ func TestChoiceProduction(t *testing.T) {
 	}
 	if _, err := a.Eval(env, inh); err == nil {
 		t.Error("missing band row should make the condition query fail")
+	}
+}
+
+// TestChoiceConditionRows gives the condition query several rows for one
+// instance. Rows that agree select their branch, in Eval and EvalPartial
+// alike; rows that disagree fail both, naming the instance by its Inh.
+func TestChoiceConditionRows(t *testing.T) {
+	a, bands, env := bandsGrammar(t)
+	inh := aig.NewAttrValue(a.Inh["result"])
+	if err := inh.SetScalar("trId", relstore.String("t1")); err != nil {
+		t.Fatal(err)
+	}
+	eval := func() (*xmltree.Node, *xmltree.Node, error, error) {
+		doc, err := a.Eval(env, inh)
+		var frag *xmltree.Node
+		perr := a.EvalPartial(env, inh, collectCursor{target: "result"},
+			func(n *xmltree.Node) error { frag = n; return nil })
+		return doc, frag, err, perr
+	}
+
+	bands.MustInsert(relstore.Tuple{relstore.String("t1"), relstore.Int(1)})
+	doc, frag, err, perr := eval()
+	if err != nil || perr != nil {
+		t.Fatalf("agreeing rows: Eval %v, EvalPartial %v", err, perr)
+	}
+	if doc.Child("cheap") == nil || doc.Child("pricey") != nil {
+		t.Errorf("agreeing rows should pick cheap:\n%s", doc)
+	}
+	if !frag.Equal(doc) {
+		t.Errorf("EvalPartial differs from Eval:\n%s\n%s", frag, doc)
+	}
+
+	bands.MustInsert(relstore.Tuple{relstore.String("t1"), relstore.Int(2)})
+	const want = "for the instance with Inh (trId='t1')"
+	_, _, err, perr = eval()
+	for name, err := range map[string]error{"Eval": err, "EvalPartial": perr} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("disagreeing rows: %s error %v, want one containing %q", name, err, want)
+		}
 	}
 }
 

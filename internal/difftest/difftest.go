@@ -308,7 +308,6 @@ func matrix() []matrixCell {
 	}{
 		{"level", mediator.ScheduleLevel},
 		{"fifo", mediator.ScheduleFIFO},
-		{"dynamic", mediator.ScheduleDynamic},
 	}
 	var cells []matrixCell
 	for _, merge := range []bool{true, false} {

@@ -115,9 +115,7 @@ type FragmentOutcome struct {
 	// Steps counts applied mutations, Checks individual path comparisons,
 	// Restamps how many (path, step) pairs the filtered-deps judge proved
 	// irrelevant (cached fragment kept and byte-verified), Fulls the rest.
-	// PlanSkips counts comparisons the pruned-plan leg skipped because the
-	// whole mediator plan fails or differs from aig.Eval there too.
-	Steps, Checks, Restamps, Fulls, PlanSkips int
+	Steps, Checks, Restamps, Fulls int
 	// Skipped reports the instance was unusable (its constraint-free
 	// evaluation fails even before mutations).
 	Skipped bool
@@ -232,11 +230,10 @@ func CheckFragment(inst *randaig.Instance, paths []string, muts []Mutation, opts
 		return sb.String(), err
 	}
 
-	// planFragment settles the plan pruned to keep's verdict (nil: the
-	// whole document's) and streams the path's matches, reporting the
-	// tables the plan queried.
-	planFragment := func(fs *fragState, keep mediator.Verdict) (string, []mediator.Scan, error) {
-		run, _, err := med.Settle(context.Background(), decU, inst.RootInh, 0, 0, keep)
+	// planFragment settles the plan pruned to the path's verdict and
+	// streams the path's matches, reporting the tables the plan queried.
+	planFragment := func(fs *fragState) (string, []mediator.Scan, error) {
+		run, _, err := med.Settle(context.Background(), decU, inst.RootInh, 0, 0, fs.verdict)
 		if err != nil {
 			return "", nil, err
 		}
@@ -253,18 +250,11 @@ func CheckFragment(inst *randaig.Instance, paths []string, muts []Mutation, opts
 	// planLeg compares the pruned plan's fragment with the oracle's want
 	// and its queries with the path's deps.
 	planLeg := func(fs *fragState, want, stepDesc string) *Divergence {
-		got, scans, err := planFragment(fs, fs.verdict)
-		if err != nil || got != want {
-			// A pruned plan is only as right as the whole one: where the
-			// mediator itself departs from aig.Eval on this data (the
-			// evaluation matrix's concern), the leg has no reference.
-			if whole, _, werr := planFragment(fs, nil); werr != nil || whole != want {
-				out.PlanSkips++
-				return nil
-			}
-			if err != nil {
-				return mkLegDiv("fragment-plan", fmt.Sprintf("%s: path %q: the pruned plan failed while the oracle succeeded: %v", stepDesc, fs.expr, err), want, "")
-			}
+		got, scans, err := planFragment(fs)
+		if err != nil {
+			return mkLegDiv("fragment-plan", fmt.Sprintf("%s: path %q: the pruned plan failed while the oracle succeeded: %v", stepDesc, fs.expr, err), want, "")
+		}
+		if got != want {
 			return mkLegDiv("fragment-plan", fmt.Sprintf("%s: path %q: the pruned plan's fragment differs from post-hoc oracle", stepDesc, fs.expr), want, got)
 		}
 		for _, sc := range scans {

@@ -23,7 +23,7 @@ func TestFragmentOracle(t *testing.T) {
 	if testing.Short() {
 		n, muts = 10, 8
 	}
-	var steps, checks, restamps, fulls, planSkips, skipped, pathless int
+	var steps, checks, restamps, fulls, skipped, pathless int
 	cfg := randaig.DefaultConfig()
 	for seed := int64(0); seed < int64(n); seed++ {
 		inst, err := randaig.Generate(seed, cfg)
@@ -48,7 +48,6 @@ func TestFragmentOracle(t *testing.T) {
 		checks += out.Checks
 		restamps += out.Restamps
 		fulls += out.Fulls
-		planSkips += out.PlanSkips
 	}
 	if checks == 0 {
 		t.Fatal("no path comparison ran across the whole sweep")
@@ -62,11 +61,8 @@ func TestFragmentOracle(t *testing.T) {
 	if fulls == 0 {
 		t.Error("no delta ever invalidated a fragment — rebuild path untested")
 	}
-	if planSkips*10 > checks {
-		t.Errorf("the pruned-plan leg had no reference in %d of %d comparisons", planSkips, checks)
-	}
-	t.Logf("%d instances (%d skipped, %d without paths), %d steps, %d comparisons (%d without a pruned-plan reference): %d restamps, %d rebuilds",
-		n, skipped, pathless, steps, checks, planSkips, restamps, fulls)
+	t.Logf("%d instances (%d skipped, %d without paths), %d steps, %d comparisons: %d restamps, %d rebuilds",
+		n, skipped, pathless, steps, checks, restamps, fulls)
 }
 
 // TestGenerateFragmentPathsDeterministicAndValid requires the path

@@ -81,11 +81,7 @@ func (k *keptMediator) check(step string, truthDoc *xmltree.Node, truthErr error
 		return mkDiv("kept-alive mediator's document differs from a fresh mediator's",
 			render(freshDoc, freshErr), render(keptDoc, keptErr))
 	}
-	// Mutations reach states the generator never produces (a condition
-	// query returning several rows) on which the mediator rejects what
-	// the conceptual evaluator tolerates, with or without a cache; there
-	// only the fresh mediator is a meaningful reference.
-	if (freshErr == nil || isAbort(freshErr)) && !sameOutcome(truthDoc, truthErr, keptDoc, keptErr) {
+	if !sameOutcome(truthDoc, truthErr, keptDoc, keptErr) {
 		return mkDiv("kept-alive mediator's document differs from the conceptual evaluation",
 			render(truthDoc, truthErr), render(keptDoc, keptErr))
 	}

@@ -111,16 +111,6 @@ func (d Diagnostic) String() string {
 	return b.String()
 }
 
-// HasErrors reports whether any diagnostic is an Error.
-func HasErrors(diags []Diagnostic) bool {
-	for _, d := range diags {
-		if d.Severity == Error {
-			return true
-		}
-	}
-	return false
-}
-
 // Source parses spec text and lints the resulting grammar. Parse
 // failures are reported as AIG001 diagnostics rather than an error, so
 // callers handle malformed and well-formed specs uniformly.

@@ -136,86 +136,82 @@ func TestMediatorConcurrentEvaluateRecursive(t *testing.T) {
 }
 
 // TestSharedPlanConcurrentWithWrites runs many evaluations with different
-// root parameters over one shared prepared plan — static and dynamic
-// scheduling, plain and re-unrolling — while a writer keeps moving the
-// epoch with rows no evaluated date reads. Plans are replaced under the
-// evaluations' feet; every document must still match the serial one.
+// root parameters over one shared prepared plan — plain and re-unrolling —
+// while a writer keeps moving the epoch with rows no evaluated date reads.
+// Plans are replaced under the evaluations' feet; every document must
+// still match the serial one.
 func TestSharedPlanConcurrentWithWrites(t *testing.T) {
-	for _, algo := range []ScheduleAlgo{ScheduleLevel, ScheduleDynamic} {
-		cat := hospital.TinyCatalog()
-		rec := specializedHospital(t, cat)
-		unf, err := specialize.Unfold(rec, 4)
+	cat := hospital.TinyCatalog()
+	rec := specializedHospital(t, cat)
+	unf, err := specialize.Unfold(rec, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(source.RegistryFromCatalog(cat), DefaultOptions())
+
+	dates := []string{"d1", "d2", "d3"}
+	want := make(map[string]string, len(dates))
+	for _, d := range dates {
+		res, err := m.Evaluate(unf, hospital.RootInh(unf, d))
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := DefaultOptions()
-		opts.Schedule = algo
-		m := New(source.RegistryFromCatalog(cat), opts)
+		want[d] = res.Doc.Canonical()
+	}
 
-		dates := []string{"d1", "d2", "d3"}
-		want := make(map[string]string, len(dates))
-		for _, d := range dates {
-			res, err := m.Evaluate(unf, hospital.RootInh(unf, d))
-			if err != nil {
-				t.Fatal(err)
+	visit, err := cat.Table("DB1", "visitInfo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
 			}
-			want[d] = res.Doc.Canonical()
-		}
-
-		visit, err := cat.Table("DB1", "visitInfo")
-		if err != nil {
-			t.Fatal(err)
-		}
-		stop := make(chan struct{})
-		var writer sync.WaitGroup
-		writer.Add(1)
-		go func() {
-			defer writer.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if err := visit.Insert(relstore.Tuple{relstore.String("s1"), relstore.String("t1"), relstore.String("d9")}); err != nil {
-					t.Error(err)
-					return
-				}
-				runtime.Gosched()
+			if err := visit.Insert(relstore.Tuple{relstore.String("s1"), relstore.String("t1"), relstore.String("d9")}); err != nil {
+				t.Error(err)
+				return
 			}
-		}()
+			runtime.Gosched()
+		}
+	}()
 
-		before := metricPlanInvalidations.Value()
-		var wg sync.WaitGroup
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := 0; i < 10; i++ {
-					d := dates[(g+i)%len(dates)]
-					var res *Result
-					var err error
-					if g%2 == 0 {
-						res, err = m.Evaluate(unf, hospital.RootInh(unf, d))
-					} else {
-						res, _, err = m.EvaluateRecursive(rec, hospital.RootInh(rec, d), 2, 16)
-					}
-					if err != nil {
-						t.Errorf("schedule %d, goroutine %d: %v", algo, g, err)
-						return
-					}
-					if res.Doc.Canonical() != want[d] {
-						t.Errorf("schedule %d, goroutine %d: document for %s differs from the serial one", algo, g, d)
-						return
-					}
+	before := metricPlanInvalidations.Value()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				d := dates[(g+i)%len(dates)]
+				var res *Result
+				var err error
+				if g%2 == 0 {
+					res, err = m.Evaluate(unf, hospital.RootInh(unf, d))
+				} else {
+					res, _, err = m.EvaluateRecursive(rec, hospital.RootInh(rec, d), 2, 16)
 				}
-			}(g)
-		}
-		wg.Wait()
-		close(stop)
-		writer.Wait()
-		if metricPlanInvalidations.Value() == before {
-			t.Errorf("schedule %d: no plan was invalidated while the writer ran", algo)
-		}
+				if err != nil {
+					t.Errorf("goroutine %d: %v", g, err)
+					return
+				}
+				if res.Doc.Canonical() != want[d] {
+					t.Errorf("goroutine %d: document for %s differs from the serial one", g, d)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	writer.Wait()
+	if metricPlanInvalidations.Value() == before {
+		t.Error("no plan was invalidated while the writer ran")
 	}
 }

@@ -122,7 +122,6 @@ func TestSourceErrorMidPlan(t *testing.T) {
 	}{
 		{"level", ScheduleLevel},
 		{"fifo", ScheduleFIFO},
-		{"dynamic", ScheduleDynamic},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cat := hospital.TinyCatalog()
@@ -145,38 +144,6 @@ func TestSourceErrorMidPlan(t *testing.T) {
 			drainGoroutines(t, baseline)
 		})
 	}
-}
-
-// TestDynamicWakeAfterFailure blocks dynamic workers on dependencies
-// that will never finish (their producer failed) and checks the drain
-// logic wakes them instead of deadlocking.
-func TestDynamicWakeAfterFailure(t *testing.T) {
-	cat := hospital.TinyCatalog()
-	a, _ := prepared(t, cat, 3, true)
-	// Fail the very first query: every cross-source dependent is still
-	// waiting in cond.Wait at that point.
-	var calls int32
-	reg := failingRegistry(cat, &calls, 1)
-	m := New(reg, Options{Net: DefaultNet(), Schedule: ScheduleDynamic})
-
-	baseline := runtime.NumGoroutine()
-	done := make(chan error, 1)
-	go func() {
-		_, err := m.Evaluate(a, hospital.RootInh(a, "d1"))
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("failure was swallowed")
-		}
-		if !strings.Contains(err.Error(), errInjected.Error()) {
-			t.Fatalf("unexpected error: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("dynamic scheduler deadlocked after source failure")
-	}
-	drainGoroutines(t, baseline)
 }
 
 // TestEvaluateRecursiveMaxDepth makes the procedure hierarchy cyclic so

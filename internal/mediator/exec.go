@@ -44,9 +44,6 @@ type exec struct {
 	nodes     []nodeRun         // by node.idx
 	edgeBytes []int             // by edge.idx: measured shipped volume
 	partOut   []*relstore.Table // by part.idx
-	// executed is the schedule as executed: sched, or the recorded
-	// dispatch order under dynamic scheduling.
-	executed *plan
 
 	mu       sync.Mutex
 	firstErr error
@@ -54,9 +51,6 @@ type exec struct {
 	// stop the run: the unfolding loop trusts an abort only after probing
 	// the complete run's truncated contexts.
 	abort *aig.AbortError
-	// wake, set under mu by the dynamic scheduler, is called after every
-	// node completion to re-examine readiness.
-	wake func()
 	// tr/execSpan, when tracing, parent one span per node execution under
 	// the "execute" phase span.
 	tr       *obs.Tracer
@@ -66,7 +60,6 @@ type exec struct {
 // nodeRun is one node's share of the run state.
 type nodeRun struct {
 	done     chan struct{}
-	finished bool // set (under the exec mutex) before done closes
 	err      error
 	evalSec  float64
 	outRows  int
@@ -134,7 +127,7 @@ func (m *Mediator) EvaluateContext(ctx context.Context, a *aig.AIG, rootInh *aig
 // the contexts the verdict kept, and its walk skips the rest.
 type Run struct {
 	// Report describes the evaluation; PhaseSec has no "tag" phase, as
-	// the run has not been tagged.
+	// the run has not been tagged, and ResponseTimeSec is zero.
 	Report Report
 
 	x    *exec
@@ -202,7 +195,10 @@ func (r *Run) Tree() (*xmltree.Node, error) {
 }
 
 // result builds the run's tree as the "tag" phase of its evaluation:
-// timed into the report, and traced as the last child of its span.
+// timed into the report, and traced as the last child of its span. It
+// also computes the report's simulated response time, which only a
+// Result carries: the executed order is the prepared schedule, so
+// cost(P) follows from the plan and the run's measurements.
 func (r *Run) result() (*Result, error) {
 	sp, t0 := r.tr.StartSpan("tag", r.root), time.Now()
 	doc, err := r.Tree()
@@ -214,6 +210,9 @@ func (r *Run) result() (*Result, error) {
 	rep := r.Report
 	rep.PhaseSec["tag"] = sec
 	rep.WallSec += sec
+	g := r.x.g
+	rep.ResponseTimeSec = costOf(g.nodes, r.x.sched, g.opts.Net, r.x.measuredInputs())
+	r.root.SetAttr("response_time_sec", rep.ResponseTimeSec)
 	return &Result{Doc: doc, Report: rep}, nil
 }
 
@@ -233,7 +232,6 @@ func (m *Mediator) evaluate(ctx context.Context, a *aig.AIG, depth int, rootInh 
 		root.SetAttr("error", err.Error())
 	} else {
 		r.Report.WallSec = time.Since(start).Seconds()
-		root.SetAttr("response_time_sec", r.Report.ResponseTimeSec)
 	}
 	root.End()
 	return r, err
@@ -268,7 +266,6 @@ func (m *Mediator) evaluatePhases(ctx context.Context, a *aig.AIG, depth int, ro
 	}
 
 	rep := Report{
-		ResponseTimeSec:  costOf(g.nodes, x.executed, m.opts.Net, x.measuredInputs()),
 		MergedGroups:     p.merged,
 		NodeCount:        len(g.nodes),
 		EdgeCount:        len(g.edges),
@@ -289,13 +286,9 @@ func (m *Mediator) evaluatePhases(ctx context.Context, a *aig.AIG, depth int, ro
 	return &Run{Report: rep, x: x, tr: tr, root: root}, nil
 }
 
-// run executes the plan — one worker goroutine per source — and records
-// the schedule as executed (the prepared one for static schedules; the
-// dispatch order under dynamic scheduling).
+// run executes the prepared schedule: one worker goroutine per source
+// walks its sequence in order, each node waiting for its inputs.
 func (x *exec) run() error {
-	if x.g.opts.Schedule == ScheduleDynamic {
-		return x.runDynamic()
-	}
 	var wg sync.WaitGroup
 	for _, seq := range x.sched.order {
 		wg.Add(1)
@@ -308,76 +301,6 @@ func (x *exec) run() error {
 		}(seq)
 	}
 	wg.Wait()
-	x.executed = x.sched
-	return x.firstErr
-}
-
-// runDynamic dispatches per source: whenever any of a source's pending
-// nodes has all dependencies finished, the highest-priority ready node
-// runs next (§5.5's dynamic scheduling). The dispatch order is recorded
-// for cost reporting.
-func (x *exec) runDynamic() error {
-	level := x.level
-	cond := sync.NewCond(&x.mu)
-	x.wake = func() {
-		cond.Broadcast()
-	}
-	executed := &plan{order: make(map[string][]*node, len(x.sched.order))}
-	var wg sync.WaitGroup
-	for src, seq := range x.sched.order {
-		wg.Add(1)
-		go func(src string, pending []*node) {
-			defer wg.Done()
-			remaining := append([]*node(nil), pending...)
-			for len(remaining) > 0 {
-				x.mu.Lock()
-				var pick *node
-				pickAt := -1
-				for {
-					if x.firstErr != nil {
-						break
-					}
-					for i, n := range remaining {
-						ready := true
-						for _, e := range n.in {
-							if !x.nodes[e.from.idx].finished {
-								ready = false
-								break
-							}
-						}
-						if ready && (pick == nil || level[n] > level[pick]) {
-							pick, pickAt = n, i
-						}
-					}
-					if pick != nil {
-						break
-					}
-					cond.Wait()
-				}
-				failed := x.firstErr != nil
-				x.mu.Unlock()
-				if failed {
-					// Drain: mark everything finished so waiters unblock.
-					for _, n := range remaining {
-						x.mu.Lock()
-						x.nodes[n.idx].finished = true
-						x.mu.Unlock()
-						close(x.nodes[n.idx].done)
-						cond.Broadcast()
-					}
-					return
-				}
-				remaining = append(remaining[:pickAt], remaining[pickAt+1:]...)
-				x.runNode(pick)
-				x.mu.Lock()
-				executed.order[src] = append(executed.order[src], pick)
-				x.mu.Unlock()
-				cond.Broadcast()
-			}
-		}(src, seq)
-	}
-	wg.Wait()
-	x.executed = executed
 	return x.firstErr
 }
 
@@ -408,14 +331,7 @@ func (x *exec) runNode(n *node) {
 			}
 			sp.End()
 		}
-		x.mu.Lock()
-		nr.finished = true
-		wake := x.wake
-		x.mu.Unlock()
 		close(nr.done)
-		if wake != nil {
-			wake()
-		}
 	}()
 	x.mu.Lock()
 	failed := x.firstErr != nil

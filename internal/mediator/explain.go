@@ -67,15 +67,12 @@ func (m *Mediator) ExplainAnalyze(a *aig.AIG, rootInh *aig.AttrValue) (string, *
 }
 
 // renderPlan is the shared renderer behind Explain (x == nil: the
-// prepared plan, estimates only) and ExplainAnalyze (the plan in the
-// order run x executed it, estimates next to the actuals x measured and
-// the estimation error).
+// prepared plan, estimates only) and ExplainAnalyze (the same plan as run
+// x executed it, estimates next to the actuals x measured and the
+// estimation error).
 func renderPlan(pp *preparedPlan, res *Result, x *exec) string {
 	g, p := pp.g, pp.sched
 	analyze := x != nil
-	if analyze {
-		p = x.executed
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "dependency graph: %d nodes, %d edges", len(g.nodes), len(g.edges))
 	if g.opts.Merge {

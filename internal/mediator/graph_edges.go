@@ -261,6 +261,7 @@ func (g *graph) buildCond(ctx context.Context, c *ctxNode, r *aig.Rule) (*node, 
 	split.estCost = localCost(g.opts.Net, g.estRows[c.path], false)
 	g.addEdge(qn, split, pt.estBytes)
 	nBranches := len(c.children)
+	decl := g.a.Inh[c.elem]
 	split.runLocal = func(x *exec) (int, error) {
 		out := x.partOut[pt.idx]
 		if out == nil {
@@ -283,9 +284,11 @@ func (g *graph) buildCond(ctx context.Context, c *ctxNode, r *aig.Rule) (*node, 
 			if err != nil {
 				return 0, err
 			}
-			if all[id].branch == 0 {
-				all[id].branch = b
+			// Every row for an instance must agree (aig.Eval's rule).
+			if prev := all[id].branch; prev != 0 && prev != b {
+				return 0, fmt.Errorf("mediator: condition of %s returned %d and %d for the instance with Inh %s", c.path, prev, b, x.st.table(c).inh.value(decl, id))
 			}
+			all[id].branch = b
 		}
 		for i := range all {
 			if all[i].branch == 0 {

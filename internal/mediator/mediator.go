@@ -73,7 +73,9 @@ func (n NetModel) TransCost(s1, s2 string, bytes int) float64 {
 	return hop
 }
 
-// ScheduleAlgo selects the per-source query ordering strategy.
+// ScheduleAlgo selects how the plan orders each source's queries. The
+// order is fixed when the plan is prepared; every evaluation executes it
+// as it stands, one worker per source.
 type ScheduleAlgo int
 
 // The scheduling algorithms.
@@ -84,12 +86,6 @@ const (
 	// ScheduleFIFO is the ablation baseline: queries run in graph
 	// construction order.
 	ScheduleFIFO
-	// ScheduleDynamic is the extension sketched in §5.5/§7: each source
-	// worker dispatches, at run time, whichever of its pending queries has
-	// all inputs available, breaking ties by the §5.3 path-cost priority.
-	// A statically early query whose inputs are late no longer blocks the
-	// queue behind it.
-	ScheduleDynamic
 )
 
 // Options configures a mediator evaluation.
@@ -97,7 +93,8 @@ type Options struct {
 	// Merge enables Algorithm Merge (§5.4). Figure 10 is the ratio of
 	// evaluation time with Merge off to Merge on.
 	Merge bool
-	// Schedule selects the scheduling algorithm.
+	// Schedule selects the order in which each source runs its queries,
+	// fixed at plan time.
 	Schedule ScheduleAlgo
 	// CopyElim enables copy elimination (§4): element types whose
 	// inherited attributes are pure projections of their parent's are not
@@ -124,7 +121,10 @@ func DefaultOptions() Options {
 // executed plan (the paper's cost(P)) and volume counters.
 type Report struct {
 	// ResponseTimeSec is cost(P): the maximum completion time over all
-	// plan nodes on the virtual clock.
+	// plan nodes on the virtual clock, from the run's measured engine
+	// times and shipped volumes. It is computed when a Result is built
+	// (Evaluate, EvaluateRecursive, ExplainAnalyze); a settled Run's
+	// report leaves it zero.
 	ResponseTimeSec float64
 	// SourceQueryCount is the number of query requests issued to real
 	// sources after merging.

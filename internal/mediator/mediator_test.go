@@ -303,6 +303,54 @@ func TestChoiceInMediator(t *testing.T) {
 	}
 }
 
+// TestChoiceConditionRows gives a choice condition several rows for one
+// instance (and the star above it a second instance with the same trId).
+// Rows that agree select their branch, as aig.Eval selects it; rows that
+// disagree fail the evaluation naming the instance by its Inh.
+func TestChoiceConditionRows(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		band    int64
+		wantErr string
+	}{
+		{"agree", 1, ""},
+		{"disagree", 2, "for the instance with Inh (trId='t1')"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, cat := choiceFixture(t)
+			bands, err := cat.Table("DB", "bands")
+			if err != nil {
+				t.Fatal(err)
+			}
+			bands.MustInsert(relstore.Tuple{relstore.String("t1"), relstore.Int(tc.band)})
+			res, err := New(source.RegistryFromCatalog(cat), DefaultOptions()).Evaluate(a, nil)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("error %v, want one containing %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := a.Eval(&aig.Env{
+				Schemas: sqlmini.CatalogSchemas{Catalog: cat},
+				Data:    sqlmini.CatalogData{Catalog: cat},
+				Stats:   sqlmini.CatalogStats{Catalog: cat},
+			}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !want.Equal(res.Doc) {
+				t.Errorf("documents differ:\n%s\n%s", want, res.Doc)
+			}
+			if got := len(res.Doc.Descendants("cheap")); got != 3 {
+				t.Errorf("%d cheap elements, want 3\n%s", got, res.Doc)
+			}
+		})
+	}
+}
+
 // TestMultiSourceQueryInChoiceBranch: a choice branch's query reading
 // two sources is decomposed like any other child query, so the mediator
 // renders the grammar as aig.Eval does, and the dependency map the

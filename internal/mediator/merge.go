@@ -10,12 +10,14 @@ import (
 // merged dependency graph staying acyclic, until no beneficial pair
 // remains.
 //
-// Merging independent queries corresponds to the outer union of §5.4;
-// merging dependent queries corresponds to inlining: the mediator-local
-// nodes on the paths between the two queries (the key-path combination)
-// are absorbed into the merged node and executed inline between its
-// parts, so a single request to the source covers the whole pipeline and
-// the intermediate shipments disappear. A pair whose connecting paths
+// Merging independent queries stands in for the outer union of §5.4: the
+// merged node runs their parts one after another, and the cost model
+// charges it one request's overhead. Merging dependent queries
+// corresponds to inlining: the mediator-local nodes on the paths between
+// the two queries (the key-path combination) are absorbed into the
+// merged node and executed inline between its parts, so a single
+// request to the source covers the whole pipeline and the intermediate
+// shipments disappear. A pair whose connecting paths
 // pass through a third query node cannot be merged (it would make the
 // graph cyclic), matching the acyclicity test of Fig. 9.
 func (g *graph) mergeQueries() int {

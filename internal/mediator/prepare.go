@@ -35,9 +35,8 @@ var (
 // prepared plan.
 type preparedPlan struct {
 	g      *graph
-	merged int               // merged groups (Report.MergedGroups)
-	sched  *plan             // static per-source order
-	level  map[*node]float64 // §5.3 priorities, for run-time dispatch under ScheduleDynamic
+	merged int   // merged groups (Report.MergedGroups)
+	sched  *plan // per-source order, which every evaluation executes
 }
 
 // maxPlans bounds the plan cache, once for document plans and once for
@@ -190,9 +189,6 @@ func (m *Mediator) prepare(ctx context.Context, a *aig.AIG, depth int, keep Verd
 			p.merged = g.mergeQueries()
 		}
 		p.sched = schedule(g.nodes, m.opts.Net, m.opts.Schedule)
-		if m.opts.Schedule == ScheduleDynamic {
-			p.level = levels(g.nodes, m.opts.Net)
-		}
 		m.plans.put(&planEntry{key: key, sources: sources, epoch: epoch, p: p})
 		metricPlanMisses.Inc()
 		if entry != nil {

@@ -51,6 +51,21 @@ type ctxTable struct {
 	syn atomic.Pointer[attrTable]
 }
 
+// value reads instance i's row of the table as an attribute value of
+// declaration decl, for messages that name the instance.
+func (t *attrTable) value(decl aig.AttrDecl, i int) *aig.AttrValue {
+	v := aig.NewAttrValue(decl)
+	for j, m := range decl.Members {
+		col := &t.cols[j]
+		if m.Kind == aig.Scalar {
+			_ = v.SetScalar(m.Name, col.vals[i])
+		} else {
+			_ = v.SetCollection(m.Name, col.rows[col.off[i]:col.off[i+1]])
+		}
+	}
+	return v
+}
+
 // tableWriter builds the instance table of one context and its Inh
 // columns, one instance at a time. open starts an instance with Null
 // scalars and empty collections; setScalar and setRows write its members,

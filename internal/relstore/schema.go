@@ -103,8 +103,7 @@ func (s Schema) Project(idx []int) Schema {
 }
 
 // Concat returns the concatenation of two schemas. Duplicate names are
-// disambiguated by suffixing "_2", "_3", ... as outer unions produced by
-// query merging may collide.
+// disambiguated by suffixing "_2", "_3", ....
 func (s Schema) Concat(t Schema) Schema {
 	out := make(Schema, 0, len(s)+len(t))
 	seen := make(map[string]bool, len(s)+len(t))
