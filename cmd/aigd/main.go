@@ -67,7 +67,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/aigrepro/aig/internal/datagen"
 	"github.com/aigrepro/aig/internal/hospital"
 	"github.com/aigrepro/aig/internal/relstore"
 	"github.com/aigrepro/aig/internal/remote"
@@ -94,8 +93,6 @@ func run() error {
 	flag.Var(&sources, "source", "remote source as NAME=ADDR (repeatable)")
 	dataDir := flag.String("data", "", "directory of CSV source databases (one subdirectory per DB)")
 	demo := flag.Bool("demo", false, "serve the built-in hospital view over the in-memory catalog")
-	demoSize := flag.String("demo-size", "tiny", "demo catalog scale: tiny (the paper's Example 1.1 rows) or a generated small, medium or large dataset")
-	demoSeed := flag.Int64("demo-seed", 1, "random seed for generated demo catalogs (sizes other than tiny)")
 	maxConcurrent := flag.Int("max-concurrent", 8, "maximum concurrent evaluations")
 	maxQueue := flag.Int("max-queue", 64, "maximum requests waiting for an evaluation slot")
 	queueTimeout := flag.Duration("queue-timeout", 2*time.Second, "longest a request may wait for a slot")
@@ -144,7 +141,7 @@ func run() error {
 			f()
 		}
 	}
-	reg, persisters, mirrors, err := buildRegistry(*dataDir, *stateDir, fsync, sources, *srcTimeout, *demo, *demoSize, *demoSeed, *subscribe, onApply)
+	reg, persisters, mirrors, err := buildRegistry(*dataDir, *stateDir, fsync, sources, *srcTimeout, *demo, *subscribe, onApply)
 	if err != nil {
 		return err
 	}
@@ -307,7 +304,7 @@ func buildLogger(format, level string) (*slog.Logger, error) {
 // mirrors (returned so the caller can wait for their initial sync and
 // close them on shutdown); onApply fires after every batch of mirror
 // deltas lands.
-func buildRegistry(dataDir, stateDir string, fsync relstore.FsyncMode, sources []string, timeout time.Duration, demo bool, demoSize string, demoSeed int64, subscribe bool, onApply func()) (*source.Registry, []*relstore.Persister, []*remote.Mirror, error) {
+func buildRegistry(dataDir, stateDir string, fsync relstore.FsyncMode, sources []string, timeout time.Duration, demo bool, subscribe bool, onApply func()) (*source.Registry, []*relstore.Persister, []*remote.Mirror, error) {
 	var persisters []*relstore.Persister
 	var mirrors []*remote.Mirror
 	addLocal := func(name string, seed func() (*relstore.Database, error), reg *source.Registry) error {
@@ -335,20 +332,8 @@ func buildRegistry(dataDir, stateDir string, fsync relstore.FsyncMode, sources [
 	reg := source.NewRegistry()
 	n := 0
 	if demo {
-		// The tiny scale is the paper's worked example; anything larger is
-		// generated deterministically at the Table 1 cardinalities, the
-		// substrate for fragment-vs-full-document benchmarks.
-		var cat *relstore.Catalog
-		if demoSize == "" || demoSize == "tiny" {
-			cat = hospital.TinyCatalog()
-		} else {
-			size, err := datagen.SizeByName(demoSize)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			cat = datagen.Generate(size, demoSeed)
-			slog.Info("generated demo catalog", "size", size.Name, "seed", demoSeed)
-		}
+		// The demo catalog is the paper's worked example (Example 1.1).
+		cat := hospital.TinyCatalog()
 		for _, name := range cat.DatabaseNames() {
 			name := name
 			err := addLocal(name, func() (*relstore.Database, error) { return cat.Database(name) }, reg)

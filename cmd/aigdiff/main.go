@@ -58,7 +58,9 @@
 // evaluator's, and the mediator's plan pruned to the path's verdict and
 // streamed through the path sink, whose queries must all be judged by
 // the path-filtered dependency map. Every Unaffected verdict from that
-// judge is checked against the actual fragment bytes.
+// judge is checked against the actual fragment bytes. A state where the
+// full render fails compares no path, but the mediator's unpruned plan
+// must fail there too; the summary counts those states.
 //
 // With -recover, aigdiff tortures the durable relstore instead: each
 // seed derives a deterministic database plus an operation sequence
@@ -106,8 +108,9 @@ type stats struct {
 	Skipped   int `json:"skipped,omitempty"`
 
 	// Fragment-mode counters (-fragment).
-	Paths  int `json:"paths,omitempty"`
-	Checks int `json:"path_comparisons,omitempty"`
+	Paths        int `json:"paths,omitempty"`
+	Checks       int `json:"path_comparisons,omitempty"`
+	EvalFailures int `json:"eval_failed_states,omitempty"`
 
 	// Recovery-mode counters (-recover).
 	Records   int `json:"wal_records,omitempty"`
@@ -231,10 +234,12 @@ func main() {
 				reg.Mutations = difftest.GenerateMutations(inst, s, *mutations)
 				out := difftest.CheckFragment(inst, reg.Paths, reg.Mutations, difftest.FragmentOptions{})
 				// Every check evaluates the oracle, the partial evaluator and
-				// the pruned plan once.
-				st.Evals += 3 * out.Checks
+				// the pruned plan once; a state where the oracle fails runs it
+				// and the unpruned plan.
+				st.Evals += 3*out.Checks + 2*out.EvalFailures
 				st.Steps += out.Steps
 				st.Checks += out.Checks
+				st.EvalFailures += out.EvalFailures
 				st.Restamps += out.Restamps
 				st.Fulls += out.Fulls
 				if out.Skipped {
@@ -290,8 +295,8 @@ func main() {
 			st.Instances, st.Keys, st.FKs, st.MustHold, st.Unknown, st.Violated,
 			st.Steps, st.Asserted, st.Voided, st.Unevaluated, st.Pruned, st.Fallbacks, st.Seconds, st.Divergences)
 	} else if *fragmentMode {
-		fmt.Printf("aigdiff -fragment: %d instances (%d skipped), %d paths, %d mutation steps, %d fragment comparisons: %d restamps, %d rebuilds in %.2fs, %d divergences\n",
-			st.Instances, st.Skipped, st.Paths, st.Steps, st.Checks, st.Restamps, st.Fulls, st.Seconds, st.Divergences)
+		fmt.Printf("aigdiff -fragment: %d instances (%d skipped), %d paths, %d mutation steps, %d fragment comparisons: %d restamps, %d rebuilds; %d states skipped where the full evaluation failed (the unpruned plan failed too) in %.2fs, %d divergences\n",
+			st.Instances, st.Skipped, st.Paths, st.Steps, st.Checks, st.Restamps, st.Fulls, st.EvalFailures, st.Seconds, st.Divergences)
 	} else if *ivmMode {
 		fmt.Printf("aigdiff -ivm: %d instances (%d skipped), %d mutation steps: %d restamps, %d full refreshes, %d truncated windows in %.2fs, %d divergences\n",
 			st.Instances, st.Skipped, st.Steps, st.Restamps, st.Fulls, st.Truncated, st.Seconds, st.Divergences)

@@ -2,7 +2,7 @@
 // closed loop of concurrent clients and reports throughput, latency
 // percentiles and the daemon's cache behaviour:
 //
-//	aigload -url http://localhost:8080 -view report -param date=d1,d2 -c 8 -n 2000 -json BENCH_serve.json
+//	aigload -url http://localhost:8080 -view report -param date=d1,d2 -c 8 -n 2000 -json load.json
 //
 // -url is repeatable (and accepts comma-separated lists): with several
 // targets the workers rotate requests across them round-robin and the
@@ -29,17 +29,12 @@
 // follow by subscription),
 // measuring serving behaviour under a continuously changing source; the
 // report then also carries the daemon's refresh counters and the
-// refresh-lag percentiles estimated from the /metrics histogram. With
-// -no-store every request carries Cache-Control: no-store, bypassing
-// the result cache — the cache-off baseline for the same workload.
+// refresh-lag percentiles estimated from the /metrics histogram.
 //
-// Repeatable -path flags add fragment request shapes (GET
-// /views/{name}?path=...) to the rotation alongside the full document
-// (drop the full-document shape with -fragment-only). The report then
-// carries per-shape latency percentiles, client-measured first-byte
-// latency, and bytes/request — enough to compare fragment and
-// full-document cost — plus the daemon-side TTFB
-// quantiles scraped from aig_serve_ttfb_seconds.
+// aigload requests whole documents through the cache: it is the
+// traffic of the smoke and cluster scripts. Cold documents and
+// fragments are measured by the repository benchmark (bench/:
+// cold_full, fragment_cold), not here.
 //
 // With -check the exit status enforces a healthy run: zero failed
 // requests and at least one cache hit.
@@ -77,7 +72,7 @@ type repeated []string
 func (r *repeated) String() string     { return strings.Join(*r, ",") }
 func (r *repeated) Set(v string) error { *r = append(*r, v); return nil }
 
-// report is the JSON written by -json (BENCH_serve.json).
+// report is the JSON written by -json.
 type report struct {
 	View        string  `json:"view"`
 	Concurrency int     `json:"concurrency"`
@@ -93,12 +88,6 @@ type report struct {
 	// Targets carries per-target traffic splits and latency percentiles
 	// when more than one -url was given.
 	Targets []targetReport `json:"targets,omitempty"`
-
-	// Paths carries per-request-shape stats when -path was given: the
-	// full-document shape plus one row per fragment path, each with its
-	// own latency, client-measured first-byte latency, and bytes/request
-	// — the honest fragment-vs-full comparison.
-	Paths []pathReport `json:"paths,omitempty"`
 
 	// Server-side TTFB quantiles scraped from aig_serve_ttfb_seconds.
 	TTFBP50Ms float64 `json:"ttfb_p50_ms,omitempty"`
@@ -158,32 +147,6 @@ type targetStats struct {
 	latencies []float64 // milliseconds, successful requests only
 }
 
-// pathReport is one request shape's slice of the run: the full document
-// (path "") or one fragment path.
-type pathReport struct {
-	Path            string  `json:"path"` // "" = full document
-	Requests        int64   `json:"requests"`
-	Errors          int64   `json:"errors"`
-	BytesPerRequest float64 `json:"bytes_per_request"`
-	P50Ms           float64 `json:"p50_ms"`
-	P95Ms           float64 `json:"p95_ms"`
-	P99Ms           float64 `json:"p99_ms"`
-	TTFBP50Ms       float64 `json:"ttfb_p50_ms"`
-	TTFBP95Ms       float64 `json:"ttfb_p95_ms"`
-	TTFBP99Ms       float64 `json:"ttfb_p99_ms"`
-}
-
-// pathStats accumulates one request shape's samples during the run.
-type pathStats struct {
-	path      string
-	requests  atomic.Int64
-	errors    atomic.Int64
-	bytes     atomic.Int64
-	mu        sync.Mutex
-	latencies []float64 // milliseconds, successful requests only
-	ttfbs     []float64 // milliseconds to the first body byte
-}
-
 func run() error {
 	var urlFlags repeated
 	flag.Var(&urlFlags, "url", "aigd base URL (repeatable or comma-separated; workers rotate round-robin; default http://localhost:8080)")
@@ -193,15 +156,11 @@ func run() error {
 	view := flag.String("view", "report", "view to request")
 	var paramFlags repeated
 	flag.Var(&paramFlags, "param", "view parameter as NAME=V1,V2,... (repeatable; workers rotate the combinations)")
-	var pathFlags repeated
-	flag.Var(&pathFlags, "path", "fragment path to request (repeatable; workers rotate full-document and fragment shapes)")
-	fragOnly := flag.Bool("fragment-only", false, "with -path, drop the full-document shape from the rotation")
 	concurrency := flag.Int("c", 8, "concurrent workers")
 	total := flag.Int64("n", 1000, "total requests")
 	duration := flag.Duration("duration", 0, "stop after this long even if -n is not reached (0: no limit)")
-	jsonPath := flag.String("json", "", "write the report as JSON to this file (e.g. BENCH_serve.json)")
+	jsonPath := flag.String("json", "", "write the report as JSON to this file")
 	check := flag.Bool("check", false, "exit non-zero unless errors==0 and cache hits > 0")
-	noStore := flag.Bool("no-store", false, "send Cache-Control: no-store on every request (cache-off baseline)")
 	mutate := flag.String("mutate", "", "background writer as SOURCE:TABLE=V1,V2,... (alternates insert/delete via POST /mutate)")
 	mutateRate := flag.Float64("mutate-rate", 20, "background writes per second with -mutate")
 	traceHeader := flag.Bool("trace-header", false, "send a fresh W3C Traceparent header per request, so daemon-side traces carry client-chosen IDs")
@@ -211,19 +170,6 @@ func run() error {
 	combos, err := paramCombos(paramFlags)
 	if err != nil {
 		return err
-	}
-
-	// Request shapes: the full document plus one per -path. Workers
-	// rotate tickets across shapes, so fragment and full-document cost
-	// are measured in the same run against the same daemon state.
-	var shapes []*pathStats
-	if !*fragOnly {
-		shapes = append(shapes, &pathStats{path: ""})
-	} else if len(pathFlags) == 0 {
-		return fmt.Errorf("-fragment-only needs at least one -path")
-	}
-	for _, p := range pathFlags {
-		shapes = append(shapes, &pathStats{path: p})
 	}
 
 	var bases []string
@@ -335,29 +281,16 @@ func run() error {
 				}
 				tgt := targets[(ticket-1)%int64(len(targets))]
 				tgt.requests.Add(1)
-				shape := shapes[(ticket-1)%int64(len(shapes))]
-				shape.requests.Add(1)
 				u := tgt.url + "/views/" + url.PathEscape(*view)
 				if q := combos.query(ticket - 1); q != "" {
 					u += "?" + q
-				}
-				if shape.path != "" {
-					sep := "?"
-					if strings.Contains(u, "?") {
-						sep = "&"
-					}
-					u += sep + "path=" + url.QueryEscape(shape.path)
 				}
 				req, err := http.NewRequest(http.MethodGet, u, nil)
 				if err != nil {
 					errsN.Add(1)
 					tgt.errors.Add(1)
-					shape.errors.Add(1)
 					done.Add(1)
 					continue
-				}
-				if *noStore {
-					req.Header.Set("Cache-Control", "no-store")
 				}
 				if *traceHeader {
 					req.Header.Set("Traceparent", obs.FormatTraceparent(obs.NewTraceID()))
@@ -368,20 +301,12 @@ func run() error {
 				if err != nil {
 					errsN.Add(1)
 					tgt.errors.Add(1)
-					shape.errors.Add(1)
 					continue
 				}
-				// The first body byte bounds the client-observed TTFB
-				// (headers have already arrived when Do returns; streamed
-				// fragment responses flush elements before the body ends).
-				br := bufio.NewReader(resp.Body)
-				_, _ = br.Peek(1)
-				ttfb := time.Since(t0).Seconds() * 1000
-				n, _ := io.Copy(io.Discard, br)
+				n, _ := io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 				lat := time.Since(t0).Seconds() * 1000
 				bytesIn.Add(n)
-				shape.bytes.Add(n)
 				statusMu.Lock()
 				statuses[strconv.Itoa(resp.StatusCode)]++
 				statusMu.Unlock()
@@ -393,17 +318,12 @@ func run() error {
 					tgt.mu.Lock()
 					tgt.latencies = append(tgt.latencies, lat)
 					tgt.mu.Unlock()
-					shape.mu.Lock()
-					shape.latencies = append(shape.latencies, lat)
-					shape.ttfbs = append(shape.ttfbs, ttfb)
-					shape.mu.Unlock()
 				case resp.StatusCode == http.StatusTooManyRequests ||
 					resp.StatusCode == http.StatusServiceUnavailable:
 					rejected.Add(1)
 				default:
 					errsN.Add(1)
 					tgt.errors.Add(1)
-					shape.errors.Add(1)
 				}
 			}
 		}()
@@ -451,30 +371,6 @@ func run() error {
 		}
 	}
 
-	if len(pathFlags) > 0 {
-		for _, sh := range shapes {
-			sh.mu.Lock()
-			sort.Float64s(sh.latencies)
-			sort.Float64s(sh.ttfbs)
-			pr := pathReport{
-				Path:      sh.path,
-				Requests:  sh.requests.Load(),
-				Errors:    sh.errors.Load(),
-				P50Ms:     percentile(sh.latencies, 0.50),
-				P95Ms:     percentile(sh.latencies, 0.95),
-				P99Ms:     percentile(sh.latencies, 0.99),
-				TTFBP50Ms: percentile(sh.ttfbs, 0.50),
-				TTFBP95Ms: percentile(sh.ttfbs, 0.95),
-				TTFBP99Ms: percentile(sh.ttfbs, 0.99),
-			}
-			sh.mu.Unlock()
-			if ok := pr.Requests - pr.Errors; ok > 0 {
-				pr.BytesPerRequest = float64(sh.bytes.Load()) / float64(ok)
-			}
-			rep.Paths = append(rep.Paths, pr)
-		}
-	}
-
 	rep.Mutations = mutOK.Load()
 	rep.MutationErrors = mutErr.Load()
 	if counters, hists, err := scrapeAllMetrics(client, metricsURLs); err != nil {
@@ -517,14 +413,6 @@ func run() error {
 	if rep.TTFBP50Ms > 0 || rep.TTFBP95Ms > 0 {
 		fmt.Printf("server ttfb: p50=%.2fms p95=%.2fms p99=%.2fms\n",
 			rep.TTFBP50Ms, rep.TTFBP95Ms, rep.TTFBP99Ms)
-	}
-	for _, pr := range rep.Paths {
-		label := pr.Path
-		if label == "" {
-			label = "(full document)"
-		}
-		fmt.Printf("shape %s: requests=%d errors=%d bytes/req=%.0f p50=%.2fms ttfb p50=%.2fms p95=%.2fms\n",
-			label, pr.Requests, pr.Errors, pr.BytesPerRequest, pr.P50Ms, pr.TTFBP50Ms, pr.TTFBP95Ms)
 	}
 	if *slowest > 0 {
 		traces, err := slowestTraces(client, bases[0], *view, *slowest)

@@ -116,6 +116,10 @@ type FragmentOutcome struct {
 	// Restamps how many (path, step) pairs the filtered-deps judge proved
 	// irrelevant (cached fragment kept and byte-verified), Fulls the rest.
 	Steps, Checks, Restamps, Fulls int
+	// EvalFailures counts the catalog states (baseline included) where
+	// the full evaluation failed, so no path was compared; the unpruned
+	// plan failed there too.
+	EvalFailures int
 	// Skipped reports the instance was unusable (its constraint-free
 	// evaluation fails even before mutations).
 	Skipped bool
@@ -162,10 +166,13 @@ type fragState struct {
 // cached fragment bytes must in fact be unchanged. Mutations run against
 // a catalog clone, so the instance can be reused (shrinking, replay).
 //
-// Steps where the full evaluation itself fails are skipped for the byte
+// States where the full evaluation itself fails are skipped for the byte
 // comparison: partial evaluation legitimately avoids errors raised in
 // subtrees it never enters, so only a fragment failure while the oracle
-// succeeds is a divergence.
+// succeeds is a divergence. The mediator's unpruned plan must fail at
+// such a state too (leg "fragment-eval"): both evaluators apply one rule
+// to the same document, so a plan that succeeds where aig.Eval fails has
+// settled a document the reference rejects.
 func CheckFragment(inst *randaig.Instance, paths []string, muts []Mutation, opts FragmentOptions) FragmentOutcome {
 	mkLegDiv := func(leg, detail, want, got string) *Divergence {
 		return &Divergence{Seed: inst.Seed, Leg: leg, Detail: detail, Want: want, Got: got}
@@ -269,16 +276,21 @@ func CheckFragment(inst *randaig.Instance, paths []string, muts []Mutation, opts
 	// checkAll compares every path at the current catalog state, after
 	// mutation m of step i (m is nil for the pre-mutation baseline).
 	checkAll := func(i int, m *Mutation) *Divergence {
-		doc, err := decU.Eval(inst.Env(), inst.RootInh)
-		if err != nil {
-			if m == nil {
-				out.Skipped = true
-			}
-			return nil // no oracle to compare against at this state
-		}
 		stepDesc := "baseline"
 		if m != nil {
 			stepDesc = fmt.Sprintf("step %d (%s)", i, m)
+		}
+		doc, err := decU.Eval(inst.Env(), inst.RootInh)
+		if err != nil {
+			// No oracle to compare against at this state.
+			out.EvalFailures++
+			if m == nil {
+				out.Skipped = true
+			}
+			if _, _, perr := med.Settle(context.Background(), decU, inst.RootInh, 0, 0, nil); perr == nil {
+				return mkLegDiv("fragment-eval", fmt.Sprintf("%s: the full evaluation failed but the unpruned plan settled: %v", stepDesc, err), "", "")
+			}
+			return nil
 		}
 		now := snapshotVersions(inst.Catalog)
 		for _, fs := range states {

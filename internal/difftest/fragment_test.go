@@ -16,14 +16,16 @@ const fragSeeds = 40
 // oracle: for every generated path, after every mutation, the partial
 // evaluator's fragment and the pruned plan's must byte-equal the post-hoc
 // oracle, and the filtered-deps judge must never rule a fragment-changing
-// delta irrelevant. The sweep must exercise both maintenance verdicts.
+// delta irrelevant; where the full evaluation fails, the unpruned plan
+// must fail too. The sweep must exercise both maintenance verdicts and
+// reach states where the full evaluation fails.
 func TestFragmentOracle(t *testing.T) {
 	n := fragSeeds
 	muts := 15
 	if testing.Short() {
 		n, muts = 10, 8
 	}
-	var steps, checks, restamps, fulls, skipped, pathless int
+	var steps, checks, restamps, fulls, evalFailures, skipped, pathless int
 	cfg := randaig.DefaultConfig()
 	for seed := int64(0); seed < int64(n); seed++ {
 		inst, err := randaig.Generate(seed, cfg)
@@ -40,6 +42,7 @@ func TestFragmentOracle(t *testing.T) {
 		if out.Divergence != nil {
 			t.Fatalf("seed %d (paths %q) diverged:\n%s", seed, paths, out.Divergence.Error())
 		}
+		evalFailures += out.EvalFailures
 		if out.Skipped {
 			skipped++
 			continue
@@ -61,8 +64,11 @@ func TestFragmentOracle(t *testing.T) {
 	if fulls == 0 {
 		t.Error("no delta ever invalidated a fragment — rebuild path untested")
 	}
-	t.Logf("%d instances (%d skipped, %d without paths), %d steps, %d comparisons: %d restamps, %d rebuilds",
-		n, skipped, pathless, steps, checks, restamps, fulls)
+	if evalFailures == 0 && !testing.Short() {
+		t.Error("the full evaluation never failed — the unpruned plan's failure check untested")
+	}
+	t.Logf("%d instances (%d skipped, %d without paths), %d steps, %d comparisons: %d restamps, %d rebuilds; %d states where the full evaluation failed",
+		n, skipped, pathless, steps, checks, restamps, fulls, evalFailures)
 }
 
 // TestGenerateFragmentPathsDeterministicAndValid requires the path

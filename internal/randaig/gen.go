@@ -70,15 +70,6 @@ func Generate(seed int64, cfg Config) (*Instance, error) {
 	return inst, nil
 }
 
-// MustGenerate is Generate panicking on error, for tests.
-func MustGenerate(seed int64, cfg Config) *Instance {
-	inst, err := Generate(seed, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return inst
-}
-
 type gen struct {
 	r   *rand.Rand
 	cfg Config

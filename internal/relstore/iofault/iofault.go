@@ -110,14 +110,6 @@ func (f *FS) Truncate(name string, n int64) {
 	}
 }
 
-// Exists reports whether the named file exists.
-func (f *FS) Exists(name string) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	_, ok := f.files[name]
-	return ok
-}
-
 // OpenAppend implements relstore.FS.
 func (f *FS) OpenAppend(name string) (relstore.File, int64, error) {
 	f.mu.Lock()

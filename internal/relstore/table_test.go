@@ -332,10 +332,6 @@ func TestTupleProjectConcat(t *testing.T) {
 	if !p.Equal(Tuple{Int(3), Int(1)}) {
 		t.Errorf("Project = %v", p)
 	}
-	c := p.Concat(Tuple{String("z")})
-	if !c.Equal(Tuple{Int(3), Int(1), String("z")}) {
-		t.Errorf("Concat = %v", c)
-	}
 	if tup.KeyOn([]int{2, 0}) != p.Key() {
 		t.Error("KeyOn disagrees with Project().Key()")
 	}

@@ -71,14 +71,6 @@ func (t Tuple) Project(idx []int) Tuple {
 	return out
 }
 
-// Concat returns the concatenation of two tuples as a new tuple.
-func (t Tuple) Concat(u Tuple) Tuple {
-	out := make(Tuple, 0, len(t)+len(u))
-	out = append(out, t...)
-	out = append(out, u...)
-	return out
-}
-
 // Key returns a string that uniquely encodes the tuple's values, usable as
 // a Go map key for hash joins, duplicate elimination and index lookups:
 // two tuples of one arity have equal keys exactly when they are Equal.

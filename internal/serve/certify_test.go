@@ -251,8 +251,6 @@ func TestBrokenPremiseFallsBackToGuarded(t *testing.T) {
 	full := func(date string) string { return "/views/report?date=" + date }
 	frag := func(date string) string { return full(date) + "&path=%2F%2Fpatient%2FSSN" }
 	predFrag := func(date string) string { return full(date) + "&path=%2F%2Fpatient%5B1%5D%2FSSN" }
-	// The fragments go first: with the full document cached at the same
-	// stamp they would be derived from that instead of evaluated.
 	fastPath := func(when string) {
 		t.Helper()
 		code, spans := tracedGet(t, ts.URL, frag("d1"))

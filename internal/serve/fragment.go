@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"time"
@@ -34,9 +33,11 @@ import (
 // Fragments get their own cache entries, keyed (view, params, path,
 // stamp) with the path spliced into the key prefix as "\x00p:<path>" —
 // the full-document prefix never contains "\x00p:", so the two key
-// spaces cannot collide. A fragment miss first tries to derive the
-// fragment from a cached full document (parse + post-hoc filter, no
-// source queries); only when neither entry exists does it evaluate.
+// spaces cannot collide. A fragment miss fills its own entry through
+// cacheFill like a document's, admitted and coalesced, whether or not
+// the full document is cached: its pruned evaluation reads no more than
+// the path needs, where cutting it from the cached document would
+// re-parse and filter every byte of it.
 
 // maxFragPlans bounds a view's memoized fragment plans: every distinct
 // path a client sends compiles one, and nothing else would ever drop
@@ -154,21 +155,4 @@ func (w fragWriter) Write(b []byte) (int, error) {
 		return len(b), nil
 	}
 	return w.out.Write(b)
-}
-
-// deriveFragment filters an already-rendered full document down to the
-// path's matches — the no-source-queries route used when the full entry
-// is cached.
-func deriveFragment(full *cacheEntry, fp *fragPlan) (*cacheEntry, error) {
-	doc, err := xmltree.Parse(bytes.NewReader(full.body))
-	if err != nil {
-		return nil, fmt.Errorf("re-parsing cached document: %w", err)
-	}
-	e := &cacheEntry{depth: full.depth, evalSec: full.evalSec, created: time.Now(), path: fp.expr}
-	for _, n := range xpath.Select(doc, fp.path) {
-		if err := e.addMatch(n, nil); err != nil {
-			return nil, err
-		}
-	}
-	return e, nil
 }

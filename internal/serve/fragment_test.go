@@ -103,18 +103,19 @@ func TestFragmentMissHitDerived(t *testing.T) {
 		t.Fatalf("fragment differs from post-hoc filter:\n--- served\n%s\n--- oracle\n%s", frag1, want)
 	}
 
-	// With the full document now cached, a fresh path derives from it
-	// without evaluating.
+	// With the full document now cached, a fresh path is still a miss of
+	// its own: it evaluates once, reading only what the path needs, and
+	// byte-equals the post-hoc filter of the cached document.
 	evalsBefore := counter(metrics, "aig_serve_evaluations_total")
 	code, frag3, state, _ := getFrag(t, fragURL(ts.URL, "d1", "//treatment/tname"))
-	if code != http.StatusOK || state != "derived" {
-		t.Fatalf("derivable fragment: %d/%s", code, state)
+	if code != http.StatusOK || state != "miss" {
+		t.Fatalf("fragment beside a cached document: %d/%s, want miss", code, state)
 	}
 	if wantT, _ := oracleFragment(t, full, "//treatment/tname"); frag3 != wantT {
-		t.Fatalf("derived fragment differs from oracle:\n%s", frag3)
+		t.Fatalf("fragment differs from oracle:\n--- served\n%s\n--- oracle\n%s", frag3, wantT)
 	}
-	if evals := counter(metrics, "aig_serve_evaluations_total"); evals != evalsBefore {
-		t.Fatalf("deriving from the cached document evaluated: %d -> %d", evalsBefore, evals)
+	if evals := counter(metrics, "aig_serve_evaluations_total"); evals != evalsBefore+1 {
+		t.Fatalf("fragment miss beside a cached document: evaluations %d -> %d, want one", evalsBefore, evals)
 	}
 	if n := counter(metrics, "aig_serve_fragment_requests_total"); n != 3 {
 		t.Fatalf("fragment requests counter %d, want 3", n)
@@ -172,41 +173,82 @@ func TestFragmentSpellingVariantsShareOneEntry(t *testing.T) {
 	}
 }
 
+// TestFragmentConcurrentRequestsCoalesce: N concurrent misses of one
+// fragment evaluate once — one miss streams, N-1 coalesce onto its
+// entry — whether or not the full document is already cached.
 func TestFragmentConcurrentRequestsCoalesce(t *testing.T) {
-	gate := make(chan struct{})
-	_, ts, _, metrics := testServer(t, Config{}, gate)
+	for _, docCached := range []bool{false, true} {
+		t.Run(fmt.Sprintf("docCached=%v", docCached), func(t *testing.T) {
+			gate := make(chan struct{})
+			_, ts, _, metrics := testServer(t, Config{}, gate)
 
-	const n = 4
-	var wg sync.WaitGroup
-	bodies := make([]string, n)
-	codes := make([]int, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			code, body, _, _ := getFrag(t, fragURL(ts.URL, "d1", "//patient"))
-			codes[i], bodies[i] = code, body
-		}(i)
-	}
-	waitFor(t, "all fragment requests in flight", func() bool {
-		return counter(metrics, "aig_serve_cache_misses_total") == n
-	})
-	close(gate)
-	wg.Wait()
+			var docMisses, docEvals int64
+			if docCached {
+				// Let the document's evaluation through the gate, then
+				// close it again for the fragment requests.
+				stop, pumped := make(chan struct{}), make(chan struct{})
+				go func() {
+					defer close(pumped)
+					for {
+						select {
+						case gate <- struct{}{}:
+						case <-stop:
+							return
+						}
+					}
+				}()
+				code, _, _ := get(t, ts.URL+"/views/report?date=d1")
+				close(stop)
+				<-pumped
+				if code != http.StatusOK {
+					t.Fatalf("full document: status %d", code)
+				}
+				docMisses, docEvals = 1, 1
+			}
 
-	for i := 0; i < n; i++ {
-		if codes[i] != http.StatusOK {
-			t.Fatalf("request %d: status %d", i, codes[i])
-		}
-		if bodies[i] != bodies[0] {
-			t.Fatalf("request %d returned a different fragment", i)
-		}
-	}
-	if evals := counter(metrics, "aig_serve_evaluations_total"); evals != 1 {
-		t.Fatalf("evaluations=%d, want exactly 1 for identical concurrent fragment requests", evals)
-	}
-	if c := counter(metrics, "aig_serve_coalesced_requests_total"); c != n-1 {
-		t.Fatalf("coalesced=%d, want %d", c, n-1)
+			const n = 4
+			var wg sync.WaitGroup
+			bodies := make([]string, n)
+			codes := make([]int, n)
+			states := make([]string, n)
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					codes[i], bodies[i], states[i], _ = getFrag(t, fragURL(ts.URL, "d1", "//patient"))
+				}(i)
+			}
+			waitFor(t, "all fragment requests in flight", func() bool {
+				return counter(metrics, "aig_serve_cache_misses_total") == docMisses+n
+			})
+			close(gate)
+			wg.Wait()
+
+			miss, coalesced := 0, 0
+			for i := 0; i < n; i++ {
+				if codes[i] != http.StatusOK {
+					t.Fatalf("request %d: status %d", i, codes[i])
+				}
+				if bodies[i] != bodies[0] {
+					t.Fatalf("request %d returned a different fragment", i)
+				}
+				switch states[i] {
+				case "miss":
+					miss++
+				case "coalesced":
+					coalesced++
+				}
+			}
+			if miss != 1 || coalesced != n-1 {
+				t.Fatalf("X-Aig-Cache states %v, want one miss and %d coalesced", states, n-1)
+			}
+			if evals := counter(metrics, "aig_serve_evaluations_total") - docEvals; evals != 1 {
+				t.Fatalf("evaluations=%d, want exactly 1 for identical concurrent fragment requests", evals)
+			}
+			if c := counter(metrics, "aig_serve_coalesced_requests_total"); c != n-1 {
+				t.Fatalf("coalesced=%d, want %d", c, n-1)
+			}
+		})
 	}
 }
 

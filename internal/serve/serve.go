@@ -585,12 +585,6 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 	}
 	s.m.misses.Inc()
 
-	if e, ok, err := s.derive(t, stamp); ok {
-		rt.setCache("derived")
-		s.finish(rt, &stream{rw: rw, state: "derived"}, e, err)
-		return
-	}
-
 	out := &stream{rw: rw, state: "miss"}
 	e, err, leader := s.cacheFill(ctx, t, stamp, func() (*cacheEntry, error) {
 		return s.fill(ctx, t, stamp, out, true)

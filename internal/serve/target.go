@@ -63,27 +63,6 @@ func (s *Server) deps(t target, stamp string) *ivm.Deps {
 	return t.v.deps
 }
 
-// derive cuts a fragment target from the full document cached at stamp,
-// without touching any source. ok is false when t is a document or no
-// full document is cached.
-func (s *Server) derive(t target, stamp string) (e *cacheEntry, ok bool, err error) {
-	if t.fp == nil {
-		return nil, false, nil
-	}
-	full, ok := s.cache.Get(t.doc + "\x00" + stamp)
-	if !ok {
-		return nil, false, nil
-	}
-	if e, err = deriveFragment(full, t.fp); err != nil {
-		return nil, true, err
-	}
-	e.view, e.params, e.keyPrefix, e.stamp = t.v.name, t.params, t.prefix, stamp
-	e.tableVers = full.tableVers
-	s.cache.Add(t.prefix+"\x00"+stamp, e)
-	s.m.cacheEntries.Set(float64(s.cache.Len()))
-	return e, true, nil
-}
-
 // fill produces t's entry at stamp. While partialOK holds, a fragment
 // reads only what its path's verdict keeps: a path with predicates by
 // partial evaluation, any other from the mediator's plan pruned to the
