@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-serve vet fmt lint fmt-check staticcheck fuzz-smoke alloc-budget soak soak-ivm soak-certify soak-recover soak-fragment serve smoke-trace smoke-restart smoke-cluster smoke-fragment bench-cluster test-bench bench-contract bench-unit loc ci bench clean
+.PHONY: all build test race race-serve vet fmt lint fmt-check staticcheck fuzz-smoke alloc-budget soak soak-ivm soak-certify soak-recover soak-fragment serve integration test-bench bench-contract bench-unit loc ci bench clean
 
 all: build
 
@@ -21,6 +21,7 @@ race-serve:
 
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags integration ./...
 
 fmt:
 	gofmt -l .
@@ -101,43 +102,15 @@ soak-fragment:
 serve:
 	$(GO) run ./cmd/aigd -demo -addr :8080
 
-# smoke-trace exercises the flight recorder end to end: a race-built
-# aigd with DB1 behind a race-built aigsource must serve a kept trace
-# stitching daemon-side and remote-side spans, then warm-path throughput
-# with the recorder on (sampling off) must stay within 5% of recorder-off.
-smoke-trace:
-	./scripts/smoke_trace.sh
-
-# smoke-restart kills and restarts the whole deployment (a durable TCP
-# aigsource plus aigd with -state-dir/-cache-dir): a warm restart must
-# serve the first request from the restored cache without re-evaluating,
-# and a mutation applied while everything was down must drop the stale
-# entry and show up in the fresh document.
-smoke-restart:
-	./scripts/smoke_restart.sh
-
-# smoke-cluster runs the fleet end to end, race-built: aigrouter over
-# two delta-subscribed aigd replicas mirroring one aigsource. Killing a
-# replica mid-load must cost zero client errors, and the restarted
-# replica must catch up over the subscription stream (an offline origin
-# mutation appears in its served document) and serve warm again.
-smoke-cluster:
-	./scripts/smoke_cluster.sh
-
-# smoke-fragment exercises the XPath fragment layer end to end through
-# aigrouter: a path=/report fragment must byte-equal the full document,
-# a mutation outside a fragment's scans must leave its cache entry warm
-# (delta restamp, identical bytes), and one inside must invalidate it.
-smoke-fragment:
-	./scripts/smoke_fragment.sh
-
-# bench-cluster measures horizontal scaling through aigrouter: the same
-# warm workload (plus a 50 writes/s origin mutation stream) against one
-# replica vs four, each replica capped at a simulated service-time
-# floor so the ratio is meaningful on any host. Refreshes the committed
-# BENCH_cluster.json; fails below a 3x fleet speedup.
-bench-cluster:
-	./scripts/bench_cluster.sh
+# integration runs the deployment end to end as separate processes
+# (internal/proctest, build tag integration): stitched traces under
+# -race and the recorder's warm-path overhead guard, restarts of the
+# durable deployment, fragments through the router, a replica killed
+# under load and its subscription catch-up (race-built), and fleet
+# scaling through aigrouter (>= 3x over one replica, each behind a
+# service-time floor).
+integration:
+	$(GO) test -tags integration -count=1 ./internal/proctest
 
 # test-bench vets and tests the benchmark module (bench/ has its own
 # go.mod, so ./... above does not reach it): unit tests plus a one-second
@@ -179,10 +152,8 @@ loc:
 	@printf 'shell:                   '; git ls-files -- '*.sh' | xargs cat | wc -l
 
 # ci is what .github/workflows/ci.yml runs (plus staticcheck, which CI
-# fetches pinned), minus bench-cluster, which the workflow still runs
-# until the benchmark has a cluster workload. Performance claims cite
-# bench-contract.
-ci: vet build race alloc-budget test-bench lint fmt-check fuzz-smoke soak soak-ivm soak-certify soak-recover soak-fragment smoke-trace smoke-restart smoke-cluster smoke-fragment
+# fetches pinned). Performance claims cite bench-contract.
+ci: vet build race alloc-budget test-bench lint fmt-check fuzz-smoke soak soak-ivm soak-certify soak-recover soak-fragment integration
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$'

@@ -8,7 +8,10 @@
 // For Figure 10, each cell evaluates the hospital AIG σ0 on one report
 // date with query merging disabled and enabled, and prints the ratio of
 // the two simulated response times (evaluation plus communication at the
-// configured bandwidth), exactly as the paper plots.
+// configured bandwidth), exactly as the paper plots. Only communication
+// and per-query overheads are simulated; each source query's engine time
+// is measured wall time, so a ratio can differ in the second decimal
+// between runs.
 package main
 
 import (
@@ -38,7 +41,7 @@ func main() {
 
 func run() error {
 	table1 := flag.Bool("table1", false, "print Table 1 (generated dataset cardinalities)")
-	fig10 := flag.Bool("fig10", false, "run the Figure 10 merging experiment")
+	fig10 := flag.Bool("fig10", false, "run the Figure 10 merging experiment (communication and per-query overheads simulated, source engine time measured, so ratios vary in the second decimal)")
 	sizesFlag := flag.String("sizes", "small,medium,large", "dataset sizes for -fig10")
 	levelsFlag := flag.String("levels", "2,3,4,5,6,7", "unfolding levels for -fig10")
 	bandwidth := flag.Float64("bandwidth", 1.0, "simulated bandwidth in Mbps")

@@ -107,7 +107,6 @@ func run() error {
 	srcTimeout := flag.Duration("source-timeout", 0, "connect/read/write timeout for remote sources (0 disables)")
 	subscribe := flag.Bool("subscribe", false, "mirror remote sources by delta subscription instead of per-request RPCs")
 	syncTimeout := flag.Duration("sync-timeout", 30*time.Second, "longest to wait for mirrors' initial sync before serving (with -subscribe)")
-	simWork := flag.Duration("sim-work", 0, "simulated per-request service-time floor held under the admission semaphore (capacity benchmarking; 0 disables)")
 	trace := flag.Bool("trace", false, "enable the flight recorder: per-request traces with tail sampling, served at /debug/traces")
 	traceCapacity := flag.Int("trace-capacity", 256, "kept traces before the oldest is evicted")
 	traceSlow := flag.Duration("trace-slow", 250*time.Millisecond, "requests at least this slow are always kept (0 disables the slow rule)")
@@ -165,7 +164,6 @@ func run() error {
 		MaxUnfold:       *maxUnfold,
 		RefreshInterval: *refreshInterval,
 		AllowMutate:     *allowMutate,
-		SimWork:         *simWork,
 
 		FlightRecorder:     *trace,
 		TraceCapacity:      *traceCapacity,

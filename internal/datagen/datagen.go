@@ -31,9 +31,9 @@ type Size struct {
 }
 
 // Tiny is a smoke-test scale, not part of Table 1: small enough that
-// race-instrumented end-to-end runs (scripts/smoke_trace.sh) evaluate a
-// view in milliseconds, while still populating every table and a
-// multi-level procedure DAG.
+// race-instrumented end-to-end runs (internal/proctest's TestTrace)
+// evaluate a view in milliseconds, while still populating every table
+// and a multi-level procedure DAG.
 var Tiny = Size{
 	Name: "tiny", Patient: 60, VisitInfo: 240, Cover: 30,
 	Billing: 20, Treatment: 20, Procedure: 24,

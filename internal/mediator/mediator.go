@@ -13,10 +13,14 @@
 // evaluator. Both evaluators produce identical documents; the aig package
 // tests rely on that.
 //
-// Communication and per-query overheads are accounted on a deterministic
-// virtual clock (the paper itself computed total evaluation time "by
-// simulating the transfer of temporary tables ... using different
-// bandwidths"); real execution still runs sources concurrently.
+// The response time cost(P) is computed on a virtual clock (the paper
+// itself computed total evaluation time "by simulating the transfer of
+// temporary tables ... using different bandwidths"). Only communication,
+// per-query overheads and the mediator's local work are virtual, and
+// those are deterministic; each source query's engine time is its
+// measured wall time (exec.runPart), so cost(P) — and ratios of it such
+// as Fig. 10's — can differ in the second decimal from run to run. Real
+// execution still runs sources concurrently.
 package mediator
 
 import (
@@ -122,7 +126,10 @@ func DefaultOptions() Options {
 type Report struct {
 	// ResponseTimeSec is cost(P): the maximum completion time over all
 	// plan nodes on the virtual clock, from the run's measured engine
-	// times and shipped volumes. It is computed when a Result is built
+	// times and shipped volumes. Shipping and per-query overheads are
+	// virtual and deterministic, but each source query's engine time is
+	// its measured wall time, so the value varies slightly between runs
+	// of the same plan. It is computed when a Result is built
 	// (Evaluate, EvaluateRecursive, ExplainAnalyze); a settled Run's
 	// report leaves it zero.
 	ResponseTimeSec float64

@@ -125,25 +125,3 @@ func TestKickRefreshRunsCycleEarly(t *testing.T) {
 		t.Fatalf("post-kick request cache state = %q, want hit", state)
 	}
 }
-
-// TestSimWorkFloorAppliesToHits checks the capacity-benchmark floor:
-// with SimWork set, even cache hits pay the simulated service time
-// under the admission semaphore.
-func TestSimWorkFloorAppliesToHits(t *testing.T) {
-	const floor = 40 * time.Millisecond
-	_, ts, _, metrics := testServer(t, Config{SimWork: floor}, nil)
-
-	if code, _, _ := get(t, ts.URL+"/views/report?date=d1"); code != http.StatusOK {
-		t.Fatalf("prime request failed: %d", code)
-	}
-	start := time.Now()
-	_, _, state := get(t, ts.URL+"/views/report?date=d1")
-	if el := time.Since(start); state != "hit" || el < floor {
-		t.Fatalf("hit with sim-work took %v (state %q), want >= %v", el, state, floor)
-	}
-	// The floor runs under admission: the wait histogram saw both
-	// requests even though the second never evaluated.
-	if n := metrics.NewHistogram("aig_serve_queue_wait_seconds", "", obs.DurationBuckets).Count(); n < 2 {
-		t.Fatalf("queue wait observations = %d, want >= 2", n)
-	}
-}

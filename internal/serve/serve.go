@@ -96,14 +96,6 @@ type Config struct {
 	// AllowMutate exposes POST /mutate, a demo/benchmark endpoint that
 	// applies row-level writes to local sources. Off by default.
 	AllowMutate bool
-	// SimWork, when positive, spends that much simulated service time per
-	// view request while holding an admission slot, before the cache is
-	// even consulted. It exists for capacity benchmarking on machines with
-	// fewer cores than the modeled fleet: with a fixed per-request floor,
-	// throughput is bounded by MaxConcurrent/SimWork per replica rather
-	// than by raw CPU, so horizontal scaling is measurable on one box.
-	// Off (0) in production.
-	SimWork time.Duration
 	// CacheDir, when set, persists the result cache across restarts: the
 	// cache is dumped there on a clean Drain, and LoadCache (called after
 	// view registration) restores entries whose data-version stamps still
@@ -539,11 +531,6 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.params = canonicalParams(params)
-	if err := s.simWork(ctx); err != nil {
-		rt.fail(err)
-		s.writeError(rw, err)
-		return
-	}
 	t, err := s.target(v, params, rt.params, path)
 	if err != nil {
 		rt.fail(err)
@@ -595,20 +582,6 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.setCache(out.state)
 	s.finish(rt, out, e, err)
-}
-
-// simWork spends the configured simulated service time under the
-// admission semaphore, so capacity benchmarks see the same 429/503
-// admission behavior as real evaluations. No-op unless Config.SimWork
-// is set.
-func (s *Server) simWork(ctx context.Context) error {
-	if s.cfg.SimWork <= 0 {
-		return nil
-	}
-	return s.admitted(ctx, func() error {
-		time.Sleep(s.cfg.SimWork)
-		return nil
-	})
 }
 
 // noStoreRequest reports whether the client asked to bypass the result
