@@ -126,21 +126,23 @@ W ?= cold_full
 bench-contract:
 	$(GO) run -C bench . -workload $(W) $(ARGS)
 
-# alloc-budget runs the mediator's (documents and the SSN fragment), the
-# warm hit's and the executor's join allocation budgets, which are not
-# built under -race and so never run in the race pass.
+# alloc-budget runs the mediator's (documents, planned or not, and the
+# SSN fragment), the warm hit's and the executor's join allocation
+# budgets, which are not built under -race and so never run in the race
+# pass.
 alloc-budget:
 	$(GO) test -count=1 -run AllocBudget ./internal/mediator ./internal/serve ./internal/sqlmini
 
 # bench-unit is the cold path's unit reproducer: 90 evaluations (three
 # cycles of the 30 dates) of the served hospital view over bench250, so
-# B/op and allocs/op repeat exactly from run to run, and as many cold
+# B/op and allocs/op repeat exactly from run to run, as many cold
 # fragments of each of the benchmark's paths without predicates (plans
-# pruned to the path, matches streamed), then the executor's index probe
-# (a one-row parameter table joined to a 10 k-row table) and its
+# pruned to the path, matches streamed) and as many plans of the view
+# (compile, Merge and Schedule, no evaluation), then the executor's index
+# probe (a one-row parameter table joined to a 10 k-row table) and its
 # reference join (two 10 k-row tables, 10 k output rows).
 bench-unit:
-	$(GO) test -run '^$$' -bench 'EvaluateRecursive/bench250|Fragment' -benchtime 90x -cpu 2 -benchmem ./internal/mediator
+	$(GO) test -run '^$$' -bench 'EvaluateRecursive/bench250|Fragment|Plan' -benchtime 90x -cpu 2 -benchmem ./internal/mediator
 	$(GO) test -run '^$$' -bench 'ParamJoin/one-row|HashJoin/rows=10000' -benchtime 1000x -cpu 2 -benchmem ./internal/sqlmini
 
 # loc prints the tracked line counts: non-test Go of the root module

@@ -7,6 +7,7 @@ import (
 	"context"
 	"testing"
 
+	"github.com/aigrepro/aig/internal/aig"
 	"github.com/aigrepro/aig/internal/datagen"
 	"github.com/aigrepro/aig/internal/hospital"
 )
@@ -39,16 +40,35 @@ const maxEvalAllocs = 24_600
 // four fails here).
 const maxServeAllocs = 3_500
 
+// maxFirstAllocs bounds the same evaluations planned from scratch, a
+// fresh mediator each (BenchmarkEvaluateRecursive/bench250/first):
+// compile, Merge and Schedule, then the evaluation above. ~81 k when
+// every Merge trial built a throwaway graph and sorted it twice, ~22.3 k
+// since the trials rebuild one contracted view in place and cost(P) is
+// one pass over the schedule's order (a change that brings back
+// per-trial rebuilding fails here).
+const maxFirstAllocs = 26_000
+
 func TestEvaluateAllocBudget(t *testing.T) {
 	reg, sa := bench250View(t, false)
 	m := New(reg, DefaultOptions())
-	requireAllocBudget(t, "evaluation", maxEvalAllocs, func(d int) {
-		res, depth, err := m.EvaluateRecursive(sa, hospital.RootInh(sa, datagen.Date(d)), 8, 64)
-		if err != nil || depth != 8 {
-			t.Fatalf("depth %d, err %v", depth, err)
-		}
-		benchDoc = res
+	requireAllocBudget(t, "evaluation", maxEvalAllocs, func(d int) { evaluateDate(t, m, sa, d) })
+}
+
+func TestFirstAllocBudget(t *testing.T) {
+	reg, sa := bench250View(t, false)
+	requireAllocBudget(t, "evaluation planned from scratch", maxFirstAllocs, func(d int) {
+		evaluateDate(t, New(reg, DefaultOptions()), sa, d)
 	})
+}
+
+// evaluateDate evaluates the bench250 view at depth 8 for date d.
+func evaluateDate(t *testing.T, m *Mediator, sa *aig.AIG, d int) {
+	res, depth, err := m.EvaluateRecursive(sa, hospital.RootInh(sa, datagen.Date(d)), 8, 64)
+	if err != nil || depth != 8 {
+		t.Fatalf("depth %d, err %v", depth, err)
+	}
+	benchDoc = res
 }
 
 func TestServeAllocBudget(t *testing.T) {

@@ -80,6 +80,23 @@ func BenchmarkEvaluateRecursive(b *testing.B) {
 
 var benchDoc *Result
 
+// BenchmarkPlan is the planning "first" pays for, alone: a fresh
+// mediator compiles the bench250 view at depth 8, merges and schedules
+// it, and evaluates nothing.
+func BenchmarkPlan(b *testing.B) {
+	reg, sa := bench250View(b, false)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p, _, _, err := New(reg, DefaultOptions()).prepare(context.Background(), sa, 8, nil, nil, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchPlan = p
+	}
+}
+
+var benchPlan *preparedPlan
+
 // fragmentPaths are the fragment_cold workload's paths without
 // predicates, which aigd serves from pruned plans: one narrow, two wide.
 var fragmentPaths = []struct{ name, expr string }{

@@ -37,89 +37,27 @@ func (x *exec) measuredInputs() costInputs {
 	return in
 }
 
-// costOf computes cost(P) for the plan under the given inputs. Completion
-// times are computed in one pass over a topological order of the
-// dependency edges augmented with schedule-predecessor edges; schedules
-// produced by this package are always consistent with the dependency
-// partial order, so the combined relation is acyclic.
-func costOf(nodes []*node, p *plan, net NetModel, in costInputs) float64 {
-	comp := make(map[*node]float64, len(nodes))
-	prev := make(map[*node]*node)
-	for _, seq := range p.order {
-		for i := 1; i < len(seq); i++ {
-			prev[seq[i]] = seq[i-1]
-		}
-	}
-	// Combined topological order: process dependency topo order repeatedly
-	// until schedule constraints settle. Because schedule order is
-	// consistent with dependencies, a single pass over a combined order
-	// suffices; build it by inserting schedule edges into the in-degree
-	// counts.
-	combinedIn := func(n *node) []*node {
-		var deps []*node
-		for _, e := range n.in {
-			deps = append(deps, e.from)
-		}
-		if pn := prev[n]; pn != nil {
-			deps = append(deps, pn)
-		}
-		return deps
-	}
-	indeg := make(map[*node]int, len(nodes))
-	dependents := make(map[*node][]*node, len(nodes))
-	inSet := make(map[*node]bool, len(nodes))
-	for _, n := range nodes {
-		inSet[n] = true
-	}
-	for _, n := range nodes {
-		for _, d := range combinedIn(n) {
-			if inSet[d] {
-				indeg[n]++
-				dependents[d] = append(dependents[d], n)
-			}
-		}
-	}
-	var ready []*node
-	for _, n := range nodes {
-		if indeg[n] == 0 {
-			ready = append(ready, n)
-		}
-	}
+// costOf computes cost(P) in one pass over a plan's global order
+// (plan.topo): each source runs its nodes in that order, so a node's
+// schedule predecessor is the last node of its source before it, and its
+// producers all come before it.
+func costOf(topo []*node, net NetModel, in costInputs) float64 {
+	comp := make([]float64, len(topo))
+	last := make(map[string]float64) // completion of each source's latest node
 	maxComp := 0.0
-	processed := 0
-	for len(ready) > 0 {
-		n := ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
-		processed++
-
-		start := 0.0
-		if pn := prev[n]; pn != nil {
-			start = comp[pn]
-		}
+	for _, n := range topo {
+		start := last[n.source]
 		for _, e := range n.in {
-			if !inSet[e.from] {
-				continue
-			}
-			arrive := comp[e.from] + net.TransCost(e.from.source, n.source, int(in.bytes(e)))
+			arrive := comp[e.from.idx] + net.TransCost(e.from.source, n.source, int(in.bytes(e)))
 			if arrive > start {
 				start = arrive
 			}
 		}
-		comp[n] = start + in.overhead(n) + in.eval(n)
-		if comp[n] > maxComp {
-			maxComp = comp[n]
+		c := start + in.overhead(n) + in.eval(n)
+		comp[n.idx], last[n.source] = c, c
+		if c > maxComp {
+			maxComp = c
 		}
-		for _, d := range dependents[n] {
-			indeg[d]--
-			if indeg[d] == 0 {
-				ready = append(ready, d)
-			}
-		}
-	}
-	if processed != len(nodes) {
-		// Inconsistent schedule (should not happen); signal with +inf so
-		// Merge rejects the configuration.
-		return 1e18
 	}
 	return maxComp
 }

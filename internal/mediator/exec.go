@@ -211,7 +211,7 @@ func (r *Run) result() (*Result, error) {
 	rep.PhaseSec["tag"] = sec
 	rep.WallSec += sec
 	g := r.x.g
-	rep.ResponseTimeSec = costOf(g.nodes, r.x.sched, g.opts.Net, r.x.measuredInputs())
+	rep.ResponseTimeSec = costOf(r.x.sched.topo, g.opts.Net, r.x.measuredInputs())
 	r.root.SetAttr("response_time_sec", rep.ResponseTimeSec)
 	return &Result{Doc: doc, Report: rep}, nil
 }

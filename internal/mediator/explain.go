@@ -78,7 +78,7 @@ func renderPlan(pp *preparedPlan, res *Result, x *exec) string {
 	if g.opts.Merge {
 		fmt.Fprintf(&b, " (%d merged groups)", pp.merged)
 	}
-	est := costOf(g.nodes, p, g.opts.Net, estimatedInputs(g.opts.Net))
+	est := costOf(p.topo, g.opts.Net, estimatedInputs(g.opts.Net))
 	fmt.Fprintf(&b, "\nestimated response time: %.3fs\n", est)
 	if analyze {
 		fmt.Fprintf(&b, "measured response time:  %.3fs (virtual clock, error %s)\n",

@@ -211,19 +211,35 @@ func (g *graph) newQueryNode(name string, pt *part) *node {
 }
 
 func (g *graph) addEdge(from, to *node, estBytes float64) {
-	if from == nil || to == nil || from == to {
+	if from == nil || to == nil {
 		return
 	}
-	for _, e := range to.in {
-		if e.from == from {
-			e.estBytes += estBytes
-			return
+	link(from, to, estBytes, func() *edge {
+		e := &edge{idx: len(g.edges)}
+		g.edges = append(g.edges, e)
+		return e
+	})
+}
+
+// link adds estBytes to the edge from nf to nt, creating it from fresh
+// when there is none yet, and returns it: nil when nf is nt. It is the
+// one find-or-create of an edge, for the built graph (addEdge), Merge's
+// trial views and the partition it applies.
+func link(nf, nt *node, estBytes float64, fresh func() *edge) *edge {
+	if nf == nt {
+		return nil
+	}
+	for _, fe := range nf.out {
+		if fe.to == nt {
+			fe.estBytes += estBytes
+			return fe
 		}
 	}
-	e := &edge{idx: len(g.edges), from: from, to: to, estBytes: estBytes}
-	g.edges = append(g.edges, e)
-	from.out = append(from.out, e)
-	to.in = append(to.in, e)
+	fe := fresh()
+	fe.from, fe.to, fe.estBytes = nf, nt, estBytes
+	nf.out = append(nf.out, fe)
+	nt.in = append(nt.in, fe)
+	return fe
 }
 
 // attrSchemaFn resolves a rule source reference to its per-tuple binding

@@ -77,18 +77,20 @@ func (n NetModel) TransCost(s1, s2 string, bytes int) float64 {
 	return hop
 }
 
-// ScheduleAlgo selects how the plan orders each source's queries. The
-// order is fixed when the plan is prepared; every evaluation executes it
-// as it stands, one worker per source.
+// ScheduleAlgo selects the plan's order: one topological order of the
+// dependency graph, whose projection onto each source is the sequence
+// that source runs. The order is fixed when the plan is prepared; every
+// evaluation executes it as it stands, one worker per source.
 type ScheduleAlgo int
 
 // The scheduling algorithms.
 const (
 	// ScheduleLevel is Algorithm Schedule of §5.3: list scheduling by
-	// maximum downstream path cost, fixed before execution.
+	// maximum downstream path cost, then construction order, fixed
+	// before execution.
 	ScheduleLevel ScheduleAlgo = iota
 	// ScheduleFIFO is the ablation baseline: queries run in graph
-	// construction order.
+	// construction order, as far as their dependencies allow.
 	ScheduleFIFO
 )
 

@@ -1,6 +1,8 @@
 package mediator
 
 import (
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -8,7 +10,8 @@ import (
 // of same-source query nodes whose fusion most reduces the estimated plan
 // cost (estimated via Schedule + the §5.2 cost model), subject to the
 // merged dependency graph staying acyclic, until no beneficial pair
-// remains.
+// remains. It returns the number of merged groups and the estimated
+// cost of the plan it chose.
 //
 // Merging independent queries stands in for the outer union of §5.4: the
 // merged node runs their parts one after another, and the cost model
@@ -19,8 +22,11 @@ import (
 // request to the source covers the whole pipeline and the intermediate
 // shipments disappear. A pair whose connecting paths
 // pass through a third query node cannot be merged (it would make the
-// graph cyclic), matching the acyclicity test of Fig. 9.
-func (g *graph) mergeQueries() int {
+// graph cyclic), matching the acyclicity test of Fig. 9. Nor can a pair
+// whose contraction closes a cycle through a third, merged, group, which
+// only the contracted graph shows: Schedule's topological sort of the
+// trial view rejects it.
+func (g *graph) mergeQueries() (int, float64) {
 	n := len(g.nodes)
 	reach := reachability(g.nodes)
 
@@ -29,53 +35,73 @@ func (g *graph) mergeQueries() int {
 		groupOf[i] = i
 	}
 
-	cost := func() float64 {
-		view := g.buildView(groupOf)
-		if len(topoOrder(view)) != len(view) {
-			return 1e18
+	v := &view{nodes: make([]node, n), edges: make([]edge, 0, len(g.edges)), at: make([]*node, n)}
+	in := estimatedInputs(g.opts.Net)
+	cost := func(groupOf []int) float64 {
+		nodes := v.build(g, groupOf)
+		order := scheduleOrder(nodes, g.opts.Net, g.opts.Schedule)
+		if len(order) < len(nodes) {
+			return math.Inf(1)
 		}
-		p := schedule(view, g.opts.Net, g.opts.Schedule)
-		return costOf(view, p, g.opts.Net, estimatedInputs(g.opts.Net))
+		return costOf(order, g.opts.Net, in)
 	}
 
 	// interiors returns the nodes strictly between the two groups'
-	// members (either direction) and whether they are all local (merge
-	// legality).
+	// members (either direction), in index order, and whether they are
+	// all local (merge legality).
 	interiors := func(ga, gb int) ([]int, bool) {
-		var inA, inB []int
-		for i := range groupOf {
-			switch groupOf[i] {
-			case ga:
-				inA = append(inA, i)
-			case gb:
-				inB = append(inB, i)
+		var out []int
+		for k, gk := range groupOf {
+			if gk == ga || gk == gb {
+				continue
 			}
-		}
-		between := make(map[int]bool)
-		for _, a := range inA {
-			for _, b := range inB {
-				for k := 0; k < n; k++ {
-					if groupOf[k] == ga || groupOf[k] == gb {
-						continue
-					}
-					if (reach[a][k] && reach[k][b]) || (reach[b][k] && reach[k][a]) {
-						between[k] = true
-					}
+			var fromA, toA, fromB, toB bool
+			for i, gi := range groupOf {
+				switch gi {
+				case ga:
+					fromA, toA = fromA || reach[i][k], toA || reach[k][i]
+				case gb:
+					fromB, toB = fromB || reach[i][k], toB || reach[k][i]
 				}
 			}
-		}
-		out := make([]int, 0, len(between))
-		for k := range between {
+			if !(fromA && toB || fromB && toA) {
+				continue
+			}
 			if g.nodes[k].kind != nodeLocal {
 				return nil, false
 			}
 			out = append(out, k)
 		}
-		sort.Ints(out)
 		return out, true
 	}
+	// fold merges group gb and the interiors into group ga.
+	fold := func(groupOf []int, ga, gb int, extra []int) {
+		for k, gid := range groupOf {
+			if gid == gb {
+				groupOf[k] = ga
+			}
+		}
+		for _, k := range extra {
+			groupOf[k] = ga
+		}
+	}
 
-	best := cost()
+	// The source query nodes, by source.
+	queries := make(map[string][]int)
+	for i, node := range g.nodes {
+		if node.kind == nodeQuery && node.source != MediatorSource {
+			queries[node.source] = append(queries[node.source], i)
+		}
+	}
+	sources := make([]string, 0, len(queries))
+	for s := range queries {
+		sources = append(sources, s)
+	}
+	sort.Strings(sources)
+
+	var gids []int
+	trial := make([]int, n)
+	best := cost(groupOf)
 	for {
 		type cand struct {
 			ga, gb int
@@ -83,26 +109,13 @@ func (g *graph) mergeQueries() int {
 			cost   float64
 		}
 		var bestCand *cand
-
-		bySource := make(map[string][]int) // source -> group ids with query nodes
-		seenGroup := make(map[int]bool)
-		for i, node := range g.nodes {
-			if node.kind == nodeQuery && node.source != MediatorSource {
-				gid := groupOf[i]
-				if !seenGroup[gid] {
-					seenGroup[gid] = true
-					bySource[node.source] = append(bySource[node.source], gid)
-				}
-			}
-		}
-		var sources []string
-		for s := range bySource {
-			sources = append(sources, s)
-		}
-		sort.Strings(sources)
 		for _, s := range sources {
-			gids := bySource[s]
-			sort.Ints(gids)
+			gids = gids[:0]
+			for _, i := range queries[s] {
+				gids = append(gids, groupOf[i])
+			}
+			slices.Sort(gids)
+			gids = slices.Compact(gids)
 			for i := 0; i < len(gids); i++ {
 				for j := i + 1; j < len(gids); j++ {
 					ga, gb := gids[i], gids[j]
@@ -110,27 +123,9 @@ func (g *graph) mergeQueries() int {
 					if !ok {
 						continue
 					}
-					// Trial: fold gb and the interiors into ga.
-					saved := make(map[int]int)
-					fold := func(idx int) {
-						saved[idx] = groupOf[idx]
-						groupOf[idx] = ga
-					}
-					for k := range groupOf {
-						if groupOf[k] == gb {
-							fold(k)
-						}
-					}
-					for _, k := range extra {
-						if groupOf[k] != ga {
-							fold(k)
-						}
-					}
-					c := cost()
-					for k, old := range saved {
-						groupOf[k] = old
-					}
-					if c < best-1e-12 && (bestCand == nil || c < bestCand.cost) {
+					copy(trial, groupOf)
+					fold(trial, ga, gb, extra)
+					if c := cost(trial); c < best-1e-12 && (bestCand == nil || c < bestCand.cost) {
 						bestCand = &cand{ga: ga, gb: gb, extra: extra, cost: c}
 					}
 				}
@@ -139,18 +134,11 @@ func (g *graph) mergeQueries() int {
 		if bestCand == nil {
 			break
 		}
-		for k := range groupOf {
-			if groupOf[k] == bestCand.gb {
-				groupOf[k] = bestCand.ga
-			}
-		}
-		for _, k := range bestCand.extra {
-			groupOf[k] = bestCand.ga
-		}
+		fold(groupOf, bestCand.ga, bestCand.gb, bestCand.extra)
 		best = bestCand.cost
 	}
 
-	return g.applyPartition(groupOf)
+	return g.applyPartition(groupOf), best
 }
 
 // reachability computes the transitive closure of the dependency edges.
@@ -162,103 +150,98 @@ func reachability(nodes []*node) [][]bool {
 	}
 	// DFS from each node; graphs here are small (hundreds of nodes).
 	var dfs func(start, cur int)
-	var visitMark []bool
 	dfs = func(start, cur int) {
 		for _, e := range nodes[cur].out {
-			t := e.to.idx
-			if !visitMark[t] {
-				visitMark[t] = true
+			if t := e.to.idx; !reach[start][t] {
 				reach[start][t] = true
 				dfs(start, t)
 			}
 		}
 	}
 	for i := range nodes {
-		visitMark = make([]bool, n)
 		dfs(i, i)
 	}
 	return reach
 }
 
-// buildView constructs a throwaway contracted graph for cost evaluation:
-// each group becomes one node whose estimates aggregate its members.
-func (g *graph) buildView(groupOf []int) []*node {
-	rep := make(map[int]*node)
-	var view []*node
+// view is Merge's trial graph: the dependency graph contracted by a
+// grouping, one node per group in the order of the groups' first members
+// (the order applyPartition gives the plan), its estimates summed over
+// the members in index order, and one edge per ordered pair of groups,
+// its estimate summed over the pair's edges in edge order. Its node and
+// edge blocks are allocated once and rebuilt in place for every trial.
+type view struct {
+	nodes []node
+	ptrs  []*node
+	edges []edge
+	at    []*node // group id -> view node
+}
+
+func (v *view) build(g *graph, groupOf []int) []*node {
+	clear(v.at)
+	v.ptrs, v.edges = v.ptrs[:0], v.edges[:0]
 	for i, n := range g.nodes {
-		gid := groupOf[i]
-		v, ok := rep[gid]
-		if !ok {
-			v = &node{idx: len(view), kind: n.kind, source: n.source}
-			rep[gid] = v
-			view = append(view, v)
+		vn := v.at[groupOf[i]]
+		if vn == nil {
+			k := len(v.ptrs)
+			vn = &v.nodes[k]
+			*vn = node{idx: k, kind: n.kind, source: n.source, in: vn.in[:0], out: vn.out[:0]}
+			v.at[groupOf[i]], v.ptrs = vn, append(v.ptrs, vn)
 		}
 		// A group containing any query node behaves as a query at that
 		// source.
 		if n.kind == nodeQuery {
-			v.kind = nodeQuery
-			v.source = n.source
+			vn.kind, vn.source = nodeQuery, n.source
 		}
-		v.estCost += n.estCost
-		v.estOutBytes += n.estOutBytes
+		vn.estCost += n.estCost
+		vn.estOutBytes += n.estOutBytes
 	}
-	type pair struct{ f, t *node }
-	seen := make(map[pair]*edge)
 	for _, e := range g.edges {
-		vf, vt := rep[groupOf[e.from.idx]], rep[groupOf[e.to.idx]]
-		if vf == vt {
-			continue
-		}
-		if ve, ok := seen[pair{vf, vt}]; ok {
-			ve.estBytes += e.estBytes
-			continue
-		}
-		ve := &edge{from: vf, to: vt, estBytes: e.estBytes}
-		seen[pair{vf, vt}] = ve
-		vf.out = append(vf.out, ve)
-		vt.in = append(vt.in, ve)
+		// Within its capacity, so the edges linked so far stay put.
+		link(v.at[groupOf[e.from.idx]], v.at[groupOf[e.to.idx]], e.estBytes, func() *edge {
+			v.edges = append(v.edges, edge{})
+			return &v.edges[len(v.edges)-1]
+		})
 	}
-	return view
+	return v.ptrs
 }
 
 // applyPartition rebuilds the real graph according to the final merge
-// partition, returning the number of merged (multi-member) groups. Merged
-// nodes execute their members — query parts and absorbed local tasks — in
+// partition, returning the number of merged (multi-member) groups. The
+// groups are ordered by their first members, as Merge's trial views
+// order them, so the plan costs what Merge estimated. Merged nodes
+// execute their members — query parts and absorbed local tasks — in
 // topological order.
 func (g *graph) applyPartition(groupOf []int) int {
-	members := make(map[int][]*node)
-	groupByNode := make(map[*node]int, len(g.nodes))
+	members := make([][]*node, len(g.nodes)) // by group id
+	var gids []int                           // in order of first member
 	for i, n := range g.nodes {
-		members[groupOf[i]] = append(members[groupOf[i]], n)
-		groupByNode[n] = groupOf[i]
+		gid := groupOf[i]
+		if members[gid] == nil {
+			gids = append(gids, gid)
+		}
+		members[gid] = append(members[gid], n)
 	}
+	pos := make([]int, len(g.nodes))
+	for i, n := range topoOrder(g.nodes, byIdx) {
+		pos[n.idx] = i
+	}
+
 	merged := 0
-
-	pos := make(map[*node]int, len(g.nodes))
-	for i, n := range topoOrder(g.nodes) {
-		pos[n] = i
-	}
-
-	final := make(map[int]*node, len(members))
-	var newNodes []*node
-	gids := make([]int, 0, len(members))
-	for gid := range members {
-		gids = append(gids, gid)
-	}
-	sort.Ints(gids)
+	final := make([]*node, len(g.nodes)) // by group id
+	newNodes := make([]*node, 0, len(gids))
 	for _, gid := range gids {
 		ms := members[gid]
 		if len(ms) == 1 {
 			n := ms[0]
 			n.in, n.out = nil, nil
-			n.idx = len(newNodes)
 			final[gid] = n
 			newNodes = append(newNodes, n)
 			continue
 		}
 		merged++
-		sort.SliceStable(ms, func(i, j int) bool { return pos[ms[i]] < pos[ms[j]] })
-		m := &node{idx: len(newNodes), kind: nodeQuery, name: "merged"}
+		slices.SortFunc(ms, func(a, b *node) int { return pos[a.idx] - pos[b.idx] })
+		m := &node{kind: nodeQuery, name: "merged"}
 		for _, n := range ms {
 			if n.kind == nodeQuery && n.source != MediatorSource {
 				m.source = n.source
@@ -275,33 +258,21 @@ func (g *graph) applyPartition(groupOf []int) int {
 		newNodes = append(newNodes, m)
 	}
 
-	type pair struct{ f, t *node }
-	seen := make(map[pair]*edge)
+	// Each rewired edge records which original producers it stands for,
+	// so the runtime ships only the relevant parts.
 	var newEdges []*edge
 	for _, e := range g.edges {
-		nf, nt := final[groupByNode[e.from]], final[groupByNode[e.to]]
-		if nf == nt {
-			continue
+		fe := link(final[groupOf[e.from.idx]], final[groupOf[e.to.idx]], e.estBytes, func() *edge {
+			fe := &edge{idx: len(newEdges)}
+			newEdges = append(newEdges, fe)
+			return fe
+		})
+		if fe != nil {
+			fe.producers = append(fe.producers, e.from)
 		}
-		if fe, ok := seen[pair{nf, nt}]; ok {
-			fe.estBytes += e.estBytes
-			continue
-		}
-		fe := &edge{idx: len(newEdges), from: nf, to: nt, estBytes: e.estBytes}
-		seen[pair{nf, nt}] = fe
-		nf.out = append(nf.out, fe)
-		nt.in = append(nt.in, fe)
-		newEdges = append(newEdges, fe)
 	}
-	// Record, per rewired edge, which original producers it stands for,
-	// so the runtime ships only the relevant parts.
-	for _, e := range g.edges {
-		nf, nt := final[groupByNode[e.from]], final[groupByNode[e.to]]
-		if nf == nt {
-			continue
-		}
-		fe := seen[pair{nf, nt}]
-		fe.producers = append(fe.producers, e.from)
+	for i, n := range newNodes {
+		n.idx = i
 	}
 	g.nodes = newNodes
 	g.edges = newEdges

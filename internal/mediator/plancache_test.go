@@ -2,16 +2,23 @@ package mediator
 
 import (
 	"context"
+	"crypto/sha256"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 
+	"github.com/aigrepro/aig/internal/aig"
 	"github.com/aigrepro/aig/internal/hospital"
 	"github.com/aigrepro/aig/internal/obs"
+	"github.com/aigrepro/aig/internal/randaig"
 	"github.com/aigrepro/aig/internal/relstore"
+	"github.com/aigrepro/aig/internal/source"
+	"github.com/aigrepro/aig/internal/specialize"
+	"github.com/aigrepro/aig/internal/sqlmini"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden plan renderings")
@@ -165,26 +172,93 @@ func TestExplainGolden(t *testing.T) {
 		}
 		stable = append(stable, secondsRe.ReplaceAllString(line, "#s"))
 	}
-	for name, got := range map[string]string{
-		"explain-tiny-3.golden":         explain,
-		"explain-analyze-tiny-3.golden": strings.Join(stable, "\n"),
-	} {
-		path := filepath.Join("testdata", name)
-		if *update {
-			if err := os.MkdirAll("testdata", 0o755); err != nil {
-				t.Fatal(err)
+	checkGolden(t, "explain-tiny-3.golden", explain)
+	checkGolden(t, "explain-analyze-tiny-3.golden", strings.Join(stable, "\n"))
+}
+
+// TestExplainRandomGolden pins, with Merge on, one SHA-256 of Explain per
+// random grammar (randaig seeds 1-400) and schedule: the groupings,
+// per-source orders and estimates of far more plan shapes than the
+// hospital goldens reach.
+func TestExplainRandomGolden(t *testing.T) {
+	var b strings.Builder
+	for seed := int64(1); seed <= randomSeeds; seed++ {
+		a, reg := randomGrammar(t, seed)
+		for _, s := range schedules {
+			opts := DefaultOptions()
+			opts.Schedule = s.algo
+			out, err := New(reg, opts).Explain(a)
+			if err != nil {
+				out = "error: " + err.Error()
 			}
-			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(want) != got {
-			t.Errorf("%s differs from the golden rendering:\n--- want\n%s\n--- got\n%s", name, want, got)
+			fmt.Fprintf(&b, "%d %s %x\n", seed, s.name, sha256.Sum256([]byte(out)))
 		}
 	}
+	checkGolden(t, "explain-randaig.golden", b.String())
+}
+
+// randomSeeds is the number of randaig seeds the random-grammar plan
+// tests cover, from seed 1.
+const randomSeeds = 400
+
+var schedules = []struct {
+	name string
+	algo ScheduleAlgo
+}{{"level", ScheduleLevel}, {"fifo", ScheduleFIFO}}
+
+// randomGrammar is randaig's instance of seed as the differential oracle
+// evaluates it: constraints compiled to guards, queries decomposed,
+// recursion unfolded to the instance's safe depth, and a registry over
+// its catalog.
+func randomGrammar(t *testing.T, seed int64) (*aig.AIG, *source.Registry) {
+	t.Helper()
+	inst, err := randaig.Generate(seed, randaig.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := specialize.CompileConstraints(inst.AIG)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, err = specialize.DecomposeQueries(a, inst.Schemas(), inst.Stats(), sqlmini.PlanOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if a, err = specialize.Unfold(a, inst.UnfoldDepth); err != nil {
+		t.Fatal(err)
+	}
+	return a, source.RegistryFromCatalog(inst.Catalog)
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file under
+// -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(want) == got {
+		return
+	}
+	// Name the first differing line; when every line of the shorter side
+	// matches, the two differ only in length or trailing newlines.
+	wl, gl := strings.Split(string(want), "\n"), strings.Split(got, "\n")
+	for i := 0; i < min(len(wl), len(gl)); i++ {
+		if wl[i] != gl[i] {
+			t.Errorf("%s line %d differs from the golden rendering:\n--- want\n%s\n--- got\n%s", name, i+1, wl[i], gl[i])
+			return
+		}
+	}
+	t.Errorf("%s differs from the golden rendering in length or trailing newlines: want %d lines (%d bytes), got %d lines (%d bytes)",
+		name, len(wl), len(want), len(gl), len(got))
 }

@@ -186,7 +186,7 @@ func (m *Mediator) prepare(ctx context.Context, a *aig.AIG, depth int, keep Verd
 	} else {
 		p = &preparedPlan{g: g}
 		if m.opts.Merge {
-			p.merged = g.mergeQueries()
+			p.merged, _ = g.mergeQueries()
 		}
 		p.sched = schedule(g.nodes, m.opts.Net, m.opts.Schedule)
 		m.plans.put(&planEntry{key: key, sources: sources, epoch: epoch, p: p})

@@ -1,113 +1,102 @@
 package mediator
 
 import (
+	"slices"
 	"sort"
 )
 
-// plan is an execution plan P: one ordered query sequence per source
-// (including the mediator's local-task sequence).
+// plan is an execution plan P: one global topological order of the
+// dependency graph and its projection onto each source (the mediator's
+// local tasks included), the sequence that source runs.
 type plan struct {
+	topo  []*node
 	order map[string][]*node
 }
 
 // schedule computes an execution plan for the given nodes. ScheduleLevel
 // is Algorithm Schedule of §5.3: each node's priority ℓevel(Q) is its
 // estimated evaluation cost plus the maximum downstream path cost
-// (including communication), and every source executes its nodes in
-// decreasing priority. ScheduleFIFO orders by construction index, the
-// ablation baseline.
+// (including communication), and the plan runs nodes in decreasing
+// priority, then by construction index. ScheduleFIFO, the ablation
+// baseline, runs them in topological order by construction index. Every
+// source's sequence is a projection of one topological order, so no
+// source waits on a node it runs later.
 func schedule(nodes []*node, net NetModel, algo ScheduleAlgo) *plan {
-	p := &plan{order: make(map[string][]*node)}
-	for _, n := range nodes {
+	p := &plan{topo: scheduleOrder(nodes, net, algo), order: make(map[string][]*node)}
+	for _, n := range p.topo {
 		p.order[n.source] = append(p.order[n.source], n)
-	}
-	switch algo {
-	case ScheduleFIFO:
-		// No prioritization: graph-discovery order, but kept consistent
-		// with the dependency partial order (a schedule that contradicts
-		// it would deadlock the source workers).
-		pos := make(map[*node]int, len(nodes))
-		for i, n := range topoOrder(nodes) {
-			pos[n] = i
-		}
-		for _, ns := range p.order {
-			sort.SliceStable(ns, func(i, j int) bool { return pos[ns[i]] < pos[ns[j]] })
-		}
-	default:
-		level := levels(nodes, net)
-		for _, ns := range p.order {
-			sort.SliceStable(ns, func(i, j int) bool {
-				li, lj := level[ns[i]], level[ns[j]]
-				if li != lj {
-					return li > lj
-				}
-				return ns[i].idx < ns[j].idx
-			})
-		}
 	}
 	return p
 }
 
-// levels computes ℓevel(Q) for every node in reverse topological order
-// (steps 1-6 of Fig. 8).
-func levels(nodes []*node, net NetModel) map[*node]float64 {
-	order := topoOrder(nodes)
-	level := make(map[*node]float64, len(nodes))
-	for i := len(order) - 1; i >= 0; i-- {
-		n := order[i]
+// scheduleOrder is the global order of schedule's plan. It is shorter
+// than nodes when their dependency edges have a cycle.
+func scheduleOrder(nodes []*node, net NetModel, algo ScheduleAlgo) []*node {
+	topo := topoOrder(nodes, byIdx)
+	if algo == ScheduleFIFO || len(topo) < len(nodes) {
+		return topo
+	}
+	level := levels(topo, net)
+	return topoOrder(nodes, func(a, b *node) bool {
+		if la, lb := level[a.idx], level[b.idx]; la != lb {
+			return la > lb
+		}
+		return a.idx < b.idx
+	})
+}
+
+// levels computes ℓevel(Q), indexed by node, over a topological order in
+// reverse (steps 1-6 of Fig. 8).
+func levels(topo []*node, net NetModel) []float64 {
+	level := make([]float64, len(topo))
+	for i := len(topo) - 1; i >= 0; i-- {
+		n := topo[i]
 		l := 0.0
 		for _, e := range n.out {
-			t := net.TransCost(n.source, e.to.source, int(e.estBytes)) + level[e.to]
+			t := net.TransCost(n.source, e.to.source, int(e.estBytes)) + level[e.to.idx]
 			if t > l {
 				l = t
 			}
 		}
 		// Force a strictly positive cost so priorities strictly decrease
-		// along edges, keeping per-source schedules consistent with the
-		// dependency partial order.
+		// along edges: the level order is then itself topological.
 		c := n.estCost
 		if c <= 0 {
 			c = 1e-9
 		}
-		level[n] = l + c
+		level[n.idx] = l + c
 	}
 	return level
 }
 
-// topoOrder returns the nodes in a topological order of the dependency
-// edges (Kahn's algorithm, stable by construction index).
-func topoOrder(nodes []*node) []*node {
-	indeg := make(map[*node]int, len(nodes))
-	inSet := make(map[*node]bool, len(nodes))
-	for _, n := range nodes {
-		inSet[n] = true
-	}
-	for _, n := range nodes {
-		for _, e := range n.in {
-			if inSet[e.from] {
-				indeg[n]++
-			}
-		}
-	}
+func byIdx(a, b *node) bool { return a.idx < b.idx }
+
+// topoOrder returns the nodes in a topological order of their dependency
+// edges (Kahn's algorithm), taking the first ready node by before at each
+// step. The nodes' indexes are 0..len(nodes)-1 and their edges stay
+// among them. The order is shorter than nodes when the edges have a
+// cycle.
+func topoOrder(nodes []*node, before func(a, b *node) bool) []*node {
+	indeg := make([]int, len(nodes))
+	// ready runs from the last node by before to the first.
 	ready := make([]*node, 0, len(nodes))
+	push := func(n *node) {
+		i := sort.Search(len(ready), func(k int) bool { return before(ready[k], n) })
+		ready = slices.Insert(ready, i, n)
+	}
 	for _, n := range nodes {
-		if indeg[n] == 0 {
-			ready = append(ready, n)
+		if indeg[n.idx] = len(n.in); indeg[n.idx] == 0 {
+			push(n)
 		}
 	}
-	var out []*node
+	out := make([]*node, 0, len(nodes))
 	for len(ready) > 0 {
-		sort.SliceStable(ready, func(i, j int) bool { return ready[i].idx < ready[j].idx })
-		n := ready[0]
-		ready = ready[1:]
+		n := ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
 		out = append(out, n)
 		for _, e := range n.out {
-			if !inSet[e.to] {
-				continue
-			}
-			indeg[e.to]--
-			if indeg[e.to] == 0 {
-				ready = append(ready, e.to)
+			if indeg[e.to.idx]--; indeg[e.to.idx] == 0 {
+				push(e.to)
 			}
 		}
 	}
@@ -116,5 +105,5 @@ func topoOrder(nodes []*node) []*node {
 
 // isAcyclic reports whether the node set's dependency edges form a DAG.
 func isAcyclic(nodes []*node) bool {
-	return len(topoOrder(nodes)) == len(nodes)
+	return len(topoOrder(nodes, byIdx)) == len(nodes)
 }
