@@ -44,8 +44,10 @@ staticcheck:
 # fuzz-smoke gives each fuzz target a short budget; regressions in the
 # parsers' invariants (and the remote delta wire format) surface as
 # crashes, the XML encoder must byte-match the fmt-based reference,
-# tuple keys must be equal exactly when the tuples are, and a row parsed
-# from outside text must render back to itself. CI runs this target.
+# tuple keys must be equal exactly when the tuples are, a row parsed
+# from outside text must render back to itself, and recovering a WAL
+# with fuzzed records after a valid prefix must never panic and must be
+# repeatable. CI runs this target.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/aigspec
 	$(GO) test -run '^$$' -fuzz FuzzParseGeneral -fuzztime 10s ./internal/dtd
@@ -56,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWriteIndented -fuzztime 10s ./internal/xmltree
 	$(GO) test -run '^$$' -fuzz FuzzTupleKey -fuzztime 10s ./internal/relstore
 	$(GO) test -run '^$$' -fuzz FuzzParseRow -fuzztime 10s ./internal/relstore
+	$(GO) test -run '^$$' -fuzz FuzzRecoverWAL -fuzztime 10s ./internal/relstore
 
 # soak runs the differential harness for a wall-clock budget, shrinking
 # any divergence to a replayable {seed, config, ops} triple. CI runs it
@@ -77,8 +80,9 @@ soak-ivm:
 soak-certify:
 	$(GO) run -race ./cmd/aigdiff -certify -n 300 -mutations 25 -shrink
 
-# soak-recover is the crash-recovery torture sweep: seeded mutation
-# sequences journaled with snapshots at random points, then the WAL
+# soak-recover is the crash-recovery torture sweep: seeded sequences of
+# row inserts and deletes (the only writes a persisted database
+# journals) with snapshots at random points, then the WAL
 # truncated at every byte offset of its tail record; each crash image is
 # recovered and must match the pre-crash oracle exactly — tuples, table
 # versions AND change logs. Race-built because the acceptance bar is a

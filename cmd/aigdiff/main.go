@@ -63,11 +63,9 @@
 // must fail there too; the summary counts those states.
 //
 // With -recover, aigdiff tortures the durable relstore instead: each
-// seed derives a deterministic database plus an operation sequence
-// covering every WAL record kind (row inserts and deletes, change-log
-// limit changes, table adds and drops, version bumps, explicit
-// snapshots), journals it on the
-// fault-injectable in-memory filesystem, and then crashes the store at
+// seed derives a deterministic database plus a sequence of row inserts
+// and deletes (the only WAL record kinds) and explicit snapshots,
+// journals it on the fault-injectable in-memory filesystem, and then crashes the store at
 // every WAL frame boundary and at every byte offset of the tail record.
 // Each crash image is recovered and compared — rows, versions, and the
 // full ChangesSince behaviour at every watermark — against a

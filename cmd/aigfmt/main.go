@@ -15,10 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io/fs"
 	"os"
-	"path/filepath"
-	"sort"
 
 	"github.com/aigrepro/aig/internal/aigspec"
 )
@@ -36,7 +33,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	files, err := collect(flag.Args())
+	files, err := aigspec.Files(flag.Args())
 	if err != nil {
 		fail(err)
 	}
@@ -82,34 +79,4 @@ func main() {
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "aigfmt:", err)
 	os.Exit(2)
-}
-
-// collect expands the argument paths into the sorted list of .aig files:
-// files are taken as given, directories are walked recursively.
-func collect(paths []string) ([]string, error) {
-	var files []string
-	for _, p := range paths {
-		info, err := os.Stat(p)
-		if err != nil {
-			return nil, err
-		}
-		if !info.IsDir() {
-			files = append(files, p)
-			continue
-		}
-		err = filepath.WalkDir(p, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if !d.IsDir() && filepath.Ext(path) == ".aig" {
-				files = append(files, path)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	sort.Strings(files)
-	return files, nil
 }

@@ -26,11 +26,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io/fs"
 	"os"
-	"path/filepath"
-	"sort"
 
+	"github.com/aigrepro/aig/internal/aigspec"
 	"github.com/aigrepro/aig/internal/lint"
 )
 
@@ -54,7 +52,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	files, err := collect(flag.Args())
+	files, err := aigspec.Files(flag.Args())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "aiglint: %v\n", err)
 		os.Exit(2)
@@ -134,34 +132,4 @@ func atOrAbove(diags []lint.Diagnostic, threshold lint.Severity) bool {
 		}
 	}
 	return false
-}
-
-// collect expands the argument paths into the sorted list of .aig files
-// to lint: files are taken as given, directories are walked recursively.
-func collect(paths []string) ([]string, error) {
-	var files []string
-	for _, p := range paths {
-		info, err := os.Stat(p)
-		if err != nil {
-			return nil, err
-		}
-		if !info.IsDir() {
-			files = append(files, p)
-			continue
-		}
-		err = filepath.WalkDir(p, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if !d.IsDir() && filepath.Ext(path) == ".aig" {
-				files = append(files, path)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	sort.Strings(files)
-	return files, nil
 }

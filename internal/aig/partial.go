@@ -174,9 +174,11 @@ func (a *AIG) partialNode(env *Env, elem string, inh *AttrValue, depth int, cur 
 	}
 }
 
-// synRefs lists the element types whose synthesized attribute an
+// SynRefs lists the element types whose synthesized attribute an
 // inherited-attribute rule reads (through copies or query parameters).
-func synRefs(ir *InhRule) []string {
+// The partial evaluator and xpath's liveness analysis both order work by
+// it, so a fragment's verdict stays sound only while they share it.
+func SynRefs(ir *InhRule) []string {
 	if ir == nil {
 		return nil
 	}
@@ -231,7 +233,7 @@ func (a *AIG) partialSeq(env *Env, elem string, p dtd.Production, r *Rule, inh *
 			if r != nil {
 				ir = r.Inh[t]
 			}
-			for _, dep := range synRefs(ir) {
+			for _, dep := range SynRefs(ir) {
 				if occurrences[dep] > 0 && !full[dep] {
 					full[dep] = true
 					changed = true

@@ -22,30 +22,21 @@ import (
 // reordered mutations, wrong versions, or a change log that would make
 // IVM restamp stale documents.
 
-// RecoverOp is one replayable operation of a recovery torture run. The
-// set deliberately covers every WAL record kind: row inserts/deletes,
-// change-log limit changes, table adds and drops, manual version bumps,
-// plus explicit snapshots (which journal nothing but rotate the log
-// mid-sequence).
+// RecoverOp is one replayable operation of a recovery torture run: a row
+// insert or delete through Database.Mutate — the only writes a persisted
+// database journals, and the ones real traffic makes — or an explicit
+// snapshot, which journals nothing but rotates the log mid-sequence.
 type RecoverOp struct {
 	Kind  string   `json:"kind"`
 	Table string   `json:"table,omitempty"`
 	Row   []string `json:"row,omitempty"`
-	Index int      `json:"index,omitempty"` // addtable row count
-	Limit int      `json:"limit,omitempty"`
 }
 
 func (op RecoverOp) String() string {
-	switch op.Kind {
-	case "insert", "delete":
-		return fmt.Sprintf("%s %s %v", op.Kind, op.Table, op.Row)
-	case "loglimit":
-		return fmt.Sprintf("loglimit %s %d", op.Table, op.Limit)
-	case "addtable":
-		return fmt.Sprintf("addtable %s rows=%d", op.Table, op.Index)
-	default:
-		return op.Kind + " " + op.Table
+	if op.Kind == "snapshot" {
+		return op.Kind
 	}
+	return fmt.Sprintf("%s %s %v", op.Kind, op.Table, op.Row)
 }
 
 // RecoverConfig shapes one torture run.
@@ -109,32 +100,14 @@ func buildRecoverBase(seed int64) *relstore.Database {
 }
 
 // applyRecoverOp performs one op. Preconditions may have been shrunk
-// away (a delete whose row is gone, a table that was never added);
-// those degrade to no-ops, mirroring what the journaled store does.
+// away (a delete whose row is gone); those degrade to no-ops, mirroring
+// what the journaled store does.
 func applyRecoverOp(db *relstore.Database, p *relstore.Persister, op RecoverOp) error {
 	switch op.Kind {
 	case "insert", "delete":
 		if _, err := db.Mutate(op.Table, op.Kind, op.Row); errors.Is(err, relstore.ErrJournal) {
 			return err
 		}
-		return nil
-	case "loglimit":
-		if t, err := db.Table(op.Table); err == nil {
-			t.SetChangeLogLimit(op.Limit)
-		}
-		return nil
-	case "addtable":
-		nt := relstore.NewTable(op.Table, relstore.MustSchema("p:string", "q:int"))
-		for i := 0; i < op.Index; i++ {
-			nt.MustInsert(relstore.Tuple{relstore.String(fmt.Sprintf("p%d", i)), relstore.Int(int64(i))})
-		}
-		db.AddTable(nt)
-		return nil
-	case "droptable":
-		db.DropTable(op.Table)
-		return nil
-	case "bump":
-		db.BumpVersion()
 		return nil
 	case "snapshot":
 		if p != nil {
@@ -175,25 +148,13 @@ func GenerateRecoverOps(seed int64, cfg RecoverConfig) []RecoverOp {
 		}
 		var op RecoverOp
 		switch w := rng.Intn(100); {
-		case w < 45:
+		case w < 55:
 			op = RecoverOp{Kind: "insert", Table: tn, Row: randomRow(t)}
-		case w < 78:
+		case w < 95:
 			if t.Len() == 0 {
 				continue
 			}
 			op = RecoverOp{Kind: "delete", Table: tn, Row: t.Row(rng.Intn(t.Len())).Texts()}
-		case w < 83:
-			limits := []int{-1, 1, 3, 8, 0}
-			op = RecoverOp{Kind: "loglimit", Table: tn, Limit: limits[rng.Intn(len(limits))]}
-		case w < 88:
-			op = RecoverOp{Kind: "addtable", Table: "c", Index: rng.Intn(4)}
-		case w < 92:
-			if !db.HasTable("c") {
-				continue
-			}
-			op = RecoverOp{Kind: "droptable", Table: "c"}
-		case w < 96:
-			op = RecoverOp{Kind: "bump"}
 		default:
 			op = RecoverOp{Kind: "snapshot"}
 		}

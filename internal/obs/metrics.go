@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -306,47 +305,4 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// metricJSON is the exported form of one instrument.
-type metricJSON struct {
-	Type    string    `json:"type"`
-	Help    string    `json:"help,omitempty"`
-	Value   any       `json:"value,omitempty"`
-	Buckets []float64 `json:"buckets,omitempty"`
-	Counts  []uint64  `json:"counts,omitempty"` // cumulative, aligned with buckets + final +Inf
-	Sum     float64   `json:"sum,omitempty"`
-	Count   uint64    `json:"count,omitempty"`
-}
-
-// WriteJSON renders every instrument as a JSON object keyed by metric
-// name.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	if r == nil {
-		_, err := io.WriteString(w, "{}\n")
-		return err
-	}
-	r.mu.Lock()
-	out := make(map[string]metricJSON, len(r.counters)+len(r.gauges)+len(r.histograms))
-	for name, c := range r.counters {
-		out[name] = metricJSON{Type: "counter", Help: c.help, Value: c.Value()}
-	}
-	for name, g := range r.gauges {
-		out[name] = metricJSON{Type: "gauge", Help: g.help, Value: g.Value()}
-	}
-	hs := make(map[string]*Histogram, len(r.histograms))
-	for name, h := range r.histograms {
-		hs[name] = h
-	}
-	r.mu.Unlock()
-	for name, h := range hs {
-		cum, sum, count, _ := h.snapshot()
-		out[name] = metricJSON{
-			Type: "histogram", Help: h.help,
-			Buckets: h.bounds, Counts: cum, Sum: sum, Count: count,
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

@@ -172,14 +172,6 @@ func (s *Span) Attr(key string) (any, bool) {
 	return nil, false
 }
 
-// Start returns the span's start time (zero on nil).
-func (s *Span) Start() time.Time {
-	if s == nil {
-		return time.Time{}
-	}
-	return s.start
-}
-
 // Spans returns every recorded span in creation order (which is start
 // order only for spans created by one goroutine; concurrent siblings may
 // appear out of start order).

@@ -154,33 +154,6 @@ func TestPrometheusExport(t *testing.T) {
 	}
 }
 
-func TestMetricsJSONExport(t *testing.T) {
-	r := NewRegistry()
-	r.NewCounter("c_total", "a counter").Add(2)
-	r.NewHistogram("h_seconds", "a histogram", []float64{1}).Observe(0.5)
-
-	var b strings.Builder
-	if err := r.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	var out map[string]struct {
-		Type  string   `json:"type"`
-		Value any      `json:"value"`
-		Count uint64   `json:"count"`
-		Sum   float64  `json:"sum"`
-		Cum   []uint64 `json:"counts"`
-	}
-	if err := json.Unmarshal([]byte(b.String()), &out); err != nil {
-		t.Fatalf("metrics JSON invalid: %v\n%s", err, b.String())
-	}
-	if out["c_total"].Type != "counter" || out["c_total"].Value != float64(2) {
-		t.Fatalf("counter export = %+v", out["c_total"])
-	}
-	if h := out["h_seconds"]; h.Type != "histogram" || h.Count != 1 || h.Sum != 0.5 {
-		t.Fatalf("histogram export = %+v", h)
-	}
-}
-
 func TestNilRegistryAndInstruments(t *testing.T) {
 	var r *Registry
 	c := r.NewCounter("x", "")

@@ -11,8 +11,8 @@
 // immediately; the ring bounds what retention itself can hold, evicting
 // the oldest kept trace when full.
 //
-// A nil *Store is the disabled recorder: every method no-ops (Observe
-// reports false) at the cost of one pointer test, matching the obs
+// A nil *Store is the disabled recorder: every method no-ops (Decide
+// drops) at the cost of one pointer test, matching the obs
 // package's nil-receiver convention.
 package store
 
@@ -99,9 +99,17 @@ func New(capacity int, pol Policy) *Store {
 	}
 }
 
-// decide applies the tail-sampling policy, returning the kept reason
-// ("" to drop).
-func (s *Store) decide(d time.Duration, hasError bool) string {
+// Decide applies the tail-sampling policy to a completed trace's
+// outcome without materializing it, returning the kept reason ("" to
+// drop, also the answer on a nil store). It lets the serving hot path
+// skip building the Trace record entirely for the overwhelming majority
+// of traces that are dropped; a non-empty reason must be followed by
+// Insert with the same reason.
+func (s *Store) Decide(d time.Duration, hasError bool) string {
+	if s == nil {
+		return ""
+	}
+	metricSeen.Inc()
 	if hasError {
 		return KeptError
 	}
@@ -118,36 +126,6 @@ func (s *Store) decide(d time.Duration, hasError bool) string {
 		}
 	}
 	return ""
-}
-
-// Decide applies the tail-sampling policy to a completed trace's
-// outcome without materializing it, returning the kept reason ("" to
-// drop, also the answer on a nil store). It lets the serving hot path
-// skip building the Trace record entirely for the overwhelming majority
-// of traces that are dropped; a non-empty reason must be followed by
-// Insert with the same reason.
-func (s *Store) Decide(d time.Duration, hasError bool) string {
-	if s == nil {
-		return ""
-	}
-	metricSeen.Inc()
-	return s.decide(d, hasError)
-}
-
-// Observe offers a completed trace to the recorder and reports whether
-// tail sampling kept it. The caller must not mutate the trace or its
-// tracer afterwards.
-func (s *Store) Observe(t *Trace) bool {
-	if s == nil || t == nil {
-		return false
-	}
-	metricSeen.Inc()
-	reason := s.decide(t.Duration, t.Error != "")
-	if reason == "" {
-		return false
-	}
-	s.Insert(t, reason)
-	return true
 }
 
 // Insert retains a trace under the given kept reason (as returned by a

@@ -21,6 +21,15 @@ func mkTrace(id string, dur time.Duration, errMsg string) *Trace {
 	}
 }
 
+// observe offers a completed trace the way serve does — Decide on its
+// outcome, then Insert under the kept reason — and reports whether tail
+// sampling kept it.
+func observe(s *Store, t *Trace) bool {
+	reason := s.Decide(t.Duration, t.Error != "")
+	s.Insert(t, reason)
+	return reason != ""
+}
+
 // keepAll is a policy whose probabilistic rule always fires.
 var keepAll = Policy{SampleRate: 1, Rand: func() float64 { return 0 }}
 
@@ -45,7 +54,7 @@ func TestTailSamplingDecisions(t *testing.T) {
 		p := pol
 		p.Rand = func() float64 { return tc.rand }
 		s := New(4, p)
-		kept := s.Observe(tc.tr)
+		kept := observe(s, tc.tr)
 		if kept != (tc.want != "") {
 			t.Errorf("%s: kept=%v, want %v", tc.name, kept, tc.want != "")
 		}
@@ -64,10 +73,10 @@ func TestTailSamplingDecisions(t *testing.T) {
 
 func TestSampleRateZeroDropsHealthyFast(t *testing.T) {
 	s := New(4, Policy{SlowThreshold: time.Second})
-	if s.Observe(mkTrace("x", time.Millisecond, "")) {
+	if observe(s, mkTrace("x", time.Millisecond, "")) {
 		t.Fatal("fast healthy trace kept with SampleRate 0")
 	}
-	if s.Observe(mkTrace("y", 2*time.Second, "")) != true {
+	if observe(s, mkTrace("y", 2*time.Second, "")) != true {
 		t.Fatal("slow trace dropped")
 	}
 }
@@ -75,7 +84,7 @@ func TestSampleRateZeroDropsHealthyFast(t *testing.T) {
 func TestRingEvictionOrder(t *testing.T) {
 	s := New(3, keepAll)
 	for i := 0; i < 5; i++ {
-		s.Observe(mkTrace(fmt.Sprintf("t%d", i), time.Duration(i)*time.Millisecond, ""))
+		observe(s, mkTrace(fmt.Sprintf("t%d", i), time.Duration(i)*time.Millisecond, ""))
 	}
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", s.Len())
@@ -100,10 +109,10 @@ func TestRingEvictionOrder(t *testing.T) {
 
 func TestListFilters(t *testing.T) {
 	s := New(8, keepAll)
-	s.Observe(&Trace{ID: "r1", Kind: "request", View: "report", Duration: 5 * time.Millisecond})
-	s.Observe(&Trace{ID: "r2", Kind: "request", View: "report", Duration: 50 * time.Millisecond, Error: "bad"})
-	s.Observe(&Trace{ID: "o1", Kind: "request", View: "other", Duration: 80 * time.Millisecond})
-	s.Observe(&Trace{ID: "f1", Kind: "refresh", View: "report", Duration: time.Millisecond})
+	observe(s, &Trace{ID: "r1", Kind: "request", View: "report", Duration: 5 * time.Millisecond})
+	observe(s, &Trace{ID: "r2", Kind: "request", View: "report", Duration: 50 * time.Millisecond, Error: "bad"})
+	observe(s, &Trace{ID: "o1", Kind: "request", View: "other", Duration: 80 * time.Millisecond})
+	observe(s, &Trace{ID: "f1", Kind: "refresh", View: "report", Duration: time.Millisecond})
 
 	if got := s.List(Filter{View: "report"}); len(got) != 3 {
 		t.Errorf("View filter: %d traces, want 3", len(got))
@@ -139,7 +148,7 @@ func TestConcurrentWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				id := fmt.Sprintf("w%d-%d", w, i)
-				s.Observe(mkTrace(id, time.Millisecond, ""))
+				observe(s, mkTrace(id, time.Millisecond, ""))
 				s.Get(id)
 				s.List(Filter{Limit: 4})
 			}
@@ -160,7 +169,7 @@ func TestConcurrentWriters(t *testing.T) {
 
 func TestNilStoreDisabled(t *testing.T) {
 	var s *Store
-	if s.Observe(mkTrace("x", time.Second, "err")) {
+	if observe(s, mkTrace("x", time.Second, "err")) {
 		t.Fatal("nil store kept a trace")
 	}
 	if _, ok := s.Get("x"); ok {
@@ -184,7 +193,7 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 		sp.End()
 		obs.ContextWithSpan(ctx, tr, sp)
 		obs.SpanFromContext(ctx)
-		s.Observe(tt)
+		observe(s, tt)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled path allocates: %v allocs/op", allocs)

@@ -26,10 +26,11 @@ type Database struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
 
-	// persist, when set, journals catalog-level changes (AddTable,
-	// DropTable, BumpVersion); registered tables journal their own
-	// mutations through their individual pointers. Atomic so the
-	// unpersisted fast path is a nil check without the database lock.
+	// persist, when set, marks the database as journaled: its table set
+	// is then fixed (AddTable and DropTable refuse), and registered
+	// tables journal their row writes through their own pointers.
+	// Atomic so the unpersisted fast path is a nil check without the
+	// database lock.
 	persist atomic.Pointer[Persister]
 
 	// sig wakes ChangeSignal waiters (delta-subscription fan-out) after
@@ -48,22 +49,6 @@ func (db *Database) Name() string { return db.name }
 // Version returns the database's data version: a monotonic counter that
 // increases on every mutating operation and never on reads.
 func (db *Database) Version() uint64 { return db.version.Load() }
-
-// BumpVersion advances the data version by hand — the escape hatch for
-// callers that mutate table contents through means the database cannot
-// observe. It advances by two to preserve the even-means-quiescent
-// parity convention (such mutations cannot be bracketed anyway).
-func (db *Database) BumpVersion() {
-	if p := db.persist.Load(); p != nil {
-		p.gate.Lock()
-		defer p.gate.Unlock()
-		if p.append(&walRecord{Kind: recBump, DBDelta: 2}) != nil {
-			return
-		}
-	}
-	db.version.Add(2)
-	db.notifyChanged()
-}
 
 // attach wires the persister into the database and every registered
 // table. Called with the gate held, on a quiescent database.
@@ -99,32 +84,31 @@ func (db *Database) endMutation() {
 // at the moment of the call (the version is even).
 func (db *Database) Quiesced() bool { return db.version.Load()%2 == 0 }
 
-// AddTable registers a table. It replaces any existing table with the same
-// name, which is how the mediator installs temporary parameter tables.
-// The table is hooked so that its future mutations bump the database's
-// data version. When a table is replaced, the newcomer's version is
-// advanced past the predecessor's and its change log reset, so the
-// version sequence observed under one table name stays monotonic and
-// replacement shows up as a truncated delta window (full refresh).
-func (db *Database) AddTable(t *Table) {
-	if p := db.persist.Load(); p != nil {
-		p.gate.Lock()
-		defer p.gate.Unlock()
-		// The incoming table's full state is journaled (not its build
-		// history): replay reconstructs it wholesale, then re-runs the
-		// registration below so replacement semantics match.
-		st := t.captureState()
-		if p.append(&walRecord{Kind: recAddTable, DBDelta: 2, Table: t.Name(), State: &st}) != nil {
-			return
-		}
-		t.p.Store(p)
+// refuseIfPersisted panics when the database is journaled: its table
+// set is fixed once a Persister is attached, and the WAL journals row
+// writes only. Every caller of the refused operations builds in-memory
+// state (loaders, generators, mirrors, recovery before it attaches), so
+// reaching this is a programming error, not an input error.
+func (db *Database) refuseIfPersisted(op string) {
+	if db.persist.Load() != nil {
+		panic(fmt.Sprintf("relstore: %s on persisted database %q: its tables are fixed once persisted", op, db.name))
 	}
+}
+
+// AddTable registers a table. It replaces any existing table with the
+// same name. The table is hooked so that its future mutations bump the
+// database's data version. When a table is replaced, the newcomer's
+// version is advanced past the predecessor's and its change log reset,
+// so the version sequence observed under one table name stays monotonic
+// and replacement shows up as a truncated delta window (full refresh).
+// It panics on a persisted database.
+func (db *Database) AddTable(t *Table) {
+	db.refuseIfPersisted("AddTable")
 	db.mu.Lock()
 	prev := db.tables[t.Name()]
 	db.tables[t.Name()] = t
 	db.mu.Unlock()
 	if prev != nil && prev != t {
-		prev.p.Store(nil) // orphaned handles must not journal
 		t.resetLogPast(prev.Version())
 	}
 	t.hookMutations(db.beginMutation, db.endMutation)
@@ -132,31 +116,24 @@ func (db *Database) AddTable(t *Table) {
 	db.notifyChanged()
 }
 
-// CreateTable creates, registers and returns an empty table.
+// CreateTable creates, registers and returns an empty table. It panics
+// on a persisted database.
 func (db *Database) CreateTable(name string, schema Schema) *Table {
+	db.refuseIfPersisted("CreateTable")
 	t := NewTable(name, schema)
 	db.AddTable(t)
 	return t
 }
 
-// DropTable removes the named table if present.
+// DropTable removes the named table if present. It panics on a
+// persisted database.
 func (db *Database) DropTable(name string) {
-	if p := db.persist.Load(); p != nil {
-		p.gate.Lock()
-		defer p.gate.Unlock()
-		if !db.HasTable(name) {
-			return
-		}
-		if p.append(&walRecord{Kind: recDropTable, DBDelta: 2, Table: name}) != nil {
-			return
-		}
-	}
+	db.refuseIfPersisted("DropTable")
 	db.mu.Lock()
-	prev, present := db.tables[name]
+	_, present := db.tables[name]
 	delete(db.tables, name)
 	db.mu.Unlock()
 	if present {
-		prev.p.Store(nil) // orphaned handles must not journal
 		db.version.Add(2)
 		db.notifyChanged()
 	}

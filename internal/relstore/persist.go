@@ -80,9 +80,11 @@ func (o PersistOptions) snapEvery() int {
 // errPersistClosed is the sticky error of a cleanly closed persister.
 var errPersistClosed = errors.New("relstore: persistence closed")
 
-// Persister journals one database: every mutation of a registered table
-// (and every catalog-level change) appends a WAL record before any of
-// its effects become visible, and periodic snapshots bound replay time.
+// Persister journals one database: every row write of a registered
+// table appends a WAL record before any of its effects become visible,
+// and periodic snapshots bound replay time. The table set and the
+// change-log limits are fixed while it is attached (the operations that
+// would change them panic), so the snapshot alone keeps them durable.
 //
 // The persister owns a database-wide gate mutex that every persisted
 // mutation acquires before the table lock and holds until the mutation
@@ -108,11 +110,13 @@ type Persister struct {
 	sinceSnap int
 	wal       File
 	failed    error // sticky first failure
-	snapErr   error // last snapshot failure (journaling continues)
 }
 
 // Persist attaches a write-ahead durability layer to the database: its
-// current state is snapshotted and every later mutation is journaled.
+// current state — tables, rows, versions, change logs and their limits —
+// is snapshotted and every later row write is journaled. From then on
+// the database refuses AddTable, CreateTable, DropTable and
+// SetChangeLogLimit.
 // The database must be quiescent (no in-flight mutations) when Persist
 // is called; typical callers attach at startup, right after loading.
 func (db *Database) Persist(opts PersistOptions) (*Persister, error) {
@@ -168,14 +172,12 @@ func (p *Persister) append(rec *walRecord) error {
 	// snapshot mid-mutation — the record journaled but not yet applied —
 	// and the rotation would lose it.
 	if p.snapEvery > 0 && p.sinceSnap >= p.snapEvery {
-		if err := p.snapshotLocked(); err != nil {
-			// A failed snapshot does not lose history: the previous
-			// snapshot and the unrotated WAL still cover everything, so
-			// journaling continues and the error is only reported.
-			p.snapErr = err
-			if p.failed != nil {
-				return p.failed
-			}
+		// A failed snapshot does not lose history: the previous snapshot
+		// and the unrotated WAL still cover everything, so journaling
+		// continues (aig_relstore_snapshot_failures_total counts it)
+		// unless the failure was a rotation's, which is sticky.
+		if p.snapshotLocked() != nil && p.failed != nil {
+			return p.failed
 		}
 	}
 	rec.Seq = p.seq + 1
@@ -326,16 +328,6 @@ func (p *Persister) Sync() error {
 		return nil
 	}
 	return p.wal.Sync()
-}
-
-// Err returns the sticky failure, or nil while the journal is healthy.
-func (p *Persister) Err() error {
-	p.gate.Lock()
-	defer p.gate.Unlock()
-	if p.failed != nil {
-		return p.failed
-	}
-	return p.snapErr
 }
 
 // Seq returns the sequence number of the last journaled record.

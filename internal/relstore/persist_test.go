@@ -67,9 +67,6 @@ func TestRecoverRoundTrip(t *testing.T) {
 	if n, err := tab.DeleteWhere(Tuple{String("c"), Int(3)}.Equal); err != nil || n != 2 {
 		t.Fatalf("multi-row delete: %d rows, %v", n, err)
 	}
-	db.BumpVersion()
-	db.CreateTable("u", MustSchema("x:int")).MustInsert(Tuple{Int(7)})
-	db.DropTable("u")
 	want := fingerprint(db)
 
 	rdb, rp, err := Recover("DB1", opts)
@@ -171,9 +168,10 @@ func TestRecoverEmptyDirIsFreshStart(t *testing.T) {
 	if len(db.TableNames()) != 0 || db.Version() != 0 {
 		t.Errorf("fresh recovery not empty: tables=%v v=%d", db.TableNames(), db.Version())
 	}
-	db.CreateTable("t", MustSchema("x:int")).MustInsert(Tuple{Int(1)})
+	// The fresh journal's header is state: a restart recovers this
+	// (empty) database instead of seeding a new one.
 	if !HasPersistedState(opts) {
-		t.Error("persisted state missing after writes")
+		t.Error("no persisted state after a fresh recovery")
 	}
 }
 
@@ -185,13 +183,57 @@ func TestRecoverWrongName(t *testing.T) {
 	}
 }
 
-func TestSetChangeLogLimitJournaled(t *testing.T) {
+// refusal runs op on a persisted database and requires a panic whose
+// message names call, with rows, versions and the journal untouched.
+func refusal(t *testing.T, db *Database, p *Persister, call string, op func()) {
+	t.Helper()
+	before, seq := fingerprint(db), p.Seq()
+	func() {
+		defer func() {
+			r := recover()
+			if msg := fmt.Sprint(r); r == nil || !strings.Contains(msg, call) || !strings.Contains(msg, db.Name()) {
+				t.Errorf("%s on a persisted database: panic %v, want one naming %s and %q", call, r, call, db.Name())
+			}
+		}()
+		op()
+	}()
+	if got := fingerprint(db); got != before {
+		t.Errorf("refused %s changed the database:\nbefore:\n%s\nafter:\n%s", call, before, got)
+	}
+	if p.Seq() != seq {
+		t.Errorf("refused %s journaled: seq %d -> %d", call, seq, p.Seq())
+	}
+}
+
+func TestPersistedRefusesAddTable(t *testing.T) {
+	db, p := buildPersisted(t, testOptions(t))
+	refusal(t, db, p, "AddTable", func() { db.AddTable(NewTable("u", MustSchema("x:int"))) })
+}
+
+func TestPersistedRefusesCreateTable(t *testing.T) {
+	db, p := buildPersisted(t, testOptions(t))
+	refusal(t, db, p, "CreateTable", func() { db.CreateTable("u", MustSchema("x:int")) })
+}
+
+func TestPersistedRefusesDropTable(t *testing.T) {
+	db, p := buildPersisted(t, testOptions(t))
+	refusal(t, db, p, "DropTable", func() { db.DropTable("t") })
+}
+
+// TestPersistedRefusesSetChangeLogLimit: a limit set before Persist is
+// durable through the snapshot; changing it afterwards is refused.
+func TestPersistedRefusesSetChangeLogLimit(t *testing.T) {
 	opts := testOptions(t)
-	db, _ := buildPersisted(t, opts)
-	tab, _ := db.Table("t")
+	db := NewDatabase("DB1")
+	tab := db.CreateTable("t", MustSchema("k:string", "n:int"))
 	tab.SetChangeLogLimit(1)
+	p, err := db.Persist(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tab.MustInsert(Tuple{String("c"), Int(3)})
 	tab.MustInsert(Tuple{String("d"), Int(4)})
+	refusal(t, db, p, "SetChangeLogLimit", func() { tab.SetChangeLogLimit(8) })
 	want := fingerprint(db)
 	rdb, rp, err := Recover("DB1", opts)
 	if err != nil {
@@ -200,6 +242,55 @@ func TestSetChangeLogLimitJournaled(t *testing.T) {
 	defer rp.Close()
 	if got := fingerprint(rdb); got != want {
 		t.Errorf("recovered state differs:\nwant:\n%s\ngot:\n%s", want, got)
+	}
+}
+
+// appendRecord journals rec as the next WAL frame of the state in dir,
+// numbered after p's last record.
+func appendRecord(t *testing.T, dir string, p *Persister, rec walRecord) {
+	t.Helper()
+	rec.Seq = p.Seq() + 1
+	frame, err := encodeFrame(&rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, WALFile), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoverRejectsRetiredKinds: the log-limit, add-table, drop-table
+// and bump kinds (6-9) are retired; a log holding one fails recovery.
+func TestRecoverRejectsRetiredKinds(t *testing.T) {
+	for kind := walKind(6); kind <= 9; kind++ {
+		opts := testOptions(t)
+		_, p := buildPersisted(t, opts)
+		appendRecord(t, opts.Dir, p, walRecord{Kind: kind, Table: "t"})
+		_, _, err := Recover("DB1", opts)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown kind %d", kind)) {
+			t.Errorf("kind %d: Recover error %v, want the unknown-kind error", kind, err)
+		}
+	}
+}
+
+// TestRecoverRejectsBadDeletePositions: a CRC-valid delete record whose
+// positions are not strictly ascending inside the table fails recovery
+// instead of applying the positions that happen to fit.
+func TestRecoverRejectsBadDeletePositions(t *testing.T) {
+	for _, idx := range [][]int{{0, 7}, {2}, {-1}, {1, 0}, {0, 0}, nil} {
+		opts := testOptions(t)
+		db, p := buildPersisted(t, opts) // t holds [a b]
+		tab, _ := db.Table("t")
+		appendRecord(t, opts.Dir, p, walRecord{Kind: recDeleteRows, Table: "t", Ver: tab.Version() + 1, Indices: idx})
+		_, _, err := Recover("DB1", opts)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("wal record %d deletes positions", p.Seq()+1)) {
+			t.Errorf("indices %v: Recover error %v, want one naming the record", idx, err)
+		}
 	}
 }
 

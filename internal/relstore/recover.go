@@ -59,7 +59,7 @@ func Recover(name string, opts PersistOptions) (*Database, *Persister, error) {
 
 	// Replaying through the public mutation methods advanced the version
 	// via the seqlock hooks; overwrite with the exact pre-crash value
-	// (snapshot cut plus the replayed records' deltas).
+	// (snapshot cut plus two per replayed record).
 	db.version.Store(dbVer)
 
 	p := &Persister{db: db, fs: fs, mode: opts.Fsync, snapEvery: opts.snapEvery()}
@@ -187,71 +187,52 @@ func replayWAL(db *Database, fs FS, name string, snapSeq uint64, seq, dbVer *uin
 			return 0, false, err
 		}
 		*seq = rec.Seq
-		*dbVer += uint64(rec.DBDelta)
+		*dbVer += 2 // one bracketed table mutation
 		metricWALReplayed.Inc()
 	}
 }
 
-// applyRecord replays one journaled mutation against the recovering
+// applyRecord replays one journaled row write against the recovering
 // database. Tables have no persister attached yet, so replay does not
 // re-journal. Deterministic re-execution (deletes by recorded positions)
 // reproduces the original's rows, versions and change-log entries
 // exactly, which the version cross-check enforces.
 func applyRecord(db *Database, rec *walRecord) error {
-	table := func() (*Table, error) {
-		t, err := db.Table(rec.Table)
-		if err != nil {
-			return nil, fmt.Errorf("relstore: wal record %d: %w", rec.Seq, err)
-		}
-		return t, nil
+	if rec.Kind != recInsert && rec.Kind != recDeleteRows {
+		return fmt.Errorf("relstore: wal record %d has unknown kind %d", rec.Seq, rec.Kind)
 	}
-	checkVer := func(t *Table) error {
-		if got := t.Version(); rec.Ver != 0 && got != rec.Ver {
-			return fmt.Errorf("relstore: wal record %d left table %q at version %d, want %d", rec.Seq, rec.Table, got, rec.Ver)
-		}
-		return nil
+	t, err := db.Table(rec.Table)
+	if err != nil {
+		return fmt.Errorf("relstore: wal record %d: %w", rec.Seq, err)
 	}
 	switch rec.Kind {
 	case recInsert:
-		t, err := table()
-		if err != nil {
-			return err
-		}
 		if err := t.Insert(rowFromWal(rec.Row)); err != nil {
 			return fmt.Errorf("relstore: wal record %d: %w", rec.Seq, err)
 		}
-		return checkVer(t)
 	case recDeleteRows:
-		t, err := table()
-		if err != nil {
-			return err
+		// Recovery is single-threaded, so the rows checked are the rows
+		// deleteIndices walks.
+		if !ascendingWithin(rec.Indices, t.Len()) {
+			return fmt.Errorf("relstore: wal record %d deletes positions %v, not strictly ascending within table %q's %d rows",
+				rec.Seq, rec.Indices, rec.Table, t.Len())
 		}
 		t.mu.Lock()
 		t.deleteIndices(rec.Indices)
-		return checkVer(t)
-	case recLogLimit:
-		t, err := table()
-		if err != nil {
-			return err
-		}
-		t.SetChangeLogLimit(rec.Limit)
-		return nil
-	case recAddTable:
-		if rec.State == nil {
-			return fmt.Errorf("relstore: wal record %d: add-table without state", rec.Seq)
-		}
-		t, err := restoreTable(*rec.State)
-		if err != nil {
-			return err
-		}
-		db.AddTable(t)
-		return nil
-	case recDropTable:
-		db.DropTable(rec.Table)
-		return nil
-	case recBump:
-		return nil // accounted by DBDelta
-	default:
-		return fmt.Errorf("relstore: wal record %d has unknown kind %d", rec.Seq, rec.Kind)
 	}
+	if got := t.Version(); got != rec.Ver {
+		return fmt.Errorf("relstore: wal record %d left table %q at version %d, want %d", rec.Seq, rec.Table, got, rec.Ver)
+	}
+	return nil
+}
+
+// ascendingWithin reports whether idx is a non-empty, strictly ascending
+// list of positions in a table of n rows — what DeleteWhere journals.
+func ascendingWithin(idx []int, n int) bool {
+	for i, x := range idx {
+		if x < 0 || x >= n || (i > 0 && x <= idx[i-1]) {
+			return false
+		}
+	}
+	return len(idx) > 0
 }

@@ -48,7 +48,7 @@ func (s *changeSignal) notify() {
 
 // ChangeSignal returns a channel that is closed after the next operation
 // that advances the database's data version (row mutations, table
-// registration or removal, manual bumps). Waiters must call this before
+// registration or removal). Waiters must call this before
 // reading TableVersions and select on the result; a closed channel means
 // "state may have moved, re-read". The channel is one-shot: call again
 // for the next wakeup.
@@ -146,12 +146,8 @@ func (db *Database) InstallSnapshotTable(t *Table) error {
 		return fmt.Errorf("relstore: InstallSnapshotTable on persisted database %q unsupported", db.name)
 	}
 	db.mu.Lock()
-	prev := db.tables[t.Name()]
 	db.tables[t.Name()] = t
 	db.mu.Unlock()
-	if prev != nil && prev != t {
-		prev.p.Store(nil) // orphaned handles must not journal
-	}
 	t.hookMutations(db.beginMutation, db.endMutation)
 	db.version.Add(2)
 	db.notifyChanged()

@@ -80,15 +80,17 @@ func TestDistinctCountMemoTracksEveryMutator(t *testing.T) {
 				checkDistinct(t, mirror, op)
 			default:
 				op = "AddTable replacement"
+				// A persisted database's tables are fixed, so the
+				// replacement runs on an unpersisted one.
+				mem := NewDatabase("M")
+				mem.AddTable(tab.Clone())
 				next, err := TableFromRows("t", schema, []Tuple{row(), row(), row()})
 				if err != nil {
 					t.Fatal(err)
 				}
 				checkDistinct(t, next, "TableFromRows")
-				db.AddTable(next)
-				if tab, err = db.Table("t"); err != nil {
-					t.Fatal(err)
-				}
+				mem.AddTable(next)
+				checkDistinct(t, next, op)
 			}
 			checkDistinct(t, tab, op)
 		}

@@ -184,17 +184,11 @@ func (t *Table) Version() uint64 { return t.version.Load() }
 // SetChangeLogLimit bounds the change log to n row deltas (0 restores
 // DefaultChangeLogLimit). A negative n disables delta logging entirely:
 // every ChangesSince window is reported truncated, forcing full
-// refreshes.
+// refreshes. The limit shapes future log state, so a persisted table
+// refuses with a panic: set it before Persist, and the snapshot keeps it.
 func (t *Table) SetChangeLogLimit(n int) {
 	if p := t.p.Load(); p != nil {
-		p.gate.Lock()
-		defer p.gate.Unlock()
-		// Journaled because the limit shapes future log state: replaying
-		// the same mutations under a different limit would recover a
-		// different ChangesSince answer.
-		if p.append(&walRecord{Kind: recLogLimit, Table: t.name, Limit: n}) != nil {
-			return
-		}
+		panic(fmt.Sprintf("relstore: SetChangeLogLimit on table %q of persisted database %q: set the limit before persisting", t.name, p.db.name))
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -269,7 +263,7 @@ func (t *Table) Insert(row Tuple) error {
 	if p := t.p.Load(); p != nil {
 		p.gate.Lock()
 		defer p.gate.Unlock()
-		if err := p.append(&walRecord{Kind: recInsert, DBDelta: 2, Table: t.name,
+		if err := p.append(&walRecord{Kind: recInsert, Table: t.name,
 			Ver: t.version.Load() + 1, Row: rowToWal(row)}); err != nil {
 			return err
 		}
@@ -344,7 +338,7 @@ func (t *Table) DeleteWhere(match func(Tuple) bool) (int, error) {
 		if len(idx) == 0 {
 			return 0, nil
 		}
-		if err := p.append(&walRecord{Kind: recDeleteRows, DBDelta: 2, Table: t.name,
+		if err := p.append(&walRecord{Kind: recDeleteRows, Table: t.name,
 			Ver: t.version.Load() + 1, Indices: idx}); err != nil {
 			return 0, err
 		}

@@ -91,35 +91,31 @@ type walHeader struct {
 }
 
 // walKind discriminates WAL record payloads. The values are part of the
-// file format; retired kinds (2, 4 and 5) are not reused.
+// file format; retired kinds (2, 4 to 9) are not reused, and a log
+// holding one fails recovery with the unknown-kind error.
 type walKind uint8
 
 const (
 	recInsert     walKind = 1
 	recDeleteRows walKind = 3
-	recLogLimit   walKind = 6
-	recAddTable   walKind = 7
-	recDropTable  walKind = 8
-	recBump       walKind = 9
 )
 
-// walRecord is one journaled mutation. Seq numbers are contiguous per
-// database. Ver is the table version the mutation produces (zero for
-// records that do not advance a table version). DBDelta is how much the
-// mutation advances the database's seqlock version once fully applied;
-// recovery sums it so the restored database version is exactly the
-// pre-crash one — the property cache stamps rely on.
+// walRecord is one journaled row write of a registered table: the WAL
+// journals nothing else, because a persisted database refuses table and
+// change-log-limit changes (those stay durable through the snapshot).
+// Seq numbers are contiguous per database. Ver is the table version the
+// write produces. Every record is one bracketed table mutation, which
+// advances the database's seqlock version by exactly two; recovery adds
+// that per replayed record, so the restored database version is exactly
+// the pre-crash one — the property cache stamps rely on.
 type walRecord struct {
-	Seq     uint64
-	Kind    walKind
-	DBDelta uint8
-	Table   string
-	Ver     uint64
+	Seq   uint64
+	Kind  walKind
+	Table string
+	Ver   uint64
 
 	Row     []walValue // recInsert
-	Indices []int      // recDeleteRows, ascending row positions
-	Limit   int        // recLogLimit
-	State   *walTableState
+	Indices []int      // recDeleteRows, strictly ascending row positions
 }
 
 // walValue is Value's gob wire form (Value's fields are unexported).

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"regexp"
 	"strings"
@@ -167,17 +169,65 @@ func TestUncertifiedViewStillServes(t *testing.T) {
 	}
 }
 
+// TestUnreadablePremisesSettleGuarded: over sources without direct
+// table access (as over RPC) the premise check reads nothing, which
+// counts as broken. AddView warns once, naming the view and the sources
+// the premises read; the certified view's document and predicate-fragment
+// misses settle the guarded grammar and serve the bytes a run over local
+// sources serves.
+func TestUnreadablePremisesSettleGuarded(t *testing.T) {
+	_, local, _, _ := testServer(t, Config{}, nil)
+	var logs bytes.Buffer
+	logger := slog.New(slog.NewTextHandler(&logs, nil))
+	s, ts, _, _ := testServer(t, Config{FlightRecorder: true, TraceSampleRate: 1, Logger: logger}, nil)
+	for _, name := range s.reg.Names() {
+		src, err := s.reg.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.reg.Add(opaqueSource{src})
+	}
+	logs.Reset()
+	if _, err := s.AddSpec("report", hospital.SpecText); err != nil {
+		t.Fatal(err)
+	}
+	if got := logs.String(); strings.Count(got, "level=WARN") != 1 ||
+		!strings.Contains(got, "view=report") || !strings.Contains(got, `sources="[DB1 DB3 DB4]"`) {
+		t.Errorf("AddView log %q, want one warning naming view report and sources DB1, DB3, DB4", got)
+	}
+	for _, u := range []string{"/views/report?date=d1", "/views/report?date=d1&path=%2F%2Fpatient%5B1%5D%2FSSN"} {
+		code, body, spans := tracedFetch(t, ts.URL, u)
+		if code != http.StatusOK || spans["render"]["premises"] != "broken" || spans["eval.partial"] != nil {
+			t.Errorf("%s: status %d, render %v, eval.partial %v; want 200 from the guarded grammar (premises=broken, no partial evaluation)",
+				u, code, spans["render"], spans["eval.partial"])
+		}
+		if _, want, _ := get(t, local.URL+u); body != want {
+			t.Errorf("%s: body differs from a run over local sources:\n got %s\nwant %s", u, body, want)
+		}
+	}
+}
+
 // tracedGet fetches u from a flight-recorder server and returns the
 // status and the attributes of every recorded span, by span name (the
 // last span of a name wins).
 func tracedGet(t *testing.T, base, u string) (int, map[string]map[string]any) {
 	t.Helper()
+	code, _, spans := tracedFetch(t, base, u)
+	return code, spans
+}
+
+// tracedFetch is tracedGet that also returns the body.
+func tracedFetch(t *testing.T, base, u string) (int, string, map[string]map[string]any) {
+	t.Helper()
 	resp, err := http.Get(base + u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
+	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	tresp, err := http.Get(base + "/debug/traces/" + resp.Header.Get("X-Aig-Trace-Id"))
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +253,7 @@ func tracedGet(t *testing.T, base, u string) (int, map[string]map[string]any) {
 		}
 	}
 	walk(trace.Spans)
-	return resp.StatusCode, spans
+	return resp.StatusCode, string(body), spans
 }
 
 // TestBrokenPremiseFallsBackToGuarded: the served grammar has no guard

@@ -342,7 +342,9 @@ func (s *Server) Close() {
 }
 
 // AddView prepares and registers a view under the given name,
-// replacing any previous view of that name.
+// replacing any previous view of that name. It logs a warning when the
+// view's premise check cannot read a source's tables: such a view never
+// uses its certification.
 func (s *Server) AddView(name string, a *aig.AIG) (*View, error) {
 	v, err := prepareView(name, a, s.reg, s.opts, s.cfg.Unfold, s.cfg.MaxUnfold)
 	if err != nil {
@@ -351,6 +353,10 @@ func (s *Server) AddView(name string, a *aig.AIG) (*View, error) {
 	v.reqSec = s.cfg.Metrics.NewHistogram(
 		"aig_serve_view_request_seconds_"+sanitizeMetricName(name),
 		"view request latency for view "+name, obs.DurationBuckets)
+	if blind := unreadablePremiseSources(v, s.reg); len(blind) > 0 {
+		s.logger.Warn("premise check cannot read these sources' tables, so every request evaluates the fully guarded grammar",
+			"view", name, "sources", blind)
+	}
 	s.mu.Lock()
 	s.views[name] = v
 	s.mu.Unlock()

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -101,9 +102,6 @@ func (v *View) Sources() []string { return append([]string(nil), v.sources...) }
 // Plan returns the optimized dependency-graph plan rendered at prepare
 // time (at the initial unfolding depth).
 func (v *View) Plan() string { return v.plan }
-
-// Deps returns the view's judgeable table dependencies.
-func (v *View) Deps() *ivm.Deps { return v.deps }
 
 // Certified reports whether every declared constraint is statically
 // proven to hold, so the served grammar carries no guard.
@@ -225,6 +223,34 @@ func (s *Server) premisesHold(v *View, stamp string) bool {
 	}
 	v.premises.Store(pv)
 	return pv.held
+}
+
+// unreadablePremiseSources returns, sorted, the sources whose tables v's
+// premise check reads but cannot: those without direct table access
+// (source.TableDataProvider), as over remote.Client. A premise the check
+// cannot read counts as broken, so with any such source every request
+// evaluates v.guarded and no fragment uses a verdict.
+func unreadablePremiseSources(v *View, reg *source.Registry) []string {
+	named := premiseReads{}
+	propagate.BrokenPremises(v.a, v.cert.Premises, named)
+	var out []string
+	for name := range named {
+		src, err := reg.Get(name)
+		if _, direct := src.(source.TableDataProvider); err == nil && !direct {
+			out = append(out, name)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// premiseReads is a data provider that reads nothing: it records the
+// sources a premise check asks for.
+type premiseReads map[string]bool
+
+func (r premiseReads) TableData(src, _ string) (*relstore.Table, error) {
+	r[src] = true
+	return nil, errors.New("serve: premise sources are only being listed")
 }
 
 // partialOK reports whether a path's verdict may decide what a fragment

@@ -24,8 +24,10 @@ type DurableOptions struct {
 // logs, so ChangesSince watermarks taken before the restart still
 // answer exactly. Otherwise seed provides the initial content (nil
 // seeds an empty database) and persistence is attached to it. Either
-// way every later mutation is journaled; close the returned Persister
-// on shutdown for a snapshot-clean (replay-free) next start.
+// way every later row write is journaled and the table set is fixed
+// (relstore refuses table adds and drops on a persisted database);
+// close the returned Persister on shutdown for a snapshot-clean
+// (replay-free) next start.
 func OpenDurable(name string, opts DurableOptions, seed func() (*relstore.Database, error)) (*relstore.Database, *relstore.Persister, error) {
 	popts := relstore.PersistOptions{Dir: opts.Dir, Fsync: opts.Fsync, SnapshotEvery: opts.SnapshotEvery}
 	if relstore.HasPersistedState(popts) {

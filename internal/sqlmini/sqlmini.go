@@ -337,14 +337,5 @@ func (b Binding) Field(name string) (relstore.Value, error) {
 	return b.Rows[0][i], nil
 }
 
-// Table materializes the binding as a relstore table with the given name.
-func (b Binding) Table(name string) *relstore.Table {
-	t := relstore.NewTable(name, b.Schema)
-	for _, r := range b.Rows {
-		t.MustInsert(r.Clone())
-	}
-	return t
-}
-
 // Params maps parameter names to bindings for one execution.
 type Params map[string]Binding

@@ -173,7 +173,7 @@ func (lv *liveness) process(t string, states []int) {
 				if r == nil {
 					continue
 				}
-				for _, dep := range synRefsOf(r.Inh[c]) {
+				for _, dep := range aig.SynRefs(r.Inh[c]) {
 					if occurs[dep] && !full[dep] {
 						full[dep] = true
 						changed = true
@@ -230,26 +230,6 @@ func (lv *liveness) markFull(t string) {
 			lv.markFull(c)
 		}
 	}
-}
-
-// synRefsOf mirrors aig's internal synRefs for liveness: the element
-// types whose synthesized attribute an Inh rule reads.
-func synRefsOf(ir *aig.InhRule) []string {
-	if ir == nil {
-		return nil
-	}
-	var out []string
-	for _, cp := range ir.Copies {
-		if cp.Src.Side == aig.SynSide {
-			out = append(out, cp.Src.Elem)
-		}
-	}
-	for _, src := range ir.QueryParams {
-		if src.Side == aig.SynSide {
-			out = append(out, src.Elem)
-		}
-	}
-	return out
 }
 
 func stateKey(t string, states []int) string {

@@ -117,10 +117,6 @@ func (p *Path) String() string {
 	return b.String()
 }
 
-// Format is String under the name the rest of the toolchain uses for
-// canonical renderings.
-func (p *Path) Format() string { return p.String() }
-
 // HasPredicates reports whether any step carries a predicate.
 func (p *Path) HasPredicates() bool {
 	for _, s := range p.Steps {
