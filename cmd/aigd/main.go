@@ -15,10 +15,11 @@
 // log's horizon), and queries run against the mirror at local-memory
 // speed. Mirror applies kick the background refresher immediately, so
 // cached views go warm again one refresh cycle after a remote write —
-// push-based invalidation instead of interval polling. /healthz then
-// reports 503 until every mirror has completed its initial sync (and
-// again if its feed goes stale), so a fleet router routes around
-// replicas that are still catching up.
+// push-based invalidation instead of interval polling. Views are
+// prepared once every mirror has completed its initial sync (the daemon
+// gives up after 30 s); /healthz reports 503 until then (and again if a
+// feed goes stale), so a fleet router routes around replicas that are
+// still catching up.
 //
 // Endpoints:
 //
@@ -37,8 +38,8 @@
 // an incoming Traceparent header is adopted (so a caller's trace ID
 // groups the daemon's spans), responses carry X-Aig-Trace-Id, and the
 // flight recorder tail-samples completed traces — errors and slow
-// requests always kept, a -trace-sample fraction of the rest — into a
-// bounded in-memory store served at /debug/traces.
+// requests always kept, a -trace-sample fraction of the rest — into an
+// in-memory store of the latest 256, served at /debug/traces.
 //
 // Results are cached per (view, parameters, source data versions);
 // mutating a source invalidates automatically. With -refresh-interval
@@ -49,7 +50,10 @@
 // one evaluation, and -max-concurrent / -max-queue / -queue-timeout
 // bound the work the daemon accepts: beyond them clients get 429 or
 // 503 instead of unbounded queuing. SIGINT or SIGTERM drains in-flight
-// requests before exiting.
+// requests, waiting at most 10 s, before exiting.
+//
+// Recursive views unfold from depth 4 and double up to depth 64
+// (mediator.UnfoldLimit); each view remembers the depth that sufficed.
 package main
 
 import (
@@ -72,6 +76,14 @@ import (
 	"github.com/aigrepro/aig/internal/remote"
 	"github.com/aigrepro/aig/internal/serve"
 	"github.com/aigrepro/aig/internal/source"
+)
+
+// mirrorSyncWait bounds the wait for the mirrors' initial sync (with
+// -subscribe) before the views are prepared; drainWait bounds the
+// wait for in-flight requests on shutdown.
+const (
+	mirrorSyncWait = 30 * time.Second
+	drainWait      = 10 * time.Second
 )
 
 type repeated []string
@@ -102,19 +114,14 @@ func run() error {
 	fsyncMode := flag.String("fsync", "never", "durable-state WAL flushing policy: never or always")
 	refreshInterval := flag.Duration("refresh-interval", 0, "background cache refresh interval (0 disables the refresher)")
 	allowMutate := flag.Bool("allow-mutate", false, "serve POST /mutate for row-level writes against local sources")
-	unfold := flag.Int("unfold", 4, "initial recursion unfolding depth")
-	maxUnfold := flag.Int("maxunfold", 64, "maximum unfolding depth")
 	srcTimeout := flag.Duration("source-timeout", 0, "connect/read/write timeout for remote sources (0 disables)")
 	subscribe := flag.Bool("subscribe", false, "mirror remote sources by delta subscription instead of per-request RPCs")
-	syncTimeout := flag.Duration("sync-timeout", 30*time.Second, "longest to wait for mirrors' initial sync before serving (with -subscribe)")
 	trace := flag.Bool("trace", false, "enable the flight recorder: per-request traces with tail sampling, served at /debug/traces")
-	traceCapacity := flag.Int("trace-capacity", 256, "kept traces before the oldest is evicted")
 	traceSlow := flag.Duration("trace-slow", 250*time.Millisecond, "requests at least this slow are always kept (0 disables the slow rule)")
 	traceSample := flag.Float64("trace-sample", 0.01, "fraction of fast, healthy requests kept, 0 keeps none (errors and slow requests are always kept)")
 	debug := flag.Bool("debug", false, "serve /debug/pprof and /debug/vars (exposes runtime internals; trusted listeners only)")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "longest to wait for in-flight requests on shutdown")
 	flag.Parse()
 
 	logger, err := buildLogger(*logFormat, *logLevel)
@@ -160,13 +167,10 @@ func run() error {
 		QueueTimeout:    *queueTimeout,
 		CacheEntries:    *cacheEntries,
 		CacheDir:        *cacheDir,
-		Unfold:          *unfold,
-		MaxUnfold:       *maxUnfold,
 		RefreshInterval: *refreshInterval,
 		AllowMutate:     *allowMutate,
 
 		FlightRecorder:     *trace,
-		TraceCapacity:      *traceCapacity,
 		TraceSlowThreshold: cliDisabled(*traceSlow == 0, *traceSlow),
 		TraceSampleRate:    cliDisabled(*traceSample == 0, *traceSample),
 		EnableDebug:        *debug,
@@ -178,7 +182,7 @@ func run() error {
 	// View preparation reads schemas and statistics from the sources;
 	// a mirror can answer those only after its initial sync.
 	if len(mirrors) > 0 {
-		wctx, cancel := context.WithTimeout(context.Background(), *syncTimeout)
+		wctx, cancel := context.WithTimeout(context.Background(), mirrorSyncWait)
 		for _, m := range mirrors {
 			if err := m.WaitReady(wctx); err != nil {
 				cancel()
@@ -241,8 +245,8 @@ func run() error {
 	}
 	stop()
 
-	slog.Info("draining", "timeout", *drainTimeout)
-	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	slog.Info("draining", "timeout", drainWait)
+	dctx, cancel := context.WithTimeout(context.Background(), drainWait)
 	defer cancel()
 	if err := srv.Drain(dctx); err != nil {
 		slog.Warn("drain did not finish cleanly", "err", err)

@@ -7,13 +7,15 @@
 // and parameter binding always lands on the same replica — each
 // replica's result cache and IVM refresher then own a shard of the
 // keyspace instead of all replicas duplicating the same hot entries.
-// The bounded-load rule spills a hot key to the next replica on the
-// ring before its home melts, health probes against each replica's
-// /healthz steer traffic away from replicas that are draining, syncing
-// or dead, and failed attempts retry on the next replica in ring order
-// within -attempts and -retry-budget. Responses are fully buffered
-// before anything reaches the client, so a replica dying mid-response
-// fails over invisibly.
+// Each replica sits at 128 points on the ring. The bounded-load rule
+// (-bound) spills a hot key to the next replica on the ring before its
+// home melts, health probes against each replica's /healthz every
+// -health-interval (each given up after 2 s) steer traffic away from
+// replicas that are draining, syncing or dead, and failed attempts retry
+// on the next replica in ring order, every replica in turn, within 10 s
+// of the request's arrival. Responses are fully buffered before anything
+// reaches the client, so a replica dying mid-response fails over
+// invisibly.
 //
 // Endpoints (the router's own; everything else proxies):
 //
@@ -54,12 +56,8 @@ func run() error {
 	addr := flag.String("addr", ":8080", "listen address")
 	var replicas repeated
 	flag.Var(&replicas, "replica", "replica base URL, e.g. http://host:8081 (repeatable, or comma-separated)")
-	vnodes := flag.Int("vnodes", 128, "virtual nodes per replica on the hash ring")
 	bound := flag.Float64("bound", 1.5, "bounded-load factor: max share of in-flight requests per replica relative to the fair share (negative disables)")
-	attempts := flag.Int("attempts", 0, "max replicas tried per request (0: all)")
-	retryBudget := flag.Duration("retry-budget", 10*time.Second, "total time budget across all attempts for one request")
 	healthInterval := flag.Duration("health-interval", 500*time.Millisecond, "replica health probe period")
-	healthTimeout := flag.Duration("health-timeout", 2*time.Second, "one health probe's timeout")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	flag.Parse()
 
@@ -84,12 +82,8 @@ func run() error {
 
 	rt, err := cluster.NewRouter(cluster.RouterConfig{
 		Replicas:       urls,
-		VNodes:         *vnodes,
 		LoadBound:      *bound,
-		Attempts:       *attempts,
-		RetryBudget:    *retryBudget,
 		HealthInterval: *healthInterval,
-		HealthTimeout:  *healthTimeout,
 		Logger:         logger,
 	})
 	if err != nil {

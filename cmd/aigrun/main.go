@@ -10,10 +10,11 @@
 //
 // By default the optimized mediator of §5 evaluates the grammar
 // (constraints compiled to guards, multi-source queries decomposed,
-// recursion unfolded adaptively, queries merged and scheduled). The
-// -conceptual flag switches to the tuple-at-a-time reference evaluator of
-// §3.2. The output is checked against the DTD and the constraints before
-// it is written.
+// recursion unfolded adaptively from -unfold up to depth 64, the
+// mediator.UnfoldLimit aigd stops at too, queries merged and scheduled).
+// The -conceptual flag switches to the tuple-at-a-time reference
+// evaluator of §3.2. The output is checked against the DTD and the
+// constraints before it is written.
 //
 // Observability: -explain prints the optimized plan without running it;
 // -analyze runs the evaluation and prints the same plan annotated with
@@ -67,7 +68,6 @@ func run() error {
 	merge := flag.Bool("merge", true, "enable query merging (mediator)")
 	copyElim := flag.Bool("copyelim", true, "enable copy elimination (mediator)")
 	unfold := flag.Int("unfold", 4, "initial recursion unfolding depth (mediator)")
-	maxUnfold := flag.Int("maxunfold", 64, "maximum unfolding depth (mediator)")
 	verbose := flag.Bool("v", false, "print the evaluation report")
 	explain := flag.Bool("explain", false, "print the optimized query plan instead of evaluating")
 	analyze := flag.Bool("analyze", false, "evaluate, then print the executed plan with measured times next to the estimates")
@@ -183,7 +183,7 @@ func run() error {
 		opts.CopyElim = *copyElim
 		opts.Tracer = tracer
 		m := mediator.New(reg, opts)
-		res, depth, err := m.EvaluateRecursive(sa, rootInh, *unfold, *maxUnfold)
+		res, depth, err := m.EvaluateRecursive(sa, rootInh, *unfold, mediator.UnfoldLimit)
 		if err != nil {
 			return err
 		}

@@ -13,8 +13,8 @@
 // database is recovered from them — tuples, table versions and change
 // logs included, so mediator-side delta watermarks survive the restart.
 // -fsync picks the flushing policy ("always" makes every acknowledged
-// mutation crash-durable, "never" leaves flushing to the OS);
-// -snapshot-every sets the automatic snapshot cadence in WAL records.
+// mutation crash-durable, "never" leaves flushing to the OS); a snapshot
+// is taken every relstore.DefaultSnapshotEvery WAL records.
 // SIGINT/SIGTERM close the journal with a final snapshot, making the
 // next start replay-free.
 //
@@ -65,13 +65,12 @@ func run() error {
 	listen := flag.String("listen", "127.0.0.1:0", "TCP listen address")
 	dataDir := flag.String("data-dir", "", "durable state directory (WAL + snapshots); empty runs in-memory only")
 	fsyncMode := flag.String("fsync", "never", "WAL flushing policy: never or always")
-	snapEvery := flag.Int("snapshot-every", 0, "automatic snapshot cadence in WAL records (0 = default)")
 	apply := flag.String("apply", "", "apply one mutation TABLE:OP:V1,V2,... to the durable state and exit (requires -data-dir)")
 	httpAddr := flag.String("http", "", "HTTP sidecar listener (POST /mutate, GET /healthz, GET /metrics); empty disables")
 	flag.Parse()
 
 	if *name == "" || (*data == "" && *dataDir == "") {
-		fmt.Fprintln(os.Stderr, "usage: aigsource -name DB1 (-data ./data/DB1 | -data-dir state/DB1) [-listen host:port] [-fsync never|always] [-snapshot-every N] [-http host:port] [-apply TABLE:OP:VALUES]")
+		fmt.Fprintln(os.Stderr, "usage: aigsource -name DB1 (-data ./data/DB1 | -data-dir state/DB1) [-listen host:port] [-fsync never|always] [-http host:port] [-apply TABLE:OP:VALUES]")
 		os.Exit(2)
 	}
 	fsync, err := relstore.ParseFsyncMode(*fsyncMode)
@@ -87,7 +86,7 @@ func run() error {
 			seed = func() (*relstore.Database, error) { return relstore.LoadDir(*name, *data) }
 		}
 		db, p, err = source.OpenDurable(*name,
-			source.DurableOptions{Dir: *dataDir, Fsync: fsync, SnapshotEvery: *snapEvery}, seed)
+			source.DurableOptions{Dir: *dataDir, Fsync: fsync}, seed)
 		if err != nil {
 			return err
 		}

@@ -15,12 +15,13 @@ import (
 )
 
 // ring is a consistent-hash ring with virtual nodes. Each member is
-// hashed onto the unit circle vnodes times; a key routes to the first
-// member clockwise of its hash. Virtual nodes smooth the load split
-// (with m members and v vnodes the expected imbalance shrinks as
-// 1/sqrt(v)), and consistency bounds churn: adding or removing one
-// member remaps only ~1/m of the keyspace, so a replica joining the
-// fleet steals — and warms — only its own shard of the cache.
+// hashed onto the unit circle ringPoints times; a key routes to the
+// first member clockwise of its hash. Virtual nodes smooth the load
+// split (with m members and v virtual nodes each the expected imbalance
+// shrinks as 1/sqrt(v)), and consistency bounds churn: adding or
+// removing one member remaps only ~1/m of the keyspace, so a replica
+// joining the fleet steals — and warms — only its own shard of the
+// cache.
 type ring struct {
 	points  []ringPoint
 	members []string
@@ -31,12 +32,12 @@ type ringPoint struct {
 	member int // index into members
 }
 
+// ringPoints is the number of points each member is hashed at.
+const ringPoints = 128
+
 // newRing builds a ring over the given members (deduplicated, sorted
 // so the ring is a pure function of the membership set).
-func newRing(members []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = 128
-	}
+func newRing(members []string) *ring {
 	uniq := make([]string, 0, len(members))
 	seen := make(map[string]bool, len(members))
 	for _, m := range members {
@@ -48,7 +49,7 @@ func newRing(members []string, vnodes int) *ring {
 	sort.Strings(uniq)
 	r := &ring{members: uniq}
 	for i, m := range uniq {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < ringPoints; v++ {
 			r.points = append(r.points, ringPoint{hash: hash64(m + "#" + strconv.Itoa(v)), member: i})
 		}
 	}

@@ -68,24 +68,14 @@ type RouterConfig struct {
 	// ("http://host:port"); the membership is static for the router's
 	// lifetime.
 	Replicas []string
-	// VNodes is the virtual-node count per replica (default 128).
-	VNodes int
 	// LoadBound caps a replica's share of in-flight requests at
 	// LoadBound * (total inflight / healthy replicas), the bounded-load
 	// variant of consistent hashing: a hot key spills to the next
 	// replica on the ring instead of melting its home. Default 1.5;
 	// negative disables the bound.
 	LoadBound float64
-	// Attempts caps how many replicas one request may try (default: all
-	// of them).
-	Attempts int
-	// RetryBudget bounds the total time spent across all attempts for
-	// one request (default 10s).
-	RetryBudget time.Duration
-	// HealthInterval is the probe period (default 500ms);
-	// HealthTimeout bounds one probe (default 2s).
+	// HealthInterval is the probe period (default 500ms).
 	HealthInterval time.Duration
-	HealthTimeout  time.Duration
 	// Logger receives one line per health transition and routing
 	// failure (default slog.Default()).
 	Logger *slog.Logger
@@ -94,24 +84,19 @@ type RouterConfig struct {
 	Metrics *obs.Registry
 }
 
+// A request may try every replica, all within retryWithin of its
+// arrival; one health probe gives up after probeTimeout.
+const (
+	retryWithin  = 10 * time.Second
+	probeTimeout = 2 * time.Second
+)
+
 func (c RouterConfig) withDefaults() RouterConfig {
-	if c.VNodes <= 0 {
-		c.VNodes = 128
-	}
 	if c.LoadBound == 0 {
 		c.LoadBound = 1.5
 	}
-	if c.Attempts <= 0 || c.Attempts > len(c.Replicas) {
-		c.Attempts = len(c.Replicas)
-	}
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = 10 * time.Second
-	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 500 * time.Millisecond
-	}
-	if c.HealthTimeout <= 0 {
-		c.HealthTimeout = 2 * time.Second
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
@@ -154,7 +139,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		cfg:      cfg,
 		replicas: make(map[string]*replica, len(cfg.Replicas)),
 		client:   &http.Client{}, // per-request timeouts come from the retry budget
-		probe:    &http.Client{Timeout: cfg.HealthTimeout},
+		probe:    &http.Client{Timeout: probeTimeout},
 		m:        newRouterMetrics(cfg.Metrics),
 		logger:   cfg.Logger,
 		stop:     make(chan struct{}),
@@ -169,7 +154,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		rt.replicas[u] = &replica{url: u}
 		urls = append(urls, u)
 	}
-	rt.ring = newRing(urls, cfg.VNodes)
+	rt.ring = newRing(urls)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", rt.handleHealth)
@@ -366,12 +351,9 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 
 	key := routeKey(r)
 	cands := rt.candidates(key)
-	deadline := start.Add(rt.cfg.RetryBudget)
+	deadline := start.Add(retryWithin)
 	var lastErr string
 	for i, rep := range cands {
-		if i >= rt.cfg.Attempts {
-			break
-		}
 		if i > 0 {
 			rt.m.retries.Inc()
 			if time.Now().After(deadline) {
@@ -384,7 +366,7 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 			rt.logger.Warn("proxy attempt failed", "replica", rep.url, "path", r.URL.Path, "err", err)
 			continue
 		}
-		if retryableStatus(resp.status) && i+1 < len(cands) && i+1 < rt.cfg.Attempts {
+		if retryableStatus(resp.status) && i+1 < len(cands) {
 			lastErr = fmt.Sprintf("%s: status %d", rep.url, resp.status)
 			continue
 		}

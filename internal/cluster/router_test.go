@@ -18,8 +18,8 @@ import (
 
 func TestRingDeterministicAndComplete(t *testing.T) {
 	members := []string{"http://a", "http://b", "http://c"}
-	r1 := newRing(members, 64)
-	r2 := newRing([]string{"http://c", "http://b", "http://a", "http://a"}, 64)
+	r1 := newRing(members)
+	r2 := newRing([]string{"http://c", "http://b", "http://a", "http://a"})
 
 	for _, key := range []string{"/views/report?date=d1", "/views/report?date=d2", "x"} {
 		s1, s2 := r1.seq(key), r2.seq(key)
@@ -41,7 +41,7 @@ func TestRingDeterministicAndComplete(t *testing.T) {
 
 func TestRingBalanceAndChurn(t *testing.T) {
 	members := []string{"http://a", "http://b", "http://c", "http://d"}
-	r := newRing(members, 128)
+	r := newRing(members)
 	counts := map[string]int{}
 	const keys = 4000
 	for i := 0; i < keys; i++ {
@@ -55,7 +55,7 @@ func TestRingBalanceAndChurn(t *testing.T) {
 
 	// Removing one member must remap only that member's keys: every key
 	// whose home survives keeps it (the whole point of consistency).
-	smaller := newRing(members[:3], 128)
+	smaller := newRing(members[:3])
 	moved := 0
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("/views/report?date=d%d", i)

@@ -75,8 +75,9 @@ type RecoverOutcome struct {
 	// Divergence is nil when every crash image recovered exactly.
 	Divergence *Divergence
 	// Records is the number of WAL records the run journaled, Snapshots
-	// how many snapshot rotations it took, and Crashes how many crash
-	// points were recovered and compared.
+	// how many snapshot rotations its ops took (explicit snapshot ops and
+	// automatic ones, not the one Persist starts with), and Crashes how
+	// many crash points were recovered and compared.
 	Records   int
 	Snapshots int
 	Crashes   int
@@ -231,6 +232,7 @@ func ReplayRecovery(seed int64, cfg RecoverConfig, ops []RecoverOp) RecoverOutco
 	// nothing (no-ops, snapshots) leave the state — and so the
 	// fingerprint — unchanged at their watermark.
 	fps := map[uint64]string{p.Seq(): recoverFingerprint(db)}
+	snaps := p.Snapshots()
 	for i, op := range ops {
 		if err := applyRecoverOp(db, p, op); err != nil {
 			return mkDiv(-1, fmt.Sprintf("op %d (%s): %v", i, op, err), "", "")
@@ -238,7 +240,7 @@ func ReplayRecovery(seed int64, cfg RecoverConfig, ops []RecoverOp) RecoverOutco
 		fps[p.Seq()] = recoverFingerprint(db)
 	}
 	out.Records = int(p.Seq())
-	out.Snapshots = int(p.SnapshotSeq()) // records covered by the last rotation
+	out.Snapshots = p.Snapshots() - snaps
 
 	wal := fs.Bytes(relstore.WALFile)
 	startSeq, ends, err := relstore.InspectWAL(wal)

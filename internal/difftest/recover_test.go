@@ -33,6 +33,29 @@ func TestCheckRecoveryWithAutoSnapshots(t *testing.T) {
 	}
 }
 
+// TestRecoverCountsSnapshotRotations: the outcome counts rotations, not
+// a WAL watermark, so a run with N explicit snapshot ops reports at
+// least N (automatic ones add to them).
+func TestRecoverCountsSnapshotRotations(t *testing.T) {
+	ops := []RecoverOp{
+		{Kind: "insert", Table: "a", Row: []string{"k1", "1"}},
+		{Kind: "snapshot"},
+		{Kind: "insert", Table: "b", Row: []string{"2", "y2"}},
+		{Kind: "snapshot"},
+		{Kind: "snapshot"},
+		{Kind: "insert", Table: "a", Row: []string{"k2", "3"}},
+	}
+	for _, every := range []int{0, 2} {
+		out := ReplayRecovery(1, RecoverConfig{SnapshotEvery: every}, ops)
+		if out.Divergence != nil {
+			t.Fatalf("snapshot every %d: diverged @%d: %s", every, out.TruncateAt, out.Divergence.Detail)
+		}
+		if out.Snapshots < 3 || out.Snapshots > out.Records+3 {
+			t.Errorf("snapshot every %d: %d rotations over %d records, want 3 explicit ones at least", every, out.Snapshots, out.Records)
+		}
+	}
+}
+
 func TestCheckRecoveryLogCaps(t *testing.T) {
 	// A tiny delta log and a disabled log stress the truncation-cause
 	// bookkeeping that must survive crashes byte-exactly.

@@ -11,6 +11,10 @@ import (
 	"github.com/aigrepro/aig/internal/specialize"
 )
 
+// UnfoldLimit is the deepest unfolding the serving daemon and aigrun
+// evaluate a recursive grammar to.
+const UnfoldLimit = 64
+
 // EvaluateRecursive evaluates a recursive AIG by iterative unfolding
 // (§5.5): begin with the user-supplied depth estimate, evaluate, probe
 // whether any truncated context was blocked waiting on deeper unrolling

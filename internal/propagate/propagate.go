@@ -443,8 +443,8 @@ func qualify(q *sqlmini.Query, c sqlmini.ColRef) (string, bool) {
 // predicates and the set of class roots whose value is fixed within one
 // execution (bound to a constant or to a scalar parameter field). ok is
 // false when a reference cannot be resolved.
-func queryClasses(q *sqlmini.Query) (uf *unionFind, fixed map[string]bool, ok bool) {
-	uf = newUnionFind()
+func queryClasses(q *sqlmini.Query) (uf *static.UnionFind, fixed map[string]bool, ok bool) {
+	uf = static.NewUnionFind()
 	var fixedKeys []string
 	key := func(c sqlmini.ColRef) (string, bool) {
 		a, ok := qualify(q, c)
@@ -462,7 +462,7 @@ func queryClasses(q *sqlmini.Query) (uf *unionFind, fixed map[string]bool, ok bo
 				if !lok || !rok {
 					return nil, nil, false
 				}
-				uf.union(l, r)
+				uf.Union(l, r)
 			}
 		case sqlmini.PredColConst:
 			if p.Op == sqlmini.OpEq {
@@ -471,7 +471,7 @@ func queryClasses(q *sqlmini.Query) (uf *unionFind, fixed map[string]bool, ok bo
 					return nil, nil, false
 				}
 				ck := "k:" + p.Const.Key()
-				uf.union(l, ck)
+				uf.Union(l, ck)
 				fixedKeys = append(fixedKeys, ck)
 			}
 		case sqlmini.PredColParam:
@@ -481,7 +481,7 @@ func queryClasses(q *sqlmini.Query) (uf *unionFind, fixed map[string]bool, ok bo
 					return nil, nil, false
 				}
 				pk := "p:" + p.Param + "." + p.ParamField
-				uf.union(l, pk)
+				uf.Union(l, pk)
 				fixedKeys = append(fixedKeys, pk)
 			}
 		case sqlmini.PredColInList:
@@ -491,14 +491,14 @@ func queryClasses(q *sqlmini.Query) (uf *unionFind, fixed map[string]bool, ok bo
 					return nil, nil, false
 				}
 				ck := "k:" + p.List[0].Key()
-				uf.union(l, ck)
+				uf.Union(l, ck)
 				fixedKeys = append(fixedKeys, ck)
 			}
 		}
 	}
 	fixed = make(map[string]bool, len(fixedKeys))
 	for _, k := range fixedKeys {
-		fixed[uf.find(k)] = true
+		fixed[uf.Find(k)] = true
 	}
 	return uf, fixed, true
 }
@@ -525,7 +525,7 @@ func (ce *certifier) chase(q *sqlmini.Query, seeds []sqlmini.ColRef) (ok bool, u
 		if !qok {
 			return false, nil, fmt.Sprintf("cannot resolve column %s", s)
 		}
-		determined[uf.find(colKey(a, s.Column))] = true
+		determined[uf.Find(colKey(a, s.Column))] = true
 	}
 	pinned := make(map[string]bool)
 	usedSet := make(map[string]bool)
@@ -542,7 +542,7 @@ func (ce *certifier) chase(q *sqlmini.Query, seeds []sqlmini.ColRef) (ok bool, u
 				}
 				all := true
 				for _, c := range k.Cols {
-					if !determined[uf.find(colKey(alias, c))] {
+					if !determined[uf.Find(colKey(alias, c))] {
 						all = false
 						break
 					}
@@ -555,8 +555,8 @@ func (ce *certifier) chase(q *sqlmini.Query, seeds []sqlmini.ColRef) (ok bool, u
 				schema, err := ce.a.Sources.TableSchema(t.Source, t.Table)
 				if err == nil {
 					for _, col := range schema {
-						if !determined[uf.find(colKey(alias, col.Name))] {
-							determined[uf.find(colKey(alias, col.Name))] = true
+						if !determined[uf.Find(colKey(alias, col.Name))] {
+							determined[uf.Find(colKey(alias, col.Name))] = true
 							changed = true
 						}
 					}
@@ -584,7 +584,7 @@ func (ce *certifier) chase(q *sqlmini.Query, seeds []sqlmini.ColRef) (ok bool, u
 		allOut := true
 		for _, s := range q.Select {
 			a, qok := qualify(q, s.Expr)
-			if !qok || !determined[uf.find(colKey(a, s.Expr.Column))] {
+			if !qok || !determined[uf.Find(colKey(a, s.Expr.Column))] {
 				allOut = false
 				break
 			}
@@ -601,47 +601,22 @@ func (ce *certifier) chase(q *sqlmini.Query, seeds []sqlmini.ColRef) (ok bool, u
 	return false, nil, "no relation pinned"
 }
 
-type unionFind struct{ parent map[string]string }
-
-func newUnionFind() *unionFind { return &unionFind{parent: make(map[string]string)} }
-
-func (u *unionFind) find(x string) string {
-	p, ok := u.parent[x]
-	if !ok || p == x {
-		u.parent[x] = x
-		return x
-	}
-	root := u.find(p)
-	u.parent[x] = root
-	return root
-}
-
-func (u *unionFind) union(a, b string) {
-	ra, rb := u.find(a), u.find(b)
-	if ra != rb {
-		u.parent[ra] = rb
-	}
-}
-
 // classColumns returns every alias-qualified column in the same equality
 // class as the given column, as (alias, column) pairs.
-func classColumns(q *sqlmini.Query, uf *unionFind, c sqlmini.ColRef) [][2]string {
+func classColumns(q *sqlmini.Query, uf *static.UnionFind, c sqlmini.ColRef) [][2]string {
 	alias, ok := qualify(q, c)
 	if !ok {
 		return nil
 	}
-	root := uf.find(colKey(alias, c.Column))
+	class := uf.Class(colKey(alias, c.Column))
 	var out [][2]string
 	for _, t := range q.From {
 		bn := t.BindName()
 		// Enumerate columns that appeared in the union-find plus the seed
 		// column itself; we only know about columns mentioned somewhere,
 		// so also add c explicitly.
-		for k := range uf.parent {
-			if !strings.HasPrefix(k, "c:"+bn+".") {
-				continue
-			}
-			if uf.find(k) == root {
+		for _, k := range class {
+			if strings.HasPrefix(k, "c:"+bn+".") {
 				out = append(out, [2]string{bn, strings.TrimPrefix(k, "c:"+bn+".")})
 			}
 		}

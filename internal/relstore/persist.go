@@ -105,7 +105,7 @@ type Persister struct {
 
 	// All fields below are guarded by gate.
 	seq       uint64 // sequence number of the last appended record
-	snapSeq   uint64 // LastSeq of the last completed snapshot
+	snapshots int    // snapshots this persister has completed
 	snapEvery int
 	sinceSnap int
 	wal       File
@@ -249,7 +249,7 @@ func (p *Persister) snapshotLocked() error {
 		metricSnapshotFailures.Inc()
 		return p.fail(fmt.Errorf("relstore: wal rotate: %w", err))
 	}
-	p.snapSeq = p.seq
+	p.snapshots++
 	p.sinceSnap = 0
 	metricSnapshots.Inc()
 	return nil
@@ -337,11 +337,12 @@ func (p *Persister) Seq() uint64 {
 	return p.seq
 }
 
-// SnapshotSeq returns the WAL watermark of the last completed snapshot.
-func (p *Persister) SnapshotSeq() uint64 {
+// Snapshots returns how many snapshots (each rotating the WAL) this
+// persister has completed, the one Persist takes included.
+func (p *Persister) Snapshots() int {
 	p.gate.Lock()
 	defer p.gate.Unlock()
-	return p.snapSeq
+	return p.snapshots
 }
 
 // Close takes a final snapshot (making the next recovery replay-free),

@@ -66,9 +66,6 @@ func Recover(name string, opts PersistOptions) (*Database, *Persister, error) {
 	p.gate.Lock()
 	defer p.gate.Unlock()
 	p.seq = seq
-	if haveSnap {
-		p.snapSeq = snap.LastSeq
-	}
 	f, size, err := fs.OpenAppend(WALFile)
 	if err != nil {
 		return nil, nil, fmt.Errorf("relstore: reopening wal: %w", err)

@@ -261,7 +261,6 @@ func (c *Client) Estimate(ctx context.Context, q *sqlmini.Query, params sqlmini.
 		SQL:          q.String(),
 		ParamSchemas: make(map[string][]string, len(params)),
 		ParamCards:   opts.ParamCards,
-		DefaultCard:  opts.DefaultParamCard,
 	}
 	for name, schema := range params {
 		spec := make([]string, len(schema))
@@ -282,12 +281,11 @@ func (c *Client) Estimate(ctx context.Context, q *sqlmini.Query, params sqlmini.
 // time ship back, along with the server-side spans of a traced request.
 func (c *Client) Exec(ctx context.Context, name string, q *sqlmini.Query, params sqlmini.Params, opts sqlmini.PlanOptions) (*relstore.Table, time.Duration, error) {
 	req := &request{
-		Kind:        reqExec,
-		SQL:         q.String(),
-		ResultName:  name,
-		Params:      make(map[string]wireTable, len(params)),
-		ParamCards:  opts.ParamCards,
-		DefaultCard: opts.DefaultParamCard,
+		Kind:       reqExec,
+		SQL:        q.String(),
+		ResultName: name,
+		Params:     make(map[string]wireTable, len(params)),
+		ParamCards: opts.ParamCards,
 	}
 	for pname, b := range params {
 		req.Params[pname] = tableToWire(b.Schema, b.Rows)

@@ -44,15 +44,9 @@ type MirrorOptions struct {
 	// the gap between pushed frames, so it must exceed the origin
 	// server's heartbeat cadence; zero disables the deadline.
 	Timeouts Timeouts
-	// ReconnectMin/ReconnectMax bound the exponential backoff between
-	// subscription attempts (defaults 100ms and 3s).
+	// ReconnectMin is the first backoff between subscription attempts
+	// (default 100ms); it doubles per failed attempt up to backoffCap.
 	ReconnectMin time.Duration
-	ReconnectMax time.Duration
-	// StaleAfter is how long a disconnected mirror keeps reporting
-	// healthy on its last-known data before Healthy starts failing
-	// (default 10s). The mirror serves stale-tolerant reads throughout;
-	// this only flips readiness so routers drain traffic away.
-	StaleAfter time.Duration
 	// OnApply, when set, runs after every state change (delta batch or
 	// snapshot install) — the hook serving-side refreshers use to wake
 	// up instead of polling.
@@ -61,24 +55,15 @@ type MirrorOptions struct {
 	Logger *slog.Logger
 }
 
-// MirrorStats is a point-in-time snapshot of a mirror's counters.
-type MirrorStats struct {
-	Synced    bool
-	Connected bool
-
-	InitialSyncs    uint64
-	CatchupRolled   uint64
-	CatchupReset    uint64
-	CatchupRestart  uint64
-	DeltaSets       uint64
-	ChangesApplied  uint64
-	Reconnects      uint64
-	Heartbeats      uint64
-	LastError       string
-	LastFrame       time.Time
-	SnapshotTorn    uint64 // catch-ups whose capture was not seqlock-certified
-	SnapshotApplied uint64
-}
+const (
+	// backoffCap caps the backoff between subscription attempts.
+	backoffCap = 3 * time.Second
+	// staleLimit is how long a disconnected mirror keeps reporting
+	// healthy on its last-known data before Healthy starts failing. The
+	// mirror serves stale-tolerant reads throughout; this only flips
+	// readiness so routers drain traffic away.
+	staleLimit = 10 * time.Second
+)
 
 // Mirror maintains a local read replica of a remote database over a
 // delta subscription: it dials the origin, subscribes from its current
@@ -105,7 +90,6 @@ type Mirror struct {
 	connected bool
 	lastFrame time.Time
 	lastErr   error
-	stats     MirrorStats
 }
 
 // OpenMirror starts mirroring the named database from addr. It returns
@@ -116,12 +100,6 @@ func OpenMirror(name, addr string, opts MirrorOptions) *Mirror {
 	registerGob()
 	if opts.ReconnectMin <= 0 {
 		opts.ReconnectMin = 100 * time.Millisecond
-	}
-	if opts.ReconnectMax <= 0 {
-		opts.ReconnectMax = 3 * time.Second
-	}
-	if opts.StaleAfter <= 0 {
-		opts.StaleAfter = 10 * time.Second
 	}
 	log := opts.Logger
 	if log == nil {
@@ -150,7 +128,7 @@ func (m *Mirror) DB() *relstore.Database { return m.db }
 // Source returns the replica as a source.Source. The source also
 // implements the optional source.Health interface: it reports unhealthy
 // until the first sync completes, and again when the subscription has
-// been down longer than StaleAfter.
+// been down longer than staleLimit.
 func (m *Mirror) Source() source.Source { return mirrorSource{Local: m.src, m: m} }
 
 // mirrorSource decorates the replica's local source with the mirror's
@@ -184,7 +162,7 @@ func (m *Mirror) WaitReady(ctx context.Context) error {
 
 // Healthy implements the contract behind source.Health: nil while the
 // replica is synced and the stream is live (or down for less than
-// StaleAfter).
+// staleLimit).
 func (m *Mirror) Healthy() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -194,25 +172,11 @@ func (m *Mirror) Healthy() error {
 		}
 		return fmt.Errorf("remote: mirror %s awaiting first sync", m.name)
 	}
-	if !m.connected && time.Since(m.lastFrame) > m.opts.StaleAfter {
+	if !m.connected && time.Since(m.lastFrame) > staleLimit {
 		return fmt.Errorf("remote: mirror %s disconnected since %s: %v",
 			m.name, m.lastFrame.Format(time.RFC3339), m.lastErr)
 	}
 	return nil
-}
-
-// Stats returns a snapshot of the mirror's counters.
-func (m *Mirror) Stats() MirrorStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st := m.stats
-	st.Synced = m.synced
-	st.Connected = m.connected
-	st.LastFrame = m.lastFrame
-	if m.lastErr != nil {
-		st.LastError = m.lastErr.Error()
-	}
-	return st
 }
 
 // Close stops the subscription and waits for the background loop.
@@ -260,15 +224,14 @@ func (m *Mirror) run() {
 			backoff = m.opts.ReconnectMin
 		}
 		metricMirrorReconnects.Inc()
-		m.bumpStat(func(s *MirrorStats) { s.Reconnects++ })
 		select {
 		case <-m.stop:
 			return
 		case <-time.After(backoff):
 		}
 		backoff *= 2
-		if backoff > m.opts.ReconnectMax {
-			backoff = m.opts.ReconnectMax
+		if backoff > backoffCap {
+			backoff = backoffCap
 		}
 	}
 }
@@ -376,7 +339,6 @@ func (m *Mirror) session() (progressed bool, err error) {
 			}
 		case subHeartbeat:
 			metricMirrorHeartbeats.Inc()
-			m.bumpStat(func(s *MirrorStats) { s.Heartbeats++ })
 			if err := m.checkDrift(msg.Versions); err != nil {
 				return progressed, err
 			}
@@ -412,22 +374,6 @@ func (m *Mirror) installSnapshot(staged map[string]*stagedTable, cause relstore.
 	default:
 		metricMirrorInitialSyncs.Inc()
 	}
-	m.bumpStat(func(s *MirrorStats) {
-		s.SnapshotApplied++
-		if torn {
-			s.SnapshotTorn++
-		}
-		switch cause {
-		case relstore.TruncateRolled:
-			s.CatchupRolled++
-		case relstore.TruncateReset:
-			s.CatchupReset++
-		case relstore.TruncateRestart:
-			s.CatchupRestart++
-		default:
-			s.InitialSyncs++
-		}
-	})
 	m.log.Info("mirror: catch-up snapshot installed",
 		"source", m.name, "cause", cause.String(), "tables", len(staged), "certified", !torn)
 	return nil
@@ -460,10 +406,6 @@ func (m *Mirror) applyDeltas(sets []wireChangeSet) (int, error) {
 	}
 	if len(sets) > 0 {
 		metricMirrorDeltaSets.Add(int64(len(sets)))
-		m.bumpStat(func(s *MirrorStats) {
-			s.DeltaSets += uint64(len(sets))
-			s.ChangesApplied += uint64(total)
-		})
 	}
 	return total, nil
 }
@@ -524,12 +466,6 @@ func (m *Mirror) setConnected(up bool, err error) {
 func (m *Mirror) setErr(err error) {
 	m.mu.Lock()
 	m.lastErr = err
-	m.mu.Unlock()
-}
-
-func (m *Mirror) bumpStat(fn func(*MirrorStats)) {
-	m.mu.Lock()
-	fn(&m.stats)
 	m.mu.Unlock()
 }
 

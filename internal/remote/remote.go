@@ -283,7 +283,6 @@ type request struct {
 	Params       map[string]wireTable
 	ParamSchemas map[string][]string
 	ParamCards   map[string]int
-	DefaultCard  int
 	ResultName   string
 }
 
@@ -389,7 +388,7 @@ func handle(local *source.Local, req *request) *response {
 			}
 			params[name] = s
 		}
-		est, err := local.Estimate(ctx, q, params, sqlmini.PlanOptions{ParamCards: req.ParamCards, DefaultParamCard: req.DefaultCard})
+		est, err := local.Estimate(ctx, q, params, sqlmini.PlanOptions{ParamCards: req.ParamCards})
 		if err != nil {
 			resp.setError(err)
 			return resp
@@ -410,7 +409,7 @@ func handle(local *source.Local, req *request) *response {
 			}
 			params[name] = b
 		}
-		out, dur, err := local.Exec(ctx, req.ResultName, q, params, sqlmini.PlanOptions{ParamCards: req.ParamCards, DefaultParamCard: req.DefaultCard})
+		out, dur, err := local.Exec(ctx, req.ResultName, q, params, sqlmini.PlanOptions{ParamCards: req.ParamCards})
 		if err != nil {
 			resp.setError(err)
 			return resp

@@ -71,6 +71,7 @@ func TestMirrorInitialSyncAndDeltaTail(t *testing.T) {
 	defer srv.Close()
 
 	var kicks atomic.Int64
+	initial := metricMirrorInitialSyncs.Value()
 	m := OpenMirror("DB1", addr, MirrorOptions{
 		Timeouts:     Timeouts{Dial: 2 * time.Second, Read: 2 * time.Second},
 		ReconnectMin: 10 * time.Millisecond,
@@ -86,8 +87,8 @@ func TestMirrorInitialSyncAndDeltaTail(t *testing.T) {
 	if !mirrorMatches(db, m.DB(), "visit") {
 		t.Fatalf("mirror does not match origin after initial sync")
 	}
-	if st := m.Stats(); st.InitialSyncs != 1 {
-		t.Fatalf("initial syncs = %d, want 1", st.InitialSyncs)
+	if n := metricMirrorInitialSyncs.Value() - initial; n != 1 {
+		t.Fatalf("initial syncs = %d, want 1", n)
 	}
 	if kicks.Load() == 0 {
 		t.Fatal("OnApply did not fire for the initial sync")
@@ -168,6 +169,7 @@ func TestMirrorTruncationCausePropagation(t *testing.T) {
 		t.Fatalf("origin window should be truncated (rolled), got %+v", cs)
 	}
 
+	rolled := metricMirrorCatchupRolled.Value()
 	srv2 := NewServer(db)
 	srv2.HeartbeatEvery = 50 * time.Millisecond
 	if _, err := srv2.Listen(addr); err != nil {
@@ -178,8 +180,8 @@ func TestMirrorTruncationCausePropagation(t *testing.T) {
 	waitFor(t, 10*time.Second, "catch-up after log roll", func() bool {
 		return mirrorMatches(db, m.DB(), "visit")
 	})
-	if st := m.Stats(); st.CatchupRolled < 1 {
-		t.Fatalf("catch-up not metered under cause rolled: %+v", st)
+	if metricMirrorCatchupRolled.Value() == rolled {
+		t.Fatal("catch-up not metered under cause rolled")
 	}
 
 	// The cause must propagate to the mirror's own consumers: a stale
@@ -226,9 +228,10 @@ func TestMirrorCatchupOnLogReset(t *testing.T) {
 	if err := replacement.InsertValues("s99", "d99"); err != nil {
 		t.Fatal(err)
 	}
+	reset := metricMirrorCatchupReset.Value()
 	db.AddTable(replacement)
 	waitFor(t, 5*time.Second, "catch-up after reset", func() bool {
-		return mirrorMatches(db, m.DB(), "visit") && m.Stats().CatchupReset >= 1
+		return mirrorMatches(db, m.DB(), "visit") && metricMirrorCatchupReset.Value() > reset
 	})
 }
 
@@ -257,6 +260,7 @@ func TestMirrorCatchupOnOriginRestart(t *testing.T) {
 	// The mirror's watermarks are from a future the new incarnation never
 	// reached — TruncateRestart — and must be replaced by snapshot.
 	db2 := subTestDB(t, 2)
+	restart := metricMirrorCatchupRestart.Value()
 	srv2 := NewServer(db2)
 	srv2.HeartbeatEvery = 20 * time.Millisecond
 	if _, err := srv2.Listen(addr); err != nil {
@@ -265,7 +269,7 @@ func TestMirrorCatchupOnOriginRestart(t *testing.T) {
 	defer srv2.Close()
 
 	waitFor(t, 10*time.Second, "catch-up after origin restart", func() bool {
-		return mirrorMatches(db2, m.DB(), "visit") && m.Stats().CatchupRestart >= 1
+		return mirrorMatches(db2, m.DB(), "visit") && metricMirrorCatchupRestart.Value() > restart
 	})
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"github.com/aigrepro/aig/internal/aig"
 	"github.com/aigrepro/aig/internal/ivm"
+	"github.com/aigrepro/aig/internal/mediator"
 	"github.com/aigrepro/aig/internal/obs"
 	"github.com/aigrepro/aig/internal/xmltree"
 	"github.com/aigrepro/aig/internal/xpath"
@@ -25,8 +26,9 @@ import (
 // served by the mediator's plan pruned to that verdict, streamed through
 // the path sink (xpath.Stream) on the tag walk; a path with predicates by
 // the partial evaluator, which decides [N] and pushdownable [c='v'] per
-// instance while it evaluates. The refresher judges both kinds of entry
-// against the verdict's scans. Where the verdict cannot be trusted (a
+// instance while it evaluates — or, where a source gives no direct table
+// access (a remote.Client), by the pruned plan and the sink as well. The
+// refresher judges both kinds of entry against the verdict's scans. Where the verdict cannot be trusted (a
 // guard left in the grammar, or broken premises) the whole guarded
 // document is settled and the sink selects the path from its tag walk.
 //
@@ -58,7 +60,7 @@ type fragPlan struct {
 	// prunes its plan to it, and deps holds its scans.
 	verdict *xpath.Verdict
 	// partial is set for a path with predicates, which the partial
-	// evaluator serves while the verdict holds.
+	// evaluator serves while the verdict holds and the view is direct.
 	partial bool
 	// deps is restricted to the scans the verdict keeps. Where the
 	// verdict cannot serve the fragment (a guard left in the grammar, or
@@ -116,7 +118,7 @@ func (s *Server) evalPartial(ctx context.Context, t target, e *cacheEntry, out *
 		Data:     s.reg,
 		Stats:    s.reg,
 		PlanOpts: s.opts.PlanOpts,
-		MaxDepth: t.v.maxDepth,
+		MaxDepth: mediator.UnfoldLimit,
 		Counters: &aig.Counters{},
 	}
 	t0 := time.Now()

@@ -11,6 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/aigrepro/aig/internal/aig"
+	"github.com/aigrepro/aig/internal/aigspec"
+	"github.com/aigrepro/aig/internal/hospital"
 	"github.com/aigrepro/aig/internal/obs"
 	"github.com/aigrepro/aig/internal/relstore"
 	"github.com/aigrepro/aig/internal/xmltree"
@@ -412,6 +415,62 @@ func TestFragmentExplain(t *testing.T) {
 	}
 	if code, _ := explain("/report/patient["); code != http.StatusBadRequest {
 		t.Errorf("explain of a bad path: status %d, want 400", code)
+	}
+}
+
+// TestPredicatedFragmentWithoutTableAccess: a view with no premise to
+// check lets every path's verdict decide what its fragment reads, but
+// only sources with direct table access can feed the partial evaluator.
+// Over sources without it (as over remote.Client) a path with predicates
+// settles the plan pruned to its verdict and selects its matches with
+// the path sink, answering the bytes a run over local sources gives, and
+// explain names that route.
+func TestPredicatedFragmentWithoutTableAccess(t *testing.T) {
+	unconstrained := func() *aig.AIG {
+		a, err := aigspec.Parse(hospital.SpecText)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Constraints = nil
+		return a
+	}
+	local, localTS, _, _ := testServer(t, Config{}, nil)
+	if _, err := local.AddView("report", unconstrained()); err != nil {
+		t.Fatal(err)
+	}
+	s, ts, _, _ := testServer(t, Config{FlightRecorder: true, TraceSampleRate: 1}, nil)
+	for _, name := range s.reg.Names() {
+		src, err := s.reg.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.reg.Add(opaqueSource{src})
+	}
+	if _, err := s.AddView("report", unconstrained()); err != nil {
+		t.Fatal(err)
+	}
+	for _, date := range []string{"d1", "d2"} {
+		for _, path := range []string{"//patient[1]/SSN", "//patient[pname='alice']", "//treatment[tname='xray']", "/report/patient/SSN"} {
+			u := fragURL("", date, path)
+			code, body, spans := tracedFetch(t, ts.URL, u)
+			if code != http.StatusOK || spans["eval.partial"] != nil || spans["evaluate"]["path"] != path {
+				t.Errorf("%s: status %d %q, eval.partial %v, evaluate %v; want 200 from the plan pruned to the path",
+					u, code, body, spans["eval.partial"], spans["evaluate"])
+			}
+			if _, want, _ := get(t, localTS.URL+u); body != want {
+				t.Errorf("%s: body differs from a run over local sources:\n got %s\nwant %s", u, body, want)
+			}
+		}
+	}
+	explain := func(base string) string {
+		_, plan, _ := get(t, base+"/views/report/explain?path="+url.QueryEscape("//patient[1]/SSN"))
+		return plan
+	}
+	if plan := explain(localTS.URL); !strings.Contains(plan, "served by the partial evaluator") {
+		t.Errorf("explain over local sources:\n%s\nwant the partial evaluator", plan)
+	}
+	if plan := explain(ts.URL); !strings.Contains(plan, "fragment //patient[1]/SSN at unfolding depth") {
+		t.Errorf("explain over sources without table access:\n%s\nwant the pruned plan", plan)
 	}
 }
 

@@ -60,19 +60,13 @@ type Config struct {
 	// CacheEntries is the result cache capacity. 0 means the default of
 	// 256; a negative value disables the cache.
 	CacheEntries int
-	// Unfold is the initial recursion-unfolding depth (default 4);
-	// MaxUnfold the limit (default 64). Views adapt upward per request
-	// and remember the depth that sufficed.
-	Unfold, MaxUnfold int
 	// FlightRecorder enables full request tracing with tail-sampled
 	// retention: every request runs under a propagated trace context
 	// (Traceparent in/out, spans across cache, singleflight, admission,
 	// mediator, and remote sources), and completed traces are kept in a
-	// bounded ring when they erred, ran slow, or won the sampling draw —
-	// served at GET /debug/traces and /debug/traces/{id}.
+	// ring of traceRing traces when they erred, ran slow, or won the
+	// sampling draw — served at GET /debug/traces and /debug/traces/{id}.
 	FlightRecorder bool
-	// TraceCapacity is the flight recorder's ring size (default 256).
-	TraceCapacity int
 	// TraceSlowThreshold is the latency at or above which a trace is
 	// always kept (default 250ms; negative disables the slow rule).
 	TraceSlowThreshold time.Duration
@@ -107,6 +101,10 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
+// traceRing is the flight recorder's ring size: kept traces beyond
+// it evict the oldest.
+const traceRing = 256
+
 func (c Config) withDefaults() Config {
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = 8
@@ -126,17 +124,8 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries < 0 {
 		c.CacheEntries = 0
 	}
-	if c.Unfold <= 0 {
-		c.Unfold = 4
-	}
-	if c.MaxUnfold < c.Unfold {
-		c.MaxUnfold = 64
-	}
 	if c.Metrics == nil {
 		c.Metrics = obs.Default
-	}
-	if c.TraceCapacity <= 0 {
-		c.TraceCapacity = 256
 	}
 	if c.TraceSlowThreshold == 0 {
 		c.TraceSlowThreshold = 250 * time.Millisecond
@@ -285,7 +274,7 @@ func NewServer(reg *source.Registry, cfg Config) *Server {
 	s.cache.onEvict = s.m.evictions.Inc
 	s.adm.onQueue = func(depth int64) { s.m.queueDepth.Set(float64(depth)) }
 	if cfg.FlightRecorder {
-		s.traces = store.New(cfg.TraceCapacity, store.Policy{
+		s.traces = store.New(traceRing, store.Policy{
 			SlowThreshold: cfg.TraceSlowThreshold,
 			SampleRate:    cfg.TraceSampleRate,
 		})
@@ -346,7 +335,7 @@ func (s *Server) Close() {
 // view's premise check cannot read a source's tables: such a view never
 // uses its certification.
 func (s *Server) AddView(name string, a *aig.AIG) (*View, error) {
-	v, err := prepareView(name, a, s.reg, s.opts, s.cfg.Unfold, s.cfg.MaxUnfold)
+	v, err := prepareView(name, a, s.reg, s.opts)
 	if err != nil {
 		return nil, err
 	}
@@ -644,7 +633,7 @@ func (s *Server) settle(ctx context.Context, v *View, params map[string]string, 
 
 	settleAt := func(g *aig.AIG, est int, keep mediator.Verdict) (*mediator.Run, int, error) {
 		t0 := time.Now()
-		run, depth, err := v.med.Settle(ctx, g, rootInh, est, v.maxDepth, keep)
+		run, depth, err := v.med.Settle(ctx, g, rootInh, est, mediator.UnfoldLimit, keep)
 		s.m.evalSec.Observe(time.Since(t0).Seconds())
 		s.m.evaluations.Inc()
 		return run, depth, err
@@ -748,7 +737,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case !v.cert.Certified:
 			plan = fmt.Sprintf("fragment %s: selected from the whole document's plan (the view keeps guards)\n", fp.expr)
-		case fp.partial:
+		case fp.partial && v.direct:
 			plan = fmt.Sprintf("fragment %s: served by the partial evaluator (the path has predicates)\n", fp.expr)
 		default:
 			if plan, err = v.med.ExplainFragment(v.sa, int(v.estDepth.Load()), fp.verdict); err != nil {

@@ -65,11 +65,11 @@ func (s *Server) deps(t target, stamp string) *ivm.Deps {
 
 // fill produces t's entry at stamp. While partialOK holds, a fragment
 // reads only what its path's verdict keeps: a path with predicates by
-// partial evaluation, any other from the mediator's plan pruned to the
-// verdict. Otherwise it settles the whole document, guarded where the
-// premises are broken. A fill for a client (out set) holds an admission
-// slot while it evaluates or settles; the refresher's (out nil) holds
-// none. A settled run is emitted after the slot is released. Bytes go to
+// partial evaluation where the view's sources give direct table access,
+// any other from the mediator's plan pruned to the verdict. Otherwise it
+// settles the whole document, guarded where the premises are broken. A
+// fill for a client (out set) holds an admission slot while it evaluates
+// or settles; the refresher's (out nil) holds none. A settled run is emitted after the slot is released. Bytes go to
 // out as they are produced: a fragment's matches one at a time, a
 // document's only when the entry is not kept (a no-store request) — a
 // kept document goes out whole, once it is filled.
@@ -89,7 +89,7 @@ func (s *Server) fill(ctx context.Context, t target, stamp string, out *stream, 
 	}
 	pruned := t.fp != nil && s.partialOK(t.v, stamp)
 	var err error
-	if pruned && t.fp.partial {
+	if pruned && t.fp.partial && t.v.direct {
 		err = slot(func() error { return s.evalPartial(ctx, t, e, out) })
 	} else {
 		var verdict mediator.Verdict

@@ -52,6 +52,11 @@ type View struct {
 	sources []string
 	params  []ParamDecl
 	plan    string
+	// direct reports that every source in sources gives direct table
+	// access (source.TableDataProvider), which the partial evaluator
+	// reads through; without it a path with predicates is served by the
+	// plan pruned to its verdict.
+	direct bool
 
 	// certified reports that every declared constraint was statically
 	// proven (internal/propagate) to hold under the spec's source keys
@@ -79,10 +84,10 @@ type View struct {
 	fragPlans map[string]*fragPlan
 
 	// estDepth is the adaptive warm start for recursion unfolding: the
-	// depth that sufficed last time, so steady-state requests on stable
-	// data evaluate exactly once instead of re-probing upward.
+	// depth that sufficed last time (initialUnfold before the first
+	// request), so steady-state requests on stable data evaluate exactly
+	// once instead of re-probing upward, up to mediator.UnfoldLimit.
 	estDepth atomic.Int32
-	maxDepth int
 
 	// reqSec is the per-view request-latency histogram; kept traces feed
 	// it exemplars so its buckets link to retrievable flight-recorder
@@ -111,13 +116,17 @@ func (v *View) Certified() bool { return v.certified }
 // time.
 func (v *View) Certification() *propagate.Certification { return v.cert }
 
+// initialUnfold is a view's unfolding depth before its first request
+// has settled one; its plan is rendered at this depth.
+const initialUnfold = 4
+
 // prepareView runs the request-independent half of Fig. 5 once: parse
 // is the caller's job (specs arrive as *aig.AIG), then validate against
 // the live registry, certify the constraints, compile guards for the
 // ones certification could not prove, decompose multi-source queries,
 // and dry-run plan compilation at the initial unfolding depth so a
 // broken view fails at startup, not on the first request.
-func prepareView(name string, a *aig.AIG, reg *source.Registry, opts mediator.Options, unfold, maxUnfold int) (*View, error) {
+func prepareView(name string, a *aig.AIG, reg *source.Registry, opts mediator.Options) (*View, error) {
 	if err := a.Validate(reg); err != nil {
 		return nil, fmt.Errorf("view %s: %w", name, err)
 	}
@@ -143,13 +152,19 @@ func prepareView(name string, a *aig.AIG, reg *source.Registry, opts mediator.Op
 		sources:   sa.QuerySources(),
 		params:    rootParams(a),
 		deps:      deps,
-		maxDepth:  maxUnfold,
 		cert:      cert,
 		certified: cert.Certified && len(a.Constraints) > 0,
 		pruned:    len(a.Constraints) - len(unproven.Constraints),
 		fragPlans: make(map[string]*fragPlan),
 	}
-	v.estDepth.Store(int32(unfold))
+	v.estDepth.Store(initialUnfold)
+	v.direct = true
+	for _, name := range v.sources {
+		src, err := reg.Get(name)
+		if _, ok := src.(source.TableDataProvider); err != nil || !ok {
+			v.direct = false
+		}
+	}
 	// Compiling a constraint adds collectors, syn rules and a guard, never
 	// a query, so the guarded grammar reads what sa reads: sources, deps
 	// and Explain stay those of sa. The mediator plans it on first use.
@@ -159,7 +174,7 @@ func prepareView(name string, a *aig.AIG, reg *source.Registry, opts mediator.Op
 		}
 	}
 
-	unf, err := specialize.Unfold(sa, unfold)
+	unf, err := specialize.Unfold(sa, initialUnfold)
 	if err != nil {
 		return nil, fmt.Errorf("view %s: unfolding: %w", name, err)
 	}

@@ -7,15 +7,13 @@ import (
 )
 
 // DurableOptions configures OpenDurable: where a source's durable state
-// lives and how it is flushed.
+// lives and how it is flushed. A snapshot is taken every
+// relstore.DefaultSnapshotEvery WAL records.
 type DurableOptions struct {
 	// Dir is the state directory (snapshot + write-ahead log).
 	Dir string
 	// Fsync is the WAL flushing policy.
 	Fsync relstore.FsyncMode
-	// SnapshotEvery is the automatic snapshot cadence in WAL records
-	// (0 = relstore.DefaultSnapshotEvery, negative disables).
-	SnapshotEvery int
 }
 
 // OpenDurable opens the named database's durable state under Dir. When
@@ -29,7 +27,7 @@ type DurableOptions struct {
 // close the returned Persister on shutdown for a snapshot-clean
 // (replay-free) next start.
 func OpenDurable(name string, opts DurableOptions, seed func() (*relstore.Database, error)) (*relstore.Database, *relstore.Persister, error) {
-	popts := relstore.PersistOptions{Dir: opts.Dir, Fsync: opts.Fsync, SnapshotEvery: opts.SnapshotEvery}
+	popts := relstore.PersistOptions{Dir: opts.Dir, Fsync: opts.Fsync}
 	if relstore.HasPersistedState(popts) {
 		db, p, err := relstore.Recover(name, popts)
 		if err != nil {

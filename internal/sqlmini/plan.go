@@ -44,21 +44,19 @@ func (c CatalogStats) ColumnDistinct(source, table, column string) (int, error) 
 // PlanOptions tunes planning and estimation.
 type PlanOptions struct {
 	// ParamCards estimates the row count of set-valued parameters by name.
-	// Unlisted parameters default to DefaultParamCard.
+	// Unlisted parameters default to unknownParamCard.
 	ParamCards map[string]int
-	// DefaultParamCard is the assumed cardinality for parameter tables with
-	// no explicit estimate. Zero means 10.
-	DefaultParamCard int
 }
+
+// unknownParamCard is the assumed cardinality of a parameter table with
+// no explicit estimate.
+const unknownParamCard = 10
 
 func (o PlanOptions) paramCard(name string) float64 {
 	if n, ok := o.ParamCards[name]; ok && n > 0 {
 		return float64(n)
 	}
-	if o.DefaultParamCard > 0 {
-		return float64(o.DefaultParamCard)
-	}
-	return 10
+	return unknownParamCard
 }
 
 // Plan is a left-deep join plan: an ordering of the FROM tables plus cost

@@ -259,7 +259,7 @@ func ForcedOutputs(q *sqlmini.Query) []*relstore.Value {
 	}
 	out := make([]*relstore.Value, len(q.Select))
 	for i, s := range q.Select {
-		if v, found := classConst[uf.find("c:"+s.Expr.String())]; found {
+		if v, found := classConst[uf.Find("c:"+s.Expr.String())]; found {
 			v := v
 			out[i] = &v
 		}
@@ -278,8 +278,8 @@ type cmpPred struct {
 // query's equality predicates, propagates constants, and checks the
 // deferred comparisons. It returns the union-find, the constant value per
 // class root, and whether the predicates are mutually consistent.
-func constClasses(q *sqlmini.Query) (*unionFind, map[string]relstore.Value, bool) {
-	uf := newUnionFind()
+func constClasses(q *sqlmini.Query) (*UnionFind, map[string]relstore.Value, bool) {
+	uf := NewUnionFind()
 	key := func(c sqlmini.ColRef) string { return "c:" + c.String() }
 	paramKey := func(p, f string) string { return "p:" + p + "." + f }
 
@@ -290,7 +290,7 @@ func constClasses(q *sqlmini.Query) (*unionFind, map[string]relstore.Value, bool
 		switch p.Kind {
 		case sqlmini.PredColCol:
 			if p.Op == sqlmini.OpEq {
-				uf.union(key(p.Left), key(p.Right))
+				uf.Union(key(p.Left), key(p.Right))
 			} else {
 				cmps = append(cmps, cmpPred{key(p.Left), key(p.Right), p.Op})
 			}
@@ -298,13 +298,13 @@ func constClasses(q *sqlmini.Query) (*unionFind, map[string]relstore.Value, bool
 			ck := "k:" + p.Const.Key()
 			constOf[ck] = p.Const
 			if p.Op == sqlmini.OpEq {
-				uf.union(key(p.Left), ck)
+				uf.Union(key(p.Left), ck)
 			} else {
 				cmps = append(cmps, cmpPred{key(p.Left), ck, p.Op})
 			}
 		case sqlmini.PredColParam:
 			if p.Op == sqlmini.OpEq {
-				uf.union(key(p.Left), paramKey(p.Param, p.ParamField))
+				uf.Union(key(p.Left), paramKey(p.Param, p.ParamField))
 			} else {
 				cmps = append(cmps, cmpPred{key(p.Left), paramKey(p.Param, p.ParamField), p.Op})
 			}
@@ -315,7 +315,7 @@ func constClasses(q *sqlmini.Query) (*unionFind, map[string]relstore.Value, bool
 			if len(p.List) == 1 {
 				ck := "k:" + p.List[0].Key()
 				constOf[ck] = p.List[0]
-				uf.union(key(p.Left), ck)
+				uf.Union(key(p.Left), ck)
 			}
 		case sqlmini.PredColInParam:
 			// Parameters range over arbitrary sets; always satisfiable.
@@ -325,7 +325,7 @@ func constClasses(q *sqlmini.Query) (*unionFind, map[string]relstore.Value, bool
 	// Each equivalence class may contain at most one distinct constant.
 	classConst := make(map[string]relstore.Value)
 	for ck, v := range constOf {
-		root := uf.find(ck)
+		root := uf.Find(ck)
 		if prev, ok := classConst[root]; ok && !prev.Equal(v) {
 			return nil, nil, false
 		}
@@ -334,7 +334,7 @@ func constClasses(q *sqlmini.Query) (*unionFind, map[string]relstore.Value, bool
 	// Comparisons between two constant-valued classes must hold;
 	// inequality within one class must not contradict equality.
 	for _, c := range cmps {
-		ra, rb := uf.find(c.a), uf.find(c.b)
+		ra, rb := uf.Find(c.a), uf.Find(c.b)
 		if ra == rb && (c.op == sqlmini.OpNe || c.op == sqlmini.OpLt || c.op == sqlmini.OpGt) {
 			return nil, nil, false
 		}
@@ -347,23 +347,41 @@ func constClasses(q *sqlmini.Query) (*unionFind, map[string]relstore.Value, bool
 	return uf, classConst, true
 }
 
-type unionFind struct{ parent map[string]string }
+// UnionFind partitions strings into equivalence classes; this package
+// and internal/propagate group a query's columns and constants by its
+// equality predicates with it.
+type UnionFind struct{ parent map[string]string }
 
-func newUnionFind() *unionFind { return &unionFind{parent: make(map[string]string)} }
+// NewUnionFind returns an empty partition.
+func NewUnionFind() *UnionFind { return &UnionFind{parent: make(map[string]string)} }
 
-func (u *unionFind) find(x string) string {
+// Find returns the representative of x's class.
+func (u *UnionFind) Find(x string) string {
 	p, ok := u.parent[x]
 	if !ok || p == x {
 		u.parent[x] = x
 		return x
 	}
-	root := u.find(p)
+	root := u.Find(p)
 	u.parent[x] = root
 	return root
 }
 
-func (u *unionFind) union(a, b string) {
-	ra, rb := u.find(a), u.find(b)
+// Class returns every element seen so far that is in x's class.
+func (u *UnionFind) Class(x string) []string {
+	root := u.Find(x)
+	var out []string
+	for k := range u.parent {
+		if u.Find(k) == root {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// Union merges the classes of a and b.
+func (u *UnionFind) Union(a, b string) {
+	ra, rb := u.Find(a), u.Find(b)
 	if ra != rb {
 		u.parent[ra] = rb
 	}
