@@ -13,9 +13,9 @@
 // source's tables, the source engine pushes row deltas as they happen
 // (snapshot catch-up when the mirror is cold or fell past the change
 // log's horizon), and queries run against the mirror at local-memory
-// speed. Mirror applies kick the background refresher immediately, so
-// cached views go warm again one refresh cycle after a remote write —
-// push-based invalidation instead of interval polling. Views are
+// speed. Every delta a mirror applies fires its database's change
+// signal, which wakes the background refresher, so cached views go warm
+// again one refresh cycle after a remote write. Views are
 // prepared once every mirror has completed its initial sync (the daemon
 // gives up after 30 s); /healthz reports 503 until then (and again if a
 // feed goes stale), so a fleet router routes around replicas that are
@@ -67,7 +67,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -112,7 +111,7 @@ func run() error {
 	cacheDir := flag.String("cache-dir", "", "persist the result cache here across restarts (saved on drain, re-validated on startup)")
 	stateDir := flag.String("state-dir", "", "durable local-source state directory, one subdirectory per DB (WAL + snapshots)")
 	fsyncMode := flag.String("fsync", "never", "durable-state WAL flushing policy: never or always")
-	refreshInterval := flag.Duration("refresh-interval", 0, "background cache refresh interval (0 disables the refresher)")
+	refreshInterval := flag.Duration("refresh-interval", 0, "enable the background cache refresher (0 disables it); it wakes on source writes and polls only -source sources without -subscribe, at this interval")
 	allowMutate := flag.Bool("allow-mutate", false, "serve POST /mutate for row-level writes against local sources")
 	srcTimeout := flag.Duration("source-timeout", 0, "connect/read/write timeout for remote sources (0 disables)")
 	subscribe := flag.Bool("subscribe", false, "mirror remote sources by delta subscription instead of per-request RPCs")
@@ -138,16 +137,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// The refresher (and so the server) does not exist yet when mirrors
-	// start applying deltas; route their kicks through an indirection
-	// installed right after the server is built.
-	var kickFn atomic.Value // func()
-	onApply := func() {
-		if f, ok := kickFn.Load().(func()); ok {
-			f()
-		}
-	}
-	reg, persisters, mirrors, err := buildRegistry(*dataDir, *stateDir, fsync, sources, *srcTimeout, *demo, *subscribe, onApply)
+	reg, persisters, mirrors, err := buildRegistry(*dataDir, *stateDir, fsync, sources, *srcTimeout, *demo, *subscribe)
 	if err != nil {
 		return err
 	}
@@ -177,7 +167,6 @@ func run() error {
 		Logger:             logger,
 	}
 	srv := serve.NewServer(reg, cfg)
-	kickFn.Store(func() { srv.KickRefresh() })
 
 	// View preparation reads schemas and statistics from the sources;
 	// a mirror can answer those only after its initial sync.
@@ -304,9 +293,8 @@ func buildLogger(format, level string) (*slog.Logger, error) {
 // persisters must be closed on shutdown.
 // With subscribe, remote sources are consumed as delta-subscription
 // mirrors (returned so the caller can wait for their initial sync and
-// close them on shutdown); onApply fires after every batch of mirror
-// deltas lands.
-func buildRegistry(dataDir, stateDir string, fsync relstore.FsyncMode, sources []string, timeout time.Duration, demo bool, subscribe bool, onApply func()) (*source.Registry, []*relstore.Persister, []*remote.Mirror, error) {
+// close them on shutdown).
+func buildRegistry(dataDir, stateDir string, fsync relstore.FsyncMode, sources []string, timeout time.Duration, demo bool, subscribe bool) (*source.Registry, []*relstore.Persister, []*remote.Mirror, error) {
 	var persisters []*relstore.Persister
 	var mirrors []*remote.Mirror
 	addLocal := func(name string, seed func() (*relstore.Database, error), reg *source.Registry) error {
@@ -379,8 +367,6 @@ func buildRegistry(dataDir, stateDir string, fsync relstore.FsyncMode, sources [
 			}
 			m := remote.OpenMirror(name, addr, remote.MirrorOptions{
 				Timeouts: remote.Timeouts{Dial: timeout, Read: readTO, Write: timeout},
-				OnApply:  onApply,
-				Logger:   slog.Default(),
 			})
 			mirrors = append(mirrors, m)
 			reg.Add(m.Source())

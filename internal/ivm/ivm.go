@@ -71,12 +71,6 @@ type Deps struct {
 	scans map[string]map[string][]scan
 }
 
-// SchemaSource resolves base-table schemas during extraction;
-// *source.Registry implements it.
-type SchemaSource interface {
-	TableSchema(source, table string) (relstore.Schema, error)
-}
-
 // botMark is the lattice bottom of the root-copy analysis: "this member
 // is not provably a copy of a root Inh member".
 const botMark = "\x00bot"
@@ -175,7 +169,7 @@ func rootCopyMap(a *aig.AIG) map[string]map[string]string {
 // evaluation: literals, IN lists, and scalar parameters bound (directly,
 // or through an unbroken chain of copy rules) to a root Inh member —
 // the view's request parameters.
-func Extract(a *aig.AIG, schemas SchemaSource) (*Deps, error) {
+func Extract(a *aig.AIG, schemas sqlmini.SchemaProvider) (*Deps, error) {
 	return ExtractFiltered(a, schemas, nil)
 }
 
@@ -186,7 +180,7 @@ func Extract(a *aig.AIG, schemas SchemaSource) (*Deps, error) {
 // the rest of the view's tables restamp the fragment instead of
 // rebuilding it. keep must be an over-approximation of the scans any
 // concrete evaluation of the fragment runs; nil keeps everything.
-func ExtractFiltered(a *aig.AIG, schemas SchemaSource, keep func(elem, child string) bool) (*Deps, error) {
+func ExtractFiltered(a *aig.AIG, schemas sqlmini.SchemaProvider, keep func(elem, child string) bool) (*Deps, error) {
 	root := a.DTD.Root
 	traced := rootCopyMap(a)
 	d := &Deps{

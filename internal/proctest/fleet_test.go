@@ -74,8 +74,8 @@ func TestFleetScaling(t *testing.T) {
 	// Warm every replica's shard before the writes start. Under the write
 	// stream a loaded replica cannot cache a fresh evaluation (the stamp
 	// recheck sees a write that landed while the request queued), but an
-	// entry cached in the quiet window stays warm: each delta kicks the
-	// refresher, the judge proves the written row (a visit on the
+	// entry cached in the quiet window stays warm: each delta fires the
+	// mirror's change signal, which wakes the refresher, the judge proves the written row (a visit on the
 	// never-served date d999) affects no served document, and the entry
 	// is restamped.
 	proctest.Load{URLs: urls(router1), Workers: 8, Requests: 100}.Run()

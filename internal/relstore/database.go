@@ -33,8 +33,8 @@ type Database struct {
 	// database lock.
 	persist atomic.Pointer[Persister]
 
-	// sig wakes ChangeSignal waiters (delta-subscription fan-out) after
-	// every data-version advance.
+	// sig wakes ChangeSignal waiters (delta-subscription fan-out, the
+	// serving refresher) after every data-version advance.
 	sig changeSignal
 }
 

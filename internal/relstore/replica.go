@@ -14,8 +14,10 @@ import (
 // state (first boot) or has fallen past the origin's change-log horizon,
 // it installs a consistent snapshot (CaptureSnapshot on the origin,
 // InstallSnapshotTable on the mirror) and resumes from the snapshot's
-// versions. ChangeSignal is the push half: subscription fan-out blocks
-// on it instead of polling the version counter.
+// versions. ChangeSignal is the push half and the program's one change
+// notification: subscription fan-out and the serving refresher block on
+// it instead of polling the version counter, and a mirror's applied
+// deltas fire it like any local write.
 
 // changeSignal is the notification slot shared by all waiters: a channel
 // that is closed (and replaced lazily) on the next data-version advance.

@@ -47,12 +47,6 @@ type MirrorOptions struct {
 	// ReconnectMin is the first backoff between subscription attempts
 	// (default 100ms); it doubles per failed attempt up to backoffCap.
 	ReconnectMin time.Duration
-	// OnApply, when set, runs after every state change (delta batch or
-	// snapshot install) — the hook serving-side refreshers use to wake
-	// up instead of polling.
-	OnApply func()
-	// Logger receives connection lifecycle events (slog.Default if nil).
-	Logger *slog.Logger
 }
 
 const (
@@ -79,7 +73,6 @@ type Mirror struct {
 	opts MirrorOptions
 	db   *relstore.Database
 	src  *source.Local
-	log  *slog.Logger
 
 	stop chan struct{}
 	done chan struct{}
@@ -101,10 +94,6 @@ func OpenMirror(name, addr string, opts MirrorOptions) *Mirror {
 	if opts.ReconnectMin <= 0 {
 		opts.ReconnectMin = 100 * time.Millisecond
 	}
-	log := opts.Logger
-	if log == nil {
-		log = slog.Default()
-	}
 	db := relstore.NewDatabase(name)
 	m := &Mirror{
 		name:     name,
@@ -112,7 +101,6 @@ func OpenMirror(name, addr string, opts MirrorOptions) *Mirror {
 		opts:     opts,
 		db:       db,
 		src:      source.NewLocal(db),
-		log:      log,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 		syncedCh: make(chan struct{}),
@@ -122,7 +110,8 @@ func OpenMirror(name, addr string, opts MirrorOptions) *Mirror {
 }
 
 // DB exposes the replica database (read-side only: mutating it breaks
-// the watermark contract with the origin).
+// the watermark contract with the origin). Its ChangeSignal fires after
+// every snapshot install and delta batch the mirror applies.
 func (m *Mirror) DB() *relstore.Database { return m.db }
 
 // Source returns the replica as a source.Source. The source also
@@ -218,7 +207,7 @@ func (m *Mirror) run() {
 			return
 		}
 		if err != nil {
-			m.log.Debug("mirror: subscription session ended", "source", m.name, "addr", m.addr, "err", err)
+			slog.Debug("mirror: subscription session ended", "source", m.name, "addr", m.addr, "err", err)
 		}
 		if progressed {
 			backoff = m.opts.ReconnectMin
@@ -328,14 +317,9 @@ func (m *Mirror) session() (progressed bool, err error) {
 			}
 			staged = nil
 			m.markSynced()
-			m.kick()
 		case subDeltas:
-			applied, err := m.applyDeltas(msg.Sets)
-			if err != nil {
+			if err := m.applyDeltas(msg.Sets); err != nil {
 				return progressed, err
-			}
-			if applied > 0 {
-				m.kick()
 			}
 		case subHeartbeat:
 			metricMirrorHeartbeats.Inc()
@@ -374,7 +358,7 @@ func (m *Mirror) installSnapshot(staged map[string]*stagedTable, cause relstore.
 	default:
 		metricMirrorInitialSyncs.Inc()
 	}
-	m.log.Info("mirror: catch-up snapshot installed",
+	slog.Info("mirror: catch-up snapshot installed",
 		"source", m.name, "cause", cause.String(), "tables", len(staged), "certified", !torn)
 	return nil
 }
@@ -383,7 +367,7 @@ func (m *Mirror) installSnapshot(staged map[string]*stagedTable, cause relstore.
 // table that cannot apply its window (divergence) is dropped so the
 // resubscription falls back to a catch-up snapshot instead of looping on
 // the same bad delta.
-func (m *Mirror) applyDeltas(sets []wireChangeSet) (int, error) {
+func (m *Mirror) applyDeltas(sets []wireChangeSet) error {
 	total := 0
 	for _, ws := range sets {
 		cs := changeSetFromWire(ws)
@@ -391,14 +375,14 @@ func (m *Mirror) applyDeltas(sets []wireChangeSet) (int, error) {
 		if err != nil {
 			// Unknown table: force a full resync on the next session.
 			m.setErr(err)
-			return total, fmt.Errorf("remote: subscription to %s: deltas for unknown table %q", m.name, cs.Table)
+			return fmt.Errorf("remote: subscription to %s: deltas for unknown table %q", m.name, cs.Table)
 		}
 		applied, err := t.ApplyChanges(cs)
 		total += applied
 		if err != nil {
 			m.db.DropTable(cs.Table)
 			m.setErr(err)
-			return total, fmt.Errorf("remote: subscription to %s: applying deltas: %w", m.name, err)
+			return fmt.Errorf("remote: subscription to %s: applying deltas: %w", m.name, err)
 		}
 	}
 	if total > 0 {
@@ -407,7 +391,7 @@ func (m *Mirror) applyDeltas(sets []wireChangeSet) (int, error) {
 	if len(sets) > 0 {
 		metricMirrorDeltaSets.Add(int64(len(sets)))
 	}
-	return total, nil
+	return nil
 }
 
 // checkDrift compares a heartbeat's watermark echo against the replica.
@@ -428,12 +412,6 @@ func (m *Mirror) checkDrift(versions map[string]uint64) error {
 		}
 	}
 	return nil
-}
-
-func (m *Mirror) kick() {
-	if m.opts.OnApply != nil {
-		m.opts.OnApply()
-	}
 }
 
 func (m *Mirror) markSynced() {

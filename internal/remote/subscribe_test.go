@@ -3,7 +3,7 @@ package remote
 import (
 	"context"
 	"errors"
-	"sync/atomic"
+	"net"
 	"testing"
 	"time"
 
@@ -64,20 +64,25 @@ func TestMirrorInitialSyncAndDeltaTail(t *testing.T) {
 	db := subTestDB(t, 7)
 	srv := NewServer(db)
 	srv.HeartbeatEvery = 50 * time.Millisecond
-	addr, err := srv.Listen("127.0.0.1:0")
+	// The origin accepts only once the test holds the replica's change
+	// signal, so nothing but the initial sync can close it.
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	var kicks atomic.Int64
 	initial := metricMirrorInitialSyncs.Value()
-	m := OpenMirror("DB1", addr, MirrorOptions{
+	m := OpenMirror("DB1", l.Addr().String(), MirrorOptions{
 		Timeouts:     Timeouts{Dial: 2 * time.Second, Read: 2 * time.Second},
 		ReconnectMin: 10 * time.Millisecond,
-		OnApply:      func() { kicks.Add(1) },
 	})
 	defer m.Close()
+	sig := m.DB().ChangeSignal()
+	srv.mu.Lock()
+	srv.listener = l
+	srv.mu.Unlock()
+	go srv.acceptLoop(l)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -90,8 +95,10 @@ func TestMirrorInitialSyncAndDeltaTail(t *testing.T) {
 	if n := metricMirrorInitialSyncs.Value() - initial; n != 1 {
 		t.Fatalf("initial syncs = %d, want 1", n)
 	}
-	if kicks.Load() == 0 {
-		t.Fatal("OnApply did not fire for the initial sync")
+	select {
+	case <-sig:
+	default:
+		t.Fatal("the initial sync did not fire the replica's change signal")
 	}
 
 	// The delta tail: inserts and deletes at the origin flow through the

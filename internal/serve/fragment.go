@@ -9,6 +9,7 @@ import (
 	"github.com/aigrepro/aig/internal/ivm"
 	"github.com/aigrepro/aig/internal/mediator"
 	"github.com/aigrepro/aig/internal/obs"
+	"github.com/aigrepro/aig/internal/sqlmini"
 	"github.com/aigrepro/aig/internal/xmltree"
 	"github.com/aigrepro/aig/internal/xpath"
 )
@@ -70,7 +71,7 @@ type fragPlan struct {
 }
 
 // fragmentPlan parses, compiles, and memoizes a path against the view.
-func (v *View) fragmentPlan(expr string, schemas ivm.SchemaSource) (*fragPlan, error) {
+func (v *View) fragmentPlan(expr string, schemas sqlmini.SchemaProvider) (*fragPlan, error) {
 	p, err := xpath.Parse(expr)
 	if err != nil {
 		return nil, fmt.Errorf("path: %w", err)

@@ -6,11 +6,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/aigrepro/aig/internal/hospital"
 	"github.com/aigrepro/aig/internal/obs"
-	"github.com/aigrepro/aig/internal/relstore"
 	"github.com/aigrepro/aig/internal/source"
 )
 
@@ -86,42 +84,5 @@ func TestHealthzDrainRetryAfter(t *testing.T) {
 	}
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Fatal("healthz while draining lacks Retry-After")
-	}
-}
-
-// TestKickRefreshRunsCycleEarly proves push-based invalidation: with a
-// refresh interval far longer than the test, a mutation plus KickRefresh
-// still gets the stale entry rebuilt almost immediately.
-func TestKickRefreshRunsCycleEarly(t *testing.T) {
-	s, ts, cat, metrics := testServer(t, Config{RefreshInterval: time.Hour}, nil)
-
-	if code, _, _ := get(t, ts.URL+"/views/report?date=d1"); code != http.StatusOK {
-		t.Fatalf("prime request failed: %d", code)
-	}
-
-	db, err := cat.Database("DB1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	visit, err := db.Table("visitInfo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Mutate("visitInfo", relstore.OpDelete, visit.Row(0).Texts()); err != nil {
-		t.Fatal(err)
-	}
-
-	cycles := counter(metrics, "aig_serve_refresh_cycles_total")
-	s.KickRefresh()
-	waitFor(t, "kicked refresh cycle", func() bool {
-		return counter(metrics, "aig_serve_refresh_cycles_total") > cycles &&
-			counter(metrics, "aig_serve_refresh_delta_total")+counter(metrics, "aig_serve_refresh_full_total") > 0
-	})
-
-	// The rebuilt entry serves as a hit at the new stamp — the point of
-	// kicking: no request pays the post-write miss.
-	_, _, state := get(t, ts.URL+"/views/report?date=d1")
-	if state != "hit" {
-		t.Fatalf("post-kick request cache state = %q, want hit", state)
 	}
 }

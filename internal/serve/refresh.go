@@ -11,12 +11,14 @@ import (
 )
 
 // refresher is the background half of incremental view maintenance:
-// a loop that watches the per-source data versions and, whenever cached
-// entries fall behind, either proves them still exact (delta judgement
-// via ivm.Deps — the entry is restamped to the new version without
+// a loop that wakes when a source changes and, whenever cached entries
+// fall behind, either proves them still exact (delta judgement via
+// ivm.Deps — the entry is restamped to the new version without
 // re-evaluating) or rebuilds them by a full evaluation. Either way the
 // cache stays warm across writes: steady read traffic keeps hitting
-// instead of paying an evaluation after every mutation.
+// instead of paying an evaluation after every mutation. A source wakes
+// it through its database's ChangeSignal; only if some source has no
+// database (a remote.Client) does it also poll.
 //
 // Soundness leans on two version reads bracketing every decision. A
 // cycle reads a view's stamp, snapshots its per-table versions, and
@@ -28,13 +30,13 @@ import (
 // parameter binding. Full rebuilds go through the same
 // stamp-recheck-before-cache path as request misses.
 type refresher struct {
-	s        *Server
-	interval time.Duration
-
+	s    *Server
 	stop chan struct{}
-	done chan struct{}
-	kick chan struct{}
 	once sync.Once
+	// wake holds at most one ring: changes between two cycles coalesce.
+	wake chan struct{}
+	// wg counts the loop and the database watchers.
+	wg sync.WaitGroup
 
 	// dirtyAt tracks, per logical entry (cache-key prefix), when the
 	// refresher first observed it stale — the start point of the
@@ -42,38 +44,72 @@ type refresher struct {
 	dirtyAt map[string]time.Time
 }
 
-func newRefresher(s *Server, interval time.Duration) *refresher {
-	return &refresher{
-		s:        s,
-		interval: interval,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-		kick:     make(chan struct{}, 1),
-		dirtyAt:  make(map[string]time.Time),
+// startRefresher watches the database of every source registered now,
+// and polls every interval only if some source has none.
+func startRefresher(s *Server, interval time.Duration) *refresher {
+	r := &refresher{
+		s:       s,
+		stop:    make(chan struct{}),
+		wake:    make(chan struct{}, 1),
+		dirtyAt: make(map[string]time.Time),
+	}
+	poll := false
+	watched := make(map[*relstore.Database]bool)
+	for _, name := range s.reg.Names() {
+		src, err := s.reg.Get(name)
+		d, ok := src.(interface{ DB() *relstore.Database })
+		if err != nil || !ok {
+			poll = true
+		} else if db := d.DB(); !watched[db] {
+			watched[db] = true
+			r.wg.Add(1)
+			go r.watch(db)
+		}
+	}
+	r.wg.Add(1)
+	go r.loop(poll, interval)
+	return r
+}
+
+// stopOnce stops the loop and the watchers and waits for the in-flight
+// cycle to finish.
+func (r *refresher) stopOnce() {
+	r.once.Do(func() { close(r.stop) })
+	r.wg.Wait()
+}
+
+// watch rings the loop after every change to db. It arms the next
+// signal before ringing, so a change landing mid-cycle rings again.
+func (r *refresher) watch(db *relstore.Database) {
+	defer r.wg.Done()
+	for {
+		sig := db.ChangeSignal()
+		select {
+		case r.wake <- struct{}{}:
+		default:
+		}
+		select {
+		case <-sig:
+		case <-r.stop:
+			return
+		}
 	}
 }
 
-func (r *refresher) start() { go r.loop() }
-
-// stopOnce stops the loop and waits for the in-flight cycle to finish.
-func (r *refresher) stopOnce() {
-	r.once.Do(func() { close(r.stop) })
-	<-r.done
-}
-
-func (r *refresher) loop() {
-	defer close(r.done)
-	ticker := time.NewTicker(r.interval)
-	defer ticker.Stop()
+func (r *refresher) loop(poll bool, interval time.Duration) {
+	defer r.wg.Done()
+	var tick <-chan time.Time
+	if poll {
+		ticker := time.NewTicker(interval)
+		defer ticker.Stop()
+		tick = ticker.C
+	}
 	for {
 		select {
 		case <-r.stop:
 			return
-		case <-ticker.C:
-		case <-r.kick:
-			// Push-based invalidation: a subscription delta landed, run a
-			// cycle now instead of waiting out the tick. The ticker stays as
-			// the fallback for sources without push.
+		case <-tick:
+		case <-r.wake:
 		}
 		if r.s.draining.Load() {
 			return
@@ -151,15 +187,20 @@ func (r *refresher) cycle() {
 		}
 		dirty = append(dirty, it)
 	}
-	s.m.refreshDirty.Set(float64(len(dirty)))
 
+	// No later cycle runs unless something changes again, so the gauge
+	// reports what this cycle leaves stale, not what it found.
+	left := len(dirty)
+	defer func() { s.m.refreshDirty.Set(float64(left)) }()
 	for _, it := range dirty {
 		select {
 		case <-r.stop:
 			return
 		default:
 		}
-		r.refreshOne(it, states[it.entry.view])
+		if r.refreshOne(it, states[it.entry.view]) {
+			left--
+		}
 	}
 
 	// Entries evicted from the cache no longer need lag tracking.
@@ -174,8 +215,9 @@ func (r *refresher) cycle() {
 // restamp when the judge proves the deltas irrelevant, by full
 // re-evaluation otherwise. Each refresh runs as its own "refresh"-kind
 // trace, so slow background rebuilds are as retrievable from the flight
-// recorder as slow client requests.
-func (r *refresher) refreshOne(it lruItem, st viewState) {
+// recorder as slow client requests. It reports whether the entry was
+// brought current.
+func (r *refresher) refreshOne(it lruItem, st viewState) bool {
 	s := r.s
 	e := it.entry
 	start := time.Now()
@@ -199,7 +241,7 @@ func (r *refresher) refreshOne(it lruItem, st viewState) {
 		s.cache.Remove(it.key)
 		s.m.refreshErrors.Inc()
 		rt.fail(terr)
-		return
+		return false
 	}
 
 	tr, parent := obs.SpanFromContext(ctx)
@@ -228,7 +270,7 @@ func (r *refresher) refreshOne(it lruItem, st viewState) {
 		if err != nil {
 			s.m.refreshErrors.Inc()
 			rt.fail(err)
-			return
+			return false
 		}
 		s.m.refreshFull.Inc()
 	}
@@ -236,6 +278,7 @@ func (r *refresher) refreshOne(it lruItem, st viewState) {
 	s.m.refreshSec.Observe(time.Since(start).Seconds())
 	s.m.refreshLagSec.Observe(time.Since(dirtySince).Seconds())
 	delete(r.dirtyAt, e.keyPrefix)
+	return true
 }
 
 // judgeUnaffected proves, if it can, that the entry's body is identical

@@ -4,12 +4,16 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/aigrepro/aig/internal/hospital"
+	"github.com/aigrepro/aig/internal/obs"
 	"github.com/aigrepro/aig/internal/relstore"
+	"github.com/aigrepro/aig/internal/source"
 )
 
 // tableOf resolves a catalog table or fails the test.
@@ -112,6 +116,95 @@ func TestRefresherTruncatedLogFallsBackToFullRefresh(t *testing.T) {
 	if delta := counter(metrics, "aig_serve_refresh_delta_total"); delta != 0 {
 		t.Errorf("truncated window restamped %d times; must not trust unknown deltas", delta)
 	}
+}
+
+// TestWriteWakesRefresher: with an interval far longer than the test, a
+// write through POST /mutate alone gets the stale entry restamped or
+// rebuilt. The source's change signal wakes the refresher, not its
+// ticker.
+func TestWriteWakesRefresher(t *testing.T) {
+	_, ts, _, metrics := testServer(t, Config{RefreshInterval: time.Hour, AllowMutate: true}, nil)
+
+	code, body1, _ := get(t, ts.URL+"/views/report?date=d1")
+	if code != http.StatusOK {
+		t.Fatalf("prime request failed: %d", code)
+	}
+	// Bob gains a d1 visit: the document changes.
+	resp, err := http.Post(ts.URL+"/mutate?source=DB1&table=visitInfo&op=insert&values=s2,t1,d1", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("mutate: %d", resp.StatusCode)
+	}
+
+	waitFor(t, "a refresh after the write", func() bool {
+		return counter(metrics, "aig_serve_refresh_delta_total")+counter(metrics, "aig_serve_refresh_full_total") > 0
+	})
+	// The refreshed entry serves as a hit at the new stamp: no request
+	// pays the post-write miss.
+	_, body2, state := get(t, ts.URL+"/views/report?date=d1")
+	if state != "hit" || body2 == body1 {
+		t.Fatalf("post-write request: cache state %q, changed body %v; want a hit on the new document", state, body2 != body1)
+	}
+}
+
+// TestRefresherPollsSourcesWithoutDatabase: sources that expose no
+// database (like a remote client) ring nothing when they change, so the
+// refresher polls them on its interval and still keeps the cache warm.
+func TestRefresherPollsSourcesWithoutDatabase(t *testing.T) {
+	cat := hospital.TinyCatalog()
+	reg := source.NewRegistry()
+	for _, name := range cat.DatabaseNames() {
+		db, err := cat.Database(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg.Add(opaqueSource{source.NewLocal(db)})
+	}
+	metrics := obs.NewRegistry()
+	s := NewServer(reg, Config{RefreshInterval: 2 * time.Millisecond, Metrics: metrics})
+	t.Cleanup(s.Close)
+	if _, err := s.AddSpec("report", hospital.SpecText); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	if code, _, _ := get(t, ts.URL+"/views/report?date=d1"); code != http.StatusOK {
+		t.Fatalf("prime request failed: %d", code)
+	}
+	tableOf(t, cat, "DB1", "visitInfo").MustInsert(relstore.Tuple{
+		relstore.String("s2"), relstore.String("t1"), relstore.String("d1")})
+
+	waitFor(t, "a polled refresh", func() bool {
+		return counter(metrics, "aig_serve_refresh_delta_total")+counter(metrics, "aig_serve_refresh_full_total") > 0
+	})
+	if _, _, state := get(t, ts.URL+"/views/report?date=d1"); state != "hit" {
+		t.Fatalf("post-write request cache state = %q, want hit", state)
+	}
+}
+
+// TestRefreshDirtyQueueDrains: after a write, the cycle it wakes
+// refreshes every stale entry and then reports none left. No later
+// cycle runs to clear the gauge, so it must say what the cycle left
+// stale, not what it found.
+func TestRefreshDirtyQueueDrains(t *testing.T) {
+	_, ts, cat, metrics := testServer(t, Config{RefreshInterval: time.Hour}, nil)
+
+	for _, date := range []string{"d1", "d2"} {
+		if code, _, _ := get(t, ts.URL+"/views/report?date="+date); code != http.StatusOK {
+			t.Fatalf("prime %s failed: %d", date, code)
+		}
+	}
+	tableOf(t, cat, "DB1", "visitInfo").MustInsert(relstore.Tuple{
+		relstore.String("s2"), relstore.String("t1"), relstore.String("d1")})
+
+	waitFor(t, "both entries refreshed and the dirty queue empty", func() bool {
+		refreshed := counter(metrics, "aig_serve_refresh_delta_total") + counter(metrics, "aig_serve_refresh_full_total")
+		return refreshed >= 2 && metrics.NewGauge("aig_serve_refresh_dirty_queue", "").Value() == 0
+	})
 }
 
 func TestMutateEndpoint(t *testing.T) {

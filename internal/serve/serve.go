@@ -81,10 +81,13 @@ type Config struct {
 	// background operation, correlated by trace and request ID (default
 	// slog.Default()).
 	Logger *slog.Logger
-	// RefreshInterval enables the background refresher: every interval it
-	// re-stamps or re-evaluates cached entries whose sources mutated, so
-	// steady traffic keeps hitting a warm cache instead of paying a full
-	// evaluation after every write. 0 (the default) disables refreshing —
+	// RefreshInterval enables the background refresher: after every
+	// source change it re-stamps or re-evaluates cached entries whose
+	// sources mutated, so steady traffic keeps hitting a warm cache
+	// instead of paying a full evaluation after every write. The sources
+	// registered when the server is built wake it through their
+	// databases' change signals; only if some source has no database does
+	// it also poll every interval. 0 (the default) disables refreshing —
 	// entries then go structurally stale and the next request misses.
 	RefreshInterval time.Duration
 	// AllowMutate exposes POST /mutate, a demo/benchmark endpoint that
@@ -220,7 +223,7 @@ func newServeMetrics(r *obs.Registry) serveMetrics {
 		inflightEvals:       r.NewGauge("aig_serve_inflight_evaluations", "evaluations currently holding an admission slot"),
 		queueDepth:          r.NewGauge("aig_serve_queue_depth", "requests waiting for an evaluation slot"),
 		cacheEntries:        r.NewGauge("aig_serve_cache_entries", "entries in the result cache"),
-		refreshDirty:        r.NewGauge("aig_serve_refresh_dirty_queue", "cached entries observed stale at the start of the latest refresh cycle"),
+		refreshDirty:        r.NewGauge("aig_serve_refresh_dirty_queue", "cached entries the latest refresh cycle found stale and left stale"),
 		requestSec:          r.NewHistogram("aig_serve_request_seconds", "view request latency", obs.DurationBuckets),
 		ttfbSec:             r.NewHistogram("aig_serve_ttfb_seconds", "time from request arrival to the first response body byte", obs.DurationBuckets),
 		queueWaitSec:        r.NewHistogram("aig_serve_queue_wait_seconds", "time spent waiting for an evaluation slot", obs.DurationBuckets),
@@ -300,30 +303,13 @@ func NewServer(reg *source.Registry, cfg Config) *Server {
 	s.mux = mux
 
 	if cfg.RefreshInterval > 0 && cfg.CacheEntries > 0 {
-		s.refresher = newRefresher(s, cfg.RefreshInterval)
-		s.refresher.start()
+		s.refresher = startRefresher(s, cfg.RefreshInterval)
 	}
 	return s
 }
 
-// KickRefresh nudges the background refresher to run a cycle now
-// instead of waiting for its next tick. Mirrored sources call it from
-// their delta-apply hook, turning the refresher from poll-based to
-// push-based invalidation: cached entries go warm again one cycle
-// after the write lands, not one RefreshInterval after. Coalescing is
-// inherent (a buffered signal of one); no-op without a refresher.
-func (s *Server) KickRefresh() {
-	if s.refresher == nil {
-		return
-	}
-	select {
-	case s.refresher.kick <- struct{}{}:
-	default:
-	}
-}
-
-// Close stops the background refresher (if any). Idempotent; safe on a
-// server that never started one.
+// Close stops the background refresher (if any) and its database
+// watchers. Idempotent; safe on a server that never started one.
 func (s *Server) Close() {
 	if s.refresher != nil {
 		s.refresher.stopOnce()

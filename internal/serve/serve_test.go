@@ -60,6 +60,7 @@ func testServer(t *testing.T, cfg Config, gateDB1 chan struct{}) (*Server, *http
 	metrics := obs.NewRegistry()
 	cfg.Metrics = metrics
 	s := NewServer(reg, cfg)
+	t.Cleanup(s.Close)
 	if _, err := s.AddSpec("report", hospital.SpecText); err != nil {
 		t.Fatal(err)
 	}
