@@ -153,12 +153,15 @@ bench-unit:
 	$(GO) test -run '^$$' -bench 'ParamJoin/one-row|HashJoin/rows=10000' -benchtime 1000x -cpu 2 -benchmem ./internal/sqlmini
 
 # loc prints the tracked line counts: non-test Go of the root module
-# (bench/ is its own module), non-test Go of bench/, and shell scripts.
-# It counts the files git tracks, so stage new files first.
+# (bench/ is its own module), non-test Go of bench/, and shell scripts,
+# then the root module's non-test Go per package directory. It counts
+# the files git tracks, so stage new files first.
 loc:
 	@printf 'root-module non-test Go: '; git ls-files -- '*.go' ':!*_test.go' ':!bench/' | xargs cat | wc -l
 	@printf 'bench/ non-test Go:      '; git ls-files -- 'bench/*.go' ':!bench/*_test.go' | xargs cat | wc -l
 	@printf 'shell:                   '; git ls-files -- '*.sh' | xargs cat | wc -l
+	@git ls-files -- '*.go' ':!*_test.go' ':!bench/' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1 } END { for (d in n) printf "  %-26s %6d\n", d, n[d] }' | sort
 
 # ci is what .github/workflows/ci.yml runs (plus staticcheck, which CI
 # fetches pinned). Performance claims cite bench-contract.

@@ -41,12 +41,16 @@
 // requests always kept, a -trace-sample fraction of the rest — into an
 // in-memory store of the latest 256, served at /debug/traces.
 //
-// Results are cached per (view, parameters, source data versions);
-// mutating a source invalidates automatically. With -refresh-interval
-// a background refresher re-validates cached entries after mutations —
-// provably unaffected entries are restamped in place, the rest are
-// re-evaluated — so hot views stay warm instead of paying a miss on
-// the next request. Identical concurrent requests are coalesced into
+// Results are cached one entry per (view, parameters, fragment path),
+// each stamped with the source data versions it was built at; a hit
+// needs the stamp to be current, so mutating a source invalidates
+// automatically. -cache-dir keeps the cache across restarts and needs
+// durable sources (-state-dir, or aigsource -data-dir behind -source):
+// the dumped stamps are only as good as the versions they name. With
+// -refresh-interval a background refresher re-validates cached entries
+// after mutations — provably unaffected entries are restamped in place,
+// the rest are re-evaluated — so hot views stay warm instead of paying a
+// miss on the next request. Identical concurrent requests are coalesced into
 // one evaluation, and -max-concurrent / -max-queue / -queue-timeout
 // bound the work the daemon accepts: beyond them clients get 429 or
 // 503 instead of unbounded queuing. SIGINT or SIGTERM drains in-flight
@@ -108,7 +112,7 @@ func run() error {
 	maxQueue := flag.Int("max-queue", 64, "maximum requests waiting for an evaluation slot")
 	queueTimeout := flag.Duration("queue-timeout", 2*time.Second, "longest a request may wait for a slot")
 	cacheEntries := flag.Int("cache-entries", 256, "result cache capacity (0 disables caching)")
-	cacheDir := flag.String("cache-dir", "", "persist the result cache here across restarts (saved on drain, re-validated on startup)")
+	cacheDir := flag.String("cache-dir", "", "persist the result cache here across restarts (saved on drain, re-validated on startup); needs durable sources: -state-dir for -data and -demo, aigsource -data-dir behind -source")
 	stateDir := flag.String("state-dir", "", "durable local-source state directory, one subdirectory per DB (WAL + snapshots)")
 	fsyncMode := flag.String("fsync", "never", "durable-state WAL flushing policy: never or always")
 	refreshInterval := flag.Duration("refresh-interval", 0, "enable the background cache refresher (0 disables it); it wakes on source writes and polls only -source sources without -subscribe, at this interval")
@@ -131,6 +135,14 @@ func run() error {
 
 	if *demo == (len(views) != 0) {
 		return fmt.Errorf("pass either -demo or at least one -view NAME=SPECFILE")
+	}
+
+	// A persisted entry is trusted at load when its stamp still matches
+	// the sources' data versions. An in-memory local source starts every
+	// run at the same version, whatever its data now holds, so only a
+	// durable one (-state-dir) can vouch for a dumped stamp.
+	if *cacheDir != "" && *stateDir == "" && (*demo || *dataDir != "") {
+		return fmt.Errorf("-cache-dir needs -state-dir when local sources are served (-data or -demo): an in-memory source restarts at the same data version, so a dumped entry would look current after its data changed")
 	}
 
 	fsync, err := relstore.ParseFsyncMode(*fsyncMode)

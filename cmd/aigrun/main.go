@@ -143,14 +143,10 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		sa, err = specialize.Unfold(sa, *unfold)
-		if err != nil {
-			return err
-		}
 		opts := mediator.DefaultOptions()
 		opts.Merge = *merge
 		opts.CopyElim = *copyElim
-		plan, err := mediator.New(reg, opts).Explain(sa)
+		plan, err := mediator.New(reg, opts).Explain(sa, *unfold, nil)
 		if err != nil {
 			return err
 		}

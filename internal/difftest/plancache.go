@@ -89,8 +89,8 @@ func (k *keptMediator) check(step string, truthDoc *xmltree.Node, truthErr error
 	// The plan the kept-alive mediator holds must be the plan a fresh
 	// compile produces: same graph, grouping, order and estimates.
 	if keptErr == nil {
-		want, werr := fresh.Explain(k.decU)
-		got, gerr := k.kept.Explain(k.decU)
+		want, werr := fresh.Explain(k.decU, 0, nil)
+		got, gerr := k.kept.Explain(k.decU, 0, nil)
 		if werr != nil || gerr != nil {
 			return mkDiv(fmt.Sprintf("explain failed: fresh %v, kept %v", werr, gerr), "", "")
 		}

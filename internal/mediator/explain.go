@@ -13,23 +13,17 @@ import (
 // configured optimizations, and renders the resulting plan as text — the
 // counterpart of a relational EXPLAIN for AIG evaluation. Nothing is
 // executed; costs shown are the compile-time estimates the optimizer used
-// (§5.2).
-func (m *Mediator) Explain(a *aig.AIG) (string, error) {
-	p, _, _, err := m.prepare(context.Background(), a, 0, nil, nil, nil)
-	if err != nil {
-		return "", err
-	}
-	return renderPlan(p, nil, nil), nil
-}
-
-// ExplainFragment is Explain for the plan of grammar a at the given
-// unfolding depth pruned to keep's verdict, as Settle would run it: the
-// contexts the verdict keeps and the pruned ones (each with everything
-// below it), then the plan's nodes and source queries.
-func (m *Mediator) ExplainFragment(a *aig.AIG, depth int, keep Verdict) (string, error) {
+// (§5.2). The plan is the one Settle runs and caches for a at the given
+// unfolding depth (0: a as it is), pruned to keep's verdict when keep is
+// set; a pruned plan is preceded by the contexts the verdict keeps and
+// the pruned ones (each with everything below it).
+func (m *Mediator) Explain(a *aig.AIG, depth int, keep Verdict) (string, error) {
 	p, _, _, err := m.prepare(context.Background(), a, depth, keep, nil, nil)
 	if err != nil {
 		return "", err
+	}
+	if keep == nil {
+		return renderPlan(p, nil, nil), nil
 	}
 	var kept, pruned strings.Builder
 	var walk func(c *ctxNode)

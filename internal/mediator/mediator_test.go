@@ -473,7 +473,7 @@ func TestExplain(t *testing.T) {
 	cat := hospital.TinyCatalog()
 	a, reg := prepared(t, cat, 3, true)
 	m := New(reg, DefaultOptions())
-	out, err := m.Explain(a)
+	out, err := m.Explain(a, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +487,7 @@ func TestExplain(t *testing.T) {
 	}
 	// Explain must not execute anything: evaluating afterwards still works
 	// and Explain is repeatable.
-	if _, err := m.Explain(a); err != nil {
+	if _, err := m.Explain(a, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Evaluate(a, hospital.RootInh(a, "d1")); err != nil {

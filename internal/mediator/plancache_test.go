@@ -147,7 +147,7 @@ func TestExplainGolden(t *testing.T) {
 	cat := hospital.TinyCatalog()
 	a, reg := prepared(t, cat, 3, true)
 	m := New(reg, DefaultOptions())
-	explain, err := m.Explain(a)
+	explain, err := m.Explain(a, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestExplainGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A second rendering from the now-cached plan must be identical.
-	again, err := m.Explain(a)
+	again, err := m.Explain(a, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestExplainRandomGolden(t *testing.T) {
 		for _, s := range schedules {
 			opts := DefaultOptions()
 			opts.Schedule = s.algo
-			out, err := New(reg, opts).Explain(a)
+			out, err := New(reg, opts).Explain(a, 0, nil)
 			if err != nil {
 				out = "error: " + err.Error()
 			}

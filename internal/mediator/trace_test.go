@@ -158,7 +158,7 @@ func TestExplainSharedRenderer(t *testing.T) {
 	cat := hospital.TinyCatalog()
 	a, reg := prepared(t, cat, 3, true)
 	m := New(reg, DefaultOptions())
-	out, err := m.Explain(a)
+	out, err := m.Explain(a, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

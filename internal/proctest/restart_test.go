@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/aigrepro/aig/internal/proctest"
@@ -96,4 +97,27 @@ func TestRestart(t *testing.T) {
 		t.Fatal("the mutation applied while down is missing from the document")
 	}
 	stopAll(src, d)
+}
+
+// TestRestartRefusesVolatileCache: a local source without -state-dir
+// lives in memory and starts every run at the same data version, so a
+// dumped cache stamp would still match after its data changed while the
+// daemon was down. aigd refuses -cache-dir over such sources, -demo and
+// -data alike, before it serves anything.
+func TestRestartRefusesVolatileCache(t *testing.T) {
+	aigd := proctest.Build(t, "aigd", false)
+	data, _ := tinyData(t)
+	cache := filepath.Join(t.TempDir(), "cache")
+	for _, args := range [][]string{{"-demo"}, {"-view", "report=" + specFile(t), "-data", data}} {
+		addr := proctest.FreeAddr(t)
+		p, err := proctest.Start(t, proctest.HTTPReady("http://"+addr), aigd,
+			append(args, "-addr", addr, "-cache-dir", cache)...)
+		switch {
+		case err == nil:
+			p.Kill()
+			t.Errorf("aigd %v -cache-dir served over in-memory sources", args)
+		case !strings.Contains(err.Error(), "-cache-dir needs -state-dir"):
+			t.Errorf("aigd %v -cache-dir: %v; want the -state-dir refusal", args, err)
+		}
+	}
 }

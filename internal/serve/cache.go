@@ -19,10 +19,6 @@ type cacheEntry struct {
 
 	view   string
 	params map[string]string
-	// keyPrefix is the stamp-independent part of the cache key
-	// (view + canonical params): the entry's logical identity across
-	// refreshes.
-	keyPrefix string
 	// stamp is the per-source data-version stamp the entry was
 	// materialized under: the body equals a from-scratch evaluation at
 	// exactly these versions.
@@ -48,13 +44,12 @@ func (e *cacheEntry) restamped(stamp string, tableVers map[string]map[string]uin
 	return &out
 }
 
-// lru is a fixed-capacity least-recently-used cache from full cache
-// keys (view + canonical params + data-version stamp) to rendered
-// results. Invalidation is structural: a source mutation changes the
-// stamp and therefore the key, so stale entries are never *hit* — they
-// linger unreferenced until capacity evicts them, which is the usual
-// trade of version-keyed caches (no scan on write, no coordination with
-// the mutating source).
+// lru is a fixed-capacity least-recently-used cache from targets' cache
+// keys (view + canonical params [+ path]) to rendered results, one entry
+// per target. The key carries no stamp: a caller hits only an entry whose
+// stamp equals the one it read, so a source mutation makes every entry
+// that reads it stale without a scan or any coordination with the
+// mutating source, and the next fill or refresh replaces it in place.
 type lru struct {
 	mu       sync.Mutex
 	capacity int
@@ -139,27 +134,22 @@ func (c *lru) Snapshot() []lruItem {
 	return out
 }
 
-// Remove drops the entry under key, if present.
-func (c *lru) Remove(key string) {
+// Swap replaces the entry under key with e only if it is still old, and
+// reports whether it did; a nil e removes it. The refresher restamps and
+// drops entries this way, so it never overwrites a fill that landed
+// after it read old. Recency is left as it was: a refresh is not a use.
+func (c *lru) Swap(key string, old, e *cacheEntry) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
+	el, ok := c.items[key]
+	if !ok || el.Value.(*lruItem).entry != old {
+		return false
+	}
+	if e == nil {
 		c.order.Remove(el)
 		delete(c.items, key)
+	} else {
+		el.Value.(*lruItem).entry = e
 	}
-}
-
-// Replace atomically removes oldKey and installs e under newKey — a
-// refresh moving an entry to a newer data-version stamp.
-func (c *lru) Replace(oldKey, newKey string, e *cacheEntry) {
-	if c.capacity <= 0 {
-		return
-	}
-	c.mu.Lock()
-	if el, ok := c.items[oldKey]; ok {
-		c.order.Remove(el)
-		delete(c.items, oldKey)
-	}
-	c.mu.Unlock()
-	c.Add(newKey, e)
+	return true
 }

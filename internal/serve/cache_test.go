@@ -44,6 +44,33 @@ func TestLRURefreshReplacesEntry(t *testing.T) {
 	}
 }
 
+// TestLRUSwap: Swap replaces or removes an entry only while it is still
+// the one the caller read.
+func TestLRUSwap(t *testing.T) {
+	c := newLRU(2)
+	old, filled, restamped := entry("old"), entry("filled"), entry("restamped")
+	c.Add("a", old)
+	c.Add("a", filled) // a fill lands after old was read
+	if c.Swap("a", old, restamped) || c.Swap("a", old, nil) {
+		t.Fatal("Swap replaced an entry that is no longer the one it was given")
+	}
+	if e, _ := c.Get("a"); e != filled {
+		t.Fatalf("entry %q, want the fill that landed first", e.body)
+	}
+	if !c.Swap("a", filled, restamped) {
+		t.Fatal("Swap refused the current entry")
+	}
+	if e, _ := c.Get("a"); e != restamped {
+		t.Fatalf("entry %q, want the swapped-in one", e.body)
+	}
+	if !c.Swap("a", restamped, nil) || c.Len() != 0 {
+		t.Fatalf("Swap to nil left %d entries, want 0", c.Len())
+	}
+	if c.Swap("b", nil, restamped) || c.Len() != 0 {
+		t.Fatal("Swap installed an entry under an absent key")
+	}
+}
+
 func TestLRUDisabled(t *testing.T) {
 	for _, capacity := range []int{0, -1} {
 		c := newLRU(capacity)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"regexp"
 	"strings"
 	"sync/atomic"
@@ -42,20 +43,37 @@ type opaqueSource struct{ source.Source }
 // serves a grammar with both guards pruned and keeps a fully guarded one
 // for broken premises; the uncertified view compiles both guards into the
 // grammar it serves and needs no second one, so its constraints are
-// verified as it evaluates. A certified view whose
-// premises no source can read evaluates only the guarded grammar. On
-// violating data every case answers 500, each in one evaluation.
+// verified as it evaluates. A certified view whose premises are broken,
+// or that no source lets the check read, evaluates only the guarded
+// grammar. For every case, the document and a fragment with and without
+// predicates take the route explain names for them, and on violating
+// data every case answers 500, each in one evaluation.
 func TestCertifiedViewSkipsVerify(t *testing.T) {
+	// The routes a fragment takes: the guarded grammar's whole document,
+	// the whole document of a view that keeps guards, the plan pruned to
+	// the path, or the partial evaluator.
+	const (
+		guarded = "guarded"
+		whole   = "whole"
+		pruned  = "pruned"
+		partial = "partial"
+	)
 	cases := []struct {
-		name         string
-		spec         string
-		opaque       bool
-		wantPruned   int
-		wantPremises string
+		name string
+		spec string
+		// opaque hides the sources' tables from the premise check; broken
+		// writes an unbilled visit on d1, which breaks the billing foreign
+		// key premise and makes d1's report violate a constraint.
+		opaque, broken bool
+		wantPruned     int
+		plain, pred    string // the routes of a path without and with predicates
 	}{
-		{"certified-skips", hospital.SpecText, false, 2, "held"},
-		{"uncertified-verifies", uncertifiedSpec, false, 0, "held"},
-		{"certified-unreadable-premises", hospital.SpecText, true, 2, "broken"},
+		{"certified-skips", hospital.SpecText, false, false, 2, pruned, partial},
+		{"certified-broken-premises", hospital.SpecText, false, true, 2, guarded, guarded},
+		{"certified-unreadable-premises", hospital.SpecText, true, false, 2, guarded, guarded},
+		{"uncertified-verifies", uncertifiedSpec, false, false, 0, whole, whole},
+		{"uncertified-violating-data", uncertifiedSpec, false, true, 0, whole, whole},
+		{"uncertified-unreadable-sources", uncertifiedSpec, true, false, 0, whole, whole},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -83,26 +101,68 @@ func TestCertifiedViewSkipsVerify(t *testing.T) {
 				t.Errorf("guards pruned, but the guarded grammar is %v", v.guarded)
 			}
 
+			// s1 visits t9 on d1, a treatment gold covers but nobody bills:
+			// s1's d1 report lists a treatment with no bill item, and d2's
+			// does not mention t9.
+			violate := func() {
+				tableOf(t, cat, "DB4", "treatment").MustInsert(relstore.Tuple{relstore.String("t9"), relstore.String("laser")})
+				tableOf(t, cat, "DB2", "cover").MustInsert(relstore.Tuple{relstore.String("gold"), relstore.String("t9")})
+				tableOf(t, cat, "DB1", "visitInfo").MustInsert(relstore.Tuple{relstore.String("s1"), relstore.String("t9"), relstore.String("d1")})
+			}
+			date := "d1"
+			if tc.broken {
+				violate()
+				date = "d2"
+			}
+			wantPremises := "held"
+			if tc.plain == guarded {
+				wantPremises = "broken"
+			}
+
 			evals := func() int64 { return counter(metrics, "aig_serve_evaluations_total") }
-			code, spans := tracedGet(t, ts.URL, "/views/report?date=d1")
+			code, spans := tracedGet(t, ts.URL, "/views/report?date="+date)
 			if code != http.StatusOK || evals() != 1 {
 				t.Fatalf("status %d after %d evaluations, want 200 after 1", code, evals())
 			}
-			if spans["verify"] != nil || spans["render"]["premises"] != tc.wantPremises {
-				t.Errorf("verify span %v, render %v; want no verify span and premises=%s", spans["verify"], spans["render"], tc.wantPremises)
+			if spans["verify"] != nil || spans["render"]["premises"] != wantPremises {
+				t.Errorf("verify span %v, render %v; want no verify span and premises=%s", spans["verify"], spans["render"], wantPremises)
 			}
 			if _, tagged := spans["tag"]; tagged {
 				t.Error("a served evaluation was tagged into a tree (tag span); serve emits the settled run")
 			}
-			if code, _, _, _ := getFrag(t, fragURL(ts.URL, "d1", "//patient/SSN")); code != http.StatusOK {
-				t.Fatalf("fragment: status %d", code)
+
+			for _, f := range []struct{ path, route string }{{"//patient/SSN", tc.plain}, {"//patient[1]/SSN", tc.pred}} {
+				_, plan, _ := get(t, ts.URL+"/views/report/explain?path="+url.QueryEscape(f.path))
+				code, spans := tracedGet(t, ts.URL, fragURL("", date, f.path))
+				render, evaluate, part := spans["render"], spans["evaluate"], spans["eval.partial"]
+				var explains string
+				var ok bool
+				switch f.route {
+				case guarded:
+					explains = "selected from the guarded grammar's whole document"
+					ok = render["premises"] == "broken" && evaluate["path"] == nil && part == nil
+				case whole:
+					explains = "selected from the whole document's plan"
+					ok = render["premises"] == "held" && evaluate["path"] == nil && part == nil
+				case pruned:
+					explains = "fragment " + f.path + " at unfolding depth"
+					ok = render["premises"] == "held" && evaluate["path"] == f.path && part == nil
+				case partial:
+					explains = "served by the partial evaluator"
+					ok = render == nil && evaluate == nil && part != nil
+				}
+				if !strings.Contains(plan, explains) {
+					t.Errorf("%s: explain names another route than %s:\n%s", f.path, f.route, plan)
+				}
+				if code != http.StatusOK || !ok {
+					t.Errorf("%s: status %d, render %v, evaluate %v, eval.partial %v; want 200 from the %s route",
+						f.path, code, render, evaluate, part, f.route)
+				}
 			}
 
-			// s1 visits t9 on d1, a treatment gold covers but nobody bills:
-			// s1's report lists a treatment with no bill item.
-			tableOf(t, cat, "DB4", "treatment").MustInsert(relstore.Tuple{relstore.String("t9"), relstore.String("laser")})
-			tableOf(t, cat, "DB2", "cover").MustInsert(relstore.Tuple{relstore.String("gold"), relstore.String("t9")})
-			tableOf(t, cat, "DB1", "visitInfo").MustInsert(relstore.Tuple{relstore.String("s1"), relstore.String("t9"), relstore.String("d1")})
+			if !tc.broken {
+				violate()
+			}
 			before := evals()
 			code, spans = tracedGet(t, ts.URL, "/views/report?date=d1")
 			if code != http.StatusInternalServerError || evals() != before+1 || spans["verify"] != nil {

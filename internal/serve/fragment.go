@@ -23,20 +23,22 @@ import (
 // path and then takes the same pipeline as a document.
 //
 // One analysis decides what a fragment reads: the path's verdict
-// (xpath.Verdict) over the served grammar. A path without predicates is
-// served by the mediator's plan pruned to that verdict, streamed through
-// the path sink (xpath.Stream) on the tag walk; a path with predicates by
-// the partial evaluator, which decides [N] and pushdownable [c='v'] per
+// (xpath.Verdict) over the served grammar, which the fill's route
+// (Server.route) trusts or not. A path without predicates is served by
+// the mediator's plan pruned to that verdict, streamed through the path
+// sink (xpath.Stream) on the tag walk; a path with predicates by the
+// partial evaluator, which decides [N] and pushdownable [c='v'] per
 // instance while it evaluates — or, where a source gives no direct table
 // access (a remote.Client), by the pruned plan and the sink as well. The
-// refresher judges both kinds of entry against the verdict's scans. Where the verdict cannot be trusted (a
-// guard left in the grammar, or broken premises) the whole guarded
-// document is settled and the sink selects the path from its tag walk.
+// refresher judges both kinds of entry against the verdict's scans.
+// Where the verdict cannot be trusted (a guard left in the grammar, or
+// broken premises) the whole document is settled, guarded where the
+// premises are broken, and the sink selects the path from its tag walk.
 //
-// Fragments get their own cache entries, keyed (view, params, path,
-// stamp) with the path spliced into the key prefix as "\x00p:<path>" —
-// the full-document prefix never contains "\x00p:", so the two key
-// spaces cannot collide. A fragment miss fills its own entry through
+// Fragments get their own cache entries, one per (view, params, path),
+// with the path spliced into the key as "\x00p:<path>" — the
+// full-document key never contains "\x00p:", so the two key spaces
+// cannot collide. A fragment miss fills its own entry through
 // cacheFill like a document's, admitted and coalesced, whether or not
 // the full document is cached: its pruned evaluation reads no more than
 // the path needs, where cutting it from the cached document would
@@ -60,14 +62,8 @@ type fragPlan struct {
 	// verdict keeps the grammar edges the path can reach; the mediator
 	// prunes its plan to it, and deps holds its scans.
 	verdict *xpath.Verdict
-	// partial is set for a path with predicates, which the partial
-	// evaluator serves while the verdict holds and the view is direct.
-	partial bool
-	// deps is restricted to the scans the verdict keeps. Where the
-	// verdict cannot serve the fragment (a guard left in the grammar, or
-	// broken premises), its body is cut from a full evaluation and
-	// judging falls back to the view's unfiltered deps instead.
-	deps *ivm.Deps
+	partial bool      // the path has predicates
+	deps    *ivm.Deps // restricted to the scans the verdict keeps
 }
 
 // fragmentPlan parses, compiles, and memoizes a path against the view.

@@ -70,7 +70,7 @@ func (s *Server) SaveCache(dir string) error {
 		e := it.entry
 		dump.Entries = append(dump.Entries, persistedEntry{
 			View:            e.view,
-			KeyPrefix:       e.keyPrefix,
+			KeyPrefix:       it.key,
 			Stamp:           e.stamp,
 			Params:          e.params,
 			TableVers:       e.tableVers,
@@ -130,7 +130,6 @@ func (s *Server) LoadCache(dir string) (int, error) {
 			created:   time.Unix(0, pe.CreatedUnixNano),
 			view:      pe.View,
 			params:    pe.Params,
-			keyPrefix: pe.KeyPrefix,
 			stamp:     pe.Stamp,
 			tableVers: pe.TableVers,
 			path:      pe.Path,
@@ -147,21 +146,21 @@ func (s *Server) LoadCache(dir string) (int, error) {
 			s.m.cacheDropped.Inc()
 			continue
 		}
-		t, terr := s.entryTarget(st.v, e)
+		t, terr := s.target(st.v, e.params, canonicalParams(e.params), e.path)
 		if terr != nil {
 			s.m.cacheDropped.Inc()
 			continue
 		}
 		switch {
 		case e.stamp == st.stamp:
-			s.cache.Add(e.keyPrefix+"\x00"+e.stamp, e)
+			s.cache.Add(pe.KeyPrefix, e)
 			s.m.cacheRestored.Inc()
 			installed++
-		case s.judgeUnaffected(e, st, s.deps(t, st.stamp)):
+		case s.judgeUnaffected(e, st, s.route(t, st.stamp).deps):
 			// Data moved while the daemon was down, but every delta is
 			// provably irrelevant for this binding: carry the body over
 			// under the live stamp.
-			s.cache.Add(e.keyPrefix+"\x00"+st.stamp, e.restamped(st.stamp, st.tv))
+			s.cache.Add(pe.KeyPrefix, e.restamped(st.stamp, st.tv))
 			s.m.cacheRevalidated.Inc()
 			installed++
 		default:

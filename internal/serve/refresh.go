@@ -38,8 +38,8 @@ type refresher struct {
 	// wg counts the loop and the database watchers.
 	wg sync.WaitGroup
 
-	// dirtyAt tracks, per logical entry (cache-key prefix), when the
-	// refresher first observed it stale — the start point of the
+	// dirtyAt tracks, per entry (its cache key), when the refresher
+	// first observed it stale — the start point of the
 	// refresh-lag measurement.
 	dirtyAt map[string]time.Time
 }
@@ -170,7 +170,7 @@ func (r *refresher) cycle() {
 
 	var dirty []lruItem
 	for _, it := range items {
-		live[it.entry.keyPrefix] = true
+		live[it.key] = true
 		st, ok := states[it.entry.view]
 		if !ok {
 			if v := s.View(it.entry.view); v != nil {
@@ -182,7 +182,7 @@ func (r *refresher) cycle() {
 			continue
 		}
 		if it.entry.stamp == st.stamp {
-			delete(r.dirtyAt, it.entry.keyPrefix)
+			delete(r.dirtyAt, it.key)
 			continue
 		}
 		dirty = append(dirty, it)
@@ -221,24 +221,25 @@ func (r *refresher) refreshOne(it lruItem, st viewState) bool {
 	s := r.s
 	e := it.entry
 	start := time.Now()
-	dirtySince, seen := r.dirtyAt[e.keyPrefix]
+	dirtySince, seen := r.dirtyAt[it.key]
 	if !seen {
 		dirtySince = start
-		r.dirtyAt[e.keyPrefix] = start
+		r.dirtyAt[it.key] = start
 	}
 
 	rt, ctx := s.beginBackgroundTrace("refresh", st.v, start)
 	rt.params = canonicalParams(e.params)
 	defer rt.finish()
 
-	// The entry's target decides what it is judged against: a fragment's
+	// The entry's route decides what it is judged against: a fragment's
 	// path-filtered map restamps it on a delta landing outside the scans
 	// its path can reach, even when the full document must be rebuilt.
-	t, terr := s.entryTarget(st.v, e)
+	t, terr := s.target(st.v, e.params, canonicalParams(e.params), e.path)
 	if terr != nil {
 		// A cached fragment whose path no longer compiles (the view was
 		// replaced): drop it rather than refresh it forever.
-		s.cache.Remove(it.key)
+		s.cache.Swap(it.key, e, nil)
+		s.m.cacheEntries.Set(float64(s.cache.Len()))
 		s.m.refreshErrors.Inc()
 		rt.fail(terr)
 		return false
@@ -246,26 +247,25 @@ func (r *refresher) refreshOne(it lruItem, st viewState) bool {
 
 	tr, parent := obs.SpanFromContext(ctx)
 	judgeSpan := tr.StartSpan("ivm.judge", parent)
-	unaffected := s.judgeUnaffected(e, st, s.deps(t, st.stamp))
+	unaffected := s.judgeUnaffected(e, st, s.route(t, st.stamp).deps)
 	judgeSpan.SetAttr("unaffected", unaffected).End()
 
 	if unaffected {
-		newKey := e.keyPrefix + "\x00" + st.stamp
-		s.cache.Replace(it.key, newKey, e.restamped(st.stamp, st.tv))
-		s.m.cacheEntries.Set(float64(s.cache.Len()))
-		s.m.refreshDelta.Inc()
-		rt.setCache("restamp")
+		// Restamped in place, unless a fill replaced the entry since the
+		// cycle read it: that entry is newer than the one judged.
+		if s.cache.Swap(it.key, e, e.restamped(st.stamp, st.tv)) {
+			s.m.refreshDelta.Inc()
+			rt.setCache("restamp")
+		}
 	} else {
 		// Full rebuild through the shared miss path: coalesces with any
-		// concurrent client miss on the same key and only caches if the
-		// stamp holds through the evaluation. The stale entry is removed
-		// either way — its key can never be hit again (stamps are
-		// monotone), so keeping it would only crowd the LRU.
+		// concurrent client miss on the same target and stamp, and
+		// replaces the stale entry only if the stamp holds through the
+		// evaluation; otherwise the stale entry, never hit, waits for the
+		// next cycle.
 		_, err, _ := s.cacheFill(ctx, t, st.stamp, func() (*cacheEntry, error) {
 			return s.fill(ctx, t, st.stamp, nil, true)
 		})
-		s.cache.Remove(it.key)
-		s.m.cacheEntries.Set(float64(s.cache.Len()))
 		rt.setCache("rebuild")
 		if err != nil {
 			s.m.refreshErrors.Inc()
@@ -277,7 +277,7 @@ func (r *refresher) refreshOne(it lruItem, st viewState) bool {
 
 	s.m.refreshSec.Observe(time.Since(start).Seconds())
 	s.m.refreshLagSec.Observe(time.Since(dirtySince).Seconds())
-	delete(r.dirtyAt, e.keyPrefix)
+	delete(r.dirtyAt, it.key)
 	return true
 }
 

@@ -9,9 +9,9 @@
 //
 // Three mechanisms make it hold up under concurrent traffic:
 //
-//   - a result cache: an LRU keyed by view + canonicalized parameters +
-//     a per-source data-version stamp, so entries are structurally
-//     invalidated the moment any referenced source mutates;
+//   - a result cache: an LRU with one entry per view + canonicalized
+//     parameters (+ path), hit only while the per-source data-version
+//     stamp it was built at is current;
 //   - request coalescing: concurrent identical requests (same key,
 //     same data versions) share a single evaluation;
 //   - admission control: a bounded-concurrency semaphore with a
@@ -543,7 +543,8 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 
 	tr, parent := obs.SpanFromContext(ctx)
 	lookupSpan := tr.StartSpan("cache.lookup", parent)
-	e, ok := s.cache.Get(t.prefix + "\x00" + stamp)
+	e, ok := s.cache.Get(t.prefix)
+	ok = ok && e.stamp == stamp
 	lookupSpan.SetAttr("hit", ok).End()
 	if ok {
 		s.m.hits.Inc()
@@ -604,15 +605,14 @@ type settled struct {
 	ctx      context.Context
 }
 
-// settle runs the mediator for a prepared view — twice when the stamp
-// moves under the first — up to a settled, untagged run; stamp is the
-// data-version stamp the caller read before it. A fragment whose
-// verdict the caller trusts passes it as keep, and the certified grammar
-// then settles pruned to it; the guarded grammar always settles whole.
-// The tracer ctx carries (the flight recorder's, or a refresh/mutate
-// trace) flows through the whole evaluation stack.
-func (s *Server) settle(ctx context.Context, v *View, params map[string]string, stamp string, keep mediator.Verdict) (*settled, error) {
-	rootInh, err := v.bindParams(params)
+// settle runs the mediator for t along route ro — twice when the
+// premises break under the first run — up to a settled, untagged run;
+// stamp is the data-version stamp the route was chosen at. The tracer
+// ctx carries (the flight recorder's, or a refresh/mutate trace) flows
+// through the whole evaluation stack.
+func (s *Server) settle(ctx context.Context, t target, ro route, stamp string) (*settled, error) {
+	v := t.v
+	rootInh, err := v.bindParams(t.params)
 	if err != nil {
 		return nil, err
 	}
@@ -626,17 +626,12 @@ func (s *Server) settle(ctx context.Context, v *View, params map[string]string, 
 	}
 	// Proven constraints have no guard in sa, so its output is trusted
 	// only while the premises of their proofs hold on the data it read.
-	// Where they do not — broken before the evaluation, or the stamp moved
-	// under it — the guarded grammar answers instead and aborts what the
-	// pruned guards would have (§3.3).
-	held := s.premisesHold(v, stamp)
-	g := v.sa
-	if !held {
-		g, keep = v.guarded, nil
-	}
-	run, depth, err := settleAt(g, int(v.estDepth.Load()), keep)
-	if err == nil && held && !s.premisesHold(v, stamp) {
-		held = false
+	// Where they do not — broken before the evaluation (the route's
+	// guarded grammar), or the stamp moved under it — the guarded grammar
+	// answers instead and aborts what the pruned guards would have (§3.3).
+	run, depth, err := settleAt(ro.g, int(v.estDepth.Load()), ro.verdict)
+	if err == nil && ro.held && !s.premisesHold(v, stamp) {
+		ro.held = false
 		run, depth, err = settleAt(v.guarded, depth, nil)
 	}
 	if err != nil {
@@ -644,7 +639,7 @@ func (s *Server) settle(ctx context.Context, v *View, params map[string]string, 
 	}
 	v.estDepth.Store(int32(depth))
 	premises := "held"
-	if !held {
+	if !ro.held {
 		premises = "broken"
 	}
 	return &settled{run: run, depth: depth, premises: premises, ctx: ctx}, nil
@@ -704,8 +699,10 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 
 // handleExplain answers GET /views/{name}/explain with the plan
 // rendered at prepare time, and GET /views/{name}/explain?path=P with
-// the plan a fragment request for P settles while the view's premises
-// hold: the mediator's plan pruned to P's verdict, at the view's current
+// the route a fragment request for P takes at the current data version:
+// the guarded whole document where the premises do not hold, the whole
+// document's plan where the view keeps guards, the partial evaluator,
+// or the mediator's plan pruned to P's verdict at the view's current
 // unfolding depth.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	v := s.View(r.PathValue("name"))
@@ -715,18 +712,25 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	plan := v.Plan()
 	if expr := r.URL.Query().Get("path"); expr != "" {
-		fp, err := v.fragmentPlan(expr, s.reg)
+		t, err := s.target(v, nil, "", expr)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		switch {
-		case !v.cert.Certified:
-			plan = fmt.Sprintf("fragment %s: selected from the whole document's plan (the view keeps guards)\n", fp.expr)
-		case fp.partial && v.direct:
-			plan = fmt.Sprintf("fragment %s: served by the partial evaluator (the path has predicates)\n", fp.expr)
+		stamp, _, err := s.stamp(v)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		switch ro := s.route(t, stamp); {
+		case !ro.held:
+			plan = fmt.Sprintf("fragment %s: selected from the guarded grammar's whole document (the view's premises do not hold at this data version)\n", t.fp.expr)
+		case ro.verdict == nil:
+			plan = fmt.Sprintf("fragment %s: selected from the whole document's plan (the view keeps guards)\n", t.fp.expr)
+		case ro.partial:
+			plan = fmt.Sprintf("fragment %s: served by the partial evaluator (the path has predicates)\n", t.fp.expr)
 		default:
-			if plan, err = v.med.ExplainFragment(v.sa, int(v.estDepth.Load()), fp.verdict); err != nil {
+			if plan, err = v.med.Explain(ro.g, int(v.estDepth.Load()), ro.verdict); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
 			}

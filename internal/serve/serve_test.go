@@ -167,6 +167,11 @@ func TestCacheInvalidationOnSourceMutation(t *testing.T) {
 	if state != "miss" {
 		t.Fatalf("post-mutation cache state %q, want miss (stale entry must not be hit)", state)
 	}
+	// The refill replaced the stale entry: a target has one entry,
+	// whatever the stamp.
+	if n := metrics.NewGauge("aig_serve_cache_entries", "").Value(); n != 1 {
+		t.Errorf("aig_serve_cache_entries = %v after a write and a refill of one target, want 1", n)
+	}
 	if body2 == body1 {
 		t.Fatal("document unchanged after source mutation")
 	}
@@ -177,6 +182,22 @@ func TestCacheInvalidationOnSourceMutation(t *testing.T) {
 	}
 	if n := counter(metrics, "aig_serve_evaluations_total"); n != 2 {
 		t.Fatalf("evaluations=%d, want 2 (one per data version)", n)
+	}
+}
+
+// TestFirstRequestUsesPreparedPlan: AddView's dry run plans the served
+// grammar at the depth the first request settles at, so that request
+// finds its plan in the mediator's cache and plans nothing.
+func TestFirstRequestUsesPreparedPlan(t *testing.T) {
+	_, ts, _, _ := testServer(t, Config{}, nil)
+	hits := func() int64 { return counter(obs.Default, "aig_mediator_plan_cache_hits_total") }
+	misses := func() int64 { return counter(obs.Default, "aig_mediator_plan_cache_misses_total") }
+	h, m := hits(), misses()
+	if code, _, _ := get(t, ts.URL+"/views/report?date=d1"); code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	if dh, dm := hits()-h, misses()-m; dh != 1 || dm != 0 {
+		t.Errorf("the first request after AddView: %d plan-cache hits, %d misses; want 1 hit and no miss", dh, dm)
 	}
 }
 
@@ -206,7 +227,7 @@ func TestWriteDuringEvaluationSkipsCache(t *testing.T) {
 		if err != nil || e == nil || len(e.body) == 0 || e.stamp != stamp {
 			t.Fatalf("%s: entry %v, err %v; want the evaluated result served", tc.name, e, err)
 		}
-		if _, ok := s.cache.Get(tg.prefix + "\x00" + stamp); ok || s.cache.Len() != 0 {
+		if _, ok := s.cache.Get(tg.prefix); ok || s.cache.Len() != 0 {
 			t.Errorf("%s: %d entries cached under a stamp that moved mid-evaluation", tc.name, s.cache.Len())
 		}
 		if n := counter(metrics, "aig_serve_cache_stale_skips_total"); n != int64(i+1) {

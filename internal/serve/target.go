@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"time"
 
+	"github.com/aigrepro/aig/internal/aig"
 	"github.com/aigrepro/aig/internal/ivm"
 	"github.com/aigrepro/aig/internal/mediator"
 	"github.com/aigrepro/aig/internal/obs"
@@ -16,24 +17,24 @@ import (
 // target is what a request resolves to, once: a view, its parameters,
 // and, for a fragment, the compiled path. Every request, refresh and
 // cache load goes through the one pipeline below; the target owns each
-// decision that differs between a document and a fragment — the
-// cache-key prefix, the dependency map an entry is judged against, and
-// the fill that produces an entry (the headers follow the entry's path).
+// decision that differs between a document and a fragment — the cache
+// key, and through its route the dependency map an entry is judged
+// against and the fill that produces an entry (the headers follow the
+// entry's path).
 type target struct {
 	v      *View
 	params map[string]string
-	// doc is the whole document's stamp-independent key prefix (view +
-	// canonical params); prefix is the target's own, equal to doc for a
-	// document.
-	doc, prefix string
-	fp          *fragPlan // nil: the whole document
+	// prefix is the target's cache key: view + canonical params, and the
+	// path for a fragment. It holds no stamp: a target has one cache
+	// entry, whose stamp a hit checks.
+	prefix string
+	fp     *fragPlan // nil: the whole document
 }
 
 // target resolves a view, parameters in canonical form (canon) and a
 // path ("" for the whole document) to a target.
 func (s *Server) target(v *View, params map[string]string, canon, path string) (target, error) {
-	t := target{v: v, params: params, doc: v.name + "\x00" + canon}
-	t.prefix = t.doc
+	t := target{v: v, params: params, prefix: v.name + "\x00" + canon}
 	if path == "" {
 		return t, nil
 	}
@@ -42,37 +43,52 @@ func (s *Server) target(v *View, params map[string]string, canon, path string) (
 		return target{}, err
 	}
 	t.fp = fp
-	t.prefix = t.doc + "\x00p:" + escapeKeyPart(fp.expr)
+	t.prefix += "\x00p:" + escapeKeyPart(fp.expr)
 	return t, nil
 }
 
-// entryTarget resolves the target a cached entry was filled for.
-func (s *Server) entryTarget(v *View, e *cacheEntry) (target, error) {
-	return s.target(v, e.params, canonicalParams(e.params), e.path)
+// route is how a fill produces its target's entry at one stamp, decided
+// once by Server.route and read by fill, settle, the refresher's and the
+// persisted cache's judging, and explain.
+type route struct {
+	g *aig.AIG // the grammar: sa while the premises hold, guarded otherwise
+	// verdict prunes the plan to a fragment's path while the premises hold
+	// and no guard is left in sa; nil settles the whole document.
+	verdict mediator.Verdict
+	partial bool // the partial evaluator serves it: predicates, and v.direct
+	// deps judges the entry: the verdict's scans while it is set, the
+	// view's full map otherwise (a change outside the path may then make a
+	// guard abort the whole document, and so the fragment).
+	deps *ivm.Deps
+	held bool // the premises held at stamp
 }
 
-// deps returns the dependency map an entry of t is judged against at
-// stamp: the scans the path's verdict keeps while that verdict decides
-// what the fragment reads (partialOK), the view's full map otherwise — a
-// change outside the path may then still make a guard abort the full
-// evaluation, and so the fragment.
-func (s *Server) deps(t target, stamp string) *ivm.Deps {
-	if t.fp != nil && s.partialOK(t.v, stamp) {
-		return t.fp.deps
+// route decides how t's entry is produced at stamp. Its premise check
+// reads tables, so a client fill calls it under its admission slot.
+// settle re-checks the premises after its run and settles once more,
+// whole and guarded, if they broke under it. The partial evaluator has
+// no such recheck: it streams each match as it finds it, so its route
+// stands as chosen here.
+func (s *Server) route(t target, stamp string) route {
+	v := t.v
+	r := route{g: v.sa, deps: v.deps, held: s.premisesHold(v, stamp)}
+	switch {
+	case !r.held:
+		r.g = v.guarded
+	case t.fp != nil && v.cert.Certified:
+		r.verdict, r.deps = t.fp.verdict, t.fp.deps
+		r.partial = t.fp.partial && v.direct
 	}
-	return t.v.deps
+	return r
 }
 
-// fill produces t's entry at stamp. While partialOK holds, a fragment
-// reads only what its path's verdict keeps: a path with predicates by
-// partial evaluation where the view's sources give direct table access,
-// any other from the mediator's plan pruned to the verdict. Otherwise it
-// settles the whole document, guarded where the premises are broken. A
-// fill for a client (out set) holds an admission slot while it evaluates
-// or settles; the refresher's (out nil) holds none. A settled run is emitted after the slot is released. Bytes go to
-// out as they are produced: a fragment's matches one at a time, a
-// document's only when the entry is not kept (a no-store request) — a
-// kept document goes out whole, once it is filled.
+// fill produces t's entry at stamp along its route. A fill for a client
+// (out set) holds an admission slot while it chooses the route and
+// evaluates or settles; the refresher's (out nil) holds none. A settled
+// run is emitted after the slot is released. Bytes go to out as they are
+// produced: a fragment's matches one at a time, a document's only when
+// the entry is not kept (a no-store request) — a kept document goes out
+// whole, once it is filled.
 func (s *Server) fill(ctx context.Context, t target, stamp string, out *stream, keep bool) (*cacheEntry, error) {
 	e := &cacheEntry{stamp: stamp}
 	if t.fp != nil {
@@ -81,29 +97,24 @@ func (s *Server) fill(ctx context.Context, t target, stamp string, out *stream, 
 	if out != nil {
 		out.e = e
 	}
-	slot := func(fn func() error) error {
-		if out == nil {
-			return fn()
+	var st *settled
+	run := func() (err error) {
+		ro := s.route(t, stamp)
+		if ro.partial {
+			return s.evalPartial(ctx, t, e, out)
 		}
-		return s.admitted(ctx, fn)
+		st, err = s.settle(ctx, t, ro, stamp)
+		return err
 	}
-	pruned := t.fp != nil && s.partialOK(t.v, stamp)
 	var err error
-	if pruned && t.fp.partial && t.v.direct {
-		err = slot(func() error { return s.evalPartial(ctx, t, e, out) })
+	if out == nil {
+		err = run()
 	} else {
-		var verdict mediator.Verdict
-		if pruned {
-			verdict = t.fp.verdict
-		}
-		var st *settled
-		if err = slot(func() (err error) {
-			st, err = s.settle(ctx, t.v, t.params, stamp, verdict)
-			return err
-		}); err == nil {
-			e.depth, e.evalSec = st.depth, st.run.Report.WallSec
-			err = s.render(t, st, e, out, keep)
-		}
+		err = s.admitted(ctx, run)
+	}
+	if err == nil && st != nil {
+		e.depth, e.evalSec = st.depth, st.run.Report.WallSec
+		err = s.render(t, st, e, out, keep)
 	}
 	if err != nil {
 		return nil, err
@@ -143,16 +154,15 @@ func (s *Server) render(t target, st *settled, e *cacheEntry, out *stream, keep 
 }
 
 // cacheFill is the one cache-fill path of client misses and background
-// refreshes: coalesce on the would-be cache key, run fill, and cache the
-// result only if the data-version stamp is still the one the key was
-// computed from. That recheck is what makes every cached entry exact for
-// its stamp — if a source mutated while the evaluation ran, the result
-// may reflect a mix of versions and is served to the waiting clients but
-// never cached (a later request or refresh cycle rebuilds it under the
-// new stamp). leader reports whether this caller ran fill.
+// refreshes: coalesce on the target and stamp, run fill, and cache the
+// result as the target's entry only if the data-version stamp is still
+// the one fill ran at. That recheck is what makes every cached entry
+// exact for its stamp — if a source mutated while the evaluation ran,
+// the result may reflect a mix of versions and is served to the waiting
+// clients but never cached (a later request or refresh cycle rebuilds it
+// under the new stamp). leader reports whether this caller ran fill.
 func (s *Server) cacheFill(ctx context.Context, t target, stamp string, fill func() (*cacheEntry, error)) (*cacheEntry, error, bool) {
-	key := t.prefix + "\x00" + stamp
-	return s.flight.Do(ctx, key, func() (*cacheEntry, error) {
+	return s.flight.Do(ctx, t.prefix+"\x00"+stamp, func() (*cacheEntry, error) {
 		// The per-table version snapshot must be taken inside the
 		// stamp-recheck window too: when the recheck passes, nothing
 		// mutated between reading the stamp, these versions, and the
@@ -162,16 +172,16 @@ func (s *Server) cacheFill(ctx context.Context, t target, stamp string, fill fun
 		if err != nil {
 			return nil, err
 		}
-		entry.view, entry.params, entry.keyPrefix = t.v.name, t.params, t.prefix
+		entry.view, entry.params = t.v.name, t.params
 		entry.tableVers = tableVers
 		if tverr == nil {
 			// Cache only when the recheck stamp is settled (even — no
-			// write in flight) and identical to the key's stamp: by the
+			// write in flight) and identical to the fill's stamp: by the
 			// seqlock argument nothing mutated between reading the stamp,
 			// the table versions, and the data, so the entry is exact for
 			// its stamp.
 			if s2, settled, serr := s.stamp(t.v); serr == nil && settled && s2 == stamp {
-				s.cache.Add(key, entry)
+				s.cache.Add(t.prefix, entry)
 				s.m.cacheEntries.Set(float64(s.cache.Len()))
 			} else {
 				s.m.staleSkips.Inc()

@@ -174,11 +174,9 @@ func prepareView(name string, a *aig.AIG, reg *source.Registry, opts mediator.Op
 		}
 	}
 
-	unf, err := specialize.Unfold(sa, initialUnfold)
-	if err != nil {
-		return nil, fmt.Errorf("view %s: unfolding: %w", name, err)
-	}
-	plan, err := v.med.Explain(unf)
+	// The dry run plans sa at the depth the first request settles at, so
+	// that request finds the plan in the mediator's cache.
+	plan, err := v.med.Explain(sa, initialUnfold, nil)
 	if err != nil {
 		return nil, fmt.Errorf("view %s: planning: %w", name, err)
 	}
@@ -266,13 +264,6 @@ type premiseReads map[string]bool
 func (r premiseReads) TableData(src, _ string) (*relstore.Table, error) {
 	r[src] = true
 	return nil, errors.New("serve: premise sources are only being listed")
-}
-
-// partialOK reports whether a path's verdict may decide what a fragment
-// reads at stamp — by partial evaluation or the pruned plan: no guard is
-// left to run, and the premises that removed them hold.
-func (s *Server) partialOK(v *View, stamp string) bool {
-	return v.cert.Certified && s.premisesHold(v, stamp)
 }
 
 // rootParams lists the scalar members of the root element's inherited
