@@ -46,10 +46,13 @@ staticcheck:
 
 # fuzz-smoke gives each fuzz target a short budget; regressions in the
 # parsers' invariants (and the remote delta wire format) surface as
-# crashes, the XML encoder must byte-match the fmt-based reference,
-# tuple keys must be equal exactly when the tuples are, a row parsed
-# from outside text must render back to itself, and recovering a WAL
-# with fuzzed records after a valid prefix must never panic and must be
+# crashes, every constraint parsed from multi-line text must carry a
+# position inside that text, the XML encoder must byte-match the fmt-based
+# reference, tuple keys must be equal exactly when the tuples are, a
+# tuple must survive relstore's gob encoding and arbitrary bytes must
+# decode to a tuple or an error, never a panic, a row parsed from
+# outside text must render back to itself, and recovering a WAL with
+# fuzzed records after a valid prefix must never panic and must be
 # repeatable. CI runs this target.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/aigspec
@@ -57,9 +60,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzChangeSetWire -fuzztime 10s ./internal/remote
 	$(GO) test -run '^$$' -fuzz FuzzSubscribeWire -fuzztime 10s ./internal/remote
 	$(GO) test -run '^$$' -fuzz FuzzConstraintParse$$ -fuzztime 10s ./internal/xconstraint
+	$(GO) test -run '^$$' -fuzz FuzzConstraintParseAll -fuzztime 10s ./internal/xconstraint
 	$(GO) test -run '^$$' -fuzz FuzzPathParse -fuzztime 10s ./internal/xpath
 	$(GO) test -run '^$$' -fuzz FuzzWriteIndented -fuzztime 10s ./internal/xmltree
 	$(GO) test -run '^$$' -fuzz FuzzTupleKey -fuzztime 10s ./internal/relstore
+	$(GO) test -run '^$$' -fuzz FuzzTupleGob -fuzztime 10s ./internal/relstore
 	$(GO) test -run '^$$' -fuzz FuzzParseRow -fuzztime 10s ./internal/relstore
 	$(GO) test -run '^$$' -fuzz FuzzRecoverWAL -fuzztime 10s ./internal/relstore
 

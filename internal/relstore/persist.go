@@ -1,8 +1,6 @@
 package relstore
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -215,31 +213,28 @@ func (p *Persister) append(rec *walRecord) error {
 // either the old snapshot with the old WAL, or the new snapshot with a
 // WAL whose surviving records recovery skips by sequence number.
 func (p *Persister) snapshotLocked() error {
-	snap := walSnapshot{
+	hdr := snapHeader{
 		Magic:     snapMagic,
 		Name:      p.db.name,
 		DBVersion: p.db.version.Load(),
 		LastSeq:   p.seq,
 	}
 	p.db.mu.RLock()
-	names := make([]string, 0, len(p.db.tables))
-	for n := range p.db.tables {
-		names = append(names, n)
-	}
-	tables := make([]*Table, 0, len(names))
-	for _, n := range names {
-		tables = append(tables, p.db.tables[n])
+	tables := make([]*Table, 0, len(p.db.tables))
+	for _, t := range p.db.tables {
+		tables = append(tables, t)
 	}
 	p.db.mu.RUnlock()
-	for _, t := range tables {
-		snap.Tables = append(snap.Tables, t.captureState())
+	states := make([]walTableState, len(tables))
+	for i, t := range tables {
+		states[i] = t.captureState()
 	}
 
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
+	snap, err := encodeFrame(&hdr, states)
+	if err != nil {
 		return fmt.Errorf("relstore: snapshot encode: %w", err)
 	}
-	if err := p.writeFileAtomic(snapTmpFile, SnapshotFile, appendFrame(nil, buf.Bytes())); err != nil {
+	if err := p.writeFileAtomic(snapTmpFile, SnapshotFile, snap); err != nil {
 		metricSnapshotFailures.Inc()
 		return fmt.Errorf("relstore: snapshot: %w", err)
 	}

@@ -35,22 +35,18 @@ func Recover(name string, opts PersistOptions) (*Database, *Persister, error) {
 	}
 	db := NewDatabase(name)
 
-	snap, haveSnap, err := readSnapshot(fs, name)
+	hdr, tables, err := readSnapshot(fs, name)
 	if err != nil {
 		return nil, nil, err
 	}
-	var seq, dbVer uint64
-	if haveSnap {
-		for _, st := range snap.Tables {
-			t, err := restoreTable(st)
-			if err != nil {
-				return nil, nil, err
-			}
-			db.AddTable(t)
+	for _, st := range tables {
+		t, err := restoreTable(st)
+		if err != nil {
+			return nil, nil, err
 		}
-		seq = snap.LastSeq
-		dbVer = snap.DBVersion
+		db.AddTable(t)
 	}
+	seq, dbVer := hdr.LastSeq, hdr.DBVersion
 
 	validOff, freshHeader, err := replayWAL(db, fs, name, seq, &seq, &dbVer)
 	if err != nil {
@@ -66,67 +62,63 @@ func Recover(name string, opts PersistOptions) (*Database, *Persister, error) {
 	p.gate.Lock()
 	defer p.gate.Unlock()
 	p.seq = seq
-	f, size, err := fs.OpenAppend(WALFile)
-	if err != nil {
-		return nil, nil, fmt.Errorf("relstore: reopening wal: %w", err)
-	}
 	if freshHeader {
-		if err := f.Truncate(0); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("relstore: truncating wal: %w", err)
-		}
-		hdr, err := encodeFrame(&walHeader{Magic: walMagic, Name: name, StartSeq: seq + 1})
-		if err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		if _, err := f.Write(hdr); err != nil {
-			f.Close()
+		if err := p.rotateWALLocked(); err != nil {
 			return nil, nil, fmt.Errorf("relstore: writing wal header: %w", err)
 		}
-	} else if size > validOff {
-		// Cut the torn tail so appended records follow the valid prefix.
-		if err := f.Truncate(validOff); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("relstore: truncating wal: %w", err)
+	} else {
+		f, size, err := fs.OpenAppend(WALFile)
+		if err != nil {
+			return nil, nil, fmt.Errorf("relstore: reopening wal: %w", err)
 		}
-		metricWALTruncations.Inc()
+		if size > validOff {
+			// Cut the torn tail so appended records follow the valid prefix.
+			if err := f.Truncate(validOff); err != nil {
+				f.Close()
+				return nil, nil, fmt.Errorf("relstore: truncating wal: %w", err)
+			}
+			metricWALTruncations.Inc()
+		}
+		if err := f.Sync(); err != nil && opts.Fsync == FsyncAlways {
+			f.Close()
+			return nil, nil, fmt.Errorf("relstore: wal fsync: %w", err)
+		}
+		p.wal = f
 	}
-	if err := f.Sync(); err != nil && opts.Fsync == FsyncAlways {
-		f.Close()
-		return nil, nil, fmt.Errorf("relstore: wal fsync: %w", err)
-	}
-	p.wal = f
 	db.attach(p)
 	metricRecoveries.Inc()
 	return db, p, nil
 }
 
 // readSnapshot loads and validates the snapshot file. Missing is not an
-// error (fresh start); anything unreadable is.
-func readSnapshot(fs FS, name string) (walSnapshot, bool, error) {
-	var snap walSnapshot
+// error (fresh start: a zero header and no tables); anything unreadable
+// is.
+func readSnapshot(fs FS, name string) (hdr snapHeader, tables []walTableState, err error) {
 	b, err := fs.ReadFile(SnapshotFile)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return snap, false, nil
+			return hdr, nil, nil
 		}
-		return snap, false, fmt.Errorf("relstore: reading snapshot: %w", err)
+		return hdr, nil, fmt.Errorf("relstore: reading snapshot: %w", err)
 	}
 	payload, _, err := readFrame(b, 0)
 	if err != nil {
-		return snap, false, fmt.Errorf("relstore: snapshot for %q is corrupt: %w", name, err)
+		return hdr, nil, fmt.Errorf("relstore: snapshot for %q is corrupt: %w", name, err)
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
-		return snap, false, fmt.Errorf("relstore: snapshot decode: %w", err)
+	dec := gob.NewDecoder(bytes.NewReader(payload))
+	if err := dec.Decode(&hdr); err != nil {
+		return hdr, nil, fmt.Errorf("relstore: snapshot decode: %w", err)
 	}
-	if snap.Magic != snapMagic {
-		return snap, false, fmt.Errorf("relstore: snapshot magic %q", snap.Magic)
+	if hdr.Magic != snapMagic {
+		return hdr, nil, fmt.Errorf("relstore: snapshot magic %q, want %q", hdr.Magic, snapMagic)
 	}
-	if snap.Name != name {
-		return snap, false, fmt.Errorf("relstore: snapshot is for database %q, not %q", snap.Name, name)
+	if hdr.Name != name {
+		return hdr, nil, fmt.Errorf("relstore: snapshot is for database %q, not %q", hdr.Name, name)
 	}
-	return snap, true, nil
+	if err := dec.Decode(&tables); err != nil {
+		return hdr, nil, fmt.Errorf("relstore: snapshot decode: %w", err)
+	}
+	return hdr, tables, nil
 }
 
 // replayWAL applies the WAL tail beyond the snapshot cut. It returns the
@@ -142,16 +134,12 @@ func replayWAL(db *Database, fs FS, name string, snapSeq uint64, seq, dbVer *uin
 		}
 		return 0, false, fmt.Errorf("relstore: reading wal: %w", err)
 	}
-	payload, end, ferr := readFrame(b, 0)
-	if ferr != nil {
+	hdr, end, err := readWALHeader(b)
+	if errors.Is(err, errTornFrame) {
 		return 0, true, nil
 	}
-	var hdr walHeader
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&hdr); err != nil {
-		return 0, true, nil
-	}
-	if hdr.Magic != walMagic {
-		return 0, false, fmt.Errorf("relstore: wal magic %q", hdr.Magic)
+	if err != nil {
+		return 0, false, err
 	}
 	if hdr.Name != name {
 		return 0, false, fmt.Errorf("relstore: wal is for database %q, not %q", hdr.Name, name)
@@ -204,7 +192,7 @@ func applyRecord(db *Database, rec *walRecord) error {
 	}
 	switch rec.Kind {
 	case recInsert:
-		if err := t.Insert(rowFromWal(rec.Row)); err != nil {
+		if err := t.Insert(rec.Row); err != nil {
 			return fmt.Errorf("relstore: wal record %d: %w", rec.Seq, err)
 		}
 	case recDeleteRows:

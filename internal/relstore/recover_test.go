@@ -236,22 +236,15 @@ func TestCrashImageAtEveryWALPrefixIsConsistent(t *testing.T) {
 	}
 }
 
-// fuzzRecord and fuzzValue mirror the journal's record and value
-// fields; gob matches fields by name, so their encodings are records
-// recovery decodes.
+// fuzzRecord mirrors the journal record's fields; gob matches fields by
+// name, so its encodings are records recovery decodes.
 type fuzzRecord struct {
 	Seq     uint64
 	Kind    uint8
 	Table   string
 	Ver     uint64
-	Row     []fuzzValue
+	Row     relstore.Tuple
 	Indices []int
-}
-
-type fuzzValue struct {
-	Kind uint8
-	I    int64
-	S    string
 }
 
 func gobPayload(t testing.TB, v any) []byte {
@@ -306,7 +299,7 @@ func FuzzRecoverWAL(f *testing.F) {
 	f.Add(gobPayload(f, fuzzRecord{Seq: 2, Kind: 3, Table: "t", Ver: 4, Indices: []int{0, 7}}), []byte(nil))
 	f.Add(gobPayload(f, fuzzRecord{Seq: 2, Kind: 6, Table: "t"}), []byte(nil))
 	f.Add(gobPayload(f, fuzzRecord{Seq: 2, Kind: 1, Table: "t", Ver: 4,
-		Row: []fuzzValue{{Kind: uint8(relstore.KindString), S: "e"}, {Kind: uint8(relstore.KindInt), I: 4}}}), []byte("junk"))
+		Row: relstore.Tuple{relstore.String("e"), relstore.Int(4)}}), []byte("junk"))
 
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		img := base.Image()
@@ -331,4 +324,67 @@ func FuzzRecoverWAL(f *testing.F) {
 			t.Fatalf("second recovery differs: seq %d, want %d\nwant:\n%s\ngot:\n%s", rp2.Seq(), seq, want, got)
 		}
 	})
+}
+
+// v1Value, v1TableState and v1Snapshot are the first file format's
+// snapshot layout: values and schemas as hand-copied structs and
+// "name:kind" strings, under the magic AIGSNAP1.
+type v1Value struct {
+	Kind uint8
+	I    int64
+	S    string
+}
+
+type v1TableState struct {
+	Name    string
+	Schema  []string
+	Rows    [][]v1Value
+	Version uint64
+}
+
+type v1Snapshot struct {
+	Magic     string
+	Name      string
+	DBVersion uint64
+	LastSeq   uint64
+	Tables    []v1TableState
+}
+
+// An image in the first file format is refused on its magic, before any
+// of its rows is read: not with a gob type error, and not read wrongly.
+func TestRecoverRefusesFirstFormatImages(t *testing.T) {
+	snap := gobPayload(t, v1Snapshot{Magic: "AIGSNAP1", Name: "DB1", DBVersion: 2, LastSeq: 0,
+		Tables: []v1TableState{{Name: "t", Schema: []string{"k:string"}, Version: 1,
+			Rows: [][]v1Value{{{Kind: uint8(relstore.KindString), S: "a"}}}}}})
+	wal := append(frame(gobPayload(t, struct {
+		Magic    string
+		Name     string
+		StartSeq uint64
+	}{"AIGWAL1", "DB1", 1})), frame(gobPayload(t, struct {
+		Seq   uint64
+		Kind  uint8
+		Table string
+		Ver   uint64
+		Row   []v1Value
+	}{1, 1, "t", 2, []v1Value{{Kind: uint8(relstore.KindString), S: "b"}}}))...)
+
+	for _, c := range []struct {
+		file, magic string
+		content     []byte
+	}{
+		{relstore.SnapshotFile, "AIGSNAP1", frame(snap)},
+		{relstore.WALFile, "AIGWAL1", wal},
+	} {
+		fs := iofault.New()
+		w, err := fs.Create(c.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Write(c.content)
+		w.Close()
+		_, _, err = relstore.Recover("DB1", relstore.PersistOptions{FS: fs, SnapshotEvery: -1})
+		if err == nil || !strings.Contains(err.Error(), "magic \""+c.magic+"\"") {
+			t.Errorf("recovering a %s carrying %s: %v, want a magic error naming it", c.file, c.magic, err)
+		}
+	}
 }

@@ -32,13 +32,8 @@ func MustSchema(cols ...string) Schema {
 // suffix defaults to string, matching how DTD PCDATA values are typed.
 func ParseSchema(cols []string) (Schema, error) {
 	s := make(Schema, 0, len(cols))
-	seen := make(map[string]bool, len(cols))
 	for _, c := range cols {
 		name, kindName, found := strings.Cut(c, ":")
-		name = strings.TrimSpace(name)
-		if name == "" {
-			return nil, fmt.Errorf("relstore: empty column name in %q", c)
-		}
 		kind := KindString
 		if found {
 			var err error
@@ -47,13 +42,31 @@ func ParseSchema(cols []string) (Schema, error) {
 				return nil, err
 			}
 		}
-		if seen[name] {
-			return nil, fmt.Errorf("relstore: duplicate column %q", name)
-		}
-		seen[name] = true
-		s = append(s, Column{Name: name, Kind: kind})
+		s = append(s, Column{Name: strings.TrimSpace(name), Kind: kind})
+	}
+	if err := s.check(); err != nil {
+		return nil, err
 	}
 	return s, nil
+}
+
+// check is what makes a schema well-formed, whether parsed or decoded:
+// every column named, no name twice, every kind known.
+func (s Schema) check() error {
+	seen := make(map[string]bool, len(s))
+	for _, c := range s {
+		if c.Name == "" {
+			return fmt.Errorf("relstore: empty column name in %s", s)
+		}
+		if c.Kind > KindString {
+			return fmt.Errorf("relstore: column %q has unknown kind %d", c.Name, uint8(c.Kind))
+		}
+		if seen[c.Name] {
+			return fmt.Errorf("relstore: duplicate column %q", c.Name)
+		}
+		seen[c.Name] = true
+	}
+	return nil
 }
 
 // ColumnIndex returns the position of the named column, or -1 if absent.
@@ -142,6 +155,17 @@ func (s Schema) Validate(t Tuple) error {
 	for i, v := range t {
 		if !v.IsNull() && v.Kind() != s[i].Kind {
 			return fmt.Errorf("relstore: column %q expects %s, got %s", s[i].Name, s[i].Kind, v.Kind())
+		}
+	}
+	return nil
+}
+
+// ValidateRows validates every row, naming the first that does not
+// conform.
+func (s Schema) ValidateRows(rows []Tuple) error {
+	for i, row := range rows {
+		if err := s.Validate(row); err != nil {
+			return fmt.Errorf("row %d: %w", i, err)
 		}
 	}
 	return nil

@@ -112,10 +112,8 @@ func NewTable(name string, schema Schema) *Table {
 // log. The rows are shared, not copied: the caller must not modify them
 // afterwards (the table itself never writes into the slice).
 func TableFromRows(name string, schema Schema, rows []Tuple) (*Table, error) {
-	for _, row := range rows {
-		if err := schema.Validate(row); err != nil {
-			return nil, fmt.Errorf("table %q: %v", name, err)
-		}
+	if err := schema.ValidateRows(rows); err != nil {
+		return nil, fmt.Errorf("table %q: %v", name, err)
 	}
 	t := &Table{name: name, schema: schema, buf: rows[:len(rows):len(rows)]}
 	t.publishLocked()
@@ -264,7 +262,7 @@ func (t *Table) Insert(row Tuple) error {
 		p.gate.Lock()
 		defer p.gate.Unlock()
 		if err := p.append(&walRecord{Kind: recInsert, Table: t.name,
-			Ver: t.version.Load() + 1, Row: rowToWal(row)}); err != nil {
+			Ver: t.version.Load() + 1, Row: row}); err != nil {
 			return err
 		}
 	}

@@ -6,7 +6,11 @@
 // The engine is deliberately small but complete: the sqlmini package plans
 // and executes a SQL subset against it, and the remote package serves it
 // over TCP so that it can play the role of the distributed relational
-// sources (DB1..DB4) in the paper's experiments.
+// sources (DB1..DB4) in the paper's experiments. Tuple and Schema carry
+// their own gob encoding (gob.go), which checks what it decodes; the
+// write-ahead log, the snapshots and the remote protocol all ship
+// relstore's types in it, so this package alone decides how its data is
+// encoded.
 package relstore
 
 import (

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 // Write-ahead log file format. The log is a sequence of frames; each
@@ -16,7 +17,8 @@ import (
 //	4 bytes  big-endian IEEE CRC32 of the payload
 //	n bytes  gob-encoded payload
 //
-// The first frame's payload is a walHeader; every later frame is one
+// Rows inside a payload are in relstore's own gob encoding (gob.go). The
+// first frame's payload is a walHeader; every later frame is one
 // walRecord. Each record is encoded with a fresh gob encoder so frames
 // are self-contained: recovery can decode any prefix of the file without
 // stream state, and the first frame that fails its length or CRC check
@@ -33,8 +35,8 @@ const (
 )
 
 const (
-	walMagic  = "AIGWAL1"
-	snapMagic = "AIGSNAP1"
+	walMagic  = "AIGWAL2"
+	snapMagic = "AIGSNAP2"
 )
 
 const frameHeaderSize = 8
@@ -43,22 +45,21 @@ const frameHeaderSize = 8
 // CRC-corrupt frame, exactly what a crash mid-append leaves behind.
 var errTornFrame = errors.New("relstore: torn wal frame")
 
-// appendFrame frames a payload onto dst.
-func appendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
-}
-
-// encodeFrame gob-encodes v and frames it.
-func encodeFrame(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
+// encodeFrame gob-encodes the values, in order and with one encoder, as
+// one frame: the payload is encoded straight after room for the frame
+// header, which is filled in last.
+func encodeFrame(vs ...any) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, frameHeaderSize, 256))
+	enc := gob.NewEncoder(buf)
+	for _, v := range vs {
+		if err := enc.Encode(v); err != nil {
+			return nil, err
+		}
 	}
-	return appendFrame(nil, buf.Bytes()), nil
+	b := buf.Bytes()
+	binary.BigEndian.PutUint32(b[0:4], uint32(len(b)-frameHeaderSize))
+	binary.BigEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(b[frameHeaderSize:]))
+	return b, nil
 }
 
 // readFrame reads the frame starting at off, returning its payload and
@@ -114,46 +115,8 @@ type walRecord struct {
 	Table string
 	Ver   uint64
 
-	Row     []walValue // recInsert
-	Indices []int      // recDeleteRows, strictly ascending row positions
-}
-
-// walValue is Value's gob wire form (Value's fields are unexported).
-type walValue struct {
-	Kind uint8
-	I    int64
-	S    string
-}
-
-func valueToWal(v Value) walValue {
-	return walValue{Kind: uint8(v.kind), I: v.i, S: v.s}
-}
-
-func (w walValue) value() Value {
-	return Value{kind: Kind(w.Kind), i: w.I, s: w.S}
-}
-
-func rowToWal(row Tuple) []walValue {
-	out := make([]walValue, len(row))
-	for i, v := range row {
-		out[i] = valueToWal(v)
-	}
-	return out
-}
-
-func rowFromWal(row []walValue) Tuple {
-	out := make(Tuple, len(row))
-	for i, w := range row {
-		out[i] = w.value()
-	}
-	return out
-}
-
-// walChange is Change's wire form.
-type walChange struct {
-	Ver uint64
-	Op  uint8
-	Row []walValue
+	Row     Tuple // recInsert
+	Indices []int // recDeleteRows, strictly ascending row positions
 }
 
 // walTableState is a full dump of one table: rows, version, and the
@@ -162,82 +125,69 @@ type walChange struct {
 // before the crash.
 type walTableState struct {
 	Name        string
-	Schema      []string
-	Rows        [][]walValue
+	Schema      Schema
+	Rows        []Tuple
 	Version     uint64
 	LogLimit    int
 	LogDisabled bool
 	LogMinVer   uint64
-	LogCause    uint8
-	Log         []walChange
+	LogCause    TruncateCause
+	Log         []Change
 }
 
-// walSnapshot is the snapshot file's payload: every table plus the
-// database version and the WAL watermark the snapshot covers.
-type walSnapshot struct {
+// snapHeader opens the snapshot file's payload; the tables follow it as
+// a second gob value in the same stream. Decoding the header alone
+// checks the magic before anything of a table is read, so an image
+// whose tables another format encoded fails on its magic.
+type snapHeader struct {
 	Magic     string
 	Name      string
 	DBVersion uint64
 	LastSeq   uint64
-	Tables    []walTableState
 }
 
 // captureState dumps the table's full persistent state under its lock.
+// Rows and change-log entries are immutable once published, so the dump
+// shares them.
 func (t *Table) captureState() walTableState {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st := walTableState{
+	return walTableState{
 		Name:        t.name,
-		Schema:      schemaSpecs(t.schema),
+		Schema:      t.schema,
+		Rows:        t.rowsSnap(),
 		Version:     t.version.Load(),
 		LogLimit:    t.log.limit,
 		LogDisabled: t.log.disabled,
 		LogMinVer:   t.log.minVer,
-		LogCause:    uint8(t.log.cause),
+		LogCause:    t.log.cause,
+		Log:         slices.Clone(t.log.entries),
 	}
-	st.Rows = make([][]walValue, len(t.buf))
-	for i, row := range t.buf {
-		st.Rows[i] = rowToWal(row)
-	}
-	st.Log = make([]walChange, len(t.log.entries))
-	for i, ch := range t.log.entries {
-		st.Log[i] = walChange{Ver: ch.Ver, Op: uint8(ch.Op), Row: rowToWal(ch.Row)}
-	}
-	return st
-}
-
-// schemaSpecs renders a schema as the "name:kind" specs ParseSchema
-// round-trips.
-func schemaSpecs(s Schema) []string {
-	out := make([]string, len(s))
-	for i, c := range s {
-		out[i] = c.String()
-	}
-	return out
 }
 
 // restoreTable rebuilds a table from a captured state.
 func restoreTable(st walTableState) (*Table, error) {
-	schema, err := ParseSchema(st.Schema)
-	if err != nil {
+	if err := st.Schema.ValidateRows(st.Rows); err != nil {
 		return nil, fmt.Errorf("relstore: restoring table %q: %w", st.Name, err)
 	}
-	t := NewTable(st.Name, schema)
-	t.buf = make([]Tuple, len(st.Rows))
-	for i, row := range st.Rows {
-		t.buf[i] = rowFromWal(row)
-	}
-	t.publishLocked()
-	t.version.Store(st.Version)
-	t.log.limit = st.LogLimit
-	t.log.disabled = st.LogDisabled
-	t.log.minVer = st.LogMinVer
-	t.log.cause = TruncateCause(st.LogCause)
-	t.log.entries = make([]Change, len(st.Log))
-	for i, ch := range st.Log {
-		t.log.entries[i] = Change{Ver: ch.Ver, Op: ChangeOp(ch.Op), Row: rowFromWal(ch.Row)}
-	}
+	t := NewTableWithState(st.Name, st.Schema, st.Rows, st.Version, st.LogCause)
+	t.log = changeLog{limit: st.LogLimit, disabled: st.LogDisabled, minVer: st.LogMinVer,
+		cause: st.LogCause, entries: st.Log}
 	return t, nil
+}
+
+// readWALHeader decodes frame 0 of a WAL image. A torn or undecodable
+// header is errTornFrame; a header of another format is an error naming
+// its magic.
+func readWALHeader(b []byte) (hdr walHeader, end int64, err error) {
+	payload, end, err := readFrame(b, 0)
+	if err == nil && gob.NewDecoder(bytes.NewReader(payload)).Decode(&hdr) != nil {
+		err = errTornFrame
+	}
+	if err == nil && hdr.Magic != walMagic {
+		err = fmt.Errorf("relstore: wal magic %q, want %q", hdr.Magic, walMagic)
+	}
+	return hdr, end, err
 }
 
 // InspectWAL parses a WAL image, returning the header's StartSeq and the
@@ -245,16 +195,9 @@ func restoreTable(st walTableState) (*Table, error) {
 // torn tail, mirroring recovery; harnesses use the offsets to pick crash
 // points on frame boundaries and within the tail record.
 func InspectWAL(b []byte) (startSeq uint64, frameEnds []int64, err error) {
-	payload, end, ferr := readFrame(b, 0)
-	if ferr != nil {
-		return 0, nil, ferr
-	}
-	var hdr walHeader
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&hdr); err != nil {
-		return 0, nil, fmt.Errorf("relstore: wal header: %w", err)
-	}
-	if hdr.Magic != walMagic {
-		return 0, nil, fmt.Errorf("relstore: wal magic %q", hdr.Magic)
+	hdr, end, err := readWALHeader(b)
+	if err != nil {
+		return 0, nil, err
 	}
 	frameEnds = append(frameEnds, end)
 	off := end

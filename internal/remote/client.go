@@ -65,14 +65,8 @@ func Dial(name, addr string) (*Client, error) {
 // DialTimeouts connects to a remote source with the given network
 // deadlines, which also bound the liveness check performed here.
 func DialTimeouts(name, addr string, to Timeouts) (*Client, error) {
-	registerGob()
 	c := &Client{name: name, addr: addr, to: to}
-	if err := c.connect(); err != nil {
-		return nil, err
-	}
-	// Verify liveness.
-	var resp response
-	if err := c.roundTrip(&request{Kind: reqPing}, &resp); err != nil {
+	if err := c.Healthy(); err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -163,10 +157,14 @@ func (c *Client) dropConn() {
 func (c *Client) Name() string { return c.name }
 
 // Healthy implements the optional source.Health interface with a ping
-// round-trip, bounded by the client's configured timeouts.
+// round-trip, bounded by the client's configured timeouts, that also
+// checks the server's protocol version. Dial checks it first.
 func (c *Client) Healthy() error {
 	var resp response
-	return c.roundTrip(&request{Kind: reqPing}, &resp)
+	if err := c.roundTrip(&request{Kind: reqPing}, &resp); err != nil {
+		return err
+	}
+	return checkProto(resp.Proto)
 }
 
 // TableSchema implements source.Source.
@@ -175,7 +173,7 @@ func (c *Client) TableSchema(table string) (relstore.Schema, error) {
 	if err := c.roundTrip(&request{Kind: reqSchema, Table: table}, &resp); err != nil {
 		return nil, err
 	}
-	return relstore.ParseSchema(resp.SchemaSpec)
+	return resp.Schema, nil
 }
 
 // TableCard implements source.Source.
@@ -226,7 +224,7 @@ func (c *Client) ChangesSince(table string, since uint64) (relstore.ChangeSet, e
 	if err := c.roundTrip(&request{Kind: reqChanges, Table: table, Since: since}, &resp); err != nil {
 		return relstore.ChangeSet{}, err
 	}
-	return changeSetFromWire(resp.Deltas), nil
+	return resp.Deltas, nil
 }
 
 // tracedTrip wraps roundTrip for the query-path RPCs: when ctx carries a
@@ -256,19 +254,7 @@ func (c *Client) tracedTrip(ctx context.Context, req *request, resp *response) e
 
 // Estimate implements source.Source (the costing API of §5.2).
 func (c *Client) Estimate(ctx context.Context, q *sqlmini.Query, params sqlmini.ParamSchemas, opts sqlmini.PlanOptions) (source.Estimate, error) {
-	req := &request{
-		Kind:         reqEstimate,
-		SQL:          q.String(),
-		ParamSchemas: make(map[string][]string, len(params)),
-		ParamCards:   opts.ParamCards,
-	}
-	for name, schema := range params {
-		spec := make([]string, len(schema))
-		for i, col := range schema {
-			spec[i] = col.String()
-		}
-		req.ParamSchemas[name] = spec
-	}
+	req := &request{Kind: reqEstimate, SQL: q.String(), ParamSchemas: params, ParamCards: opts.ParamCards}
 	var resp response
 	if err := c.tracedTrip(ctx, req, &resp); err != nil {
 		return source.Estimate{}, err
@@ -280,23 +266,14 @@ func (c *Client) Estimate(ctx context.Context, q *sqlmini.Query, params sqlmini.
 // parameter tables; the result table and the engine-measured evaluation
 // time ship back, along with the server-side spans of a traced request.
 func (c *Client) Exec(ctx context.Context, name string, q *sqlmini.Query, params sqlmini.Params, opts sqlmini.PlanOptions) (*relstore.Table, time.Duration, error) {
-	req := &request{
-		Kind:       reqExec,
-		SQL:        q.String(),
-		ResultName: name,
-		Params:     make(map[string]wireTable, len(params)),
-		ParamCards: opts.ParamCards,
-	}
-	for pname, b := range params {
-		req.Params[pname] = tableToWire(b.Schema, b.Rows)
-	}
+	req := &request{Kind: reqExec, SQL: q.String(), ResultName: name, Params: params, ParamCards: opts.ParamCards}
 	var resp response
 	if err := c.tracedTrip(ctx, req, &resp); err != nil {
 		return nil, 0, err
 	}
-	out, err := tableFromWire(name, resp.Result)
+	out, err := relstore.TableFromRows(name, resp.Result.Schema, resp.Result.Rows)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("remote: source %s: %w", c.name, err)
 	}
 	return out, time.Duration(resp.EvalNanos), nil
 }

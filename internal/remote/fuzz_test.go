@@ -3,6 +3,7 @@ package remote
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -10,8 +11,7 @@ import (
 )
 
 // FuzzChangeSetWire checks that arbitrary change sets survive the wire:
-// wire encoding, gob serialization and decoding compose to the
-// identity. The raw input drives a small interpreter that builds the
+// a gob round trip of the relstore.ChangeSet is the identity. The raw input drives a small interpreter that builds the
 // ChangeSet, so the fuzzer explores shapes (empty rows, null values,
 // negative ints, truncation flags) rather than gob's framing.
 func FuzzChangeSetWire(f *testing.F) {
@@ -36,29 +36,20 @@ func FuzzChangeSetWire(f *testing.F) {
 			}
 			ver++
 			for i := 0; i < n && len(data) > 0; i++ {
-				b := data[0]
+				ch.Row = append(ch.Row, fuzzValue(data[0]))
 				data = data[1:]
-				switch b % 3 {
-				case 0:
-					ch.Row = append(ch.Row, relstore.Int(int64(b)-128))
-				case 1:
-					ch.Row = append(ch.Row, relstore.String(string(rune(b))))
-				default:
-					ch.Row = append(ch.Row, relstore.Null)
-				}
 			}
 			cs.Changes = append(cs.Changes, ch)
 		}
 
 		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(changeSetToWire(cs)); err != nil {
+		if err := gob.NewEncoder(&buf).Encode(cs); err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		var w wireChangeSet
-		if err := gob.NewDecoder(&buf).Decode(&w); err != nil {
+		var got relstore.ChangeSet
+		if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		got := changeSetFromWire(w)
 		if !reflect.DeepEqual(got, cs) {
 			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, cs)
 		}
@@ -80,7 +71,7 @@ func FuzzSubscribeWire(f *testing.F) {
 		msg := subMessage{
 			Proto:      protoVersion,
 			Kind:       subKind(kind),
-			Cause:      kind % 4,
+			Cause:      relstore.TruncateCause(kind % 4),
 			Table:      table,
 			Version:    version,
 			DBVersion:  version * 2,
@@ -88,16 +79,19 @@ func FuzzSubscribeWire(f *testing.F) {
 		}
 		// Interpret the tail as schema columns, snapshot rows, version
 		// map entries and one delta set, so every field shape is explored.
+		// Decoding refuses a schema with a repeated name, so the columns
+		// are named by position.
 		for i, b := range data {
 			switch b % 4 {
 			case 0:
-				msg.Schema = append(msg.Schema, string(rune('a'+b%26))+":string")
+				msg.Schema = append(msg.Schema, relstore.Column{
+					Name: fmt.Sprintf("c%d", len(msg.Schema)), Kind: relstore.Kind(b % 3)})
 			case 1:
-				// gob decodes zero-length slices as nil, so only non-empty
-				// rows are representable on the wire; build them that way.
-				var row []wireValue
+				// gob decodes a nil row in a slice as an empty one, so
+				// only non-empty rows are built.
+				var row relstore.Tuple
 				for j := 0; j < int(b%3)+1; j++ {
-					row = append(row, wireValue{Kind: b % 3, I: int64(b) - 128, S: string(rune(b))})
+					row = append(row, fuzzValue(b))
 				}
 				msg.Rows = append(msg.Rows, row)
 			case 2:
@@ -106,13 +100,14 @@ func FuzzSubscribeWire(f *testing.F) {
 				}
 				msg.Versions[string(rune('k'+b%5))] = uint64(b) * version
 			default:
-				msg.Sets = append(msg.Sets, wireChangeSet{
+				msg.Sets = append(msg.Sets, relstore.ChangeSet{
 					Table:     table,
 					Since:     uint64(i),
 					Now:       uint64(i) + uint64(b),
 					Truncated: b%2 == 0,
-					Cause:     b % 4,
-					Changes:   []wireChange{{Ver: uint64(b), Op: b % 2, Row: []wireValue{{Kind: b % 3, I: int64(b)}}}},
+					Cause:     relstore.TruncateCause(b % 4),
+					Changes: []relstore.Change{{Ver: uint64(b), Op: relstore.ChangeOp(b % 2),
+						Row: relstore.Tuple{fuzzValue(b)}}},
 				})
 			}
 		}
@@ -129,4 +124,17 @@ func FuzzSubscribeWire(f *testing.F) {
 			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, msg)
 		}
 	})
+}
+
+// fuzzValue derives a value of each kind from b: Null, a negative or
+// positive int, or a one-rune string.
+func fuzzValue(b byte) relstore.Value {
+	switch b % 3 {
+	case 0:
+		return relstore.Int(int64(b) - 128)
+	case 1:
+		return relstore.String(string(rune(b)))
+	default:
+		return relstore.Null
+	}
 }

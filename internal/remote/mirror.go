@@ -90,7 +90,6 @@ type Mirror struct {
 // block until the first catch-up completes, Source for the serving-side
 // source, Close to stop.
 func OpenMirror(name, addr string, opts MirrorOptions) *Mirror {
-	registerGob()
 	if opts.ReconnectMin <= 0 {
 		opts.ReconnectMin = 100 * time.Millisecond
 	}
@@ -225,20 +224,12 @@ func (m *Mirror) run() {
 	}
 }
 
-// stagedTable accumulates one table's snapshot chunks before install.
-type stagedTable struct {
-	schema  relstore.Schema
-	version uint64
-	rows    []relstore.Tuple
-}
-
 // session runs one subscription: dial, subscribe from the current
 // watermarks, apply frames until the stream errors. progressed reports
 // whether any frame was processed (resets the reconnect backoff).
 func (m *Mirror) session() (progressed bool, err error) {
 	conn, err := net.DialTimeout("tcp", m.addr, m.opts.Timeouts.Dial)
 	if err != nil {
-		m.setErr(err)
 		return false, err
 	}
 	defer conn.Close()
@@ -259,15 +250,13 @@ func (m *Mirror) session() (progressed bool, err error) {
 	}
 	req := &request{Proto: protoVersion, Kind: reqSubscribe, FromVersions: m.db.TableVersions()}
 	if err := enc.Encode(req); err != nil {
-		m.setErr(err)
 		return false, fmt.Errorf("remote: subscribing to %s: %w", m.name, err)
 	}
 	m.setConnected(true, nil)
 
 	var (
-		staged      map[string]*stagedTable
+		staged      map[string]*relstore.TableSnap // catch-up chunks before install
 		stagedCause relstore.TruncateCause
-		torn        bool
 	)
 	for {
 		if m.opts.Timeouts.Read > 0 {
@@ -275,44 +264,40 @@ func (m *Mirror) session() (progressed bool, err error) {
 		}
 		var msg subMessage
 		if err := dec.Decode(&msg); err != nil {
-			m.setErr(err)
 			return progressed, fmt.Errorf("remote: subscription to %s: %w", m.name, err)
 		}
 		progressed = true
 		m.touch()
 		switch msg.Kind {
 		case subHello:
-			// Informational: the catch-up/delta frames that follow carry
-			// everything the mirror acts on.
+			// The catch-up/delta frames that follow carry everything the
+			// mirror acts on; the hello only names the origin's version.
+			if err := checkProto(msg.Proto); err != nil {
+				return progressed, fmt.Errorf("remote: subscription to %s: %w", m.name, err)
+			}
 		case subCatchupBegin:
-			staged = make(map[string]*stagedTable)
-			stagedCause = relstore.TruncateCause(msg.Cause)
-			torn = false
-		case subSnapshotTable:
-			if staged == nil {
-				return progressed, fmt.Errorf("remote: subscription to %s: snapshot frame outside catch-up", m.name)
-			}
-			schema, err := relstore.ParseSchema(msg.Schema)
-			if err != nil {
-				return progressed, fmt.Errorf("remote: subscription to %s: snapshot schema: %w", m.name, err)
-			}
-			st := &stagedTable{schema: schema, version: msg.Version}
-			st.rows = appendWireRows(st.rows, msg.Rows)
-			staged[msg.Table] = st
-		case subSnapshotRows:
+			staged = make(map[string]*relstore.TableSnap)
+			stagedCause = msg.Cause
+		case subSnapshotTable, subSnapshotRows:
 			st := staged[msg.Table]
-			if st == nil {
-				return progressed, fmt.Errorf("remote: subscription to %s: rows for unopened snapshot table %q", m.name, msg.Table)
+			if msg.Kind == subSnapshotTable && staged != nil {
+				st = &relstore.TableSnap{Name: msg.Table, Schema: msg.Schema, Version: msg.Version}
+				staged[msg.Table] = st
 			}
-			st.rows = appendWireRows(st.rows, msg.Rows)
+			if st == nil {
+				return progressed, fmt.Errorf("remote: subscription to %s: %s frame for table %q outside its catch-up", m.name, msg.Kind, msg.Table)
+			}
+			// A snapshot row goes into the replica as sent, so it is
+			// checked here; a bad one ends the session, which resubscribes.
+			if err := st.Schema.ValidateRows(msg.Rows); err != nil {
+				return progressed, fmt.Errorf("remote: subscription to %s: snapshot of %q: %w", m.name, msg.Table, err)
+			}
+			st.Rows = append(st.Rows, msg.Rows...)
 		case subCatchupEnd:
 			if staged == nil {
 				return progressed, fmt.Errorf("remote: subscription to %s: catch-up end without begin", m.name)
 			}
-			if !msg.Consistent {
-				torn = true
-			}
-			if err := m.installSnapshot(staged, stagedCause, torn); err != nil {
+			if err := m.installSnapshot(staged, stagedCause, msg.Consistent); err != nil {
 				return progressed, err
 			}
 			staged = nil
@@ -336,9 +321,9 @@ func (m *Mirror) session() (progressed bool, err error) {
 
 // installSnapshot swaps the staged catch-up into the replica database
 // and drops local tables the snapshot no longer contains.
-func (m *Mirror) installSnapshot(staged map[string]*stagedTable, cause relstore.TruncateCause, torn bool) error {
+func (m *Mirror) installSnapshot(staged map[string]*relstore.TableSnap, cause relstore.TruncateCause, certified bool) error {
 	for name, st := range staged {
-		t := relstore.NewTableWithState(name, st.schema, st.rows, st.version, cause)
+		t := relstore.NewTableWithState(name, st.Schema, st.Rows, st.Version, cause)
 		if err := m.db.InstallSnapshotTable(t); err != nil {
 			return err
 		}
@@ -359,7 +344,7 @@ func (m *Mirror) installSnapshot(staged map[string]*stagedTable, cause relstore.
 		metricMirrorInitialSyncs.Inc()
 	}
 	slog.Info("mirror: catch-up snapshot installed",
-		"source", m.name, "cause", cause.String(), "tables", len(staged), "certified", !torn)
+		"source", m.name, "cause", cause.String(), "tables", len(staged), "certified", certified)
 	return nil
 }
 
@@ -367,21 +352,18 @@ func (m *Mirror) installSnapshot(staged map[string]*stagedTable, cause relstore.
 // table that cannot apply its window (divergence) is dropped so the
 // resubscription falls back to a catch-up snapshot instead of looping on
 // the same bad delta.
-func (m *Mirror) applyDeltas(sets []wireChangeSet) error {
+func (m *Mirror) applyDeltas(sets []relstore.ChangeSet) error {
 	total := 0
-	for _, ws := range sets {
-		cs := changeSetFromWire(ws)
+	for _, cs := range sets {
 		t, err := m.db.Table(cs.Table)
 		if err != nil {
 			// Unknown table: force a full resync on the next session.
-			m.setErr(err)
 			return fmt.Errorf("remote: subscription to %s: deltas for unknown table %q", m.name, cs.Table)
 		}
 		applied, err := t.ApplyChanges(cs)
 		total += applied
 		if err != nil {
 			m.db.DropTable(cs.Table)
-			m.setErr(err)
 			return fmt.Errorf("remote: subscription to %s: applying deltas: %w", m.name, err)
 		}
 	}
@@ -405,10 +387,8 @@ func (m *Mirror) checkDrift(versions map[string]uint64) error {
 	local := m.db.TableVersions()
 	for name, v := range versions {
 		if local[name] != v {
-			err := fmt.Errorf("remote: subscription to %s: watermark drift on %q (origin %d, mirror %d)",
+			return fmt.Errorf("remote: subscription to %s: watermark drift on %q (origin %d, mirror %d)",
 				m.name, name, v, local[name])
-			m.setErr(err)
-			return err
 		}
 	}
 	return nil
@@ -439,21 +419,4 @@ func (m *Mirror) setConnected(up bool, err error) {
 		m.lastErr = err
 	}
 	m.mu.Unlock()
-}
-
-func (m *Mirror) setErr(err error) {
-	m.mu.Lock()
-	m.lastErr = err
-	m.mu.Unlock()
-}
-
-func appendWireRows(rows []relstore.Tuple, wire [][]wireValue) []relstore.Tuple {
-	for _, wr := range wire {
-		row := make(relstore.Tuple, len(wr))
-		for j, wv := range wr {
-			row[j] = fromWire(wv)
-		}
-		rows = append(rows, row)
-	}
-	return rows
 }

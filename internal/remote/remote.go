@@ -3,15 +3,17 @@
 // a source.Source is expected. The wire protocol is a simple
 // length-delimited gob stream: each request carries a SQL string plus
 // parameter tables, each response a result table and the measured
-// engine-side evaluation time. This lets the mediator run against truly
-// distributed sources (cmd/aigsource serves a dataset directory), while
-// the experiments default to in-process sources with simulated
-// communication, as the paper's own evaluation did.
+// engine-side evaluation time. Tables, schemas and change sets travel as
+// relstore's and sqlmini's own types, in relstore's gob encoding, and
+// every receiver checks decoded rows against their schema. This lets the
+// mediator run against truly distributed sources (cmd/aigsource serves a
+// dataset directory), while the experiments default to in-process
+// sources with simulated communication, as the paper's own evaluation
+// did.
 package remote
 
 import (
 	"context"
-	"encoding/gob"
 	"fmt"
 	"time"
 
@@ -21,16 +23,28 @@ import (
 	"github.com/aigrepro/aig/internal/sqlmini"
 )
 
-// protoVersion is the wire protocol version this build speaks. Gob's
-// field-name matching keeps the stream compatible in both directions:
-// version 1 peers simply never see (or send) the tracing fields added in
-// version 2, and tracing degrades to off for that hop.
+// protoVersion is the wire protocol version this build speaks. Every
+// message carries it; a server refuses a request of another version, and
+// a client or mirror refuses a server's answer of another version.
 //
 //	1: initial protocol (query, costing, versions, change sets)
 //	2: adds request.TraceID and response.Spans for distributed tracing
 //	3: adds reqSubscribe long-lived delta streams (request.FromVersions,
 //	   subMessage push frames with catch-up snapshots)
-const protoVersion = 3
+//	4: tables, schemas and change sets travel as relstore.Tuple, Schema
+//	   and ChangeSet and sqlmini.Binding in relstore's gob encoding
+//	   instead of hand-copied wire structs and "name:kind" strings, and
+//	   the version is checked. A v3 peer's messages do not decode as v4
+//	   ones, so v3 peers are refused.
+const protoVersion = 4
+
+// checkProto refuses a peer message of another protocol version.
+func checkProto(got int) error {
+	if got != protoVersion {
+		return fmt.Errorf("remote: peer speaks protocol version %d, this build speaks %d", got, protoVersion)
+	}
+	return nil
+}
 
 // reqKind discriminates request types.
 type reqKind uint8
@@ -49,161 +63,18 @@ const (
 	reqSubscribe
 )
 
+var reqKindNames = [...]string{
+	reqPing: "ping", reqSchema: "schema", reqCard: "card", reqDistinct: "distinct",
+	reqEstimate: "estimate", reqExec: "exec", reqVersion: "version",
+	reqTableVersions: "table_versions", reqChanges: "changes", reqSubscribe: "subscribe",
+}
+
 // String names the request kind for span names and log lines.
 func (k reqKind) String() string {
-	switch k {
-	case reqPing:
-		return "ping"
-	case reqSchema:
-		return "schema"
-	case reqCard:
-		return "card"
-	case reqDistinct:
-		return "distinct"
-	case reqEstimate:
-		return "estimate"
-	case reqExec:
-		return "exec"
-	case reqVersion:
-		return "version"
-	case reqTableVersions:
-		return "table_versions"
-	case reqChanges:
-		return "changes"
-	case reqSubscribe:
-		return "subscribe"
-	default:
-		return fmt.Sprintf("kind%d", uint8(k))
+	if int(k) < len(reqKindNames) {
+		return reqKindNames[k]
 	}
-}
-
-// wireValue is the gob-encodable form of a relstore.Value.
-type wireValue struct {
-	Kind uint8
-	I    int64
-	S    string
-}
-
-func toWire(v relstore.Value) wireValue {
-	switch v.Kind() {
-	case relstore.KindInt:
-		return wireValue{Kind: uint8(relstore.KindInt), I: v.AsInt()}
-	case relstore.KindString:
-		return wireValue{Kind: uint8(relstore.KindString), S: v.AsString()}
-	default:
-		return wireValue{Kind: uint8(relstore.KindNull)}
-	}
-}
-
-func fromWire(w wireValue) relstore.Value {
-	switch relstore.Kind(w.Kind) {
-	case relstore.KindInt:
-		return relstore.Int(w.I)
-	case relstore.KindString:
-		return relstore.String(w.S)
-	default:
-		return relstore.Null
-	}
-}
-
-// wireTable is the gob-encodable form of a table or binding.
-type wireTable struct {
-	Schema []string // "name:kind" specs
-	Rows   [][]wireValue
-}
-
-func tableToWire(schema relstore.Schema, rows []relstore.Tuple) wireTable {
-	w := wireTable{Schema: make([]string, len(schema)), Rows: make([][]wireValue, len(rows))}
-	for i, c := range schema {
-		w.Schema[i] = c.String()
-	}
-	for i, row := range rows {
-		wr := make([]wireValue, len(row))
-		for j, v := range row {
-			wr[j] = toWire(v)
-		}
-		w.Rows[i] = wr
-	}
-	return w
-}
-
-func tableFromWire(name string, w wireTable) (*relstore.Table, error) {
-	schema, err := relstore.ParseSchema(w.Schema)
-	if err != nil {
-		return nil, err
-	}
-	t := relstore.NewTable(name, schema)
-	for _, wr := range w.Rows {
-		row := make(relstore.Tuple, len(wr))
-		for j, wv := range wr {
-			row[j] = fromWire(wv)
-		}
-		if err := t.Insert(row); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
-func bindingFromWire(w wireTable) (sqlmini.Binding, error) {
-	schema, err := relstore.ParseSchema(w.Schema)
-	if err != nil {
-		return sqlmini.Binding{}, err
-	}
-	rows := make([]relstore.Tuple, len(w.Rows))
-	for i, wr := range w.Rows {
-		row := make(relstore.Tuple, len(wr))
-		for j, wv := range wr {
-			row[j] = fromWire(wv)
-		}
-		rows[i] = row
-	}
-	return sqlmini.Binding{Schema: schema, Rows: rows}, nil
-}
-
-// wireChange is the gob-encodable form of one row delta.
-type wireChange struct {
-	Ver uint64
-	Op  uint8
-	Row []wireValue
-}
-
-// wireChangeSet is the gob-encodable form of a relstore.ChangeSet: the
-// answer to a reqChanges request. Truncated and its cause survive the
-// trip so remote consumers fall back to a full refresh — and metric the
-// reason — exactly like local ones.
-type wireChangeSet struct {
-	Table     string
-	Since     uint64
-	Now       uint64
-	Truncated bool
-	Cause     uint8
-	Changes   []wireChange
-}
-
-func changeSetToWire(cs relstore.ChangeSet) wireChangeSet {
-	w := wireChangeSet{Table: cs.Table, Since: cs.Since, Now: cs.Now, Truncated: cs.Truncated, Cause: uint8(cs.Cause)}
-	for _, ch := range cs.Changes {
-		wc := wireChange{Ver: ch.Ver, Op: uint8(ch.Op)}
-		wc.Row = make([]wireValue, len(ch.Row))
-		for i, v := range ch.Row {
-			wc.Row[i] = toWire(v)
-		}
-		w.Changes = append(w.Changes, wc)
-	}
-	return w
-}
-
-func changeSetFromWire(w wireChangeSet) relstore.ChangeSet {
-	cs := relstore.ChangeSet{Table: w.Table, Since: w.Since, Now: w.Now, Truncated: w.Truncated, Cause: relstore.TruncateCause(w.Cause)}
-	for _, wc := range w.Changes {
-		ch := relstore.Change{Ver: wc.Ver, Op: relstore.ChangeOp(wc.Op)}
-		for _, wv := range wc.Row {
-			ch.Row = append(ch.Row, fromWire(wv))
-		}
-		cs.Changes = append(cs.Changes, ch)
-	}
-	return cs
+	return fmt.Sprintf("kind%d", uint8(k))
 }
 
 // wireAttr is one span attribute, stringified for the wire.
@@ -280,8 +151,8 @@ type request struct {
 	FromVersions map[string]uint64
 
 	SQL          string
-	Params       map[string]wireTable
-	ParamSchemas map[string][]string
+	Params       sqlmini.Params
+	ParamSchemas sqlmini.ParamSchemas
 	ParamCards   map[string]int
 	ResultName   string
 }
@@ -291,17 +162,17 @@ type response struct {
 	Proto int
 	Err   string
 
-	SchemaSpec []string
-	Card       int
-	Version    uint64
-	Versions   map[string]uint64
-	Deltas     wireChangeSet
+	Schema   relstore.Schema
+	Card     int
+	Version  uint64
+	Versions map[string]uint64
+	Deltas   relstore.ChangeSet
 
 	EstCost  float64
 	EstRows  float64
 	EstBytes float64
 
-	Result    wireTable
+	Result    sqlmini.Binding
 	EvalNanos int64
 
 	// Spans carries the server-side span forest of a traced request,
@@ -313,11 +184,6 @@ func (r *response) setError(err error) {
 	if err != nil {
 		r.Err = err.Error()
 	}
-}
-
-func registerGob() {
-	gob.Register(wireValue{})
-	gob.Register(wireTable{})
 }
 
 // handle executes one request against a local source. When the request
@@ -339,17 +205,16 @@ func handle(local *source.Local, req *request) *response {
 			resp.Spans = spansToWire(tr.Export(anchor))
 		}()
 	}
+	if err := checkProto(req.Proto); err != nil {
+		resp.setError(err)
+		return resp
+	}
 	switch req.Kind {
 	case reqPing:
 	case reqSchema:
 		schema, err := local.TableSchema(req.Table)
-		if err != nil {
-			resp.setError(err)
-			return resp
-		}
-		for _, c := range schema {
-			resp.SchemaSpec = append(resp.SchemaSpec, c.String())
-		}
+		resp.Schema = schema
+		resp.setError(err)
 	case reqCard:
 		n, err := local.TableCard(req.Table)
 		resp.Card = n
@@ -368,27 +233,15 @@ func handle(local *source.Local, req *request) *response {
 		resp.setError(err)
 	case reqChanges:
 		cs, err := local.ChangesSince(req.Table, req.Since)
-		if err != nil {
-			resp.setError(err)
-			return resp
-		}
-		resp.Deltas = changeSetToWire(cs)
+		resp.Deltas = cs
+		resp.setError(err)
 	case reqEstimate:
 		q, err := sqlmini.Parse(req.SQL)
 		if err != nil {
 			resp.setError(err)
 			return resp
 		}
-		params := make(sqlmini.ParamSchemas, len(req.ParamSchemas))
-		for name, spec := range req.ParamSchemas {
-			s, err := relstore.ParseSchema(spec)
-			if err != nil {
-				resp.setError(err)
-				return resp
-			}
-			params[name] = s
-		}
-		est, err := local.Estimate(ctx, q, params, sqlmini.PlanOptions{ParamCards: req.ParamCards})
+		est, err := local.Estimate(ctx, q, req.ParamSchemas, sqlmini.PlanOptions{ParamCards: req.ParamCards})
 		if err != nil {
 			resp.setError(err)
 			return resp
@@ -400,21 +253,20 @@ func handle(local *source.Local, req *request) *response {
 			resp.setError(err)
 			return resp
 		}
-		params := make(sqlmini.Params, len(req.Params))
-		for name, wt := range req.Params {
-			b, err := bindingFromWire(wt)
-			if err != nil {
-				resp.setError(err)
+		// Decoding checked each schema, not that the rows fit it; the
+		// executor indexes rows by schema position.
+		for name, b := range req.Params {
+			if err := b.Schema.ValidateRows(b.Rows); err != nil {
+				resp.setError(fmt.Errorf("remote: parameter table %s: %w", name, err))
 				return resp
 			}
-			params[name] = b
 		}
-		out, dur, err := local.Exec(ctx, req.ResultName, q, params, sqlmini.PlanOptions{ParamCards: req.ParamCards})
+		out, dur, err := local.Exec(ctx, req.ResultName, q, req.Params, sqlmini.PlanOptions{ParamCards: req.ParamCards})
 		if err != nil {
 			resp.setError(err)
 			return resp
 		}
-		resp.Result = tableToWire(out.Schema(), out.Rows())
+		resp.Result = sqlmini.TableBinding(out)
 		resp.EvalNanos = dur.Nanoseconds()
 	default:
 		resp.Err = fmt.Sprintf("remote: unknown request kind %d", req.Kind)

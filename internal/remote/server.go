@@ -36,7 +36,6 @@ func NewServer(db *relstore.Database) *Server {
 // returns the bound address. Serving happens on background goroutines
 // until Close.
 func (s *Server) Listen(addr string) (string, error) {
-	registerGob()
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
@@ -83,9 +82,10 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		if req.Kind == reqSubscribe {
+		if req.Kind == reqSubscribe && checkProto(req.Proto) == nil {
 			// The connection becomes a one-way push stream; the
 			// subscription loop owns it until the peer (or Close) ends it.
+			// A subscription of another version gets handle's refusal.
 			s.serveSubscription(enc, &req)
 			return
 		}

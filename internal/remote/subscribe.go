@@ -3,6 +3,7 @@ package remote
 import (
 	"encoding/gob"
 	"log/slog"
+	"maps"
 	"sort"
 	"time"
 
@@ -10,7 +11,7 @@ import (
 	"github.com/aigrepro/aig/internal/relstore"
 )
 
-// Delta subscriptions (protocol version 3). A client sends one
+// Delta subscriptions (since protocol version 3). A client sends one
 // reqSubscribe request carrying its per-table watermarks and the
 // connection flips into a one-way push stream: the server answers with a
 // subHello, then keeps the subscriber at the head of the change logs by
@@ -71,26 +72,18 @@ const (
 	subHeartbeat
 )
 
+var subKindNames = [...]string{
+	subHello: "hello", subCatchupBegin: "catchup_begin", subSnapshotTable: "snapshot_table",
+	subSnapshotRows: "snapshot_rows", subCatchupEnd: "catchup_end", subDeltas: "deltas",
+	subHeartbeat: "heartbeat",
+}
+
 // String names the frame kind for logs.
 func (k subKind) String() string {
-	switch k {
-	case subHello:
-		return "hello"
-	case subCatchupBegin:
-		return "catchup_begin"
-	case subSnapshotTable:
-		return "snapshot_table"
-	case subSnapshotRows:
-		return "snapshot_rows"
-	case subCatchupEnd:
-		return "catchup_end"
-	case subDeltas:
-		return "deltas"
-	case subHeartbeat:
-		return "heartbeat"
-	default:
-		return "unknown"
+	if int(k) < len(subKindNames) {
+		return subKindNames[k]
 	}
+	return "unknown"
 }
 
 // subMessage is one server->subscriber frame. Which fields are set
@@ -100,19 +93,19 @@ type subMessage struct {
 	Proto int
 	Kind  subKind
 
-	// Cause (subCatchupBegin): the relstore.TruncateCause forcing the
-	// snapshot, TruncateNone for an initial sync.
-	Cause uint8
+	// Cause (subCatchupBegin): the truncation forcing the snapshot,
+	// TruncateNone for an initial sync.
+	Cause relstore.TruncateCause
 
 	// Table/Schema/Version/Rows (subSnapshotTable, subSnapshotRows):
 	// one table's snapshot, chunked.
 	Table   string
-	Schema  []string
+	Schema  relstore.Schema
 	Version uint64
-	Rows    [][]wireValue
+	Rows    []relstore.Tuple
 
 	// Sets (subDeltas): one ChangesSince answer per mutated table.
-	Sets []wireChangeSet
+	Sets []relstore.ChangeSet
 
 	// Versions: per-table watermarks (meaning depends on Kind).
 	Versions map[string]uint64
@@ -148,15 +141,8 @@ func (s *Server) heartbeatEvery() time.Duration {
 func (s *Server) serveSubscription(enc *gob.Encoder, req *request) {
 	metricSubSessions.Inc()
 	db := s.local.DB()
-	marks := make(map[string]uint64, len(req.FromVersions))
-	for k, v := range req.FromVersions {
-		marks[k] = v
-	}
-	send := func(m *subMessage) error {
-		m.Proto = protoVersion
-		return enc.Encode(m)
-	}
-	if send(&subMessage{Kind: subHello, Versions: db.TableVersions()}) != nil {
+	marks := maps.Clone(req.FromVersions)
+	if sendFrame(enc, &subMessage{Kind: subHello, Versions: db.TableVersions()}) != nil {
 		return
 	}
 	ticker := time.NewTicker(s.heartbeatEvery())
@@ -181,7 +167,7 @@ func (s *Server) serveSubscription(enc *gob.Encoder, req *request) {
 		}
 		if len(sets) > 0 {
 			metricSubDeltaSets.Add(int64(len(sets)))
-			if send(&subMessage{Kind: subDeltas, Sets: sets, Versions: copyVersions(marks)}) != nil {
+			if sendFrame(enc, &subMessage{Kind: subDeltas, Sets: sets, Versions: maps.Clone(marks)}) != nil {
 				return
 			}
 			continue
@@ -190,7 +176,7 @@ func (s *Server) serveSubscription(enc *gob.Encoder, req *request) {
 		case <-sig:
 		case <-ticker.C:
 			metricSubHeartbeats.Inc()
-			if send(&subMessage{Kind: subHeartbeat, Versions: copyVersions(marks)}) != nil {
+			if sendFrame(enc, &subMessage{Kind: subHeartbeat, Versions: maps.Clone(marks)}) != nil {
 				return
 			}
 		}
@@ -202,7 +188,7 @@ func (s *Server) serveSubscription(enc *gob.Encoder, req *request) {
 // path cannot cover the gap — a log truncated (cause says why), a table
 // the subscriber has was dropped, or a table it lacks appeared — and the
 // session must fall back to a catch-up snapshot.
-func gatherDeltas(db *relstore.Database, marks map[string]uint64) (sets []wireChangeSet, cause relstore.TruncateCause, ok bool) {
+func gatherDeltas(db *relstore.Database, marks map[string]uint64) (sets []relstore.ChangeSet, cause relstore.TruncateCause, ok bool) {
 	current := db.TableVersions()
 	for name := range marks {
 		if _, there := current[name]; !there {
@@ -229,7 +215,7 @@ func gatherDeltas(db *relstore.Database, marks map[string]uint64) (sets []wireCh
 		if cs.Truncated {
 			return nil, cs.Cause, false
 		}
-		sets = append(sets, changeSetToWire(cs))
+		sets = append(sets, cs)
 		marks[name] = cs.Now
 	}
 	return sets, relstore.TruncateNone, true
@@ -241,59 +227,34 @@ func sendCatchup(enc *gob.Encoder, db *relstore.Database, cause relstore.Truncat
 	metricSubCatchups.Inc()
 	slog.Debug("remote: streaming catch-up snapshot", "db", db.Name(), "cause", cause.String())
 	snaps, dbv, consistent := db.CaptureSnapshot(snapshotAttempts)
-	send := func(m *subMessage) error {
-		m.Proto = protoVersion
-		return enc.Encode(m)
-	}
-	if err := send(&subMessage{Kind: subCatchupBegin, Cause: uint8(cause)}); err != nil {
+	if err := sendFrame(enc, &subMessage{Kind: subCatchupBegin, Cause: cause}); err != nil {
 		return nil, err
 	}
 	marks := make(map[string]uint64, len(snaps))
 	for _, ts := range snaps {
-		spec := make([]string, len(ts.Schema))
-		for i, col := range ts.Schema {
-			spec[i] = col.String()
-		}
 		rows := ts.Rows
-		first := true
-		for {
-			n := len(rows)
-			if n > snapshotChunkRows {
-				n = snapshotChunkRows
-			}
-			chunk := make([][]wireValue, n)
-			for i, row := range rows[:n] {
-				wr := make([]wireValue, len(row))
-				for j, v := range row {
-					wr[j] = toWire(v)
-				}
-				chunk[i] = wr
-			}
-			rows = rows[n:]
-			msg := &subMessage{Kind: subSnapshotRows, Table: ts.Name, Rows: chunk}
+		for first := true; first || len(rows) > 0; first = false {
+			n := min(len(rows), snapshotChunkRows)
+			msg := &subMessage{Kind: subSnapshotRows, Table: ts.Name, Rows: rows[:n]}
 			if first {
 				msg.Kind = subSnapshotTable
-				msg.Schema = spec
+				msg.Schema = ts.Schema
 				msg.Version = ts.Version
 			}
-			if err := send(msg); err != nil {
+			if err := sendFrame(enc, msg); err != nil {
 				return nil, err
 			}
-			first = false
-			if len(rows) == 0 {
-				break
-			}
+			rows = rows[n:]
 		}
 		marks[ts.Name] = ts.Version
 	}
-	err := send(&subMessage{Kind: subCatchupEnd, Versions: copyVersions(marks), DBVersion: dbv, Consistent: consistent})
+	err := sendFrame(enc, &subMessage{Kind: subCatchupEnd, Versions: maps.Clone(marks), DBVersion: dbv, Consistent: consistent})
 	return marks, err
 }
 
-func copyVersions(in map[string]uint64) map[string]uint64 {
-	out := make(map[string]uint64, len(in))
-	for k, v := range in {
-		out[k] = v
-	}
-	return out
+// sendFrame stamps a frame with this build's protocol version and pushes
+// it.
+func sendFrame(enc *gob.Encoder, m *subMessage) error {
+	m.Proto = protoVersion
+	return enc.Encode(m)
 }

@@ -32,7 +32,7 @@ func stallingServer(t *testing.T, answered int) string {
 			if dec.Decode(&req) != nil {
 				return
 			}
-			if enc.Encode(&response{Card: 1}) != nil {
+			if enc.Encode(&response{Proto: protoVersion, Card: 1}) != nil {
 				return
 			}
 		}
