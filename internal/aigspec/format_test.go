@@ -115,3 +115,32 @@ func TestFormatRejectsChains(t *testing.T) {
 		t.Errorf("chains serialized without error: %v", err)
 	}
 }
+
+// A content model with +, ? or a nested group formats as declared: the
+// entity types the DTD's simplification introduces never reach the
+// text, which reparses and formats to itself.
+func TestFormatKeepsDeclaredContentModels(t *testing.T) {
+	for _, text := range []string{
+		"dtd\n  <!ELEMENT r (a+)>\n  <!ELEMENT a (#PCDATA)>\nend\n",
+		"dtd\n<!ELEMENT0(0)+> \nend",
+	} {
+		a, err := Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := Format(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(out, "#1") {
+			t.Errorf("formatted text names an entity type:\n%s", out)
+		}
+		back, err := Parse(out)
+		if err != nil {
+			t.Fatalf("formatted text does not reparse: %v\n%s", err, out)
+		}
+		if again, err := Format(back); err != nil || again != out {
+			t.Errorf("formatting is not a fixed point (%v):\n%s\nvs\n%s", err, out, again)
+		}
+	}
+}

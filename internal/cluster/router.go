@@ -433,7 +433,14 @@ func (rt *Router) forward(r *http.Request, rep *replica, body []byte, deadline t
 	if err != nil {
 		return nil, fmt.Errorf("reading response: %w", err)
 	}
-	return &bufferedResponse{status: resp.StatusCode, header: resp.Header.Clone(), body: rb}, nil
+	// The router writes whole bodies, so a trailer the replica sent (a
+	// streamed fragment's match count) arrives as a header, the way a
+	// cached fragment's does.
+	header := resp.Header.Clone()
+	for k, vs := range resp.Trailer {
+		header[k] = vs
+	}
+	return &bufferedResponse{status: resp.StatusCode, header: header, body: rb}, nil
 }
 
 // handleHealth answers for the fleet: 200 while at least one replica

@@ -319,3 +319,27 @@ func TestRouterPassesTraceparentAndBody(t *testing.T) {
 		t.Fatalf("request body did not pass through: %s", body)
 	}
 }
+
+// A trailer the replica sends — a streamed fragment's match count —
+// reaches the client as a header: the router writes whole bodies.
+func TestRouterPassesTrailerAsHeader(t *testing.T) {
+	stub := &echoReplica{name: "trailer", server: httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			fmt.Fprintln(w, "ok")
+			return
+		}
+		w.Header().Set("Trailer", "X-Aig-Fragment-Matches")
+		fmt.Fprint(w, "<SSN>1</SSN><SSN>2</SSN><SSN>3</SSN>")
+		w.Header().Set("X-Aig-Fragment-Matches", "3")
+	}))}
+	t.Cleanup(stub.server.Close)
+	_, ts, _ := testRouter(t, RouterConfig{}, stub)
+
+	resp, body := get(t, ts.URL+"/views/report/fragment?date=d1&path=//patient/SSN")
+	if got := resp.Header.Get("X-Aig-Fragment-Matches"); got != "3" {
+		t.Fatalf("match count header %q (trailer %v), want 3", got, resp.Trailer)
+	}
+	if body != "<SSN>1</SSN><SSN>2</SSN><SSN>3</SSN>" {
+		t.Fatalf("body %q", body)
+	}
+}

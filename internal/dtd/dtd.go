@@ -15,6 +15,7 @@ package dtd
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -90,6 +91,12 @@ type DTD struct {
 	// position of the element whose content model spawned them.
 	// Programmatically built DTDs leave it empty.
 	Pos map[string]srcpos.Pos
+	// Decl holds each declared element's general content model as the
+	// source DTD text wrote it, when the DTD came from a parser. Define
+	// drops an element's entry, which then no longer describes its
+	// production. String prints declared elements from it, so the text of
+	// a parsed DTD names no entity type.
+	Decl map[string]Regex
 }
 
 // New creates an empty DTD with the given root type. Productions are added
@@ -106,6 +113,7 @@ func New(root string) *DTD {
 // Define sets the production of an element type.
 func (d *DTD) Define(name string, p Production) {
 	d.Prods[name] = p
+	delete(d.Decl, name)
 }
 
 // DefineText declares A -> S.
@@ -193,15 +201,21 @@ func (d *DTD) Clone() *DTD {
 	for n, p := range d.Pos {
 		out.Pos[n] = p
 	}
+	out.Decl = maps.Clone(d.Decl)
 	return out
 }
 
 // String renders the DTD as element declarations in deterministic order,
-// root first.
+// root first. A declared element is written with its content model as
+// declared; a parsed DTD's entity types are then implied and omitted.
 func (d *DTD) String() string {
 	var b strings.Builder
 	write := func(name string) {
-		fmt.Fprintf(&b, "<!ELEMENT %s %s>\n", name, d.Prods[name].String())
+		if r, ok := d.Decl[name]; ok {
+			fmt.Fprintf(&b, "<!ELEMENT %s %s>\n", name, contentString(r))
+		} else if len(d.Decl) == 0 || !d.Entities[name] {
+			fmt.Fprintf(&b, "<!ELEMENT %s %s>\n", name, d.Prods[name].String())
+		}
 	}
 	if _, ok := d.Prods[d.Root]; ok {
 		write(d.Root)

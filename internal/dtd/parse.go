@@ -268,11 +268,17 @@ func (p *contentParser) applySuffix(r Regex) Regex {
 func (g *General) String() string {
 	var b strings.Builder
 	for _, name := range g.Order {
-		content := g.Content[name].String()
-		if _, isEmpty := g.Content[name].(REmpty); !isEmpty && !strings.HasPrefix(content, "(") {
-			content = "(" + content + ")"
-		}
-		fmt.Fprintf(&b, "<!ELEMENT %s %s>\n", name, content)
+		fmt.Fprintf(&b, "<!ELEMENT %s %s>\n", name, contentString(g.Content[name]))
 	}
 	return b.String()
+}
+
+// contentString renders a content model as an <!ELEMENT> declaration
+// writes it: parenthesized unless EMPTY or already a group.
+func contentString(r Regex) string {
+	content := r.String()
+	if _, isEmpty := r.(REmpty); !isEmpty && !strings.HasPrefix(content, "(") {
+		content = "(" + content + ")"
+	}
+	return content
 }

@@ -2,6 +2,7 @@ package dtd
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 )
 
@@ -37,6 +38,7 @@ func Simplify(g *General) (*DTD, error) {
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("dtd: simplification produced invalid DTD: %v", err)
 	}
+	d.Decl = maps.Clone(g.Content)
 	return d, nil
 }
 

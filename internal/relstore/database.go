@@ -27,10 +27,9 @@ type Database struct {
 	tables map[string]*Table
 
 	// persist, when set, marks the database as journaled: its table set
-	// is then fixed (AddTable and DropTable refuse), and registered
-	// tables journal their row writes through their own pointers.
-	// Atomic so the unpersisted fast path is a nil check without the
-	// database lock.
+	// is then fixed (AddTable and DropTable refuse), and its tables
+	// journal their row writes through it. Atomic so the unpersisted
+	// fast path is a nil check without the database lock.
 	persist atomic.Pointer[Persister]
 
 	// sig wakes ChangeSignal waiters (delta-subscription fan-out, the
@@ -50,34 +49,21 @@ func (db *Database) Name() string { return db.name }
 // increases on every mutating operation and never on reads.
 func (db *Database) Version() uint64 { return db.version.Load() }
 
-// attach wires the persister into the database and every registered
-// table. Called with the gate held, on a quiescent database.
-func (db *Database) attach(p *Persister) {
-	db.mu.Lock()
-	for _, t := range db.tables {
-		t.p.Store(p)
+// begin and end bracket a write to one of the database's tables: the
+// version is odd while data may be in flux and even again once the write
+// is fully visible. A nil database (an unregistered or retired table)
+// brackets nothing.
+func (db *Database) begin() {
+	if db != nil {
+		db.version.Add(1)
 	}
-	db.mu.Unlock()
-	db.persist.Store(p)
 }
 
-// detach reverts the database to plain in-memory operation.
-func (db *Database) detach(p *Persister) {
-	db.persist.CompareAndSwap(p, nil)
-	db.mu.Lock()
-	for _, t := range db.tables {
-		t.p.CompareAndSwap(p, nil)
+func (db *Database) end() {
+	if db != nil {
+		db.version.Add(1)
+		db.notifyChanged()
 	}
-	db.mu.Unlock()
-}
-
-// beginMutation and endMutation bracket a registered table's mutation:
-// odd while data may be in flux, even again once the mutation is fully
-// visible.
-func (db *Database) beginMutation() { db.version.Add(1) }
-func (db *Database) endMutation() {
-	db.version.Add(1)
-	db.notifyChanged()
 }
 
 // Quiesced reports whether no registered-table mutation is in flight
@@ -95,25 +81,44 @@ func (db *Database) refuseIfPersisted(op string) {
 	}
 }
 
-// AddTable registers a table. It replaces any existing table with the
-// same name. The table is hooked so that its future mutations bump the
-// database's data version. When a table is replaced, the newcomer's
-// version is advanced past the predecessor's and its change log reset,
-// so the version sequence observed under one table name stays monotonic
-// and replacement shows up as a truncated delta window (full refresh).
-// It panics on a persisted database.
+// register makes db the owner of t under t's name and returns the table
+// it replaced, retired: that table's later writes move and wake nothing.
+// Re-registering a table with its owner replaces nothing, and a table
+// another database owns panics — a table's writes bracket and journal
+// through exactly one database.
+func (db *Database) register(t *Table) (prev *Table) {
+	if owner := t.db.Load(); owner != db && !t.db.CompareAndSwap(nil, db) {
+		panic(fmt.Sprintf("relstore: table %q of database %q added to database %q", t.name, owner.name, db.name))
+	}
+	db.mu.Lock()
+	prev = db.tables[t.name]
+	db.tables[t.name] = t
+	db.mu.Unlock()
+	if prev == nil || prev == t {
+		return nil
+	}
+	prev.db.CompareAndSwap(db, nil)
+	return prev
+}
+
+// AddTable registers a table, replacing and retiring any existing table
+// with the same name; re-adding a registered table changes nothing. The
+// table's future writes bump the database's data version. When a table
+// is replaced, the newcomer's version is advanced past the predecessor's
+// and its change log reset, so the version sequence observed under one
+// table name stays monotonic and replacement shows up as a truncated
+// delta window (full refresh). It panics on a persisted database and on
+// a table another database owns.
 func (db *Database) AddTable(t *Table) {
 	db.refuseIfPersisted("AddTable")
-	db.mu.Lock()
-	prev := db.tables[t.Name()]
-	db.tables[t.Name()] = t
-	db.mu.Unlock()
-	if prev != nil && prev != t {
+	if t.db.Load() == db {
+		return
+	}
+	if prev := db.register(t); prev != nil {
 		t.resetLogPast(prev.Version())
 	}
-	t.hookMutations(db.beginMutation, db.endMutation)
-	db.version.Add(2)
-	db.notifyChanged()
+	db.begin()
+	db.end()
 }
 
 // CreateTable creates, registers and returns an empty table. It panics
@@ -125,17 +130,18 @@ func (db *Database) CreateTable(name string, schema Schema) *Table {
 	return t
 }
 
-// DropTable removes the named table if present. It panics on a
-// persisted database.
+// DropTable removes and retires the named table if present. It panics on
+// a persisted database.
 func (db *Database) DropTable(name string) {
 	db.refuseIfPersisted("DropTable")
 	db.mu.Lock()
-	_, present := db.tables[name]
+	t, present := db.tables[name]
 	delete(db.tables, name)
 	db.mu.Unlock()
 	if present {
-		db.version.Add(2)
-		db.notifyChanged()
+		t.db.CompareAndSwap(db, nil)
+		db.begin()
+		db.end()
 	}
 }
 
@@ -195,7 +201,7 @@ func (db *Database) ChangesSince(table string, since uint64) (ChangeSet, error) 
 }
 
 // Clone returns a deep copy of the database. The copy starts at data
-// version zero with its tables hooked to bump the copy, not the
+// version zero and owns its tables, whose writes bump the copy, not the
 // original.
 func (db *Database) Clone() *Database {
 	out := NewDatabase(db.name)
@@ -206,8 +212,7 @@ func (db *Database) Clone() *Database {
 	}
 	db.mu.RUnlock()
 	for _, t := range clones {
-		out.tables[t.Name()] = t
-		t.hookMutations(out.beginMutation, out.endMutation)
+		out.register(t)
 	}
 	return out
 }

@@ -128,7 +128,7 @@ func (db *Database) Persist(opts PersistOptions) (*Persister, error) {
 	if err := p.snapshotLocked(); err != nil {
 		return nil, err
 	}
-	db.attach(p)
+	db.persist.Store(p)
 	return p, nil
 }
 
@@ -357,6 +357,6 @@ func (p *Persister) Close() error {
 		}
 		p.wal = nil
 	}
-	p.db.detach(p)
+	p.db.persist.CompareAndSwap(p, nil)
 	return err
 }

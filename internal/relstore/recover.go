@@ -54,8 +54,8 @@ func Recover(name string, opts PersistOptions) (*Database, *Persister, error) {
 	}
 
 	// Replaying through the public mutation methods advanced the version
-	// via the seqlock hooks; overwrite with the exact pre-crash value
-	// (snapshot cut plus two per replayed record).
+	// through the tables' owner brackets; overwrite with the exact
+	// pre-crash value (snapshot cut plus two per replayed record).
 	db.version.Store(dbVer)
 
 	p := &Persister{db: db, fs: fs, mode: opts.Fsync, snapEvery: opts.snapEvery()}
@@ -85,7 +85,7 @@ func Recover(name string, opts PersistOptions) (*Database, *Persister, error) {
 		}
 		p.wal = f
 	}
-	db.attach(p)
+	db.persist.Store(p)
 	metricRecoveries.Inc()
 	return db, p, nil
 }
@@ -178,8 +178,8 @@ func replayWAL(db *Database, fs FS, name string, snapSeq uint64, seq, dbVer *uin
 }
 
 // applyRecord replays one journaled row write against the recovering
-// database. Tables have no persister attached yet, so replay does not
-// re-journal. Deterministic re-execution (deletes by recorded positions)
+// database. The database has no persister attached yet, so replay does
+// not re-journal. Deterministic re-execution (deletes by recorded positions)
 // reproduces the original's rows, versions and change-log entries
 // exactly, which the version cross-check enforces.
 func applyRecord(db *Database, rec *walRecord) error {

@@ -3,6 +3,7 @@ package relstore
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -147,12 +148,9 @@ func (db *Database) InstallSnapshotTable(t *Table) error {
 	if db.persist.Load() != nil {
 		return fmt.Errorf("relstore: InstallSnapshotTable on persisted database %q unsupported", db.name)
 	}
-	db.mu.Lock()
-	db.tables[t.Name()] = t
-	db.mu.Unlock()
-	t.hookMutations(db.beginMutation, db.endMutation)
-	db.version.Add(2)
-	db.notifyChanged()
+	db.register(t)
+	db.begin()
+	db.end()
 	return nil
 }
 
@@ -169,7 +167,8 @@ func (t *Table) ApplyChanges(cs ChangeSet) (int, error) {
 	if cs.Truncated {
 		return 0, cs.TruncationError()
 	}
-	if t.p.Load() != nil {
+	db, p := t.owner()
+	if p != nil {
 		return 0, fmt.Errorf("relstore: ApplyChanges on journaled table %q unsupported", t.name)
 	}
 	t.mu.Lock()
@@ -183,8 +182,11 @@ func (t *Table) ApplyChanges(cs ChangeSet) (int, error) {
 		return 0, fmt.Errorf("relstore: delta gap on %q: window starts at %d, mirror is at %d",
 			t.name, cs.Since, start)
 	}
-	t.beginMutateLocked()
+	db.begin()
 	applied, lastVer := 0, start
+	// The published snapshot may alias buf, so the first delete of the
+	// window copies it once; later deletes shift the private copy.
+	private := false
 	var failure error
 	for _, ch := range cs.Changes {
 		if ch.Ver <= start {
@@ -198,23 +200,17 @@ func (t *Table) ApplyChanges(cs ChangeSet) (int, error) {
 				t.buf = append(t.buf, ch.Row)
 			}
 		case ChangeDelete:
-			pos := -1
-			key := ch.Row.Key()
-			for i := len(t.buf) - 1; i >= 0; i-- {
-				if t.buf[i].Key() == key {
-					pos = i
-					break
-				}
+			pos := len(t.buf) - 1
+			for pos >= 0 && !t.buf[pos].Equal(ch.Row) {
+				pos--
 			}
 			if pos < 0 {
 				failure = fmt.Errorf("relstore: replicated delete from %q: row %s not present", t.name, ch.Row)
 			} else {
-				// The published prefix may alias buf, so removal copies
-				// instead of shifting in place.
-				next := make([]Tuple, 0, len(t.buf)-1)
-				next = append(next, t.buf[:pos]...)
-				next = append(next, t.buf[pos+1:]...)
-				t.buf = next
+				if !private {
+					t.buf, private = slices.Clone(t.buf), true
+				}
+				t.buf = slices.Delete(t.buf, pos, pos+1)
 			}
 		default:
 			failure = fmt.Errorf("relstore: replicated change op %d on %q unknown", ch.Op, t.name)
@@ -232,6 +228,6 @@ func (t *Table) ApplyChanges(cs ChangeSet) (int, error) {
 	t.publishLocked()
 	t.version.Store(lastVer)
 	t.mu.Unlock()
-	t.mutated()
+	db.end()
 	return applied, failure
 }

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -212,5 +213,38 @@ func TestApplyChangesAdvancesEmptyWindows(t *testing.T) {
 	}
 	if mirror.Version() != base+1 {
 		t.Fatalf("empty window did not advance mirror: v%d, want v%d", mirror.Version(), base+1)
+	}
+}
+
+// TestApplyChangesDeleteAllocs: a mirror window's deletes cost the same
+// allocations on a 10,000-row table as on a 100-row one — rows match by
+// Tuple.Equal, and the buffer is copied once per window, not per delete.
+func TestApplyChangesDeleteAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		tab := NewDatabase("M").CreateTable("t", replicaSchema(t))
+		for i := 0; i < n; i++ {
+			// Keys past 32 bytes: a string key compared per row cannot
+			// be built in a stack buffer, so a key scan allocates.
+			tab.MustInsert(Tuple{String(fmt.Sprintf("patient-%06d-of-the-mirrored-ward", i)), Int(int64(i))})
+		}
+		// Each window deletes the 10 front rows — the far end of the
+		// backward scan — and appends them again, so every run deletes
+		// rows n-10 positions from the end.
+		changes := make([]Change, 20)
+		return testing.AllocsPerRun(20, func() {
+			v := tab.Version()
+			front := tab.Rows()[:10]
+			for i, row := range front {
+				changes[i] = Change{Ver: v + 1, Op: ChangeDelete, Row: row}
+				changes[10+i] = Change{Ver: v + 1, Op: ChangeInsert, Row: row}
+			}
+			if _, err := tab.ApplyChanges(ChangeSet{Table: "t", Since: v, Now: v + 1, Changes: changes}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, big := allocs(100), allocs(10000)
+	if big > small+2 {
+		t.Fatalf("a 10-delete window costs %.0f allocs on 10,000 rows and %.0f on 100: the cost grows with the table", big, small)
 	}
 }

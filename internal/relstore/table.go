@@ -41,19 +41,13 @@ type Table struct {
 	indexes  map[string]*HashIndex
 	distinct map[int]int // column -> number of distinct values
 	log      changeLog
-	// onBegin fires before a mutation publishes any data, onMutate after
-	// the mutation is fully visible. Databases hook registered tables
-	// here so the database's seqlock-style data version goes odd for the
-	// duration of the write and lands even past it — the bracket version
-	// caches use to recognize consistent snapshots.
-	onBegin  []func()
-	onMutate []func()
 
-	// p, when set, is the durability layer of the owning database: each
-	// mutation then takes the persister's gate before the table mutex,
-	// journals a WAL record, and only applies if the append succeeds.
-	// Read atomically so the unpersisted fast path costs one nil check.
-	p atomic.Pointer[Persister]
+	// db is the table's owner: the database it is registered in, nil
+	// before registration and once retired (dropped or replaced). Every
+	// write opens the owner's version bracket under mu, closes it after
+	// unlocking, and journals through the owner's persister first, so a
+	// table's writes move exactly one database.
+	db atomic.Pointer[Database]
 }
 
 // HashIndex maps the Tuple.KeyOn of a column list to row positions in the
@@ -185,8 +179,8 @@ func (t *Table) Version() uint64 { return t.version.Load() }
 // refreshes. The limit shapes future log state, so a persisted table
 // refuses with a panic: set it before Persist, and the snapshot keeps it.
 func (t *Table) SetChangeLogLimit(n int) {
-	if p := t.p.Load(); p != nil {
-		panic(fmt.Sprintf("relstore: SetChangeLogLimit on table %q of persisted database %q: set the limit before persisting", t.name, p.db.name))
+	if db, p := t.owner(); p != nil {
+		panic(fmt.Sprintf("relstore: SetChangeLogLimit on table %q of persisted database %q: set the limit before persisting", t.name, db.name))
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -213,7 +207,7 @@ func (t *Table) ChangesSince(since uint64) ChangeSet {
 	return t.log.sinceLocked(t.name, since, t.version.Load())
 }
 
-// resetLogPastLocked is used when this table replaces another under the
+// resetLogPast is used when this table replaces another under the
 // same name: its version jumps past the predecessor's so the sequence
 // observed by name stays monotonic, and the log resets because already
 // logged deltas carry stale version numbers.
@@ -226,31 +220,14 @@ func (t *Table) resetLogPast(prev uint64) {
 	t.log.resetLocked(t.version.Load(), TruncateReset)
 }
 
-// hookMutations registers a (begin, end) callback pair bracketing every
-// mutation.
-func (t *Table) hookMutations(begin, end func()) {
-	t.mu.Lock()
-	t.onBegin = append(t.onBegin, begin)
-	t.onMutate = append(t.onMutate, end)
-	t.mu.Unlock()
-}
-
-// beginMutateLocked runs the begin callbacks. Writers call it under the
-// table lock, before publishing any data.
-func (t *Table) beginMutateLocked() {
-	for _, fn := range t.onBegin {
-		fn()
+// owner returns the table's database and that database's persister;
+// either may be nil.
+func (t *Table) owner() (*Database, *Persister) {
+	db := t.db.Load()
+	if db == nil {
+		return nil, nil
 	}
-}
-
-// mutated runs the end-of-mutation callbacks outside the table lock.
-func (t *Table) mutated() {
-	t.mu.Lock()
-	fns := t.onMutate
-	t.mu.Unlock()
-	for _, fn := range fns {
-		fn()
-	}
+	return db, db.persist.Load()
 }
 
 // Insert appends a tuple after validating it against the schema.
@@ -258,7 +235,8 @@ func (t *Table) Insert(row Tuple) error {
 	if err := t.schema.Validate(row); err != nil {
 		return fmt.Errorf("table %q: %v", t.name, err)
 	}
-	if p := t.p.Load(); p != nil {
+	db, p := t.owner()
+	if p != nil {
 		p.gate.Lock()
 		defer p.gate.Unlock()
 		if err := p.append(&walRecord{Kind: recInsert, Table: t.name,
@@ -267,14 +245,14 @@ func (t *Table) Insert(row Tuple) error {
 		}
 	}
 	t.mu.Lock()
-	t.beginMutateLocked()
+	db.begin()
 	t.buf = append(t.buf, row)
 	t.publishLocked()
 	ver := t.version.Add(1)
 	t.log.appendLocked(Change{Ver: ver, Op: ChangeInsert, Row: row})
 	t.mu.Unlock()
 	metricInserts.Inc()
-	t.mutated()
+	db.end()
 	return nil
 }
 
@@ -326,7 +304,7 @@ func (t *Table) InsertValues(vals ...any) error {
 // the journal refuses the record nothing is removed and the error is
 // returned.
 func (t *Table) DeleteWhere(match func(Tuple) bool) (int, error) {
-	if p := t.p.Load(); p != nil {
+	if _, p := t.owner(); p != nil {
 		p.gate.Lock()
 		defer p.gate.Unlock()
 		// Predicates cannot be journaled; the matched positions can. The
@@ -360,8 +338,9 @@ func matching(rows []Tuple, match func(Tuple) bool) []int {
 
 // deleteIndices removes the rows at the given ascending positions,
 // logging every removal under one new version — the core of DeleteWhere
-// and of its WAL replay. The caller holds t.mu; deleteIndices releases
-// it. No positions is no mutation.
+// and of its WAL replay — inside the owner's bracket. The caller holds
+// t.mu (and the owner's gate when it is persisted); deleteIndices
+// releases t.mu. No positions is no mutation.
 func (t *Table) deleteIndices(idx []int) int {
 	if len(idx) == 0 {
 		t.mu.Unlock()
@@ -378,7 +357,8 @@ func (t *Table) deleteIndices(idx []int) int {
 			next = append(next, row)
 		}
 	}
-	t.beginMutateLocked()
+	db := t.db.Load()
+	db.begin()
 	t.buf = next
 	t.publishLocked()
 	ver := t.version.Add(1)
@@ -387,7 +367,7 @@ func (t *Table) deleteIndices(idx []int) int {
 	}
 	t.mu.Unlock()
 	metricDeletes.Add(int64(len(removed)))
-	t.mutated()
+	db.end()
 	return len(removed)
 }
 

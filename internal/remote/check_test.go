@@ -162,3 +162,19 @@ func TestMirrorRefusesOtherProtocolVersion(t *testing.T) {
 	defer m.Close()
 	waitUnhealthy(t, m, "version 3")
 }
+
+// A heartbeat whose watermark echo names a table version the mirror
+// does not hold ends the session with the drift error, and Healthy
+// reports it. Heartbeats without watermarks, or with ones the mirror
+// matches, pass.
+func TestMirrorEndsSessionOnWatermarkDrift(t *testing.T) {
+	addr := stubOrigin(t,
+		subMessage{Proto: protoVersion, Kind: subHello},
+		subMessage{Proto: protoVersion, Kind: subHeartbeat},
+		subMessage{Proto: protoVersion, Kind: subHeartbeat, Versions: map[string]uint64{"visit": 0}},
+		subMessage{Proto: protoVersion, Kind: subHeartbeat, Versions: map[string]uint64{"visit": 3}},
+	)
+	m := OpenMirror("DB1", addr, MirrorOptions{ReconnectMin: 10 * time.Millisecond})
+	defer m.Close()
+	waitUnhealthy(t, m, `watermark drift on "visit" (origin 3, mirror 0)`)
+}

@@ -17,7 +17,7 @@ type cacheEntry struct {
 	evalSec float64
 	created time.Time
 
-	view   string
+	v      *View // the registration that filled it
 	params map[string]string
 	// stamp is the per-source data-version stamp the entry was
 	// materialized under: the body equals a from-scratch evaluation at

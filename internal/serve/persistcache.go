@@ -21,8 +21,12 @@ import (
 //     the window irrelevant for the entry's binding → install restamped
 //     (a "revalidated" entry: still no re-evaluation, and never stale —
 //     the proof is the same one the background refresher relies on);
-//   - anything else (view gone, judge can't prove, truncated window) →
-//     drop. Serving a possibly-stale body is never an option.
+//   - anything else (view gone or its grammar edited, judge can't
+//     prove, truncated window) → drop. Serving a possibly-stale body is
+//     never an option.
+//
+// An installed entry goes under the key of the target it resolves to in
+// the live view registration; the dump keeps no key.
 //
 // The dump is written atomically (temp file + rename), so a crash
 // mid-save leaves the previous dump intact; a missing or corrupt dump
@@ -36,14 +40,16 @@ const cacheDumpMagic = "AIGCACHE1"
 
 // persistedEntry is the gob form of one cache entry.
 type persistedEntry struct {
-	View      string
-	KeyPrefix string
-	Stamp     string
-	Params    map[string]string
-	TableVers map[string]map[string]uint64
-	Body      []byte
-	Depth     int
-	EvalSec   float64
+	View string
+	// Fingerprint is the view's grammar fingerprint at save time; an
+	// entry without one, or with another than the live view's, drops.
+	Fingerprint string
+	Stamp       string
+	Params      map[string]string
+	TableVers   map[string]map[string]uint64
+	Body        []byte
+	Depth       int
+	EvalSec     float64
 	// Path and Matches carry fragment provenance ("" / 0 for full
 	// documents); gob decodes their absence in older dumps as zero.
 	Path    string
@@ -69,8 +75,8 @@ func (s *Server) SaveCache(dir string) error {
 	for _, it := range s.cache.Snapshot() {
 		e := it.entry
 		dump.Entries = append(dump.Entries, persistedEntry{
-			View:            e.view,
-			KeyPrefix:       it.key,
+			View:            e.v.name,
+			Fingerprint:     e.v.fingerprint,
 			Stamp:           e.stamp,
 			Params:          e.params,
 			TableVers:       e.tableVers,
@@ -123,18 +129,6 @@ func (s *Server) LoadCache(dir string) (int, error) {
 	installed := 0
 	states := make(map[string]viewState)
 	for _, pe := range dump.Entries {
-		e := &cacheEntry{
-			body:      pe.Body,
-			depth:     pe.Depth,
-			evalSec:   pe.EvalSec,
-			created:   time.Unix(0, pe.CreatedUnixNano),
-			view:      pe.View,
-			params:    pe.Params,
-			stamp:     pe.Stamp,
-			tableVers: pe.TableVers,
-			path:      pe.Path,
-			matches:   pe.Matches,
-		}
 		st, seen := states[pe.View]
 		if !seen {
 			if v := s.View(pe.View); v != nil {
@@ -142,9 +136,21 @@ func (s *Server) LoadCache(dir string) (int, error) {
 			}
 			states[pe.View] = st
 		}
-		if !st.ok {
+		if !st.ok || pe.Fingerprint == "" || pe.Fingerprint != st.v.fingerprint {
 			s.m.cacheDropped.Inc()
 			continue
+		}
+		e := &cacheEntry{
+			body:      pe.Body,
+			depth:     pe.Depth,
+			evalSec:   pe.EvalSec,
+			created:   time.Unix(0, pe.CreatedUnixNano),
+			v:         st.v,
+			params:    pe.Params,
+			stamp:     pe.Stamp,
+			tableVers: pe.TableVers,
+			path:      pe.Path,
+			matches:   pe.Matches,
 		}
 		t, terr := s.target(st.v, e.params, canonicalParams(e.params), e.path)
 		if terr != nil {
@@ -153,14 +159,14 @@ func (s *Server) LoadCache(dir string) (int, error) {
 		}
 		switch {
 		case e.stamp == st.stamp:
-			s.cache.Add(pe.KeyPrefix, e)
+			s.cache.Add(t.prefix, e)
 			s.m.cacheRestored.Inc()
 			installed++
 		case s.judgeUnaffected(e, st, s.route(t, st.stamp).deps):
 			// Data moved while the daemon was down, but every delta is
 			// provably irrelevant for this binding: carry the body over
 			// under the live stamp.
-			s.cache.Add(pe.KeyPrefix, e.restamped(st.stamp, st.tv))
+			s.cache.Add(t.prefix, e.restamped(st.stamp, st.tv))
 			s.m.cacheRevalidated.Inc()
 			installed++
 		default:

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/aigrepro/aig/internal/hospital"
 	"github.com/aigrepro/aig/internal/obs"
@@ -171,5 +172,65 @@ func TestLoadCacheMissingAndCorrupt(t *testing.T) {
 	s, _ := warmServer(t, cat, Config{})
 	if n, err := s.LoadCache(t.TempDir()); n != 0 || err != nil {
 		t.Fatalf("missing dump: n=%d err=%v, want 0/nil", n, err)
+	}
+}
+
+// editedSpec is the hospital view with pname bound to the patient's SSN:
+// the same name, another grammar, another document.
+var editedSpec = strings.Replace(hospital.SpecText,
+	"child pname set val = inh(patient).pname", "child pname set val = inh(patient).SSN", 1)
+
+// A view registered again under its name never serves its predecessor's
+// entry: the next request is a miss that evaluates the new grammar, and
+// a refresh cycle drops the predecessor's entry.
+func TestReplacedViewNeverServesPredecessorEntry(t *testing.T) {
+	s, _ := warmServer(t, hospital.TinyCatalog(), Config{})
+	_, body1, _ := serveOne(t, s, "/views/report?date=d1")
+	if _, err := s.AddSpec("report", editedSpec); err != nil {
+		t.Fatal(err)
+	}
+	code, body2, state := serveOne(t, s, "/views/report?date=d1")
+	if code != http.StatusOK || state != "miss" {
+		t.Fatalf("after replacing the view: %d/%s, want 200/miss", code, state)
+	}
+	if body2 == body1 {
+		t.Fatal("the replaced view serves its predecessor's document")
+	}
+	r := &refresher{s: s, stop: make(chan struct{}), dirtyAt: make(map[string]time.Time)}
+	r.cycle()
+	if n := s.cache.Len(); n != 1 {
+		t.Errorf("%d cache entries after a refresh cycle, want only the new view's", n)
+	}
+}
+
+// A dumped entry of a view whose spec was edited across the restart is
+// dropped at load, not restored, and the first request evaluates the
+// edited grammar.
+func TestWarmRestartDropsEntriesOfEditedView(t *testing.T) {
+	cat := hospital.TinyCatalog()
+	dir := t.TempDir()
+
+	s1, _ := warmServer(t, cat, Config{CacheDir: dir})
+	_, body1, _ := serveOne(t, s1, "/views/report?date=d1")
+	if err := s1.Drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+
+	s2, m2 := warmServer(t, cat, Config{CacheDir: dir})
+	if _, err := s2.AddSpec("report", editedSpec); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s2.LoadCache(dir); err != nil || n != 0 {
+		t.Fatalf("LoadCache: installed %d (err %v), want 0", n, err)
+	}
+	if d := counter(m2, "aig_serve_cache_persist_dropped_total"); d != 1 {
+		t.Errorf("dropped counter %d, want 1", d)
+	}
+	code, body2, state := serveOne(t, s2, "/views/report?date=d1")
+	if code != http.StatusOK || state != "miss" {
+		t.Fatalf("restarted instance: %d/%s, want 200/miss", code, state)
+	}
+	if body2 == body1 {
+		t.Fatal("the edited view serves the old document")
 	}
 }

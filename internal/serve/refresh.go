@@ -165,18 +165,24 @@ func (r *refresher) cycle() {
 	s.m.refreshCycles.Inc()
 
 	items := s.cache.Snapshot()
-	states := make(map[string]viewState)
+	states := make(map[*View]viewState)
 	live := make(map[string]bool, len(items))
 
 	var dirty []lruItem
 	for _, it := range items {
+		v := it.entry.v
+		if s.View(v.name) != v {
+			// Its view was replaced or removed: no request reaches the
+			// entry's key again.
+			s.cache.Swap(it.key, it.entry, nil)
+			s.m.cacheEntries.Set(float64(s.cache.Len()))
+			continue
+		}
 		live[it.key] = true
-		st, ok := states[it.entry.view]
+		st, ok := states[v]
 		if !ok {
-			if v := s.View(it.entry.view); v != nil {
-				st = s.snapshotView(v)
-			}
-			states[it.entry.view] = st
+			st = s.snapshotView(v)
+			states[v] = st
 		}
 		if !st.ok {
 			continue
@@ -198,7 +204,7 @@ func (r *refresher) cycle() {
 			return
 		default:
 		}
-		if r.refreshOne(it, states[it.entry.view]) {
+		if r.refreshOne(it, states[it.entry.v]) {
 			left--
 		}
 	}

@@ -27,6 +27,8 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -219,7 +221,7 @@ func newServeMetrics(r *obs.Registry) serveMetrics {
 		cacheSaved:          r.NewCounter("aig_serve_cache_persist_saved_total", "cache entries written to the persistent dump on drain"),
 		cacheRestored:       r.NewCounter("aig_serve_cache_persist_restored_total", "persisted cache entries installed with their stamp still exact"),
 		cacheRevalidated:    r.NewCounter("aig_serve_cache_persist_revalidated_total", "persisted cache entries installed after delta judgement proved them current"),
-		cacheDropped:        r.NewCounter("aig_serve_cache_persist_dropped_total", "persisted cache entries dropped at load (stale, unprovable, or unknown view)"),
+		cacheDropped:        r.NewCounter("aig_serve_cache_persist_dropped_total", "persisted cache entries dropped at load (stale, unprovable, or an unknown or edited view)"),
 		inflightEvals:       r.NewGauge("aig_serve_inflight_evaluations", "evaluations currently holding an admission slot"),
 		queueDepth:          r.NewGauge("aig_serve_queue_depth", "requests waiting for an evaluation slot"),
 		cacheEntries:        r.NewGauge("aig_serve_cache_entries", "entries in the result cache"),
@@ -241,8 +243,9 @@ type Server struct {
 	reg  *source.Registry
 	opts mediator.Options
 
-	mu    sync.RWMutex
-	views map[string]*View
+	mu      sync.RWMutex
+	views   map[string]*View
+	viewSeq atomic.Uint64 // numbers AddView's registrations
 
 	cache  *lru
 	flight flightGroup
@@ -317,13 +320,19 @@ func (s *Server) Close() {
 }
 
 // AddView prepares and registers a view under the given name,
-// replacing any previous view of that name. It logs a warning when the
-// view's premise check cannot read a source's tables: such a view never
-// uses its certification.
+// replacing any previous view of that name; the replaced view's cache
+// entries are never served again. It logs a warning when the view's
+// premise check cannot read a source's tables: such a view never uses
+// its certification.
 func (s *Server) AddView(name string, a *aig.AIG) (*View, error) {
 	v, err := prepareView(name, a, s.reg, s.opts)
 	if err != nil {
 		return nil, err
+	}
+	v.key = fmt.Sprintf("%s\x00%d\x00", name, s.viewSeq.Add(1))
+	if text, err := aigspec.Format(a); err == nil {
+		sum := sha256.Sum256([]byte(text))
+		v.fingerprint = hex.EncodeToString(sum[:])
 	}
 	v.reqSec = s.cfg.Metrics.NewHistogram(
 		"aig_serve_view_request_seconds_"+sanitizeMetricName(name),

@@ -24,9 +24,9 @@ import (
 type target struct {
 	v      *View
 	params map[string]string
-	// prefix is the target's cache key: view + canonical params, and the
-	// path for a fragment. It holds no stamp: a target has one cache
-	// entry, whose stamp a hit checks.
+	// prefix is the target's cache key: the view registration's key +
+	// canonical params, and the path for a fragment. It holds no stamp: a
+	// target has one cache entry, whose stamp a hit checks.
 	prefix string
 	fp     *fragPlan // nil: the whole document
 }
@@ -34,7 +34,7 @@ type target struct {
 // target resolves a view, parameters in canonical form (canon) and a
 // path ("" for the whole document) to a target.
 func (s *Server) target(v *View, params map[string]string, canon, path string) (target, error) {
-	t := target{v: v, params: params, prefix: v.name + "\x00" + canon}
+	t := target{v: v, params: params, prefix: v.key + canon}
 	if path == "" {
 		return t, nil
 	}
@@ -172,7 +172,7 @@ func (s *Server) cacheFill(ctx context.Context, t target, stamp string, fill fun
 		if err != nil {
 			return nil, err
 		}
-		entry.view, entry.params = t.v.name, t.params
+		entry.v, entry.params = t.v, t.params
 		entry.tableVers = tableVers
 		if tverr == nil {
 			// Cache only when the recheck stamp is settled (even — no

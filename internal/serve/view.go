@@ -32,6 +32,14 @@ type ParamDecl struct {
 // evaluates through the shared mediator.
 type View struct {
 	name string
+	// key opens every cache key of this registration: the name and the
+	// sequence number AddView assigned, so the entries, hits and
+	// singleflight of two registrations of one name never mix.
+	key string
+	// fingerprint hashes the canonical text (aigspec.Format) of the
+	// grammar as registered. A persisted entry carries it, and LoadCache
+	// drops an entry whose view's grammar is not the one it was filled by.
+	fingerprint string
 
 	// a is the validated grammar as written; sa is the specialized form
 	// every evaluation starts from: multi-source queries decomposed, and
