@@ -48,9 +48,10 @@ staticcheck:
 # parsers' invariants (and the remote delta wire format) surface as
 # crashes, every constraint parsed from multi-line text must carry a
 # position inside that text, the XML encoder must byte-match the fmt-based
-# reference, tuple keys must be equal exactly when the tuples are, a
-# tuple must survive relstore's gob encoding and arbitrary bytes must
-# decode to a tuple or an error, never a panic, a row parsed from
+# reference, tuple keys must be equal exactly when the tuples are,
+# tuples equal on a projection must hash equal on it, a tuple must
+# survive relstore's gob encoding and arbitrary bytes must decode to a
+# tuple or an error, never a panic, a row parsed from
 # outside text must render back to itself, and recovering a WAL with
 # fuzzed records after a valid prefix must never panic and must be
 # repeatable. CI runs this target.
@@ -64,6 +65,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPathParse -fuzztime 10s ./internal/xpath
 	$(GO) test -run '^$$' -fuzz FuzzWriteIndented -fuzztime 10s ./internal/xmltree
 	$(GO) test -run '^$$' -fuzz FuzzTupleKey -fuzztime 10s ./internal/relstore
+	$(GO) test -run '^$$' -fuzz FuzzTupleHash -fuzztime 10s ./internal/relstore
 	$(GO) test -run '^$$' -fuzz FuzzTupleGob -fuzztime 10s ./internal/relstore
 	$(GO) test -run '^$$' -fuzz FuzzParseRow -fuzztime 10s ./internal/relstore
 	$(GO) test -run '^$$' -fuzz FuzzRecoverWAL -fuzztime 10s ./internal/relstore
@@ -140,8 +142,8 @@ bench-contract:
 
 # alloc-budget runs the mediator's (documents, planned or not, and the
 # SSN fragment), the warm hit's and the executor's join allocation
-# budgets, which are not built under -race and so never run in the race
-# pass.
+# budgets (stored tables, and parameter tables hashed per join), which
+# are not built under -race and so never run in the race pass.
 alloc-budget:
 	$(GO) test -count=1 -run AllocBudget ./internal/mediator ./internal/serve ./internal/sqlmini
 
@@ -151,11 +153,13 @@ alloc-budget:
 # fragments of each of the benchmark's paths without predicates (plans
 # pruned to the path, matches streamed) and as many plans of the view
 # (compile, Merge and Schedule, no evaluation), then the executor's index
-# probe (a one-row parameter table joined to a 10 k-row table) and its
-# reference join (two 10 k-row tables, 10 k output rows).
+# probe (a one-row parameter table joined to a 10 k-row table), its
+# parameter-table hash join (two 1,000-row parameter tables joined on two
+# columns, the second hashed) and its reference join (two 10 k-row
+# tables, 10 k output rows).
 bench-unit:
 	$(GO) test -run '^$$' -bench 'EvaluateRecursive/bench250|Fragment|Plan' -benchtime 90x -cpu 2 -benchmem ./internal/mediator
-	$(GO) test -run '^$$' -bench 'ParamJoin/one-row|HashJoin/rows=10000' -benchtime 1000x -cpu 2 -benchmem ./internal/sqlmini
+	$(GO) test -run '^$$' -bench 'ParamJoin/one-row|ParamJoin/build-1000|HashJoin/rows=10000' -benchtime 1000x -cpu 2 -benchmem ./internal/sqlmini
 
 # loc prints the tracked line counts: non-test Go of the root module
 # (bench/ is its own module), non-test Go of bench/, and shell scripts,

@@ -26,28 +26,31 @@ import (
 // instead of re-hashing a stored table per join to ~32 k, and keeping
 // inherited attributes as columns of the context tables (no value per
 // instance) with joins by row reference (no row per join match) to
-// ~17.6 k; a change that undoes the syn tables or the Inh columns
-// fails here.
-const maxEvalAllocs = 24_600
+// ~17.6 k, and hashing parameter tables and set ranges by value (no
+// string key per row) to ~15.6 k; a change that undoes the syn tables
+// or the Inh columns fails here.
+const maxEvalAllocs = 17_900
 
 // maxServeAllocs bounds the same evaluations the way aigd runs them
 // (BenchmarkEvaluateRecursive/bench250/serve): settled, then emitted into
 // a buffer with no tree: ~54 k before the syn tables, ~25 k since, ~18 k
 // since sqlmini probes the snapshot indexes, ~6.1 k with inherited
-// attributes as columns, ~3.7 k with joins by row reference too, and
+// attributes as columns, ~3.7 k with joins by row reference too,
 // ~3.25 k since a settled run leaves the simulated response time
-// (cost(P)) to Result builders (a change that undoes any of the last
-// four fails here).
-const maxServeAllocs = 3_500
+// (cost(P)) to Result builders, and ~1.67 k since a parameter table is
+// hashed for its join by value, not by a string key per row (a change
+// that undoes any of the last five fails here).
+const maxServeAllocs = 1_925
 
 // maxFirstAllocs bounds the same evaluations planned from scratch, a
 // fresh mediator each (BenchmarkEvaluateRecursive/bench250/first):
 // compile, Merge and Schedule, then the evaluation above. ~81 k when
 // every Merge trial built a throwaway graph and sorted it twice, ~22.3 k
 // since the trials rebuild one contracted view in place and cost(P) is
-// one pass over the schedule's order (a change that brings back
+// one pass over the schedule's order, ~20.7 k since parameter tables
+// and set ranges are hashed by value (a change that brings back
 // per-trial rebuilding fails here).
-const maxFirstAllocs = 26_000
+const maxFirstAllocs = 23_800
 
 func TestEvaluateAllocBudget(t *testing.T) {
 	reg, sa := bench250View(t, false)

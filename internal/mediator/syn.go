@@ -487,27 +487,41 @@ func (b *colBuilder) end(d *dedup, fields relstore.Schema) error {
 	return nil
 }
 
-// dedup finds repeated rows within one range at a time by sorting the
-// range's positions. Its buffers are reused from range to range, so it
-// allocates only while they grow.
+// dedup finds repeated rows within one range at a time by hashing the
+// range into an open-addressed table of its positions. Tuple.Equal
+// confirms every match, so a hash collision changes no result. Its
+// buffers are reused from range to range, so it allocates only while
+// they grow.
 type dedup struct {
-	idx []int32 // positions of the range's rows, in row order
-	dup []bool  // by position: the row repeats an earlier one
+	slots []int32 // by Tuple.Hash, linear probing: a position + 1, 0 if free
+	shift uint    // a hash's slot is hash >> shift
+	dup   []bool  // by position: the row repeats an earlier one
 }
 
-// sort fills idx with the positions of rs ordered by row, equal rows by
-// position.
-func (d *dedup) sort(rs []relstore.Tuple) {
-	d.idx = d.idx[:0]
-	for i := range rs {
-		d.idx = append(d.idx, int32(i))
+// reset empties the table and sizes it for n rows at most half full.
+func (d *dedup) reset(n int) {
+	bits := 3
+	for 1<<bits < 2*n {
+		bits++
 	}
-	slices.SortFunc(d.idx, func(a, b int32) int {
-		if c := rs[a].Compare(rs[b]); c != 0 {
-			return c
+	d.shift = uint(64 - bits)
+	d.slots = slices.Grow(d.slots[:0], 1<<bits)[:1<<bits]
+	clear(d.slots)
+}
+
+// find returns the slot of the row of rs in the table equal to row, or
+// the free slot where row would go.
+func (d *dedup) find(rs []relstore.Tuple, row relstore.Tuple) (int, bool) {
+	mask := len(d.slots) - 1
+	for s := int(row.Hash() >> d.shift); ; s = (s + 1) & mask {
+		p := d.slots[s]
+		if p == 0 {
+			return s, false
 		}
-		return int(a - b)
-	})
+		if rs[p-1].Equal(row) {
+			return s, true
+		}
+	}
 }
 
 // mark flags in dup every row of rs equal to an earlier one and reports
@@ -516,13 +530,15 @@ func (d *dedup) mark(rs []relstore.Tuple) bool {
 	if len(rs) < 2 {
 		return false
 	}
-	d.sort(rs)
+	d.reset(len(rs))
 	d.dup = slices.Grow(d.dup[:0], len(rs))[:len(rs)]
-	clear(d.dup)
 	found := false
-	for k := 1; k < len(d.idx); k++ {
-		if rs[d.idx[k]].Equal(rs[d.idx[k-1]]) {
-			d.dup[d.idx[k]], found = true, true
+	for i, row := range rs {
+		s, ok := d.find(rs, row)
+		if d.dup[i] = ok; ok {
+			found = true
+		} else {
+			d.slots[s] = int32(i + 1)
 		}
 	}
 	return found
@@ -530,9 +546,17 @@ func (d *dedup) mark(rs []relstore.Tuple) bool {
 
 // subset reports whether every row of sub occurs in super.
 func (d *dedup) subset(sub, super []relstore.Tuple) bool {
-	d.sort(super)
+	if len(sub) == 0 {
+		return true
+	}
+	d.reset(len(super))
+	for i, row := range super {
+		if s, ok := d.find(super, row); !ok {
+			d.slots[s] = int32(i + 1)
+		}
+	}
 	for _, row := range sub {
-		if _, ok := slices.BinarySearchFunc(d.idx, row, func(i int32, t relstore.Tuple) int { return super[i].Compare(t) }); !ok {
+		if _, ok := d.find(super, row); !ok {
 			return false
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -468,4 +470,71 @@ end`)
 			}
 		})
 	}
+}
+
+// TestDedupMatchesReference compares dedup.mark and dedup.subset with
+// quadratic references over seeded random ranges, one dedup reused
+// throughout as the set columns reuse theirs. Rows come from a small
+// pool, so ranges repeat rows often, and the pool holds Null, Int(1)
+// beside String("1") and strings holding 0x1f.
+func TestDedupMatchesReference(t *testing.T) {
+	pool := []relstore.Value{relstore.Null, relstore.Int(0), relstore.Int(1), relstore.String("1"),
+		relstore.String(""), relstore.String("a\x1f"), relstore.String("\x1fa"), relstore.String("a")}
+	rng := rand.New(rand.NewSource(47))
+	gen := func(n, arity int) []relstore.Tuple {
+		rs := make([]relstore.Tuple, n)
+		for i := range rs {
+			rs[i] = make(relstore.Tuple, arity)
+			for j := range rs[i] {
+				rs[i][j] = pool[rng.Intn(len(pool))]
+			}
+		}
+		return rs
+	}
+	var d dedup
+	for trial := 0; trial < 40; trial++ {
+		for _, n := range []int{0, 1, 2, 8, 9, 200} {
+			arity := 1 + rng.Intn(3)
+			rs := gen(n, arity)
+			if trial%4 == 0 && n > 0 { // every row the same, in storage of its own
+				for i := range rs {
+					rs[i] = rs[0].Clone()
+				}
+			}
+			want := make([]bool, n)
+			anyDup := false
+			for i := range rs {
+				for j := 0; j < i && !want[i]; j++ {
+					want[i] = rs[j].Equal(rs[i])
+				}
+				anyDup = anyDup || want[i]
+			}
+			if got := d.mark(rs); got != anyDup {
+				t.Fatalf("mark(%v) = %v, want %v", rs, got, anyDup)
+			}
+			if anyDup && !slices.Equal(d.dup[:n], want) {
+				t.Fatalf("mark(%v) flags %v, want %v", rs, d.dup[:n], want)
+			}
+
+			// subset: a sub drawn from super, and one drawn from the pool.
+			for _, sub := range [][]relstore.Tuple{pickRows(rng, rs), gen(rng.Intn(4), arity)} {
+				want := true
+				for _, row := range sub {
+					want = want && slices.ContainsFunc(rs, row.Equal)
+				}
+				if got := d.subset(sub, rs); got != want {
+					t.Fatalf("subset(%v, %v) = %v, want %v", sub, rs, got, want)
+				}
+			}
+		}
+	}
+}
+
+// pickRows returns up to four rows of rs, in random order.
+func pickRows(rng *rand.Rand, rs []relstore.Tuple) []relstore.Tuple {
+	var out []relstore.Tuple
+	for i := rng.Intn(5); i > 0 && len(rs) > 0; i-- {
+		out = append(out, rs[rng.Intn(len(rs))])
+	}
+	return out
 }

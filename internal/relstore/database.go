@@ -66,10 +66,6 @@ func (db *Database) end() {
 	}
 }
 
-// Quiesced reports whether no registered-table mutation is in flight
-// at the moment of the call (the version is even).
-func (db *Database) Quiesced() bool { return db.version.Load()%2 == 0 }
-
 // refuseIfPersisted panics when the database is journaled: its table
 // set is fixed once a Persister is attached, and the WAL journals row
 // writes only. Every caller of the refused operations builds in-memory

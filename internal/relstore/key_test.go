@@ -53,6 +53,47 @@ func FuzzTupleKey(f *testing.F) {
 	})
 }
 
+// FuzzTupleHash checks the row hash that parameter-table joins and set
+// dedup use: tuples whose projections are Equal have equal HashOn, a
+// projection's Hash is its source's HashOn, and two values are == (the
+// comparison a Value-keyed map makes) exactly when they are Equal.
+func FuzzTupleHash(f *testing.F) {
+	f.Add([]byte("\x02\x00\x01\x01\x00\x02\x011\x00\x01"))                        // (Null, 1) vs (Null, '1')
+	f.Add([]byte("\x01\x00\x01\x00\x00"))                                         // Null vs 0
+	f.Add([]byte("\x02\x01\x05\x00\x01\x05\x02\x01x\x00\x00"))                    // equal on column 0 only
+	f.Add([]byte("\x02\x02\x04a\x1fsb\x02\x01c\x02\x01a\x02\x04b\x1fsc\x01\x00")) // 0x1f inside strings
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := int(data[0] % 4)
+		data = data[1:]
+		a, b := make(Tuple, n), make(Tuple, n)
+		for i := range a {
+			a[i], data = fuzzValue(data)
+		}
+		for i := range b {
+			b[i], data = fuzzValue(data)
+		}
+		var cols []int
+		for i := 0; n > 0 && i < len(data) && i < 6; i++ {
+			cols = append(cols, int(data[i])%n)
+		}
+		for i := range a {
+			if (a[i] == b[i]) != a[i].Equal(b[i]) {
+				t.Fatalf("%v == %v is %v, Equal is %v", a[i], b[i], a[i] == b[i], a[i].Equal(b[i]))
+			}
+		}
+		pa, pb := a.Project(cols), b.Project(cols)
+		if pa.Equal(pb) && a.HashOn(cols) != b.HashOn(cols) {
+			t.Fatalf("%v and %v are equal on %v but hash %x and %x", a, b, cols, a.HashOn(cols), b.HashOn(cols))
+		}
+		if pa.Hash() != a.HashOn(cols) {
+			t.Fatalf("Hash of %v's projection on %v is %x, HashOn %x", a, cols, pa.Hash(), a.HashOn(cols))
+		}
+	})
+}
+
 // fuzzValue decodes one value from the front of data: a tag byte picks
 // Null, an int (the next byte, so values repeat often) or a string (a
 // length byte, then that many bytes). Exhausted input decodes as Null.

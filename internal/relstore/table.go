@@ -419,9 +419,9 @@ func (t *Table) DistinctCount(col int) int {
 		return n
 	}
 	rows := t.rowsSnap()
-	seen := make(map[string]struct{}, len(rows))
+	seen := make(map[Value]struct{}, len(rows)) // == is Equal on Values
 	for _, row := range rows {
-		seen[row[col].Key()] = struct{}{}
+		seen[row[col]] = struct{}{}
 	}
 	if t.distinct == nil {
 		t.distinct = make(map[int]int, len(t.schema))

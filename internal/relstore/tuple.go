@@ -1,6 +1,8 @@
 package relstore
 
 import (
+	"hash/maphash"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -102,6 +104,46 @@ func (t Tuple) KeyOn(idx []int) string {
 		b = t[j].appendKey(b)
 	}
 	return string(b)
+}
+
+// Hash returns a hash of the tuple's values: Equal tuples hash equal,
+// and a tuple hashes as HashOn of any tuple it is the projection of.
+// Unequal tuples may collide, so every user confirms a match with Equal
+// and no result depends on a hash.
+func (t Tuple) Hash() uint64 {
+	var h uint64
+	for _, v := range t {
+		h = v.fold(h)
+	}
+	return h
+}
+
+// HashOn returns the Hash of the projection of the tuple onto the given
+// column positions without materializing the projection.
+func (t Tuple) HashOn(idx []int) uint64 {
+	var h uint64
+	for _, j := range idx {
+		h = t[j].fold(h)
+	}
+	return h
+}
+
+// hashSeed seeds the string hashes of this process. Nothing orders
+// output by a hash, so the seed changes no result.
+var hashSeed = maphash.MakeSeed()
+
+// fold mixes the value into the row hash h. Ints go in directly, strings
+// through maphash; the multiply spreads every input bit into the high
+// bits, which open-addressed tables index by.
+func (v Value) fold(h uint64) uint64 {
+	x := uint64(0x6c62272e07bb0142) // Null
+	switch v.kind {
+	case KindInt:
+		x = uint64(v.i)
+	case KindString:
+		x = maphash.String(hashSeed, v.s)
+	}
+	return (bits.RotateLeft64(h, 27) ^ x) * 0x9e3779b97f4a7c15
 }
 
 // ByteSize returns the approximate wire size of the tuple in bytes, used by

@@ -30,3 +30,30 @@ func TestJoinAllocBudget(t *testing.T) {
 		t.Errorf("the join allocates %.0f times, budget %d", allocs, maxJoinAllocs)
 	}
 }
+
+// maxParamJoinAllocs bounds BenchmarkParamJoin/build-1000's query, two
+// parameter tables joined on two columns, at 1,000 and at 10,000 rows:
+// the hashed table's chains are two arrays and a counting pass sizes
+// the result, so nothing allocates per row (~43 allocations at either
+// size, where a string key per row and a growing result took ~2,045 at
+// 1,000 rows).
+const maxParamJoinAllocs = 60
+
+func TestParamBuildJoinAllocBudget(t *testing.T) {
+	for _, rows := range []int{1000, 10000} {
+		q, params := paramTables(rows)
+		allocs := testing.AllocsPerRun(3, func() {
+			out, err := Run("out", q, CatalogSchemas{}, CatalogData{}, CatalogStats{}, params, PlanOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Len() != rows {
+				t.Fatalf("join returned %d rows, want %d", out.Len(), rows)
+			}
+		})
+		t.Logf("%.0f allocs per join of two %d-row parameter tables (budget %d)", allocs, rows, maxParamJoinAllocs)
+		if allocs > maxParamJoinAllocs {
+			t.Errorf("the %d-row join allocates %.0f times, budget %d", rows, allocs, maxParamJoinAllocs)
+		}
+	}
+}

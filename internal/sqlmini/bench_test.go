@@ -54,11 +54,27 @@ func BenchmarkParse(b *testing.B) {
 	}
 }
 
+// paramTables binds $A and $B to two tables of rows rows each, equal on
+// (k, n) row for row, and returns the query that joins them on both
+// columns: the planner scans one and hashes the other.
+func paramTables(rows int) (*Query, Params) {
+	schema := relstore.MustSchema("k:string", "n:int", "v:int")
+	a, b := Binding{Schema: schema}, Binding{Schema: schema}
+	for i := 0; i < rows; i++ {
+		k, n := relstore.String(fmt.Sprintf("k%06d", i/3)), relstore.Int(int64(i%3))
+		a.Rows = append(a.Rows, relstore.Tuple{k, n, relstore.Int(int64(i))})
+		b.Rows = append(b.Rows, relstore.Tuple{k, n, relstore.Int(int64(-i))})
+	}
+	return MustParse(`select a.v as av, b.v as bv from $A a, $B b where a.k = b.k and a.n = b.n`), Params{"A": a, "B": b}
+}
+
 // BenchmarkParamJoin measures the parameter execution paths the
 // mediator's rewritten queries rely on, over a 10 k-row table: a
 // 500-value set parameter (IN), and a one-row parameter table joined on
 // the table's key, whose cost an index probe keeps proportional to the
-// one match rather than to the table.
+// one match rather than to the table; and, as a part query joins its
+// parent's bindings, two 1,000-row parameter tables joined on two
+// columns, the second hashed for the join.
 func BenchmarkParamJoin(b *testing.B) {
 	cat := benchCatalog(10000)
 	var set []relstore.Tuple
@@ -66,20 +82,22 @@ func BenchmarkParamJoin(b *testing.B) {
 		set = append(set, relstore.Tuple{relstore.String(fmt.Sprintf("k%06d", i*7))})
 	}
 	key := relstore.MustSchema("k:string")
+	buildQ, buildParams := paramTables(1000)
 	for _, bc := range []struct {
-		name, sql string
-		params    Params
-		want      int
+		name   string
+		q      *Query
+		params Params
+		want   int
 	}{
-		{"in-500", `select a from DB:left where k in $V`, Params{"V": {Schema: key, Rows: set}}, 500},
-		{"one-row", `select l.a from $v v, DB:left l where l.k = v.k`,
+		{"in-500", MustParse(`select a from DB:left where k in $V`), Params{"V": {Schema: key, Rows: set}}, 500},
+		{"one-row", MustParse(`select l.a from $v v, DB:left l where l.k = v.k`),
 			Params{"v": {Schema: key, Rows: set[1:2]}}, 1},
+		{"build-1000", buildQ, buildParams, 1000},
 	} {
-		q := MustParse(bc.sql)
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				out, err := Run("out", q, CatalogSchemas{cat}, CatalogData{cat}, CatalogStats{cat}, bc.params, PlanOptions{})
+				out, err := Run("out", bc.q, CatalogSchemas{cat}, CatalogData{cat}, CatalogStats{cat}, bc.params, PlanOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

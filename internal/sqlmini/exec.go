@@ -221,15 +221,15 @@ func identity(n int) []int {
 // per-row evaluation looks nothing up by name.
 type boundPred struct {
 	ResolvedPred
-	operand relstore.Value  // PredColParam
-	inSet   map[string]bool // PredColInParam: value keys
+	operand relstore.Value          // PredColParam
+	inSet   map[relstore.Value]bool // PredColInParam
 }
 
 // bindPreds evaluates the parameter operands of r's predicates, in the
 // order of r.Preds.
 func bindPreds(r *Resolved, params Params) ([]boundPred, error) {
 	out := make([]boundPred, len(r.Preds))
-	inSets := make(map[string]map[string]bool) // a set parameter may feed several predicates
+	inSets := make(map[string]map[relstore.Value]bool) // a set parameter may feed several predicates
 	for i, p := range r.Preds {
 		out[i].ResolvedPred = p
 		if p.Kind != PredColParam && p.Kind != PredColInParam {
@@ -252,9 +252,10 @@ func bindPreds(r *Resolved, params Params) ([]boundPred, error) {
 			if len(b.Schema) != 1 {
 				return nil, fmt.Errorf("sqlmini: IN parameter $%s must have one column, has %d", p.Param, len(b.Schema))
 			}
-			set = make(map[string]bool, len(b.Rows))
+			// Values compare with == exactly when they are Equal.
+			set = make(map[relstore.Value]bool, len(b.Rows))
 			for _, row := range b.Rows {
-				set[row[0].Key()] = true
+				set[row[0]] = true
 			}
 			inSets[p.Param] = set
 		}
@@ -399,40 +400,25 @@ func (in *input) candidates() []relstore.Tuple {
 // first, table order within a prefix row; a result row is its prefix's
 // references followed by the table row. A stored table is probed
 // through its index on the local equality columns plus buildCols; a
-// parameter table is hashed for this join.
+// parameter table is hashed for this join (hashJoin).
 func (in *input) join(refs []relstore.Tuple, k int, probe []colAt, buildCols []int) []relstore.Tuple {
+	if in.table == nil {
+		return hashJoin(in.candidates(), refs, k, probe, buildCols)
+	}
 	// Room for one match per prefix row, the common key-to-key case.
 	joined := make([]relstore.Tuple, 0, len(refs)+len(refs)/k)
 	ne := len(in.eqCols)
 	key := make(relstore.Tuple, ne+len(probe))
 	copy(key, in.eqVals)
-	probeKey := func(prefix []relstore.Tuple) relstore.Tuple {
-		for j, c := range probe {
-			key[ne+j] = prefix[c.slot][c.col]
-		}
-		return key
-	}
-	if in.table == nil {
-		next := in.candidates()
-		buckets := make(map[string][]relstore.Tuple, len(next))
-		for _, row := range next {
-			bk := row.KeyOn(buildCols)
-			buckets[bk] = append(buckets[bk], row)
-		}
-		for lo := 0; lo < len(refs); lo += k {
-			prefix := refs[lo : lo+k]
-			for _, nrow := range buckets[probeKey(prefix).Key()] {
-				joined = append(append(joined, prefix...), nrow)
-			}
-		}
-		return joined
-	}
 	ix := in.table.Index(append(append(make([]int, 0, ne+len(buildCols)), in.eqCols...), buildCols...))
 	rows := ix.Rows()
 	hits := 0
 	for lo := 0; lo < len(refs); lo += k {
 		prefix := refs[lo : lo+k]
-		pos := ix.Lookup(probeKey(prefix))
+		for j, c := range probe {
+			key[ne+j] = prefix[c.slot][c.col]
+		}
+		pos := ix.Lookup(key)
 		hits += len(pos)
 		for _, p := range pos {
 			if nrow := rows[p]; in.pass(nrow) {
@@ -441,6 +427,61 @@ func (in *input) join(refs []relstore.Tuple, k int, probe []colAt, buildCols []i
 		}
 	}
 	metricRowsScanned.Add(int64(hits))
+	return joined
+}
+
+// hashJoin is join for the rows of a parameter table. It chains the
+// rows by the value hash of their buildCols, each chain in table order,
+// and confirms every match with Value.Equal, so a collision changes no
+// result. A counting pass sizes the result before the filling pass.
+func hashJoin(rows, refs []relstore.Tuple, k int, probe []colAt, buildCols []int) []relstore.Tuple {
+	bits := 1
+	for 1<<bits < 2*len(rows) {
+		bits++
+	}
+	shift := 64 - bits
+	head := make([]int32, 1<<bits) // bucket -> first row + 1; 0 ends a chain
+	next := make([]int32, len(rows))
+	for i := len(rows) - 1; i >= 0; i-- {
+		b := rows[i].HashOn(buildCols) >> shift
+		next[i], head[b] = head[b], int32(i+1)
+	}
+	key := make(relstore.Tuple, len(probe))
+	match := func(p int32) bool {
+		row := rows[p-1]
+		for j, c := range buildCols {
+			if !row[c].Equal(key[j]) {
+				return false
+			}
+		}
+		return true
+	}
+	first := make([]int32, len(refs)/k) // by prefix row: its bucket's chain
+	n := 0
+	for lo := 0; lo < len(refs); lo += k {
+		for j, c := range probe {
+			key[j] = refs[lo+c.slot][c.col]
+		}
+		p := head[key.Hash()>>shift]
+		first[lo/k] = p
+		for ; p != 0; p = next[p-1] {
+			if match(p) {
+				n++
+			}
+		}
+	}
+	joined := make([]relstore.Tuple, 0, n*(k+1))
+	for lo := 0; lo < len(refs); lo += k {
+		prefix := refs[lo : lo+k]
+		for j, c := range probe {
+			key[j] = prefix[c.slot][c.col]
+		}
+		for p := first[lo/k]; p != 0; p = next[p-1] {
+			if match(p) {
+				joined = append(append(joined, prefix...), rows[p-1])
+			}
+		}
+	}
 	return joined
 }
 
@@ -466,7 +507,7 @@ func evalPred(p boundPred, value func(c int) relstore.Value) bool {
 	case PredColParam:
 		return p.Op.Eval(left, p.operand)
 	case PredColInParam:
-		return p.inSet[left.Key()]
+		return p.inSet[left]
 	case PredColInList:
 		for _, v := range p.List {
 			if left.Equal(v) {

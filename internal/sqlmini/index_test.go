@@ -177,7 +177,8 @@ func (g diffGen) catalog() *relstore.Catalog {
 }
 
 // params binds $v (fm holds either kind), the IN set $V (one column of
-// either kind, possibly empty) and the table $P (possibly empty).
+// either kind, possibly empty) and the table $P (possibly empty, rows
+// often repeated, so a join that hashes it meets chains of equal keys).
 func (g diffGen) params() Params {
 	inKind := relstore.KindInt
 	if g.rng.Intn(2) == 0 {
@@ -188,8 +189,12 @@ func (g diffGen) params() Params {
 		set.Rows = append(set.Rows, relstore.Tuple{g.mixed()})
 	}
 	tab := Binding{Schema: diffP}
-	for n := g.rng.Intn(5); n > 0; n-- {
-		tab.Rows = append(tab.Rows, g.row(diffP))
+	for n := g.rng.Intn(7); n > 0; n-- {
+		row := g.row(diffP)
+		if len(tab.Rows) > 0 && g.rng.Intn(3) == 0 {
+			row = tab.Rows[g.rng.Intn(len(tab.Rows))].Clone() // a repeated key
+		}
+		tab.Rows = append(tab.Rows, row)
 	}
 	return Params{
 		"v": {Schema: diffV, Rows: []relstore.Tuple{{g.value(relstore.KindInt), g.value(relstore.KindString), g.mixed()}}},
