@@ -141,9 +141,11 @@ bench-contract:
 	$(GO) run -C bench . -workload $(W) $(ARGS)
 
 # alloc-budget runs the mediator's (documents, planned or not, and the
-# SSN fragment), the warm hit's and the executor's join allocation
-# budgets (stored tables, and parameter tables hashed per join), which
-# are not built under -race and so never run in the race pass.
+# SSN fragment; the served document, whose run is released to its plan,
+# has a bytes budget beside its allocation count), the warm hit's and
+# the executor's join allocation budgets (stored tables, and parameter
+# tables hashed per join), which are not built under -race and so never
+# run in the race pass.
 alloc-budget:
 	$(GO) test -count=1 -run AllocBudget ./internal/mediator ./internal/serve ./internal/sqlmini
 

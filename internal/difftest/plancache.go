@@ -1,6 +1,8 @@
 package difftest
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 
 	"github.com/aigrepro/aig/internal/aig"
@@ -86,6 +88,15 @@ func (k *keptMediator) check(step string, truthDoc *xmltree.Node, truthErr error
 			render(truthDoc, truthErr), render(keptDoc, keptErr))
 	}
 
+	// A run released to the kept-alive mediator's plan must leave nothing
+	// behind: the next run, which recycles its memory, emits equal bytes.
+	first, ferr := k.emitReleased()
+	second, serr := k.emitReleased()
+	if (ferr == nil) != (serr == nil) || !bytes.Equal(first, second) {
+		return mkDiv("kept-alive mediator's run over a released run's memory differs from the run before it",
+			fmt.Sprint(string(first), ferr), fmt.Sprint(string(second), serr))
+	}
+
 	// The plan the kept-alive mediator holds must be the plan a fresh
 	// compile produces: same graph, grouping, order and estimates.
 	if keptErr == nil {
@@ -117,4 +128,17 @@ func (k *keptMediator) check(step string, truthDoc *xmltree.Node, truthErr error
 		}
 	}
 	return nil
+}
+
+// emitReleased settles the grammar on the kept-alive mediator, writes its
+// document and releases the run to the plan.
+func (k *keptMediator) emitReleased() ([]byte, error) {
+	run, _, err := k.kept.Settle(context.Background(), k.decU, k.inst.RootInh, 0, 0, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer run.Release()
+	var buf bytes.Buffer
+	_, err = run.WriteTo(&buf)
+	return buf.Bytes(), err
 }

@@ -5,6 +5,7 @@ package mediator
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"testing"
 
 	"github.com/aigrepro/aig/internal/aig"
@@ -37,10 +38,20 @@ const maxEvalAllocs = 17_900
 // since sqlmini probes the snapshot indexes, ~6.1 k with inherited
 // attributes as columns, ~3.7 k with joins by row reference too,
 // ~3.25 k since a settled run leaves the simulated response time
-// (cost(P)) to Result builders, and ~1.67 k since a parameter table is
-// hashed for its join by value, not by a string key per row (a change
-// that undoes any of the last five fails here).
-const maxServeAllocs = 1_925
+// (cost(P)) to Result builders, ~1.67 k since a parameter table is
+// hashed for its join by value, not by a string key per row, and ~0.82 k
+// since a released run leaves its tables, parameter tables and chunk
+// buffer to the plan's next run (a change that undoes any of the last
+// six fails here).
+const maxServeAllocs = 950
+
+// maxServeBytes bounds the heap bytes of the same evaluations: 1.55 MB
+// when every run built its tables from fresh memory, ~0.39 MB since a
+// released run's memory is reused, nearly all of it sqlmini's results
+// (BenchmarkEvaluateRecursive/bench250/serve reads 0.435 MB at 90x, as
+// it counts the growth of the first cycle). Dropping the release, or the
+// reuse of any large per-run array, fails here.
+const maxServeBytes = 500_000
 
 // maxFirstAllocs bounds the same evaluations planned from scratch, a
 // fresh mediator each (BenchmarkEvaluateRecursive/bench250/first):
@@ -78,20 +89,24 @@ func TestServeAllocBudget(t *testing.T) {
 	reg, sa := bench250View(t, false)
 	m := New(reg, DefaultOptions())
 	var buf bytes.Buffer
-	requireAllocBudget(t, "settle and emit", maxServeAllocs, func(d int) {
+	b := requireAllocBudget(t, "settle and emit", maxServeAllocs, func(d int) {
 		buf.Reset()
 		if err := settleAndEmit(m, sa, d, &buf); err != nil {
 			t.Fatal(err)
 		}
 	})
+	if b > maxServeBytes {
+		t.Errorf("one settle and emit allocates %.0f bytes on average, budget %d", b, maxServeBytes)
+	}
 }
 
 // maxFragmentAllocs bounds one cold /report/patient/SSN fragment as
 // aigd serves it (BenchmarkFragment/ssn): the plan pruned to the path's
 // verdict settled, and the SSNs streamed through the path sink into a
-// buffer — ~230 allocations, where partial evaluation, which served
-// the path before, made ~900.
-const maxFragmentAllocs = 320
+// buffer — ~230 allocations, ~100 since the run is released to its
+// plan, where partial evaluation, which served the path before, made
+// ~900.
+const maxFragmentAllocs = 130
 
 // TestFragmentAllocBudget holds the SSN fragment to its budget and to
 // its plan: one source query (the patient query) per evaluation, where
@@ -122,17 +137,33 @@ func TestFragmentAllocBudget(t *testing.T) {
 }
 
 // requireAllocBudget fails unless run averages at most budget
-// allocations over the 30 dates. AllocsPerRun's warm-up pass prepares
-// the plan: the budget is for the repeat path.
-func requireAllocBudget(t *testing.T, what string, budget int, run func(date int)) {
+// allocations over the 30 dates, and returns the heap bytes it averages.
+// A warm-up pass prepares the plan: the budget is for the repeat path.
+func requireAllocBudget(t *testing.T, what string, budget int, run func(date int)) float64 {
 	t.Helper()
-	allocs := testing.AllocsPerRun(1, func() {
-		for d := 0; d < bench250.Dates; d++ {
-			run(d)
-		}
-	}) / float64(bench250.Dates)
-	t.Logf("%.0f allocs per %s (budget %d)", allocs, what, budget)
+	allocs, bytes := perDate(run)
+	t.Logf("%.0f allocs and %.0f bytes per %s (budget %d allocs)", allocs, bytes, what, budget)
 	if allocs > float64(budget) {
 		t.Errorf("one %s allocates %.0f times on average, budget %d", what, allocs, budget)
 	}
+	return bytes
+}
+
+// perDate runs run over the 30 dates once to warm up, then once more
+// on one P, as testing.AllocsPerRun does, and returns the mean number of
+// allocations and of heap bytes allocated per date.
+func perDate(run func(date int)) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cycle := func() {
+		for d := 0; d < bench250.Dates; d++ {
+			run(d)
+		}
+	}
+	cycle()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cycle()
+	runtime.ReadMemStats(&after)
+	n := float64(bench250.Dates)
+	return float64(after.Mallocs-before.Mallocs) / n, float64(after.TotalAlloc-before.TotalAlloc) / n
 }

@@ -145,27 +145,32 @@ func fragmentVerdict(tb testing.TB, sa *aig.AIG, expr string) (*xpath.Path, *xpa
 }
 
 // settleFragment settles the bench250 view at depth 8 for the i-th date,
-// cycling the 30, pruned to v, and streams p's matches to w.
+// cycling the 30, pruned to v, streams p's matches to w and releases the
+// run, as aigd does. Only the returned run's Report may be read.
 func settleFragment(m *Mediator, sa *aig.AIG, p *xpath.Path, v *xpath.Verdict, i int, w io.Writer) (*Run, error) {
 	r, depth, err := m.Settle(context.Background(), sa, hospital.RootInh(sa, datagen.Date(i%bench250.Dates)), 8, 64, v)
 	if err != nil || depth != 8 {
 		return nil, fmt.Errorf("depth %d, err %v", depth, err)
 	}
 	s := xpath.NewStream(p, w)
-	if err := r.Tag(s); err != nil {
+	err = r.Tag(s)
+	r.Release()
+	if err != nil {
 		return nil, err
 	}
 	return r, s.Err()
 }
 
 // settleAndEmit settles the bench250 view at depth 8 for the i-th date,
-// cycling the 30, and writes its document to w.
+// cycling the 30, writes its document to w and releases the run, as
+// aigd does.
 func settleAndEmit(m *Mediator, sa *aig.AIG, i int, w io.Writer) error {
 	r, depth, err := m.Settle(context.Background(), sa, hospital.RootInh(sa, datagen.Date(i%bench250.Dates)), 8, 64, nil)
 	if err != nil || depth != 8 {
 		return fmt.Errorf("depth %d, err %v", depth, err)
 	}
 	_, err = r.WriteTo(w)
+	r.Release()
 	return err
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -32,18 +33,24 @@ func New(reg *source.Registry, opts Options) *Mediator {
 }
 
 // exec is the run state of one evaluation over a prepared plan: the
-// instance store, and per graph node, edge and query part what this run
-// measured or produced. Everything else an evaluation reads belongs to
-// the shared plan.
+// instance store, and per context, graph node, edge and query part what
+// this run measured or produced. Everything else an evaluation reads
+// belongs to the shared plan. A released Run returns its exec to the
+// plan, and the plan's next evaluation writes each context's, node's and
+// part's arrays again instead of allocating them (release).
 type exec struct {
 	*preparedPlan                 // shared and immutable
 	ctx           context.Context // carries the execute-phase span for node parenting
 	rootInh       *aig.AttrValue
 
 	st        store
+	ctxs      []ctxRun          // by ctxNode.idx
 	nodes     []nodeRun         // by node.idx
 	edgeBytes []int             // by edge.idx: measured shipped volume
 	partOut   []*relstore.Table // by part.idx
+	parts     []partRun         // by part.idx
+	chunk     []byte            // the tag walk's encoder buffer
+	order     []int             // the tag walk's star child stack
 
 	mu       sync.Mutex
 	firstErr error
@@ -59,25 +66,74 @@ type exec struct {
 
 // nodeRun is one node's share of the run state.
 type nodeRun struct {
-	done     chan struct{}
+	done     sync.WaitGroup // done once the node has run
 	err      error
 	evalSec  float64
 	outRows  int
 	outBytes int
 }
 
+// partRun is one query part's parameter tables in a run: the bindings,
+// their cardinalities for the planner, and per parameter table the rows
+// and the values they are carved from.
+type partRun struct {
+	params sqlmini.Params
+	cards  map[string]int
+	vals   [][]relstore.Value // by rewritten.specs
+	rows   [][]relstore.Tuple // by rewritten.specs
+}
+
+// newExec starts a run of plan p: on the exec a released run of p left,
+// or on a new one.
 func newExec(p *preparedPlan, rootInh *aig.AttrValue) *exec {
-	x := &exec{
-		preparedPlan: p, rootInh: rootInh,
-		st:        make(store, p.g.nctx),
-		nodes:     make([]nodeRun, len(p.g.nodes)),
-		edgeBytes: make([]int, len(p.g.edges)),
-		partOut:   make([]*relstore.Table, p.g.nparts),
+	x, _ := p.execs.Get().(*exec)
+	if x == nil {
+		x = &exec{
+			preparedPlan: p,
+			st:           make(store, p.g.nctx),
+			ctxs:         make([]ctxRun, p.g.nctx),
+			nodes:        make([]nodeRun, len(p.g.nodes)),
+			edgeBytes:    make([]int, len(p.g.edges)),
+			partOut:      make([]*relstore.Table, p.g.nparts),
+			parts:        make([]partRun, p.g.nparts),
+		}
 	}
+	x.rootInh = rootInh
 	for i := range x.nodes {
-		x.nodes[i].done = make(chan struct{})
+		x.nodes[i].done.Add(1)
 	}
 	return x
+}
+
+// release empties the finished run's state and leaves the exec to its
+// plan's next evaluation. Arrays keep their capacity and are truncated
+// where they are written again; what points elsewhere — the store's
+// tables, rows, values, results, bindings — is cleared first, so the
+// pooled exec keeps nothing of the run alive.
+func (x *exec) release() {
+	x.ctx, x.rootInh, x.tr, x.execSpan = nil, nil, nil, nil
+	x.firstErr, x.abort = nil, nil
+	for i := range x.st {
+		x.st[i].Store(nil)
+	}
+	for i := range x.ctxs {
+		x.ctxs[i].release()
+	}
+	for i := range x.nodes {
+		nr := &x.nodes[i]
+		nr.err, nr.evalSec, nr.outRows, nr.outBytes = nil, 0, 0, 0
+	}
+	clear(x.edgeBytes)
+	clear(x.partOut)
+	for i := range x.parts {
+		pr := &x.parts[i]
+		clear(pr.params)
+		for k := range pr.vals {
+			wipe(pr.vals[k])
+			wipe(pr.rows[k])
+		}
+	}
+	x.execs.Put(x)
 }
 
 func (x *exec) fail(err error) {
@@ -124,7 +180,8 @@ func (m *Mediator) EvaluateContext(ctx context.Context, a *aig.AIG, rootInh *aig
 // the document exists yet. WriteTo streams the document, Tree builds it
 // and Tag hands it to any Sink, each in one walk over the instance
 // tables (the tagging phase). A run settled under a Verdict holds only
-// the contexts the verdict kept, and its walk skips the rest.
+// the contexts the verdict kept, and its walk skips the rest. Release
+// hands the run's memory back to its plan once it has been emitted.
 type Run struct {
 	// Report describes the evaluation; PhaseSec has no "tag" phase, as
 	// the run has not been tagged, and ResponseTimeSec is zero.
@@ -135,21 +192,63 @@ type Run struct {
 	root *obs.Span // the evaluation's span, which a tree build is timed under
 }
 
+// exec returns the run's state; a released run has none.
+func (r *Run) exec() *exec {
+	if r.x == nil {
+		panic("mediator: use of a released Run")
+	}
+	return r.x
+}
+
+// Release returns the run's instance tables, parameter tables and chunk
+// buffer to its prepared plan, whose next evaluation reuses them. Call
+// it once everything the run is needed for has been emitted: what the
+// run handed out — its Report, the bytes it wrote and the strings its
+// sinks received — stays valid, but a tree or rows read from it must
+// not be kept past it. A released run panics when it is used again.
+func (r *Run) Release() {
+	x := r.exec()
+	r.x = nil
+	x.release()
+}
+
+// chunkSink is a sink that buffers the bytes it writes in an array it
+// can trade (xmltree.Encoder, xpath.Stream): a tag walk lends it the
+// run's chunk buffer.
+type chunkSink interface {
+	Swap(buf []byte) []byte
+}
+
 // WriteTo streams the run's document to w, indented as
 // xmltree.Node.WriteIndented indents it, in writes of at least
 // xmltree.ChunkSize bytes but the last. It returns the bytes written;
 // a tagging error stops it before its buffered bytes are written.
 func (r *Run) WriteTo(w io.Writer) (int64, error) {
+	x := r.exec()
 	e := xmltree.Encoder{W: w}
-	if err := r.x.tag(&e); err != nil {
-		return 0, err
+	e.Swap(x.chunk)
+	err := x.tag(&e)
+	var n int64
+	if err == nil {
+		n, err = e.Flush()
 	}
-	return e.Flush()
+	x.chunk = e.Swap(nil)
+	return n, err
 }
 
-// Tag hands the run's document to s as events in document order.
+// Tag hands the run's document to s as events in document order. A sink
+// that buffers its bytes (xmltree.Encoder, xpath.Stream) buffers them in
+// the run's chunk buffer for the walk.
 func (r *Run) Tag(s Sink) error {
-	return r.x.tag(s)
+	x := r.exec()
+	cs, ok := s.(chunkSink)
+	if !ok {
+		return x.tag(s)
+	}
+	had := cs.Swap(x.chunk)
+	err := x.tag(s)
+	x.chunk = cs.Swap(had)
+	return err
 }
 
 // Scan is one base table a plan's query reads, keyed by the rule that
@@ -172,12 +271,13 @@ func (r *Run) Scans() []Scan {
 			}
 		}
 	}
-	for _, n := range r.x.g.nodes {
+	g := r.exec().g
+	for _, n := range g.nodes {
 		for _, pt := range queryParts(n) {
 			add(pt)
 		}
 	}
-	for _, pr := range r.x.g.probes {
+	for _, pr := range g.probes {
 		for _, pt := range pr.steps {
 			add(pt)
 		}
@@ -188,7 +288,7 @@ func (r *Run) Scans() []Scan {
 // Tree builds the run's document.
 func (r *Run) Tree() (*xmltree.Node, error) {
 	var b xmltree.Builder
-	if err := r.x.tag(&b); err != nil {
+	if err := r.exec().tag(&b); err != nil {
 		return nil, err
 	}
 	return b.Root(), nil
@@ -210,8 +310,8 @@ func (r *Run) result() (*Result, error) {
 	rep := r.Report
 	rep.PhaseSec["tag"] = sec
 	rep.WallSec += sec
-	g := r.x.g
-	rep.ResponseTimeSec = costOf(r.x.sched.topo, g.opts.Net, r.x.measuredInputs())
+	x := r.exec()
+	rep.ResponseTimeSec = costOf(x.sched.topo, x.g.opts.Net, x.measuredInputs())
 	r.root.SetAttr("response_time_sec", rep.ResponseTimeSec)
 	return &Result{Doc: doc, Report: rep}, nil
 }
@@ -306,14 +406,14 @@ func (x *exec) run() error {
 
 func (x *exec) waitDeps(n *node) {
 	for _, e := range n.in {
-		<-x.nodes[e.from.idx].done
+		x.nodes[e.from.idx].done.Wait()
 	}
 }
 
 // runNode executes one node whose dependencies are satisfied.
 func (x *exec) runNode(n *node) {
 	nr := &x.nodes[n.idx]
-	sp := x.tr.StartSpan("node:"+n.name, x.execSpan)
+	sp := x.tr.StartSpan(n.span, x.execSpan)
 	start := time.Now()
 	defer func() {
 		if sp != nil {
@@ -331,7 +431,7 @@ func (x *exec) runNode(n *node) {
 			}
 			sp.End()
 		}
-		close(nr.done)
+		nr.done.Done()
 	}()
 	x.mu.Lock()
 	failed := x.firstErr != nil
@@ -449,7 +549,7 @@ func (x *exec) execPart(ctx context.Context, pt *part, prev *relstore.Table) (*r
 		return nil, 0, 0, fmt.Errorf("mediator: %s: %v", pt.name, err)
 	}
 	opts := x.g.opts.PlanOpts
-	opts.ParamCards = make(map[string]int, len(params))
+	opts.ParamCards = x.parts[pt.idx].cards
 	for name, b := range params {
 		opts.ParamCards[name] = len(b.Rows) + 1
 	}
@@ -499,7 +599,14 @@ func (x *exec) recordInputBytes(n *node, paramBytes int) {
 // from the store and the chain predecessor's output, returning the total
 // volume of the store-derived tables for communication accounting.
 func (x *exec) bindParams(pt *part, prev *relstore.Table) (sqlmini.Params, int, error) {
-	params := make(sqlmini.Params, len(pt.rw.specs))
+	pr := &x.parts[pt.idx]
+	if pr.params == nil {
+		pr.params = make(sqlmini.Params, len(pt.rw.specs))
+		pr.cards = make(map[string]int, len(pt.rw.specs))
+		pr.vals = make([][]relstore.Value, len(pt.rw.specs))
+		pr.rows = make([][]relstore.Tuple, len(pt.rw.specs))
+	}
+	params := pr.params
 	for k, spec := range pt.rw.specs {
 		if spec.kind == paramPrev {
 			if prev == nil {
@@ -516,8 +623,8 @@ func (x *exec) bindParams(pt *part, prev *relstore.Table) (sqlmini.Params, int, 
 		if t := x.st.table(pt.parentCtx); t != nil {
 			parents, inh = t.rows, &t.inh
 		}
-		vals := make([]relstore.Value, 0, len(parents)*len(spec.schema))
-		rows := make([]relstore.Tuple, 0, len(parents))
+		vals := slices.Grow(pr.vals[k][:0], len(parents)*len(spec.schema))
+		rows := slices.Grow(pr.rows[k][:0], len(parents))
 		for id := range parents {
 			if !parents[id].on(pt.branch) {
 				continue
@@ -545,6 +652,7 @@ func (x *exec) bindParams(pt *part, prev *relstore.Table) (sqlmini.Params, int, 
 			rows = append(rows, vals[lo:len(vals):len(vals)])
 		}
 		params[spec.name] = sqlmini.Binding{Schema: spec.schema, Rows: rows}
+		pr.vals[k], pr.rows[k] = vals, rows
 	}
 	total := 0
 	for name, b := range params {

@@ -130,7 +130,7 @@ func renderNode(b *strings.Builder, pos int, n *node, x *exec) {
 	analyze := x != nil
 	fmt.Fprintf(b, "  %2d. %s (est %.3fs, ~%s out", pos, n.name, n.estCost, byteCount(n.estOutBytes))
 	if analyze {
-		nr := x.nodes[n.idx]
+		nr := &x.nodes[n.idx]
 		fmt.Fprintf(b, "; actual %.3fs, %d rows, %s out; bytes err %s",
 			nr.evalSec, nr.outRows, byteCount(float64(nr.outBytes)), pctError(float64(nr.outBytes), n.estOutBytes))
 	}

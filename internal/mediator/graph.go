@@ -118,6 +118,7 @@ type edge struct {
 type node struct {
 	idx    int
 	name   string
+	span   string // "node:"+name, the name of its execution span
 	kind   nodeKind
 	source string
 	in     []*edge
@@ -140,8 +141,9 @@ type node struct {
 	estOutBytes float64
 }
 
-// part is one original query inside a (possibly merged) query node. Its
-// output in one evaluation is exec.partOut[idx].
+// part is one original query inside a (possibly merged) query node, or
+// one step of a truncation probe. Its output in one evaluation is
+// exec.partOut[idx], its parameter tables exec.parts[idx].
 type part struct {
 	idx       int
 	name      string
@@ -178,7 +180,7 @@ type graph struct {
 	nctx   int // contexts in the tree
 	nodes  []*node
 	edges  []*edge
-	nparts int
+	nparts int // query and probe parts
 
 	inhDone map[string]*node // ctx path -> barrier: instance table complete
 	synOf   map[string]*node // ctx path -> syn computed
@@ -330,7 +332,7 @@ func compile(ctx context.Context, a *aig.AIG, reg *source.Registry, opts Options
 	// The root barrier creates the single root instance from the AIG's
 	// attribute (bound at execution time via exec.rootInh).
 	g.inhDone[root.path].runLocal = func(x *exec) (int, error) {
-		t, err := rootTable(a.Inh[root.elem], x.rootInh)
+		t, err := x.ctxs[root.idx].rootTable(a.Inh[root.elem], x.rootInh)
 		if err != nil {
 			return 0, fmt.Errorf("mediator: root attribute: %v", err)
 		}

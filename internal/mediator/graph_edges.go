@@ -319,8 +319,9 @@ func (g *graph) setCopyMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch in
 	}
 	mat.runLocal = func(x *exec) (int, error) {
 		pt := x.st.table(c)
-		w := newWriter(decl, len(pt.rows), len(pt.rows))
-		var sorted []relstore.Tuple
+		cr := &x.ctxs[ch.idx]
+		w := cr.writer(decl, len(pt.rows), len(pt.rows))
+		sorted := cr.grouped[:0]
 		for id := range pt.rows {
 			w.startParent()
 			if !pt.rows[id].on(branch) {
@@ -349,6 +350,7 @@ func (g *graph) setCopyMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch in
 			}
 			w.close()
 		}
+		cr.grouped = sorted
 		t, err := w.table()
 		if err != nil {
 			return 0, err
@@ -385,12 +387,16 @@ func (g *graph) setQueryMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch i
 		if parentIdx != 0 {
 			return 0, fmt.Errorf("mediator: result for %s lacks leading %s column", ch.path, ParentCol)
 		}
-		pos, bindErr := decl.BindColumns(nil, out.Schema()[1:])
+		cr := &x.ctxs[ch.idx]
+		pos, bindErr := decl.BindColumns(cr.pos[:0], out.Schema()[1:])
+		cr.pos = pos
 		pt := x.st.table(c)
 		n := len(pt.rows)
 		// Group the result rows by parent in one array: parent id's rows
 		// are grouped[at[id]:at[id+1]], in result order, then sorted.
-		at := make([]int, n+1)
+		at := resize(cr.at, n+1)
+		clear(at)
+		cr.at = at
 		for _, row := range out.Rows() {
 			id, err := parentPos(row, n, "result", ch.path)
 			if err != nil {
@@ -401,7 +407,8 @@ func (g *graph) setQueryMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch i
 		for id := 1; id <= n; id++ {
 			at[id] += at[id-1]
 		}
-		grouped := make([]relstore.Tuple, out.Len())
+		grouped := resize(cr.grouped, out.Len())
+		cr.grouped = grouped
 		for _, row := range out.Rows() {
 			id := int(row[0].AsInt())
 			grouped[at[id]] = row[1:]
@@ -414,7 +421,7 @@ func (g *graph) setQueryMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch i
 		if star {
 			rowCap = out.Len()
 		}
-		w := newWriter(decl, n, rowCap)
+		w := cr.writer(decl, n, rowCap)
 		for id := range pt.rows {
 			w.startParent()
 			if !pt.rows[id].on(branch) {

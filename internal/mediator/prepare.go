@@ -32,11 +32,13 @@ var (
 // It depends on the grammar, the depth and the source statistics only, and
 // nothing in it is written after prepare returns, so every evaluation —
 // concurrent ones included — instantiates its own exec over the same
-// prepared plan.
+// prepared plan. The one exception is execs, where a released Run leaves
+// its exec for the plan's next evaluation to reuse.
 type preparedPlan struct {
 	g      *graph
 	merged int   // merged groups (Report.MergedGroups)
 	sched  *plan // per-source order, which every evaluation executes
+	execs  sync.Pool
 }
 
 // maxPlans bounds the plan cache, once for document plans and once for
@@ -189,6 +191,9 @@ func (m *Mediator) prepare(ctx context.Context, a *aig.AIG, depth int, keep Verd
 			p.merged, _ = g.mergeQueries()
 		}
 		p.sched = schedule(g.nodes, m.opts.Net, m.opts.Schedule)
+		for _, n := range g.nodes {
+			n.span = "node:" + n.name
+		}
 		m.plans.put(&planEntry{key: key, sources: sources, epoch: epoch, p: p})
 		metricPlanMisses.Inc()
 		if entry != nil {

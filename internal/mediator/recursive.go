@@ -83,6 +83,7 @@ func (m *Mediator) Settle(ctx context.Context, a *aig.AIG, rootInh *aig.AttrValu
 		if depth >= maxDepth {
 			return nil, depth, fmt.Errorf("mediator: recursion still expandable at depth %d (max %d); cyclic source data?", depth, maxDepth)
 		}
+		r.Release() // superseded by the deeper unfolding
 		depth *= 2
 		if depth > maxDepth {
 			depth = maxDepth
@@ -126,7 +127,8 @@ func (g *graph) buildProbes(truncated []specialize.TruncProbe) error {
 					return err
 				}
 				for _, pt := range steps {
-					pt.name = "probe"
+					pt.idx, pt.name = g.nparts, "probe"
+					g.nparts++
 				}
 				pr.steps = steps
 			}

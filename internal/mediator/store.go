@@ -2,6 +2,7 @@ package mediator
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"github.com/aigrepro/aig/internal/aig"
@@ -75,37 +76,42 @@ func (t *attrTable) value(decl aig.AttrDecl, i int) *aig.AttrValue {
 type tableWriter struct {
 	t       *ctxTable
 	members []aig.MemberDecl
-	colls   []colBuilder       // by member; nil when Inh has no collection
+	colls   []colBuilder       // by member; empty when Inh has no collection
 	pending [][]relstore.Tuple // the open instance's collection rows, by member
-	d       dedup
+	d       *dedup
 	err     error
 }
 
-// newWriter starts a table over the given number of parents, with room
-// for rowCap instances of Inh declaration decl. Its writer calls
+// writer starts the context's table over the given number of parents,
+// with room for rowCap instances of Inh declaration decl, in the arrays
+// the context's table had in the exec's previous run. Its caller calls
 // startParent once per parent, in order, before adding that parent's
 // children.
-func newWriter(decl aig.AttrDecl, parents, rowCap int) *tableWriter {
-	w := &tableWriter{
-		t: &ctxTable{
-			rows:  make([]instance, 0, rowCap),
-			first: make([]int, 0, parents+1),
-			inh:   attrTable{cols: make([]attrCol, len(decl.Members))},
-		},
-		members: decl.Members,
-	}
+func (cr *ctxRun) writer(decl aig.AttrDecl, parents, rowCap int) *tableWriter {
+	t := &cr.t
+	t.rows = slices.Grow(t.rows[:0], rowCap)
+	t.first = slices.Grow(t.first[:0], parents+1)
+	t.inh.cols = resize(t.inh.cols, len(decl.Members))
+	w := &cr.w
+	*w = tableWriter{t: t, members: decl.Members, colls: w.colls[:0], pending: w.pending[:0], d: &cr.d}
 	for j, m := range decl.Members {
 		if m.Kind == aig.Scalar {
-			w.t.inh.cols[j].vals = make([]relstore.Value, 0, rowCap)
+			t.inh.cols[j].vals = slices.Grow(t.inh.cols[j].vals[:0], rowCap)
 			continue
 		}
-		if w.colls == nil {
-			w.colls = make([]colBuilder, len(decl.Members))
-			w.pending = make([][]relstore.Tuple, len(decl.Members))
+		if len(w.colls) == 0 {
+			w.colls = resize(w.colls, len(decl.Members))
+			w.pending = resize(w.pending, len(decl.Members))
 		}
-		w.colls[j].off = make([]int, 1, rowCap+1)
+		w.colls[j].start(rowCap)
 	}
 	return w
+}
+
+// resize returns s with length n, over its own array when that has room:
+// the elements there, and the arrays they hold, are kept.
+func resize[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 func (w *tableWriter) startParent() {
@@ -151,7 +157,7 @@ func (w *tableWriter) close() {
 		}
 		var set *dedup
 		if m.Kind == aig.Set {
-			set = &w.d
+			set = w.d
 		}
 		b := &w.colls[j]
 		b.addRange(w.pending[j])
@@ -173,11 +179,11 @@ func (w *tableWriter) table() (*ctxTable, error) {
 	return w.t, w.err
 }
 
-// rootTable is the table of the root context: one instance, whose Inh
-// is the caller's value v read member by member (nil reads as Null
+// rootTable writes the table of the root context: one instance, whose
+// Inh is the caller's value v read member by member (nil reads as Null
 // scalars and empty collections).
-func rootTable(decl aig.AttrDecl, v *aig.AttrValue) (*ctxTable, error) {
-	w := newWriter(decl, 1, 1)
+func (cr *ctxRun) rootTable(decl aig.AttrDecl, v *aig.AttrValue) (*ctxTable, error) {
+	w := cr.writer(decl, 1, 1)
 	w.startParent()
 	w.open()
 	for j, m := range decl.Members {
@@ -195,6 +201,58 @@ func rootTable(decl aig.AttrDecl, v *aig.AttrValue) (*ctxTable, error) {
 	}
 	w.close()
 	return w.table()
+}
+
+// ctxRun is one context's working memory in a run: its instance table
+// and syn table, the builders that write them and the scratch arrays of
+// its materialization and syn tasks. Only those two tasks write it, one
+// after the other, and a recycled exec hands every array to the same
+// context again (exec.release).
+type ctxRun struct {
+	t    ctxTable
+	syn  attrTable
+	w    tableWriter
+	synB []colBuilder     // by Syn member
+	vals []relstore.Value // backs the syn table's singleton rows
+	d    dedup            // the Inh and Syn set members' and the guards'
+	// The query materialization's result grouped by parent (at, grouped)
+	// and its column binding; a star copy sorts in grouped instead.
+	at      []int
+	grouped []relstore.Tuple
+	pos     []int
+}
+
+// release clears what the run left in the context's arrays that points
+// elsewhere, so a pooled exec keeps no rows of its last run alive.
+func (cr *ctxRun) release() {
+	cr.t.syn.Store(nil)
+	cr.t.inh.release()
+	cr.syn.release()
+	for j := range cr.w.colls {
+		cr.w.colls[j].release()
+	}
+	clear(cr.w.pending)
+	for j := range cr.synB {
+		cr.synB[j].release()
+	}
+	wipe(cr.vals)
+	wipe(cr.grouped)
+}
+
+// release clears the table's scalar columns and drops its collection
+// columns, which belong to their builders.
+func (t *attrTable) release() {
+	for j := range t.cols {
+		col := &t.cols[j]
+		wipe(col.vals)
+		col.rows, col.off = nil, nil
+	}
+}
+
+// wipe clears s over its whole array: a run may have written past the
+// length it left s at.
+func wipe[T any](s []T) {
+	clear(s[:cap(s)])
 }
 
 // store holds the instance table of every context — the mediator's

@@ -156,7 +156,8 @@ func TestStoreUnpublishedReadsEmpty(t *testing.T) {
 	kid := &ctxNode{idx: 1, path: "r/k", elem: "k", parent: root}
 	root.children = []*ctxNode{kid}
 	s := make(store, 2)
-	top := newWriter(aig.Attr(), 1, 1)
+	var ctxs [2]ctxRun
+	top := ctxs[0].writer(aig.Attr(), 1, 1)
 	top.startParent()
 	top.open()
 	tt, _ := top.table()
@@ -174,7 +175,7 @@ func TestStoreUnpublishedReadsEmpty(t *testing.T) {
 		t.Error("Syn(k) over an unpublished child table is in scope")
 	}
 
-	tab := newWriter(aig.Attr(), 1, 2)
+	tab := ctxs[1].writer(aig.Attr(), 1, 2)
 	tab.startParent()
 	tab.open()
 	tab.open()

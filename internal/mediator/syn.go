@@ -293,7 +293,7 @@ func (g *graph) buildSyn(c *ctxNode) error {
 		if t == nil || len(plan.decl.Members) == 0 {
 			return len(x.st.rows(c)), nil
 		}
-		s, err := x.computeSyn(plan, t)
+		s, err := x.computeSyn(plan, c, t)
 		if err != nil {
 			return 0, fmt.Errorf("mediator: syn of %s: %v", c.path, err)
 		}
@@ -304,35 +304,39 @@ func (g *graph) buildSyn(c *ctxNode) error {
 	return nil
 }
 
-// computeSyn builds the syn table of the instances of table t, one
-// member column at a time.
-func (x *exec) computeSyn(plan *synPlan, t *ctxTable) (*attrTable, error) {
+// computeSyn builds the syn table of the instances of context c's table
+// t, one member column at a time, in the context's arrays.
+func (x *exec) computeSyn(plan *synPlan, c *ctxNode, t *ctxTable) (*attrTable, error) {
 	insts := t.rows
-	s := &attrTable{cols: make([]attrCol, len(plan.decl.Members))}
-	var d dedup
+	cr := &x.ctxs[c.idx]
+	s := &cr.syn
+	s.cols = resize(s.cols, len(plan.decl.Members))
+	cr.synB = resize(cr.synB, len(plan.decl.Members))
+	vals := cr.vals[:0] // backs the singleton rows
 	for j, m := range plan.decl.Members {
 		col := &s.cols[j]
 		if m.Kind == aig.Scalar {
-			col.vals = make([]relstore.Value, len(insts))
+			col.vals = resize(col.vals, len(insts))
 			for i := range insts {
+				v := relstore.Null
 				if e := plan.expr(&insts[i], j); e != nil {
-					v, err := x.scalar(&e[0].srcs[0], &t.inh, i)
-					if err != nil {
+					var err error
+					if v, err = x.scalar(&e[0].srcs[0], &t.inh, i); err != nil {
 						return nil, err
 					}
-					col.vals[i] = v
 				}
+				col.vals[i] = v
 			}
 			continue
 		}
-		b := colBuilder{off: make([]int, 1, len(insts)+1)}
-		var vals []relstore.Value // backs the singleton rows
+		b := &cr.synB[j]
+		b.start(len(insts))
 		var set *dedup
 		if m.Kind == aig.Set {
-			set = &d
+			set = &cr.d
 		}
 		for i := range insts {
-			if err := x.addTerms(&b, plan.expr(&insts[i], j), &t.inh, i, &vals); err != nil {
+			if err := x.addTerms(b, plan.expr(&insts[i], j), &t.inh, i, &vals); err != nil {
 				return nil, err
 			}
 			if err := b.end(set, m.Fields); err != nil {
@@ -341,6 +345,7 @@ func (x *exec) computeSyn(plan *synPlan, t *ctxTable) (*attrTable, error) {
 		}
 		col.rows, col.off = b.rows, b.off
 	}
+	cr.vals = vals
 	return s, nil
 }
 
@@ -403,7 +408,7 @@ func (x *exec) addTerms(b *colBuilder, terms []synTerm, inh *attrTable, i int, v
 // checkGuards checks the guards of context c on every instance's range
 // of its syn table s and records the first failure.
 func (x *exec) checkGuards(c *ctxNode, plan *synPlan, s *attrTable, n int) {
-	var d dedup
+	d := &x.ctxs[c.idx].d
 	member := func(name string, i int) []relstore.Tuple {
 		col := &s.cols[slices.IndexFunc(plan.decl.Members, func(m aig.MemberDecl) bool { return m.Name == name })]
 		return col.rows[col.off[i]:col.off[i+1]]
@@ -427,11 +432,29 @@ func (x *exec) checkGuards(c *ctxNode, plan *synPlan, s *attrTable, n int) {
 // colBuilder assembles a collection column one instance range at a time.
 // While every range continues the previous one inside one published
 // array, rows is a slice of that array and nothing is copied; the first
-// range that does not makes the builder copy into an array of its own.
+// range that does not makes the builder copy into an array of its own:
+// the one it owned in the exec's previous run, when it has room.
 type colBuilder struct {
 	rows  []relstore.Tuple
 	off   []int
 	owned bool
+	spare []relstore.Tuple // the array the builder owned in its last run, emptied
+}
+
+// start begins a column of n ranges.
+func (b *colBuilder) start(n int) {
+	b.rows, b.owned = nil, false
+	b.off = append(slices.Grow(b.off[:0], n+1), 0)
+}
+
+// release clears the rows of the array the builder owns and keeps it for
+// the next run's own, so a pooled exec keeps no rows alive.
+func (b *colBuilder) release() {
+	if b.owned {
+		wipe(b.rows)
+		b.spare = b.rows[:0]
+	}
+	b.rows, b.owned = nil, false
 }
 
 // addRange appends rs to the current instance's range.
@@ -455,10 +478,12 @@ func (b *colBuilder) addRow(row relstore.Tuple) {
 	b.rows = append(b.rows, row)
 }
 
+// own copies the rows into the builder's own array: the one it owned in
+// the previous run, grown only when it has too little room.
 func (b *colBuilder) own() {
 	if !b.owned {
-		b.rows = append(make([]relstore.Tuple, 0, 2*len(b.rows)+8), b.rows...)
-		b.owned = true
+		b.rows = append(slices.Grow(b.spare, 2*len(b.rows)+8), b.rows...)
+		b.spare, b.owned = nil, true
 	}
 }
 

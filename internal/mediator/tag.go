@@ -79,8 +79,10 @@ func (x *exec) tag(s Sink) error {
 	if roots := x.st.rows(x.g.root); len(roots) != 1 {
 		return fmt.Errorf("mediator: expected one root instance, have %d", len(roots))
 	}
-	w := tagger{st: x.st, s: s}
-	return w.tag(x.g.root, 0)
+	w := tagger{st: x.st, s: s, order: x.order[:0]}
+	err := w.tag(x.g.root, 0)
+	x.order = w.order
+	return err
 }
 
 // tag tags the instance at position id of context c.

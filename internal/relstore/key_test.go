@@ -1,6 +1,10 @@
 package relstore
 
-import "testing"
+import (
+	"math/rand/v2"
+	"slices"
+	"testing"
+)
 
 // A string holding the separator must not forge a value boundary: these
 // two rows differ, yet their values once joined into identical keys, so
@@ -110,4 +114,53 @@ func fuzzValue(data []byte) (Value, []byte) {
 		return String(string(data[1 : 1+n])), data[1+n:]
 	}
 	return Null, data
+}
+
+// TestDistinctRowsMatchesKeyReference compares DistinctRows with the
+// string-keyed first-occurrence dedup it replaced, over seeded random
+// two-column rows drawn from values whose keys or hashes are easy to
+// confuse: Nulls, Int(1) beside String("1"), Int(0) beside String(""),
+// and strings holding the key separator 0x1f.
+func TestDistinctRowsMatchesKeyReference(t *testing.T) {
+	vals := []Value{Null, Int(0), Int(1), String(""), String("1"), String("0"),
+		String("\x1f"), String("a\x1f"), String("\x1fa"), String("a"), Int(-1)}
+	reference := func(rows []Tuple) (kept, dropped []Tuple) {
+		seen := make(map[string]bool)
+		for _, row := range rows {
+			if k := row.Key(); seen[k] {
+				dropped = append(dropped, row)
+			} else {
+				seen[k] = true
+				kept = append(kept, row)
+			}
+		}
+		return kept, dropped
+	}
+	same := func(a, b []Tuple) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if &a[i][0] != &b[i][0] {
+				return false
+			}
+		}
+		return true
+	}
+	rng := rand.New(rand.NewPCG(48, 1))
+	for trial := 0; trial < 500; trial++ {
+		rows := make([]Tuple, rng.IntN(40))
+		for i := range rows {
+			rows[i] = Tuple{vals[rng.IntN(len(vals))], vals[rng.IntN(len(vals))]}
+		}
+		input := slices.Clone(rows)
+		kept, dropped := DistinctRows(rows)
+		wantKept, wantDropped := reference(rows)
+		if !same(kept, wantKept) || !same(dropped, wantDropped) {
+			t.Fatalf("trial %d: DistinctRows(%v) kept %v, dropped %v; want %v, %v", trial, rows, kept, dropped, wantKept, wantDropped)
+		}
+		if !same(rows, input) {
+			t.Fatalf("trial %d: DistinctRows modified its input", trial)
+		}
+	}
 }

@@ -116,18 +116,29 @@ func TableFromRows(name string, schema Schema, rows []Tuple) (*Table, error) {
 }
 
 // DistinctRows returns rows without duplicates, keeping first occurrences
-// in order. The input is not modified.
+// in order, and the duplicates it dropped. The input is not modified.
+// The kept rows are chained by Tuple.Hash, and Tuple.Equal confirms every
+// match, so a hash collision changes no result.
 func DistinctRows(rows []Tuple) (kept, dropped []Tuple) {
-	seen := make(map[string]struct{}, len(rows))
+	bits := 1
+	for 1<<bits < 2*len(rows) {
+		bits++
+	}
+	shift := 64 - bits
+	head := make([]int32, 1<<bits) // bucket -> first kept row + 1; 0 ends a chain
+	next := make([]int32, len(rows))
 	kept = make([]Tuple, 0, len(rows))
+rows:
 	for _, row := range rows {
-		k := row.Key()
-		if _, dup := seen[k]; dup {
-			dropped = append(dropped, row)
-			continue
+		b := row.Hash() >> shift
+		for p := head[b]; p != 0; p = next[p-1] {
+			if kept[p-1].Equal(row) {
+				dropped = append(dropped, row)
+				continue rows
+			}
 		}
-		seen[k] = struct{}{}
 		kept = append(kept, row)
+		next[len(kept)-1], head[b] = head[b], int32(len(kept))
 	}
 	return kept, dropped
 }

@@ -115,6 +115,7 @@ func (s *Server) fill(ctx context.Context, t target, stamp string, out *stream, 
 	if err == nil && st != nil {
 		e.depth, e.evalSec = st.depth, st.run.Report.WallSec
 		err = s.render(t, st, e, out, keep)
+		st.run.Release() // everything the entry keeps is copied out
 	}
 	if err != nil {
 		return nil, err

@@ -9,6 +9,11 @@ import (
 // buffered this many bytes, they go to its writer in one write.
 const ChunkSize = 32 << 10
 
+// bufSize is the buffer a streaming Encoder allocates when it is given
+// none: ChunkSize, and room for the line that crosses it, so a document
+// of ordinary lines never regrows it.
+const bufSize = ChunkSize + 1<<10
+
 // Encoder serializes a document handed to it as events — Open and Close
 // bracket an element with element content, Leaf is an element whose only
 // child is text, Empty a childless element — indented two spaces per
@@ -62,6 +67,15 @@ func (e *Encoder) Text(text string) {
 	e.spill()
 }
 
+// Swap makes e buffer in buf's array, from its start, and returns the
+// array e buffered in, emptied, so that one array can serve encoder
+// after encoder. Bytes e has buffered and not written move to buf.
+func (e *Encoder) Swap(buf []byte) []byte {
+	had := e.buf
+	e.buf = append(buf[:0], had...)
+	return had[:0]
+}
+
 // Flush writes what is buffered to W and returns the number of bytes
 // written to W in all and the first write error.
 func (e *Encoder) Flush() (int64, error) {
@@ -78,6 +92,9 @@ func (e *Encoder) put(pre, label, post string) {
 const spaces = "                                "
 
 func (e *Encoder) indent() {
+	if e.buf == nil && e.W != nil {
+		e.buf = make([]byte, 0, bufSize)
+	}
 	for n := 2 * e.depth; n > 0; n -= len(spaces) {
 		e.buf = append(e.buf, spaces[:min(n, len(spaces))]...)
 	}

@@ -159,3 +159,60 @@ func TestEncoderStreamsInChunks(t *testing.T) {
 		}
 	}
 }
+
+// TestEncoderSizesItsBufferOnce checks a streaming encoder allocates one
+// buffer, of ChunkSize and room for a line, and never regrows it over a
+// document many chunks long; that WriteIndented sizes its buffer to a
+// small tree; and that Swap hands a buffer from encoder to encoder with
+// any unwritten bytes.
+func TestEncoderSizesItsBufferOnce(t *testing.T) {
+	stream := func(e *Encoder) {
+		e.Open("report")
+		for i := 0; i < 3000; i++ {
+			e.Open("patient")
+			e.Leaf("SSN", "s12345")
+			e.Empty("bill")
+			e.Close("patient")
+		}
+		e.Close("report")
+	}
+	var caps []int
+	if n := testing.AllocsPerRun(5, func() {
+		e := Encoder{W: io.Discard}
+		stream(&e)
+		e.Flush()
+		caps = append(caps, cap(e.Swap(nil)))
+	}); n != 1 {
+		t.Errorf("streaming a document of 3000 patients allocates %v times, want once", n)
+	}
+	if caps[0] != bufSize {
+		t.Errorf("the encoder's buffer holds %d bytes, want %d", caps[0], bufSize)
+	}
+
+	small := NewElement("patient")
+	small.AppendElement("SSN").AppendText("s1")
+	var got bytes.Buffer
+	got.Grow(64)
+	if n := testing.AllocsPerRun(5, func() {
+		got.Reset()
+		small.WriteIndented(&got)
+	}); n != 1 {
+		t.Errorf("writing a two-element tree allocates %v times, want once", n)
+	}
+	if want := "<patient>\n  <SSN>s1</SSN>\n</patient>\n"; got.String() != want || small.size(0) != len(want) {
+		t.Errorf("wrote %q (size %d), want %q", got.String(), small.size(0), want)
+	}
+
+	var out bytes.Buffer
+	a := Encoder{W: &out}
+	a.Open("x")
+	buf := a.Swap(make([]byte, 0, 8))
+	if len(buf) != 0 || cap(buf) != bufSize {
+		t.Errorf("Swap returned len %d cap %d, want an empty buffer of %d", len(buf), cap(buf), bufSize)
+	}
+	a.Close("x")
+	a.Flush()
+	if out.String() != "<x>\n</x>\n" {
+		t.Errorf("bytes buffered before a Swap were lost: wrote %q", out.String())
+	}
+}

@@ -185,10 +185,29 @@ func (n *Node) Clone() *Node {
 // through the same Encoder the mediator's tagger streams with. Elements
 // whose only child is a text node are rendered on one line.
 func (n *Node) WriteIndented(w io.Writer) error {
-	e := Encoder{W: w}
+	e := Encoder{W: w, buf: make([]byte, 0, min(n.size(0), bufSize))}
 	n.encode(&e)
 	_, err := e.Flush()
 	return err
+}
+
+// size is the length of the subtree's serialization at the given depth,
+// but for what escaping adds.
+func (n *Node) size(depth int) int {
+	in := 2 * depth
+	switch {
+	case n.IsText():
+		return in + len(n.Text) + 1
+	case len(n.Children) == 0:
+		return in + len(n.Label) + 4
+	case len(n.Children) == 1 && n.Children[0].IsText():
+		return in + 2*len(n.Label) + len(n.Children[0].Text) + 6
+	}
+	sz := 2*in + 2*len(n.Label) + 7
+	for _, c := range n.Children {
+		sz += c.size(depth + 1)
+	}
+	return sz
 }
 
 func (n *Node) encode(e *Encoder) {
@@ -210,7 +229,7 @@ func (n *Node) encode(e *Encoder) {
 
 // String returns the indented serialization of the subtree.
 func (n *Node) String() string {
-	var e Encoder
+	e := Encoder{buf: make([]byte, 0, n.size(0))}
 	n.encode(&e)
 	return string(e.buf)
 }

@@ -55,6 +55,10 @@ func NewStream(p *Path, w io.Writer) *Stream {
 	return s
 }
 
+// Swap trades the array the stream buffers a match's bytes in, as
+// xmltree.Encoder.Swap does.
+func (s *Stream) Swap(buf []byte) []byte { return s.enc.Swap(buf) }
+
 // Matches returns the number of matches written so far.
 func (s *Stream) Matches() int { return s.matches }
 
