@@ -49,7 +49,9 @@ staticcheck:
 # crashes, every constraint parsed from multi-line text must carry a
 # position inside that text, the XML encoder must byte-match the fmt-based
 # reference, tuple keys must be equal exactly when the tuples are,
-# tuples equal on a projection must hash equal on it, a tuple must
+# tuples equal on a projection must hash equal on it, the row index
+# must find exactly the rows a Value.Equal scan finds (and its key,
+# inclusion and distinct answers must match brute force), a tuple must
 # survive relstore's gob encoding and arbitrary bytes must decode to a
 # tuple or an error, never a panic, a row parsed from
 # outside text must render back to itself, and recovering a WAL with
@@ -66,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWriteIndented -fuzztime 10s ./internal/xmltree
 	$(GO) test -run '^$$' -fuzz FuzzTupleKey -fuzztime 10s ./internal/relstore
 	$(GO) test -run '^$$' -fuzz FuzzTupleHash -fuzztime 10s ./internal/relstore
+	$(GO) test -run '^$$' -fuzz FuzzHashIndex -fuzztime 10s ./internal/relstore
 	$(GO) test -run '^$$' -fuzz FuzzTupleGob -fuzztime 10s ./internal/relstore
 	$(GO) test -run '^$$' -fuzz FuzzParseRow -fuzztime 10s ./internal/relstore
 	$(GO) test -run '^$$' -fuzz FuzzRecoverWAL -fuzztime 10s ./internal/relstore
@@ -142,12 +145,13 @@ bench-contract:
 
 # alloc-budget runs the mediator's (documents, planned or not, and the
 # SSN fragment; the served document, whose run is released to its plan,
-# has a bytes budget beside its allocation count), the warm hit's and
-# the executor's join allocation budgets (stored tables, and parameter
-# tables hashed per join), which are not built under -race and so never
+# has a bytes budget beside its allocation count), the warm hit's, the
+# executor's join allocation budgets (stored tables, and parameter
+# tables indexed per join) and the row index's (no allocation per row
+# built, none per lookup), which are not built under -race and so never
 # run in the race pass.
 alloc-budget:
-	$(GO) test -count=1 -run AllocBudget ./internal/mediator ./internal/serve ./internal/sqlmini
+	$(GO) test -count=1 -run AllocBudget ./internal/mediator ./internal/serve ./internal/sqlmini ./internal/relstore
 
 # bench-unit is the cold path's unit reproducer: 90 evaluations (three
 # cycles of the 30 dates) of the served hospital view over bench250, so

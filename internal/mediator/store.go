@@ -237,6 +237,7 @@ func (cr *ctxRun) release() {
 	}
 	wipe(cr.vals)
 	wipe(cr.grouped)
+	cr.d.ix.Build(nil, nil) // drops the rows, keeps the array
 }
 
 // release clears the table's scalar columns and drops its collection

@@ -512,41 +512,13 @@ func (b *colBuilder) end(d *dedup, fields relstore.Schema) error {
 	return nil
 }
 
-// dedup finds repeated rows within one range at a time by hashing the
-// range into an open-addressed table of its positions. Tuple.Equal
-// confirms every match, so a hash collision changes no result. Its
-// buffers are reused from range to range, so it allocates only while
-// they grow.
+// dedup finds repeated rows within one range at a time, and checks one
+// range's inclusion in another, through one relstore.HashIndex over
+// whole rows, rebuilt for every range. Its arrays are reused from range
+// to range, so it allocates only while they grow.
 type dedup struct {
-	slots []int32 // by Tuple.Hash, linear probing: a position + 1, 0 if free
-	shift uint    // a hash's slot is hash >> shift
-	dup   []bool  // by position: the row repeats an earlier one
-}
-
-// reset empties the table and sizes it for n rows at most half full.
-func (d *dedup) reset(n int) {
-	bits := 3
-	for 1<<bits < 2*n {
-		bits++
-	}
-	d.shift = uint(64 - bits)
-	d.slots = slices.Grow(d.slots[:0], 1<<bits)[:1<<bits]
-	clear(d.slots)
-}
-
-// find returns the slot of the row of rs in the table equal to row, or
-// the free slot where row would go.
-func (d *dedup) find(rs []relstore.Tuple, row relstore.Tuple) (int, bool) {
-	mask := len(d.slots) - 1
-	for s := int(row.Hash() >> d.shift); ; s = (s + 1) & mask {
-		p := d.slots[s]
-		if p == 0 {
-			return s, false
-		}
-		if rs[p-1].Equal(row) {
-			return s, true
-		}
-	}
+	ix  relstore.HashIndex
+	dup []bool // by position: the row repeats an earlier one
 }
 
 // mark flags in dup every row of rs equal to an earlier one and reports
@@ -555,18 +527,15 @@ func (d *dedup) mark(rs []relstore.Tuple) bool {
 	if len(rs) < 2 {
 		return false
 	}
-	d.reset(len(rs))
-	d.dup = slices.Grow(d.dup[:0], len(rs))[:len(rs)]
-	found := false
-	for i, row := range rs {
-		s, ok := d.find(rs, row)
-		if d.dup[i] = ok; ok {
-			found = true
-		} else {
-			d.slots[s] = int32(i + 1)
-		}
+	d.ix.Build(rs, nil)
+	if d.ix.Unique() {
+		return false
 	}
-	return found
+	d.dup = slices.Grow(d.dup[:0], len(rs))[:len(rs)]
+	for i := range rs {
+		d.dup[i] = d.ix.Repeat(i)
+	}
+	return true
 }
 
 // subset reports whether every row of sub occurs in super.
@@ -574,14 +543,9 @@ func (d *dedup) subset(sub, super []relstore.Tuple) bool {
 	if len(sub) == 0 {
 		return true
 	}
-	d.reset(len(super))
-	for i, row := range super {
-		if s, ok := d.find(super, row); !ok {
-			d.slots[s] = int32(i + 1)
-		}
-	}
+	d.ix.Build(super, nil)
 	for _, row := range sub {
-		if _, ok := d.find(super, row); !ok {
+		if len(d.ix.Lookup(row)) == 0 {
 			return false
 		}
 	}

@@ -211,7 +211,7 @@ func BenchmarkDistinctCount(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			tab.mu.Lock()
-			tab.distinct = nil
+			tab.indexes = nil
 			tab.mu.Unlock()
 			benchCount = tab.DistinctCount(i % 3)
 		}

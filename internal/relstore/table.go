@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -34,13 +35,11 @@ type Table struct {
 	// never rewritten in place; appends either fill spare capacity the
 	// snapshot cannot see or reallocate.
 	buf []Tuple
-	// indexes and distinct are derived from the published snapshot, built
-	// on first use and dropped by publishLocked — the one place a new
-	// snapshot becomes visible — so neither can outlive the rows it
-	// describes.
-	indexes  map[string]*HashIndex
-	distinct map[int]int // column -> number of distinct values
-	log      changeLog
+	// indexes are derived from the published snapshot, built on first
+	// use and dropped by publishLocked — the one place a new snapshot
+	// becomes visible — so none can outlive the rows it describes.
+	indexes map[string]*HashIndex
+	log     changeLog
 
 	// db is the table's owner: the database it is registered in, nil
 	// before registration and once retired (dropped or replaced). Every
@@ -48,49 +47,6 @@ type Table struct {
 	// unlocking, and journals through the owner's persister first, so a
 	// table's writes move exactly one database.
 	db atomic.Pointer[Database]
-}
-
-// HashIndex maps the Tuple.KeyOn of a column list to row positions in the
-// snapshot it was built from. It carries that snapshot: its positions
-// index Rows and nothing else, so a reader that probes it can never pair
-// one snapshot's positions with another's rows.
-type HashIndex struct {
-	rows    []Tuple
-	buckets map[string][]int // tuple key -> ascending row positions
-}
-
-// Rows returns the snapshot the index was built from. Callers must not
-// mutate it.
-func (ix *HashIndex) Rows() []Tuple { return ix.rows }
-
-// Lookup returns the ascending positions, in Rows, of the rows whose
-// indexed columns equal key's values in order. It does not allocate for
-// keys that encode in 64 bytes.
-func (ix *HashIndex) Lookup(key Tuple) []int {
-	var buf [64]byte
-	return ix.buckets[string(key.appendKey(buf[:0]))]
-}
-
-// Unique reports whether no two indexed rows share a key: the indexed
-// columns are a key of the snapshot.
-func (ix *HashIndex) Unique() bool {
-	for _, rows := range ix.buckets {
-		if len(rows) > 1 {
-			return false
-		}
-	}
-	return true
-}
-
-// SubsetOf reports whether every key of ix is also a key of other: the
-// inclusion of the two indexed projections.
-func (ix *HashIndex) SubsetOf(other *HashIndex) bool {
-	for k := range ix.buckets {
-		if _, ok := other.buckets[k]; !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // NewTable creates an empty table with the given name and schema.
@@ -115,34 +71,6 @@ func TableFromRows(name string, schema Schema, rows []Tuple) (*Table, error) {
 	return t, nil
 }
 
-// DistinctRows returns rows without duplicates, keeping first occurrences
-// in order, and the duplicates it dropped. The input is not modified.
-// The kept rows are chained by Tuple.Hash, and Tuple.Equal confirms every
-// match, so a hash collision changes no result.
-func DistinctRows(rows []Tuple) (kept, dropped []Tuple) {
-	bits := 1
-	for 1<<bits < 2*len(rows) {
-		bits++
-	}
-	shift := 64 - bits
-	head := make([]int32, 1<<bits) // bucket -> first kept row + 1; 0 ends a chain
-	next := make([]int32, len(rows))
-	kept = make([]Tuple, 0, len(rows))
-rows:
-	for _, row := range rows {
-		b := row.Hash() >> shift
-		for p := head[b]; p != 0; p = next[p-1] {
-			if kept[p-1].Equal(row) {
-				dropped = append(dropped, row)
-				continue rows
-			}
-		}
-		kept = append(kept, row)
-		next[len(kept)-1], head[b] = head[b], int32(len(kept))
-	}
-	return kept, dropped
-}
-
 // Name returns the table's name.
 func (t *Table) Name() string { return t.name }
 
@@ -158,13 +86,13 @@ func (t *Table) rowsSnap() []Tuple {
 }
 
 // publishLocked makes the current buffer the visible snapshot and drops
-// the structures derived from the previous one. The three-index slice
-// caps the snapshot at its length so later in-place appends to spare
-// buffer capacity stay invisible to readers.
+// the indexes of the previous one. The three-index slice caps the
+// snapshot at its length so later in-place appends to spare buffer
+// capacity stay invisible to readers.
 func (t *Table) publishLocked() {
 	s := t.buf[:len(t.buf):len(t.buf)]
 	t.snap.Store(&s)
-	t.indexes, t.distinct = nil, nil
+	t.indexes = nil
 }
 
 // Len returns the number of tuples (the relation's cardinality).
@@ -385,7 +313,7 @@ func (t *Table) deleteIndices(idx []int) int {
 // Lookup returns the ascending positions of the rows whose projection
 // onto cols equals key, together with the snapshot they index. It builds
 // (and caches) a hash index on cols on first use.
-func (t *Table) Lookup(cols []int, key Tuple) (rows []Tuple, pos []int) {
+func (t *Table) Lookup(cols []int, key Tuple) (rows []Tuple, pos []int32) {
 	ix := t.Index(cols)
 	return ix.rows, ix.Lookup(key)
 }
@@ -406,12 +334,8 @@ func (t *Table) Index(cols []int) *HashIndex {
 	if ix, ok := t.indexes[string(sig)]; ok {
 		return ix
 	}
-	rows := t.rowsSnap()
-	ix := &HashIndex{rows: rows, buckets: make(map[string][]int)}
-	for i, row := range rows {
-		k := row.KeyOn(cols)
-		ix.buckets[k] = append(ix.buckets[k], i)
-	}
+	ix := new(HashIndex)
+	ix.Build(t.rowsSnap(), slices.Clone(cols))
 	if t.indexes == nil {
 		t.indexes = make(map[string]*HashIndex)
 	}
@@ -420,25 +344,10 @@ func (t *Table) Index(cols []int) *HashIndex {
 }
 
 // DistinctCount returns the number of distinct values in the given column,
-// used by selectivity estimation. The planner asks for it per column per
-// plan, so the count is memoized against the published snapshot (like the
-// hash indexes: one scan under the table lock on first use).
+// used by selectivity estimation: the key count of the column's index,
+// memoized against the published snapshot with that index.
 func (t *Table) DistinctCount(col int) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if n, ok := t.distinct[col]; ok {
-		return n
-	}
-	rows := t.rowsSnap()
-	seen := make(map[Value]struct{}, len(rows)) // == is Equal on Values
-	for _, row := range rows {
-		seen[row[col]] = struct{}{}
-	}
-	if t.distinct == nil {
-		t.distinct = make(map[int]int, len(t.schema))
-	}
-	t.distinct[col] = len(seen)
-	return len(seen)
+	return t.Index([]int{col}).keys()
 }
 
 // ByteSize returns the approximate total wire size of the table's rows.

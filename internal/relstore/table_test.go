@@ -332,7 +332,4 @@ func TestTupleProjectConcat(t *testing.T) {
 	if !p.Equal(Tuple{Int(3), Int(1)}) {
 		t.Errorf("Project = %v", p)
 	}
-	if tup.KeyOn([]int{2, 0}) != p.Key() {
-		t.Error("KeyOn disagrees with Project().Key()")
-	}
 }

@@ -92,20 +92,6 @@ func (t Tuple) appendKey(b []byte) []byte {
 	return b
 }
 
-// KeyOn returns the Key of the projection of the tuple onto the given
-// column positions without materializing the projection.
-func (t Tuple) KeyOn(idx []int) string {
-	var buf [64]byte
-	b := buf[:0]
-	for i, j := range idx {
-		if i > 0 {
-			b = append(b, keySep)
-		}
-		b = t[j].appendKey(b)
-	}
-	return string(b)
-}
-
 // Hash returns a hash of the tuple's values: Equal tuples hash equal,
 // and a tuple hashes as HashOn of any tuple it is the projection of.
 // Unequal tuples may collide, so every user confirms a match with Equal

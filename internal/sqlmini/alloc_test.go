@@ -33,10 +33,11 @@ func TestJoinAllocBudget(t *testing.T) {
 
 // maxParamJoinAllocs bounds BenchmarkParamJoin/build-1000's query, two
 // parameter tables joined on two columns, at 1,000 and at 10,000 rows:
-// the hashed table's chains are two arrays and a counting pass sizes
-// the result, so nothing allocates per row (~43 allocations at either
-// size, where a string key per row and a growing result took ~2,045 at
-// 1,000 rows).
+// the second table's relstore.HashIndex is one array and a counting
+// pass sizes the result, so nothing allocates per row (~41 allocations
+// at either size; 43 when the table was chained in arrays of its own,
+// and ~2,045 at 1,000 rows with a string key per row and a growing
+// result).
 const maxParamJoinAllocs = 60
 
 func TestParamBuildJoinAllocBudget(t *testing.T) {

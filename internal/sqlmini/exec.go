@@ -353,7 +353,7 @@ func (in *input) pass(row relstore.Tuple) bool {
 func (in *input) candidates() []relstore.Tuple {
 	if in.table != nil && (len(in.eqCols) > 0 || in.inCol != nil) {
 		var ix *relstore.HashIndex
-		var pos []int
+		var pos []int32
 		if len(in.eqCols) > 0 {
 			ix = in.table.Index(in.eqCols)
 			pos = ix.Lookup(in.eqVals)
@@ -399,86 +399,41 @@ func (in *input) candidates() []relstore.Tuple {
 // table on the prefix columns probe = row[buildCols], prefix order
 // first, table order within a prefix row; a result row is its prefix's
 // references followed by the table row. A stored table is probed
-// through its index on the local equality columns plus buildCols; a
-// parameter table is hashed for this join (hashJoin).
+// through its snapshot index on the local equality columns plus
+// buildCols; a parameter table's rows are indexed on buildCols for this
+// join. A counting pass sizes the result before the filling pass.
 func (in *input) join(refs []relstore.Tuple, k int, probe []colAt, buildCols []int) []relstore.Tuple {
-	if in.table == nil {
-		return hashJoin(in.candidates(), refs, k, probe, buildCols)
-	}
-	// Room for one match per prefix row, the common key-to-key case.
-	joined := make([]relstore.Tuple, 0, len(refs)+len(refs)/k)
 	ne := len(in.eqCols)
 	key := make(relstore.Tuple, ne+len(probe))
 	copy(key, in.eqVals)
-	ix := in.table.Index(append(append(make([]int, 0, ne+len(buildCols)), in.eqCols...), buildCols...))
-	rows := ix.Rows()
-	hits := 0
-	for lo := 0; lo < len(refs); lo += k {
-		prefix := refs[lo : lo+k]
+	var ix *relstore.HashIndex
+	if in.table != nil {
+		ix = in.table.Index(append(append(make([]int, 0, ne+len(buildCols)), in.eqCols...), buildCols...))
+	} else {
+		ix = new(relstore.HashIndex)
+		ix.Build(in.rows, buildCols)
+		metricRowsScanned.Add(int64(len(in.rows)))
+	}
+	lookup := func(prefix []relstore.Tuple) []int32 {
 		for j, c := range probe {
 			key[ne+j] = prefix[c.slot][c.col]
 		}
-		pos := ix.Lookup(key)
-		hits += len(pos)
-		for _, p := range pos {
-			if nrow := rows[p]; in.pass(nrow) {
-				joined = append(append(joined, prefix...), nrow)
-			}
-		}
+		return ix.Lookup(key)
 	}
-	metricRowsScanned.Add(int64(hits))
-	return joined
-}
-
-// hashJoin is join for the rows of a parameter table. It chains the
-// rows by the value hash of their buildCols, each chain in table order,
-// and confirms every match with Value.Equal, so a collision changes no
-// result. A counting pass sizes the result before the filling pass.
-func hashJoin(rows, refs []relstore.Tuple, k int, probe []colAt, buildCols []int) []relstore.Tuple {
-	bits := 1
-	for 1<<bits < 2*len(rows) {
-		bits++
-	}
-	shift := 64 - bits
-	head := make([]int32, 1<<bits) // bucket -> first row + 1; 0 ends a chain
-	next := make([]int32, len(rows))
-	for i := len(rows) - 1; i >= 0; i-- {
-		b := rows[i].HashOn(buildCols) >> shift
-		next[i], head[b] = head[b], int32(i+1)
-	}
-	key := make(relstore.Tuple, len(probe))
-	match := func(p int32) bool {
-		row := rows[p-1]
-		for j, c := range buildCols {
-			if !row[c].Equal(key[j]) {
-				return false
-			}
-		}
-		return true
-	}
-	first := make([]int32, len(refs)/k) // by prefix row: its bucket's chain
-	n := 0
+	hits := 0
 	for lo := 0; lo < len(refs); lo += k {
-		for j, c := range probe {
-			key[j] = refs[lo+c.slot][c.col]
-		}
-		p := head[key.Hash()>>shift]
-		first[lo/k] = p
-		for ; p != 0; p = next[p-1] {
-			if match(p) {
-				n++
-			}
-		}
+		hits += len(lookup(refs[lo : lo+k]))
 	}
-	joined := make([]relstore.Tuple, 0, n*(k+1))
+	if in.table != nil {
+		metricRowsScanned.Add(int64(hits))
+	}
+	rows := ix.Rows()
+	joined := make([]relstore.Tuple, 0, hits*(k+1))
 	for lo := 0; lo < len(refs); lo += k {
 		prefix := refs[lo : lo+k]
-		for j, c := range probe {
-			key[j] = prefix[c.slot][c.col]
-		}
-		for p := first[lo/k]; p != 0; p = next[p-1] {
-			if match(p) {
-				joined = append(append(joined, prefix...), rows[p-1])
+		for _, p := range lookup(prefix) {
+			if nrow := rows[p]; in.pass(nrow) {
+				joined = append(append(joined, prefix...), nrow)
 			}
 		}
 	}
