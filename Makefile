@@ -145,11 +145,12 @@ bench-contract:
 
 # alloc-budget runs the mediator's (documents, planned or not, and the
 # SSN fragment; the served document, whose run is released to its plan,
-# has a bytes budget beside its allocation count), the warm hit's, the
-# executor's join allocation budgets (stored tables, and parameter
-# tables indexed per join) and the row index's (no allocation per row
-# built, none per lookup), which are not built under -race and so never
-# run in the race pass.
+# and the bill fragment have bytes budgets), the warm hit's, the
+# executor's join allocation budgets (stored tables, parameter tables
+# indexed per join, and both in a warmed sqlmini.Scratch, where the
+# count must not grow with the rows) and the row index's (no allocation
+# per row built, none per lookup), which are not built under -race and
+# so never run in the race pass.
 alloc-budget:
 	$(GO) test -count=1 -run AllocBudget ./internal/mediator ./internal/serve ./internal/sqlmini ./internal/relstore
 

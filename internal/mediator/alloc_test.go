@@ -46,12 +46,13 @@ const maxEvalAllocs = 17_900
 const maxServeAllocs = 950
 
 // maxServeBytes bounds the heap bytes of the same evaluations: 1.55 MB
-// when every run built its tables from fresh memory, ~0.39 MB since a
-// released run's memory is reused, nearly all of it sqlmini's results
-// (BenchmarkEvaluateRecursive/bench250/serve reads 0.435 MB at 90x, as
-// it counts the growth of the first cycle). Dropping the release, or the
-// reuse of any large per-run array, fails here.
-const maxServeBytes = 500_000
+// when every run built its tables from fresh memory, ~0.38 MB since a
+// released run's memory is reused, nearly all of it sqlmini's results,
+// and ~33 KB since the part queries execute in their parts' scratches
+// too (BenchmarkEvaluateRecursive/bench250/serve reads ~0.1 MB at 90x,
+// as it counts the growth of the first cycle). Dropping the release, or
+// the reuse of any large per-run array, fails here.
+const maxServeBytes = 100_000
 
 // maxFirstAllocs bounds the same evaluations planned from scratch, a
 // fresh mediator each (BenchmarkEvaluateRecursive/bench250/first):
@@ -97,6 +98,31 @@ func TestServeAllocBudget(t *testing.T) {
 	})
 	if b > maxServeBytes {
 		t.Errorf("one settle and emit allocates %.0f bytes on average, budget %d", b, maxServeBytes)
+	}
+}
+
+// maxBillBytes bounds the heap bytes of one cold /report/patient/bill
+// fragment as aigd serves it (BenchmarkFragment/bill): ~0.41 MB when
+// its part queries' results were fresh memory, ~33 KB since they live
+// in the plan's recycled scratches.
+const maxBillBytes = 80_000
+
+// TestBillFragmentAllocBudget holds the bill fragment, the widest of
+// the benchmark's paths, to its bytes budget.
+func TestBillFragmentAllocBudget(t *testing.T) {
+	reg, sa := bench250View(t, false)
+	m := New(reg, DefaultOptions())
+	p, v := fragmentVerdict(t, sa, "/report/patient/bill")
+	var buf bytes.Buffer
+	_, b := perDate(func(d int) {
+		buf.Reset()
+		if _, err := settleFragment(m, sa, p, v, d, &buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f bytes per bill fragment (budget %d)", b, maxBillBytes)
+	if b > maxBillBytes {
+		t.Errorf("one bill fragment allocates %.0f bytes on average, budget %d", b, maxBillBytes)
 	}
 }
 

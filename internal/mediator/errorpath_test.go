@@ -28,11 +28,11 @@ type failingSource struct {
 	failAt int32
 }
 
-func (f *failingSource) Exec(ctx context.Context, name string, q *sqlmini.Query, params sqlmini.Params, opts sqlmini.PlanOptions) (*relstore.Table, time.Duration, error) {
+func (f *failingSource) Exec(ctx context.Context, name string, q *sqlmini.Query, params sqlmini.Params, opts sqlmini.PlanOptions, scratch ...*sqlmini.Scratch) (*relstore.Table, time.Duration, error) {
 	if atomic.AddInt32(f.calls, 1) == f.failAt {
 		return nil, 0, errInjected
 	}
-	return f.Source.Exec(ctx, name, q, params, opts)
+	return f.Source.Exec(ctx, name, q, params, opts, scratch...)
 }
 
 // failingRegistry wraps every database of the catalog so that the
@@ -56,8 +56,8 @@ type bogusParentSource struct {
 	part string
 }
 
-func (b bogusParentSource) Exec(ctx context.Context, name string, q *sqlmini.Query, params sqlmini.Params, opts sqlmini.PlanOptions) (*relstore.Table, time.Duration, error) {
-	out, dur, err := b.Source.Exec(ctx, name, q, params, opts)
+func (b bogusParentSource) Exec(ctx context.Context, name string, q *sqlmini.Query, params sqlmini.Params, opts sqlmini.PlanOptions, scratch ...*sqlmini.Scratch) (*relstore.Table, time.Duration, error) {
+	out, dur, err := b.Source.Exec(ctx, name, q, params, opts, scratch...)
 	if err != nil || name != b.part {
 		return out, dur, err
 	}

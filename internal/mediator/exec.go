@@ -73,20 +73,29 @@ type nodeRun struct {
 	outBytes int
 }
 
-// partRun is one query part's parameter tables in a run: the bindings,
-// their cardinalities for the planner, and per parameter table the rows
-// and the values they are carved from.
+// partRun is one query part's working memory in a run: its parameter
+// tables — the bindings, their cardinalities for the planner, and per
+// parameter table the rows and the values they are carved from — and
+// the scratch its query executes in, where its result lives. A part
+// runs at most once per run, so its result stays intact until release.
 type partRun struct {
 	params sqlmini.Params
 	cards  map[string]int
 	vals   [][]relstore.Value // by rewritten.specs
 	rows   [][]relstore.Tuple // by rewritten.specs
+	sc     sqlmini.Scratch
 }
 
 // newExec starts a run of plan p: on the exec a released run of p left,
 // or on a new one.
 func newExec(p *preparedPlan, rootInh *aig.AttrValue) *exec {
-	x, _ := p.execs.Get().(*exec)
+	var x *exec
+	p.freeMu.Lock()
+	if n := len(p.free); n > 0 {
+		x, p.free[n-1] = p.free[n-1], nil
+		p.free = p.free[:n-1]
+	}
+	p.freeMu.Unlock()
 	if x == nil {
 		x = &exec{
 			preparedPlan: p,
@@ -109,7 +118,11 @@ func newExec(p *preparedPlan, rootInh *aig.AttrValue) *exec {
 // plan's next evaluation. Arrays keep their capacity and are truncated
 // where they are written again; what points elsewhere — the store's
 // tables, rows, values, results, bindings — is cleared first, so the
-// pooled exec keeps nothing of the run alive.
+// recycled exec keeps nothing of the run alive. Each array is cleared up
+// to its high-water length, the most of it the run wrote, not over its
+// whole capacity: what lies beyond was cleared when an earlier run was
+// released, or never written. A failed run's exec is never released,
+// so a run that stopped halfway leaves no writes unaccounted for.
 func (x *exec) release() {
 	x.ctx, x.rootInh, x.tr, x.execSpan = nil, nil, nil, nil
 	x.firstErr, x.abort = nil, nil
@@ -129,11 +142,14 @@ func (x *exec) release() {
 		pr := &x.parts[i]
 		clear(pr.params)
 		for k := range pr.vals {
-			wipe(pr.vals[k])
-			wipe(pr.rows[k])
+			pr.vals[k] = clearAll(pr.vals[k])
+			pr.rows[k] = clearAll(pr.rows[k])
 		}
+		pr.sc.Release()
 	}
-	x.execs.Put(x)
+	x.freeMu.Lock()
+	x.free = append(x.free, x)
+	x.freeMu.Unlock()
 }
 
 func (x *exec) fail(err error) {
@@ -540,9 +556,10 @@ func (x *exec) runPart(ctx context.Context, n *node, pt *part) error {
 }
 
 // execPart binds one part's parameter tables from the store (prev is the
-// chain predecessor's output) and runs its query at the part's source,
-// returning the result, the engine time and the volume of the
-// store-derived parameter tables.
+// chain predecessor's output) and runs its query at the part's source in
+// the part's scratch, returning the result, the engine time and the
+// volume of the store-derived parameter tables. A local source's result
+// lives in the scratch until the run is released.
 func (x *exec) execPart(ctx context.Context, pt *part, prev *relstore.Table) (*relstore.Table, time.Duration, int, error) {
 	params, paramBytes, err := x.bindParams(pt, prev)
 	if err != nil {
@@ -554,18 +571,19 @@ func (x *exec) execPart(ctx context.Context, pt *part, prev *relstore.Table) (*r
 		opts.ParamCards[name] = len(b.Rows) + 1
 	}
 
+	sc := &x.parts[pt.idx].sc
 	var out *relstore.Table
 	var dur time.Duration
 	if pt.source == MediatorSource {
 		start := time.Now()
-		out, err = sqlmini.Run(pt.name, pt.rw.query, x.g.reg, x.g.reg, x.g.reg, params, opts)
+		out, err = sqlmini.Run(pt.name, pt.rw.query, x.g.reg, x.g.reg, x.g.reg, params, opts, sc)
 		dur = time.Since(start)
 	} else {
 		src, gerr := x.g.reg.Get(pt.source)
 		if gerr != nil {
 			return nil, 0, 0, gerr
 		}
-		out, dur, err = src.Exec(ctx, pt.name, pt.rw.query, params, opts)
+		out, dur, err = src.Exec(ctx, pt.name, pt.rw.query, params, opts, sc)
 	}
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("mediator: %s: %v", pt.name, err)

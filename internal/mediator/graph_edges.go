@@ -321,7 +321,7 @@ func (g *graph) setCopyMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch in
 		pt := x.st.table(c)
 		cr := &x.ctxs[ch.idx]
 		w := cr.writer(decl, len(pt.rows), len(pt.rows))
-		sorted := cr.grouped[:0]
+		sorted, most := cr.grouped[:0], 0
 		for id := range pt.rows {
 			w.startParent()
 			if !pt.rows[id].on(branch) {
@@ -336,6 +336,7 @@ func (g *graph) setCopyMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch in
 					return 0, bindErr
 				}
 				sorted = append(sorted[:0], rows...)
+				most = max(most, len(sorted))
 				slices.SortStableFunc(sorted, relstore.Tuple.Compare)
 				for _, row := range sorted {
 					w.open()
@@ -350,7 +351,7 @@ func (g *graph) setCopyMat(mat *node, c, ch *ctxNode, ir *aig.InhRule, branch in
 			}
 			w.close()
 		}
-		cr.grouped = sorted
+		cr.grouped = sorted[:most]
 		t, err := w.table()
 		if err != nil {
 			return 0, err

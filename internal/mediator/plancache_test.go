@@ -212,6 +212,13 @@ var schedules = []struct {
 // its catalog.
 func randomGrammar(t *testing.T, seed int64) (*aig.AIG, *source.Registry) {
 	t.Helper()
+	_, a, reg := randomInstance(t, seed)
+	return a, reg
+}
+
+// randomInstance is randomGrammar with the randaig instance it is of.
+func randomInstance(t *testing.T, seed int64) (*randaig.Instance, *aig.AIG, *source.Registry) {
+	t.Helper()
 	inst, err := randaig.Generate(seed, randaig.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +233,7 @@ func randomGrammar(t *testing.T, seed int64) (*aig.AIG, *source.Registry) {
 	if a, err = specialize.Unfold(a, inst.UnfoldDepth); err != nil {
 		t.Fatal(err)
 	}
-	return a, source.RegistryFromCatalog(inst.Catalog)
+	return inst, a, source.RegistryFromCatalog(inst.Catalog)
 }
 
 // checkGolden compares got with testdata/name, or rewrites the file under

@@ -32,13 +32,20 @@ var (
 // It depends on the grammar, the depth and the source statistics only, and
 // nothing in it is written after prepare returns, so every evaluation —
 // concurrent ones included — instantiates its own exec over the same
-// prepared plan. The one exception is execs, where a released Run leaves
+// prepared plan. The one exception is free, where a released Run leaves
 // its exec for the plan's next evaluation to reuse.
 type preparedPlan struct {
 	g      *graph
 	merged int   // merged groups (Report.MergedGroups)
 	sched  *plan // per-source order, which every evaluation executes
-	execs  sync.Pool
+	// free holds the execs of released runs, last released on top. A run
+	// takes one, or makes one only when none is free, so the plan holds
+	// at most as many execs as it had runs live at once. Unlike a
+	// sync.Pool the list keeps them through garbage collections, so a
+	// plan's runs stop regrowing their arrays once it has served its
+	// busiest moment.
+	freeMu sync.Mutex
+	free   []*exec
 }
 
 // maxPlans bounds the plan cache, once for document plans and once for

@@ -24,9 +24,9 @@ type countingSource struct {
 	execs *atomic.Int64
 }
 
-func (c countingSource) Exec(ctx context.Context, name string, q *sqlmini.Query, params sqlmini.Params, opts sqlmini.PlanOptions) (*relstore.Table, time.Duration, error) {
+func (c countingSource) Exec(ctx context.Context, name string, q *sqlmini.Query, params sqlmini.Params, opts sqlmini.PlanOptions, scratch ...*sqlmini.Scratch) (*relstore.Table, time.Duration, error) {
 	c.execs.Add(1)
-	return c.Source.Exec(ctx, name, q, params, opts)
+	return c.Source.Exec(ctx, name, q, params, opts, scratch...)
 }
 
 // perInstanceBlocked is the reference truncation probe: the original star

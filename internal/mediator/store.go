@@ -216,14 +216,17 @@ type ctxRun struct {
 	vals []relstore.Value // backs the syn table's singleton rows
 	d    dedup            // the Inh and Syn set members' and the guards'
 	// The query materialization's result grouped by parent (at, grouped)
-	// and its column binding; a star copy sorts in grouped instead.
+	// and its column binding; a star copy sorts in grouped instead, one
+	// parent at a time, and leaves grouped at the longest it wrote.
 	at      []int
 	grouped []relstore.Tuple
 	pos     []int
 }
 
 // release clears what the run left in the context's arrays that points
-// elsewhere, so a pooled exec keeps no rows of its last run alive.
+// elsewhere, so a recycled exec keeps no rows of its last run alive.
+// Each array was written once in the run, up to its length, but for the
+// collection builders' own, which keep a high-water length.
 func (cr *ctxRun) release() {
 	cr.t.syn.Store(nil)
 	cr.t.inh.release()
@@ -235,8 +238,8 @@ func (cr *ctxRun) release() {
 	for j := range cr.synB {
 		cr.synB[j].release()
 	}
-	wipe(cr.vals)
-	wipe(cr.grouped)
+	cr.vals = clearAll(cr.vals)
+	cr.grouped = clearAll(cr.grouped)
 	cr.d.ix.Build(nil, nil) // drops the rows, keeps the array
 }
 
@@ -245,15 +248,16 @@ func (cr *ctxRun) release() {
 func (t *attrTable) release() {
 	for j := range t.cols {
 		col := &t.cols[j]
-		wipe(col.vals)
+		col.vals = clearAll(col.vals)
 		col.rows, col.off = nil, nil
 	}
 }
 
-// wipe clears s over its whole array: a run may have written past the
-// length it left s at.
-func wipe[T any](s []T) {
-	clear(s[:cap(s)])
+// clearAll clears s, which holds everything a run wrote into its array,
+// and returns it emptied.
+func clearAll[T any](s []T) []T {
+	clear(s)
+	return s[:0]
 }
 
 // store holds the instance table of every context — the mediator's

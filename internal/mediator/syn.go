@@ -417,7 +417,7 @@ func (x *exec) checkGuards(c *ctxNode, plan *synPlan, s *attrTable, n int) {
 		for _, gd := range plan.guards {
 			ok := false
 			if gd.Kind == aig.GuardUnique {
-				ok = !d.mark(member(gd.Member, i))
+				ok = !d.repeats(member(gd.Member, i))
 			} else {
 				ok = d.subset(member(gd.Sub, i), member(gd.Super, i))
 			}
@@ -438,23 +438,25 @@ type colBuilder struct {
 	rows  []relstore.Tuple
 	off   []int
 	owned bool
+	hw    int              // the longest rows was before a set range dropped its repeats
 	spare []relstore.Tuple // the array the builder owned in its last run, emptied
 }
 
 // start begins a column of n ranges.
 func (b *colBuilder) start(n int) {
-	b.rows, b.owned = nil, false
+	b.rows, b.owned, b.hw = nil, false, 0
 	b.off = append(slices.Grow(b.off[:0], n+1), 0)
 }
 
-// release clears the rows of the array the builder owns and keeps it for
-// the next run's own, so a pooled exec keeps no rows alive.
+// release clears the rows the builder wrote into the array it owns and
+// keeps it for the next run's own, so a recycled exec keeps no rows
+// alive.
 func (b *colBuilder) release() {
 	if b.owned {
-		wipe(b.rows)
+		clear(b.rows[:max(b.hw, len(b.rows))])
 		b.spare = b.rows[:0]
 	}
-	b.rows, b.owned = nil, false
+	b.rows, b.owned, b.hw = nil, false, 0
 }
 
 // addRange appends rs to the current instance's range.
@@ -492,16 +494,10 @@ func (b *colBuilder) own() {
 // keeps the first occurrence of each row, in order.
 func (b *colBuilder) end(d *dedup, fields relstore.Schema) error {
 	lo := b.off[len(b.off)-1]
-	if d != nil && d.mark(b.rows[lo:]) {
+	if d != nil && d.repeats(b.rows[lo:]) {
 		b.own()
-		n := lo
-		for k, row := range b.rows[lo:] {
-			if !d.dup[k] {
-				b.rows[n] = row
-				n++
-			}
-		}
-		b.rows = b.rows[:n]
+		b.hw = max(b.hw, len(b.rows))
+		b.rows = b.rows[:lo+len(d.ix.KeepFirst(b.rows[lo:]))]
 	}
 	for _, row := range b.rows[lo:] {
 		if err := fields.Validate(row); err != nil {
@@ -514,28 +510,20 @@ func (b *colBuilder) end(d *dedup, fields relstore.Schema) error {
 
 // dedup finds repeated rows within one range at a time, and checks one
 // range's inclusion in another, through one relstore.HashIndex over
-// whole rows, rebuilt for every range. Its arrays are reused from range
-// to range, so it allocates only while they grow.
+// whole rows, rebuilt for every range. Its array is reused from range
+// to range, so it allocates only while it grows.
 type dedup struct {
-	ix  relstore.HashIndex
-	dup []bool // by position: the row repeats an earlier one
+	ix relstore.HashIndex
 }
 
-// mark flags in dup every row of rs equal to an earlier one and reports
-// whether there is any.
-func (d *dedup) mark(rs []relstore.Tuple) bool {
+// repeats reports whether a row of rs equals an earlier one; if so, the
+// index is left built over rs, for KeepFirst.
+func (d *dedup) repeats(rs []relstore.Tuple) bool {
 	if len(rs) < 2 {
 		return false
 	}
 	d.ix.Build(rs, nil)
-	if d.ix.Unique() {
-		return false
-	}
-	d.dup = slices.Grow(d.dup[:0], len(rs))[:len(rs)]
-	for i := range rs {
-		d.dup[i] = d.ix.Repeat(i)
-	}
-	return true
+	return !d.ix.Unique()
 }
 
 // subset reports whether every row of sub occurs in super.

@@ -19,8 +19,9 @@ import (
 
 // sameAsEval evaluates grammar a with both evaluators and fails the test
 // unless the mediator's bytes equal the conceptual evaluator's, or both
-// fail with the same kind of error (a guard abort or not). It returns
-// the conceptual evaluator's error.
+// fail with the same kind of error (a guard abort or not), and unless
+// the mediator's run, once released, holds no row (execHolds). It
+// returns the conceptual evaluator's error.
 func sameAsEval(t *testing.T, a *aig.AIG, cat *relstore.Catalog, rootInh *aig.AttrValue) error {
 	t.Helper()
 	schemas := sqlmini.CatalogSchemas{Catalog: cat}
@@ -39,6 +40,11 @@ func sameAsEval(t *testing.T, a *aig.AIG, cat *relstore.Catalog, rootInh *aig.At
 	r, _, err := New(source.RegistryFromCatalog(cat), DefaultOptions()).Settle(context.Background(), a, rootInh, 0, 0, nil)
 	if err == nil {
 		_, err = r.WriteTo(&got)
+		x := r.x
+		r.Release()
+		if herr := execHolds(x); herr != nil {
+			t.Errorf("the released run holds %v", herr)
+		}
 	}
 	var abort *aig.AbortError
 	switch {
@@ -369,6 +375,21 @@ end
 rule src
   child item iterate inh(src).s
 end`)
+	// perParent iterates a bag per src, the first src's longer than the
+	// last's: two rows for mid w = 1, one for w = 3 (key a).
+	perParent := inhMatrixSpec(`  <!ELEMENT doc (mid*)>
+  <!ELEMENT mid (src)>
+  <!ELEMENT src (item*)>`, `inh mid (w)
+inh src (bag s(v, w))`, `
+rule doc
+  child mid from query [p = inh(doc)]: select distinct w from DB:t where k = $p.k;
+end
+rule mid
+  child src collection s from query [q = inh(mid)]: select v, w from DB:t where k = 'a' and w <> $q.w;
+end
+rule src
+  child item iterate inh(src).s
+end`)
 	// single binds item from the one-row query q, then applies copies.
 	single := func(q, copies string) string {
 		return inhMatrixSpec("  <!ELEMENT doc (item)>", "", `
@@ -443,6 +464,7 @@ end`)
 		{"star-over-inh-set", collectionSrc("set")},
 		{"star-over-inh-bag", collectionSrc("bag")},
 		{"copy-bag-into-set", copiedSet},
+		{"star-over-inh-bag-per-parent", perParent},
 		{"query-scalars-by-name", single("select w, v from DB:t where k = $p.k and w = '1'", "")},
 		{"query-scalars-by-position", single("select v as x, w as y from DB:t where k = $p.k and w = '1'", "")},
 		{"query-scalars-partly-by-name", single("select w from DB:t where k = $p.k and w = '1'", "\n  child item set v = inh(doc).k")},
@@ -472,9 +494,10 @@ end`)
 	}
 }
 
-// TestDedupMatchesReference compares dedup.mark and dedup.subset with
-// quadratic references over seeded random ranges, one dedup reused
-// throughout as the set columns reuse theirs. Rows come from a small
+// TestDedupMatchesReference compares dedup.repeats, the KeepFirst it
+// prepares, and dedup.subset with quadratic references over seeded
+// random ranges, one dedup reused throughout as the set columns reuse
+// theirs. Rows come from a small
 // pool, so ranges repeat rows often, and the pool holds Null, Int(1)
 // beside String("1") and strings holding 0x1f.
 func TestDedupMatchesReference(t *testing.T) {
@@ -501,19 +524,18 @@ func TestDedupMatchesReference(t *testing.T) {
 					rs[i] = rs[0].Clone()
 				}
 			}
-			want := make([]bool, n)
-			anyDup := false
+			var firsts []relstore.Tuple
 			for i := range rs {
-				for j := 0; j < i && !want[i]; j++ {
-					want[i] = rs[j].Equal(rs[i])
+				if !slices.ContainsFunc(rs[:i], rs[i].Equal) {
+					firsts = append(firsts, rs[i])
 				}
-				anyDup = anyDup || want[i]
 			}
-			if got := d.mark(rs); got != anyDup {
-				t.Fatalf("mark(%v) = %v, want %v", rs, got, anyDup)
+			anyDup := len(firsts) < n
+			if got := d.repeats(rs); got != anyDup {
+				t.Fatalf("repeats(%v) = %v, want %v", rs, got, anyDup)
 			}
-			if anyDup && !slices.Equal(d.dup[:n], want) {
-				t.Fatalf("mark(%v) flags %v, want %v", rs, d.dup[:n], want)
+			if got := d.ix.KeepFirst(slices.Clone(rs)); anyDup && !slices.EqualFunc(got, firsts, relstore.Tuple.Equal) {
+				t.Fatalf("repeats(%v), then KeepFirst = %v, want %v", rs, got, firsts)
 			}
 
 			// subset: a sub drawn from super, and one drawn from the pool.

@@ -164,18 +164,33 @@ func equalOn(a Tuple, ac []int, b Tuple, bc []int) bool {
 	return true
 }
 
+// KeepFirst compacts rows in place to the first row of each key, in
+// order, and returns them. rows are the rows the index was last built
+// from, or a copy of them position for position; once the index's own
+// rows are compacted it must be rebuilt before it is probed again.
+func (ix *HashIndex) KeepFirst(rows []Tuple) []Tuple {
+	if ix.Unique() {
+		return rows
+	}
+	n := 0
+	for i, row := range rows {
+		if !ix.Repeat(i) {
+			rows[n] = row
+			n++
+		}
+	}
+	return rows[:n]
+}
+
 // DistinctRows returns rows without duplicates, keeping first occurrences
 // in order, and the duplicates it dropped. The input is not modified.
 func DistinctRows(rows []Tuple) (kept, dropped []Tuple) {
 	var ix HashIndex
 	ix.Build(rows, nil)
-	kept = make([]Tuple, 0, ix.keys())
 	for i, row := range rows {
 		if ix.Repeat(i) {
 			dropped = append(dropped, row)
-		} else {
-			kept = append(kept, row)
 		}
 	}
-	return kept, dropped
+	return ix.KeepFirst(slices.Clone(rows)), dropped
 }

@@ -9,8 +9,9 @@ import (
 // rows and a fuzzed column list (none: whole rows): Lookup of every
 // row's projection returns exactly the ascending positions of the rows
 // Equal to it there, Repeat flags all but the first of them, Unique
-// holds exactly when no two projections are Equal, SubsetOf is the
-// inclusion of two indexes' projections, and DistinctRows keeps the
+// holds exactly when no two projections are Equal, KeepFirst keeps the
+// first row of each projection, SubsetOf is the inclusion of two
+// indexes' projections, and DistinctRows keeps the
 // rows the Tuple.Key reference keeps. One index is rebuilt over other
 // rows, as the mediator reuses its index from range to range.
 func FuzzHashIndex(f *testing.F) {
@@ -61,6 +62,7 @@ func FuzzHashIndex(f *testing.F) {
 
 		ix.Build(rows, cols)
 		unique := true
+		var firsts []Tuple
 		for i, row := range rows {
 			var pos []int32
 			for j, other := range rows {
@@ -75,9 +77,15 @@ func FuzzHashIndex(f *testing.F) {
 				t.Fatalf("%v on %v: Repeat(%d) = %v, first equal row %d", rows, cols, i, got, pos[0])
 			}
 			unique = unique && len(pos) == 1
+			if pos[0] == int32(i) {
+				firsts = append(firsts, row)
+			}
 		}
 		if got := ix.Unique(); got != unique {
 			t.Fatalf("%v on %v: Unique = %v, want %v", rows, cols, got, unique)
+		}
+		if got := ix.KeepFirst(slices.Clone(rows)); !slices.EqualFunc(got, firsts, Tuple.Equal) {
+			t.Fatalf("%v on %v: KeepFirst = %v, want %v", rows, cols, got, firsts)
 		}
 
 		seen := make(map[string]bool)

@@ -265,7 +265,8 @@ func (c *Client) Estimate(ctx context.Context, q *sqlmini.Query, params sqlmini.
 // Exec implements source.Source: the query ships as SQL text with its
 // parameter tables; the result table and the engine-measured evaluation
 // time ship back, along with the server-side spans of a traced request.
-func (c *Client) Exec(ctx context.Context, name string, q *sqlmini.Query, params sqlmini.Params, opts sqlmini.PlanOptions) (*relstore.Table, time.Duration, error) {
+// The result is decoded into memory of its own: a scratch is ignored.
+func (c *Client) Exec(ctx context.Context, name string, q *sqlmini.Query, params sqlmini.Params, opts sqlmini.PlanOptions, _ ...*sqlmini.Scratch) (*relstore.Table, time.Duration, error) {
 	req := &request{Kind: reqExec, SQL: q.String(), ResultName: name, Params: params, ParamCards: opts.ParamCards}
 	var resp response
 	if err := c.tracedTrip(ctx, req, &resp); err != nil {

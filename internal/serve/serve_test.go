@@ -28,9 +28,9 @@ type gatedSource struct {
 	gate chan struct{}
 }
 
-func (g *gatedSource) Exec(ctx context.Context, name string, q *sqlmini.Query, params sqlmini.Params, opts sqlmini.PlanOptions) (*relstore.Table, time.Duration, error) {
+func (g *gatedSource) Exec(ctx context.Context, name string, q *sqlmini.Query, params sqlmini.Params, opts sqlmini.PlanOptions, scratch ...*sqlmini.Scratch) (*relstore.Table, time.Duration, error) {
 	<-g.gate
-	return g.Source.Exec(ctx, name, q, params, opts)
+	return g.Source.Exec(ctx, name, q, params, opts, scratch...)
 }
 
 // TableData gates the direct-read route the partial evaluator uses, so

@@ -73,8 +73,11 @@ type Source interface {
 	// parent their spans under the mediator's.
 	Estimate(ctx context.Context, q *sqlmini.Query, params sqlmini.ParamSchemas, opts sqlmini.PlanOptions) (Estimate, error)
 	// Exec executes such a query and reports the measured wall time spent
-	// inside the source engine.
-	Exec(ctx context.Context, name string, q *sqlmini.Query, params sqlmini.Params, opts sqlmini.PlanOptions) (*relstore.Table, time.Duration, error)
+	// inside the source engine. An in-process engine executes it in
+	// scratch, as sqlmini.Exec does (which fails given more than one),
+	// so the result is valid until the scratch's next use or release;
+	// an engine elsewhere ignores scratch.
+	Exec(ctx context.Context, name string, q *sqlmini.Query, params sqlmini.Params, opts sqlmini.PlanOptions, scratch ...*sqlmini.Scratch) (*relstore.Table, time.Duration, error)
 }
 
 // Health is optionally implemented by sources whose availability can
@@ -149,9 +152,9 @@ func (l *Local) TableData(table string) (*relstore.Table, error) { return l.db.T
 func (l *Local) DB() *relstore.Database { return l.db }
 
 func (l *Local) checkLocal(q *sqlmini.Query) error {
-	for _, s := range q.Sources() {
-		if s != l.db.Name() {
-			return fmt.Errorf("source %s: query references foreign source %s: %s", l.db.Name(), s, q)
+	for _, t := range q.From {
+		if !t.IsParam() && t.Source != "" && t.Source != l.db.Name() {
+			return fmt.Errorf("source %s: query references foreign source %s: %s", l.db.Name(), t.Source, q)
 		}
 	}
 	return nil
@@ -191,7 +194,7 @@ func (d tracedData) TableData(sourceName, table string) (*relstore.Table, error)
 }
 
 // Exec implements Source.
-func (l *Local) Exec(ctx context.Context, name string, q *sqlmini.Query, params sqlmini.Params, opts sqlmini.PlanOptions) (*relstore.Table, time.Duration, error) {
+func (l *Local) Exec(ctx context.Context, name string, q *sqlmini.Query, params sqlmini.Params, opts sqlmini.PlanOptions, scratch ...*sqlmini.Scratch) (*relstore.Table, time.Duration, error) {
 	if err := l.checkLocal(q); err != nil {
 		return nil, 0, err
 	}
@@ -200,7 +203,7 @@ func (l *Local) Exec(ctx context.Context, name string, q *sqlmini.Query, params 
 		data = tracedData{inner: data, tracer: tr, parent: parent}
 	}
 	start := time.Now()
-	out, err := sqlmini.Run(name, q, sqlmini.CatalogSchemas{Catalog: l.cat}, data, sqlmini.CatalogStats{Catalog: l.cat}, params, opts)
+	out, err := sqlmini.Run(name, q, sqlmini.CatalogSchemas{Catalog: l.cat}, data, sqlmini.CatalogStats{Catalog: l.cat}, params, opts, scratch...)
 	if err == nil {
 		metricExecs.Inc()
 		metricExecRows.Add(int64(out.Len()))

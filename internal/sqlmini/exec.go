@@ -31,9 +31,21 @@ func (c CatalogData) TableData(source, table string) (*relstore.Table, error) {
 // columns plus the join columns with each prefix row. Positions are
 // taken in snapshot order, so every result lists its rows in the order
 // a scan and a hash join would.
-func Exec(name string, plan *Plan, data DataProvider, params Params) (*relstore.Table, error) {
+//
+// The execution works in scratch, whose arrays the result table's rows
+// then live in (see Scratch); without one it allocates fresh working
+// memory, and given more than one it fails.
+func Exec(name string, plan *Plan, data DataProvider, params Params, scratch ...*Scratch) (*relstore.Table, error) {
 	r := plan.Resolved
 	n := len(r.TableSchemas)
+	if len(scratch) > 1 {
+		return nil, fmt.Errorf("sqlmini: %s: %d scratches given, at most one runs an execution", name, len(scratch))
+	}
+	var fresh Scratch
+	sc := &fresh
+	if len(scratch) == 1 && scratch[0] != nil {
+		sc = scratch[0]
+	}
 
 	preds, err := bindPreds(r, params)
 	if err != nil {
@@ -66,7 +78,10 @@ func Exec(name string, plan *Plan, data DataProvider, params Params) (*relstore.
 		return row[a.slot][a.col]
 	}
 
+	// The joined rows alternate between the scratch's two arrays: each
+	// step reads one and writes the other.
 	var refs []relstore.Tuple
+	cur := 0
 	k := 0
 	appliedPred := make([]bool, len(r.Preds))
 
@@ -84,7 +99,7 @@ func Exec(name string, plan *Plan, data DataProvider, params Params) (*relstore.
 		if step == 0 {
 			// A copy: the filters below work in place, and the
 			// candidates may be a stored snapshot.
-			refs = append([]relstore.Tuple(nil), in.candidates()...)
+			refs = sc.joined[cur].put(in.candidates(sc.joined[cur].take(0)))
 			slot[ti], k = 0, 1
 			continue
 		}
@@ -117,18 +132,26 @@ func Exec(name string, plan *Plan, data DataProvider, params Params) (*relstore.
 			}
 		}
 
+		cur = 1 - cur
 		if len(buildCols) > 0 {
-			refs = in.join(refs, k, probe, buildCols)
+			refs = sc.joined[cur].put(in.join(sc.joined[cur].take(0), refs, k, probe, buildCols, sc, ti))
 		} else {
 			// Cartesian product (rare; only for disconnected queries).
-			next := in.candidates()
-			joined := make([]relstore.Tuple, 0, len(refs)/k*len(next)*(k+1))
+			// The product only reads the input's rows, so unfiltered
+			// ones are taken as they are.
+			var next []relstore.Tuple
+			if in.filtered() {
+				next = in.candidates(nil)
+			} else {
+				next = in.scan()
+			}
+			joined := sc.joined[cur].take(len(refs) / k * len(next) * (k + 1))
 			for lo := 0; lo < len(refs); lo += k {
 				for _, nrow := range next {
 					joined = append(append(joined, refs[lo:lo+k]...), nrow)
 				}
 			}
-			refs = joined
+			refs = sc.joined[cur].put(joined)
 		}
 		slot[ti] = k
 		k++
@@ -172,8 +195,8 @@ func Exec(name string, plan *Plan, data DataProvider, params Params) (*relstore.
 	if k > 0 {
 		nrows = len(refs) / k
 	}
-	vals := make(relstore.Tuple, nrows*w)
-	rows := make([]relstore.Tuple, nrows)
+	vals := sc.vals.put(sc.vals.take(nrows * w)[:nrows*w])
+	rows := sc.rows.put(sc.rows.take(nrows)[:nrows])
 	for i := range rows {
 		row, proj := refs[i*k:(i+1)*k], vals[i*w:(i+1)*w:(i+1)*w]
 		for j, c := range cols {
@@ -182,7 +205,8 @@ func Exec(name string, plan *Plan, data DataProvider, params Params) (*relstore.
 		rows[i] = proj
 	}
 	if r.Query.Distinct {
-		rows, _ = relstore.DistinctRows(rows)
+		sc.dist.Build(rows, nil)
+		rows = sc.dist.KeepFirst(rows)
 	}
 	out, err := relstore.TableFromRows(name, r.Output.Project(identity(len(r.Output))), rows)
 	if err != nil {
@@ -190,6 +214,66 @@ func Exec(name string, plan *Plan, data DataProvider, params Params) (*relstore.
 	}
 	metricRowsReturned.Add(int64(out.Len()))
 	return out, nil
+}
+
+// Scratch is the working memory of executions that run one after
+// another: the two arrays the joined rows alternate between, one
+// parameter-table join index per FROM input, and the projected values
+// and rows. A table Exec returns lives in its scratch's arrays, so it is
+// valid until the scratch's next execution or Release; the zero Scratch
+// is ready to use. A scratch serves one execution at a time.
+type Scratch struct {
+	joined [2]buffer[relstore.Tuple]
+	ix     []relstore.HashIndex // by FROM input, for parameter tables; it only grows
+	dist   relstore.HashIndex   // the DISTINCT pass's
+	vals   buffer[relstore.Value]
+	rows   buffer[relstore.Tuple]
+}
+
+// index returns the join index of FROM input ti.
+func (s *Scratch) index(ti int) *relstore.HashIndex {
+	if len(s.ix) <= ti {
+		s.ix = append(s.ix, make([]relstore.HashIndex, ti+1-len(s.ix))...)
+	}
+	return &s.ix[ti]
+}
+
+// Release clears what the executions since the last Release wrote, so
+// the scratch keeps none of their rows alive, and keeps its arrays for
+// the next execution. Tables those executions returned must no longer
+// be read.
+func (s *Scratch) Release() {
+	for i := range s.joined {
+		s.joined[i].release()
+	}
+	for i := range s.ix {
+		s.ix[i].Build(nil, nil) // drops the rows, keeps the array
+	}
+	s.dist.Build(nil, nil)
+	s.vals.release()
+	s.rows.release()
+}
+
+// buffer is a recycled array and its high-water length: the most of it
+// written since the last release, which is all release clears.
+type buffer[T any] struct {
+	s  []T
+	hw int
+}
+
+// take returns the array emptied, with room for n elements.
+func (b *buffer[T]) take(n int) []T { return slices.Grow(b.s[:0], n) }
+
+// put makes s, written from take's array, the array's contents, and
+// returns it.
+func (b *buffer[T]) put(s []T) []T {
+	b.s, b.hw = s, max(b.hw, len(s))
+	return s
+}
+
+func (b *buffer[T]) release() {
+	clear(b.s[:b.hw])
+	b.s, b.hw = b.s[:0], 0
 }
 
 // colAt places a column in a joined row: column col of the row's
@@ -347,10 +431,10 @@ func (in *input) pass(row relstore.Tuple) bool {
 	return true
 }
 
-// candidates returns the rows satisfying every local predicate, in
-// table order: an index probe when the table is stored and has a local
-// equality or IN predicate, a scan otherwise.
-func (in *input) candidates() []relstore.Tuple {
+// candidates appends to dst the rows satisfying every local predicate,
+// in table order, and returns it: an index probe when the table is
+// stored and has a local equality or IN predicate, a scan otherwise.
+func (in *input) candidates(dst []relstore.Tuple) []relstore.Tuple {
 	if in.table != nil && (len(in.eqCols) > 0 || in.inCol != nil) {
 		var ix *relstore.HashIndex
 		var pos []int32
@@ -370,39 +454,50 @@ func (in *input) candidates() []relstore.Tuple {
 		}
 		rows := ix.Rows()
 		metricRowsScanned.Add(int64(len(pos)))
-		out := make([]relstore.Tuple, 0, len(pos))
+		dst = slices.Grow(dst, len(pos))
 		for _, p := range pos {
 			if in.pass(rows[p]) {
-				out = append(out, rows[p])
+				dst = append(dst, rows[p])
 			}
 		}
-		return out
+		return dst
 	}
+	rows := in.scan()
+	if len(in.filter) == 0 {
+		return append(dst, rows...)
+	}
+	dst = slices.Grow(dst, len(rows))
+	for _, row := range rows {
+		if in.pass(row) {
+			dst = append(dst, row)
+		}
+	}
+	return dst
+}
+
+// filtered reports whether a local predicate narrows the input's rows.
+func (in *input) filtered() bool { return len(in.filter) > 0 || len(in.eqCols) > 0 }
+
+// scan returns all of the input's rows, the stored table's snapshot or
+// the parameter rows, which the caller must not modify.
+func (in *input) scan() []relstore.Tuple {
 	rows := in.rows
 	if in.table != nil {
 		rows = in.table.Rows()
 	}
 	metricRowsScanned.Add(int64(len(rows)))
-	if len(in.filter) == 0 {
-		return rows
-	}
-	out := make([]relstore.Tuple, 0, len(rows))
-	for _, row := range rows {
-		if in.pass(row) {
-			out = append(out, row)
-		}
-	}
-	return out
+	return rows
 }
 
 // join equi-joins the joined rows refs, k references each, with the
 // table on the prefix columns probe = row[buildCols], prefix order
-// first, table order within a prefix row; a result row is its prefix's
-// references followed by the table row. A stored table is probed
-// through its snapshot index on the local equality columns plus
-// buildCols; a parameter table's rows are indexed on buildCols for this
-// join. A counting pass sizes the result before the filling pass.
-func (in *input) join(refs []relstore.Tuple, k int, probe []colAt, buildCols []int) []relstore.Tuple {
+// first, table order within a prefix row, and appends the result to
+// joined: a result row is its prefix's references followed by the table
+// row. A stored table is probed through its snapshot index on the local
+// equality columns plus buildCols; a parameter table's rows are indexed
+// on buildCols in the scratch's index of table ti for this join. A
+// counting pass sizes the result before the filling pass.
+func (in *input) join(joined, refs []relstore.Tuple, k int, probe []colAt, buildCols []int, sc *Scratch, ti int) []relstore.Tuple {
 	ne := len(in.eqCols)
 	key := make(relstore.Tuple, ne+len(probe))
 	copy(key, in.eqVals)
@@ -410,7 +505,7 @@ func (in *input) join(refs []relstore.Tuple, k int, probe []colAt, buildCols []i
 	if in.table != nil {
 		ix = in.table.Index(append(append(make([]int, 0, ne+len(buildCols)), in.eqCols...), buildCols...))
 	} else {
-		ix = new(relstore.HashIndex)
+		ix = sc.index(ti)
 		ix.Build(in.rows, buildCols)
 		metricRowsScanned.Add(int64(len(in.rows)))
 	}
@@ -428,7 +523,7 @@ func (in *input) join(refs []relstore.Tuple, k int, probe []colAt, buildCols []i
 		metricRowsScanned.Add(int64(hits))
 	}
 	rows := ix.Rows()
-	joined := make([]relstore.Tuple, 0, hits*(k+1))
+	joined = slices.Grow(joined, hits*(k+1))
 	for lo := 0; lo < len(refs); lo += k {
 		prefix := refs[lo : lo+k]
 		for _, p := range lookup(prefix) {
@@ -475,13 +570,13 @@ func evalPred(p boundPred, value func(c int) relstore.Value) bool {
 	}
 }
 
-// Run resolves, plans and executes q in one call — the convenience path
-// used by the conceptual evaluator, which runs each query per node rather
-// than set-at-a-time.
-func Run(name string, q *Query, schemas SchemaProvider, data DataProvider, stats Stats, params Params, opts PlanOptions) (*relstore.Table, error) {
+// Run resolves, plans and executes q in one call, in scratch as Exec
+// does — the convenience path used by the conceptual evaluator, which
+// runs each query per node rather than set-at-a-time.
+func Run(name string, q *Query, schemas SchemaProvider, data DataProvider, stats Stats, params Params, opts PlanOptions, scratch ...*Scratch) (*relstore.Table, error) {
 	plan, err := PlanAndEstimate(q, schemas, ParamSchemasOf(params), stats, opts)
 	if err != nil {
 		return nil, err
 	}
-	return Exec(name, plan, data, params)
+	return Exec(name, plan, data, params, scratch...)
 }

@@ -160,6 +160,32 @@ func TestExecCartesianWhenDisconnected(t *testing.T) {
 	}
 }
 
+// TestExecTakesAtMostOneScratch runs a cartesian product, whose second
+// input is read as stored, in the one scratch it is given, and requires
+// Exec given two scratches to fail rather than ignore one.
+func TestExecTakesAtMostOneScratch(t *testing.T) {
+	cat := hospitalCatalog()
+	q := MustParse(`select p.pname, t.tname from DB1:patient p, DB4:treatment t`)
+	plan, err := PlanAndEstimate(q, CatalogSchemas{cat}, nil, CatalogStats{cat}, PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b Scratch
+	if _, err := Exec("out", plan, CatalogData{cat}, nil, &a, &b); err == nil {
+		t.Error("Exec given two scratches did not fail")
+	}
+	for range 2 {
+		out, err := Exec("out", plan, CatalogData{cat}, nil, &a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Len() != 12 {
+			t.Errorf("cartesian product in a scratch returned %d rows, want 12", out.Len())
+		}
+		a.Release()
+	}
+}
+
 func TestExecPreservesDuplicates(t *testing.T) {
 	cat := hospitalCatalog()
 	// visitInfo has two d1 visits for s1; projecting SSN alone must keep

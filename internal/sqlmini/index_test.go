@@ -280,8 +280,11 @@ func (g diffGen) query() *Query {
 // TestExecMatchesNestedLoop runs seeded random queries through Exec and
 // the nested-loop reference: same rows, same order. Each plan runs under
 // several bindings, against both freshly built and cached indexes, and
-// again after a write has dropped them.
+// again after a write has dropped them; and each run twice, once in
+// fresh memory and once in a scratch every seed shares, which is
+// released after every third seed and must then hold no row.
 func TestExecMatchesNestedLoop(t *testing.T) {
+	var sc Scratch
 	for seed := int64(0); seed < 400; seed++ {
 		g := diffGen{rand.New(rand.NewSource(seed))}
 		cat := g.catalog()
@@ -301,15 +304,54 @@ func TestExecMatchesNestedLoop(t *testing.T) {
 				s.MustInsert(g.row(diffSchemas["s"]))
 			}
 			want := nestedLoop(plan, refRows(plan, cat, params), params)
-			out, err := Exec("out", plan, CatalogData{cat}, params)
-			if err != nil {
-				t.Fatalf("seed %d run %d: %s: %v", seed, run, q, err)
+			for _, scratch := range []*Scratch{nil, &sc} {
+				out, err := Exec("out", plan, CatalogData{cat}, params, scratch)
+				if err != nil {
+					t.Fatalf("seed %d run %d: %s: %v", seed, run, q, err)
+				}
+				if got := out.Rows(); !sameRows(got, want) {
+					t.Fatalf("seed %d run %d (scratch %v): %s (order %v)\n got %v\nwant %v", seed, run, scratch != nil, q, plan.Order, got, want)
+				}
 			}
-			if got := out.Rows(); !sameRows(got, want) {
-				t.Fatalf("seed %d run %d: %s (order %v)\n got %v\nwant %v", seed, run, q, plan.Order, got, want)
+		}
+		if seed%3 == 2 {
+			sc.Release()
+			if err := scratchHolds(&sc); err != nil {
+				t.Fatalf("seed %d: released scratch: %v", seed, err)
 			}
 		}
 	}
+}
+
+// scratchHolds reports a row or value a scratch still holds anywhere in
+// its arrays' capacity.
+func scratchHolds(sc *Scratch) error {
+	for i, b := range sc.joined {
+		for j, r := range b.s[:cap(b.s)] {
+			if r != nil {
+				return fmt.Errorf("joined[%d][%d] holds %v", i, j, r)
+			}
+		}
+	}
+	for j, r := range sc.rows.s[:cap(sc.rows.s)] {
+		if r != nil {
+			return fmt.Errorf("rows[%d] holds %v", j, r)
+		}
+	}
+	for j, v := range sc.vals.s[:cap(sc.vals.s)] {
+		if v != relstore.Null {
+			return fmt.Errorf("vals[%d] holds %v", j, v)
+		}
+	}
+	for i := range sc.ix {
+		if sc.ix[i].Rows() != nil {
+			return fmt.Errorf("index %d holds rows", i)
+		}
+	}
+	if sc.dist.Rows() != nil {
+		return fmt.Errorf("the distinct index holds rows")
+	}
+	return nil
 }
 
 // TestRowsScannedCountsIndexHits pins aig_sqlmini_rows_scanned_total to
